@@ -13,7 +13,7 @@ import time
 
 from mfequil import (
     build_basis, build_eqg, build_gamma_dist, build_grid, build_liability,
-    build_market, build_xi_dist, load_config, run_clearing_study,
+    build_market, load_config, run_clearing_study,
 )
 
 
@@ -38,7 +38,7 @@ def main(argv=None):
         n_equilibrium=cfg.clearing.n_equilibrium,
         Ns=cfg.clearing.Ns, seed=seed, basis=basis,
         mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
-        xi_dist=build_xi_dist(cfg), n_batches=cfg.clearing.n_batches,
+        n_batches=cfg.clearing.n_batches,
         slack=cfg.clearing.slack,
     )
     wall = time.time() - t0

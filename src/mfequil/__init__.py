@@ -44,7 +44,6 @@ from .config import (
     build_grid,
     build_liability,
     build_market,
-    build_xi_dist,
     config_from_dict,
     config_sha256,
     config_to_dict,
@@ -74,18 +73,17 @@ from .errors import (
 )
 from .liabilities import CrossTerm, EqgCommon, GaussianIdio, LiabilitySpec, terminal_g
 from .market import (
-    AgentParams,
     MarketSpec,
     PopulationStats,
     TimeGrid,
     excess_return_from_theta,
     gamma_hat,
+    market_geometry,
     project,
     risk_premium_from_mu,
     validate_market,
 )
 from .meanfield import (
-    CloudLayout,
     ContractionDiagnostics,
     MeanFieldSolution,
     cloud_mean,

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PicardDiverged, WeightDegenerate
-from .market import MarketSpec, TimeGrid, project
+from .market import MarketSpec, TimeGrid
 from .paths import PathBundle
 from .regression import BasisEngine, RegressionBasis, StepFit
 
@@ -87,9 +87,9 @@ class BsdeSolution:
     @cached_property
     def z0_par(self) -> np.ndarray:
         out = np.empty_like(self.z0)
-        table = self.market.sigma_table(self.grid.steps)
+        proj, _ = self.market.geometry(self.grid.steps)
         for k in range(self.grid.steps):
-            out[:, :, k, :], _ = project(table[k], self.z0[:, :, k, :])
+            out[:, :, k, :] = self.z0[:, :, k, :] @ proj[k]
         return out
 
     @cached_property
@@ -101,12 +101,33 @@ def _as_theta_at(theta: np.ndarray, steps: int, d0: int, n_paths: int):
     """Normalise theta input to a per-step (M0, d0) accessor plus a flag."""
     th = np.asarray(theta, dtype=float)
     if th.shape == (steps, d0):
-        return (lambda k: np.broadcast_to(th[k], (n_paths, d0))), True, th
+        return (lambda k: np.broadcast_to(th[k], (n_paths, d0))), True
     if th.shape == (n_paths, steps, d0):
-        return (lambda k: th[:, k, :]), False, th
+        return (lambda k: th[:, k, :]), False
     raise ValueError(
         f"theta must have shape ({steps}, {d0}) or ({n_paths}, {steps}, {d0}); got {th.shape}"
     )
+
+
+def _split_driver(clipper, z0k: np.ndarray, z1k: np.ndarray, proj_k: np.ndarray):
+    """Clip z on one interval and split z0 through its projector: returns z0_par
+    and the theta-free driver (|z0_perp|^2 + |z1|^2) / 2."""
+    z0k = clipper.clip(z0k)
+    z1k = clipper.clip(z1k)
+    z0_par = z0k @ proj_k
+    z0_perp = z0k - z0_par
+    return z0_par, 0.5 * (np.sum(z0_perp**2, axis=2) + np.sum(z1k**2, axis=2))
+
+
+def _theta_terms(f: np.ndarray, th: np.ndarray, theta_det: bool, z0_par=None):
+    """Add -z0_par theta (the tilted solve passes no z0_par: its measure absorbs
+    that term) and -|theta|^2 / 2, as the outside-regression scalar when theta is
+    deterministic."""
+    if z0_par is not None:
+        f = f - np.einsum("mkj,mj->mk", z0_par, th)
+    if theta_det:
+        return f, -0.5 * float(np.sum(th[0] ** 2))
+    return f - 0.5 * np.sum(th**2, axis=1)[:, None], 0.0
 
 
 def _backward_pass(
@@ -198,10 +219,9 @@ def _picard_loop(
 
     for it in range(max_iters):
         driver = make_driver(z0_prev, z1_prev)
-        want_fits = collect_fits
         y, z0, z1, fits = _backward_pass(
             engine, g, dW0, dWi, dt, driver,
-            dw0_shift=dw0_shift, weights_at=weights_at, collect_fits=want_fits,
+            dw0_shift=dw0_shift, weights_at=weights_at, collect_fits=collect_fits,
         )
         y0 = y[:, :, 0]
         if y0_prev is None:
@@ -256,28 +276,16 @@ def solve_agent_bsde(
     M0, K = bundle.n_paths, bundle.n_agents
     d0, d = market.d0, market.d
     g = np.asarray(g_samples, dtype=float).reshape(M0, K)
-    theta_at, theta_det, _ = _as_theta_at(theta, steps, d0, M0)
-    sig_table = market.sigma_table(steps)
+    theta_at, theta_det = _as_theta_at(theta, steps, d0, M0)
+    proj, _ = market.geometry(steps)
     engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
                          stratum_ids=stratum_ids, n_strata=n_strata)
     clipper = _ClipCounter(clip)
 
     def make_driver(z0_prev, z1_prev):
         def driver(k):
-            th = theta_at(k)                       # (M0, d0)
-            z0k = clipper.clip(z0_prev[:, :, k, :])
-            z1k = clipper.clip(z1_prev[:, :, k, :])
-            z0_par, z0_perp = project(sig_table[k], z0k)
-            f = (
-                -np.einsum("mkj,mj->mk", z0_par, th)
-                + 0.5 * (np.sum(z0_perp**2, axis=2) + np.sum(z1k**2, axis=2))
-            )
-            if theta_det:
-                det = -0.5 * float(np.sum(th[0] ** 2))
-            else:
-                f = f - 0.5 * np.sum(th**2, axis=1)[:, None]
-                det = 0.0
-            return f, det
+            z0_par, f = _split_driver(clipper, z0_prev[:, :, k, :], z1_prev[:, :, k, :], proj[k])
+            return _theta_terms(f, theta_at(k), theta_det, z0_par)
         return driver
 
     (y, z0, z1, fits), iters, converged, ych, zch = _picard_loop(
@@ -301,7 +309,7 @@ def doleans_weights(theta: np.ndarray, bundle: PathBundle) -> np.ndarray:
     steps, dt = grid.steps, grid.dt
     M0 = bundle.n_paths
     d0 = bundle.dW0.shape[2]
-    theta_at, _, _ = _as_theta_at(theta, steps, d0, M0)
+    theta_at, _ = _as_theta_at(theta, steps, d0, M0)
     D = np.empty((M0, steps + 1))
     D[:, 0] = 1.0
     for k in range(steps):
@@ -335,8 +343,8 @@ def solve_under_q(
     M0, K = bundle.n_paths, bundle.n_agents
     d0, d = market.d0, market.d
     g = np.asarray(g_samples, dtype=float).reshape(M0, K)
-    theta_at, theta_det, _ = _as_theta_at(theta, steps, d0, M0)
-    sig_table = market.sigma_table(steps)
+    theta_at, theta_det = _as_theta_at(theta, steps, d0, M0)
+    proj, _ = market.geometry(steps)
 
     D = doleans_weights(theta, bundle)
     wT = D[:, -1]
@@ -359,17 +367,8 @@ def solve_under_q(
 
     def make_driver(z0_prev, z1_prev):
         def driver(k):
-            th = theta_at(k)
-            z0k = clipper.clip(z0_prev[:, :, k, :])
-            z1k = clipper.clip(z1_prev[:, :, k, :])
-            _, z0_perp = project(sig_table[k], z0k)
-            f = 0.5 * (np.sum(z0_perp**2, axis=2) + np.sum(z1k**2, axis=2))
-            if theta_det:
-                det = -0.5 * float(np.sum(th[0] ** 2))
-            else:
-                f = f - 0.5 * np.sum(th**2, axis=1)[:, None]
-                det = 0.0
-            return f, det
+            _, f = _split_driver(clipper, z0_prev[:, :, k, :], z1_prev[:, :, k, :], proj[k])
+            return _theta_terms(f, theta_at(k), theta_det)
         return driver
 
     (y, z0, z1, fits), iters, converged, ych, zch = _picard_loop(
@@ -398,16 +397,14 @@ def optimal_strategy(
     steps = grid.steps
     M0, K = solution.layout
     d0 = market.d0
-    theta_at, _, _ = _as_theta_at(theta, steps, d0, M0)
-    table = market.sigma_table(steps)
+    theta_at, _ = _as_theta_at(theta, steps, d0, M0)
+    _, pos = market.geometry(steps)
     p = np.empty((M0, K, steps, d0))
     pi = np.empty((M0, K, steps, market.n))
     z0_par = solution.z0_par
     for k in range(steps):
         p[:, :, k, :] = (z0_par[:, :, k, :] + theta_at(k)[:, None, :]) / gamma
-        gram = table[k] @ table[k].T
-        coef = np.linalg.solve(gram, table[k] @ p[:, :, k, :].reshape(-1, d0).T)
-        pi[:, :, k, :] = coef.T.reshape(M0, K, market.n)
+        pi[:, :, k, :] = p[:, :, k, :] @ pos[k].T
     return p, pi
 
 
@@ -437,11 +434,11 @@ class VerificationReport:
         )
 
 
-def _wealth_paths(p: np.ndarray, bundle: PathBundle, theta_at, dt: float, xi: float):
-    """W_{k+1} = W_k + p_k (dW0_k + theta_k dt) for p of shape (M0, K, steps, d0)."""
+def _wealth_paths(p: np.ndarray, bundle: PathBundle, theta_at, dt: float):
+    """W_{k+1} = W_k + p_k (dW0_k + theta_k dt), W_0 = 0, for p of shape (M0, K, steps, d0)."""
     M0, K, steps, _ = p.shape
     W = np.empty((M0, K, steps + 1))
-    W[:, :, 0] = xi
+    W[:, :, 0] = 0.0
     for k in range(steps):
         drive = bundle.dW0[:, k, :] + theta_at(k) * dt
         W[:, :, k + 1] = W[:, :, k] + np.einsum("mkj,mj->mk", p[:, :, k, :], drive)
@@ -456,7 +453,6 @@ def verify_condition_r(
     gamma: float,
     g_samples: np.ndarray,
     perturbations: list[Perturbation] | None = None,
-    xi: float = 0.0,
 ) -> VerificationReport:
     """Drift test of R^p = -exp(-gamma (W^p - Y)) along p* and perturbations.
 
@@ -469,8 +465,8 @@ def verify_condition_r(
     steps, dt = grid.steps, grid.dt
     M0, K = solution.layout
     d0 = market.d0
-    theta_at, _, _ = _as_theta_at(theta, steps, d0, M0)
-    table = market.sigma_table(steps)
+    theta_at, _ = _as_theta_at(theta, steps, d0, M0)
+    proj, _ = market.geometry(steps)
     if perturbations is None:
         perturbations = [
             Perturbation("offset+0.5e1", 1.0, tuple([0.5] + [0.0] * (d0 - 1))),
@@ -482,7 +478,7 @@ def verify_condition_r(
     F = np.asarray(g_samples, dtype=float).reshape(M0, K) / gamma
 
     def drift_stats(p):
-        W = _wealth_paths(p, bundle, theta_at, dt, xi)
+        W = _wealth_paths(p, bundle, theta_at, dt)
         R = -np.exp(-gamma * (W - Y))
         dR = np.diff(R, axis=2)
         flat = dR.reshape(-1, steps)
@@ -502,8 +498,7 @@ def verify_condition_r(
         if pert.offset is not None:
             off = np.asarray(pert.offset, dtype=float)
             for k in range(steps):
-                off_par, _ = project(table[k], off)
-                p[:, :, k, :] += off_par[None, None, :]
+                p[:, :, k, :] += off @ proj[k]
         z, _, u, _ = drift_stats(p)
         gap = u.mean() - u_star.mean()
         gap_se = float((u - u_star).std(ddof=1) / np.sqrt(u.size))

@@ -1,9 +1,10 @@
 """N-agent market simulation against the mean-field risk premium.
 
 A heterogeneous population of exponential-utility agents is drawn i.i.d.
-(risk aversion and initial wealth from discrete atoms, idiosyncratic noise
-fresh per agent) and every agent is pushed through the solution map fitted
-on the equilibrium cloud: agent i's hedging demand is the per-step
+(risk aversion from discrete atoms, idiosyncratic noise fresh per agent;
+initial wealth is not drawn, since it does not move exponential-utility
+positions) and every agent is pushed through the solution map fitted on
+the equilibrium cloud: agent i's hedging demand is the per-step
 regression prediction z0_hat evaluated at (x_t, I_t, w^i_t) in its own
 risk-aversion stratum, and its optimal position is
 
@@ -31,12 +32,11 @@ import numpy as np
 
 from .errors import IllConditionedQ, InsufficientSpan, MissingStageOutput
 from .liabilities import LiabilitySpec, terminal_g
-from .market import MarketSpec, gamma_hat, project, risk_premium_from_mu
+from .market import MarketSpec, gamma_hat, risk_premium_from_mu
 from .meanfield import MeanFieldSolution, smallness_from_liability, solve_mean_field
 from .paths import (
     KIND_AUX,
     KIND_GAMMA,
-    KIND_XI,
     PathBundle,
     _philox,
     normal_block_array,
@@ -90,7 +90,6 @@ class Population:
     """Per-agent draws shared across common paths."""
 
     gammas: np.ndarray       # (N,)
-    xis: np.ndarray          # (N,)
     atom_ids: np.ndarray     # (N,) index into the gamma atoms
     gamma_dist: DiscreteDist
 
@@ -103,11 +102,10 @@ def build_population(
     n_agents: int,
     seed: int,
     gamma_dist: DiscreteDist,
-    xi_dist: DiscreteDist | None = None,
     balanced: bool = False,
     stream: int = KIND_GAMMA,
 ) -> Population:
-    """Draw (gamma_i, xi_i) for n_agents.
+    """Draw gamma_i for n_agents.
 
     balanced=True assigns gamma atoms in exact proportion instead of i.i.d.
     (used for the equilibrium cloud so the sample harmonic mean is the
@@ -121,12 +119,7 @@ def build_population(
         u = _philox(seed, stream, 0).random(n_agents)
         ids = gamma_dist.draw_ids(u)
     gammas = np.asarray(gamma_dist.values, dtype=float)[ids]
-    if xi_dist is None:
-        xis = np.zeros(n_agents)
-    else:
-        ux = _philox(seed, KIND_XI, 0).random(n_agents)
-        xis = np.asarray(xi_dist.values, dtype=float)[xi_dist.draw_ids(ux)]
-    return Population(gammas=gammas, xis=xis, atom_ids=ids, gamma_dist=gamma_dist)
+    return Population(gammas=gammas, atom_ids=ids, gamma_dist=gamma_dist)
 
 
 def fresh_idio_levels(seed: int, n_common: int, n_agents: int, grid, stream: int = KIND_AUX):
@@ -162,7 +155,7 @@ def agent_strategies(
     M0 = bundle.n_paths
     N = population.size
     d0, n = market.d0, market.n
-    table = market.sigma_table(steps)
+    proj, pos = market.geometry(steps)
     if stratified:
         sids = np.tile(population.atom_ids.astype(np.int64), M0)
     else:
@@ -177,11 +170,8 @@ def agent_strategies(
         wk = w_agents[:, :, k].ravel()
         raw = feature_columns(basis, xk, ik, wk)
         z_hat = mf.solution.fits[k][1].predict(raw, sids)[:, :d0].reshape(M0, N, d0)
-        z_par, _ = project(table[k], z_hat)
-        p[:, :, k, :] = (z_par + mf.theta[:, k, None, :]) * inv_gamma
-        gram = table[k] @ table[k].T
-        coef = np.linalg.solve(gram, table[k] @ p[:, :, k, :].reshape(-1, d0).T)
-        pi[:, :, k, :] = coef.T.reshape(M0, N, n)
+        p[:, :, k, :] = (z_hat @ proj[k] + mf.theta[:, k, None, :]) * inv_gamma
+        pi[:, :, k, :] = p[:, :, k, :] @ pos[k].T
     return p, pi
 
 
@@ -276,7 +266,6 @@ def run_clearing_study(
     basis: RegressionBasis,
     mf_iters: int = 10,
     mf_tol: float = 1e-4,
-    xi_dist: DiscreteDist | None = None,
     n_batches: int = 20,
     slack: float = 0.25,
 ) -> tuple[ClearingReport, MeanFieldSolution, Population]:
@@ -301,7 +290,7 @@ def run_clearing_study(
         compute_stability=True, collect_fits=True, diagnostics=diag,
     )
 
-    pool = build_population(max(Ns), seed, gamma_dist, xi_dist=xi_dist, balanced=False)
+    pool = build_population(max(Ns), seed, gamma_dist, balanced=False)
     w_agents = fresh_idio_levels(seed, n_common, pool.size, grid)
     _, pi = agent_strategies(mf, bundle, market, basis, pool, w_agents, stratified=stratified)
     eps, ses = clearing_residual(pi, Ns, grid.dt, n_batches=n_batches)

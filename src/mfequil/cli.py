@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import parallel
+from . import __version__, parallel
 from .bsde import solve_agent_bsde
 from .clearing import (
     build_population,
@@ -45,7 +45,6 @@ from .config import (
     build_grid,
     build_liability,
     build_market,
-    build_xi_dist,
     config_from_dict,
     config_sha256,
     config_to_dict,
@@ -59,7 +58,6 @@ from .meanfield import smallness_from_liability, solve_mean_field
 from .paths import KIND_AUX, format_float, normal_block_array, simulate_paths
 from .riccati import riccati_for_spec, riccati_ode
 
-VERSION = "0.1.0"
 STAGES = ["riccati", "equilibrium", "bsde", "mf-solve", "clearing", "invariance"]
 _CSV_PATH_CAP = 32     # pathwise CSV dumps keep at most this many common paths
 
@@ -349,7 +347,6 @@ def stage_clearing(cfg: ScenarioConfig, writer: StageWriter) -> dict:
         n_common=cfg.clearing.n_common, n_equilibrium=cfg.clearing.n_equilibrium,
         Ns=list(cfg.clearing.Ns), seed=cfg.seed, basis=basis,
         mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
-        xi_dist=build_xi_dist(cfg),
         n_batches=cfg.clearing.n_batches, slack=cfg.clearing.slack,
     )
     writer.csv("clearing.csv", ["N", "eps", "stderr"],
@@ -485,7 +482,7 @@ def run(argv: list[str] | None = None) -> int:
     wall = time.monotonic() - t0
     manifest = RunManifest(
         config_sha256=config_sha256(cfg),
-        version=VERSION,
+        version=__version__,
         wall_clock_s=round(wall, 3) if args.record_timing else 0.0,
         stages=stages,
         overrides=sorted(overrides),

@@ -67,8 +67,6 @@ class EqgConfig:
 class PopulationConfig:
     gamma_values: tuple = (1.0, 2.0, 4.0)
     gamma_probs: tuple | None = None
-    xi_values: tuple = (0.0,)
-    xi_probs: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,7 @@ class ScenarioConfig:
     clearing: ClearingConfig = ClearingConfig()
 
 
-_TUPLE_FIELDS = {"sigma", "delta", "gamma_values", "gamma_probs", "xi_values",
-                 "xi_probs", "Ns"}
+_TUPLE_FIELDS = {"sigma", "delta", "gamma_values", "gamma_probs", "Ns"}
 
 
 def _to_jsonable(obj):
@@ -251,11 +248,3 @@ def build_gamma_dist(cfg: ScenarioConfig) -> DiscreteDist:
     p = cfg.population
     probs = tuple(p.gamma_probs) if p.gamma_probs is not None else None
     return DiscreteDist(tuple(p.gamma_values), probs)
-
-
-def build_xi_dist(cfg: ScenarioConfig) -> DiscreteDist | None:
-    p = cfg.population
-    if tuple(p.xi_values) == (0.0,):
-        return None
-    probs = tuple(p.xi_probs) if p.xi_probs is not None else None
-    return DiscreteDist(tuple(p.xi_values), probs)

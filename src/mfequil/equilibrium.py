@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketSpec, TimeGrid, excess_return_from_theta, project
+from .market import MarketSpec, TimeGrid, excess_return_from_theta
 from .paths import PathBundle
 from .riccati import EqgSpec, RiccatiSolution
 
@@ -69,11 +69,11 @@ def equilibrium_path(
     z0 = slope[:, :, None] * delta[None, None, :]       # (M, steps + 1, d0)
 
     sig_table = market.sigma_table(steps)
+    proj, _ = market.geometry(steps)
     theta = np.empty((bundle.n_paths, steps, market.d0))
     mu = np.empty((bundle.n_paths, steps, market.n))
     for k in range(steps):
-        dpar, _ = project(sig_table[k], delta)
-        theta[:, k, :] = -slope[:, k, None] * dpar[None, :]
+        theta[:, k, :] = -slope[:, k, None] * (delta @ proj[k])
         mu[:, k, :] = excess_return_from_theta(sig_table[k], theta[:, k, :])
 
     y1 = z1 = None

@@ -10,6 +10,12 @@ Row vectors z in R^{1 x d0} split orthogonally into a component z_par inside
 the row space of sigma_t (the hedgeable directions) and a residual z_perp.
 The market price of risk associated with an excess-return vector mu is the
 row-space element theta = sigma^T (sigma sigma^T)^{-1} mu.
+
+`market_geometry` is the only place sigma sigma^T is factorised for a solve:
+one guarded Cholesky factor gives the projector P = sigma^T (sigma sigma^T)^{-1}
+sigma and the position map M = (sigma sigma^T)^{-1} sigma, which
+`MarketSpec.geometry` tabulates per grid step.  Both are accurate to about
+eps * cond(sigma sigma^T) relative: z_par = z P to that factor of |z|.
 """
 
 from __future__ import annotations
@@ -87,12 +93,6 @@ class MarketSpec:
     def time_varying(self) -> bool:
         return self.sigma.ndim == 3
 
-    def sigma_at(self, step: int) -> np.ndarray:
-        """Volatility matrix on grid interval [t_step, t_step+1)."""
-        if self.time_varying:
-            return self.sigma[step]
-        return self.sigma
-
     def sigma_table(self, steps: int) -> np.ndarray:
         """Full steps x n x d0 table, materialising the constant case."""
         if self.time_varying:
@@ -103,17 +103,9 @@ class MarketSpec:
             return self.sigma
         return np.broadcast_to(self.sigma, (steps, self.n, self.d0))
 
-
-@dataclass(frozen=True)
-class AgentParams:
-    """Preferences and endowment of a single exponential-utility agent."""
-
-    gamma: float
-    xi: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma <= 0.0:
-            raise NonpositiveGamma(f"risk aversion must be positive, got {self.gamma}")
+    def geometry(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-step projector (steps, d0, d0) and position map (steps, n, d0)."""
+        return market_geometry(self.sigma_table(steps))
 
 
 @dataclass(frozen=True)
@@ -221,32 +213,41 @@ def validate_market(market: MarketSpec, grid: TimeGrid) -> ValidationReport:
 
 
 def _gram_cholesky(sigma: np.ndarray) -> np.ndarray:
-    """Cholesky factor of sigma sigma^T, with a relative pivot guard."""
-    gram = sigma @ sigma.T
-    diag_scale = float(np.max(np.diag(gram))) if gram.size else 0.0
+    """Cholesky factor of sigma sigma^T over leading axes.  A pivot below 1e-12
+    of its matrix's largest diagonal entry, or subnormal (no relative precision
+    left), raises SingularSigma."""
+    gram = sigma @ np.swapaxes(sigma, -1, -2)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSigma("sigma sigma^T is not positive definite") from exc
-    piv = np.diag(chol) ** 2
-    if diag_scale <= 0.0 or np.any(piv < _SINGULAR_REL_TOL * diag_scale):
-        raise SingularSigma("sigma sigma^T has a pivot below the 1e-12 relative threshold")
+    piv = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
+    diag_scale = np.max(np.diagonal(gram, axis1=-2, axis2=-1), axis=-1, keepdims=True)
+    if np.any(piv < _SINGULAR_REL_TOL * diag_scale) or np.any(piv < np.finfo(float).tiny):
+        raise SingularSigma("sigma sigma^T has a pivot below 1e-12 relative or a subnormal one")
     return chol
 
-def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = rhs given the lower Cholesky factor L."""
-    y = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, y)
+
+def market_geometry(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projector P = sigma^T (sigma sigma^T)^{-1} sigma, (..., d0, d0), and position
+    map M = (sigma sigma^T)^{-1} sigma, (..., n, d0), of sigma (..., n, d0).
+
+    With L the guarded Cholesky factor and X = L^{-1} sigma: P = X^T X, M = L^{-T} X.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    chol = _gram_cholesky(sigma)
+    half = np.linalg.solve(chol, sigma)
+    proj = np.swapaxes(half, -1, -2) @ half
+    pos = np.linalg.solve(np.swapaxes(chol, -1, -2), half)
+    return proj, pos
 
 
 def project(sigma: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split row vectors z into (z_par, z_perp) w.r.t. the row space of sigma.
 
-    z may have arbitrary leading shape with trailing dimension d0.  The
-    parallel part is z sigma^T (sigma sigma^T)^{-1} sigma, computed through a
-    Cholesky solve of the Gram matrix.  Pythagoras holds componentwise:
-    |z|^2 = |z_par|^2 + |z_perp|^2.  Because it solves the Gram system, the
-    split is accurate to about eps * cond(sigma sigma^T) relative to |z|.
+    z may have arbitrary leading shape with trailing dimension d0; z_par is
+    z P with P the projector of `market_geometry`.  Pythagoras holds
+    componentwise: |z|^2 = |z_par|^2 + |z_perp|^2.
     """
     sigma = np.asarray(sigma, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -254,11 +255,8 @@ def project(sigma: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(
             f"z has trailing dimension {z.shape[-1]}, sigma has d0={sigma.shape[1]}"
         )
-    chol = _gram_cholesky(sigma)
-    # coefficients c = (sigma sigma^T)^{-1} sigma z^T, stacked over leading dims
-    zs = z.reshape(-1, z.shape[-1])
-    coef = _cho_solve(chol, sigma @ zs.T)
-    z_par = (coef.T @ sigma).reshape(z.shape)
+    proj, _ = market_geometry(sigma)
+    z_par = z @ proj
     return z_par, z - z_par
 
 
@@ -266,9 +264,8 @@ def risk_premium_from_mu(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Market price of risk theta = sigma^T (sigma sigma^T)^{-1} mu.
 
     mu may have arbitrary leading shape with trailing dimension n; the result
-    has trailing dimension d0 and lies in the row space of sigma.  Because it
-    solves the Gram system, theta is accurate to about eps * cond(sigma sigma^T)
-    relative.
+    mu M, with M the position map of `market_geometry`, has trailing
+    dimension d0 and lies in the row space of sigma.
     """
     sigma = np.asarray(sigma, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -276,11 +273,8 @@ def risk_premium_from_mu(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"mu has trailing dimension {mu.shape[-1]}, sigma has n={sigma.shape[0]}"
         )
-    chol = _gram_cholesky(sigma)
-    ms = mu.reshape(-1, mu.shape[-1])
-    coef = _cho_solve(chol, ms.T)
-    theta = (sigma.T @ coef).T
-    return theta.reshape(mu.shape[:-1] + (sigma.shape[1],))
+    _, pos = market_geometry(sigma)
+    return mu @ pos
 
 
 def excess_return_from_theta(sigma: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -25,33 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import BsdeSolution, _ClipCounter, _backward_pass, bmo_proxy
+from .bsde import (
+    BsdeSolution, _ClipCounter, _backward_pass, _split_driver, _theta_terms, bmo_proxy,
+)
 from .liabilities import LiabilitySpec, liability_bounds
-from .market import MarketSpec, PopulationStats, project
+from .market import MarketSpec, PopulationStats
 from .paths import PathBundle
 from .regression import BasisEngine, RegressionBasis
 from .riccati import EqgSpec
-
-
-@dataclass(frozen=True)
-class CloudLayout:
-    """M0 common paths, K particles each; the first n_equilibrium particles
-    define the empirical mean field."""
-
-    n_common: int
-    n_particles: int
-    n_equilibrium: int | None = None
-
-    def __post_init__(self):
-        if self.n_common < 1 or self.n_particles < 1:
-            raise ValueError("cloud dimensions must be positive")
-        n_eq = self.n_particles if self.n_equilibrium is None else self.n_equilibrium
-        if not (1 <= n_eq <= self.n_particles):
-            raise ValueError("n_equilibrium must be in [1, n_particles]")
-
-    @property
-    def n_eq(self) -> int:
-        return self.n_particles if self.n_equilibrium is None else self.n_equilibrium
 
 
 def cloud_mean(values: np.ndarray, n_eq: int | None = None) -> np.ndarray:
@@ -120,11 +101,11 @@ def smallness_from_liability(
 def _ebar_path(z0: np.ndarray, gammas: np.ndarray, market: MarketSpec, n_eq: int) -> np.ndarray:
     """Ebar_n on every interval: (M0, steps, d0) cloud mean of (1/gamma) z0_par."""
     M0, K, steps, d0 = z0.shape
-    table = market.sigma_table(steps)
+    proj, _ = market.geometry(steps)
     out = np.empty((M0, steps, d0))
     inv_gamma = (1.0 / gammas)[None, :n_eq, None]
     for k in range(steps):
-        z_par, _ = project(table[k], z0[:, :n_eq, k, :])
+        z_par = z0[:, :n_eq, k, :] @ proj[k]
         out[:, k, :] = np.mean(inv_gamma * z_par, axis=1)
     return out
 
@@ -145,6 +126,8 @@ def gamma_map(
     """One application of the mean-field map: linear backward pass with the
     driver frozen at the input (z0, z1) and its empirical mean field.
 
+    The driver is the single-agent one at theta = -gamma_hat Ebar_n^T.
+
     Returns (y, z0, z1, ebar, fits, clip_count).
     """
     grid = bundle.grid
@@ -153,7 +136,7 @@ def gamma_map(
     g = np.asarray(g_samples, dtype=float).reshape(M0, K)
     if n_eq is None:
         n_eq = K
-    table = market.sigma_table(steps)
+    proj, _ = market.geometry(steps)
     clipper = _ClipCounter(clip)
 
     gam = np.asarray(gammas, dtype=float)
@@ -162,17 +145,10 @@ def gamma_map(
     ebar = np.empty((M0, steps, market.d0))
 
     def driver(k):
-        z0k = clipper.clip(z0_in[:, :, k, :])
-        z1k = clipper.clip(z1_in[:, :, k, :])
-        z0_par, z0_perp = project(table[k], z0k)
+        z0_par, f = _split_driver(clipper, z0_in[:, :, k, :], z1_in[:, :, k, :], proj[k])
         eb = np.mean(inv_gamma_eq * z0_par[:, :n_eq, :], axis=1)   # (M0, d0)
         ebar[:, k, :] = eb
-        f = (
-            gamma_hat * np.einsum("mkj,mj->mk", z0_par, eb)
-            - 0.5 * gamma_hat**2 * np.sum(eb**2, axis=1)[:, None]
-            + 0.5 * (np.sum(z0_perp**2, axis=2) + np.sum(z1k**2, axis=2))
-        )
-        return f, 0.0
+        return _theta_terms(f, -gamma_hat * eb, False, z0_par)
 
     y, z0, z1, fits = _backward_pass(
         engine, g, bundle.dW0, bundle.dWi, dt, driver, collect_fits=collect_fits,
@@ -252,10 +228,9 @@ def solve_mean_field(
     fits = None
     y = None
     for it in range(max_iters):
-        want_fits = collect_fits
         y, z0_new, z1_new, ebar, fits_it, nclip = gamma_map(
             z0, z1, g_samples, bundle, market, engine, gam, gamma_hat,
-            n_eq=n_eq, clip=clip, collect_fits=want_fits,
+            n_eq=n_eq, clip=clip, collect_fits=collect_fits,
         )
         clip_total += nclip
         if fits_it is not None:

@@ -26,7 +26,6 @@ from .riccati import EqgSpec
 KIND_COMMON = 1
 KIND_IDIO = 2
 KIND_GAMMA = 3
-KIND_XI = 4
 KIND_AUX = 5
 
 

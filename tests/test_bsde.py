@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from mfequil import (
-    EqgSpec, MarketSpec, RegressionBasis, TimeGrid, bmo_proxy,
-    doleans_weights, optimal_strategy, risk_premium_from_mu, simulate_paths,
-    solve_agent_bsde, solve_under_q, verify_condition_r,
+    DiscreteDist, EqgSpec, MarketSpec, RegressionBasis, TimeGrid,
+    agent_strategies, bmo_proxy, build_population, doleans_weights,
+    equilibrium_path, fresh_idio_levels, gamma_hat, gamma_map, optimal_strategy,
+    riccati_for_spec, risk_premium_from_mu, simulate_paths, solve_agent_bsde,
+    solve_mean_field, solve_under_q, verify_condition_r,
 )
 from mfequil.regression import BasisEngine
 
@@ -145,3 +147,69 @@ def test_condition_r_accepts_optimum_and_rejects_perturbations(market2):
     assert abs(report.aggregate_z) < 3.0
     assert report.all_perturbations_suboptimal
     assert len(report.perturbed) >= 2
+
+
+def test_time_varying_sigma_uses_each_steps_geometry():
+    """One asset whose volatility row turns from (1, 0) to (0, 1) over the grid.
+
+    Every identity is checked at every step against sigma_k itself, so a
+    solver that reused one step's projector or position map everywhere
+    fails.  With G = x_T = delta . W0_T and a deterministic row-space theta,
+    z0 = delta exactly and the driver is deterministic, so y0 has the closed
+    form dt sum_k (-delta_par,k theta_k - |theta_k|^2 / 2 + |delta_perp,k|^2 / 2).
+    """
+    grid = TimeGrid(0.5, 10)
+    phi = np.linspace(0.0, np.pi / 2, grid.steps)
+    rows = np.stack([np.cos(phi), np.sin(phi)], axis=1)          # sigma_k = rows[k]
+    market = make_market(sigma=rows[:, None, :])
+    # b only enters the running integral I and the closed-form slope B(t)
+    spec = EqgSpec(alpha=0.0, beta=0.0, delta=(1.0, 0.0), x0=0.0,
+                   a=0.0, b=0.5, kappa=0.0)
+    gammas = np.array([1.0, 2.0, 1.0, 2.0])
+    K = gammas.size
+    bundle = simulate_paths(grid, spec, market, 2000, 10, agents=K)
+    basis = RegressionBasis(degree=2, include_idio=False)
+    g = bundle.x[:, -1][:, None] * np.ones(K)
+
+    def perp(v, k):
+        s = rows[k]
+        return v - (v @ s)[..., None] * s / (s @ s)
+
+    theta = 0.3 * rows
+    delta = spec.delta_vec
+    y0_want = grid.dt * sum(
+        -(delta @ rows[k]) * 0.3 - 0.045 + 0.5 * np.sum(perp(delta, k) ** 2)
+        for k in range(grid.steps))
+    # the regressions keep the sample mean of G, so its Monte Carlo error
+    # (about 0.016 here) drops out; step 0's geometry at every step would move
+    # y0 by about 0.125
+    sol = solve_agent_bsde(bundle, market, basis, theta, g)
+    assert sol.y0 == pytest.approx(y0_want + g.mean(), abs=0.01)
+    sol_q, _ = solve_under_q(bundle, market, basis, theta, g)
+    assert sol_q.y0 == pytest.approx(sol.y0, abs=0.01)
+    p, pi = optimal_strategy(sol, theta, 2.0, market)
+
+    # normalized G = gamma x_T fitted per risk-aversion stratum: agent i hedges
+    # gamma_i delta_par against the premium gamma_hat delta_par, so fresh
+    # agents hold nonzero positions
+    g_mf = g * gammas
+    mf = solve_mean_field(bundle, market, basis, g_mf, gammas, gamma_hat(gammas).gamma_hat,
+                          max_iters=6, collect_fits=True,
+                          stratum_ids=np.tile([0, 1, 0, 1], 2000), n_strata=2)
+    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis)
+    ebar = gamma_map(mf.solution.z0, mf.solution.z1, g_mf, bundle, market, engine,
+                     gammas, mf.gamma_hat)[3]
+    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
+    p_pool, pi_pool = agent_strategies(
+        mf, bundle, market, basis, pool, fresh_idio_levels(3, 2000, 5, grid), stratified=True)
+    assert np.min(np.abs(p_pool[:, :, 0, 0])) > 0.1
+    eq_theta = equilibrium_path(riccati_for_spec(spec, grid), bundle, market, spec).theta
+
+    for k in range(grid.steps):
+        s = rows[k]
+        assert np.max(np.abs(sol.z0_perp[:, :, k] @ s)) < 1e-12
+        for pos, strat in ((pi, p), (pi_pool, p_pool)):
+            assert np.allclose((s @ s) * pos[:, :, k, 0], strat[:, :, k] @ s,
+                               rtol=0, atol=1e-12)
+        for in_row_space in (mf.theta[:, k], ebar[:, k], p_pool[:, :, k], eq_theta[:, k]):
+            assert np.max(np.abs(perp(in_row_space, k))) < 1e-12

@@ -68,7 +68,6 @@ def test_balanced_population_matches_harmonic_mean():
     # exact atom counts 5/3/2 -> mean(1/gamma) = 0.7 with no sampling noise
     assert stats.gamma_hat * np.mean(1.0 / pop.gammas) == pytest.approx(1.0, abs=1e-15)
     assert stats.gamma_hat == pytest.approx(1.0 / 0.7, abs=1e-14)
-    assert np.all(pop.xis == 0.0)
 
 
 def test_population_draws_are_seeded():
@@ -81,13 +80,6 @@ def test_population_draws_are_seeded():
     assert np.max(np.abs(freq - GAMMA_DIST.p)) < 0.08
     with pytest.raises(ValueError):
         build_population(0, 11, GAMMA_DIST)
-
-
-def test_xi_draws_come_from_their_atoms():
-    xi_dist = DiscreteDist(values=(-1.0, 3.0))
-    pop = build_population(200, 5, GAMMA_DIST, xi_dist=xi_dist)
-    assert set(np.unique(pop.xis)) <= {-1.0, 3.0}
-    assert len(set(np.unique(pop.xis))) == 2
 
 
 def test_fresh_idio_levels_are_brownian():

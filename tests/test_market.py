@@ -45,6 +45,7 @@ def test_validate_market_flags_eigenvalue_escape():
 
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 # relative Cholesky pivot under which the market layer raises SingularSigma
 SINGULAR_REL_TOL = 1e-12
 # margin over SINGULAR_REL_TOL that keeps rounding in the pivots off the guard
@@ -76,25 +77,25 @@ def gram_bound(sigma):
 
 
 def clearly_singular(sigma):
-    """A relative Cholesky pivot of sigma sigma^T lies below 1e-12.
+    """A Cholesky pivot of sigma sigma^T lies below 1e-12 of the largest
+    diagonal entry or below the smallest normal float.
 
     The pivots G11 and det G / G11 are taken by hand on G scaled to unit
     largest diagonal, so the product in det G cannot underflow.  Both this
     and the market layer start from the same G, so their pivots differ by
-    the rounding of the pivot formulas, a few eps in these units: a pivot
-    must clear the threshold by 16 eps to count.  A nonzero G whose 1e-12
-    threshold is not a normal float carries no relative precision and is
-    left out.
+    the rounding of the pivot formulas: a few eps in these units, plus a few
+    subnormal steps (eps * tiny) where the market layer's pivots are
+    subnormal.  A pivot must clear the threshold by 16 times both to count;
+    only pivots inside that margin are left out.
     """
     gram = sigma @ sigma.T
     scale = max(gram[0, 0], gram[1, 1])
     if scale == 0.0:
         return True
-    if scale < np.finfo(float).tiny / SINGULAR_REL_TOL:
-        return False
     g11, g12, g22 = gram[0, 0] / scale, gram[0, 1] / scale, gram[1, 1] / scale
     pivot = g11 if g11 == 0.0 else min(g11, (g11 * g22 - g12 * g12) / g11)
-    return pivot < SINGULAR_REL_TOL - 16.0 * EPS
+    floor = TINY / scale   # the smallest normal float in these units
+    return pivot < max(SINGULAR_REL_TOL, floor) - 16.0 * EPS * (1.0 + floor)
 
 
 entries = st.floats(-2.0, 2.0)
@@ -154,21 +155,26 @@ def test_risk_premium_excess_return_roundtrip(sigma, mu):
 
 
 # x [[1, 0, 0], [y, 10^e, 0]] with |y| <= 1 has relative pivots 1 and 10^(2e):
-# the last branch puts the second one in [1e-13, 1e-12], just under the guard
+# that branch puts the second one in [1e-13, 1e-12], just under the guard;
+# the last branch scales sigma until sigma sigma^T nears or leaves the
+# normal floats
 singular_mats = st.one_of(
     free_mats,
     near_parallel(st.floats(-30.0, -6.0)),
     st.builds(lambda r, c: np.stack([r, c * r]), rows, entries),
     st.builds(lambda x, y, e: x * np.array([[1.0, 0.0, 0.0], [y, 10.0**e, 0.0]]),
               entries, st.floats(-1.0, 1.0), st.floats(-6.5, -6.0)),
+    st.builds(lambda s, e: s * 10.0**e, free_mats, st.floats(-170.0, -150.0)),
 ).filter(clearly_singular)
 
 
 @given(sigma=singular_mats)
 @example(sigma=np.array([[0.0, 0.0, 1.0], [0.0, 5.96e-8, 0.0]]))
+@example(sigma=2.67e-160 * np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
 @settings(max_examples=60, deadline=None)
 def test_singular_sigma_is_rejected(sigma):
-    """A Gram pivot below 1e-12 of the largest diagonal entry raises SingularSigma."""
+    """A Gram pivot below 1e-12 of the largest diagonal entry, or below the
+    smallest normal float, raises SingularSigma."""
     with pytest.raises(SingularSigma):
         project(sigma, np.ones((1, 3)))
     with pytest.raises(SingularSigma):
