@@ -5,7 +5,8 @@ Scales the running-cost coefficient b of a scenario and, for each scale,
 solves the mean-field fixed point from a zero start, recording the sweep-to-
 sweep change ratios and the smallness gate.  Inside the gate the iteration
 must contract (ratios < 1); outside it usually still converges in practice,
-which is the point of printing both.
+which is the point of printing both.  A run whose change grows for three
+consecutive sweeps stops with PicardDiverged and is printed as diverged.
 """
 import argparse
 import sys
@@ -15,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from mfequil import (
-    LiabilitySpec, build_basis, build_eqg, build_gamma_dist, build_grid,
+    LiabilitySpec, PicardDiverged, build_basis, build_eqg, build_gamma_dist, build_grid,
     build_market, gamma_hat as population_stats, load_config,
     simulate_paths, smallness_from_liability, solve_mean_field, terminal_g,
 )
@@ -53,11 +54,16 @@ def main(argv=None):
         strata = (atom_ids, len(gamma_dist.values)) if liability.gamma_coupled else (None, 1)
         # run a few extra sweeps past the tolerance so the sweep-to-sweep
         # contraction ratio is measurable before the MC noise floor
-        mf = solve_mean_field(
-            bundle, market, basis, g, gammas, stats.gamma_hat,
-            n_eq=K, max_iters=max(cfg.mf.iters, 5), tol=1e-12,
-            stratum_ids=strata[0], n_strata=strata[1], diagnostics=diag,
-        )
+        try:
+            mf = solve_mean_field(
+                bundle, market, basis, g, gammas, stats.gamma_hat,
+                n_eq=K, max_iters=max(cfg.mf.iters, 5), tol=1e-12,
+                stratum_ids=strata[0], n_strata=strata[1], diagnostics=diag,
+            )
+        except PicardDiverged as exc:
+            print(f"{s:>8.2f} {diag.f_inf:>10.4g} {'in' if diag.smallness_ok else 'out':>6} "
+                  f"diverged: {exc}")
+            continue
         d = mf.diagnostics
         ratios = [r for r in d.ratios if np.isfinite(r)]
         first = ratios[0] if ratios else float("nan")

@@ -9,9 +9,12 @@ risk premium theta solves
 where z0_par is the row-space component of z0.  The solver runs backward
 induction on simulated paths: z is estimated by regressing the centred
 product of the next-step value with the Brownian increment, y by regressing
-the next-step value plus the frozen driver, and an outer Picard loop
-re-freezes the quadratic driver at the latest z until the initial value
-stabilises.  The same backward pass, with importance weights and theta-
+the next-step value plus the frozen driver.  One Picard loop, `_fixed_point`,
+serves the agent, tilted and mean-field solves: it starts from z = 0,
+re-freezes the quadratic driver at the latest z, and stops once the larger of
+the relative y0 change and the relative cloud-L2 z change is below tol.  A
+non-finite change, or a change that grows for 3 consecutive sweeps, raises
+PicardDiverged.  The same backward pass, with importance weights and theta-
 shifted increments, solves the measure-changed form whose driver drops the
 -z0_par theta term.
 
@@ -71,8 +74,8 @@ class BsdeSolution:
     picard_iters: int
     converged: bool
     clip_count: int
-    y0_changes: list[float] = field(default_factory=list)
-    z_changes: list[float] = field(default_factory=list)
+    y0_changes: list[float] = field(default_factory=list)   # dy0 of sweeps 2, 3, ...
+    z_changes: list[float] = field(default_factory=list)    # dz of sweeps 2, 3, ...
     fits: list[StepFit] | None = None
 
     @property
@@ -137,15 +140,17 @@ def _backward_pass(
     dWi: np.ndarray,
     dt: float,
     driver,
-    dw0_shift=None,
-    weights_at=None,
+    tilt=None,
     collect_fits: bool = False,
 ):
     """One linear backward sweep with the driver frozen at its inputs.
 
     driver(k) -> (pathwise (M0, K) array, deterministic scalar); both are
     added to the continuation value, the scalar outside the regression.
-    Returns y on nodes, (z0, z1) on intervals, and the per-step fit maps.
+    tilt = (D, theta_at) makes it the measure-changed sweep: regressions
+    weighted by the cumulative weights D[:, k + 1], and the common increments
+    shifted by theta_k dt.  Returns y on nodes, (z0, z1) on intervals, and
+    the per-step fit maps (None unless collect_fits).
     """
     M0, K = g.shape
     steps = dW0.shape[1]
@@ -157,10 +162,15 @@ def _backward_pass(
     y[:, :, steps] = g
     z0 = np.empty((M0, K, steps, d0))
     z1 = np.empty((M0, K, steps, d))
-    fits: list[StepFit | None] = [None] * steps
+    fits: list[StepFit | None] | None = [None] * steps if collect_fits else None
 
     for k in range(steps - 1, -1, -1):
-        w = weights_at(k) if weights_at is not None else None
+        w = None
+        dw0_k = dW0[:, k, :]
+        if tilt is not None:
+            D, theta_at = tilt
+            w = np.broadcast_to(D[:, k + 1][:, None], (M0, K)).reshape(P)
+            dw0_k = dw0_k + theta_at(k) * dt
         cond = engine.at(k, weights=w)
         y_next = y[:, :, k + 1]
         f_path, f_det = driver(k)
@@ -172,9 +182,6 @@ def _backward_pass(
         y_fit = fitted1[:, 0]
 
         resid = y_next.reshape(P) - y_fit
-        dw0_k = dW0[:, k, :]
-        if dw0_shift is not None:
-            dw0_k = dw0_k + dw0_shift(k)
         prods = np.empty((P, d0 + d))
         prods[:, :d0] = (
             resid.reshape(M0, K, 1) * dw0_k[:, None, :]
@@ -190,71 +197,88 @@ def _backward_pass(
     return y, z0, z1, fits
 
 
-def _picard_loop(
-    engine,
-    g,
-    dW0,
-    dWi,
-    dt,
-    make_driver,
-    d0,
-    d,
-    max_iters,
-    tol,
-    dw0_shift=None,
-    weights_at=None,
-    collect_fits=False,
-):
-    """Outer fixed-point iteration over the frozen-driver backward pass."""
-    M0, K = g.shape
-    steps = dW0.shape[1]
-    z0_prev = np.zeros((M0, K, steps, d0))
-    z1_prev = np.zeros((M0, K, steps, d))
-    y0_prev = None
+def _fixed_point(
+    sweep, bundle: PathBundle, market: MarketSpec, max_iters: int, tol: float
+) -> BsdeSolution:
+    """Picard iteration of sweep from z = 0: the one loop of every solve.
+
+    sweep(z0, z1) -> (y, z0, z1, fits, clips) is one backward pass with the
+    driver frozen at its input.  From the second sweep on, dy0 is the sup
+    change of y0 over sup |y0| and dz the cloud-L2 change of z over the
+    cloud-L2 norm of the new z, both scales floored at 1e-8.  The loop stops
+    once max(dy0, dz) < tol, and raises PicardDiverged on a non-finite change
+    or after 3 consecutive growing changes.  Returns the last sweep's iterate
+    with clips summed over sweeps.
+    """
+    M0, K, steps = bundle.n_paths, bundle.n_agents, bundle.grid.steps
+    n = M0 * K * steps
+    z0 = np.zeros((M0, K, steps, market.d0))
+    z1 = np.zeros((M0, K, steps, market.d))
     y0_changes: list[float] = []
     z_changes: list[float] = []
-    grow_streak = 0
+    clips = grows = 0
+    change_prev = np.inf
     converged = False
-    result = None
-
     for it in range(max_iters):
-        driver = make_driver(z0_prev, z1_prev)
-        y, z0, z1, fits = _backward_pass(
-            engine, g, dW0, dWi, dt, driver,
-            dw0_shift=dw0_shift, weights_at=weights_at, collect_fits=collect_fits,
-        )
-        y0 = y[:, :, 0]
-        if y0_prev is None:
-            change = np.inf
-        else:
-            change = float(np.max(np.abs(y0 - y0_prev)))
-            scale = max(float(np.max(np.abs(y0))), 1e-8)
-            dz = np.sqrt(
-                (np.sum((z0 - z0_prev) ** 2) + np.sum((z1 - z1_prev) ** 2))
-                / (M0 * K * steps)
+        y = fits = None    # only y0 of the previous sweep is compared; free the rest
+        y, z0_new, z1_new, fits, n_clip = sweep(z0, z1)
+        clips += n_clip
+        if it:
+            y0 = y[:, :, 0]
+            dy0 = float(np.max(np.abs(y0 - y0_prev))) / max(float(np.max(np.abs(y0))), 1e-8)
+            z_scale = max(np.sqrt((np.sum(z0_new**2) + np.sum(z1_new**2)) / n), 1e-8)
+            dz = float(
+                np.sqrt((np.sum((z0_new - z0) ** 2) + np.sum((z1_new - z1) ** 2)) / n) / z_scale
             )
-            zs = np.sqrt((np.sum(z0**2) + np.sum(z1**2)) / (M0 * K * steps))
-            y0_changes.append(change / scale)
-            z_changes.append(dz / max(zs, 1e-8))
-        result = (y, z0, z1, fits)
-        if y0_prev is not None:
-            if len(y0_changes) >= 2 and y0_changes[-1] > y0_changes[-2]:
-                grow_streak += 1
-                if grow_streak >= 3:
-                    raise PicardDiverged(
-                        f"y0 change grew for 3 consecutive iterations: {y0_changes[-4:]}"
-                    )
-            else:
-                grow_streak = 0
-            if change <= tol * max(float(np.max(np.abs(y0))), 1e-8):
+            if not (np.isfinite(dy0) and np.isfinite(dz)):
+                raise PicardDiverged(f"non-finite change at sweep {it + 1}: dy0 {dy0}, dz {dz}")
+            y0_changes.append(dy0)
+            z_changes.append(dz)
+            change = max(dy0, dz)
+            if change < tol:
                 converged = True
-                y0_prev = y0
-                z0_prev, z1_prev = z0, z1
                 break
-        y0_prev = y0
-        z0_prev, z1_prev = z0, z1
-    iters = len(y0_changes) + 1
-    return result, iters, converged, y0_changes, z_changes
+            grows = grows + 1 if change > change_prev else 0
+            if grows >= 3:
+                raise PicardDiverged(
+                    f"change grew for 3 consecutive sweeps, to {change:.3g} at sweep {it + 1}"
+                )
+            change_prev = change
+        y0_prev = y[:, :, 0].copy()
+        z0, z1 = z0_new, z1_new
+    return BsdeSolution(
+        grid=bundle.grid, market=market, y=y, z0=z0_new, z1=z1_new,
+        picard_iters=it + 1, converged=converged, clip_count=clips,
+        y0_changes=y0_changes, z_changes=z_changes, fits=fits,
+    )
+
+
+def _solve_agent(bundle, market, basis, theta, g_samples, picard_max, picard_tol, clip,
+                 stratum_ids, n_strata, collect_fits=False, weights=None) -> BsdeSolution:
+    """Set-up shared by the agent and tilted solves.  Given the cumulative
+    weights (M0, steps + 1) of a measure change, the sweeps are tilted and the
+    driver drops -z0_par theta."""
+    steps, dt = bundle.grid.steps, bundle.grid.dt
+    M0, K = bundle.n_paths, bundle.n_agents
+    g = np.asarray(g_samples, dtype=float).reshape(M0, K)
+    theta_at, theta_det = _as_theta_at(theta, steps, market.d0, M0)
+    proj, _ = market.geometry(steps)
+    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
+                         stratum_ids=stratum_ids, n_strata=n_strata)
+    tilt = None if weights is None else (weights, theta_at)
+
+    def sweep(z0_in, z1_in):
+        clipper = _ClipCounter(clip)
+
+        def driver(k):
+            z0_par, f = _split_driver(clipper, z0_in[:, :, k, :], z1_in[:, :, k, :], proj[k])
+            return _theta_terms(f, theta_at(k), theta_det, z0_par if tilt is None else None)
+
+        y, z0, z1, fits = _backward_pass(engine, g, bundle.dW0, bundle.dWi, dt, driver,
+                                         tilt=tilt, collect_fits=collect_fits)
+        return y, z0, z1, fits, clipper.count
+
+    return _fixed_point(sweep, bundle, market, picard_max, picard_tol)
 
 
 def solve_agent_bsde(
@@ -271,32 +295,8 @@ def solve_agent_bsde(
     collect_fits: bool = False,
 ) -> BsdeSolution:
     """Solve the normalized utility BSDE for an exogenous risk premium."""
-    grid = bundle.grid
-    steps, dt = grid.steps, grid.dt
-    M0, K = bundle.n_paths, bundle.n_agents
-    d0, d = market.d0, market.d
-    g = np.asarray(g_samples, dtype=float).reshape(M0, K)
-    theta_at, theta_det = _as_theta_at(theta, steps, d0, M0)
-    proj, _ = market.geometry(steps)
-    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
-                         stratum_ids=stratum_ids, n_strata=n_strata)
-    clipper = _ClipCounter(clip)
-
-    def make_driver(z0_prev, z1_prev):
-        def driver(k):
-            z0_par, f = _split_driver(clipper, z0_prev[:, :, k, :], z1_prev[:, :, k, :], proj[k])
-            return _theta_terms(f, theta_at(k), theta_det, z0_par)
-        return driver
-
-    (y, z0, z1, fits), iters, converged, ych, zch = _picard_loop(
-        engine, g, bundle.dW0, bundle.dWi, dt, make_driver, d0, d,
-        picard_max, picard_tol, collect_fits=collect_fits,
-    )
-    return BsdeSolution(
-        grid=grid, market=market, y=y, z0=z0, z1=z1,
-        picard_iters=iters, converged=converged, clip_count=clipper.count,
-        y0_changes=ych, z_changes=zch, fits=fits if collect_fits else None,
-    )
+    return _solve_agent(bundle, market, basis, theta, g_samples, picard_max, picard_tol,
+                        clip, stratum_ids, n_strata, collect_fits=collect_fits)
 
 
 def doleans_weights(theta: np.ndarray, bundle: PathBundle) -> np.ndarray:
@@ -338,14 +338,7 @@ def solve_under_q(
     driver loses its -z0_par theta term.  Returns the solution and the
     effective sample size of the terminal weights.
     """
-    grid = bundle.grid
-    steps, dt = grid.steps, grid.dt
-    M0, K = bundle.n_paths, bundle.n_agents
-    d0, d = market.d0, market.d
-    g = np.asarray(g_samples, dtype=float).reshape(M0, K)
-    theta_at, theta_det = _as_theta_at(theta, steps, d0, M0)
-    proj, _ = market.geometry(steps)
-
+    M0 = bundle.n_paths
     D = doleans_weights(theta, bundle)
     wT = D[:, -1]
     ess = float(wT.sum() ** 2 / np.sum(wT**2))
@@ -354,32 +347,8 @@ def solve_under_q(
             f"effective sample size {ess:.1f} below {M0 / 100:.1f}: "
             "the risk premium is too large for this measure change"
         )
-
-    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
-                         stratum_ids=stratum_ids, n_strata=n_strata)
-    clipper = _ClipCounter(clip)
-
-    def weights_at(k):
-        return np.broadcast_to(D[:, k + 1][:, None], (M0, K)).reshape(M0 * K)
-
-    def dw0_shift(k):
-        return theta_at(k) * dt
-
-    def make_driver(z0_prev, z1_prev):
-        def driver(k):
-            _, f = _split_driver(clipper, z0_prev[:, :, k, :], z1_prev[:, :, k, :], proj[k])
-            return _theta_terms(f, theta_at(k), theta_det)
-        return driver
-
-    (y, z0, z1, fits), iters, converged, ych, zch = _picard_loop(
-        engine, g, bundle.dW0, bundle.dWi, dt, make_driver, d0, d,
-        picard_max, picard_tol, dw0_shift=dw0_shift, weights_at=weights_at,
-    )
-    sol = BsdeSolution(
-        grid=grid, market=market, y=y, z0=z0, z1=z1,
-        picard_iters=iters, converged=converged, clip_count=clipper.count,
-        y0_changes=ych, z_changes=zch,
-    )
+    sol = _solve_agent(bundle, market, basis, theta, g_samples, picard_max, picard_tol,
+                       clip, stratum_ids, n_strata, weights=D)
     return sol, ess
 
 

@@ -7,7 +7,7 @@ Stages: riccati, equilibrium, bsde, mf-solve, clearing, invariance, all.
 Each stage writes CSV/JSON outputs plus plot-ready series under plots/, and
 the run ends with a single manifest.json listing every file written, the
 config hash, and per-stage pass/fail.  With a fixed seed the output
-directory is byte-identical across runs and worker counts; wall-clock time
+directory is byte-identical across runs and BLAS thread counts; wall-clock time
 is therefore reported on stderr, not in the files (the manifest's
 wall_clock_s field stays 0.0 unless --record-timing is given, which is
 intentionally not the default).
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__, parallel
+from . import __version__
 from .bsde import solve_agent_bsde
 from .clearing import (
     build_population,
@@ -440,7 +440,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="dotted-path config override")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=1, help="worker thread cap")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and checked (>= 1) but has no effect")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--record-timing", action="store_true",
                    help="write measured wall clock into the manifest "
@@ -466,7 +467,6 @@ def run(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    parallel.set_max_workers(args.threads)
     writer = StageWriter(out_dir)
     names = STAGES if args.stage == "all" else [args.stage]
     stages: dict = {}

@@ -170,8 +170,22 @@ _SUBBLOCKS = {
 }
 
 
+def _check_fixed_point(cfg: ScenarioConfig) -> None:
+    """The Picard loops need at least one sweep, and tolerances and the clip
+    level that are finite and positive."""
+    for key, v in (("bsde.picard_max", cfg.bsde.picard_max), ("mf.iters", cfg.mf.iters)):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, got {v!r}")
+    for key, v in (("bsde.picard_tol", cfg.bsde.picard_tol), ("mf.tol", cfg.mf.tol),
+                   ("bsde.clip", cfg.bsde.clip)):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {v!r}")
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
-    return _coerce(ScenarioConfig, data)
+    cfg = _coerce(ScenarioConfig, data)
+    _check_fixed_point(cfg)
+    return cfg
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import TimeGrid
-from .paths import PathBundle
+from .paths import PathBundle, ou_exact_moments
 from .riccati import EqgSpec
 
 
@@ -113,14 +113,8 @@ def liability_bounds(
     the smallest risk aversion.
     """
     T = grid.horizon
-    if abs(spec.alpha) < 1e-14:
-        sd_x = np.sqrt(spec.delta_sq * T)
-        mean_T = spec.x0 + spec.beta * T
-    else:
-        sd_x = np.sqrt(spec.delta_sq * (np.exp(2.0 * spec.alpha * T) - 1.0) / (2.0 * spec.alpha))
-        e = np.exp(spec.alpha * T)
-        mean_T = e * spec.x0 + (spec.beta / spec.alpha) * (e - 1.0)
-    x_max = max(abs(spec.x0), abs(mean_T)) + n_std * sd_x
+    mean_T, var_T = ou_exact_moments(spec, T)
+    x_max = max(abs(spec.x0), abs(mean_T)) + n_std * np.sqrt(var_T)
     w_max = n_std * np.sqrt(T)
 
     f_full = 0.0

@@ -16,7 +16,8 @@ The cloud discretises Ebar by the per-common-path average over the first
 n_equilibrium particles; extra particles (used as clearing agents) see the
 same driver but do not enter the average.  One application of the map
 freezes the driver at its input (a single linear backward pass); the solver
-iterates the map from z = 0 and records sup-norm contraction ratios.
+iterates the map with the agent solver's Picard loop and records the
+contraction ratios of its changes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import (
-    BsdeSolution, _ClipCounter, _backward_pass, _split_driver, _theta_terms, bmo_proxy,
+    BsdeSolution, _ClipCounter, _backward_pass, _fixed_point, _split_driver, _theta_terms,
+    bmo_proxy,
 )
 from .liabilities import LiabilitySpec, liability_bounds
 from .market import MarketSpec, PopulationStats
@@ -153,7 +155,7 @@ def gamma_map(
     y, z0, z1, fits = _backward_pass(
         engine, g, bundle.dW0, bundle.dWi, dt, driver, collect_fits=collect_fits,
     )
-    return y, z0, z1, ebar, (fits if collect_fits else None), clipper.count
+    return y, z0, z1, ebar, fits, clipper.count
 
 
 @dataclass
@@ -202,68 +204,42 @@ def solve_mean_field(
 ) -> MeanFieldSolution:
     """Fixed-point iteration of the mean-field map from z = 0.
 
-    Convergence metric: max of the relative sup change of the initial value
-    and the relative cloud-L2 change of z, floored at 1e-8 scale.  On a
-    non-contracting run the best (last) iterate is returned with
-    converged = False rather than raising.
+    The loop is the agent solver's: it stops once max(dy0, dz) < tol, where
+    dy0 is the sup change of the initial value over sup |y0| and dz the
+    cloud-L2 change of z over the cloud-L2 norm of the new z, both scales
+    floored at 1e-8.  A non-finite change, or one that grows for 3
+    consecutive sweeps, raises PicardDiverged.  A run that reaches max_iters
+    otherwise returns its last iterate with converged = False.
+    diagnostics.changes is the per-sweep max(dy0, dz); the solution keeps
+    dy0 and dz apart as y0_changes and z_changes.
     """
-    grid = bundle.grid
-    steps, dt = grid.steps, grid.dt
-    M0, K = bundle.n_paths, bundle.n_agents
+    dt = bundle.grid.dt
     gam = np.asarray(gammas, dtype=float)
     if n_eq is None:
-        n_eq = K
+        n_eq = bundle.n_agents
     if engine is None:
         engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
                              stratum_ids=stratum_ids, n_strata=n_strata)
     if diagnostics is None:
         diagnostics = smallness_report(float("nan"), _default_stats(gam))
 
-    z0 = np.zeros((M0, K, steps, market.d0))
-    z1 = np.zeros((M0, K, steps, market.d))
-    y_prev = None
-    changes: list[float] = []
-    clip_total = 0
-    converged = False
-    fits = None
-    y = None
-    for it in range(max_iters):
-        y, z0_new, z1_new, ebar, fits_it, nclip = gamma_map(
+    def sweep(z0, z1):
+        y, z0, z1, _, fits, clips = gamma_map(
             z0, z1, g_samples, bundle, market, engine, gam, gamma_hat,
             n_eq=n_eq, clip=clip, collect_fits=collect_fits,
         )
-        clip_total += nclip
-        if fits_it is not None:
-            fits = fits_it
-        if y_prev is not None:
-            y0_scale = max(float(np.max(np.abs(y[:, :, 0]))), 1e-8)
-            dy0 = float(np.max(np.abs(y[:, :, 0] - y_prev[:, :, 0]))) / y0_scale
-            z_scale = max(
-                np.sqrt((np.sum(z0_new**2) + np.sum(z1_new**2)) / (M0 * K * steps)), 1e-8
-            )
-            dz = np.sqrt(
-                (np.sum((z0_new - z0) ** 2) + np.sum((z1_new - z1) ** 2)) / (M0 * K * steps)
-            ) / z_scale
-            changes.append(max(dy0, dz))
-        y_prev = y
-        z0, z1 = z0_new, z1_new
-        if changes and changes[-1] < tol:
-            converged = True
-            break
+        return y, z0, z1, fits, clips
 
+    sol = _fixed_point(sweep, bundle, market, max_iters, tol)
+    z0, z1 = sol.z0, sol.z1
+    changes = [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
     diagnostics.changes = changes
     diagnostics.ratios = [
         changes[i] / changes[i - 1] for i in range(1, len(changes)) if changes[i - 1] > 0
     ]
-    diagnostics.iterations = len(changes) + 1
-    diagnostics.converged = converged
+    diagnostics.iterations = sol.picard_iters
+    diagnostics.converged = sol.converged
 
-    sol = BsdeSolution(
-        grid=grid, market=market, y=y, z0=z0, z1=z1,
-        picard_iters=diagnostics.iterations, converged=converged,
-        clip_count=clip_total, y0_changes=changes, z_changes=changes,
-        fits=fits,
-    )
     # recompute the mean field from the final iterate so the reported theta
     # is the one the returned (y, z) actually solve
     ebar = _ebar_path(z0, gam, market, n_eq)

@@ -1,45 +1,16 @@
-"""Deterministic block-parallel helpers.
+"""Fixed block layout for seeded draws and Gram accumulation.
 
-Work is always split into fixed-size blocks whose boundaries depend only on
-the problem size, never on the worker count.  Workers write into disjoint
-output slices (or results are reduced in block order), so every worker count
-produces bit-identical arrays.
+Work is split into fixed-size blocks whose boundaries depend only on the
+problem size.  Random streams are keyed by block index and partial sums are
+reduced in block order, so the arrays are bit-identical for every size of
+the thread pool a BLAS library may run underneath.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
-
-_MAX_WORKERS = 1
-
 BLOCK = 1024
-
-
-def set_max_workers(k: int) -> None:
-    global _MAX_WORKERS
-    _MAX_WORKERS = max(1, int(k))
-
-
-def get_max_workers() -> int:
-    return _MAX_WORKERS
 
 
 def block_ranges(total: int, block: int = BLOCK) -> list[tuple[int, int]]:
     """[(start, stop), ...] covering range(total) in fixed-size blocks."""
     return [(s, min(s + block, total)) for s in range(0, total, block)]
-
-
-def run_blocks(fn: Callable[[int, int, int], None], ranges: Sequence[tuple[int, int]]) -> None:
-    """Call fn(block_index, start, stop) for every block.
-
-    fn must only write to slices [start:stop] of shared output arrays.
-    """
-    if _MAX_WORKERS <= 1 or len(ranges) <= 1:
-        for b, (s, e) in enumerate(ranges):
-            fn(b, s, e)
-        return
-    with ThreadPoolExecutor(max_workers=_MAX_WORKERS) as pool:
-        futures = [pool.submit(fn, b, s, e) for b, (s, e) in enumerate(ranges)]
-        for fut in futures:
-            fut.result()

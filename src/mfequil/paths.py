@@ -2,8 +2,7 @@
 
 All randomness comes from counter-based Philox substreams.  Streams are keyed
 by (seed, stream kind, block index) where a block is a fixed slice of path
-indices, so the generated arrays are bit-identical no matter how many worker
-threads fill them.  The factor follows Euler-Maruyama on the same increments
+indices, so a path's draws do not depend on how many paths are drawn.  The factor follows Euler-Maruyama on the same increments
 the BSDE regressions consume, and the running liability integral I uses the
 left-endpoint rule, so factor, integral, and regressions stay on one
 discretisation.
@@ -38,18 +37,13 @@ def normal_block_array(seed: int, kind: int, shape: tuple[int, ...]) -> np.ndarr
     """Standard normals of the given shape, leading axis split into blocks.
 
     The draw for leading index i depends only on (seed, kind, i // BLOCK,
-    position within block), never on the worker count.
+    position within block).
     """
     total = shape[0]
     per_row = int(np.prod(shape[1:], dtype=np.int64))
     out = np.empty((total, per_row))
-    ranges = parallel.block_ranges(total)
-
-    def fill(b, start, stop):
-        g = _philox(seed, kind, b)
-        out[start:stop] = g.standard_normal(((stop - start), per_row))
-
-    parallel.run_blocks(fill, ranges)
+    for b, (start, stop) in enumerate(parallel.block_ranges(total)):
+        out[start:stop] = _philox(seed, kind, b).standard_normal((stop - start, per_row))
     return out.reshape(shape)
 
 
@@ -120,8 +114,15 @@ def simulate_paths(
         * sqdt
     )
 
-    x = np.empty((n_paths, steps + 1))
-    I = np.empty((n_paths, steps + 1))
+    x, I = _euler_factor(spec, dW0, dt)
+    return PathBundle(grid=grid, dW0=dW0, dWi=dWi, x=x, I=I, seed=seed)
+
+
+def _euler_factor(spec: EqgSpec, dW0: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Euler factor path x and left-rule running cost I on the increments dW0."""
+    M, steps, _ = dW0.shape
+    x = np.empty((M, steps + 1))
+    I = np.empty((M, steps + 1))
     x[:, 0] = spec.x0
     I[:, 0] = 0.0
     delta = spec.delta_vec
@@ -129,7 +130,7 @@ def simulate_paths(
         xk = x[:, k]
         I[:, k + 1] = I[:, k] + (spec.a * xk * xk + spec.b * xk) * dt
         x[:, k + 1] = xk + (spec.alpha * xk + spec.beta) * dt + dW0[:, k] @ delta
-    return PathBundle(grid=grid, dW0=dW0, dWi=dWi, x=x, I=I, seed=seed)
+    return x, I
 
 
 def ou_exact_moments(spec: EqgSpec, t: float) -> tuple[float, float]:
@@ -190,15 +191,5 @@ def coarsen_bundle(bundle: PathBundle, factor: int, spec: EqgSpec) -> PathBundle
     d = bundle.dWi.shape[3]
     dW0 = bundle.dW0.reshape(M, steps_c, factor, d0).sum(axis=2)
     dWi = bundle.dWi.reshape(M, K, steps_c, factor, d).sum(axis=3)
-
-    dt = coarse_grid.dt
-    x = np.empty((M, steps_c + 1))
-    I = np.empty((M, steps_c + 1))
-    x[:, 0] = spec.x0
-    I[:, 0] = 0.0
-    delta = spec.delta_vec
-    for k in range(steps_c):
-        xk = x[:, k]
-        I[:, k + 1] = I[:, k] + (spec.a * xk * xk + spec.b * xk) * dt
-        x[:, k + 1] = xk + (spec.alpha * xk + spec.beta) * dt + dW0[:, k] @ delta
+    x, I = _euler_factor(spec, dW0, coarse_grid.dt)
     return PathBundle(grid=coarse_grid, dW0=dW0, dWi=dWi, x=x, I=I, seed=bundle.seed)

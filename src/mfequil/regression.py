@@ -13,7 +13,7 @@ Design choices that matter for reproducibility and the exactness tests:
   are dropped (at t = 0 every state column is constant and the regression
   correctly degenerates to the plain mean);
 * the Gram matrix is accumulated blockwise in a fixed block order, so the
-  result is independent of the worker count;
+  result does not depend on how BLAS splits the work;
 * ridge is 1e-8 relative to the normalised Gram trace, and an eigenvalue of
   the unridged Gram below the ridge level raises RegressionRankDeficient.
 
@@ -124,26 +124,17 @@ class StepFit:
 def _blockwise_gram(xs: np.ndarray, weights: np.ndarray | None):
     """X^T W X and X^T W 1 accumulated in fixed block order."""
     P, q = xs.shape
-    ranges = parallel.block_ranges(P, block=65536)
-    grams = [None] * len(ranges)
-    sums = [None] * len(ranges)
-
-    def fill(b, s, e):
-        xb = xs[s:e]
-        if weights is None:
-            grams[b] = xb.T @ xb
-            sums[b] = xb.sum(axis=0)
-        else:
-            wb = weights[s:e]
-            grams[b] = xb.T @ (xb * wb[:, None])
-            sums[b] = (xb * wb[:, None]).sum(axis=0)
-
-    parallel.run_blocks(fill, ranges)
     gram = np.zeros((q, q))
     ssum = np.zeros(q)
-    for g, v in zip(grams, sums):
-        gram += g
-        ssum += v
+    for s, e in parallel.block_ranges(P, block=65536):
+        xb = xs[s:e]
+        if weights is None:
+            gram += xb.T @ xb
+            ssum += xb.sum(axis=0)
+        else:
+            xw = xb * weights[s:e, None]
+            gram += xb.T @ xw
+            ssum += xw.sum(axis=0)
     return gram, ssum
 
 

@@ -8,6 +8,8 @@ from mfequil import (
     riccati_for_spec, risk_premium_from_mu, simulate_paths, solve_agent_bsde,
     solve_mean_field, solve_under_q, verify_condition_r,
 )
+from mfequil.bsde import _fixed_point
+from mfequil.errors import PicardDiverged
 from mfequil.regression import BasisEngine
 
 from conftest import make_market
@@ -213,3 +215,68 @@ def test_time_varying_sigma_uses_each_steps_geometry():
                                rtol=0, atol=1e-12)
         for in_row_space in (mf.theta[:, k], ebar[:, k], p_pool[:, :, k], eq_theta[:, k]):
             assert np.max(np.abs(perp(in_row_space, k))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the one fixed-point loop shared by the agent, tilted and mean-field solves
+# ---------------------------------------------------------------------------
+
+def scripted_sweep(bundle, market, y0s, zs):
+    """Sweep i returns y0 = y0s[i] and z0 = zs[i] everywhere (z1 = 0), so
+    dy0 = |y0s[i] - y0s[i-1]| / |y0s[i]| and dz = |zs[i] - zs[i-1]| / |zs[i]|.
+    Its fits are the sweep index and it reports one clip."""
+    M0, K, steps = bundle.n_paths, bundle.n_agents, bundle.grid.steps
+    calls = []
+
+    def sweep(z0, z1):
+        i = len(calls)
+        calls.append(i)
+        y = np.full((M0, K, steps + 1), float(y0s[i]))
+        return (y, np.full((M0, K, steps, market.d0), float(zs[i])),
+                np.zeros((M0, K, steps, market.d)), i, 1)
+    return sweep
+
+
+def test_fixed_point_stops_on_both_changes(market2):
+    bundle = simulate_paths(TimeGrid(1.0, 2), flat_spec(), market2, 4, 0)
+    # y0 settles at once but z keeps moving: no stop until z settles too
+    sol = _fixed_point(scripted_sweep(bundle, market2, [1.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]),
+                       bundle, market2, max_iters=4, tol=1e-4)
+    assert not sol.converged and sol.picard_iters == 4
+    assert sol.y0_changes == [0.0, 0.0, 0.0]
+    assert sol.z_changes == pytest.approx([1 / 2, 1 / 3, 1 / 4], rel=1e-14)
+    # the returned iterate is the last sweep's, and clips add up over sweeps
+    assert sol.fits == 3 and np.all(sol.z0 == 4.0) and sol.clip_count == 4
+    sol = _fixed_point(scripted_sweep(bundle, market2, [1.0] * 5, [1.0, 2.0, 2.0, 7.0, 7.0]),
+                       bundle, market2, max_iters=5, tol=1e-4)
+    assert sol.converged and sol.picard_iters == 3
+    assert sol.fits == 2 and np.all(sol.z0 == 2.0) and sol.clip_count == 3
+
+
+def test_fixed_point_guards_growth_and_non_finite(market2):
+    bundle = simulate_paths(TimeGrid(1.0, 2), flat_spec(), market2, 4, 0)
+    # dz = 0.091, 0.154, 0.235, 0.32: growing at sweeps 3, 4 and 5
+    zs = [1.0, 1.1, 1.3, 1.7, 2.5, 2.5]
+    sol = _fixed_point(scripted_sweep(bundle, market2, [1.0] * 6, zs),
+                       bundle, market2, max_iters=4, tol=1e-4)
+    assert not sol.converged and sol.picard_iters == 4
+    with pytest.raises(PicardDiverged, match="3 consecutive"):
+        _fixed_point(scripted_sweep(bundle, market2, [1.0] * 6, zs),
+                     bundle, market2, max_iters=6, tol=1e-4)
+    with pytest.raises(PicardDiverged, match="non-finite"):
+        _fixed_point(scripted_sweep(bundle, market2, [1.0, np.nan, 1.0], [1.0] * 3),
+                     bundle, market2, max_iters=3, tol=1e-4)
+
+
+def test_nan_liability_raises_in_every_solve(grid20, market2):
+    bundle = simulate_paths(grid20, flat_spec(), market2, 256, 11, agents=2)
+    g = np.outer(bundle.x[:, -1], [1.0, 2.0])
+    g[17, 1] = np.nan
+    theta = np.full((grid20.steps, 2), 0.1)
+    gammas = np.array([1.0, 2.0])
+    with pytest.raises(PicardDiverged, match="non-finite"):
+        solve_agent_bsde(bundle, market2, BASIS, theta, g)
+    with pytest.raises(PicardDiverged, match="non-finite"):
+        solve_under_q(bundle, market2, BASIS, theta, g)
+    with pytest.raises(PicardDiverged, match="non-finite"):
+        solve_mean_field(bundle, market2, BASIS, g, gammas, gamma_hat(gammas).gamma_hat)

@@ -185,6 +185,14 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # the fixed-point loops need a sweep, and finite positive tolerances and clip
+    for bad in ["mf.iters=0", "bsde.picard_max=0", "bsde.picard_max=2.5", "mf.iters=true",
+                "mf.tol=-1", "mf.tol=NaN", "bsde.picard_tol=0", "bsde.picard_tol=Infinity",
+                "bsde.clip=-1", 'bsde.clip="50"']:
+        assert run(["riccati", "--config", TINY, "--set", bad,
+                    "--out", str(tmp_path)]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1, (bad, err)
 
 
 def test_failed_stage_exits_1(tmp_path, capsys):

@@ -269,3 +269,21 @@ def test_theta_from_solution_matches_reported_theta(market2):
     again = theta_from_solution(mf.solution.z0, gammas, stats.gamma_hat,
                                 market2, n_eq=3)
     assert np.array_equal(mf.theta, again)
+
+
+def test_changes_keep_y0_and_z_apart(market2):
+    """The solution carries the loop's dy0 and dz lists; the diagnostics'
+    changes are their elementwise max, and the ratios follow from those."""
+    grid = TimeGrid(0.5, 6)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.2)
+    bundle = simulate_paths(grid, spec, market2, 256, 5, agents=3)
+    gammas = np.array([1.0, 2.0, 4.0])
+    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
+    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
+                          gamma_hat(gammas).gamma_hat, max_iters=5, tol=1e-14)
+    sol, diag = mf.solution, mf.diagnostics
+    assert len(sol.y0_changes) == len(sol.z_changes) == diag.iterations - 1 == 4
+    assert sol.y0_changes != sol.z_changes
+    assert diag.changes == [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
+    assert diag.ratios == [b / a for a, b in zip(diag.changes, diag.changes[1:])]

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mfequil import EqgSpec, TimeGrid, coarsen_bundle, export_paths_csv, simulate_paths
-from mfequil.paths import KIND_COMMON, normal_block_array, ou_exact_moments
+from mfequil.paths import ou_exact_moments
 
 from conftest import make_market
 
@@ -26,18 +31,24 @@ def test_path_prefix_stable_under_growth(grid20, eqg_spec, market2):
     assert np.array_equal(big.x[:8], small.x)
 
 
-def test_block_array_worker_count_invariant():
-    from mfequil import parallel
-
-    old = parallel.get_max_workers()
-    try:
-        parallel.set_max_workers(1)
-        serial = normal_block_array(7, KIND_COMMON, (5000, 3))
-        parallel.set_max_workers(8)
-        threaded = normal_block_array(7, KIND_COMMON, (5000, 3))
-    finally:
-        parallel.set_max_workers(old)
-    assert np.array_equal(serial, threaded)
+def test_all_output_independent_of_blas_threads(tmp_path):
+    """Draws keyed by fixed blocks and Gram sums reduced in block order: a
+    full run writes the same bytes at one and at two BLAS threads."""
+    root = Path(__file__).resolve().parents[1]
+    trees = []
+    for n in ("1", "2"):
+        out = tmp_path / f"blas{n}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfequil.cli", "all", "--config",
+             str(root / "configs" / "tiny.json"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) > 1 and trees[0] == trees[1]
 
 
 def test_common_increments_shared_across_agents(grid20, eqg_spec, market2):
