@@ -15,32 +15,26 @@ not as an O(dt) rate.
 """
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from mfequil import (
-    TimeGrid, build_eqg, build_liability, build_market, build_basis,
-    equilibrium_path, load_config, riccati_for_spec, simulate_paths,
+    build_scenario, equilibrium_path, load_config, riccati_for_spec, simulate_paths,
     solve_agent_bsde, terminal_g,
 )
 
 
 def one_resolution(cfg, steps, n_paths, seed):
-    grid = TimeGrid(cfg.grid.horizon, steps)
-    market = build_market(cfg)
-    spec = build_eqg(cfg)
-    liability = build_liability(cfg)
-    basis = build_basis(cfg)
+    sc = build_scenario(replace(cfg, grid=replace(cfg.grid, steps=steps)))
+    grid, market, spec = sc.grid, sc.market, sc.eqg
     bundle = simulate_paths(grid, spec, market, n_paths, seed, agents=1)
-    ric = riccati_for_spec(spec, grid)
-    eq = equilibrium_path(ric, bundle, market, spec)
-    g = terminal_g(liability, bundle, np.ones(1))
-    sol = solve_agent_bsde(bundle, market, basis, eq.theta, g)
+    eq = equilibrium_path(riccati_for_spec(spec, grid), bundle, market, spec)
+    g = terminal_g(sc.liability, bundle, np.ones(1))
+    sol = solve_agent_bsde(bundle, market, sc.basis, eq.theta, g)
 
-    y0_closed = float(ric.A[0] * spec.x0**2 + ric.B[0] * spec.x0 + ric.C[0])
-    y0_closed += 0.5 * spec.kappa**2 * grid.horizon
-    slope = 2.0 * ric.A[:-1][None, :] * bundle.x[:, :-1] + ric.B[:-1][None, :]
-    z0_closed = slope[:, :, None] * spec.delta_vec[None, None, :]
+    y0_closed = eq.y0_initial() + 0.5 * spec.kappa**2 * grid.horizon
+    z0_closed = eq.z0[:, :-1]
     y0_rel = abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12)
     num = np.sqrt(np.mean((sol.z0[:, 0] - z0_closed) ** 2))
     den = np.sqrt(np.mean(z0_closed**2))
@@ -55,7 +49,7 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     cfg = load_config(args.config)
-    if not build_liability(cfg).is_additive:
+    if not build_scenario(cfg).liability.is_additive:
         print("closed form needs an additive scenario (cross_eps = 0)")
         return 2
 

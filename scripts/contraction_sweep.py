@@ -16,9 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from mfequil import (
-    LiabilitySpec, PicardDiverged, build_basis, build_eqg, build_gamma_dist, build_grid,
-    build_market, gamma_hat as population_stats, load_config,
-    simulate_paths, smallness_from_liability, solve_mean_field, terminal_g,
+    LiabilitySpec, PicardDiverged, build_scenario, gamma_hat as population_stats,
+    load_config, simulate_paths, smallness_from_liability, solve_mean_field, terminal_g,
 )
 
 
@@ -30,16 +29,14 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    market = build_market(cfg)
-    basis = build_basis(cfg)
-    gamma_dist = build_gamma_dist(cfg)
+    sc = build_scenario(cfg)
+    grid, market, basis, gamma_dist = sc.grid, sc.market, sc.basis, sc.gamma_dist
     K = cfg.mf.n_particles
 
     atom_ids = gamma_dist.balanced_ids(K)
     gammas = np.asarray(gamma_dist.values)[atom_ids]
     stats = population_stats(gammas)
-    bundle = simulate_paths(grid, build_eqg(cfg), market,
+    bundle = simulate_paths(grid, sc.eqg, market,
                             cfg.mf.n_common, cfg.seed, agents=K)
 
     print(f"scenario {cfg.name}: K = {K} particles, "
@@ -47,7 +44,7 @@ def main(argv=None):
     print(f"{'b scale':>8} {'f_inf':>10} {'gate':>6} {'sweeps':>7} "
           f"{'ratio 1':>10} {'y0':>12}")
     for s in args.scales:
-        spec = replace(build_eqg(cfg), b=cfg.eqg.b * s)
+        spec = replace(sc.eqg, b=cfg.eqg.b * s)
         liability = LiabilitySpec.from_eqg(spec, eps=cfg.eqg.cross_eps)
         g = terminal_g(liability, bundle, gammas)
         diag = smallness_from_liability(liability, spec, grid, stats)

@@ -11,10 +11,7 @@ import argparse
 import sys
 import time
 
-from mfequil import (
-    build_basis, build_eqg, build_gamma_dist, build_grid, build_liability,
-    build_market, load_config, run_clearing_study,
-)
+from mfequil import build_scenario, load_config, run_clearing_study
 
 
 def main(argv=None):
@@ -25,18 +22,14 @@ def main(argv=None):
 
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    grid = build_grid(cfg)
-    market = build_market(cfg)
-    eqg = build_eqg(cfg)
-    liability = build_liability(cfg)
-    basis = build_basis(cfg)
+    sc = build_scenario(cfg)
 
     t0 = time.time()
     report, mf, _ = run_clearing_study(
-        grid, market, eqg, liability, build_gamma_dist(cfg),
+        sc.grid, sc.market, sc.eqg, sc.liability, sc.gamma_dist,
         n_common=cfg.clearing.n_common,
         n_equilibrium=cfg.clearing.n_equilibrium,
-        Ns=cfg.clearing.Ns, seed=seed, basis=basis,
+        Ns=cfg.clearing.Ns, seed=seed, basis=sc.basis,
         mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
         n_batches=cfg.clearing.n_batches,
         slack=cfg.clearing.slack,

@@ -34,16 +34,13 @@ from .clearing import (
     rate_fit,
     replacement_invariance,
     run_clearing_study,
+    solve_equilibrium_cloud,
 )
 from .config import (
+    Scenario,
     ScenarioConfig,
     apply_overrides,
-    build_basis,
-    build_eqg,
-    build_gamma_dist,
-    build_grid,
-    build_liability,
-    build_market,
+    build_scenario,
     config_from_dict,
     config_sha256,
     config_to_dict,

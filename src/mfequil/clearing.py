@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import IllConditionedQ, InsufficientSpan, MissingStageOutput
 from .liabilities import LiabilitySpec, terminal_g
-from .market import MarketSpec, gamma_hat, risk_premium_from_mu
+from .market import MarketSpec, PopulationStats, gamma_hat, risk_premium_from_mu
 from .meanfield import MeanFieldSolution, smallness_from_liability, solve_mean_field
 from .paths import (
     KIND_AUX,
@@ -107,7 +107,7 @@ def build_population(
 ) -> Population:
     """Draw gamma_i for n_agents.
 
-    balanced=True assigns gamma atoms in exact proportion instead of i.i.d.
+    A balanced population has gamma atoms in exact proportion instead of i.i.d.
     (used for the equilibrium cloud so the sample harmonic mean is the
     population one); agents entering clearing statistics use i.i.d. draws.
     """
@@ -253,6 +253,33 @@ def rate_fit(report: ClearingReport, slack: float = 0.25) -> ClearingReport:
     return report
 
 
+def solve_equilibrium_cloud(
+    grid, market: MarketSpec, eqg: EqgSpec, liability: LiabilitySpec, gamma_dist: DiscreteDist,
+    basis: RegressionBasis, n_common: int, n_agents: int, seed: int, mf_iters: int,
+    mf_tol: float, n_eq: int | None = None, c_gamma_override: float | None = None,
+    collect_fits: bool = False,
+) -> tuple[MeanFieldSolution, PathBundle, PopulationStats]:
+    """Mean-field fixed point, with smallness and stability diagnostics, on a
+    balanced cloud of n_agents particles over n_common common paths; each gamma
+    atom is a regression stratum when the liability couples to gamma.
+    Returns the solution, the cloud's path bundle and its population stats."""
+    cloud = build_population(n_agents, seed, gamma_dist, balanced=True)
+    stats = gamma_hat(cloud.gammas)
+    diag = smallness_from_liability(liability, eqg, grid, stats,
+                                    c_gamma_spread_override=c_gamma_override)
+    bundle = simulate_paths(grid, eqg, market, n_common, seed, agents=n_agents)
+    g = terminal_g(liability, bundle, cloud.gammas)
+    stratified = liability.gamma_coupled
+    sids = np.tile(cloud.atom_ids.astype(np.int64), n_common) if stratified else None
+    mf = solve_mean_field(
+        bundle, market, basis, g, cloud.gammas, stats.gamma_hat,
+        n_eq=n_eq, max_iters=mf_iters, tol=mf_tol,
+        stratum_ids=sids, n_strata=len(gamma_dist.values) if stratified else 1,
+        diagnostics=diag, compute_stability=True, collect_fits=collect_fits,
+    )
+    return mf, bundle, stats
+
+
 def run_clearing_study(
     grid,
     market: MarketSpec,
@@ -276,23 +303,14 @@ def run_clearing_study(
     the stored per-step solution maps, and estimates eps_N with its rate.
     The rate fit is attached only when Ns satisfies the span precondition.
     """
-    cloud_pop = build_population(n_equilibrium, seed, gamma_dist, balanced=True)
-    stats = gamma_hat(cloud_pop.gammas)
-    stratified = liability.gamma_coupled
-    bundle = simulate_paths(grid, eqg, market, n_common, seed, agents=n_equilibrium)
-    g = terminal_g(liability, bundle, cloud_pop.gammas)
-    sids = np.tile(cloud_pop.atom_ids.astype(np.int64), n_common) if stratified else None
-    diag = smallness_from_liability(liability, eqg, grid, stats)
-    mf = solve_mean_field(
-        bundle, market, basis, g, cloud_pop.gammas, stats.gamma_hat,
-        max_iters=mf_iters, tol=mf_tol,
-        stratum_ids=sids, n_strata=len(gamma_dist.values) if stratified else 1,
-        compute_stability=True, collect_fits=True, diagnostics=diag,
+    mf, bundle, stats = solve_equilibrium_cloud(
+        grid, market, eqg, liability, gamma_dist, basis, n_common=n_common,
+        n_agents=n_equilibrium, seed=seed, mf_iters=mf_iters, mf_tol=mf_tol, collect_fits=True,
     )
-
     pool = build_population(max(Ns), seed, gamma_dist, balanced=False)
     w_agents = fresh_idio_levels(seed, n_common, pool.size, grid)
-    _, pi = agent_strategies(mf, bundle, market, basis, pool, w_agents, stratified=stratified)
+    _, pi = agent_strategies(mf, bundle, market, basis, pool, w_agents,
+                             stratified=liability.gamma_coupled)
     eps, ses = clearing_residual(pi, Ns, grid.dt, n_batches=n_batches)
     report = ClearingReport(
         Ns=list(Ns), eps=eps, stderr=ses,

@@ -12,8 +12,12 @@ is therefore reported on stderr, not in the files (the manifest's
 wall_clock_s field stays 0.0 unless --record-timing is given, which is
 intentionally not the default).
 
-Exit codes: 0 all stages passed, 1 a stage ran and failed (or an engine
-error surfaced), 2 the config or command line is invalid.
+The scenario (grid, market, factor and liability data, regression basis,
+risk-aversion atoms) is built and checked once, before any stage runs, and
+every stage reads it.  Exit codes: 0 all stages passed; 1 a stage ran and
+failed, or raised an engine error or a ValueError (the manifest is still
+written); 2 the command line or a config value is invalid, a singular sigma
+included.
 """
 
 from __future__ import annotations
@@ -24,27 +28,22 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .bsde import solve_agent_bsde
 from .clearing import (
-    build_population,
     random_replacement,
     replacement_invariance,
     run_clearing_study,
+    solve_equilibrium_cloud,
 )
 from .config import (
-    ScenarioConfig,
+    Scenario,
     apply_overrides,
-    build_basis,
-    build_eqg,
-    build_gamma_dist,
-    build_grid,
-    build_liability,
-    build_market,
+    build_scenario,
     config_from_dict,
     config_sha256,
     config_to_dict,
@@ -53,23 +52,11 @@ from .config import (
 from .equilibrium import equilibrium_path, martingale_check, sign_law_violations
 from .errors import ConfigError, MfequilError, MissingStageOutput
 from .liabilities import terminal_g
-from .market import gamma_hat, validate_market
-from .meanfield import smallness_from_liability, solve_mean_field
 from .paths import KIND_AUX, format_float, normal_block_array, simulate_paths
 from .riccati import riccati_for_spec, riccati_ode
 
 STAGES = ["riccati", "equilibrium", "bsde", "mf-solve", "clearing", "invariance"]
 _CSV_PATH_CAP = 32     # pathwise CSV dumps keep at most this many common paths
-
-
-@dataclass
-class RunManifest:
-    config_sha256: str
-    version: str
-    wall_clock_s: float
-    stages: dict
-    files: list[str] = field(default_factory=list)
-    overrides: list[str] = field(default_factory=list)
 
 
 class StageWriter:
@@ -141,9 +128,8 @@ def emit_plot_series(
 # stages
 
 
-def stage_riccati(cfg: ScenarioConfig, writer: StageWriter) -> dict:
-    grid = build_grid(cfg)
-    spec = build_eqg(cfg)
+def stage_riccati(sc: Scenario, writer: StageWriter) -> dict:
+    grid, spec = sc.grid, sc.eqg
     closed = riccati_for_spec(spec, grid)
     oracle = riccati_ode(spec.a, spec.b, spec.alpha, spec.beta, spec.delta_vec,
                          grid, substeps=1024)
@@ -172,11 +158,8 @@ def stage_riccati(cfg: ScenarioConfig, writer: StageWriter) -> dict:
     }
 
 
-def stage_equilibrium(cfg: ScenarioConfig, writer: StageWriter) -> dict:
-    grid = build_grid(cfg)
-    market = build_market(cfg)
-    validate_market(market, grid)
-    spec = build_eqg(cfg)
+def stage_equilibrium(sc: Scenario, writer: StageWriter) -> dict:
+    cfg, grid, market, spec = sc.cfg, sc.grid, sc.market, sc.eqg
     bundle = simulate_paths(grid, spec, market, cfg.mf.n_common, cfg.seed, agents=1)
     ric = riccati_for_spec(spec, grid)
     eq = equilibrium_path(ric, bundle, market, spec)
@@ -226,19 +209,14 @@ def stage_equilibrium(cfg: ScenarioConfig, writer: StageWriter) -> dict:
     }
 
 
-def stage_bsde(cfg: ScenarioConfig, writer: StageWriter) -> dict:
-    grid = build_grid(cfg)
-    market = build_market(cfg)
-    validate_market(market, grid)
-    spec = build_eqg(cfg)
-    liability = build_liability(cfg)
-    basis = build_basis(cfg)
+def stage_bsde(sc: Scenario, writer: StageWriter) -> dict:
+    cfg, grid, market, spec, liability = sc.cfg, sc.grid, sc.market, sc.eqg, sc.liability
     bundle = simulate_paths(grid, spec, market, cfg.bsde.n_paths, cfg.seed, agents=1)
     ric = riccati_for_spec(spec, grid)
     eq = equilibrium_path(ric, bundle, market, spec)
     g = terminal_g(liability, bundle, np.ones(1))
     sol = solve_agent_bsde(
-        bundle, market, basis, eq.theta, g,
+        bundle, market, sc.basis, eq.theta, g,
         picard_max=cfg.bsde.picard_max, picard_tol=cfg.bsde.picard_tol,
         clip=cfg.bsde.clip,
     )
@@ -250,11 +228,9 @@ def stage_bsde(cfg: ScenarioConfig, writer: StageWriter) -> dict:
     }
     ok = sol.converged and sol.clip_count == 0
     if liability.is_additive:
-        y0_closed = float(ric.A[0] * spec.x0**2 + ric.B[0] * spec.x0 + ric.C[0])
-        y0_closed += 0.5 * spec.kappa**2 * grid.horizon
+        y0_closed = eq.y0_initial() + 0.5 * spec.kappa**2 * grid.horizon
         rel = abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12)
-        slope = 2.0 * ric.A[:-1][None, :] * bundle.x[:, :-1] + ric.B[:-1][None, :]
-        z0_closed = slope[:, :, None] * spec.delta_vec[None, None, :]
+        z0_closed = eq.z0[:, :-1]
         num = np.sqrt(np.mean((sol.z0[:, 0] - z0_closed) ** 2))
         den = max(np.sqrt(np.mean(z0_closed**2)), 1e-12)
         details.update(
@@ -272,29 +248,15 @@ def stage_bsde(cfg: ScenarioConfig, writer: StageWriter) -> dict:
     return details
 
 
-def stage_mf(cfg: ScenarioConfig, writer: StageWriter) -> dict:
-    grid = build_grid(cfg)
-    market = build_market(cfg)
-    validate_market(market, grid)
-    spec = build_eqg(cfg)
-    liability = build_liability(cfg)
-    basis = build_basis(cfg)
-    dist = build_gamma_dist(cfg)
-    K = cfg.mf.n_particles
-    cloud = build_population(K, cfg.seed, dist, balanced=True)
-    stats = gamma_hat(cloud.gammas)
-    diag = smallness_from_liability(liability, spec, grid, stats,
-                                    c_gamma_spread_override=cfg.mf.c_gamma_override)
-    bundle = simulate_paths(grid, spec, market, cfg.mf.n_common, cfg.seed, agents=K)
-    g = terminal_g(liability, bundle, cloud.gammas)
-    stratified = liability.gamma_coupled
-    sids = np.tile(cloud.atom_ids.astype(np.int64), cfg.mf.n_common) if stratified else None
-    mf = solve_mean_field(
-        bundle, market, basis, g, cloud.gammas, stats.gamma_hat,
-        n_eq=cfg.mf.n_equilibrium, max_iters=cfg.mf.iters, tol=cfg.mf.tol,
-        stratum_ids=sids, n_strata=len(dist.values) if stratified else 1,
-        diagnostics=diag, compute_stability=True,
+def stage_mf(sc: Scenario, writer: StageWriter) -> dict:
+    cfg, grid, market, spec, liability = sc.cfg, sc.grid, sc.market, sc.eqg, sc.liability
+    mf, bundle, stats = solve_equilibrium_cloud(
+        grid, market, spec, liability, sc.gamma_dist, sc.basis,
+        n_common=cfg.mf.n_common, n_agents=cfg.mf.n_particles, seed=cfg.seed,
+        mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
+        n_eq=cfg.mf.n_equilibrium, c_gamma_override=cfg.mf.c_gamma_override,
     )
+    diag = mf.diagnostics
     d0 = market.d0
     m_show = min(cfg.mf.n_common, _CSV_PATH_CAP)
     rows = []
@@ -313,9 +275,8 @@ def stage_mf(cfg: ScenarioConfig, writer: StageWriter) -> dict:
     if diag.smallness_ok and len(diag.ratios) >= 1:
         ok = ok and all(r < 1.0 for r in diag.ratios[1:])
     if liability.is_additive:
-        ric = riccati_for_spec(spec, grid)
-        y0_closed = float(ric.A[0] * spec.x0**2 + ric.B[0] * spec.x0 + ric.C[0])
-        y0_closed += 0.5 * spec.kappa**2 * grid.horizon
+        eq = equilibrium_path(riccati_for_spec(spec, grid), bundle, market, spec)
+        y0_closed = eq.y0_initial() + 0.5 * spec.kappa**2 * grid.horizon
         rel = abs(mf.solution.y0 - y0_closed) / max(abs(y0_closed), 1e-12)
         payload |= {"y0_closed": y0_closed, "y0_rel_err": float(rel)}
         ok = ok and rel < 0.05
@@ -334,18 +295,12 @@ def stage_mf(cfg: ScenarioConfig, writer: StageWriter) -> dict:
     }
 
 
-def stage_clearing(cfg: ScenarioConfig, writer: StageWriter) -> dict:
-    grid = build_grid(cfg)
-    market = build_market(cfg)
-    validate_market(market, grid)
-    spec = build_eqg(cfg)
-    liability = build_liability(cfg)
-    basis = build_basis(cfg)
-    dist = build_gamma_dist(cfg)
+def stage_clearing(sc: Scenario, writer: StageWriter) -> dict:
+    cfg, grid, liability = sc.cfg, sc.grid, sc.liability
     report, mf, _pool = run_clearing_study(
-        grid, market, spec, liability, dist,
+        grid, sc.market, sc.eqg, liability, sc.gamma_dist,
         n_common=cfg.clearing.n_common, n_equilibrium=cfg.clearing.n_equilibrium,
-        Ns=list(cfg.clearing.Ns), seed=cfg.seed, basis=basis,
+        Ns=list(cfg.clearing.Ns), seed=cfg.seed, basis=sc.basis,
         mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
         n_batches=cfg.clearing.n_batches, slack=cfg.clearing.slack,
     )
@@ -381,11 +336,8 @@ def stage_clearing(cfg: ScenarioConfig, writer: StageWriter) -> dict:
     }
 
 
-def stage_invariance(cfg: ScenarioConfig, writer: StageWriter) -> dict:
-    grid = build_grid(cfg)
-    market = build_market(cfg)
-    validate_market(market, grid)
-    spec = build_eqg(cfg)
+def stage_invariance(sc: Scenario, writer: StageWriter) -> dict:
+    cfg, grid, market, spec = sc.cfg, sc.grid, sc.market, sc.eqg
     m_paths = min(cfg.mf.n_common, 64)
     bundle = simulate_paths(grid, spec, market, m_paths, cfg.seed, agents=1)
     ric = riccati_for_spec(spec, grid)
@@ -463,6 +415,7 @@ def run(argv: list[str] | None = None) -> int:
         out_dir = args.out or cfg.out_dir or f"out_{cfg.name}"
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        sc = build_scenario(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -473,21 +426,21 @@ def run(argv: list[str] | None = None) -> int:
     failed = False
     for name in names:
         try:
-            stages[name] = _STAGE_FN[name](cfg, writer)
-        except MfequilError as exc:
+            stages[name] = _STAGE_FN[name](sc, writer)
+        except (MfequilError, ValueError) as exc:
             stages[name] = {"status": "fail", "error": f"{type(exc).__name__}: {exc}"}
         if stages[name]["status"] != "pass":
             failed = True
 
     wall = time.monotonic() - t0
-    manifest = RunManifest(
-        config_sha256=config_sha256(cfg),
-        version=__version__,
-        wall_clock_s=round(wall, 3) if args.record_timing else 0.0,
-        stages=stages,
-        overrides=sorted(overrides),
-    )
-    writer.json("manifest.json", asdict(manifest) | {"files": sorted(writer.files + ["manifest.json"])})
+    writer.json("manifest.json", {
+        "config_sha256": config_sha256(cfg),
+        "version": __version__,
+        "wall_clock_s": round(wall, 3) if args.record_timing else 0.0,
+        "stages": stages,
+        "files": sorted(writer.files + ["manifest.json"]),
+        "overrides": sorted(overrides),
+    })
     for name in names:
         print(f"{name}: {stages[name]['status']}")
     print(f"outputs in {out_dir} ({wall:.1f}s)", file=sys.stderr)

@@ -4,21 +4,25 @@ Every knob of a run lives in a single nested dataclass that round-trips
 through JSON exactly (parse -> serialize -> parse is the identity), so a
 run is reproducible from its config hash alone.  Dotted-path overrides
 (``--set mf.iters=20``) are applied to the parsed document before
-validation; values are JSON literals with a bare-string fallback.
+validation; values are JSON literals with a bare-string fallback.  A run
+builds its engine objects once, with `build_scenario`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .clearing import DiscreteDist
-from .errors import ConfigError
+from .errors import ConfigError, MfequilError
 from .liabilities import LiabilitySpec
-from .market import MarketSpec, TimeGrid
+from .market import MarketSpec, TimeGrid, validate_market
 from .regression import RegressionBasis
 from .riccati import EqgSpec
 
@@ -35,14 +39,6 @@ class MarketConfig:
 
     sigma: tuple = ((1.0, 0.2), (0.3, 0.9))
     d: int = 1
-
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
-
-    @property
-    def d0(self) -> int:
-        return len(self.sigma[0])
 
 
 @dataclass(frozen=True)
@@ -146,6 +142,8 @@ def _coerce(cls, data: dict):
             kwargs[name] = _coerce(sub, value)
         elif isinstance(value, list):
             if name == "sigma":
+                if not all(isinstance(row, list) and all(map(_real, row)) for row in value):
+                    raise ConfigError(f"market.sigma must be rows of finite numbers, got {value!r}")
                 kwargs[name] = tuple(tuple(float(x) for x in row) for row in value)
             elif name in _TUPLE_FIELDS:
                 kwargs[name] = tuple(value)
@@ -170,21 +168,58 @@ _SUBBLOCKS = {
 }
 
 
-def _check_fixed_point(cfg: ScenarioConfig) -> None:
-    """The Picard loops need at least one sweep, and tolerances and the clip
-    level that are finite and positive."""
-    for key, v in (("bsde.picard_max", cfg.bsde.picard_max), ("mf.iters", cfg.mf.iters)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ConfigError(f"{key} must be an integer >= 1, got {v!r}")
-    for key, v in (("bsde.picard_tol", cfg.bsde.picard_tol), ("mf.tol", cfg.mf.tol),
-                   ("bsde.clip", cfg.bsde.clip)):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < np.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {v!r}")
+def _int(v, lo=-math.inf) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _real(v) -> bool:
+    """A finite number a float can hold (not a bool)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _reals(v) -> bool:
+    return isinstance(v, tuple) and all(map(_real, v))
+
+
+# (keys, test of (value, cfg), what the value must be) for the ranges that no
+# engine constructor checks; build_scenario triggers those (TimeGrid, MarketSpec,
+# EqgSpec, RegressionBasis, DiscreteDist and validate_market).
+_RANGES = (
+    (("seed", "grid.steps", "market.d", "bsde.degree"), lambda v, c: _int(v), "an integer"),
+    (("bsde.n_paths", "bsde.picard_max", "mf.n_common", "mf.n_particles", "mf.iters",
+      "clearing.n_equilibrium", "clearing.n_batches", "clearing.n_invariance_draws"),
+     lambda v, c: _int(v, 1), "an integer >= 1"),
+    (("clearing.n_common",), lambda v, c: _int(v, 2), "an integer >= 2"),
+    (("mf.n_equilibrium",), lambda v, c: v is None or _int(v, 1) and v <= c.mf.n_particles,
+     "null or an integer in [1, mf.n_particles]"),
+    (("clearing.Ns",), lambda v, c: isinstance(v, tuple) and len(v) >= 1 and _int(v[0], 1)
+     and all(_int(b) and a < b for a, b in zip(v, v[1:])),
+     "a non-empty strictly increasing list of positive integers"),
+    (("grid.horizon", "eqg.alpha", "eqg.beta", "eqg.x0", "eqg.a", "eqg.b", "eqg.kappa",
+      "eqg.cross_eps", "bsde.ridge", "clearing.slack"), lambda v, c: _real(v), "a finite number"),
+    (("bsde.picard_tol", "bsde.clip", "mf.tol"), lambda v, c: _real(v) and v > 0,
+     "finite and > 0"),
+    (("mf.c_gamma_override",), lambda v, c: v is None or _real(v) and v > 0,
+     "null or finite and > 0"),
+    (("clearing.cond_cap",), lambda v, c: _real(v) and v >= 1, "finite and >= 1"),
+    (("bsde.include_idio",), lambda v, c: isinstance(v, bool), "true or false"),
+    (("market.sigma",), lambda v, c: isinstance(v, tuple) and len(v) >= 1, "a non-empty list"),
+    (("eqg.delta",), lambda v, c: _reals(v) and len(v) == len(c.market.sigma[0]),
+     "one finite number per column of market.sigma"),
+    (("population.gamma_values",), lambda v, c: _reals(v) and len(v) >= 1 and min(v) > 0,
+     "a non-empty list of finite numbers > 0"),
+    (("population.gamma_probs",), lambda v, c: v is None or _reals(v),
+     "null or a list of finite numbers"),
+)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     cfg = _coerce(ScenarioConfig, data)
-    _check_fixed_point(cfg)
+    for keys, ok, what in _RANGES:
+        for key in keys:
+            v = attrgetter(key)(cfg)
+            if not ok(v, cfg):
+                raise ConfigError(f"{key} must be {what}, got {v!r}")
     return cfg
 
 
@@ -227,38 +262,45 @@ def config_sha256(cfg: ScenarioConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# builders: config blocks -> engine objects
+# the scenario: config blocks -> engine objects, built and checked once per run
 
 
-def build_grid(cfg: ScenarioConfig) -> TimeGrid:
-    return TimeGrid(cfg.grid.horizon, cfg.grid.steps)
+@dataclass(frozen=True)
+class Scenario:
+    """A config and the engine objects of its run."""
+
+    cfg: ScenarioConfig
+    grid: TimeGrid
+    market: MarketSpec
+    eqg: EqgSpec
+    liability: LiabilitySpec
+    basis: RegressionBasis
+    gamma_dist: DiscreteDist
 
 
-def build_market(cfg: ScenarioConfig) -> MarketSpec:
-    sigma = np.asarray(cfg.market.sigma, dtype=float)
-    eig = np.linalg.eigvalsh(sigma @ sigma.T)
-    return MarketSpec(
-        n=cfg.market.n, d0=cfg.market.d0, d=cfg.market.d, sigma=sigma,
-        lambda_lo=float(eig.min()) * 0.999, lambda_hi=float(eig.max()) * 1.001,
-    )
+def build_scenario(cfg: ScenarioConfig) -> Scenario:
+    """Build the engine objects of cfg and check sigma sigma^T on its grid.
 
-
-def build_eqg(cfg: ScenarioConfig) -> EqgSpec:
-    e = cfg.eqg
-    return EqgSpec(alpha=e.alpha, beta=e.beta, delta=tuple(e.delta),
-                   x0=e.x0, a=e.a, b=e.b, kappa=e.kappa)
-
-
-def build_liability(cfg: ScenarioConfig) -> LiabilitySpec:
-    return LiabilitySpec.from_eqg(build_eqg(cfg), eps=cfg.eqg.cross_eps)
-
-
-def build_basis(cfg: ScenarioConfig) -> RegressionBasis:
-    b = cfg.bsde
-    return RegressionBasis(degree=b.degree, ridge=b.ridge, include_idio=b.include_idio)
-
-
-def build_gamma_dist(cfg: ScenarioConfig) -> DiscreteDist:
-    p = cfg.population
-    probs = tuple(p.gamma_probs) if p.gamma_probs is not None else None
-    return DiscreteDist(tuple(p.gamma_values), probs)
+    The market's spectral bounds are the eigenvalue range of sigma sigma^T
+    widened by 0.1%.  A range error from any constructor, or a singular
+    sigma sigma^T, raises one ConfigError.
+    """
+    try:
+        grid = TimeGrid(cfg.grid.horizon, cfg.grid.steps)
+        sigma = np.asarray(cfg.market.sigma, dtype=float)
+        eig = np.linalg.eigvalsh(sigma @ sigma.T)
+        market = MarketSpec(
+            n=sigma.shape[0], d0=sigma.shape[1], d=cfg.market.d, sigma=sigma,
+            lambda_lo=float(eig.min()) * 0.999, lambda_hi=float(eig.max()) * 1.001,
+        )
+        validate_market(market, grid)
+        e = cfg.eqg
+        eqg = EqgSpec(alpha=e.alpha, beta=e.beta, delta=e.delta, x0=e.x0, a=e.a, b=e.b,
+                      kappa=e.kappa)
+        liability = LiabilitySpec.from_eqg(eqg, eps=e.cross_eps)
+        basis = RegressionBasis(degree=cfg.bsde.degree, ridge=cfg.bsde.ridge,
+                                include_idio=cfg.bsde.include_idio)
+        gamma_dist = DiscreteDist(cfg.population.gamma_values, cfg.population.gamma_probs)
+    except (ValueError, MfequilError) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
+    return Scenario(cfg, grid, market, eqg, liability, basis, gamma_dist)

@@ -23,13 +23,8 @@ from mfequil import (
     RegressionBasis,
     TimeGrid,
     agent_strategies,
-    build_basis,
-    build_eqg,
-    build_gamma_dist,
-    build_grid,
-    build_liability,
-    build_market,
     build_population,
+    build_scenario,
     clearing_residual,
     coarsen_bundle,
     cole_hopf_idio,
@@ -183,9 +178,10 @@ def test_ac05_measure_change_consistency():
 
 def test_ac06_fixed_point_converges_inside_smallness_gate():
     cfg = load_config(str(CONFIGS / "mf_small.json"))
-    grid, market = build_grid(cfg), build_market(cfg)
-    spec, liability, basis = build_eqg(cfg), build_liability(cfg), build_basis(cfg)
-    dist = build_gamma_dist(cfg)
+    sc = build_scenario(cfg)
+    grid, market = sc.grid, sc.market
+    spec, liability, basis = sc.eqg, sc.liability, sc.basis
+    dist = sc.gamma_dist
     K = cfg.mf.n_particles
     cloud = build_population(K, cfg.seed, dist, balanced=True)
     stats = gamma_hat(cloud.gammas)
@@ -287,11 +283,11 @@ def test_ac08_additive_positions_vanish():
 def test_ac09_clearing_residual_decays_at_mean_field_rate():
     t0 = time.monotonic()
     cfg = load_config(str(CONFIGS / "cross_term.json"))
+    sc = build_scenario(cfg)
     report, mf, _pool = run_clearing_study(
-        build_grid(cfg), build_market(cfg), build_eqg(cfg), build_liability(cfg),
-        build_gamma_dist(cfg),
+        sc.grid, sc.market, sc.eqg, sc.liability, sc.gamma_dist,
         n_common=cfg.clearing.n_common, n_equilibrium=cfg.clearing.n_equilibrium,
-        Ns=list(cfg.clearing.Ns), seed=cfg.seed, basis=build_basis(cfg),
+        Ns=list(cfg.clearing.Ns), seed=cfg.seed, basis=sc.basis,
         mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
         n_batches=cfg.clearing.n_batches, slack=cfg.clearing.slack,
     )

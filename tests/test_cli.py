@@ -1,7 +1,10 @@
 """Config document handling and the stage runner's file/exit-code contract."""
 
+import io
 import json
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from mfequil import (
     config_to_dict,
     load_config,
 )
+from mfequil import cli
 from mfequil.cli import StageWriter, emit_plot_series, run
 from mfequil.errors import MissingStageOutput
 from mfequil.paths import format_float
@@ -188,11 +192,64 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
     # the fixed-point loops need a sweep, and finite positive tolerances and clip
     for bad in ["mf.iters=0", "bsde.picard_max=0", "bsde.picard_max=2.5", "mf.iters=true",
                 "mf.tol=-1", "mf.tol=NaN", "bsde.picard_tol=0", "bsde.picard_tol=Infinity",
-                "bsde.clip=-1", 'bsde.clip="50"']:
+                "bsde.clip=-1", 'bsde.clip="50"',
+                # ranges the engine constructors check, through build_scenario
+                "grid.steps=0", "grid.horizon=-1", "bsde.degree=0", "bsde.ridge=-1",
+                "market.sigma=[[1,0],[1,0]]", "population.gamma_probs=[0.5,0.6,0]",
+                # ranges only the config layer checks
+                "bsde.n_paths=0", "clearing.n_common=1", "clearing.Ns=[30,10]",
+                "mf.n_equilibrium=-3", "mf.n_equilibrium=0", "mf.n_particles=0",
+                "mf.c_gamma_override=-1"]:
         assert run(["riccati", "--config", TINY, "--set", bad,
                     "--out", str(tmp_path)]) == 2, bad
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1, (bad, err)
+        assert "Traceback" not in err
+
+
+# every scalar number of tiny.json, plus the optional ones it leaves null
+NUMERIC_KEYS = [
+    "seed", "grid.horizon", "grid.steps", "market.d",
+    *(f"eqg.{k}" for k in ("alpha", "beta", "x0", "a", "b", "kappa", "cross_eps")),
+    *(f"bsde.{k}" for k in ("n_paths", "degree", "ridge", "picard_max", "picard_tol", "clip")),
+    *(f"mf.{k}" for k in ("n_common", "n_particles", "n_equilibrium", "iters", "tol",
+                          "c_gamma_override")),
+    *(f"clearing.{k}" for k in ("n_common", "n_equilibrium", "n_batches", "slack",
+                                "n_invariance_draws", "cond_cap")),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.sampled_from(NUMERIC_KEYS),
+    value=st.one_of(st.integers(-3, 40), st.floats(), st.none(), st.booleans()),
+)
+def test_random_numeric_value_exits_cleanly(key, value):
+    """Any value for any numeric key: exit 0, 1 or 2, no exception escapes,
+    and a manifest whenever a stage ran.  The scenario is built before the
+    first stage, so the cheap riccati stage exercises the whole config."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, redirect_stderr(err), redirect_stdout(io.StringIO()):
+        rc = run(["riccati", "--config", TINY, "--out", out,
+                  "--set", f"{key}={json.dumps(value)}"])
+        wrote_manifest = os.path.exists(os.path.join(out, "manifest.json"))
+    assert rc in (0, 1, 2), (key, value, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (key, value, err.getvalue())
+    assert wrote_manifest or rc == 2, (key, value)
+
+
+def test_value_error_in_stage_is_a_failed_stage(tmp_path, capsys, monkeypatch):
+    def broken(sc, writer):
+        raise ValueError("bad shape")
+
+    monkeypatch.setitem(cli._STAGE_FN, "equilibrium", broken)
+    rc = run(["all", "--config", TINY, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "equilibrium: fail" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["stages"]["equilibrium"] == {"status": "fail",
+                                                 "error": "ValueError: bad shape"}
+    assert manifest["stages"]["bsde"]["status"] == "pass"
 
 
 def test_failed_stage_exits_1(tmp_path, capsys):
