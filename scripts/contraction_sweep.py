@@ -54,7 +54,7 @@ def main(argv=None):
         try:
             mf = solve_mean_field(
                 bundle, market, basis, g, gammas, stats.gamma_hat,
-                n_eq=K, max_iters=max(cfg.mf.iters, 5), tol=1e-12,
+                n_eq=K, max_iters=max(cfg.mf.iters, 5), tol=1e-12, clip=cfg.bsde.clip,
                 stratum_ids=strata[0], n_strata=strata[1], diagnostics=diag,
             )
         except PicardDiverged as exc:

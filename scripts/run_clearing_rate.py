@@ -33,6 +33,7 @@ def main(argv=None):
         mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
         n_batches=cfg.clearing.n_batches,
         slack=cfg.clearing.slack,
+        clip=cfg.bsde.clip,
     )
     wall = time.time() - t0
 

@@ -147,10 +147,11 @@ def _backward_pass(
 
     driver(k) -> (pathwise (M0, K) array, deterministic scalar); both are
     added to the continuation value, the scalar outside the regression.
-    tilt = (D, theta_at) makes it the measure-changed sweep: regressions
-    weighted by the cumulative weights D[:, k + 1], and the common increments
-    shifted by theta_k dt.  Returns y on nodes, (z0, z1) on intervals, and
-    the per-step fit maps (None unless collect_fits).
+    tilt = theta_at makes it the measure-changed sweep: the common increments
+    are shifted by theta_k dt.  Its regressions are weighted by the cumulative
+    weights the engine was built with, so tilt carries no weights.  Returns y
+    on nodes, (z0, z1) on intervals, and the per-step fit maps (None unless
+    collect_fits).
     """
     M0, K = g.shape
     steps = dW0.shape[1]
@@ -165,13 +166,10 @@ def _backward_pass(
     fits: list[StepFit | None] | None = [None] * steps if collect_fits else None
 
     for k in range(steps - 1, -1, -1):
-        w = None
         dw0_k = dW0[:, k, :]
         if tilt is not None:
-            D, theta_at = tilt
-            w = np.broadcast_to(D[:, k + 1][:, None], (M0, K)).reshape(P)
-            dw0_k = dw0_k + theta_at(k) * dt
-        cond = engine.at(k, weights=w)
+            dw0_k = dw0_k + tilt(k) * dt
+        cond = engine.at(k)
         y_next = y[:, :, k + 1]
         f_path, f_det = driver(k)
 
@@ -256,16 +254,18 @@ def _fixed_point(
 def _solve_agent(bundle, market, basis, theta, g_samples, picard_max, picard_tol, clip,
                  stratum_ids, n_strata, collect_fits=False, weights=None) -> BsdeSolution:
     """Set-up shared by the agent and tilted solves.  Given the cumulative
-    weights (M0, steps + 1) of a measure change, the sweeps are tilted and the
-    driver drops -z0_par theta."""
+    weights (M0, steps + 1) of a measure change, the engine regresses with
+    them, the sweeps are tilted and the driver drops -z0_par theta.  The
+    engine lives for this one solve, so each step's regression is built in
+    the first sweep and reused by the later ones."""
     steps, dt = bundle.grid.steps, bundle.grid.dt
     M0, K = bundle.n_paths, bundle.n_agents
     g = np.asarray(g_samples, dtype=float).reshape(M0, K)
     theta_at, theta_det = _as_theta_at(theta, steps, market.d0, M0)
     proj, _ = market.geometry(steps)
     engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
-                         stratum_ids=stratum_ids, n_strata=n_strata)
-    tilt = None if weights is None else (weights, theta_at)
+                         stratum_ids=stratum_ids, n_strata=n_strata, weights=weights)
+    tilt = None if weights is None else theta_at
 
     def sweep(z0_in, z1_in):
         clipper = _ClipCounter(clip)
@@ -494,19 +494,27 @@ def bmo_proxy(
     dt: float,
     engine,
     quantile: float = 1.0,
+    scale: np.ndarray | None = None,
 ) -> float:
     """Regression estimate of sup_t E[ int_t^T |z|^2 ds | F_t ].
 
     Fits the remaining quadratic variation on the state basis at every step
     and takes the max fitted value (or a high quantile for robustness).
+    scale, of shape (K,), multiplies each particle's z; it is applied one
+    step at a time, so no scaled copy of z is made.  The remaining variation
+    is accumulated backward step by step, the same additions np.cumsum makes.
     """
     M0, K, steps = z0.shape[0], z0.shape[1], z0.shape[2]
-    qv = (np.sum(z0**2, axis=3) + np.sum(z1**2, axis=3)) * dt   # (M0, K, steps)
-    remaining = np.cumsum(qv[:, :, ::-1], axis=2)[:, :, ::-1]
+    s = None if scale is None else np.asarray(scale, dtype=float)[None, :, None, None]
+    remaining = None
     out = 0.0
-    for k in range(steps):
-        cond = engine.at(k)
-        fitted, _ = cond.fit(remaining[:, :, k].reshape(M0 * K))
+    for k in range(steps - 1, -1, -1):
+        z0k, z1k = z0[:, :, k:k + 1, :], z1[:, :, k:k + 1, :]
+        if s is not None:
+            z0k, z1k = z0k * s, z1k * s
+        qv = (np.sum(z0k**2, axis=3) + np.sum(z1k**2, axis=3)) * dt   # (M0, K, 1)
+        remaining = qv[:, :, 0] if remaining is None else remaining + qv[:, :, 0]
+        fitted, _ = engine.at(k).fit(remaining.reshape(M0 * K))
         val = float(np.quantile(fitted, quantile)) if quantile < 1.0 else float(np.max(fitted))
         out = max(out, val)
     return out

@@ -156,19 +156,13 @@ def agent_strategies(
     N = population.size
     d0, n = market.d0, market.n
     proj, pos = market.geometry(steps)
-    if stratified:
-        sids = np.tile(population.atom_ids.astype(np.int64), M0)
-    else:
-        sids = np.zeros(M0 * N, dtype=np.int64)
+    sids = population.atom_ids if stratified else np.zeros(N, dtype=np.int64)
 
     p = np.empty((M0, N, steps, d0))
     pi = np.empty((M0, N, steps, n))
     inv_gamma = (1.0 / population.gammas)[None, :, None]
     for k in range(steps):
-        xk = np.broadcast_to(bundle.x[:, k, None], (M0, N)).ravel()
-        ik = np.broadcast_to(bundle.I[:, k, None], (M0, N)).ravel()
-        wk = w_agents[:, :, k].ravel()
-        raw = feature_columns(basis, xk, ik, wk)
+        raw = feature_columns(basis, bundle.x[:, k, None], bundle.I[:, k, None], w_agents[:, :, k])
         z_hat = mf.solution.fits[k][1].predict(raw, sids)[:, :d0].reshape(M0, N, d0)
         p[:, :, k, :] = (z_hat @ proj[k] + mf.theta[:, k, None, :]) * inv_gamma
         pi[:, :, k, :] = p[:, :, k, :] @ pos[k].T
@@ -257,12 +251,13 @@ def solve_equilibrium_cloud(
     grid, market: MarketSpec, eqg: EqgSpec, liability: LiabilitySpec, gamma_dist: DiscreteDist,
     basis: RegressionBasis, n_common: int, n_agents: int, seed: int, mf_iters: int,
     mf_tol: float, n_eq: int | None = None, c_gamma_override: float | None = None,
-    collect_fits: bool = False,
+    clip: float = 50.0, collect_fits: bool = False,
 ) -> tuple[MeanFieldSolution, PathBundle, PopulationStats]:
     """Mean-field fixed point, with smallness and stability diagnostics, on a
     balanced cloud of n_agents particles over n_common common paths; each gamma
-    atom is a regression stratum when the liability couples to gamma.
-    Returns the solution, the cloud's path bundle and its population stats."""
+    atom is a regression stratum when the liability couples to gamma, and clip
+    bounds |z| in the driver.  Returns the solution, the cloud's path bundle
+    and its population stats."""
     cloud = build_population(n_agents, seed, gamma_dist, balanced=True)
     stats = gamma_hat(cloud.gammas)
     diag = smallness_from_liability(liability, eqg, grid, stats,
@@ -270,11 +265,11 @@ def solve_equilibrium_cloud(
     bundle = simulate_paths(grid, eqg, market, n_common, seed, agents=n_agents)
     g = terminal_g(liability, bundle, cloud.gammas)
     stratified = liability.gamma_coupled
-    sids = np.tile(cloud.atom_ids.astype(np.int64), n_common) if stratified else None
     mf = solve_mean_field(
         bundle, market, basis, g, cloud.gammas, stats.gamma_hat,
-        n_eq=n_eq, max_iters=mf_iters, tol=mf_tol,
-        stratum_ids=sids, n_strata=len(gamma_dist.values) if stratified else 1,
+        n_eq=n_eq, max_iters=mf_iters, tol=mf_tol, clip=clip,
+        stratum_ids=cloud.atom_ids if stratified else None,
+        n_strata=len(gamma_dist.values) if stratified else 1,
         diagnostics=diag, compute_stability=True, collect_fits=collect_fits,
     )
     return mf, bundle, stats
@@ -295,6 +290,7 @@ def run_clearing_study(
     mf_tol: float = 1e-4,
     n_batches: int = 20,
     slack: float = 0.25,
+    clip: float = 50.0,
 ) -> tuple[ClearingReport, MeanFieldSolution, Population]:
     """End-to-end clearing experiment.
 
@@ -305,7 +301,8 @@ def run_clearing_study(
     """
     mf, bundle, stats = solve_equilibrium_cloud(
         grid, market, eqg, liability, gamma_dist, basis, n_common=n_common,
-        n_agents=n_equilibrium, seed=seed, mf_iters=mf_iters, mf_tol=mf_tol, collect_fits=True,
+        n_agents=n_equilibrium, seed=seed, mf_iters=mf_iters, mf_tol=mf_tol, clip=clip,
+        collect_fits=True,
     )
     pool = build_population(max(Ns), seed, gamma_dist, balanced=False)
     w_agents = fresh_idio_levels(seed, n_common, pool.size, grid)

@@ -255,6 +255,7 @@ def stage_mf(sc: Scenario, writer: StageWriter) -> dict:
         n_common=cfg.mf.n_common, n_agents=cfg.mf.n_particles, seed=cfg.seed,
         mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
         n_eq=cfg.mf.n_equilibrium, c_gamma_override=cfg.mf.c_gamma_override,
+        clip=cfg.bsde.clip,
     )
     diag = mf.diagnostics
     d0 = market.d0
@@ -302,7 +303,7 @@ def stage_clearing(sc: Scenario, writer: StageWriter) -> dict:
         n_common=cfg.clearing.n_common, n_equilibrium=cfg.clearing.n_equilibrium,
         Ns=list(cfg.clearing.Ns), seed=cfg.seed, basis=sc.basis,
         mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
-        n_batches=cfg.clearing.n_batches, slack=cfg.clearing.slack,
+        n_batches=cfg.clearing.n_batches, slack=cfg.clearing.slack, clip=cfg.bsde.clip,
     )
     writer.csv("clearing.csv", ["N", "eps", "stderr"],
                list(zip(report.Ns, report.eps, report.stderr)))

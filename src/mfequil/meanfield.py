@@ -211,7 +211,9 @@ def solve_mean_field(
     consecutive sweeps, raises PicardDiverged.  A run that reaches max_iters
     otherwise returns its last iterate with converged = False.
     diagnostics.changes is the per-sweep max(dy0, dz); the solution keeps
-    dy0 and dz apart as y0_changes and z_changes.
+    dy0 and dz apart as y0_changes and z_changes.  stratum_ids, of shape
+    (K,), gives each particle's regression stratum.  Every sweep and the BMO
+    proxy share one engine, so each step's regression is built once.
     """
     dt = bundle.grid.dt
     gam = np.asarray(gammas, dtype=float)
@@ -245,11 +247,11 @@ def solve_mean_field(
     ebar = _ebar_path(z0, gam, market, n_eq)
     theta = -gamma_hat * ebar
     if compute_stability:
-        inv_g = (1.0 / gam)[None, :, None]
-        diagnostics.y_inf = float(np.max(np.abs(sol.y[:, :, :] / gam[None, :, None])))
-        diagnostics.z_bmo = bmo_proxy(
-            z0 * inv_g[..., None], z1 * inv_g[..., None], dt, engine
-        )
+        # per step, so no gamma-scaled copy of y or z is made; the engine has
+        # every step's regression from the sweeps and builds nothing here
+        y_max = [np.max(np.abs(sol.y[:, :, k] / gam[None, :])) for k in range(sol.y.shape[2])]
+        diagnostics.y_inf = float(np.max(y_max))
+        diagnostics.z_bmo = bmo_proxy(z0, z1, dt, engine, scale=1.0 / gam)
     return MeanFieldSolution(
         solution=sol, theta=theta, ebar=ebar, gammas=gam,
         gamma_hat=gamma_hat, n_eq=n_eq, diagnostics=diagnostics,

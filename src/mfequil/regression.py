@@ -15,7 +15,16 @@ Design choices that matter for reproducibility and the exactness tests:
 * the Gram matrix is accumulated blockwise in a fixed block order, so the
   result does not depend on how BLAS splits the work;
 * ridge is 1e-8 relative to the normalised Gram trace, and an eigenvalue of
-  the unridged Gram below the ridge level raises RegressionRankDeficient.
+  the unridged Gram below the ridge level raises RegressionRankDeficient;
+* strata are given per particle and gathered as slices (or index arrays)
+  of the particle axis, in the flat row order (path, particle);
+* a BasisEngine builds each step's conditioner once and keeps only its
+  factors (kept columns, column mean and scale, weight sum, Cholesky factor
+  of the ridged Gram: O(q^2) per stratum) for its lifetime, which is one
+  solve.  A Picard sweep regresses on the same state as the first, so later
+  sweeps recompute the columns, re-standardise them with the stored mean and
+  scale and reuse the factor.  Columns, rows and weights are the same bits
+  at every sweep, so every fit is bit-identical to a fresh build.
 
 A group-mean engine with integer keys provides exact conditional
 expectations on enumerable noise trees; it is the brute-force oracle's
@@ -32,6 +41,7 @@ from . import parallel
 from .errors import RegressionRankDeficient
 
 _CONST_COL_TOL = 1e-12
+_COLUMN_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -66,21 +76,32 @@ class RegressionBasis:
 
 
 def feature_columns(basis: RegressionBasis, x, run_i, w) -> np.ndarray:
-    """Non-intercept design columns for flat state arrays of shape (P,)."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    xp = {0: np.ones_like(x)}
-    wp = {0: np.ones_like(x)}
-    for p in range(1, basis.degree + 1):
-        xp[p] = xp[p - 1] * x
-        wp[p] = wp[p - 1] * np.asarray(w, dtype=float)
-    for total in range(1, basis.degree + 1):
-        j_max = total if basis.include_idio else 0
-        for j in range(j_max + 1):
-            cols.append(xp[total - j] * wp[j])
-    if basis.include_integral:
-        cols.append(np.asarray(run_i, dtype=float))
-    return np.stack(cols, axis=1)
+    """Non-intercept design columns, one row per element of the broadcast state.
+
+    The state arrays are flat, of shape (P,), or common-path state of shape
+    (M0, 1) against particles of shape (M0, K), which gives rows row-major in
+    (path, particle) and takes the powers of x once per path.  Rows are
+    filled a block at a time, so the strided column writes stay in cache.
+    """
+    x, run_i, w = (np.asarray(a, dtype=float) for a in (x, run_i, w))
+    shape = np.broadcast_shapes(x.shape, run_i.shape, w.shape)
+    out = np.empty(shape + (basis.n_columns,))
+    lead = max(1, _COLUMN_BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
+    for s, e in parallel.block_ranges(shape[0], block=lead):
+        xb, ob = x[s:e], out[s:e]
+        xp, wp = [1.0], [1.0]
+        for p in range(1, basis.degree + 1):
+            xp.append(xp[-1] * xb)
+            if basis.include_idio:
+                wp.append(wp[-1] * w[s:e])
+        i = 0
+        for total in range(1, basis.degree + 1):
+            for j in range((total if basis.include_idio else 0) + 1):
+                np.multiply(xp[total - j], wp[j], out=ob[..., i])
+                i += 1
+        if basis.include_integral:
+            ob[..., i] = run_i[s:e]
+    return out.reshape(-1, basis.n_columns)
 
 
 @dataclass
@@ -105,44 +126,118 @@ class StepFit:
     strata: list[StratumFit] = field(default_factory=list)
 
     def predict(self, raw_cols: np.ndarray, stratum_ids: np.ndarray) -> np.ndarray:
+        """Fitted map on fresh rows; stratum_ids are per particle, as in the fit."""
+        strata = _Strata(stratum_ids, len(self.strata), raw_cols.shape[0])
         out = None
         for s, fit in enumerate(self.strata):
-            rows = np.nonzero(stratum_ids == s)[0]
-            if rows.size == 0:
+            if strata.rows[s] == 0:
                 continue
             if fit is None:
                 raise ValueError(f"stratum {s} was empty at fit time but has rows now")
-            vals = fit.predict(raw_cols[rows])
+            vals = fit.predict(strata.take(raw_cols, s))
             if out is None:
                 out = np.empty((raw_cols.shape[0], vals.shape[1]))
-            out[rows] = vals
-        if out is None:
-            raise ValueError("no rows matched any stratum")
+            strata.put(out, s, vals)
         return out
 
 
-def _blockwise_gram(xs: np.ndarray, weights: np.ndarray | None):
-    """X^T W X and X^T W 1 accumulated in fixed block order."""
+def _blockwise_gram(xs: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """X^T W X accumulated in fixed block order."""
     P, q = xs.shape
     gram = np.zeros((q, q))
-    ssum = np.zeros(q)
     for s, e in parallel.block_ranges(P, block=65536):
         xb = xs[s:e]
-        if weights is None:
-            gram += xb.T @ xb
-            ssum += xb.sum(axis=0)
-        else:
-            xw = xb * weights[s:e, None]
-            gram += xb.T @ xw
-            ssum += xw.sum(axis=0)
-    return gram, ssum
+        gram += xb.T @ (xb if weights is None else xb * weights[s:e, None])
+    return gram
+
+
+class _Strata:
+    """Rows of each stratum over a row layout that is row-major in (path, particle).
+
+    Stratum ids are per particle, shape (K,), for P = M0 K rows (flat ids of
+    shape (P,) are the one-path case).  Each stratum gets one selector along
+    the particle axis: a slice when its particles are contiguous (no index at
+    all for a single stratum), an index array otherwise, None when empty.
+    Rows are taken as a.reshape(M0, K, r)[:, sel], which keeps the flat row
+    order of np.nonzero(np.tile(ids, M0) == s).
+    """
+
+    def __init__(self, ids: np.ndarray, n_strata: int, n_rows: int):
+        ids = np.asarray(ids)
+        if ids.ndim != 1 or ids.size == 0 or n_rows % ids.size:
+            raise ValueError(f"stratum ids of shape {ids.shape} do not tile {n_rows} rows")
+        self.layout = (n_rows // ids.size, ids.size)
+        if n_strata == 1:
+            self.sels = [slice(None)]
+            self.rows = [n_rows]
+            return
+        self.sels, self.rows = [], []
+        for s in range(n_strata):
+            idx = np.flatnonzero(ids == s)
+            if idx.size == 0:
+                sel = None
+            elif idx[-1] - idx[0] + 1 == idx.size:
+                sel = slice(int(idx[0]), int(idx[-1]) + 1)
+            else:
+                sel = idx
+            self.sels.append(sel)
+            self.rows.append(self.layout[0] * idx.size)
+        if sum(self.rows) != n_rows:
+            raise ValueError(f"stratum ids outside [0, {n_strata})")
+
+    def take(self, a: np.ndarray, s: int, cols: np.ndarray | None = None) -> np.ndarray:
+        """Stratum s's rows of a (P,) or (P, r) array, C-contiguous, in row order.
+
+        With a boolean column mask, only those columns of a (P, r) array, in
+        the column-major layout that cols[:, mask] gives at the build (one copy
+        for a slice): the BLAS products of a fit depend on the layout.
+        """
+        M0, K = self.layout
+        sel = self.sels[s]
+        a3 = a.reshape(M0, K, -1)
+        sub = a3[:, sel] if isinstance(sel, slice) else np.take(a3, sel, axis=1)
+        if cols is not None:
+            return np.asfortranarray(sub[..., cols].reshape(self.rows[s], -1))
+        sub = np.ascontiguousarray(sub)
+        return sub.reshape(-1, sub.shape[2]) if a.ndim == 2 else sub.reshape(-1)
+
+    def put(self, out: np.ndarray, s: int, vals: np.ndarray) -> None:
+        """Write stratum s's rows of a (P, r) array."""
+        M0, K = self.layout
+        out.reshape(M0, K, -1)[:, self.sels[s]] = vals.reshape(M0, -1, out.shape[1])
+
+
+def _standardise(xs: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """(xs - mu) / sd, in place: xs is a copy made for this."""
+    xs -= mu
+    xs /= sd
+    return xs
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """What one stratum's regression keeps across sweeps: O(q^2), no rows."""
+
+    kept: np.ndarray          # boolean mask over raw columns
+    mu: np.ndarray            # per-kept-column mean
+    sd: np.ndarray            # per-kept-column scale
+    wsum: float               # row count, or total weight
+    chol: np.ndarray | None   # Cholesky factor of the ridged Gram (None: no kept column)
 
 
 class RidgeConditioner:
     """Conditional expectation by stratified ridge regression at one step.
 
-    Factorises the (per-stratum) Gram matrix once; fit() can then be called
-    with several target batches.
+    The constructor is the build: per stratum it standardises the columns,
+    accumulates the Gram blockwise, checks its rank with eigvalsh and takes
+    the Cholesky factor.  fit() can then be called with several target
+    batches.  A BasisEngine keeps each build's factors (kept columns, mean,
+    scale, weight sum, Cholesky factor) for its lifetime and rebinds them to
+    the same step's recomputed columns through _reuse, so a later sweep
+    re-standardises with the stored mean and scale and skips the Gram, the
+    rank check and the factorisation.  The columns, the rows and the weights
+    are the same at every sweep, so the standardised columns are the same
+    bits, and so is every fit.
     """
 
     def __init__(
@@ -155,33 +250,33 @@ class RidgeConditioner:
         min_rows_per_column: int = 10,
     ):
         P, q = raw_cols.shape
-        self.raw = raw_cols
-        self.ids = stratum_ids
-        self._prepared = []
-        for s in range(n_strata):
-            rows = np.nonzero(stratum_ids == s)[0] if n_strata > 1 else np.arange(P)
-            if rows.size == 0:
-                self._prepared.append(None)
+        strata = _Strata(stratum_ids, n_strata, P)
+        factors, xss, ws = [], [], []
+        for s, n_rows in enumerate(strata.rows):
+            if n_rows == 0:
+                factors.append(None)
+                xss.append(None)
+                ws.append(None)
                 continue
-            if (q + 1) * min_rows_per_column > rows.size:
+            if (q + 1) * min_rows_per_column > n_rows:
                 raise RegressionRankDeficient(
-                    f"{q + 1} design columns for {rows.size} paths in stratum {s}; "
+                    f"{q + 1} design columns for {n_rows} paths in stratum {s}; "
                     f"need at least {min_rows_per_column} paths per column"
                 )
-            cols = raw_cols[rows]
-            w = None if weights is None else weights[rows]
+            cols = strata.take(raw_cols, s)
+            w = None if weights is None else strata.take(weights, s)
             if w is None:
                 mu = cols.mean(axis=0)
                 var = cols.var(axis=0)
-                wsum = float(rows.size)
+                wsum = float(n_rows)
             else:
                 wsum = float(w.sum())
                 mu = (cols * w[:, None]).sum(axis=0) / wsum
                 var = ((cols - mu) ** 2 * w[:, None]).sum(axis=0) / wsum
             sd = np.sqrt(var)
             kept = sd > _CONST_COL_TOL * (1.0 + np.abs(mu))
-            xs = (cols[:, kept] - mu[kept]) / sd[kept]
-            gram, _ = _blockwise_gram(xs, w)
+            xs = _standardise(cols[:, kept], mu[kept], sd[kept])
+            gram = _blockwise_gram(xs, w)
             qk = int(kept.sum())
             if qk:
                 lam = ridge * float(np.trace(gram)) / qk
@@ -194,10 +289,25 @@ class RidgeConditioner:
                 chol = np.linalg.cholesky(gram + lam * np.eye(qk))
             else:
                 chol = None
-            self._prepared.append(
-                {"rows": rows, "kept": kept, "mu": mu[kept], "sd": sd[kept],
-                 "xs": xs, "w": w, "wsum": wsum, "chol": chol}
-            )
+            factors.append(_Factor(kept=kept, mu=mu[kept], sd=sd[kept], wsum=wsum, chol=chol))
+            xss.append(xs)
+            ws.append(w)
+        self._strata, self._factors, self._xs, self._w = strata, factors, xss, ws
+
+    @classmethod
+    def _reuse(cls, strata: _Strata, factors: list, raw_cols: np.ndarray,
+               weights: np.ndarray | None) -> RidgeConditioner:
+        """A conditioner on the columns of an earlier build's step: standardised
+        with that build's stored mean and scale, fitted with its Cholesky factor."""
+        self = cls.__new__(cls)
+        self._strata, self._factors = strata, factors
+        self._xs = [
+            None if f is None else _standardise(strata.take(raw_cols, s, f.kept), f.mu, f.sd)
+            for s, f in enumerate(factors)
+        ]
+        self._w = [None if f is None or weights is None else strata.take(weights, s)
+                   for s, f in enumerate(factors)]
+        return self
 
     def fit(self, targets: np.ndarray) -> tuple[np.ndarray, StepFit]:
         """Fitted values (same leading shape) and the reusable coefficient map."""
@@ -205,29 +315,29 @@ class RidgeConditioner:
         ys = targets[:, None] if squeeze else targets
         out = np.empty_like(ys)
         step_fit = StepFit()
-        for prep in self._prepared:
-            if prep is None:
+        for s, fac in enumerate(self._factors):
+            if fac is None:
                 step_fit.strata.append(None)
                 continue
-            rows = prep["rows"]
-            yb = ys[rows]
-            w = prep["w"]
+            yb = self._strata.take(ys, s)
+            w = self._w[s]
             if w is None:
                 beta0 = yb.mean(axis=0)
             else:
-                beta0 = (yb * w[:, None]).sum(axis=0) / prep["wsum"]
-            if prep["chol"] is None:
+                beta0 = (yb * w[:, None]).sum(axis=0) / fac.wsum
+            if fac.chol is None:
                 coef = np.zeros((0, yb.shape[1]))
-                out[rows] = beta0[None, :]
+                vals = np.broadcast_to(beta0, yb.shape)
             else:
-                xs = prep["xs"]
+                xs = self._xs[s]
                 rhs = xs.T @ (yb if w is None else yb * w[:, None])
-                tmp = np.linalg.solve(prep["chol"], rhs)
-                coef = np.linalg.solve(prep["chol"].T, tmp)
-                out[rows] = beta0[None, :] + xs @ coef
+                tmp = np.linalg.solve(fac.chol, rhs)
+                coef = np.linalg.solve(fac.chol.T, tmp)
+                vals = xs @ coef
+                vals += beta0
+            self._strata.put(out, s, vals)
             step_fit.strata.append(
-                StratumFit(kept=prep["kept"], mu=prep["mu"], sd=prep["sd"],
-                           beta0=beta0, coef=coef)
+                StratumFit(kept=fac.kept, mu=fac.mu, sd=fac.sd, beta0=beta0, coef=coef)
             )
         return (out[:, 0] if squeeze else out), step_fit
 
@@ -267,41 +377,63 @@ class BasisEngine:
 
     x and run_i are common-path state arrays of shape (M0, steps + 1); w is
     the per-particle coordinate of shape (M0, K, steps + 1).  Strata are
-    discrete risk-aversion atoms (a single stratum pools everything).
+    discrete risk-aversion atoms, given per particle as stratum_ids of shape
+    (K,) (a single stratum pools everything).  weights, of shape
+    (M0, steps + 1), are the cumulative importance weights of a measure
+    change; step k regresses with weights[:, k + 1] on every particle.
+
+    The first at(k) builds step k's conditioner; every later at(k) recomputes
+    only the design columns and reuses that build's factors.  The memo holds
+    O(q^2) numbers per stratum and step plus the strata selectors (per
+    particle, never per row), and lives as long as the engine: one solve.
     """
 
     def __init__(self, x, run_i, w, basis: RegressionBasis,
-                 stratum_ids: np.ndarray | None = None, n_strata: int = 1):
+                 stratum_ids: np.ndarray | None = None, n_strata: int = 1,
+                 weights: np.ndarray | None = None):
         self.x = x
         self.run_i = run_i
         self.w = w
         self.basis = basis
-        M0, K = w.shape[0], w.shape[1]
-        self.M0, self.K = M0, K
+        self.M0, self.K = w.shape[0], w.shape[1]
         if stratum_ids is None:
-            stratum_ids = np.zeros(M0 * K, dtype=np.int64)
+            stratum_ids = np.zeros(self.K, dtype=np.int64)
             n_strata = 1
         self.stratum_ids = stratum_ids
         self.n_strata = n_strata
+        self.weights = weights
+        self._memo: dict[int, tuple[_Strata, list]] = {}
 
     def columns_at(self, k: int) -> np.ndarray:
-        xk = np.broadcast_to(self.x[:, k, None], (self.M0, self.K)).ravel()
-        ik = np.broadcast_to(self.run_i[:, k, None], (self.M0, self.K)).ravel()
-        wk = self.w[:, :, k].ravel()
-        return feature_columns(self.basis, xk, ik, wk)
+        return feature_columns(self.basis, self.x[:, k, None], self.run_i[:, k, None],
+                               self.w[:, :, k])
 
-    def at(self, k: int, weights: np.ndarray | None = None) -> RidgeConditioner:
-        return RidgeConditioner(
-            self.columns_at(k), self.stratum_ids, self.n_strata,
-            ridge=self.basis.ridge, weights=weights,
-        )
+    def at(self, k: int) -> RidgeConditioner:
+        cols = self.columns_at(k)
+        w = None
+        if self.weights is not None:
+            w = np.broadcast_to(self.weights[:, k + 1, None], (self.M0, self.K)).ravel()
+        memo = self._memo.get(k)
+        if memo is not None:
+            return RidgeConditioner._reuse(*memo, cols, w)
+        cond = RidgeConditioner(cols, self.stratum_ids, self.n_strata,
+                                ridge=self.basis.ridge, weights=w)
+        self._memo[k] = (cond._strata, cond._factors)
+        return cond
 
 
 class TreeEngine:
-    """Per-step GroupMeanConditioner factory from precomputed path keys."""
+    """Per-step GroupMeanConditioner factory from precomputed path keys.
+
+    Each step's group index is built once and kept for the engine's lifetime;
+    it is as large as the keys, so this suits enumerable trees only.
+    """
 
     def __init__(self, keys_per_step: list[np.ndarray]):
         self.keys = keys_per_step
+        self._memo: dict[int, GroupMeanConditioner] = {}
 
-    def at(self, k: int, weights: np.ndarray | None = None) -> GroupMeanConditioner:
-        return GroupMeanConditioner(self.keys[k], weights=weights)
+    def at(self, k: int) -> GroupMeanConditioner:
+        if k not in self._memo:
+            self._memo[k] = GroupMeanConditioner(self.keys[k])
+        return self._memo[k]

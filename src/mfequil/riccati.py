@@ -29,7 +29,9 @@ from .errors import ComplexRho
 from .market import TimeGrid
 
 _TINY_S = 1e-12
-_TINY_ALPHA = 1e-10
+# below this |alpha| T, exp(alpha tau) - 1 cancels, so B takes its second-order
+# Taylor form, whose relative remainder is below (alpha T)^2 / 6
+_SMALL_ALPHA_T = 1e-5
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,10 @@ def riccati_closed_form(
         # A vanishes identically and B is elementary
         times = grid.times
         A = np.zeros(grid.steps + 1)
-        if abs(alpha) < _TINY_ALPHA:
-            B_coarse = b * (T - times)
-            b_at = lambda t: b * (T - np.asarray(t, dtype=float))
+        if abs(alpha) * T < _SMALL_ALPHA_T:
+            B_coarse = b * (T - times) * (1.0 + 0.5 * alpha * (T - times))
+            b_at = lambda t: b * (T - np.asarray(t, dtype=float)) * (
+                1.0 + 0.5 * alpha * (T - np.asarray(t, dtype=float)))
         else:
             B_coarse = (b / alpha) * (np.exp(alpha * (T - times)) - 1.0)
             b_at = lambda t: (b / alpha) * (np.exp(alpha * (T - np.asarray(t, dtype=float))) - 1.0)

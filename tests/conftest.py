@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mfequil import EqgSpec, MarketSpec, TimeGrid
+from mfequil.regression import RidgeConditioner
 
 
 SIGMA_2X2 = np.array([[1.0, 0.2], [0.3, 0.9]])
@@ -30,3 +31,17 @@ def market2():
 def eqg_spec():
     return EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.3)
+
+
+@pytest.fixture
+def conditioner_builds(monkeypatch):
+    """A list that gains one entry per RidgeConditioner build from now on."""
+    builds = []
+    init = RidgeConditioner.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RidgeConditioner, "__init__", counting)
+    return builds

@@ -137,6 +137,16 @@ def test_bmo_proxy_constant_z(grid20, market2):
     assert got == pytest.approx(want, rel=1e-10)
 
 
+def test_tilted_solve_builds_each_step_once(grid20, market2, conditioner_builds):
+    """The Doleans weights are the same in every sweep, so the weighted
+    regression of each step is built in the first sweep only."""
+    bundle = simulate_paths(grid20, flat_spec(), market2, 1024, 4)
+    theta = np.tile(np.array([0.3, -0.1]), (grid20.steps, 1))
+    sol, _ = solve_under_q(bundle, market2, BASIS, theta, 0.4 * np.tanh(bundle.x[:, -1]))
+    assert sol.picard_iters >= 2
+    assert len(conditioner_builds) == grid20.steps
+
+
 def test_condition_r_accepts_optimum_and_rejects_perturbations(market2):
     grid = TimeGrid(0.5, 10)
     spec = flat_spec()
@@ -197,7 +207,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     g_mf = g * gammas
     mf = solve_mean_field(bundle, market, basis, g_mf, gammas, gamma_hat(gammas).gamma_hat,
                           max_iters=6, collect_fits=True,
-                          stratum_ids=np.tile([0, 1, 0, 1], 2000), n_strata=2)
+                          stratum_ids=[0, 1, 0, 1], n_strata=2)
     engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis)
     ebar = gamma_map(mf.solution.z0, mf.solution.z1, g_mf, bundle, market, engine,
                      gammas, mf.gamma_hat)[3]

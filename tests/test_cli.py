@@ -167,6 +167,15 @@ def test_rerun_is_byte_identical(tiny_run, tmp_path):
     assert _tree(tiny_run) == _tree(tmp_path)
 
 
+def test_bsde_clip_reaches_mean_field_and_clearing_solves(tiny_run, tmp_path):
+    """bsde.clip bounds |z| in the driver of every solve, so at 1e-6 the
+    mean-field premium and the clearing residuals both move."""
+    for stage, name in (("mf-solve", "theta_mfg.csv"), ("clearing", "clearing.csv")):
+        out = tmp_path / stage
+        run([stage, "--config", TINY, "--out", str(out), "--set", "bsde.clip=1e-6"])
+        assert (out / name).read_bytes() != (tiny_run / name).read_bytes()
+
+
 def test_stage_prints_status_line(tmp_path, capsys):
     rc = run(["riccati", "--config", TINY, "--out", str(tmp_path)])
     assert rc == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mfequil import (
     simulate_paths, smallness_from_liability, smallness_report,
     solve_agent_bsde, solve_mean_field, terminal_g, theta_from_solution,
 )
+from mfequil.errors import RegressionRankDeficient
 
 from conftest import make_market
 
@@ -287,3 +290,38 @@ def test_changes_keep_y0_and_z_apart(market2):
     assert sol.y0_changes != sol.z_changes
     assert diag.changes == [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
     assert diag.ratios == [b / a for a, b in zip(diag.changes, diag.changes[1:])]
+
+
+# ---------------------------------------------------------------------------
+# each step's regression is built once per solve
+# ---------------------------------------------------------------------------
+
+def test_mean_field_solve_builds_each_step_once(market2, conditioner_builds):
+    """Every sweep and the BMO proxy regress on the same state, so a
+    stratified solve with several sweeps builds one conditioner per step."""
+    grid = TimeGrid(0.5, 6)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.2)
+    bundle = simulate_paths(grid, spec, market2, 256, 5, agents=4)
+    gammas = np.array([1.0, 1.0, 2.0, 2.0])
+    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
+    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
+                          gamma_hat(gammas).gamma_hat, max_iters=5, tol=1e-14,
+                          stratum_ids=np.array([0, 0, 1, 1]), n_strata=2,
+                          compute_stability=True)
+    assert mf.diagnostics.iterations >= 2 and np.isfinite(mf.diagnostics.z_bmo)
+    assert len(conditioner_builds) == grid.steps
+
+
+def test_collinear_state_raises_in_first_sweep(market2, conditioner_builds):
+    """A state whose idiosyncratic coordinate equals the factor gives two
+    identical columns: the first build, in the first sweep, raises."""
+    grid = TimeGrid(0.5, 6)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.2)
+    bundle = simulate_paths(grid, spec, market2, 256, 5, agents=1)
+    bundle = replace(bundle, x=bundle.wi_first[:, 0, :].copy())
+    g = bundle.x[:, -1]
+    with pytest.raises(RegressionRankDeficient, match="collinear"):
+        solve_mean_field(bundle, market2, RegressionBasis(degree=1), g, np.ones(1), 1.0)
+    assert len(conditioner_builds) == 1

@@ -145,6 +145,20 @@ def test_basis_engine_broadcasts_common_state():
     assert cols[2, 2] == run_i[0, 1]
 
 
+@pytest.mark.parametrize("basis", [RegressionBasis(degree=3),
+                                   RegressionBasis(degree=2, include_idio=False),
+                                   RegressionBasis(degree=1, include_integral=False)])
+def test_broadcast_state_columns_equal_flat_columns(basis):
+    """(M0, 1) common state against (M0, K) particles gives, block by block,
+    the same columns as the flat broadcast copies."""
+    M0, K = 7, 3000
+    rng = np.random.default_rng(9)
+    x, run_i, w = rng.normal(size=(M0, 1)), rng.normal(size=(M0, 1)), rng.normal(size=(M0, K))
+    flat = feature_columns(basis, np.repeat(x[:, 0], K), np.repeat(run_i[:, 0], K), w.ravel())
+    assert flat.shape == (M0 * K, basis.n_columns)
+    assert np.array_equal(feature_columns(basis, x, run_i, w), flat)
+
+
 def test_step_fit_rejects_unseen_stratum():
     rng = np.random.default_rng(6)
     raw = rng.normal(size=(200, 2))
@@ -152,3 +166,64 @@ def test_step_fit_rejects_unseen_stratum():
     _, fit = RidgeConditioner(raw, ids, 2).fit(rng.normal(size=200))
     with pytest.raises(ValueError):
         fit.predict(raw[:5], np.ones(5, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the per-step memo of BasisEngine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ids, weighted", [
+    ([0, 0, 1, 1, 1, 2], False),    # sorted per-particle strata: slices
+    ([0, 1, 0, 1], False),          # unsorted strata: index arrays
+    (None, False),                  # one stratum: no index at all
+    ([1, 0, 0, 1], True),           # weighted and unsorted
+    (None, True),                   # weighted, one stratum
+])
+def test_memoised_step_equals_fresh_flat_build(ids, weighted):
+    """engine.at(k) builds once and then reuses the factors; both calls fit
+    bit for bit like a fresh single-stratum conditioner on the flat rows
+    np.nonzero(np.tile(ids, M0) == s) of each stratum.  At k = 0 the state
+    is known, every column is dropped and the fit is the (weighted) mean."""
+    M0, steps = 300, 3
+    K = 4 if ids is None else len(ids)
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(M0, steps + 1))
+    run_i = rng.normal(size=(M0, steps + 1))
+    w = rng.normal(size=(M0, K, steps + 1))
+    x[:, 0], run_i[:, 0], w[:, :, 0] = 0.3, 0.0, 0.0
+    D = np.exp(0.3 * rng.normal(size=(M0, steps + 1))) if weighted else None
+    basis = RegressionBasis(degree=2)
+    n_strata = 1 if ids is None else max(ids) + 1
+    eng = BasisEngine(x, run_i, w, basis, stratum_ids=None if ids is None else np.array(ids),
+                      n_strata=n_strata, weights=D)
+    flat = np.zeros(M0 * K, dtype=np.int64) if ids is None else np.tile(ids, M0)
+    for k in (steps - 1, 0, 1):
+        y = rng.normal(size=(M0 * K, 3))
+        cols = eng.columns_at(k)
+        wk = None if D is None else np.repeat(D[:, k + 1], K)
+        for call in ("first", "repeat"):
+            got, got_fit = eng.at(k).fit(y)
+            for s in range(n_strata):
+                rows = np.nonzero(flat == s)[0]
+                want, want_fit = RidgeConditioner(
+                    cols[rows], np.zeros(rows.size, dtype=np.int64), 1,
+                    weights=None if wk is None else wk[rows],
+                ).fit(y[rows])
+                assert np.array_equal(got[rows], want), (call, k, s)
+                g, r = got_fit.strata[s], want_fit.strata[0]
+                assert np.array_equal(g.kept, r.kept) and np.array_equal(g.coef, r.coef)
+                assert np.array_equal(g.beta0, r.beta0)
+    # the repeat calls built nothing: one stored step per k, O(q^2) each
+    assert sorted(eng._memo) == [0, 1, 2]
+
+
+def test_stratum_ids_must_tile_the_rows():
+    raw = np.random.default_rng(1).normal(size=(300, 2))
+    _, fit = RidgeConditioner(raw, np.array([0, 1, 1]), 2).fit(raw[:, 0])   # 100 paths of 3
+    with pytest.raises(ValueError, match="do not tile"):
+        RidgeConditioner(raw, np.array([0, 1, 1, 0, 1, 0, 1]), 2)
+    for bad in ([0, 2, 1], [0, -1, 1]):
+        with pytest.raises(ValueError, match="outside"):
+            RidgeConditioner(raw, np.array(bad), 2)
+        with pytest.raises(ValueError, match="outside"):
+            fit.predict(raw, np.array(bad))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mfequil import (
     ComplexRho, EqgSpec, TimeGrid, riccati_closed_form, riccati_for_spec,
@@ -26,6 +26,8 @@ def sup_gap(ric1, ric2):
     T=st.floats(0.1, 2.0),
 )
 @settings(max_examples=40, deadline=None)
+# a = 0 with a tiny alpha, where (b / alpha)(exp(alpha tau) - 1) cancels
+@example(a=0.0, b=1.0, alpha=1e-10, beta=0.0, d1=1.0, d2=0.0, T=1.0)
 def test_closed_form_matches_rk4(a, b, alpha, beta, d1, d2, T):
     grid = TimeGrid(T, 16)
     closed = riccati_closed_form(a, b, alpha, beta, (d1, d2), grid)
