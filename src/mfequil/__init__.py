@@ -83,12 +83,9 @@ from .market import (
 from .meanfield import (
     ContractionDiagnostics,
     MeanFieldSolution,
-    cloud_mean,
-    gamma_map,
     smallness_from_liability,
     smallness_report,
     solve_mean_field,
-    theta_from_solution,
 )
 from .paths import PathBundle, coarsen_bundle, export_paths_csv, simulate_paths
 from .regression import BasisEngine, RegressionBasis, TreeEngine, feature_columns

@@ -9,14 +9,16 @@ risk premium theta solves
 where z0_par is the row-space component of z0.  The solver runs backward
 induction on simulated paths: z is estimated by regressing the centred
 product of the next-step value with the Brownian increment, y by regressing
-the next-step value plus the frozen driver.  One Picard loop, `_fixed_point`,
-serves the agent, tilted and mean-field solves: it starts from z = 0,
-re-freezes the quadratic driver at the latest z, and stops once the larger of
-the relative y0 change and the relative cloud-L2 z change is below tol.  A
-non-finite change, or a change that grows for 3 consecutive sweeps, raises
-PicardDiverged.  The same backward pass, with importance weights and theta-
-shifted increments, solves the measure-changed form whose driver drops the
--z0_par theta term.
+the next-step value plus the frozen driver.  One solve, `_solve`, serves the
+agent, tilted and mean-field solves; they differ only in where theta comes
+from (the caller's path, or the cloud's own z0_par in the mean-field solve)
+and in the engine they regress with.  Its Picard loop, `_fixed_point`,
+starts from z = 0, re-freezes the quadratic driver at the latest z, and
+stops once the larger of the relative y0 change and the relative cloud-L2 z
+change is below tol.  A non-finite change, or a change that grows for 3
+consecutive sweeps, raises PicardDiverged.  The same backward pass, with
+importance weights and theta-shifted increments, solves the measure-changed
+form whose driver drops the -z0_par theta term.
 
 Verification is the optimality-of-martingale test: along the candidate
 optimum p*, the process R^p = -exp(-gamma (W^p - Y)) must be a martingale,
@@ -43,20 +45,6 @@ def cole_hopf_oracle(g_samples: np.ndarray) -> float:
     return m + float(np.log(np.mean(np.exp(g - m))))
 
 
-class _ClipCounter:
-    def __init__(self, bound: float):
-        self.bound = float(bound)
-        self.count = 0
-
-    def clip(self, z: np.ndarray) -> np.ndarray:
-        over = np.abs(z) > self.bound
-        n = int(np.sum(over))
-        if n:
-            self.count += n
-            return np.clip(z, -self.bound, self.bound)
-        return z
-
-
 @dataclass
 class BsdeSolution:
     """Backward-induction output on a particle cloud of shape (M0, K).
@@ -76,7 +64,7 @@ class BsdeSolution:
     clip_count: int
     y0_changes: list[float] = field(default_factory=list)   # dy0 of sweeps 2, 3, ...
     z_changes: list[float] = field(default_factory=list)    # dz of sweeps 2, 3, ...
-    fits: list[StepFit] | None = None
+    fits: list[StepFit] = field(default_factory=list)   # last sweep's z fit map per step
 
     @property
     def layout(self) -> tuple[int, int]:
@@ -112,27 +100,6 @@ def _as_theta_at(theta: np.ndarray, steps: int, d0: int, n_paths: int):
     )
 
 
-def _split_driver(clipper, z0k: np.ndarray, z1k: np.ndarray, proj_k: np.ndarray):
-    """Clip z on one interval and split z0 through its projector: returns z0_par
-    and the theta-free driver (|z0_perp|^2 + |z1|^2) / 2."""
-    z0k = clipper.clip(z0k)
-    z1k = clipper.clip(z1k)
-    z0_par = z0k @ proj_k
-    z0_perp = z0k - z0_par
-    return z0_par, 0.5 * (np.sum(z0_perp**2, axis=2) + np.sum(z1k**2, axis=2))
-
-
-def _theta_terms(f: np.ndarray, th: np.ndarray, theta_det: bool, z0_par=None):
-    """Add -z0_par theta (the tilted solve passes no z0_par: its measure absorbs
-    that term) and -|theta|^2 / 2, as the outside-regression scalar when theta is
-    deterministic."""
-    if z0_par is not None:
-        f = f - np.einsum("mkj,mj->mk", z0_par, th)
-    if theta_det:
-        return f, -0.5 * float(np.sum(th[0] ** 2))
-    return f - 0.5 * np.sum(th**2, axis=1)[:, None], 0.0
-
-
 def _backward_pass(
     engine,
     g: np.ndarray,
@@ -141,17 +108,15 @@ def _backward_pass(
     dt: float,
     driver,
     tilt=None,
-    collect_fits: bool = False,
 ):
     """One linear backward sweep with the driver frozen at its inputs.
 
     driver(k) -> (pathwise (M0, K) array, deterministic scalar); both are
     added to the continuation value, the scalar outside the regression.
-    tilt = theta_at makes it the measure-changed sweep: the common increments
-    are shifted by theta_k dt.  Its regressions are weighted by the cumulative
-    weights the engine was built with, so tilt carries no weights.  Returns y
-    on nodes, (z0, z1) on intervals, and the per-step fit maps (None unless
-    collect_fits).
+    tilt(k) -> theta_k makes it the measure-changed sweep: the common
+    increments are shifted by theta_k dt.  Its regressions are weighted by the
+    cumulative weights the engine was built with, so tilt carries no weights.
+    Returns y on nodes, (z0, z1) on intervals, and each step's z fit map.
     """
     M0, K = g.shape
     steps = dW0.shape[1]
@@ -163,7 +128,7 @@ def _backward_pass(
     y[:, :, steps] = g
     z0 = np.empty((M0, K, steps, d0))
     z1 = np.empty((M0, K, steps, d))
-    fits: list[StepFit | None] | None = [None] * steps if collect_fits else None
+    fits = [None] * steps
 
     for k in range(steps - 1, -1, -1):
         dw0_k = dW0[:, k, :]
@@ -176,7 +141,7 @@ def _backward_pass(
         stage1 = np.empty((P, 2))
         stage1[:, 0] = y_next.reshape(P)
         stage1[:, 1] = f_path.reshape(P)
-        fitted1, fit_a = cond.fit(stage1)
+        fitted1, _ = cond.fit(stage1)
         y_fit = fitted1[:, 0]
 
         resid = y_next.reshape(P) - y_fit
@@ -185,20 +150,18 @@ def _backward_pass(
             resid.reshape(M0, K, 1) * dw0_k[:, None, :]
         ).reshape(P, d0) / dt
         prods[:, d0:] = (resid.reshape(M0, K)[:, :, None] * dWi[:, :, k, :]).reshape(P, d) / dt
-        fitted2, fit_b = cond.fit(prods)
+        fitted2, fits[k] = cond.fit(prods)
 
         z0[:, :, k, :] = fitted2[:, :d0].reshape(M0, K, d0)
         z1[:, :, k, :] = fitted2[:, d0:].reshape(M0, K, d)
         y[:, :, k] = (y_fit + dt * fitted1[:, 1]).reshape(M0, K) + dt * f_det
-        if collect_fits:
-            fits[k] = (fit_a, fit_b)
     return y, z0, z1, fits
 
 
 def _fixed_point(
     sweep, bundle: PathBundle, market: MarketSpec, max_iters: int, tol: float
 ) -> BsdeSolution:
-    """Picard iteration of sweep from z = 0: the one loop of every solve.
+    """Picard iteration of sweep from z = 0: the one loop, run by _solve.
 
     sweep(z0, z1) -> (y, z0, z1, fits, clips) is one backward pass with the
     driver frozen at its input.  From the second sweep on, dy0 is the sup
@@ -251,34 +214,50 @@ def _fixed_point(
     )
 
 
-def _solve_agent(bundle, market, basis, theta, g_samples, picard_max, picard_tol, clip,
-                 stratum_ids, n_strata, collect_fits=False, weights=None) -> BsdeSolution:
-    """Set-up shared by the agent and tilted solves.  Given the cumulative
-    weights (M0, steps + 1) of a measure change, the engine regresses with
-    them, the sweeps are tilted and the driver drops -z0_par theta.  The
-    engine lives for this one solve, so each step's regression is built in
-    the first sweep and reused by the later ones."""
+def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_at,
+           theta_det: bool, max_iters: int, tol: float, clip: float,
+           tilted: bool = False) -> BsdeSolution:
+    """The one solve behind the agent, tilted and mean-field solves.
+
+    Each sweep freezes the driver at the previous iterate.  At step k it
+    clips z to [-clip, clip], splits z0 through the step's row-space
+    projector, takes theta = theta_at(k, z0_par), of shape (M0, d0), and adds
+    -z0_par theta - |theta|^2 / 2 + (|z0_perp|^2 + |z1|^2) / 2.  A tilted
+    solve drops -z0_par theta, which its measure absorbs, and shifts the
+    common increments by theta_at(k, None) dt; its engine carries the weights.
+    A deterministic theta (theta_det) adds -|theta|^2 / 2 outside the
+    regression.  The engine lives for this one solve, so each step's
+    regression is built in the first sweep and reused by the later ones.
+    """
     steps, dt = bundle.grid.steps, bundle.grid.dt
-    M0, K = bundle.n_paths, bundle.n_agents
-    g = np.asarray(g_samples, dtype=float).reshape(M0, K)
-    theta_at, theta_det = _as_theta_at(theta, steps, market.d0, M0)
+    g = np.asarray(g, dtype=float).reshape(bundle.n_paths, bundle.n_agents)
     proj, _ = market.geometry(steps)
-    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
-                         stratum_ids=stratum_ids, n_strata=n_strata, weights=weights)
-    tilt = None if weights is None else theta_at
+    tilt = (lambda k: theta_at(k, None)) if tilted else None
 
     def sweep(z0_in, z1_in):
-        clipper = _ClipCounter(clip)
+        clips = 0
+
+        def clipped(z):
+            nonlocal clips
+            n = int(np.sum(np.abs(z) > clip))
+            clips += n
+            return np.clip(z, -clip, clip) if n else z
 
         def driver(k):
-            z0_par, f = _split_driver(clipper, z0_in[:, :, k, :], z1_in[:, :, k, :], proj[k])
-            return _theta_terms(f, theta_at(k), theta_det, z0_par if tilt is None else None)
+            z0k, z1k = clipped(z0_in[:, :, k, :]), clipped(z1_in[:, :, k, :])
+            z0_par = z0k @ proj[k]
+            f = 0.5 * (np.sum((z0k - z0_par) ** 2, axis=2) + np.sum(z1k**2, axis=2))
+            th = theta_at(k, z0_par)
+            if not tilted:
+                f = f - np.einsum("mkj,mj->mk", z0_par, th)
+            if theta_det:
+                return f, -0.5 * float(np.sum(th[0] ** 2))
+            return f - 0.5 * np.sum(th**2, axis=1)[:, None], 0.0
 
-        y, z0, z1, fits = _backward_pass(engine, g, bundle.dW0, bundle.dWi, dt, driver,
-                                         tilt=tilt, collect_fits=collect_fits)
-        return y, z0, z1, fits, clipper.count
+        y, z0, z1, fits = _backward_pass(engine, g, bundle.dW0, bundle.dWi, dt, driver, tilt)
+        return y, z0, z1, fits, clips
 
-    return _fixed_point(sweep, bundle, market, picard_max, picard_tol)
+    return _fixed_point(sweep, bundle, market, max_iters, tol)
 
 
 def solve_agent_bsde(
@@ -292,11 +271,13 @@ def solve_agent_bsde(
     clip: float = 50.0,
     stratum_ids: np.ndarray | None = None,
     n_strata: int = 1,
-    collect_fits: bool = False,
 ) -> BsdeSolution:
     """Solve the normalized utility BSDE for an exogenous risk premium."""
-    return _solve_agent(bundle, market, basis, theta, g_samples, picard_max, picard_tol,
-                        clip, stratum_ids, n_strata, collect_fits=collect_fits)
+    theta_at, theta_det = _as_theta_at(theta, bundle.grid.steps, market.d0, bundle.n_paths)
+    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
+                         stratum_ids=stratum_ids, n_strata=n_strata)
+    return _solve(bundle, market, engine, g_samples, lambda k, _: theta_at(k), theta_det,
+                  picard_max, picard_tol, clip)
 
 
 def doleans_weights(theta: np.ndarray, bundle: PathBundle) -> np.ndarray:
@@ -347,8 +328,11 @@ def solve_under_q(
             f"effective sample size {ess:.1f} below {M0 / 100:.1f}: "
             "the risk premium is too large for this measure change"
         )
-    sol = _solve_agent(bundle, market, basis, theta, g_samples, picard_max, picard_tol,
-                       clip, stratum_ids, n_strata, weights=D)
+    theta_at, theta_det = _as_theta_at(theta, bundle.grid.steps, market.d0, M0)
+    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
+                         stratum_ids=stratum_ids, n_strata=n_strata, weights=D)
+    sol = _solve(bundle, market, engine, g_samples, lambda k, _: theta_at(k), theta_det,
+                 picard_max, picard_tol, clip, tilted=True)
     return sol, ess
 
 
@@ -493,13 +477,12 @@ def bmo_proxy(
     z1: np.ndarray,
     dt: float,
     engine,
-    quantile: float = 1.0,
     scale: np.ndarray | None = None,
 ) -> float:
     """Regression estimate of sup_t E[ int_t^T |z|^2 ds | F_t ].
 
     Fits the remaining quadratic variation on the state basis at every step
-    and takes the max fitted value (or a high quantile for robustness).
+    and takes the max fitted value.
     scale, of shape (K,), multiplies each particle's z; it is applied one
     step at a time, so no scaled copy of z is made.  The remaining variation
     is accumulated backward step by step, the same additions np.cumsum makes.
@@ -515,6 +498,5 @@ def bmo_proxy(
         qv = (np.sum(z0k**2, axis=3) + np.sum(z1k**2, axis=3)) * dt   # (M0, K, 1)
         remaining = qv[:, :, 0] if remaining is None else remaining + qv[:, :, 0]
         fitted, _ = engine.at(k).fit(remaining.reshape(M0 * K))
-        val = float(np.quantile(fitted, quantile)) if quantile < 1.0 else float(np.max(fitted))
-        out = max(out, val)
+        out = max(out, float(np.max(fitted)))
     return out

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditionedQ, InsufficientSpan, MissingStageOutput
+from .errors import IllConditionedQ, InsufficientSpan
 from .liabilities import LiabilitySpec, terminal_g
 from .market import MarketSpec, PopulationStats, gamma_hat, risk_premium_from_mu
 from .meanfield import MeanFieldSolution, smallness_from_liability, solve_mean_field
@@ -139,31 +139,29 @@ def agent_strategies(
     basis: RegressionBasis,
     population: Population,
     w_agents: np.ndarray,
-    stratified: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal positions of fresh agents under the fitted solution map.
 
-    Returns p (M0, N, steps, d0) in Brownian coordinates and pi
-    (M0, N, steps, n) in security units.
+    Each agent is evaluated with the fit of its own risk-aversion atom when
+    the solve was stratified; StepFit.predict reads the stratum count from
+    the fit, so a pooled fit gives every agent the one map.  Returns p
+    (M0, N, steps, d0) in Brownian coordinates and pi (M0, N, steps, n) in
+    security units.
     """
-    if mf.solution.fits is None:
-        raise MissingStageOutput(
-            "mean-field solution was run without collect_fits; no per-step maps to evaluate"
-        )
     grid = mf.solution.grid
     steps = grid.steps
     M0 = bundle.n_paths
     N = population.size
     d0, n = market.d0, market.n
     proj, pos = market.geometry(steps)
-    sids = population.atom_ids if stratified else np.zeros(N, dtype=np.int64)
 
     p = np.empty((M0, N, steps, d0))
     pi = np.empty((M0, N, steps, n))
     inv_gamma = (1.0 / population.gammas)[None, :, None]
     for k in range(steps):
         raw = feature_columns(basis, bundle.x[:, k, None], bundle.I[:, k, None], w_agents[:, :, k])
-        z_hat = mf.solution.fits[k][1].predict(raw, sids)[:, :d0].reshape(M0, N, d0)
+        z_hat = mf.solution.fits[k].predict(raw, population.atom_ids)[:, :d0]
+        z_hat = z_hat.reshape(M0, N, d0)
         p[:, :, k, :] = (z_hat @ proj[k] + mf.theta[:, k, None, :]) * inv_gamma
         pi[:, :, k, :] = p[:, :, k, :] @ pos[k].T
     return p, pi
@@ -251,7 +249,7 @@ def solve_equilibrium_cloud(
     grid, market: MarketSpec, eqg: EqgSpec, liability: LiabilitySpec, gamma_dist: DiscreteDist,
     basis: RegressionBasis, n_common: int, n_agents: int, seed: int, mf_iters: int,
     mf_tol: float, n_eq: int | None = None, c_gamma_override: float | None = None,
-    clip: float = 50.0, collect_fits: bool = False,
+    clip: float = 50.0,
 ) -> tuple[MeanFieldSolution, PathBundle, PopulationStats]:
     """Mean-field fixed point, with smallness and stability diagnostics, on a
     balanced cloud of n_agents particles over n_common common paths; each gamma
@@ -270,7 +268,7 @@ def solve_equilibrium_cloud(
         n_eq=n_eq, max_iters=mf_iters, tol=mf_tol, clip=clip,
         stratum_ids=cloud.atom_ids if stratified else None,
         n_strata=len(gamma_dist.values) if stratified else 1,
-        diagnostics=diag, compute_stability=True, collect_fits=collect_fits,
+        diagnostics=diag, compute_stability=True,
     )
     return mf, bundle, stats
 
@@ -302,12 +300,10 @@ def run_clearing_study(
     mf, bundle, stats = solve_equilibrium_cloud(
         grid, market, eqg, liability, gamma_dist, basis, n_common=n_common,
         n_agents=n_equilibrium, seed=seed, mf_iters=mf_iters, mf_tol=mf_tol, clip=clip,
-        collect_fits=True,
     )
     pool = build_population(max(Ns), seed, gamma_dist, balanced=False)
     w_agents = fresh_idio_levels(seed, n_common, pool.size, grid)
-    _, pi = agent_strategies(mf, bundle, market, basis, pool, w_agents,
-                             stratified=liability.gamma_coupled)
+    _, pi = agent_strategies(mf, bundle, market, basis, pool, w_agents)
     eps, ses = clearing_residual(pi, Ns, grid.dt, n_batches=n_batches)
     report = ClearingReport(
         Ns=list(Ns), eps=eps, stderr=ses,

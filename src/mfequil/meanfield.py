@@ -14,10 +14,10 @@ also solves the single-agent equation under theta = -gamma_hat Ebar_n^T.
 
 The cloud discretises Ebar by the per-common-path average over the first
 n_equilibrium particles; extra particles (used as clearing agents) see the
-same driver but do not enter the average.  One application of the map
-freezes the driver at its input (a single linear backward pass); the solver
-iterates the map with the agent solver's Picard loop and records the
-contraction ratios of its changes.
+same driver but do not enter the average.  So the mean-field solve is the
+agent solve (bsde._solve) with theta taken, at each step of each sweep, from
+the frozen cloud's own z0_par; it records the contraction ratios of the
+sweep-to-sweep changes.
 """
 
 from __future__ import annotations
@@ -26,26 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import (
-    BsdeSolution, _ClipCounter, _backward_pass, _fixed_point, _split_driver, _theta_terms,
-    bmo_proxy,
-)
+from .bsde import BsdeSolution, _solve, bmo_proxy
 from .liabilities import LiabilitySpec, liability_bounds
 from .market import MarketSpec, PopulationStats
+from .market import gamma_hat as population_stats
 from .paths import PathBundle
 from .regression import BasisEngine, RegressionBasis
 from .riccati import EqgSpec
-
-
-def cloud_mean(values: np.ndarray, n_eq: int | None = None) -> np.ndarray:
-    """Mean over the particle axis (axis 1) of the first n_eq particles.
-
-    Keeps the particle axis with size one so the result broadcasts straight
-    back onto the cloud.
-    """
-    if n_eq is None:
-        n_eq = values.shape[1]
-    return values[:, :n_eq].mean(axis=1, keepdims=True)
 
 
 @dataclass
@@ -112,52 +99,6 @@ def _ebar_path(z0: np.ndarray, gammas: np.ndarray, market: MarketSpec, n_eq: int
     return out
 
 
-def gamma_map(
-    z0_in: np.ndarray,
-    z1_in: np.ndarray,
-    g_samples: np.ndarray,
-    bundle: PathBundle,
-    market: MarketSpec,
-    engine,
-    gammas: np.ndarray,
-    gamma_hat: float,
-    n_eq: int | None = None,
-    clip: float = 50.0,
-    collect_fits: bool = False,
-):
-    """One application of the mean-field map: linear backward pass with the
-    driver frozen at the input (z0, z1) and its empirical mean field.
-
-    The driver is the single-agent one at theta = -gamma_hat Ebar_n^T.
-
-    Returns (y, z0, z1, ebar, fits, clip_count).
-    """
-    grid = bundle.grid
-    steps, dt = grid.steps, grid.dt
-    M0, K = bundle.n_paths, bundle.n_agents
-    g = np.asarray(g_samples, dtype=float).reshape(M0, K)
-    if n_eq is None:
-        n_eq = K
-    proj, _ = market.geometry(steps)
-    clipper = _ClipCounter(clip)
-
-    gam = np.asarray(gammas, dtype=float)
-    inv_gamma_eq = (1.0 / gam)[None, :n_eq, None]
-
-    ebar = np.empty((M0, steps, market.d0))
-
-    def driver(k):
-        z0_par, f = _split_driver(clipper, z0_in[:, :, k, :], z1_in[:, :, k, :], proj[k])
-        eb = np.mean(inv_gamma_eq * z0_par[:, :n_eq, :], axis=1)   # (M0, d0)
-        ebar[:, k, :] = eb
-        return _theta_terms(f, -gamma_hat * eb, False, z0_par)
-
-    y, z0, z1, fits = _backward_pass(
-        engine, g, bundle.dW0, bundle.dWi, dt, driver, collect_fits=collect_fits,
-    )
-    return y, z0, z1, ebar, fits, clipper.count
-
-
 @dataclass
 class MeanFieldSolution:
     """Converged cloud solution with the implied equilibrium risk premium."""
@@ -169,19 +110,6 @@ class MeanFieldSolution:
     gamma_hat: float
     n_eq: int
     diagnostics: ContractionDiagnostics
-
-
-def theta_from_solution(
-    z0: np.ndarray,
-    gammas: np.ndarray,
-    gamma_hat: float,
-    market: MarketSpec,
-    n_eq: int | None = None,
-) -> np.ndarray:
-    """theta = -gamma_hat Ebar[(1/gamma) z0_par]^T, one row per common path/step."""
-    if n_eq is None:
-        n_eq = z0.shape[1]
-    return -gamma_hat * _ebar_path(z0, np.asarray(gammas, dtype=float), market, n_eq)
 
 
 def solve_mean_field(
@@ -200,20 +128,22 @@ def solve_mean_field(
     n_strata: int = 1,
     diagnostics: ContractionDiagnostics | None = None,
     compute_stability: bool = False,
-    collect_fits: bool = False,
 ) -> MeanFieldSolution:
     """Fixed-point iteration of the mean-field map from z = 0.
 
-    The loop is the agent solver's: it stops once max(dy0, dz) < tol, where
-    dy0 is the sup change of the initial value over sup |y0| and dz the
-    cloud-L2 change of z over the cloud-L2 norm of the new z, both scales
-    floored at 1e-8.  A non-finite change, or one that grows for 3
-    consecutive sweeps, raises PicardDiverged.  A run that reaches max_iters
-    otherwise returns its last iterate with converged = False.
+    This is the agent solve with theta = -gamma_hat Ebar_n^T taken from each
+    sweep's frozen input, so the loop is the agent solver's: it stops once
+    max(dy0, dz) < tol, where dy0 is the sup change of the initial value over
+    sup |y0| and dz the cloud-L2 change of z over the cloud-L2 norm of the
+    new z, both scales floored at 1e-8.  A non-finite change, or one that
+    grows for 3 consecutive sweeps, raises PicardDiverged.  A run that
+    reaches max_iters otherwise returns its last iterate with
+    converged = False.
     diagnostics.changes is the per-sweep max(dy0, dz); the solution keeps
-    dy0 and dz apart as y0_changes and z_changes.  stratum_ids, of shape
-    (K,), gives each particle's regression stratum.  Every sweep and the BMO
-    proxy share one engine, so each step's regression is built once.
+    dy0 and dz apart as y0_changes and z_changes, and its fits are the last
+    sweep's z fit maps.  stratum_ids, of shape (K,), gives each particle's
+    regression stratum.  Every sweep and the BMO proxy share one engine, so
+    each step's regression is built once.
     """
     dt = bundle.grid.dt
     gam = np.asarray(gammas, dtype=float)
@@ -223,16 +153,13 @@ def solve_mean_field(
         engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
                              stratum_ids=stratum_ids, n_strata=n_strata)
     if diagnostics is None:
-        diagnostics = smallness_report(float("nan"), _default_stats(gam))
+        diagnostics = smallness_report(float("nan"), population_stats(gam))
+    inv_gamma_eq = (1.0 / gam)[None, :n_eq, None]
 
-    def sweep(z0, z1):
-        y, z0, z1, _, fits, clips = gamma_map(
-            z0, z1, g_samples, bundle, market, engine, gam, gamma_hat,
-            n_eq=n_eq, clip=clip, collect_fits=collect_fits,
-        )
-        return y, z0, z1, fits, clips
+    def theta_at(k, z0_par):
+        return -gamma_hat * np.mean(inv_gamma_eq * z0_par[:, :n_eq, :], axis=1)
 
-    sol = _fixed_point(sweep, bundle, market, max_iters, tol)
+    sol = _solve(bundle, market, engine, g_samples, theta_at, False, max_iters, tol, clip)
     z0, z1 = sol.z0, sol.z1
     changes = [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
     diagnostics.changes = changes
@@ -257,7 +184,3 @@ def solve_mean_field(
         gamma_hat=gamma_hat, n_eq=n_eq, diagnostics=diagnostics,
     )
 
-
-def _default_stats(gammas: np.ndarray) -> PopulationStats:
-    from .market import gamma_hat as _gh
-    return _gh(gammas)

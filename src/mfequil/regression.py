@@ -41,6 +41,7 @@ from . import parallel
 from .errors import RegressionRankDeficient
 
 _CONST_COL_TOL = 1e-12
+_MIN_ROWS_PER_COLUMN = 10
 _COLUMN_BLOCK_ROWS = 8192
 
 
@@ -247,7 +248,6 @@ class RidgeConditioner:
         n_strata: int,
         ridge: float = 1e-8,
         weights: np.ndarray | None = None,
-        min_rows_per_column: int = 10,
     ):
         P, q = raw_cols.shape
         strata = _Strata(stratum_ids, n_strata, P)
@@ -258,10 +258,10 @@ class RidgeConditioner:
                 xss.append(None)
                 ws.append(None)
                 continue
-            if (q + 1) * min_rows_per_column > n_rows:
+            if (q + 1) * _MIN_ROWS_PER_COLUMN > n_rows:
                 raise RegressionRankDeficient(
                     f"{q + 1} design columns for {n_rows} paths in stratum {s}; "
-                    f"need at least {min_rows_per_column} paths per column"
+                    f"need at least {_MIN_ROWS_PER_COLUMN} paths per column"
                 )
             cols = strata.take(raw_cols, s)
             w = None if weights is None else strata.take(weights, s)

@@ -266,7 +266,7 @@ def test_ac08_additive_positions_vanish():
     bundle = simulate_paths(grid, spec, MARKET_2F, 100, 41, agents=K)
     g = terminal_g(liability, bundle, cloud.gammas)
     mf = solve_mean_field(bundle, MARKET_2F, basis, g, cloud.gammas,
-                          stats.gamma_hat, max_iters=8, collect_fits=True)
+                          stats.gamma_hat, max_iters=8)
     pool = build_population(100, 42, dist)
     w = fresh_idio_levels(42, 100, 100, grid)
     p, pi = agent_strategies(mf, bundle, MARKET_2F, basis, pool, w)

@@ -4,7 +4,7 @@ import pytest
 from mfequil import (
     DiscreteDist, EqgSpec, MarketSpec, RegressionBasis, TimeGrid,
     agent_strategies, bmo_proxy, build_population, doleans_weights,
-    equilibrium_path, fresh_idio_levels, gamma_hat, gamma_map, optimal_strategy,
+    equilibrium_path, fresh_idio_levels, gamma_hat, optimal_strategy,
     riccati_for_spec, risk_premium_from_mu, simulate_paths, solve_agent_bsde,
     solve_mean_field, solve_under_q, verify_condition_r,
 )
@@ -206,14 +206,10 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     # agents hold nonzero positions
     g_mf = g * gammas
     mf = solve_mean_field(bundle, market, basis, g_mf, gammas, gamma_hat(gammas).gamma_hat,
-                          max_iters=6, collect_fits=True,
-                          stratum_ids=[0, 1, 0, 1], n_strata=2)
-    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis)
-    ebar = gamma_map(mf.solution.z0, mf.solution.z1, g_mf, bundle, market, engine,
-                     gammas, mf.gamma_hat)[3]
+                          max_iters=6, stratum_ids=[0, 1, 0, 1], n_strata=2)
     pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
     p_pool, pi_pool = agent_strategies(
-        mf, bundle, market, basis, pool, fresh_idio_levels(3, 2000, 5, grid), stratified=True)
+        mf, bundle, market, basis, pool, fresh_idio_levels(3, 2000, 5, grid))
     assert np.min(np.abs(p_pool[:, :, 0, 0])) > 0.1
     eq_theta = equilibrium_path(riccati_for_spec(spec, grid), bundle, market, spec).theta
 
@@ -223,7 +219,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
         for pos, strat in ((pi, p), (pi_pool, p_pool)):
             assert np.allclose((s @ s) * pos[:, :, k, 0], strat[:, :, k] @ s,
                                rtol=0, atol=1e-12)
-        for in_row_space in (mf.theta[:, k], ebar[:, k], p_pool[:, :, k], eq_theta[:, k]):
+        for in_row_space in (mf.theta[:, k], mf.ebar[:, k], p_pool[:, :, k], eq_theta[:, k]):
             assert np.max(np.abs(perp(in_row_space, k))) < 1e-12
 
 

@@ -12,13 +12,13 @@ from mfequil import (
     InsufficientSpan,
     LiabilitySpec,
     MarketSpec,
-    MissingStageOutput,
     RegressionBasis,
     ReplacementSpec,
     TimeGrid,
     agent_strategies,
     build_population,
     clearing_residual,
+    feature_columns,
     fresh_idio_levels,
     gamma_hat,
     project,
@@ -165,7 +165,7 @@ def test_rate_fit_span_preconditions():
 
 # ------------------------------------------------------------ strategy maps
 
-def _small_mf(collect_fits):
+def _small_mf():
     grid = TimeGrid(0.5, 10)
     market = MarketSpec(n=1, d0=2, d=1, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
@@ -178,20 +178,12 @@ def _small_mf(collect_fits):
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, pop.gammas)
     stats = gamma_hat(pop.gammas)
     mf = solve_mean_field(bundle, market, basis, g, pop.gammas, stats.gamma_hat,
-                          max_iters=6, collect_fits=collect_fits)
+                          max_iters=6)
     return grid, market, spec, pop, bundle, basis, mf
 
 
-def test_agent_strategies_requires_stored_fits():
-    grid, market, _, pop, bundle, basis, mf = _small_mf(collect_fits=False)
-    w = fresh_idio_levels(3, bundle.n_paths, 4, grid)
-    small = build_population(4, 7, GAMMA_DIST)
-    with pytest.raises(MissingStageOutput):
-        agent_strategies(mf, bundle, market, basis, small, w)
-
-
 def test_agent_strategies_geometry():
-    grid, market, _, pop, bundle, basis, mf = _small_mf(collect_fits=True)
+    grid, market, _, pop, bundle, basis, mf = _small_mf()
     N = 5
     fresh = build_population(N, 7, GAMMA_DIST)
     w = fresh_idio_levels(3, bundle.n_paths, N, grid)
@@ -211,6 +203,40 @@ def test_agent_strategies_geometry():
         i, j = same[:2]
         assert np.array_equal(p[:, i], p[:, j])
 
+
+
+def test_agent_strategies_use_each_agents_stratum():
+    """On a stratified solve each fresh agent is evaluated with its own
+    atom's fit; the stratum count is read from the fit, not passed in."""
+    grid = TimeGrid(0.5, 10)
+    market = MarketSpec(n=1, d0=2, d=1, sigma=[[1.0, 0.2]],
+                        lambda_lo=1.0, lambda_hi=1.1)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.0)
+    dist = DiscreteDist(values=(1.0, 2.0))
+    cloud = build_population(6, 3, dist, balanced=True)
+    bundle = simulate_paths(grid, spec, market, 128, 3, agents=6)
+    basis = RegressionBasis(degree=2, include_idio=False)
+    # normalized G = gamma x_T: the atoms' z maps differ by their gamma
+    g = bundle.x[:, -1][:, None] * cloud.gammas
+    mf = solve_mean_field(bundle, market, basis, g, cloud.gammas,
+                          gamma_hat(cloud.gammas).gamma_hat, max_iters=6,
+                          stratum_ids=cloud.atom_ids, n_strata=2)
+    pool = build_population(8, 7, dist)
+    assert set(pool.atom_ids.tolist()) == {0, 1}
+    w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
+    p, _ = agent_strategies(mf, bundle, market, basis, pool, w)
+    proj, _ = market.geometry(grid.steps)
+    for k in (0, 4, 9):
+        strata = mf.solution.fits[k].strata
+        raw = feature_columns(basis, bundle.x[:, k, None], bundle.I[:, k, None], w[:, :, k])
+        raw = raw.reshape(bundle.n_paths, pool.size, -1)
+        for i, s in enumerate(pool.atom_ids):
+            z_hat = strata[s].predict(raw[:, i])[:, :2]
+            other = strata[1 - s].predict(raw[:, i])[:, :2]
+            assert np.max(np.abs(z_hat - other)) > 1e-2
+            want = (z_hat @ proj[k] + mf.theta[:, k]) / pool.gammas[i]
+            np.testing.assert_allclose(p[:, i, k], want, rtol=1e-12, atol=1e-12)
 
 # ------------------------------------------------------------- replacement
 

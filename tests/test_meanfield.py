@@ -5,9 +5,9 @@ import pytest
 
 from mfequil import (
     CrossTerm, EqgCommon, EqgSpec, GaussianIdio, LiabilitySpec, MarketSpec,
-    PathBundle, RegressionBasis, TimeGrid, TreeEngine, cloud_mean, gamma_hat,
+    PathBundle, RegressionBasis, TimeGrid, TreeEngine, gamma_hat,
     simulate_paths, smallness_from_liability, smallness_report,
-    solve_agent_bsde, solve_mean_field, terminal_g, theta_from_solution,
+    solve_agent_bsde, solve_mean_field, terminal_g,
 )
 from mfequil.errors import RegressionRankDeficient
 
@@ -210,15 +210,6 @@ def test_additive_normalized_solution_is_gamma_free(market2):
     assert spread < 1e-12
 
 
-def test_cloud_mean_averages_equilibrium_slice():
-    vals = np.arange(24, dtype=float).reshape(2, 4, 3)
-    full = cloud_mean(vals)
-    first2 = cloud_mean(vals, n_eq=2)
-    assert full.shape == (2, 1, 3)
-    assert np.allclose(full[0, 0], vals[0].mean(axis=0))
-    assert np.allclose(first2[0, 0], vals[0, :2].mean(axis=0))
-
-
 def test_smallness_report_formulas():
     stats = gamma_hat(np.array([1.0, 1.0]))
     diag = smallness_report(0.01, stats)
@@ -259,7 +250,9 @@ def test_non_contracting_run_flags_not_converged(market2):
     assert not mf.diagnostics.converged
 
 
-def test_theta_from_solution_matches_reported_theta(market2):
+def test_reported_theta_is_minus_gamma_hat_cloud_mean(market2):
+    """theta = -gamma_hat mean_i[(1/gamma_i) z0_par], with the row-space
+    projector taken from the pseudo-inverse, not from the market geometry."""
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=0.0, b=0.5, kappa=0.2)
@@ -269,9 +262,12 @@ def test_theta_from_solution_matches_reported_theta(market2):
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
                           stats.gamma_hat)
-    again = theta_from_solution(mf.solution.z0, gammas, stats.gamma_hat,
-                                market2, n_eq=3)
-    assert np.array_equal(mf.theta, again)
+    table = market2.sigma_table(grid.steps)
+    want = np.empty_like(mf.theta)
+    for k in range(grid.steps):
+        z_par = mf.solution.z0[:, :, k, :] @ (np.linalg.pinv(table[k]) @ table[k])
+        want[:, k] = -stats.gamma_hat * np.mean(z_par / gammas[None, :, None], axis=1)
+    assert np.max(np.abs(mf.theta - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_changes_keep_y0_and_z_apart(market2):
