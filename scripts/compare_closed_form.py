@@ -36,7 +36,7 @@ def one_resolution(cfg, steps, n_paths, seed):
     y0_closed = eq.y0_initial() + 0.5 * spec.kappa**2 * grid.horizon
     z0_closed = eq.z0[:, :-1]
     y0_rel = abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12)
-    num = np.sqrt(np.mean((sol.z0[:, 0] - z0_closed) ** 2))
+    num = np.sqrt(np.mean(np.subtract(sol.z0[:, 0], z0_closed, order="C") ** 2))
     den = np.sqrt(np.mean(z0_closed**2))
     return y0_rel, float(num / den), sol.picard_iters
 

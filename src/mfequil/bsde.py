@@ -18,7 +18,8 @@ stops once the larger of the relative y0 change and the relative cloud-L2 z
 change is below tol.  A non-finite change, or a change that grows for 3
 consecutive sweeps, raises PicardDiverged.  The same backward pass, with
 importance weights and theta-shifted increments, solves the measure-changed
-form whose driver drops the -z0_par theta term.
+form whose driver drops the -z0_par theta term.  A solve holds one
+step-major set of y and z and each sweep overwrites it one step at a time.
 
 Verification is the optimality-of-martingale test: along the candidate
 optimum p*, the process R^p = -exp(-gamma (W^p - Y)) must be a martingale,
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import PicardDiverged, WeightDegenerate
 from .market import MarketSpec, TimeGrid
-from .paths import PathBundle
+from .paths import PathBundle, step_major
 from .regression import BasisEngine, RegressionBasis, StepFit
 
 
@@ -49,9 +50,9 @@ def cole_hopf_oracle(g_samples: np.ndarray) -> float:
 class BsdeSolution:
     """Backward-induction output on a particle cloud of shape (M0, K).
 
-    y is stored on nodes, z on intervals.  z0_par / z0_perp are the row-space
-    split of z0 under the (piecewise constant) market volatility, computed
-    lazily because the split doubles the memory footprint.
+    y is stored on nodes, z on intervals, all step-major.  z0_par / z0_perp
+    are the row-space split of z0 under the (piecewise constant) market
+    volatility; each is another z0-sized array, so it is made on first use.
     """
 
     grid: TimeGrid
@@ -77,7 +78,7 @@ class BsdeSolution:
 
     @cached_property
     def z0_par(self) -> np.ndarray:
-        out = np.empty_like(self.z0)
+        out = step_major(self.z0.shape)
         proj, _ = self.market.geometry(self.grid.steps)
         for k in range(self.grid.steps):
             out[:, :, k, :] = self.z0[:, :, k, :] @ proj[k]
@@ -100,36 +101,28 @@ def _as_theta_at(theta: np.ndarray, steps: int, d0: int, n_paths: int):
     )
 
 
-def _backward_pass(
-    engine,
-    g: np.ndarray,
-    dW0: np.ndarray,
-    dWi: np.ndarray,
-    dt: float,
-    driver,
-    tilt=None,
-):
-    """One linear backward sweep with the driver frozen at its inputs.
+def _backward_pass(engine, g: np.ndarray, dW0: np.ndarray, dWi: np.ndarray, dt: float,
+                   driver, y: np.ndarray, z0: np.ndarray, z1: np.ndarray, tilt=None):
+    """One linear backward sweep with the driver frozen at the z it is given.
 
     driver(k) -> (pathwise (M0, K) array, deterministic scalar); both are
     added to the continuation value, the scalar outside the regression.
     tilt(k) -> theta_k makes it the measure-changed sweep: the common
     increments are shifted by theta_k dt.  Its regressions are weighted by the
     cumulative weights the engine was built with, so tilt carries no weights.
-    Returns y on nodes, (z0, z1) on intervals, and each step's z fit map.
+    y, z0 and z1 are overwritten in place, step k of z after driver(k), which
+    reads only step k, has read it.  Returns each step's z fit map and the
+    summed squares of the change of z and of the new z.
     """
     M0, K = g.shape
-    steps = dW0.shape[1]
-    d0 = dW0.shape[2]
-    d = dWi.shape[3]
+    steps, d0 = dW0.shape[1], dW0.shape[2]
     P = M0 * K
-
-    y = np.empty((M0, K, steps + 1))
     y[:, :, steps] = g
-    z0 = np.empty((M0, K, steps, d0))
-    z1 = np.empty((M0, K, steps, d))
     fits = [None] * steps
-
+    stage1 = np.empty((P, 2))
+    prods = np.empty((P, d0 + dWi.shape[3]))
+    prods3 = prods.reshape(M0, K, -1)
+    dz2 = z2 = 0.0
     for k in range(steps - 1, -1, -1):
         dw0_k = dW0[:, k, :]
         if tilt is not None:
@@ -138,24 +131,25 @@ def _backward_pass(
         y_next = y[:, :, k + 1]
         f_path, f_det = driver(k)
 
-        stage1 = np.empty((P, 2))
         stage1[:, 0] = y_next.reshape(P)
         stage1[:, 1] = f_path.reshape(P)
         fitted1, _ = cond.fit(stage1)
         y_fit = fitted1[:, 0]
 
-        resid = y_next.reshape(P) - y_fit
-        prods = np.empty((P, d0 + d))
-        prods[:, :d0] = (
-            resid.reshape(M0, K, 1) * dw0_k[:, None, :]
-        ).reshape(P, d0) / dt
-        prods[:, d0:] = (resid.reshape(M0, K)[:, :, None] * dWi[:, :, k, :]).reshape(P, d) / dt
+        resid = (y_next.reshape(P) - y_fit).reshape(M0, K, 1)
+        np.multiply(resid, dw0_k[:, None, :], out=prods3[..., :d0])
+        np.multiply(resid, dWi[:, :, k, :], out=prods3[..., d0:])
+        prods /= dt
         fitted2, fits[k] = cond.fit(prods)
 
-        z0[:, :, k, :] = fitted2[:, :d0].reshape(M0, K, d0)
-        z1[:, :, k, :] = fitted2[:, d0:].reshape(M0, K, d)
+        new = fitted2.reshape(M0, K, -1)
+        dz2 += float(np.sum((new[..., :d0] - z0[:, :, k]) ** 2)
+                     + np.sum((new[..., d0:] - z1[:, :, k]) ** 2))
+        z2 += float(np.sum(fitted2**2))
+        z0[:, :, k] = new[..., :d0]
+        z1[:, :, k] = new[..., d0:]
         y[:, :, k] = (y_fit + dt * fitted1[:, 1]).reshape(M0, K) + dt * f_det
-    return y, z0, z1, fits
+    return fits, dz2, z2
 
 
 def _fixed_point(
@@ -163,34 +157,32 @@ def _fixed_point(
 ) -> BsdeSolution:
     """Picard iteration of sweep from z = 0: the one loop, run by _solve.
 
-    sweep(z0, z1) -> (y, z0, z1, fits, clips) is one backward pass with the
-    driver frozen at its input.  From the second sweep on, dy0 is the sup
-    change of y0 over sup |y0| and dz the cloud-L2 change of z over the
-    cloud-L2 norm of the new z, both scales floored at 1e-8.  The loop stops
-    once max(dy0, dz) < tol, and raises PicardDiverged on a non-finite change
-    or after 3 consecutive growing changes.  Returns the last sweep's iterate
-    with clips summed over sweeps.
+    sweep(y, z0, z1) -> (fits, dz2, z2, clips) is one backward pass that
+    overwrites the loop's one step-major (y, z0, z1) set; dz2 and z2 are the
+    summed squares of the z change and of the new z.  From the second sweep
+    on, dy0 is the sup change of y0 over sup |y0| and dz the cloud-L2 change
+    of z over the cloud-L2 norm of the new z, both scales floored at 1e-8.
+    The loop stops once max(dy0, dz) < tol, and raises PicardDiverged on a
+    non-finite change or after 3 consecutive growing changes.  Returns the
+    last sweep's iterate with clips summed over sweeps.
     """
     M0, K, steps = bundle.n_paths, bundle.n_agents, bundle.grid.steps
     n = M0 * K * steps
-    z0 = np.zeros((M0, K, steps, market.d0))
-    z1 = np.zeros((M0, K, steps, market.d))
+    y = step_major((M0, K, steps + 1))
+    z0 = step_major((M0, K, steps, market.d0))
+    z1 = step_major((M0, K, steps, market.d))
     y0_changes: list[float] = []
     z_changes: list[float] = []
     clips = grows = 0
     change_prev = np.inf
     converged = False
     for it in range(max_iters):
-        y = fits = None    # only y0 of the previous sweep is compared; free the rest
-        y, z0_new, z1_new, fits, n_clip = sweep(z0, z1)
+        fits, dz2, z2, n_clip = sweep(y, z0, z1)
         clips += n_clip
         if it:
             y0 = y[:, :, 0]
             dy0 = float(np.max(np.abs(y0 - y0_prev))) / max(float(np.max(np.abs(y0))), 1e-8)
-            z_scale = max(np.sqrt((np.sum(z0_new**2) + np.sum(z1_new**2)) / n), 1e-8)
-            dz = float(
-                np.sqrt((np.sum((z0_new - z0) ** 2) + np.sum((z1_new - z1) ** 2)) / n) / z_scale
-            )
+            dz = float(np.sqrt(dz2 / n) / max(np.sqrt(z2 / n), 1e-8))
             if not (np.isfinite(dy0) and np.isfinite(dz)):
                 raise PicardDiverged(f"non-finite change at sweep {it + 1}: dy0 {dy0}, dz {dz}")
             y0_changes.append(dy0)
@@ -206,9 +198,8 @@ def _fixed_point(
                 )
             change_prev = change
         y0_prev = y[:, :, 0].copy()
-        z0, z1 = z0_new, z1_new
     return BsdeSolution(
-        grid=bundle.grid, market=market, y=y, z0=z0_new, z1=z1_new,
+        grid=bundle.grid, market=market, y=y, z0=z0, z1=z1,
         picard_iters=it + 1, converged=converged, clip_count=clips,
         y0_changes=y0_changes, z_changes=z_changes, fits=fits,
     )
@@ -234,7 +225,7 @@ def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_
     proj, _ = market.geometry(steps)
     tilt = (lambda k: theta_at(k, None)) if tilted else None
 
-    def sweep(z0_in, z1_in):
+    def sweep(y, z0, z1):
         clips = 0
 
         def clipped(z):
@@ -244,7 +235,7 @@ def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_
             return np.clip(z, -clip, clip) if n else z
 
         def driver(k):
-            z0k, z1k = clipped(z0_in[:, :, k, :]), clipped(z1_in[:, :, k, :])
+            z0k, z1k = clipped(z0[:, :, k]), clipped(z1[:, :, k])
             z0_par = z0k @ proj[k]
             f = 0.5 * (np.sum((z0k - z0_par) ** 2, axis=2) + np.sum(z1k**2, axis=2))
             th = theta_at(k, z0_par)
@@ -254,8 +245,8 @@ def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_
                 return f, -0.5 * float(np.sum(th[0] ** 2))
             return f - 0.5 * np.sum(th**2, axis=1)[:, None], 0.0
 
-        y, z0, z1, fits = _backward_pass(engine, g, bundle.dW0, bundle.dWi, dt, driver, tilt)
-        return y, z0, z1, fits, clips
+        out = _backward_pass(engine, g, bundle.dW0, bundle.dWi, dt, driver, y, z0, z1, tilt)
+        return (*out, clips)
 
     return _fixed_point(sweep, bundle, market, max_iters, tol)
 
@@ -352,8 +343,8 @@ def optimal_strategy(
     d0 = market.d0
     theta_at, _ = _as_theta_at(theta, steps, d0, M0)
     _, pos = market.geometry(steps)
-    p = np.empty((M0, K, steps, d0))
-    pi = np.empty((M0, K, steps, market.n))
+    p = step_major((M0, K, steps, d0))
+    pi = step_major((M0, K, steps, market.n))
     z0_par = solution.z0_par
     for k in range(steps):
         p[:, :, k, :] = (z0_par[:, :, k, :] + theta_at(k)[:, None, :]) / gamma
@@ -487,16 +478,12 @@ def bmo_proxy(
     step at a time, so no scaled copy of z is made.  The remaining variation
     is accumulated backward step by step, the same additions np.cumsum makes.
     """
-    M0, K, steps = z0.shape[0], z0.shape[1], z0.shape[2]
-    s = None if scale is None else np.asarray(scale, dtype=float)[None, :, None, None]
-    remaining = None
-    out = 0.0
+    M0, K, steps = z0.shape[:3]
+    s = 1.0 if scale is None else np.asarray(scale, dtype=float)[None, :, None]
+    remaining = out = 0.0
     for k in range(steps - 1, -1, -1):
-        z0k, z1k = z0[:, :, k:k + 1, :], z1[:, :, k:k + 1, :]
-        if s is not None:
-            z0k, z1k = z0k * s, z1k * s
-        qv = (np.sum(z0k**2, axis=3) + np.sum(z1k**2, axis=3)) * dt   # (M0, K, 1)
-        remaining = qv[:, :, 0] if remaining is None else remaining + qv[:, :, 0]
+        z0k, z1k = z0[:, :, k] * s, z1[:, :, k] * s
+        remaining = remaining + (np.sum(z0k**2, axis=2) + np.sum(z1k**2, axis=2)) * dt
         fitted, _ = engine.at(k).fit(remaining.reshape(M0 * K))
         out = max(out, float(np.max(fitted)))
     return out

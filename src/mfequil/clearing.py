@@ -41,11 +41,12 @@ from .paths import (
     _philox,
     normal_block_array,
     simulate_paths,
+    step_major,
 )
-
-KIND_REPLACE = 6   # uniform draws for replacement matrices, disjoint from path streams
 from .regression import RegressionBasis, feature_columns
 from .riccati import EqgSpec
+
+KIND_REPLACE = 6   # uniform draws for replacement matrices, disjoint from path streams
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,10 @@ def build_population(
 
 def fresh_idio_levels(seed: int, n_common: int, n_agents: int, grid, stream: int = KIND_AUX):
     """Idiosyncratic Brownian first components for evaluation agents,
-    (M0, N, steps + 1) with level 0 at time 0."""
+    (M0, N, steps + 1) step-major, with level 0 at time 0."""
     steps, dt = grid.steps, grid.dt
     dw = normal_block_array(seed, stream, (n_common, n_agents, steps)) * np.sqrt(dt)
-    w = np.zeros((n_common, n_agents, steps + 1))
+    w = step_major((n_common, n_agents, steps + 1))
     np.cumsum(dw, axis=2, out=w[:, :, 1:])
     return w
 
@@ -146,7 +147,7 @@ def agent_strategies(
     the solve was stratified; StepFit.predict reads the stratum count from
     the fit, so a pooled fit gives every agent the one map.  Returns p
     (M0, N, steps, d0) in Brownian coordinates and pi (M0, N, steps, n) in
-    security units.
+    security units, both step-major.
     """
     grid = mf.solution.grid
     steps = grid.steps
@@ -155,8 +156,8 @@ def agent_strategies(
     d0, n = market.d0, market.n
     proj, pos = market.geometry(steps)
 
-    p = np.empty((M0, N, steps, d0))
-    pi = np.empty((M0, N, steps, n))
+    p = step_major((M0, N, steps, d0))
+    pi = step_major((M0, N, steps, n))
     inv_gamma = (1.0 / population.gammas)[None, :, None]
     for k in range(steps):
         raw = feature_columns(basis, bundle.x[:, k, None], bundle.I[:, k, None], w_agents[:, :, k])
@@ -199,7 +200,8 @@ def clearing_residual(
 
     The sum over agents runs in canonical sorted order per (path, step,
     security) slot, so any relabelling of the agents gives bit-identical
-    estimates.  Standard errors come from batching common paths.
+    estimates.  Blocks of common paths are sorted and summed in turn, each
+    copied in C order.  Standard errors come from batching common paths.
     """
     M0 = pi.shape[0]
     if M0 < 2:
@@ -209,8 +211,10 @@ def clearing_residual(
     for N in Ns:
         if N > pi.shape[1]:
             raise ValueError(f"N={N} exceeds agent pool {pi.shape[1]}")
-        s = np.sort(pi[:, :N], axis=1).sum(axis=1) / N          # (M0, steps, n)
-        integ = dt * np.sum(s * s, axis=(1, 2))                 # (M0,)
+        integ = np.empty(M0)
+        for a in range(0, M0, 16):
+            s = np.sort(np.array(pi[a:a + 16, :N], order="C"), axis=1).sum(axis=1) / N
+            integ[a:a + 16] = dt * np.sum(s * s, axis=(1, 2))
         eps.append(float(integ.mean()))
         splits = np.array_split(integ, B)
         bm = np.array([b.mean() for b in splits])

@@ -231,7 +231,7 @@ def stage_bsde(sc: Scenario, writer: StageWriter) -> dict:
         y0_closed = eq.y0_initial() + 0.5 * spec.kappa**2 * grid.horizon
         rel = abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12)
         z0_closed = eq.z0[:, :-1]
-        num = np.sqrt(np.mean((sol.z0[:, 0] - z0_closed) ** 2))
+        num = np.sqrt(np.mean(np.subtract(sol.z0[:, 0], z0_closed, order="C") ** 2))
         den = max(np.sqrt(np.mean(z0_closed**2)), 1e-12)
         details.update(
             {"y0_closed": y0_closed, "y0_rel_err": float(rel),

@@ -17,7 +17,8 @@ n_equilibrium particles; extra particles (used as clearing agents) see the
 same driver but do not enter the average.  So the mean-field solve is the
 agent solve (bsde._solve) with theta taken, at each step of each sweep, from
 the frozen cloud's own z0_par; it records the contraction ratios of the
-sweep-to-sweep changes.
+sweep-to-sweep changes.  Step k's theta reads only step k of z0, so each
+sweep overwrites the one step-major z in place (see bsde).
 """
 
 from __future__ import annotations

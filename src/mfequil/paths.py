@@ -33,6 +33,12 @@ def _philox(seed: int, kind: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def step_major(shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of shape (M, K, steps, ...) stored as (steps, M, K, ...): [:, :, k] is contiguous."""
+    m, k, steps, *tail = shape
+    return np.zeros((steps, m, k, *tail)).transpose(1, 2, 0, *range(3, len(shape)))
+
+
 def normal_block_array(seed: int, kind: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals of the given shape, leading axis split into blocks.
 
@@ -55,6 +61,7 @@ class PathBundle:
     dWi: (M, K, steps, d) idiosyncratic increments, K agents per common path.
     x:   (M, steps + 1) Euler path of the OU factor.
     I:   (M, steps + 1) left-rule running integral of a x^2 + b x.
+    dWi and wi_first are stored step-major (step_major), the rest C-ordered.
     """
 
     grid: TimeGrid
@@ -84,7 +91,7 @@ class PathBundle:
     def wi_first(self) -> np.ndarray:
         """Cumulative first idiosyncratic coordinate, (M, K, steps + 1)."""
         M, K, steps, _ = self.dWi.shape
-        out = np.zeros((M, K, steps + 1))
+        out = step_major((M, K, steps + 1))
         np.cumsum(self.dWi[..., 0], axis=2, out=out[..., 1:])
         return out
 
@@ -108,11 +115,9 @@ def simulate_paths(
     sqdt = np.sqrt(dt)
 
     dW0 = normal_block_array(seed, KIND_COMMON, (n_paths, steps, market.d0)) * sqdt
-    dWi = (
-        normal_block_array(seed, KIND_IDIO, (n_paths * agents, steps, market.d))
-        .reshape(n_paths, agents, steps, market.d)
-        * sqdt
-    )
+    dWi = step_major((n_paths, agents, steps, market.d))
+    np.multiply(normal_block_array(seed, KIND_IDIO, (n_paths * agents, steps, market.d))
+                .reshape(dWi.shape), sqdt, out=dWi)
 
     x, I = _euler_factor(spec, dW0, dt)
     return PathBundle(grid=grid, dW0=dW0, dWi=dWi, x=x, I=I, seed=seed)
@@ -187,9 +192,9 @@ def coarsen_bundle(bundle: PathBundle, factor: int, spec: EqgSpec) -> PathBundle
     steps_c = grid.steps // factor
     coarse_grid = TimeGrid(grid.horizon, steps_c)
     M, _, d0 = bundle.dW0.shape
-    K = bundle.n_agents
-    d = bundle.dWi.shape[3]
+    _, K, _, d = bundle.dWi.shape
     dW0 = bundle.dW0.reshape(M, steps_c, factor, d0).sum(axis=2)
-    dWi = bundle.dWi.reshape(M, K, steps_c, factor, d).sum(axis=3)
+    dWi = step_major((M, K, steps_c, d))
+    np.sum(bundle.dWi.reshape(M, K, steps_c, factor, d), axis=3, out=dWi)
     x, I = _euler_factor(spec, dW0, coarse_grid.dt)
     return PathBundle(grid=coarse_grid, dW0=dW0, dWi=dWi, x=x, I=I, seed=bundle.seed)

@@ -376,11 +376,12 @@ class BasisEngine:
     """Per-step RidgeConditioner factory over a particle cloud.
 
     x and run_i are common-path state arrays of shape (M0, steps + 1); w is
-    the per-particle coordinate of shape (M0, K, steps + 1).  Strata are
-    discrete risk-aversion atoms, given per particle as stratum_ids of shape
-    (K,) (a single stratum pools everything).  weights, of shape
-    (M0, steps + 1), are the cumulative importance weights of a measure
-    change; step k regresses with weights[:, k + 1] on every particle.
+    the per-particle coordinate of shape (M0, K, steps + 1), read a step at a
+    time (a bundle's wi_first is step-major, so w[:, :, k] is contiguous).
+    Strata are discrete risk-aversion atoms, given per particle as
+    stratum_ids of shape (K,) (a single stratum pools everything).  weights,
+    of shape (M0, steps + 1), are the cumulative importance weights of a
+    measure change; step k regresses with weights[:, k + 1] on every particle.
 
     The first at(k) builds step k's conditioner; every later at(k) recomputes
     only the design columns and reuses that build's factors.  The memo holds

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfequil import (
     DiscreteDist, EqgSpec, MarketSpec, RegressionBasis, TimeGrid,
-    agent_strategies, bmo_proxy, build_population, doleans_weights,
+    agent_strategies, bmo_proxy, build_population, coarsen_bundle, doleans_weights,
     equilibrium_path, fresh_idio_levels, gamma_hat, optimal_strategy,
     riccati_for_spec, risk_premium_from_mu, simulate_paths, solve_agent_bsde,
     solve_mean_field, solve_under_q, verify_condition_r,
@@ -227,33 +229,35 @@ def test_time_varying_sigma_uses_each_steps_geometry():
 # the one fixed-point loop shared by the agent, tilted and mean-field solves
 # ---------------------------------------------------------------------------
 
-def scripted_sweep(bundle, market, y0s, zs):
-    """Sweep i returns y0 = y0s[i] and z0 = zs[i] everywhere (z1 = 0), so
+def scripted_sweep(y0s, zs):
+    """Sweep i overwrites y = y0s[i] and z0 = zs[i] everywhere (z1 = 0), so
     dy0 = |y0s[i] - y0s[i-1]| / |y0s[i]| and dz = |zs[i] - zs[i-1]| / |zs[i]|.
-    Its fits are the sweep index and it reports one clip."""
-    M0, K, steps = bundle.n_paths, bundle.n_agents, bundle.grid.steps
+    It returns the sweep index as its fits, the summed squares of the z
+    change and of the new z, and one clip."""
     calls = []
 
-    def sweep(z0, z1):
+    def sweep(y, z0, z1):
         i = len(calls)
         calls.append(i)
-        y = np.full((M0, K, steps + 1), float(y0s[i]))
-        return (y, np.full((M0, K, steps, market.d0), float(zs[i])),
-                np.zeros((M0, K, steps, market.d)), i, 1)
+        dz2 = float(np.sum((zs[i] - z0) ** 2) + np.sum(z1**2))
+        y[...] = y0s[i]
+        z0[...] = zs[i]
+        z1[...] = 0.0
+        return i, dz2, float(np.sum(z0**2)), 1
     return sweep
 
 
 def test_fixed_point_stops_on_both_changes(market2):
     bundle = simulate_paths(TimeGrid(1.0, 2), flat_spec(), market2, 4, 0)
     # y0 settles at once but z keeps moving: no stop until z settles too
-    sol = _fixed_point(scripted_sweep(bundle, market2, [1.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]),
+    sol = _fixed_point(scripted_sweep([1.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]),
                        bundle, market2, max_iters=4, tol=1e-4)
     assert not sol.converged and sol.picard_iters == 4
     assert sol.y0_changes == [0.0, 0.0, 0.0]
     assert sol.z_changes == pytest.approx([1 / 2, 1 / 3, 1 / 4], rel=1e-14)
     # the returned iterate is the last sweep's, and clips add up over sweeps
     assert sol.fits == 3 and np.all(sol.z0 == 4.0) and sol.clip_count == 4
-    sol = _fixed_point(scripted_sweep(bundle, market2, [1.0] * 5, [1.0, 2.0, 2.0, 7.0, 7.0]),
+    sol = _fixed_point(scripted_sweep([1.0] * 5, [1.0, 2.0, 2.0, 7.0, 7.0]),
                        bundle, market2, max_iters=5, tol=1e-4)
     assert sol.converged and sol.picard_iters == 3
     assert sol.fits == 2 and np.all(sol.z0 == 2.0) and sol.clip_count == 3
@@ -263,14 +267,14 @@ def test_fixed_point_guards_growth_and_non_finite(market2):
     bundle = simulate_paths(TimeGrid(1.0, 2), flat_spec(), market2, 4, 0)
     # dz = 0.091, 0.154, 0.235, 0.32: growing at sweeps 3, 4 and 5
     zs = [1.0, 1.1, 1.3, 1.7, 2.5, 2.5]
-    sol = _fixed_point(scripted_sweep(bundle, market2, [1.0] * 6, zs),
+    sol = _fixed_point(scripted_sweep([1.0] * 6, zs),
                        bundle, market2, max_iters=4, tol=1e-4)
     assert not sol.converged and sol.picard_iters == 4
     with pytest.raises(PicardDiverged, match="3 consecutive"):
-        _fixed_point(scripted_sweep(bundle, market2, [1.0] * 6, zs),
+        _fixed_point(scripted_sweep([1.0] * 6, zs),
                      bundle, market2, max_iters=6, tol=1e-4)
     with pytest.raises(PicardDiverged, match="non-finite"):
-        _fixed_point(scripted_sweep(bundle, market2, [1.0, np.nan, 1.0], [1.0] * 3),
+        _fixed_point(scripted_sweep([1.0, np.nan, 1.0], [1.0] * 3),
                      bundle, market2, max_iters=3, tol=1e-4)
 
 
@@ -286,3 +290,78 @@ def test_nan_liability_raises_in_every_solve(grid20, market2):
         solve_under_q(bundle, market2, BASIS, theta, g)
     with pytest.raises(PicardDiverged, match="non-finite"):
         solve_mean_field(bundle, market2, BASIS, g, gammas, gamma_hat(gammas).gamma_hat)
+
+
+# ---------------------------------------------------------------------------
+# one step-major buffer set per solve, overwritten in place
+# ---------------------------------------------------------------------------
+
+def mf_cloud(M0=64, K=16, steps=20, seed=3):
+    """A gamma-coupled mean-field problem: two risk-aversion atoms, tanh(x_T)
+    plus an idiosyncratic leg."""
+    market = make_market()
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.3)
+    bundle = simulate_paths(TimeGrid(0.5, steps), spec, market, M0, seed, agents=K)
+    gammas = np.tile([1.0, 2.0], K // 2)
+    g = 0.3 * np.tanh(bundle.x[:, -1])[:, None] * gammas + 0.1 * bundle.wi_first[:, :, -1]
+    return bundle, market, g, gammas
+
+
+def test_per_step_slices_are_contiguous():
+    bundle, market, g, gammas = mf_cloud()
+    mf = solve_mean_field(bundle, market, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
+                          max_iters=3)
+    sol = mf.solution
+    coarse = coarsen_bundle(bundle, 4, flat_spec())
+    p, pi = optimal_strategy(sol, mf.theta, 1.0, market)
+    w = fresh_idio_levels(3, bundle.n_paths, 5, bundle.grid)
+    p_pool, pi_pool = agent_strategies(mf, bundle, market, BASIS,
+                                       build_population(5, 3, DiscreteDist((1.0, 2.0))), w)
+    arrays = {"y": sol.y, "z0": sol.z0, "z1": sol.z1, "z0_par": sol.z0_par,
+              "z0_perp": sol.z0_perp, "dWi": bundle.dWi, "wi_first": bundle.wi_first,
+              "coarse dWi": coarse.dWi, "coarse wi_first": coarse.wi_first,
+              "p": p, "pi": pi, "pool p": p_pool, "pool pi": pi_pool, "pool w": w}
+    for name, a in arrays.items():
+        for k in range(a.shape[2]):
+            assert a[:, :, k].flags.c_contiguous, (name, k)
+
+
+def test_solve_holds_one_buffer_set():
+    """The traced peak of a mean-field solve above its starting level is one
+    (y, z0, z1) set plus what a single step needs: its design columns and
+    their standardised copy, regression targets and fits, and the driver's
+    temporaries, about 50 doubles per particle at degree 2.  The allowance is
+    80.  A solve that keeps a second iterate, or forms the z change as
+    whole-array temporaries, needs two sets and more."""
+    bundle, market, g, gammas = mf_cloud()
+    M0, K, steps = bundle.n_paths, bundle.n_agents, bundle.grid.steps
+    one_set = 8 * M0 * K * (steps + 1 + steps * (market.d0 + market.d))
+    per_step = 8 * M0 * K * 80
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mf = solve_mean_field(bundle, market, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
+                              max_iters=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mf.solution.picard_iters == 4
+    assert peak - base < one_set + per_step
+
+
+def test_z_changes_match_whole_array_formula():
+    """Sweep i of a solve capped at n sweeps is the last iterate of the same
+    solve capped at i sweeps, so the per-step sums behind z_changes can be
+    checked against the whole-array cloud-L2 change of those iterates."""
+    bundle, market, g, gammas = mf_cloud()
+    ghat = gamma_hat(gammas).gamma_hat
+    iterates = [solve_mean_field(bundle, market, BASIS, g, gammas, ghat, max_iters=i,
+                                 tol=0.0).solution for i in range(1, 5)]
+    n = bundle.n_paths * bundle.n_agents * bundle.grid.steps
+    want = []
+    for old, new in zip(iterates, iterates[1:]):
+        change = np.sum((new.z0 - old.z0) ** 2) + np.sum((new.z1 - old.z1) ** 2)
+        scale = max(np.sqrt((np.sum(new.z0**2) + np.sum(new.z1**2)) / n), 1e-8)
+        want.append(np.sqrt(change / n) / scale)
+    assert iterates[-1].z_changes == pytest.approx(want, rel=1e-12, abs=0)
