@@ -34,9 +34,10 @@ def one_resolution(cfg, steps, n_paths, seed):
     sol = solve_agent_bsde(bundle, market, sc.basis, eq.theta, g)
 
     y0_closed = eq.y0_initial() + 0.5 * spec.kappa**2 * grid.horizon
+    z0 = np.stack([sol.z_at(k)[:, 0, :market.d0] for k in range(grid.steps)], axis=1)
     z0_closed = eq.z0[:, :-1]
     y0_rel = abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12)
-    num = np.sqrt(np.mean(np.subtract(sol.z0[:, 0], z0_closed, order="C") ** 2))
+    num = np.sqrt(np.mean(np.subtract(z0, z0_closed, order="C") ** 2))
     den = np.sqrt(np.mean(z0_closed**2))
     return y0_rel, float(num / den), sol.picard_iters
 

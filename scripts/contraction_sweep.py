@@ -64,9 +64,8 @@ def main(argv=None):
         d = mf.diagnostics
         ratios = [r for r in d.ratios if np.isfinite(r)]
         first = ratios[0] if ratios else float("nan")
-        y0 = float(np.mean(mf.solution.y[:, :, 0]))
         print(f"{s:>8.2f} {d.f_inf:>10.4g} {'in' if d.smallness_ok else 'out':>6} "
-              f"{d.iterations:>7d} {first:>10.4f} {y0:>12.5g}")
+              f"{d.iterations:>7d} {first:>10.4f} {mf.solution.y0:>12.5g}")
     return 0
 
 

@@ -87,7 +87,7 @@ from .meanfield import (
     smallness_report,
     solve_mean_field,
 )
-from .paths import PathBundle, coarsen_bundle, export_paths_csv, simulate_paths
+from .paths import PathBundle, coarsen_bundle, simulate_paths
 from .regression import BasisEngine, RegressionBasis, TreeEngine, feature_columns
 from .riccati import (
     EqgSpec,

@@ -18,8 +18,11 @@ stops once the larger of the relative y0 change and the relative cloud-L2 z
 change is below tol.  A non-finite change, or a change that grows for 3
 consecutive sweeps, raises PicardDiverged.  The same backward pass, with
 importance weights and theta-shifted increments, solves the measure-changed
-form whose driver drops the -z0_par theta term.  A solve holds one
-step-major set of y and z and each sweep overwrites it one step at a time.
+form whose driver drops the -z0_par theta term.
+
+The solution is its coefficients, each step's fit maps on the engine's
+basis: no (particle, step) array of y or z is stored.  A sweep rebuilds the
+previous iterate's z one step at a time and holds y at two steps only.
 
 Verification is the optimality-of-martingale test: along the candidate
 optimum p*, the process R^p = -exp(-gamma (W^p - Y)) must be a martingale,
@@ -29,14 +32,13 @@ and a strict supermartingale along any perturbed strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import PicardDiverged, WeightDegenerate
 from .market import MarketSpec, TimeGrid
 from .paths import PathBundle, step_major
-from .regression import BasisEngine, RegressionBasis, StepFit
+from .regression import BasisEngine, RegressionBasis
 
 
 def cole_hopf_oracle(g_samples: np.ndarray) -> float:
@@ -48,45 +50,60 @@ def cole_hopf_oracle(g_samples: np.ndarray) -> float:
 
 @dataclass
 class BsdeSolution:
-    """Backward-induction output on a particle cloud of shape (M0, K).
+    """Backward-induction output on a particle cloud of shape (M0, K): its fit maps.
 
-    y is stored on nodes, z on intervals, all step-major.  z0_par / z0_perp
-    are the row-space split of z0 under the (piecewise constant) market
-    volatility; each is another z0-sized array, so it is made on first use.
+    fits[k] maps step k's state to (z0, z1) and y_fits[k] to the stage-1 pair
+    (y_k+1, driver), so y_k = fitted y_k+1 + dt fitted driver + dt f_det[k].
+    z_at and y_at rebuild one step on the solve's engine, to the bits the
+    last sweep computed; materialise stacks every step, for small solves.
     """
 
     grid: TimeGrid
     market: MarketSpec
-    y: np.ndarray            # (M0, K, steps + 1)
-    z0: np.ndarray           # (M0, K, steps, d0)
-    z1: np.ndarray           # (M0, K, steps, d)
-    picard_iters: int
-    converged: bool
-    clip_count: int
+    engine: object              # BasisEngine or TreeEngine the solve regressed with
+    g: np.ndarray               # (M0, K) terminal values
+    f_det: list[float]          # deterministic driver part per step
+    fits: list                  # z fit map per step
+    y_fits: list                # stage-1 (y, driver) fit map per step
+    y0: float                   # mean initial value
+    picard_iters: int = 0
+    converged: bool = False
+    clip_count: int = 0
     y0_changes: list[float] = field(default_factory=list)   # dy0 of sweeps 2, 3, ...
     z_changes: list[float] = field(default_factory=list)    # dz of sweeps 2, 3, ...
-    fits: list[StepFit] = field(default_factory=list)   # last sweep's z fit map per step
 
-    @property
-    def layout(self) -> tuple[int, int]:
-        return self.y.shape[0], self.y.shape[1]
+    def z_at(self, k: int, cond=None) -> np.ndarray:
+        """z (M0, K, d0 + d) on interval k: z0 in the first d0 columns, z1 after.
 
-    @property
-    def y0(self) -> float:
-        """Initial value (identical across particles up to regression noise)."""
-        return float(np.mean(self.y[:, :, 0]))
+        cond is step k's conditioner, when the caller has built it already.
+        """
+        cond = self.engine.at(k) if cond is None else cond
+        return cond.evaluate(self.fits[k]).reshape(*self.g.shape, -1)
 
-    @cached_property
-    def z0_par(self) -> np.ndarray:
-        out = step_major(self.z0.shape)
-        proj, _ = self.market.geometry(self.grid.steps)
-        for k in range(self.grid.steps):
-            out[:, :, k, :] = self.z0[:, :, k, :] @ proj[k]
-        return out
+    def y_at(self, k: int, cond=None) -> np.ndarray:
+        """y (M0, K) on node k; cond as in z_at."""
+        if k == self.grid.steps:
+            return self.g
+        cond = self.engine.at(k) if cond is None else cond
+        fitted = cond.evaluate(self.y_fits[k])
+        dt = self.grid.dt
+        return (fitted[:, 0] + dt * fitted[:, 1]).reshape(self.g.shape) + dt * self.f_det[k]
 
-    @cached_property
-    def z0_perp(self) -> np.ndarray:
-        return self.z0 - self.z0_par
+    def materialise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every step stacked, step-major: y (M0, K, steps + 1), z0 and z1 (M0, K, steps, ·)."""
+        M0, K = self.g.shape
+        steps, d0 = self.grid.steps, self.market.d0
+        y, z = step_major((M0, K, steps + 1)), step_major((M0, K, steps, d0 + self.market.d))
+        y[:, :, steps] = self.g
+        for k in range(steps):
+            cond = self.engine.at(k)
+            y[:, :, k], z[:, :, k] = self.y_at(k, cond), self.z_at(k, cond)
+        return y, z[..., :d0], z[..., d0:]
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1) a column at a time: the same sums below 8 columns, and faster."""
+    return sum((a[..., j] for j in range(1, a.shape[-1])), a[..., 0])
 
 
 def _as_theta_at(theta: np.ndarray, steps: int, d0: int, n_paths: int):
@@ -101,86 +118,84 @@ def _as_theta_at(theta: np.ndarray, steps: int, d0: int, n_paths: int):
     )
 
 
-def _backward_pass(engine, g: np.ndarray, dW0: np.ndarray, dWi: np.ndarray, dt: float,
-                   driver, y: np.ndarray, z0: np.ndarray, z1: np.ndarray, tilt=None):
-    """One linear backward sweep with the driver frozen at the z it is given.
+def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec,
+                   driver, prev: BsdeSolution | None, tilt=None):
+    """One linear backward sweep with the driver frozen at the previous iterate.
 
-    driver(k) -> (pathwise (M0, K) array, deterministic scalar); both are
-    added to the continuation value, the scalar outside the regression.
-    tilt(k) -> theta_k makes it the measure-changed sweep: the common
-    increments are shifted by theta_k dt.  Its regressions are weighted by the
-    cumulative weights the engine was built with, so tilt carries no weights.
-    y, z0 and z1 are overwritten in place, step k of z after driver(k), which
-    reads only step k, has read it.  Returns each step's z fit map and the
-    summed squares of the change of z and of the new z.
+    prev is the previous sweep's solution (None: z = 0).  Step k of its z is
+    rebuilt on step k's conditioner, which the sweep builds anyway, and
+    driver(k, z) -> (pathwise (M0, K) array, deterministic scalar) freezes
+    the driver there; both are added to the continuation value, the scalar
+    outside the regression.  tilt(k) -> theta_k makes it the measure-changed
+    sweep: the common increments are shifted by theta_k dt.  Its regressions
+    are weighted by the cumulative weights the engine was built with, so tilt
+    carries no weights.  Only y at steps k + 1 and k is held.  Returns the
+    new solution, y at step 0, and the summed squares of the change of z and
+    of the new z.
     """
+    dW0, dWi, dt = bundle.dW0, bundle.dWi, bundle.grid.dt
     M0, K = g.shape
-    steps, d0 = dW0.shape[1], dW0.shape[2]
+    steps, d0, d = bundle.grid.steps, market.d0, market.d
     P = M0 * K
-    y[:, :, steps] = g
-    fits = [None] * steps
+    fits, y_fits, f_det = [None] * steps, [None] * steps, [0.0] * steps
     stage1 = np.empty((P, 2))
-    prods = np.empty((P, d0 + dWi.shape[3]))
+    prods = np.empty((P, d0 + d))
     prods3 = prods.reshape(M0, K, -1)
+    y = g
     dz2 = z2 = 0.0
     for k in range(steps - 1, -1, -1):
         dw0_k = dW0[:, k, :]
         if tilt is not None:
             dw0_k = dw0_k + tilt(k) * dt
         cond = engine.at(k)
-        y_next = y[:, :, k + 1]
-        f_path, f_det = driver(k)
+        z_old = np.zeros((M0, K, d0 + d)) if prev is None else prev.z_at(k, cond)
+        f_path, f_det[k] = driver(k, z_old)
 
-        stage1[:, 0] = y_next.reshape(P)
+        stage1[:, 0] = y.reshape(P)
         stage1[:, 1] = f_path.reshape(P)
-        fitted1, _ = cond.fit(stage1)
+        fitted1, y_fits[k] = cond.fit(stage1)
         y_fit = fitted1[:, 0]
 
-        resid = (y_next.reshape(P) - y_fit).reshape(M0, K, 1)
+        resid = (y.reshape(P) - y_fit).reshape(M0, K, 1)
         np.multiply(resid, dw0_k[:, None, :], out=prods3[..., :d0])
         np.multiply(resid, dWi[:, :, k, :], out=prods3[..., d0:])
         prods /= dt
         fitted2, fits[k] = cond.fit(prods)
 
         new = fitted2.reshape(M0, K, -1)
-        dz2 += float(np.sum((new[..., :d0] - z0[:, :, k]) ** 2)
-                     + np.sum((new[..., d0:] - z1[:, :, k]) ** 2))
+        dz2 += float(np.sum((new[..., :d0] - z_old[..., :d0]) ** 2)
+                     + np.sum((new[..., d0:] - z_old[..., d0:]) ** 2))
         z2 += float(np.sum(fitted2**2))
-        z0[:, :, k] = new[..., :d0]
-        z1[:, :, k] = new[..., d0:]
-        y[:, :, k] = (y_fit + dt * fitted1[:, 1]).reshape(M0, K) + dt * f_det
-    return fits, dz2, z2
+        y = (y_fit + dt * fitted1[:, 1]).reshape(M0, K) + dt * f_det[k]
+    sol = BsdeSolution(grid=bundle.grid, market=market, engine=engine, g=g, f_det=f_det,
+                       fits=fits, y_fits=y_fits, y0=float(np.mean(y)))
+    return sol, y, dz2, z2
 
 
-def _fixed_point(
-    sweep, bundle: PathBundle, market: MarketSpec, max_iters: int, tol: float
-) -> BsdeSolution:
+def _fixed_point(sweep, n: int, max_iters: int, tol: float):
     """Picard iteration of sweep from z = 0: the one loop, run by _solve.
 
-    sweep(y, z0, z1) -> (fits, dz2, z2, clips) is one backward pass that
-    overwrites the loop's one step-major (y, z0, z1) set; dz2 and z2 are the
-    summed squares of the z change and of the new z.  From the second sweep
-    on, dy0 is the sup change of y0 over sup |y0| and dz the cloud-L2 change
-    of z over the cloud-L2 norm of the new z, both scales floored at 1e-8.
-    The loop stops once max(dy0, dz) < tol, and raises PicardDiverged on a
-    non-finite change or after 3 consecutive growing changes.  Returns the
-    last sweep's iterate with clips summed over sweeps.
+    sweep(prev) -> (solution, y0, dz2, z2, clips) is one backward pass with
+    the driver frozen at prev, the previous sweep's solution (None in the
+    first sweep: z = 0).  y0 is the new (M0, K) initial value; dz2 and z2
+    are the summed squares of the z change and of the new z over its n
+    entries.  From the second sweep on, dy0 is the sup change of y0 over
+    sup |y0| and dz the cloud-L2 change of z over the cloud-L2 norm of the
+    new z, both scales floored at 1e-8.  The loop stops once
+    max(dy0, dz) < tol, and raises PicardDiverged on a non-finite change or
+    after 3 consecutive growing changes.  Returns the last sweep's solution
+    with the sweep count, convergence, changes and clips summed over sweeps.
     """
-    M0, K, steps = bundle.n_paths, bundle.n_agents, bundle.grid.steps
-    n = M0 * K * steps
-    y = step_major((M0, K, steps + 1))
-    z0 = step_major((M0, K, steps, market.d0))
-    z1 = step_major((M0, K, steps, market.d))
     y0_changes: list[float] = []
     z_changes: list[float] = []
     clips = grows = 0
     change_prev = np.inf
     converged = False
+    sol = None
     for it in range(max_iters):
-        fits, dz2, z2, n_clip = sweep(y, z0, z1)
+        sol, y0, dz2, z2, n_clip = sweep(sol)
         clips += n_clip
         if it:
-            y0 = y[:, :, 0]
             dy0 = float(np.max(np.abs(y0 - y0_prev))) / max(float(np.max(np.abs(y0))), 1e-8)
             dz = float(np.sqrt(dz2 / n) / max(np.sqrt(z2 / n), 1e-8))
             if not (np.isfinite(dy0) and np.isfinite(dz)):
@@ -197,12 +212,10 @@ def _fixed_point(
                     f"change grew for 3 consecutive sweeps, to {change:.3g} at sweep {it + 1}"
                 )
             change_prev = change
-        y0_prev = y[:, :, 0].copy()
-    return BsdeSolution(
-        grid=bundle.grid, market=market, y=y, z0=z0, z1=z1,
-        picard_iters=it + 1, converged=converged, clip_count=clips,
-        y0_changes=y0_changes, z_changes=z_changes, fits=fits,
-    )
+        y0_prev = y0
+    sol.picard_iters, sol.converged, sol.clip_count = it + 1, converged, clips
+    sol.y0_changes, sol.z_changes = y0_changes, z_changes
+    return sol
 
 
 def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_at,
@@ -217,15 +230,16 @@ def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_
     solve drops -z0_par theta, which its measure absorbs, and shifts the
     common increments by theta_at(k, None) dt; its engine carries the weights.
     A deterministic theta (theta_det) adds -|theta|^2 / 2 outside the
-    regression.  The engine lives for this one solve, so each step's
-    regression is built in the first sweep and reused by the later ones.
+    regression.  The engine lives as long as the solution, so each step's
+    regression is built in the first sweep and reused by the later ones and
+    by every read of the solution.
     """
-    steps, dt = bundle.grid.steps, bundle.grid.dt
+    steps = bundle.grid.steps
     g = np.asarray(g, dtype=float).reshape(bundle.n_paths, bundle.n_agents)
     proj, _ = market.geometry(steps)
     tilt = (lambda k: theta_at(k, None)) if tilted else None
 
-    def sweep(y, z0, z1):
+    def sweep(prev):
         clips = 0
 
         def clipped(z):
@@ -234,10 +248,11 @@ def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_
             clips += n
             return np.clip(z, -clip, clip) if n else z
 
-        def driver(k):
-            z0k, z1k = clipped(z0[:, :, k]), clipped(z1[:, :, k])
+        def driver(k, z):
+            z = clipped(z)
+            z0k, z1k = z[..., :market.d0], z[..., market.d0:]
             z0_par = z0k @ proj[k]
-            f = 0.5 * (np.sum((z0k - z0_par) ** 2, axis=2) + np.sum(z1k**2, axis=2))
+            f = 0.5 * (_sum_last((z0k - z0_par) ** 2) + _sum_last(z1k**2))
             th = theta_at(k, z0_par)
             if not tilted:
                 f = f - np.einsum("mkj,mj->mk", z0_par, th)
@@ -245,10 +260,10 @@ def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_
                 return f, -0.5 * float(np.sum(th[0] ** 2))
             return f - 0.5 * np.sum(th**2, axis=1)[:, None], 0.0
 
-        out = _backward_pass(engine, g, bundle.dW0, bundle.dWi, dt, driver, y, z0, z1, tilt)
+        out = _backward_pass(engine, g, bundle, market, driver, prev, tilt)
         return (*out, clips)
 
-    return _fixed_point(sweep, bundle, market, max_iters, tol)
+    return _fixed_point(sweep, g.size * steps, max_iters, tol)
 
 
 def solve_agent_bsde(
@@ -339,15 +354,15 @@ def optimal_strategy(
     """
     grid = solution.grid
     steps = grid.steps
-    M0, K = solution.layout
+    M0, K = solution.g.shape
     d0 = market.d0
     theta_at, _ = _as_theta_at(theta, steps, d0, M0)
-    _, pos = market.geometry(steps)
+    proj, pos = market.geometry(steps)
     p = step_major((M0, K, steps, d0))
     pi = step_major((M0, K, steps, market.n))
-    z0_par = solution.z0_par
     for k in range(steps):
-        p[:, :, k, :] = (z0_par[:, :, k, :] + theta_at(k)[:, None, :]) / gamma
+        z0 = solution.z_at(k)[..., :d0]
+        p[:, :, k, :] = (z0 @ proj[k] + theta_at(k)[:, None, :]) / gamma
         pi[:, :, k, :] = p[:, :, k, :] @ pos[k].T
     return p, pi
 
@@ -407,7 +422,7 @@ def verify_condition_r(
     """
     grid = solution.grid
     steps, dt = grid.steps, grid.dt
-    M0, K = solution.layout
+    M0, K = solution.g.shape
     d0 = market.d0
     theta_at, _ = _as_theta_at(theta, steps, d0, M0)
     proj, _ = market.geometry(steps)
@@ -418,7 +433,7 @@ def verify_condition_r(
         ]
 
     p_star, _ = optimal_strategy(solution, theta, gamma, market)
-    Y = solution.y / gamma
+    Y = solution.materialise()[0] / gamma
     F = np.asarray(g_samples, dtype=float).reshape(M0, K) / gamma
 
     def drift_stats(p):
@@ -463,27 +478,18 @@ def verify_condition_r(
     )
 
 
-def bmo_proxy(
-    z0: np.ndarray,
-    z1: np.ndarray,
-    dt: float,
-    engine,
-    scale: np.ndarray | None = None,
-) -> float:
+def bmo_proxy(backward, dt: float) -> float:
     """Regression estimate of sup_t E[ int_t^T |z|^2 ds | F_t ].
 
-    Fits the remaining quadratic variation on the state basis at every step
-    and takes the max fitted value.
-    scale, of shape (K,), multiplies each particle's z; it is applied one
-    step at a time, so no scaled copy of z is made.  The remaining variation
-    is accumulated backward step by step, the same additions np.cumsum makes.
+    backward yields (cond, z0, z1) for k = steps - 1, ..., 0: step k's
+    conditioner and z on interval k, of shapes (M0, K, d0) and (M0, K, d).
+    The remaining quadratic variation is accumulated backward step by step,
+    the same additions np.cumsum makes, fitted on each step's state basis,
+    and the max fitted value is returned.
     """
-    M0, K, steps = z0.shape[:3]
-    s = 1.0 if scale is None else np.asarray(scale, dtype=float)[None, :, None]
     remaining = out = 0.0
-    for k in range(steps - 1, -1, -1):
-        z0k, z1k = z0[:, :, k] * s, z1[:, :, k] * s
-        remaining = remaining + (np.sum(z0k**2, axis=2) + np.sum(z1k**2, axis=2)) * dt
-        fitted, _ = engine.at(k).fit(remaining.reshape(M0 * K))
+    for cond, z0, z1 in backward:
+        remaining = remaining + (_sum_last(z0**2) + _sum_last(z1**2)) * dt
+        fitted, _ = cond.fit(remaining.reshape(-1))
         out = max(out, float(np.max(fitted)))
     return out

@@ -14,7 +14,9 @@ risk-aversion stratum, and its optimal position is
 The clearing residual eps_N = E int_0^T |N^{-1} sum_i pi^{i,*}|^2 dt is
 estimated by a left-endpoint rule with common-path batching for standard
 errors; per-capita sums are evaluated in canonical (sorted) order so that
-relabelling agents reproduces eps_N bit for bit.  rate_fit checks the
+relabelling agents reproduces eps_N bit for bit.  The pool is evaluated one
+step at a time and only its per-capita sums are kept, so no array over
+(path, agent, step) is formed.  rate_fit checks the
 O(1/N) decay by a log-log slope and a Jensen-style bound diagnostic
 N eps_N <= 4 (1 + gamma_hat^2 / gamma_lo^2) * (BMO proxy of the normalized
 hedging integrands) * (1 + slack).
@@ -140,32 +142,21 @@ def agent_strategies(
     basis: RegressionBasis,
     population: Population,
     w_agents: np.ndarray,
+    k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal positions of fresh agents under the fitted solution map.
+    """Optimal positions of fresh agents at step k under the fitted solution map.
 
     Each agent is evaluated with the fit of its own risk-aversion atom when
     the solve was stratified; StepFit.predict reads the stratum count from
     the fit, so a pooled fit gives every agent the one map.  Returns p
-    (M0, N, steps, d0) in Brownian coordinates and pi (M0, N, steps, n) in
-    security units, both step-major.
+    (M0, N, d0) in Brownian coordinates and pi (M0, N, n) in security units.
     """
-    grid = mf.solution.grid
-    steps = grid.steps
-    M0 = bundle.n_paths
-    N = population.size
-    d0, n = market.d0, market.n
-    proj, pos = market.geometry(steps)
-
-    p = step_major((M0, N, steps, d0))
-    pi = step_major((M0, N, steps, n))
-    inv_gamma = (1.0 / population.gammas)[None, :, None]
-    for k in range(steps):
-        raw = feature_columns(basis, bundle.x[:, k, None], bundle.I[:, k, None], w_agents[:, :, k])
-        z_hat = mf.solution.fits[k].predict(raw, population.atom_ids)[:, :d0]
-        z_hat = z_hat.reshape(M0, N, d0)
-        p[:, :, k, :] = (z_hat @ proj[k] + mf.theta[:, k, None, :]) * inv_gamma
-        pi[:, :, k, :] = p[:, :, k, :] @ pos[k].T
-    return p, pi
+    M0, N, d0 = bundle.n_paths, population.size, market.d0
+    proj, pos = market.geometry(mf.solution.grid.steps)
+    raw = feature_columns(basis, bundle.x[:, k, None], bundle.I[:, k, None], w_agents[:, :, k])
+    z_hat = mf.solution.fits[k].predict(raw, population.atom_ids)[:, :d0].reshape(M0, N, d0)
+    p = (z_hat @ proj[k] + mf.theta[:, k, None, :]) * (1.0 / population.gammas)[None, :, None]
+    return p, p @ pos[k].T
 
 
 @dataclass
@@ -191,30 +182,37 @@ class ClearingReport:
 
 
 def clearing_residual(
-    pi: np.ndarray,
+    pi_steps,
     Ns: list[int],
     dt: float,
     n_batches: int = 20,
 ) -> tuple[list[float], list[float]]:
     """eps_N = E int |per-capita position|^2 dt for each N (prefix of the pool).
 
-    The sum over agents runs in canonical sorted order per (path, step,
-    security) slot, so any relabelling of the agents gives bit-identical
-    estimates.  Blocks of common paths are sorted and summed in turn, each
-    copied in C order.  Standard errors come from batching common paths.
+    pi_steps yields the pool's positions one step at a time, in step order,
+    each of shape (M0, pool, n).  For each N only the per-capita sums,
+    (M0, steps, n), are kept.  The sum over agents runs in canonical sorted
+    order per (path, step, security) slot, so any relabelling of the agents
+    gives bit-identical estimates.  Standard errors come from batching
+    common paths.
     """
-    M0 = pi.shape[0]
-    if M0 < 2:
-        raise ValueError("need at least 2 common paths for standard errors")
+    sums: list[list[np.ndarray]] = [[] for _ in Ns]
+    for pi in pi_steps:
+        M0, pool = pi.shape[:2]
+        if M0 < 2:
+            raise ValueError("need at least 2 common paths for standard errors")
+        for N, per_step in zip(Ns, sums):
+            if N > pool:
+                raise ValueError(f"N={N} exceeds agent pool {pool}")
+            # agents on the leading axis of a C-ordered copy: the sum adds
+            # them one after another in sorted order
+            srt = np.ascontiguousarray(np.sort(pi[:, :N], axis=1).transpose(1, 0, 2))
+            per_step.append(srt.sum(axis=0) / N)
     B = min(n_batches, M0)
     eps, ses = [], []
-    for N in Ns:
-        if N > pi.shape[1]:
-            raise ValueError(f"N={N} exceeds agent pool {pi.shape[1]}")
-        integ = np.empty(M0)
-        for a in range(0, M0, 16):
-            s = np.sort(np.array(pi[a:a + 16, :N], order="C"), axis=1).sum(axis=1) / N
-            integ[a:a + 16] = dt * np.sum(s * s, axis=(1, 2))
+    for per_step in sums:
+        s = np.stack(per_step, axis=1)
+        integ = dt * np.sum(s * s, axis=(1, 2))
         eps.append(float(integ.mean()))
         splits = np.array_split(integ, B)
         bm = np.array([b.mean() for b in splits])
@@ -272,7 +270,7 @@ def solve_equilibrium_cloud(
         n_eq=n_eq, max_iters=mf_iters, tol=mf_tol, clip=clip,
         stratum_ids=cloud.atom_ids if stratified else None,
         n_strata=len(gamma_dist.values) if stratified else 1,
-        diagnostics=diag, compute_stability=True,
+        diagnostics=diag,
     )
     return mf, bundle, stats
 
@@ -298,7 +296,8 @@ def run_clearing_study(
 
     Solves the mean-field equation on a balanced equilibrium cloud, draws a
     fresh i.i.d. agent pool of size max(Ns), evaluates every agent through
-    the stored per-step solution maps, and estimates eps_N with its rate.
+    the stored per-step solution maps one step at a time, and estimates
+    eps_N with its rate.
     The rate fit is attached only when Ns satisfies the span precondition.
     """
     mf, bundle, stats = solve_equilibrium_cloud(
@@ -307,8 +306,9 @@ def run_clearing_study(
     )
     pool = build_population(max(Ns), seed, gamma_dist, balanced=False)
     w_agents = fresh_idio_levels(seed, n_common, pool.size, grid)
-    _, pi = agent_strategies(mf, bundle, market, basis, pool, w_agents)
-    eps, ses = clearing_residual(pi, Ns, grid.dt, n_batches=n_batches)
+    pi_steps = (agent_strategies(mf, bundle, market, basis, pool, w_agents, k)[1]
+                for k in range(grid.steps))
+    eps, ses = clearing_residual(pi_steps, Ns, grid.dt, n_batches=n_batches)
     report = ClearingReport(
         Ns=list(Ns), eps=eps, stderr=ses,
         gamma_hat=stats.gamma_hat, gamma_lo=stats.gamma_lo,

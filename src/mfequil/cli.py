@@ -230,8 +230,9 @@ def stage_bsde(sc: Scenario, writer: StageWriter) -> dict:
     if liability.is_additive:
         y0_closed = eq.y0_initial() + 0.5 * spec.kappa**2 * grid.horizon
         rel = abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12)
+        z0 = np.stack([sol.z_at(k)[:, 0, :market.d0] for k in range(grid.steps)], axis=1)
         z0_closed = eq.z0[:, :-1]
-        num = np.sqrt(np.mean(np.subtract(sol.z0[:, 0], z0_closed, order="C") ** 2))
+        num = np.sqrt(np.mean(np.subtract(z0, z0_closed, order="C") ** 2))
         den = max(np.sqrt(np.mean(z0_closed**2)), 1e-12)
         details.update(
             {"y0_closed": y0_closed, "y0_rel_err": float(rel),

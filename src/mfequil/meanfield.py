@@ -17,8 +17,9 @@ n_equilibrium particles; extra particles (used as clearing agents) see the
 same driver but do not enter the average.  So the mean-field solve is the
 agent solve (bsde._solve) with theta taken, at each step of each sweep, from
 the frozen cloud's own z0_par; it records the contraction ratios of the
-sweep-to-sweep changes.  Step k's theta reads only step k of z0, so each
-sweep overwrites the one step-major z in place (see bsde).
+sweep-to-sweep changes.  Step k's theta reads only step k of z0, which the
+sweep rebuilds from the previous iterate's fit map (see bsde).  One pass
+after the solve gives the reported Ebar, sup |Y| and the BMO proxy.
 """
 
 from __future__ import annotations
@@ -88,18 +89,6 @@ def smallness_from_liability(
     )
 
 
-def _ebar_path(z0: np.ndarray, gammas: np.ndarray, market: MarketSpec, n_eq: int) -> np.ndarray:
-    """Ebar_n on every interval: (M0, steps, d0) cloud mean of (1/gamma) z0_par."""
-    M0, K, steps, d0 = z0.shape
-    proj, _ = market.geometry(steps)
-    out = np.empty((M0, steps, d0))
-    inv_gamma = (1.0 / gammas)[None, :n_eq, None]
-    for k in range(steps):
-        z_par = z0[:, :n_eq, k, :] @ proj[k]
-        out[:, k, :] = np.mean(inv_gamma * z_par, axis=1)
-    return out
-
-
 @dataclass
 class MeanFieldSolution:
     """Converged cloud solution with the implied equilibrium risk premium."""
@@ -128,7 +117,6 @@ def solve_mean_field(
     stratum_ids: np.ndarray | None = None,
     n_strata: int = 1,
     diagnostics: ContractionDiagnostics | None = None,
-    compute_stability: bool = False,
 ) -> MeanFieldSolution:
     """Fixed-point iteration of the mean-field map from z = 0.
 
@@ -144,7 +132,9 @@ def solve_mean_field(
     dy0 and dz apart as y0_changes and z_changes, and its fits are the last
     sweep's z fit maps.  stratum_ids, of shape (K,), gives each particle's
     regression stratum.  Every sweep and the BMO proxy share one engine, so
-    each step's regression is built once.
+    each step's regression is built once.  The reported theta, Ebar,
+    diagnostics.y_inf (sup |Y|) and diagnostics.z_bmo (BMO proxy of
+    (Z0, Z1) = z / gamma) come from one backward pass over the final iterate.
     """
     dt = bundle.grid.dt
     gam = np.asarray(gammas, dtype=float)
@@ -161,7 +151,6 @@ def solve_mean_field(
         return -gamma_hat * np.mean(inv_gamma_eq * z0_par[:, :n_eq, :], axis=1)
 
     sol = _solve(bundle, market, engine, g_samples, theta_at, False, max_iters, tol, clip)
-    z0, z1 = sol.z0, sol.z1
     changes = [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
     diagnostics.changes = changes
     diagnostics.ratios = [
@@ -170,16 +159,26 @@ def solve_mean_field(
     diagnostics.iterations = sol.picard_iters
     diagnostics.converged = sol.converged
 
-    # recompute the mean field from the final iterate so the reported theta
-    # is the one the returned (y, z) actually solve
-    ebar = _ebar_path(z0, gam, market, n_eq)
+    # the mean field is recomputed from the final iterate, so the reported
+    # theta is the one the returned solution solves
+    steps = bundle.grid.steps
+    proj, _ = market.geometry(steps)
+    inv_gamma = (1.0 / gam)[None, :, None]
+    ebar = np.empty((bundle.n_paths, steps, market.d0))
+    y_max = [np.max(np.abs(sol.g / gam[None, :]))]
+
+    def backward():
+        for k in range(steps - 1, -1, -1):
+            cond = engine.at(k)
+            z = sol.z_at(k, cond)
+            z0, z1 = z[..., :market.d0], z[..., market.d0:]
+            ebar[:, k, :] = np.mean(inv_gamma_eq * (z0[:, :n_eq] @ proj[k]), axis=1)
+            y_max.append(np.max(np.abs(sol.y_at(k, cond) / gam[None, :])))
+            yield cond, z0 * inv_gamma, z1 * inv_gamma
+
+    diagnostics.z_bmo = bmo_proxy(backward(), dt)
+    diagnostics.y_inf = float(np.max(y_max))
     theta = -gamma_hat * ebar
-    if compute_stability:
-        # per step, so no gamma-scaled copy of y or z is made; the engine has
-        # every step's regression from the sweeps and builds nothing here
-        y_max = [np.max(np.abs(sol.y[:, :, k] / gam[None, :])) for k in range(sol.y.shape[2])]
-        diagnostics.y_inf = float(np.max(y_max))
-        diagnostics.z_bmo = bmo_proxy(z0, z1, dt, engine, scale=1.0 / gam)
     return MeanFieldSolution(
         solution=sol, theta=theta, ebar=ebar, gammas=gam,
         gamma_hat=gamma_hat, n_eq=n_eq, diagnostics=diagnostics,

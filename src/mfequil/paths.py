@@ -10,13 +10,11 @@ discretisation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import parallel
 from .market import MarketSpec, TimeGrid
 from .riccati import EqgSpec
 
@@ -26,6 +24,18 @@ KIND_COMMON = 1
 KIND_IDIO = 2
 KIND_GAMMA = 3
 KIND_AUX = 5
+
+BLOCK = 1024
+
+
+def block_ranges(total: int, block: int = BLOCK) -> list[tuple[int, int]]:
+    """[(start, stop), ...] covering range(total) in fixed-size blocks.
+
+    Boundaries depend only on the problem size: normal draws are keyed by
+    block index and the regressions' Gram sums are reduced in block order,
+    so both are bit-identical for every BLAS thread count.
+    """
+    return [(s, min(s + block, total)) for s in range(0, total, block)]
 
 
 def _philox(seed: int, kind: int, block: int) -> np.random.Generator:
@@ -48,7 +58,7 @@ def normal_block_array(seed: int, kind: int, shape: tuple[int, ...]) -> np.ndarr
     total = shape[0]
     per_row = int(np.prod(shape[1:], dtype=np.int64))
     out = np.empty((total, per_row))
-    for b, (start, stop) in enumerate(parallel.block_ranges(total)):
+    for b, (start, stop) in enumerate(block_ranges(total)):
         out[start:stop] = _philox(seed, kind, b).standard_normal((stop - start, per_row))
     return out.reshape(shape)
 
@@ -153,30 +163,6 @@ def ou_exact_moments(spec: EqgSpec, t: float) -> tuple[float, float]:
 
 def format_float(v: float) -> str:
     return f"{v:.17g}"
-
-
-def export_paths_csv(bundle: PathBundle, out_path: str) -> None:
-    """Write (path, step, t, x, I, dW0_1..dW0_d0) rows, one per grid node.
-
-    The increment columns hold the increment on [t_k, t_k+1); they are zero
-    in each path's terminal row.
-    """
-    grid = bundle.grid
-    d0 = bundle.dW0.shape[2]
-    times = grid.times
-    with open(out_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["path", "step", "t", "x", "I"] + [f"dW0_{j + 1}" for j in range(d0)]
-        )
-        for m in range(bundle.n_paths):
-            for k in range(grid.steps + 1):
-                inc = bundle.dW0[m, k] if k < grid.steps else np.zeros(d0)
-                writer.writerow(
-                    [m, k, format_float(times[k]), format_float(bundle.x[m, k]),
-                     format_float(bundle.I[m, k])]
-                    + [format_float(v) for v in inc]
-                )
 
 
 def coarsen_bundle(bundle: PathBundle, factor: int, spec: EqgSpec) -> PathBundle:

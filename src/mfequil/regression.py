@@ -20,11 +20,13 @@ Design choices that matter for reproducibility and the exactness tests:
   of the particle axis, in the flat row order (path, particle);
 * a BasisEngine builds each step's conditioner once and keeps only its
   factors (kept columns, column mean and scale, weight sum, Cholesky factor
-  of the ridged Gram: O(q^2) per stratum) for its lifetime, which is one
-  solve.  A Picard sweep regresses on the same state as the first, so later
-  sweeps recompute the columns, re-standardise them with the stored mean and
-  scale and reuse the factor.  Columns, rows and weights are the same bits
-  at every sweep, so every fit is bit-identical to a fresh build.
+  of the ridged Gram: O(q^2) per stratum) for its lifetime, which is that
+  of the solution it serves.  A Picard sweep, and every later read of the
+  solution, regresses on the same state as the first, so it recomputes the
+  columns, re-standardises them with the stored mean and scale and reuses
+  the factor.  Columns, rows and weights are the same bits every time, so
+  every fit is bit-identical to a fresh build, and a conditioner evaluates
+  a stored fit map on its rows to the same bits its fit() returned.
 
 A group-mean engine with integer keys provides exact conditional
 expectations on enumerable noise trees; it is the brute-force oracle's
@@ -37,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import parallel
 from .errors import RegressionRankDeficient
+from .paths import block_ranges
 
 _CONST_COL_TOL = 1e-12
 _MIN_ROWS_PER_COLUMN = 10
@@ -88,7 +90,7 @@ def feature_columns(basis: RegressionBasis, x, run_i, w) -> np.ndarray:
     shape = np.broadcast_shapes(x.shape, run_i.shape, w.shape)
     out = np.empty(shape + (basis.n_columns,))
     lead = max(1, _COLUMN_BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
-    for s, e in parallel.block_ranges(shape[0], block=lead):
+    for s, e in block_ranges(shape[0], block=lead):
         xb, ob = x[s:e], out[s:e]
         xp, wp = [1.0], [1.0]
         for p in range(1, basis.degree + 1):
@@ -146,7 +148,7 @@ def _blockwise_gram(xs: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     """X^T W X accumulated in fixed block order."""
     P, q = xs.shape
     gram = np.zeros((q, q))
-    for s, e in parallel.block_ranges(P, block=65536):
+    for s, e in block_ranges(P, block=65536):
         xb = xs[s:e]
         gram += xb.T @ (xb if weights is None else xb * weights[s:e, None])
     return gram
@@ -313,7 +315,6 @@ class RidgeConditioner:
         """Fitted values (same leading shape) and the reusable coefficient map."""
         squeeze = targets.ndim == 1
         ys = targets[:, None] if squeeze else targets
-        out = np.empty_like(ys)
         step_fit = StepFit()
         for s, fac in enumerate(self._factors):
             if fac is None:
@@ -327,19 +328,34 @@ class RidgeConditioner:
                 beta0 = (yb * w[:, None]).sum(axis=0) / fac.wsum
             if fac.chol is None:
                 coef = np.zeros((0, yb.shape[1]))
-                vals = np.broadcast_to(beta0, yb.shape)
             else:
                 xs = self._xs[s]
                 rhs = xs.T @ (yb if w is None else yb * w[:, None])
                 tmp = np.linalg.solve(fac.chol, rhs)
                 coef = np.linalg.solve(fac.chol.T, tmp)
-                vals = xs @ coef
-                vals += beta0
-            self._strata.put(out, s, vals)
             step_fit.strata.append(
                 StratumFit(kept=fac.kept, mu=fac.mu, sd=fac.sd, beta0=beta0, coef=coef)
             )
+        out = self.evaluate(step_fit)
         return (out[:, 0] if squeeze else out), step_fit
+
+    def evaluate(self, step_fit: StepFit) -> np.ndarray:
+        """A fit map of this step on its rows, (P, r): what fit() returned for it, bit for bit."""
+        r = next(f.beta0.shape[0] for f in step_fit.strata if f is not None)
+        out = np.empty((sum(self._strata.rows), r))
+        for s, (fac, fit) in enumerate(zip(self._factors, step_fit.strata)):
+            if fac is None:
+                continue
+            if fac.chol is None:
+                vals = np.broadcast_to(fit.beta0, (self._strata.rows[s], r))
+            else:
+                vals = self._xs[s] @ fit.coef
+                # a column at a time: the broadcast add runs r elements per
+                # inner loop and is several times slower; the sums are the same
+                for j in range(r):
+                    vals[:, j] += fit.beta0[j]
+            self._strata.put(out, s, vals)
+        return out
 
 
 class GroupMeanConditioner:
@@ -359,7 +375,8 @@ class GroupMeanConditioner:
         else:
             self.denom = np.bincount(inv, weights=weights, minlength=self.n_groups)
 
-    def fit(self, targets: np.ndarray):
+    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fitted values (same leading shape) and the group means, its fit map."""
         squeeze = targets.ndim == 1
         ys = targets[:, None] if squeeze else targets
         r = ys.shape[1]
@@ -368,8 +385,12 @@ class GroupMeanConditioner:
             col = ys[:, j] if self.weights is None else ys[:, j] * self.weights
             means[:, j] = np.bincount(self.inv, weights=col, minlength=self.n_groups)
         means /= self.denom[:, None]
-        out = means[self.inv]
-        return (out[:, 0] if squeeze else out), None
+        out = self.evaluate(means)
+        return (out[:, 0] if squeeze else out), means
+
+    def evaluate(self, means: np.ndarray) -> np.ndarray:
+        """Group means spread back to their rows, (P, r)."""
+        return means[self.inv]
 
 
 class BasisEngine:
@@ -386,7 +407,9 @@ class BasisEngine:
     The first at(k) builds step k's conditioner; every later at(k) recomputes
     only the design columns and reuses that build's factors.  The memo holds
     O(q^2) numbers per stratum and step plus the strata selectors (per
-    particle, never per row), and lives as long as the engine: one solve.
+    particle, never per row).  It lives as long as the engine, and a
+    solution keeps its engine: each later read of step k rebuilds that
+    step's values from the columns, the factors and the stored fit map.
     """
 
     def __init__(self, x, run_i, w, basis: RegressionBasis,

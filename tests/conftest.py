@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfequil import EqgSpec, MarketSpec, TimeGrid
+from mfequil import EqgSpec, MarketSpec, TimeGrid, agent_strategies
 from mfequil.regression import RidgeConditioner
 
 
@@ -15,6 +15,13 @@ def make_market(sigma=SIGMA_2X2, d=1):
     return MarketSpec(n=n, d0=d0, d=d, sigma=sig,
                       lambda_lo=float(lams[0]) * 0.999,
                       lambda_hi=float(lams[-1]) * 1.001)
+
+
+def pool_strategies(mf, bundle, market, basis, population, w_agents):
+    """Every step of agent_strategies stacked: p (M0, N, steps, d0), pi (M0, N, steps, n)."""
+    out = [agent_strategies(mf, bundle, market, basis, population, w_agents, k)
+           for k in range(bundle.grid.steps)]
+    return np.stack([p for p, _ in out], axis=2), np.stack([pi for _, pi in out], axis=2)
 
 
 @pytest.fixture

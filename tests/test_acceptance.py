@@ -22,7 +22,6 @@ from mfequil import (
     Perturbation,
     RegressionBasis,
     TimeGrid,
-    agent_strategies,
     build_population,
     build_scenario,
     clearing_residual,
@@ -49,6 +48,8 @@ from mfequil import (
     verify_condition_r,
 )
 from mfequil.cli import run as cli_run
+
+from conftest import pool_strategies
 
 from test_meanfield import (
     K_TREE,
@@ -143,22 +144,43 @@ def _solve_1f(n_paths=10_000, steps=50, seed=777):
     return grid, bundle, g, basis
 
 
+def euler_mean_g(spec: EqgSpec, grid: TimeGrid) -> float:
+    """E[G] for G = dt sum_k (a x_k^2 + b x_k), exact for the Euler scheme
+    the bundle simulates, x_k+1 = x_k (1 + alpha dt) + beta dt + delta . dW,
+    from its mean and variance recursion."""
+    dt = grid.dt
+    m, v, total = spec.x0, 0.0, 0.0
+    for _ in range(grid.steps):
+        total += dt * (spec.a * (m * m + v) + spec.b * m)
+        m = m * (1.0 + spec.alpha * dt) + spec.beta * dt
+        v = v * (1.0 + spec.alpha * dt) ** 2 + spec.delta_sq * dt
+    return total
+
+
 def test_ac04_regression_solver_matches_closed_form():
+    """Under theta = 0 on a complete market the driver is the idiosyncratic
+    |z1|^2 / 2 only, so the exact value is linear: y0 = E[G], not the
+    equilibrium log E[exp G].  On the sample, y0 is the mean of G up to that
+    regressed noise."""
     t0 = time.monotonic()
     grid, bundle, g, basis = _solve_1f()
     sol = solve_agent_bsde(bundle, MARKET_1F, basis, np.zeros((50, 1)), g)
+    y0_exact = euler_mean_g(SPEC_1F, grid)
+    y0_rel = abs(sol.y0 - y0_exact) / abs(y0_exact)
+    g_mean = float(np.mean(g))
+    sample_gap = abs(sol.y0 - g_mean) / abs(g_mean)
     ric = riccati_for_spec(SPEC_1F, grid)
-    y0_closed = float(ric.A[0] * SPEC_1F.x0**2 + ric.B[0] * SPEC_1F.x0 + ric.C[0])
-    y0_rel = abs(sol.y0 - y0_closed) / abs(y0_closed)
     slope = 2.0 * ric.A[None, :50] * bundle.x[:, :50] + ric.B[None, :50]
     z_true = slope[:, :, None] * SPEC_1F.delta_vec[None, None, :]
-    err = sol.z0[:, 0] - z_true
+    err = sol.materialise()[1][:, 0] - z_true
     z_rms = float(np.sqrt(np.mean(np.sum(err**2, axis=2))
                           / np.mean(np.sum(z_true**2, axis=2))))
     wall = time.monotonic() - t0
-    ok = y0_rel < 0.02 and z_rms < 0.05 and sol.clip_count == 0 and wall < 60.0
+    ok = (y0_rel < 0.02 and sample_gap < 1e-4 and z_rms < 0.05 and sol.clip_count == 0
+          and wall < 60.0)
     _line(4, "backward regression solve at 1e4 paths / 50 steps",
-          ok, f"y0 rel {y0_rel:.4f} (tol 0.02), z0 rms {z_rms:.4f} (tol 0.05), "
+          ok, f"y0 rel {y0_rel:.4f} to E[G] {y0_exact:.7f} (tol 0.02), "
+              f"to mean G {sample_gap:.1e} (tol 1e-4), z0 rms {z_rms:.4f} (tol 0.05), "
               f"clips {sol.clip_count}, {wall:.1f}s (cap 60s)")
 
 
@@ -238,10 +260,11 @@ def test_ac07_tree_solver_matches_exhaustive_recursion():
         g.reshape(bundle.n_paths, K_TREE), bundle.dW0, bundle.dWi, keys,
         gammas, stats.gamma_hat, grid.dt, sweeps=12)
     t_oracle = time.monotonic() - t_oracle
+    y, z0, z1 = mf.solution.materialise()
     gap = max(
-        float(np.max(np.abs(mf.solution.y - y_ref))),
-        float(np.max(np.abs(mf.solution.z0 - z0_ref))),
-        float(np.max(np.abs(mf.solution.z1 - z1_ref))),
+        float(np.max(np.abs(y - y_ref))),
+        float(np.max(np.abs(z0 - z0_ref))),
+        float(np.max(np.abs(z1 - z1_ref))),
     )
     wall = time.monotonic() - t0
     ok = gap < 1e-9 and wall < 1.0
@@ -269,10 +292,10 @@ def test_ac08_additive_positions_vanish():
                           stats.gamma_hat, max_iters=8)
     pool = build_population(100, 42, dist)
     w = fresh_idio_levels(42, 100, 100, grid)
-    p, pi = agent_strategies(mf, bundle, MARKET_2F, basis, pool, w)
+    p, pi = pool_strategies(mf, bundle, MARKET_2F, basis, pool, w)
     hedge = float(np.max(np.abs(mf.theta))) / stats.gamma_hat
     p_sup = float(np.max(np.abs(p)))
-    eps, _ = clearing_residual(pi, [10, 100], grid.dt, n_batches=10)
+    eps, _ = clearing_residual(np.moveaxis(pi, 2, 0), [10, 100], grid.dt, n_batches=10)
     eps_cap = (1e-3 * hedge) ** 2 * grid.horizon
     ok = p_sup < 1e-3 * hedge and all(e < eps_cap for e in eps)
     _line(8, "per-agent positions vanish when data are additive",

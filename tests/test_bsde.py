@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,15 +7,15 @@ import pytest
 from mfequil import (
     DiscreteDist, EqgSpec, MarketSpec, RegressionBasis, TimeGrid,
     agent_strategies, bmo_proxy, build_population, coarsen_bundle, doleans_weights,
-    equilibrium_path, fresh_idio_levels, gamma_hat, optimal_strategy,
+    equilibrium_path, fresh_idio_levels, gamma_hat, optimal_strategy, project,
     riccati_for_spec, risk_premium_from_mu, simulate_paths, solve_agent_bsde,
     solve_mean_field, solve_under_q, verify_condition_r,
 )
-from mfequil.bsde import _fixed_point
+from mfequil.bsde import _fixed_point, _sum_last
 from mfequil.errors import PicardDiverged
 from mfequil.regression import BasisEngine
 
-from conftest import make_market
+from conftest import make_market, pool_strategies
 
 
 BASIS = RegressionBasis(degree=2)
@@ -31,17 +32,19 @@ def test_zero_data_zero_solution(grid20, market2):
     theta = np.zeros((grid20.steps, 2))
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, np.zeros(256))
     assert sol.converged and sol.picard_iters <= 2
-    assert np.max(np.abs(sol.y)) < 1e-13
-    assert np.max(np.abs(sol.z0)) < 1e-12
-    assert np.max(np.abs(sol.z1)) < 1e-12
+    y, z0, z1 = sol.materialise()
+    assert np.max(np.abs(y)) < 1e-13
+    assert np.max(np.abs(z0)) < 1e-12
+    assert np.max(np.abs(z1)) < 1e-12
 
 
 def test_constant_liability_shifts_value_only(grid20, market2):
     bundle = simulate_paths(grid20, flat_spec(), market2, 256, 2)
     theta = np.zeros((grid20.steps, 2))
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, 3.25 * np.ones(256))
-    assert np.allclose(sol.y, 3.25, atol=1e-12)
-    assert np.max(np.abs(sol.z0)) < 1e-12
+    y, z0, _ = sol.materialise()
+    assert np.allclose(y, 3.25, atol=1e-12)
+    assert np.max(np.abs(z0)) < 1e-12
 
 
 def test_deterministic_premium_quadratic_cost(grid20, market2):
@@ -52,7 +55,7 @@ def test_deterministic_premium_quadratic_cost(grid20, market2):
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, np.zeros(256))
     want = -0.5 * np.sum(theta**2) * grid20.dt
     assert sol.y0 == pytest.approx(want, abs=1e-12)
-    assert np.max(np.abs(sol.z0)) < 1e-10
+    assert np.max(np.abs(sol.materialise()[1])) < 1e-10
 
 
 def test_gaussian_liability_closed_form():
@@ -74,7 +77,7 @@ def test_gaussian_liability_closed_form():
     z_perp = z_full - z_par
     y0_want = 0.5 * np.sum(z_perp**2) * grid.horizon
     assert sol.y0 == pytest.approx(y0_want, abs=0.01)
-    z0_err = np.sqrt(np.mean((sol.z0[:, 0] - z_full[None, None, :]) ** 2))
+    z0_err = np.sqrt(np.mean((sol.materialise()[1][:, 0] - z_full[None, None, :]) ** 2))
     z0_rms = np.sqrt(np.mean(z_full**2))
     assert z0_err / z0_rms < 0.10
 
@@ -97,7 +100,7 @@ def test_q_solver_reduces_to_p_at_zero_premium(grid20, market2):
     sol_q, ess = solve_under_q(bundle, market2, BASIS, theta, g)
     assert ess == pytest.approx(2048.0)
     assert sol_q.y0 == pytest.approx(sol_p.y0, abs=1e-12)
-    assert np.allclose(sol_q.z0, sol_p.z0, atol=1e-10)
+    assert np.allclose(sol_q.materialise()[1], sol_p.materialise()[1], atol=1e-10)
 
 
 def test_clip_counter_flags_saturation(grid20, market2):
@@ -119,7 +122,8 @@ def test_optimal_strategy_identity(grid20, market2):
     assert p.shape == (512, 1, grid20.steps, 2)
     assert pi.shape == (512, 1, grid20.steps, 2)
     k = 3
-    want = (sol.z0_par[:, 0, k, :] + theta[k][None, :]) / gamma
+    z0_par, _ = project(market2.sigma_table(grid20.steps)[k], sol.z_at(k)[:, 0, :2])
+    want = (z0_par + theta[k][None, :]) / gamma
     assert np.allclose(p[:, 0, k, :], want, atol=1e-12)
     # pi reproduces p through sigma^T (p lies in the asset span)
     back = pi[:, 0, k, :] @ market2.sigma
@@ -135,8 +139,17 @@ def test_bmo_proxy_constant_z(grid20, market2):
     w = np.zeros((M0, K, steps + 1))
     engine = BasisEngine(x, run_i, w, RegressionBasis(degree=1))
     want = (2 * 0.3**2 + 0.1**2) * grid20.horizon
-    got = bmo_proxy(z0, z1, grid20.dt, engine)
+    backward = ((engine.at(k), z0[:, :, k], z1[:, :, k]) for k in range(steps - 1, -1, -1))
+    got = bmo_proxy(backward, grid20.dt)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sum_last_adds_like_numpy(n):
+    """The driver's column-at-a-time sum is np.sum's, bit for bit, below 8 columns."""
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(64, 33, n)) * 10.0 ** rng.uniform(-8, 8, size=(64, 33, n))
+    assert np.array_equal(_sum_last(a), np.sum(a, axis=-1))
 
 
 def test_tilted_solve_builds_each_step_once(grid20, market2, conditioner_builds):
@@ -210,18 +223,18 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     mf = solve_mean_field(bundle, market, basis, g_mf, gammas, gamma_hat(gammas).gamma_hat,
                           max_iters=6, stratum_ids=[0, 1, 0, 1], n_strata=2)
     pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
-    p_pool, pi_pool = agent_strategies(
+    p_pool, pi_pool = pool_strategies(
         mf, bundle, market, basis, pool, fresh_idio_levels(3, 2000, 5, grid))
     assert np.min(np.abs(p_pool[:, :, 0, 0])) > 0.1
     eq_theta = equilibrium_path(riccati_for_spec(spec, grid), bundle, market, spec).theta
 
     for k in range(grid.steps):
         s = rows[k]
-        assert np.max(np.abs(sol.z0_perp[:, :, k] @ s)) < 1e-12
         for pos, strat in ((pi, p), (pi_pool, p_pool)):
             assert np.allclose((s @ s) * pos[:, :, k, 0], strat[:, :, k] @ s,
                                rtol=0, atol=1e-12)
-        for in_row_space in (mf.theta[:, k], mf.ebar[:, k], p_pool[:, :, k], eq_theta[:, k]):
+        for in_row_space in (mf.theta[:, k], mf.ebar[:, k], p[:, :, k], p_pool[:, :, k],
+                             eq_theta[:, k]):
             assert np.max(np.abs(perp(in_row_space, k))) < 1e-12
 
 
@@ -230,52 +243,47 @@ def test_time_varying_sigma_uses_each_steps_geometry():
 # ---------------------------------------------------------------------------
 
 def scripted_sweep(y0s, zs):
-    """Sweep i overwrites y = y0s[i] and z0 = zs[i] everywhere (z1 = 0), so
-    dy0 = |y0s[i] - y0s[i-1]| / |y0s[i]| and dz = |zs[i] - zs[i-1]| / |zs[i]|.
-    It returns the sweep index as its fits, the summed squares of the z
-    change and of the new z, and one clip."""
+    """Sweep i returns the iterate y0 = y0s[i], z = zs[i] (one entry each),
+    so dy0 = |y0s[i] - y0s[i-1]| / |y0s[i]| and dz = |zs[i] - zs[i-1]| / |zs[i]|.
+    It checks that it is handed the previous sweep's iterate (None first:
+    z = 0), and reports the summed squares of the z change and of the new z,
+    and one clip."""
     calls = []
 
-    def sweep(y, z0, z1):
+    def sweep(prev):
         i = len(calls)
         calls.append(i)
-        dz2 = float(np.sum((zs[i] - z0) ** 2) + np.sum(z1**2))
-        y[...] = y0s[i]
-        z0[...] = zs[i]
-        z1[...] = 0.0
-        return i, dz2, float(np.sum(z0**2)), 1
+        assert (prev is None) if i == 0 else (prev.i == i - 1)
+        z_old = 0.0 if prev is None else prev.z
+        sol = SimpleNamespace(i=i, z=zs[i])
+        return sol, np.array([y0s[i]]), (zs[i] - z_old) ** 2, zs[i] ** 2, 1
     return sweep
 
 
-def test_fixed_point_stops_on_both_changes(market2):
-    bundle = simulate_paths(TimeGrid(1.0, 2), flat_spec(), market2, 4, 0)
+def test_fixed_point_stops_on_both_changes():
     # y0 settles at once but z keeps moving: no stop until z settles too
     sol = _fixed_point(scripted_sweep([1.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]),
-                       bundle, market2, max_iters=4, tol=1e-4)
+                       1, max_iters=4, tol=1e-4)
     assert not sol.converged and sol.picard_iters == 4
     assert sol.y0_changes == [0.0, 0.0, 0.0]
     assert sol.z_changes == pytest.approx([1 / 2, 1 / 3, 1 / 4], rel=1e-14)
     # the returned iterate is the last sweep's, and clips add up over sweeps
-    assert sol.fits == 3 and np.all(sol.z0 == 4.0) and sol.clip_count == 4
+    assert sol.i == 3 and sol.z == 4.0 and sol.clip_count == 4
     sol = _fixed_point(scripted_sweep([1.0] * 5, [1.0, 2.0, 2.0, 7.0, 7.0]),
-                       bundle, market2, max_iters=5, tol=1e-4)
+                       1, max_iters=5, tol=1e-4)
     assert sol.converged and sol.picard_iters == 3
-    assert sol.fits == 2 and np.all(sol.z0 == 2.0) and sol.clip_count == 3
+    assert sol.i == 2 and sol.z == 2.0 and sol.clip_count == 3
 
 
-def test_fixed_point_guards_growth_and_non_finite(market2):
-    bundle = simulate_paths(TimeGrid(1.0, 2), flat_spec(), market2, 4, 0)
+def test_fixed_point_guards_growth_and_non_finite():
     # dz = 0.091, 0.154, 0.235, 0.32: growing at sweeps 3, 4 and 5
     zs = [1.0, 1.1, 1.3, 1.7, 2.5, 2.5]
-    sol = _fixed_point(scripted_sweep([1.0] * 6, zs),
-                       bundle, market2, max_iters=4, tol=1e-4)
+    sol = _fixed_point(scripted_sweep([1.0] * 6, zs), 1, max_iters=4, tol=1e-4)
     assert not sol.converged and sol.picard_iters == 4
     with pytest.raises(PicardDiverged, match="3 consecutive"):
-        _fixed_point(scripted_sweep([1.0] * 6, zs),
-                     bundle, market2, max_iters=6, tol=1e-4)
+        _fixed_point(scripted_sweep([1.0] * 6, zs), 1, max_iters=6, tol=1e-4)
     with pytest.raises(PicardDiverged, match="non-finite"):
-        _fixed_point(scripted_sweep([1.0, np.nan, 1.0], [1.0] * 3),
-                     bundle, market2, max_iters=3, tol=1e-4)
+        _fixed_point(scripted_sweep([1.0, np.nan, 1.0], [1.0] * 3), 1, max_iters=3, tol=1e-4)
 
 
 def test_nan_liability_raises_in_every_solve(grid20, market2):
@@ -293,7 +301,7 @@ def test_nan_liability_raises_in_every_solve(grid20, market2):
 
 
 # ---------------------------------------------------------------------------
-# one step-major buffer set per solve, overwritten in place
+# the solution is its fit maps: no (particle, step) array of y or z is kept
 # ---------------------------------------------------------------------------
 
 def mf_cloud(M0=64, K=16, steps=20, seed=3):
@@ -316,24 +324,44 @@ def test_per_step_slices_are_contiguous():
     coarse = coarsen_bundle(bundle, 4, flat_spec())
     p, pi = optimal_strategy(sol, mf.theta, 1.0, market)
     w = fresh_idio_levels(3, bundle.n_paths, 5, bundle.grid)
-    p_pool, pi_pool = agent_strategies(mf, bundle, market, BASIS,
-                                       build_population(5, 3, DiscreteDist((1.0, 2.0))), w)
-    arrays = {"y": sol.y, "z0": sol.z0, "z1": sol.z1, "z0_par": sol.z0_par,
-              "z0_perp": sol.z0_perp, "dWi": bundle.dWi, "wi_first": bundle.wi_first,
+    arrays = {"y": sol.materialise()[0], "dWi": bundle.dWi, "wi_first": bundle.wi_first,
               "coarse dWi": coarse.dWi, "coarse wi_first": coarse.wi_first,
-              "p": p, "pi": pi, "pool p": p_pool, "pool pi": pi_pool, "pool w": w}
+              "p": p, "pi": pi, "pool w": w}
     for name, a in arrays.items():
         for k in range(a.shape[2]):
             assert a[:, :, k].flags.c_contiguous, (name, k)
+    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
+    for k in range(bundle.grid.steps):
+        step = {"y_at": sol.y_at(k),
+                **dict(zip(("pool p", "pool pi"),
+                           agent_strategies(mf, bundle, market, BASIS, pool, w, k)))}
+        for name, a in step.items():
+            assert a.flags.c_contiguous, (name, k)
+
+
+def test_readers_rebuild_the_last_sweep():
+    """y_at(0) gives back the loop's y0 bit for bit, y at the last node is g,
+    and materialise stacks z_at and y_at."""
+    bundle, market, g, gammas = mf_cloud()
+    sol = solve_mean_field(bundle, market, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
+                           max_iters=3, tol=0.0).solution
+    assert float(np.mean(sol.y_at(0))) == sol.y0
+    y, z0, z1 = sol.materialise()
+    assert np.array_equal(sol.y_at(bundle.grid.steps), g) and np.array_equal(y[:, :, -1], g)
+    for k in (0, 7, 19):
+        z_k = sol.z_at(k)
+        assert np.array_equal(z_k, np.concatenate([z0[:, :, k], z1[:, :, k]], axis=2))
+        assert np.array_equal(sol.y_at(k), y[:, :, k])
 
 
 def test_solve_holds_one_buffer_set():
-    """The traced peak of a mean-field solve above its starting level is one
-    (y, z0, z1) set plus what a single step needs: its design columns and
-    their standardised copy, regression targets and fits, and the driver's
-    temporaries, about 50 doubles per particle at degree 2.  The allowance is
-    80.  A solve that keeps a second iterate, or forms the z change as
-    whole-array temporaries, needs two sets and more."""
+    """The traced peak of a mean-field solve above its starting level stays
+    below one (y, z0, z1) set plus what a single step needs: its design
+    columns and their standardised copy, regression targets and fits, the
+    previous iterate's z at that step, and the driver's temporaries, about 50
+    doubles per particle at degree 2.  The allowance is 80.  A solve that
+    keeps a second iterate, or forms the z change as whole-array
+    temporaries, needs two sets and more."""
     bundle, market, g, gammas = mf_cloud()
     M0, K, steps = bundle.n_paths, bundle.n_agents, bundle.grid.steps
     one_set = 8 * M0 * K * (steps + 1 + steps * (market.d0 + market.d))
@@ -350,18 +378,43 @@ def test_solve_holds_one_buffer_set():
     assert peak - base < one_set + per_step
 
 
+def test_solve_peak_does_not_grow_with_steps():
+    """With the bundle built, a mean-field solve's traced peak is set by one
+    step's work, so 40 steps need no more than 10 on the same cloud.  What
+    does grow with the steps is O(q^2) per step (fit maps and factors) and
+    the per-path Ebar and theta, (M0, steps, d0) each: about one
+    (y, z0, z1) step set in all here.  The allowance is 4 step sets; a solve
+    that stores y and z for every step needs 30 more."""
+    peaks = []
+    for steps in (10, 40):
+        bundle, market, g, gammas = mf_cloud(M0=128, K=32, steps=steps)
+        ghat = gamma_hat(gammas).gamma_hat
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mf = solve_mean_field(bundle, market, BASIS, g, gammas, ghat, max_iters=3,
+                                  tol=0.0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert mf.solution.picard_iters == 3
+    step_set = 8 * 128 * 32 * (1 + market.d0 + market.d)
+    assert peaks[1] - peaks[0] < 4 * step_set, (peaks, step_set)
+
+
 def test_z_changes_match_whole_array_formula():
     """Sweep i of a solve capped at n sweeps is the last iterate of the same
     solve capped at i sweeps, so the per-step sums behind z_changes can be
     checked against the whole-array cloud-L2 change of those iterates."""
     bundle, market, g, gammas = mf_cloud()
     ghat = gamma_hat(gammas).gamma_hat
-    iterates = [solve_mean_field(bundle, market, BASIS, g, gammas, ghat, max_iters=i,
-                                 tol=0.0).solution for i in range(1, 5)]
+    sols = [solve_mean_field(bundle, market, BASIS, g, gammas, ghat, max_iters=i,
+                             tol=0.0).solution for i in range(1, 5)]
+    iterates = [sol.materialise() for sol in sols]
     n = bundle.n_paths * bundle.n_agents * bundle.grid.steps
     want = []
-    for old, new in zip(iterates, iterates[1:]):
-        change = np.sum((new.z0 - old.z0) ** 2) + np.sum((new.z1 - old.z1) ** 2)
-        scale = max(np.sqrt((np.sum(new.z0**2) + np.sum(new.z1**2)) / n), 1e-8)
+    for (_, old0, old1), (_, new0, new1) in zip(iterates, iterates[1:]):
+        change = np.sum((new0 - old0) ** 2) + np.sum((new1 - old1) ** 2)
+        scale = max(np.sqrt((np.sum(new0**2) + np.sum(new1**2)) / n), 1e-8)
         want.append(np.sqrt(change / n) / scale)
-    assert iterates[-1].z_changes == pytest.approx(want, rel=1e-12, abs=0)
+    assert sols[-1].z_changes == pytest.approx(want, rel=1e-12, abs=0)

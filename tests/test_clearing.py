@@ -15,7 +15,6 @@ from mfequil import (
     RegressionBasis,
     ReplacementSpec,
     TimeGrid,
-    agent_strategies,
     build_population,
     clearing_residual,
     feature_columns,
@@ -31,6 +30,8 @@ from mfequil import (
     terminal_g,
 )
 from mfequil.paths import KIND_AUX, normal_block_array
+
+from conftest import pool_strategies
 
 GAMMA_DIST = DiscreteDist(values=(1.0, 2.0, 4.0), probs=(0.5, 0.3, 0.2))
 
@@ -99,7 +100,7 @@ def test_clearing_residual_constant_positions():
     dt = 0.05
     c = 0.3
     pi = np.full((M0, pool, steps, n), c)
-    eps, ses = clearing_residual(pi, [3, 12], dt, n_batches=3)
+    eps, ses = clearing_residual(np.moveaxis(pi, 2, 0), [3, 12], dt, n_batches=3)
     expected = c * c * n * steps * dt
     assert eps == pytest.approx([expected, expected], rel=1e-12)
     assert ses == pytest.approx([0.0, 0.0], abs=1e-15)
@@ -108,21 +109,49 @@ def test_clearing_residual_constant_positions():
 def test_clearing_residual_is_permutation_invariant():
     rng = np.random.default_rng(4)
     pi = rng.normal(size=(5, 9, 7, 2))
-    eps, _ = clearing_residual(pi, [4, 9], 0.1)
+    eps, _ = clearing_residual(np.moveaxis(pi, 2, 0), [4, 9], 0.1)
     perm = rng.permutation(9)
-    eps_p, _ = clearing_residual(pi[:, perm], [4, 9], 0.1)
+    eps_p, _ = clearing_residual(np.moveaxis(pi[:, perm], 2, 0), [4, 9], 0.1)
     # the N=9 sum runs over the whole pool in canonical order: bit identical
     assert eps[1] == eps_p[1]
     # the N=4 prefix genuinely changes membership
     assert eps[0] != eps_p[0]
 
 
+def whole_pool_residual(pi, Ns, dt, n_batches):
+    """Reference: eps_N and its standard error from the whole (M0, pool,
+    steps, n) array, sorted and summed over agents 16 common paths at a time."""
+    M0 = pi.shape[0]
+    B = min(n_batches, M0)
+    eps, ses = [], []
+    for N in Ns:
+        integ = np.empty(M0)
+        for a in range(0, M0, 16):
+            s = np.sort(np.array(pi[a:a + 16, :N], order="C"), axis=1).sum(axis=1) / N
+            integ[a:a + 16] = dt * np.sum(s * s, axis=(1, 2))
+        eps.append(float(integ.mean()))
+        bm = np.array([b.mean() for b in np.array_split(integ, B)])
+        ses.append(float(bm.std(ddof=1) / np.sqrt(B)))
+    return eps, ses
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_clearing_residual_matches_whole_pool_reference(n):
+    """Summed one step at a time, the estimates are the whole-pool ones bit
+    for bit: each slot's agents are added in the same sorted order."""
+    rng = np.random.default_rng(11)
+    pi = rng.normal(size=(37, 300, 6, n))
+    Ns = [3, 17, 100, 300]
+    got = clearing_residual((pi[:, :, k] for k in range(6)), Ns, 0.05, n_batches=7)
+    assert got == whole_pool_residual(pi, Ns, 0.05, n_batches=7)
+
+
 def test_clearing_residual_input_checks():
-    pi = np.zeros((4, 5, 3, 1))
+    pi = np.zeros((3, 4, 5, 1))       # (steps, M0, pool, n)
     with pytest.raises(ValueError):
         clearing_residual(pi, [6], 0.1)
     with pytest.raises(ValueError):
-        clearing_residual(pi[:1], [2], 0.1)
+        clearing_residual(pi[:, :1], [2], 0.1)
 
 
 def test_clearing_report_validation():
@@ -187,7 +216,7 @@ def test_agent_strategies_geometry():
     N = 5
     fresh = build_population(N, 7, GAMMA_DIST)
     w = fresh_idio_levels(3, bundle.n_paths, N, grid)
-    p, pi = agent_strategies(mf, bundle, market, basis, fresh, w)
+    p, pi = pool_strategies(mf, bundle, market, basis, fresh, w)
     assert p.shape == (128, N, 10, 2)
     assert pi.shape == (128, N, 10, 1)
     table = market.sigma_table(10)
@@ -225,7 +254,7 @@ def test_agent_strategies_use_each_agents_stratum():
     pool = build_population(8, 7, dist)
     assert set(pool.atom_ids.tolist()) == {0, 1}
     w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
-    p, _ = agent_strategies(mf, bundle, market, basis, pool, w)
+    p, _ = pool_strategies(mf, bundle, market, basis, pool, w)
     proj, _ = market.geometry(grid.steps)
     for k in (0, 4, 9):
         strata = mf.solution.fits[k].strata

@@ -143,9 +143,10 @@ def test_tree_solver_matches_brute_force():
         gammas, stats.gamma_hat, grid.dt)
 
     assert mf.diagnostics.converged
-    assert np.max(np.abs(mf.solution.y - y_ref)) < 1e-9
-    assert np.max(np.abs(mf.solution.z0 - z0_ref)) < 1e-9
-    assert np.max(np.abs(mf.solution.z1 - z1_ref)) < 1e-9
+    y, z0, z1 = mf.solution.materialise()
+    assert np.max(np.abs(y - y_ref)) < 1e-9
+    assert np.max(np.abs(z0 - z0_ref)) < 1e-9
+    assert np.max(np.abs(z1 - z1_ref)) < 1e-9
 
     # theta is minus gamma_hat times the cloud mean of the projected hedge
     srow = SIGMA_ROW[0]
@@ -181,8 +182,9 @@ def test_fixed_point_solves_single_agent_problem(market2):
     # single-agent solution under the reported risk premium, not just close.
     sol = solve_agent_bsde(bundle, market2, basis, mf.theta, g,
                            picard_max=25, picard_tol=1e-10)
-    assert np.max(np.abs(sol.y[:, :, 0] - mf.solution.y[:, :, 0])) < 1e-12
-    assert np.max(np.abs(sol.z0 - mf.solution.z0)) < 1e-12
+    y_mf, z0_mf, _ = mf.solution.materialise()
+    assert np.max(np.abs(sol.y_at(0) - y_mf[:, :, 0])) < 1e-12
+    assert np.max(np.abs(sol.materialise()[1] - z0_mf)) < 1e-12
 
     # A fresh one-agent bundle shares the common factor but redraws the
     # idiosyncratic stream, so the fitted z1 noise (entering the driver
@@ -191,7 +193,7 @@ def test_fixed_point_solves_single_agent_problem(market2):
     assert np.array_equal(one.x, bundle.x)
     sol1 = solve_agent_bsde(one, market2, basis, mf.theta, g.reshape(512, K)[:, 0],
                             picard_max=25, picard_tol=1e-10)
-    assert np.max(np.abs(sol1.y[:, 0] - mf.solution.y[:, 0])) < 1e-4
+    assert np.max(np.abs(sol1.materialise()[0][:, 0] - y_mf[:, 0])) < 1e-4
 
 
 def test_additive_normalized_solution_is_gamma_free(market2):
@@ -206,7 +208,8 @@ def test_additive_normalized_solution_is_gamma_free(market2):
     basis = RegressionBasis(degree=2, include_idio=False)
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market2, basis, g, gammas, stats.gamma_hat)
-    spread = np.max(np.abs(mf.solution.z0 - mf.solution.z0[:, :1]))
+    z0 = mf.solution.materialise()[1]
+    spread = np.max(np.abs(z0 - z0[:, :1]))
     assert spread < 1e-12
 
 
@@ -265,7 +268,7 @@ def test_reported_theta_is_minus_gamma_hat_cloud_mean(market2):
     table = market2.sigma_table(grid.steps)
     want = np.empty_like(mf.theta)
     for k in range(grid.steps):
-        z_par = mf.solution.z0[:, :, k, :] @ (np.linalg.pinv(table[k]) @ table[k])
+        z_par = mf.solution.z_at(k)[..., :2] @ (np.linalg.pinv(table[k]) @ table[k])
         want[:, k] = -stats.gamma_hat * np.mean(z_par / gammas[None, :, None], axis=1)
     assert np.max(np.abs(mf.theta - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -303,8 +306,7 @@ def test_mean_field_solve_builds_each_step_once(market2, conditioner_builds):
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
                           gamma_hat(gammas).gamma_hat, max_iters=5, tol=1e-14,
-                          stratum_ids=np.array([0, 0, 1, 1]), n_strata=2,
-                          compute_stability=True)
+                          stratum_ids=np.array([0, 0, 1, 1]), n_strata=2)
     assert mf.diagnostics.iterations >= 2 and np.isfinite(mf.diagnostics.z_bmo)
     assert len(conditioner_builds) == grid.steps
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfequil import EqgSpec, TimeGrid, coarsen_bundle, export_paths_csv, simulate_paths
+from mfequil import EqgSpec, TimeGrid, coarsen_bundle, simulate_paths
 from mfequil.paths import ou_exact_moments
 
 from conftest import make_market
@@ -90,15 +90,6 @@ def test_coarsen_bundle_aggregates_increments(grid20, eqg_spec, market2):
     assert np.allclose(coarse.x[:, 0], eqg_spec.x0)
     with pytest.raises(ValueError):
         coarsen_bundle(fine, 3, eqg_spec)
-
-
-def test_export_paths_csv(tmp_path, grid20, eqg_spec, market2):
-    bundle = simulate_paths(grid20, eqg_spec, market2, 3, 8)
-    out = tmp_path / "paths.csv"
-    export_paths_csv(bundle, str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("path,")
-    assert len(lines) == 1 + 3 * (grid20.steps + 1)
 
 
 def test_simulate_paths_validates_inputs(grid20, eqg_spec, market2):
