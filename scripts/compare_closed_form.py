@@ -20,8 +20,8 @@ from dataclasses import replace
 import numpy as np
 
 from mfequil import (
-    build_scenario, equilibrium_path, load_config, riccati_for_spec, simulate_paths,
-    solve_agent_bsde, terminal_g,
+    build_scenario, closed_form_y0, equilibrium_path, load_config, riccati_for_spec,
+    simulate_paths, solve_agent_bsde, terminal_g,
 )
 
 
@@ -29,11 +29,12 @@ def one_resolution(cfg, steps, n_paths, seed):
     sc = build_scenario(replace(cfg, grid=replace(cfg.grid, steps=steps)))
     grid, market, spec = sc.grid, sc.market, sc.eqg
     bundle = simulate_paths(grid, spec, market, n_paths, seed, agents=1)
-    eq = equilibrium_path(riccati_for_spec(spec, grid), bundle, market, spec)
+    ric = riccati_for_spec(spec, grid)
+    eq = equilibrium_path(ric, bundle, market, spec)
     g = terminal_g(sc.liability, bundle, np.ones(1))
     sol = solve_agent_bsde(bundle, market, sc.basis, eq.theta, g)
 
-    y0_closed = eq.y0_initial() + 0.5 * spec.kappa**2 * grid.horizon
+    y0_closed = closed_form_y0(ric, spec)
     z0 = np.stack([sol.z_at(k)[:, 0, :market.d0] for k in range(grid.steps)], axis=1)
     z0_closed = eq.z0[:, :-1]
     y0_rel = abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12)

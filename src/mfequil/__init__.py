@@ -48,6 +48,7 @@ from .config import (
 )
 from .equilibrium import (
     EquilibriumPath,
+    closed_form_y0,
     cole_hopf_idio,
     equilibrium_path,
     fubini_malliavin_check,

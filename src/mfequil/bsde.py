@@ -275,13 +275,10 @@ def solve_agent_bsde(
     picard_max: int = 20,
     picard_tol: float = 1e-4,
     clip: float = 50.0,
-    stratum_ids: np.ndarray | None = None,
-    n_strata: int = 1,
 ) -> BsdeSolution:
     """Solve the normalized utility BSDE for an exogenous risk premium."""
     theta_at, theta_det = _as_theta_at(theta, bundle.grid.steps, market.d0, bundle.n_paths)
-    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
-                         stratum_ids=stratum_ids, n_strata=n_strata)
+    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis)
     return _solve(bundle, market, engine, g_samples, lambda k, _: theta_at(k), theta_det,
                   picard_max, picard_tol, clip)
 
@@ -315,8 +312,6 @@ def solve_under_q(
     picard_max: int = 20,
     picard_tol: float = 1e-4,
     clip: float = 50.0,
-    stratum_ids: np.ndarray | None = None,
-    n_strata: int = 1,
 ) -> tuple[BsdeSolution, float]:
     """Solve the measure-changed BSDE on theta-shifted increments.
 
@@ -335,8 +330,7 @@ def solve_under_q(
             "the risk premium is too large for this measure change"
         )
     theta_at, theta_det = _as_theta_at(theta, bundle.grid.steps, market.d0, M0)
-    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
-                         stratum_ids=stratum_ids, n_strata=n_strata, weights=D)
+    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis, weights=D)
     sol = _solve(bundle, market, engine, g_samples, lambda k, _: theta_at(k), theta_det,
                  picard_max, picard_tol, clip, tilted=True)
     return sol, ess

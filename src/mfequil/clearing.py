@@ -4,9 +4,9 @@ A heterogeneous population of exponential-utility agents is drawn i.i.d.
 (risk aversion from discrete atoms, idiosyncratic noise fresh per agent;
 initial wealth is not drawn, since it does not move exponential-utility
 positions) and every agent is pushed through the solution map fitted on
-the equilibrium cloud: agent i's hedging demand is the per-step
-regression prediction z0_hat evaluated at (x_t, I_t, w^i_t) in its own
-risk-aversion stratum, and its optimal position is
+the equilibrium cloud: agent i's hedging demand z0_hat is the cloud's z fit
+map read at (x_t, I_t, w^i_t) in its own risk-aversion stratum, through the
+cloud's own regression engine, and its optimal position is
 
     p^{i,*} = (z0_hat_par + theta^T) / gamma_i,
     pi^{i,*} = (sigma sigma^T)^{-1} sigma (p^{i,*})^T.
@@ -45,7 +45,7 @@ from .paths import (
     simulate_paths,
     step_major,
 )
-from .regression import RegressionBasis, feature_columns
+from .regression import RegressionBasis
 from .riccati import EqgSpec
 
 KIND_REPLACE = 6   # uniform draws for replacement matrices, disjoint from path streams
@@ -137,24 +137,22 @@ def fresh_idio_levels(seed: int, n_common: int, n_agents: int, grid, stream: int
 
 def agent_strategies(
     mf: MeanFieldSolution,
-    bundle: PathBundle,
-    market: MarketSpec,
-    basis: RegressionBasis,
     population: Population,
     w_agents: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal positions of fresh agents at step k under the fitted solution map.
 
-    Each agent is evaluated with the fit of its own risk-aversion atom when
-    the solve was stratified; StepFit.predict reads the stratum count from
-    the fit, so a pooled fit gives every agent the one map.  Returns p
-    (M0, N, d0) in Brownian coordinates and pi (M0, N, n) in security units.
+    The cloud's engine reads its step-k z fit map on the agents' levels
+    w_agents (M0, N, steps + 1), each agent in its own atom's stratum when
+    the solve was stratified.  Returns p (M0, N, d0) in Brownian coordinates
+    and pi (M0, N, n) in security units.
     """
-    M0, N, d0 = bundle.n_paths, population.size, market.d0
-    proj, pos = market.geometry(mf.solution.grid.steps)
-    raw = feature_columns(basis, bundle.x[:, k, None], bundle.I[:, k, None], w_agents[:, :, k])
-    z_hat = mf.solution.fits[k].predict(raw, population.atom_ids)[:, :d0].reshape(M0, N, d0)
+    sol = mf.solution
+    M0, N, d0 = w_agents.shape[0], population.size, sol.market.d0
+    proj, pos = sol.market.geometry(sol.grid.steps)
+    cond = sol.engine.on(w_agents, population.atom_ids).at(k)
+    z_hat = cond.evaluate(sol.fits[k])[:, :d0].reshape(M0, N, d0)
     p = (z_hat @ proj[k] + mf.theta[:, k, None, :]) * (1.0 / population.gammas)[None, :, None]
     return p, p @ pos[k].T
 
@@ -252,12 +250,12 @@ def solve_equilibrium_cloud(
     basis: RegressionBasis, n_common: int, n_agents: int, seed: int, mf_iters: int,
     mf_tol: float, n_eq: int | None = None, c_gamma_override: float | None = None,
     clip: float = 50.0,
-) -> tuple[MeanFieldSolution, PathBundle, PopulationStats]:
+) -> tuple[MeanFieldSolution, PopulationStats]:
     """Mean-field fixed point, with smallness and stability diagnostics, on a
     balanced cloud of n_agents particles over n_common common paths; each gamma
     atom is a regression stratum when the liability couples to gamma, and clip
-    bounds |z| in the driver.  Returns the solution, the cloud's path bundle
-    and its population stats."""
+    bounds |z| in the driver.  Returns the solution and the cloud's population
+    stats."""
     cloud = build_population(n_agents, seed, gamma_dist, balanced=True)
     stats = gamma_hat(cloud.gammas)
     diag = smallness_from_liability(liability, eqg, grid, stats,
@@ -272,7 +270,7 @@ def solve_equilibrium_cloud(
         n_strata=len(gamma_dist.values) if stratified else 1,
         diagnostics=diag,
     )
-    return mf, bundle, stats
+    return mf, stats
 
 
 def run_clearing_study(
@@ -300,14 +298,13 @@ def run_clearing_study(
     eps_N with its rate.
     The rate fit is attached only when Ns satisfies the span precondition.
     """
-    mf, bundle, stats = solve_equilibrium_cloud(
+    mf, stats = solve_equilibrium_cloud(
         grid, market, eqg, liability, gamma_dist, basis, n_common=n_common,
         n_agents=n_equilibrium, seed=seed, mf_iters=mf_iters, mf_tol=mf_tol, clip=clip,
     )
     pool = build_population(max(Ns), seed, gamma_dist, balanced=False)
     w_agents = fresh_idio_levels(seed, n_common, pool.size, grid)
-    pi_steps = (agent_strategies(mf, bundle, market, basis, pool, w_agents, k)[1]
-                for k in range(grid.steps))
+    pi_steps = (agent_strategies(mf, pool, w_agents, k)[1] for k in range(grid.steps))
     eps, ses = clearing_residual(pi_steps, Ns, grid.dt, n_batches=n_batches)
     report = ClearingReport(
         Ns=list(Ns), eps=eps, stderr=ses,

@@ -49,7 +49,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .equilibrium import equilibrium_path, martingale_check, sign_law_violations
+from .equilibrium import closed_form_y0, equilibrium_path, martingale_check, sign_law_violations
 from .errors import ConfigError, MfequilError, MissingStageOutput
 from .liabilities import terminal_g
 from .paths import KIND_AUX, format_float, normal_block_array, simulate_paths
@@ -228,7 +228,7 @@ def stage_bsde(sc: Scenario, writer: StageWriter) -> dict:
     }
     ok = sol.converged and sol.clip_count == 0
     if liability.is_additive:
-        y0_closed = eq.y0_initial() + 0.5 * spec.kappa**2 * grid.horizon
+        y0_closed = closed_form_y0(ric, spec)
         rel = abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12)
         z0 = np.stack([sol.z_at(k)[:, 0, :market.d0] for k in range(grid.steps)], axis=1)
         z0_closed = eq.z0[:, :-1]
@@ -251,7 +251,7 @@ def stage_bsde(sc: Scenario, writer: StageWriter) -> dict:
 
 def stage_mf(sc: Scenario, writer: StageWriter) -> dict:
     cfg, grid, market, spec, liability = sc.cfg, sc.grid, sc.market, sc.eqg, sc.liability
-    mf, bundle, stats = solve_equilibrium_cloud(
+    mf, stats = solve_equilibrium_cloud(
         grid, market, spec, liability, sc.gamma_dist, sc.basis,
         n_common=cfg.mf.n_common, n_agents=cfg.mf.n_particles, seed=cfg.seed,
         mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
@@ -277,8 +277,7 @@ def stage_mf(sc: Scenario, writer: StageWriter) -> dict:
     if diag.smallness_ok and len(diag.ratios) >= 1:
         ok = ok and all(r < 1.0 for r in diag.ratios[1:])
     if liability.is_additive:
-        eq = equilibrium_path(riccati_for_spec(spec, grid), bundle, market, spec)
-        y0_closed = eq.y0_initial() + 0.5 * spec.kappa**2 * grid.horizon
+        y0_closed = closed_form_y0(riccati_for_spec(spec, grid), spec)
         rel = abs(mf.solution.y0 - y0_closed) / max(abs(y0_closed), 1e-12)
         payload |= {"y0_closed": y0_closed, "y0_rel_err": float(rel)}
         ok = ok and rel < 0.05

@@ -47,8 +47,11 @@ class EquilibriumPath:
     y1: np.ndarray | None = None
     z1: np.ndarray | None = None
 
-    def y0_initial(self) -> float:
-        return float(self.y0[0, 0])
+
+def closed_form_y0(ric: RiccatiSolution, spec: EqgSpec) -> float:
+    """y0 of the additive liability: A x0^2 + B x0 + C at t = 0 plus kappa^2 T / 2."""
+    y0 = float(ric.A[0] * spec.x0 * spec.x0 + ric.B[0] * spec.x0 + ric.C[0])
+    return y0 + 0.5 * spec.kappa**2 * ric.grid.horizon
 
 
 def equilibrium_path(

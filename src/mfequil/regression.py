@@ -18,6 +18,8 @@ Design choices that matter for reproducibility and the exactness tests:
   the unridged Gram below the ridge level raises RegressionRankDeficient;
 * strata are given per particle and gathered as slices (or index arrays)
   of the particle axis, in the flat row order (path, particle);
+* a fit map is per stratum its intercepts and coefficients; the kept
+  columns, mean and scale they apply to are the step's factor;
 * a BasisEngine builds each step's conditioner once and keeps only its
   factors (kept columns, column mean and scale, weight sum, Cholesky factor
   of the ridged Gram: O(q^2) per stratum) for its lifetime, which is that
@@ -26,7 +28,8 @@ Design choices that matter for reproducibility and the exactness tests:
   columns, re-standardises them with the stored mean and scale and reuses
   the factor.  Columns, rows and weights are the same bits every time, so
   every fit is bit-identical to a fresh build, and a conditioner evaluates
-  a stored fit map on its rows to the same bits its fit() returned.
+  a stored fit map on its rows to the same bits its fit() returned: the one
+  reader of a map, also on other particles of the same paths (BasisEngine.on).
 
 A group-mean engine with integer keys provides exact conditional
 expectations on enumerable noise trees; it is the brute-force oracle's
@@ -35,7 +38,7 @@ counterpart inside the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,41 +110,12 @@ def feature_columns(basis: RegressionBasis, x, run_i, w) -> np.ndarray:
     return out.reshape(-1, basis.n_columns)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StratumFit:
-    """Fitted least-squares map for one stratum at one time step."""
+    """Fitted map of one stratum at one step, on its _Factor's standardised columns."""
 
-    kept: np.ndarray          # boolean mask over raw columns
-    mu: np.ndarray            # per-kept-column mean
-    sd: np.ndarray            # per-kept-column scale
     beta0: np.ndarray         # (r,) intercepts
     coef: np.ndarray          # (q_kept, r)
-
-    def predict(self, raw_cols: np.ndarray) -> np.ndarray:
-        xs = (raw_cols[:, self.kept] - self.mu) / self.sd
-        return self.beta0[None, :] + xs @ self.coef
-
-
-@dataclass
-class StepFit:
-    """Per-stratum fits for one time step; evaluable on fresh particles."""
-
-    strata: list[StratumFit] = field(default_factory=list)
-
-    def predict(self, raw_cols: np.ndarray, stratum_ids: np.ndarray) -> np.ndarray:
-        """Fitted map on fresh rows; stratum_ids are per particle, as in the fit."""
-        strata = _Strata(stratum_ids, len(self.strata), raw_cols.shape[0])
-        out = None
-        for s, fit in enumerate(self.strata):
-            if strata.rows[s] == 0:
-                continue
-            if fit is None:
-                raise ValueError(f"stratum {s} was empty at fit time but has rows now")
-            vals = fit.predict(strata.take(raw_cols, s))
-            if out is None:
-                out = np.empty((raw_cols.shape[0], vals.shape[1]))
-            strata.put(out, s, vals)
-        return out
 
 
 def _blockwise_gram(xs: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -299,10 +273,15 @@ class RidgeConditioner:
     @classmethod
     def _reuse(cls, strata: _Strata, factors: list, raw_cols: np.ndarray,
                weights: np.ndarray | None) -> RidgeConditioner:
-        """A conditioner on the columns of an earlier build's step: standardised
-        with that build's stored mean and scale, fitted with its Cholesky factor."""
+        """A conditioner on the columns of an earlier build's step, on its rows or
+        on other particles of its paths: standardised with that build's stored
+        mean and scale, fitted with its Cholesky factor."""
+        for s, f in enumerate(factors):
+            if f is None and strata.rows[s]:
+                raise ValueError(f"stratum {s} was empty at the build but has rows now")
         self = cls.__new__(cls)
-        self._strata, self._factors = strata, factors
+        self._strata = strata
+        self._factors = factors = [f if n else None for f, n in zip(factors, strata.rows)]
         self._xs = [
             None if f is None else _standardise(strata.take(raw_cols, s, f.kept), f.mu, f.sd)
             for s, f in enumerate(factors)
@@ -311,14 +290,14 @@ class RidgeConditioner:
                    for s, f in enumerate(factors)]
         return self
 
-    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, StepFit]:
-        """Fitted values (same leading shape) and the reusable coefficient map."""
+    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, list[StratumFit | None]]:
+        """Fitted values (same leading shape) and the fit map, a StratumFit per stratum."""
         squeeze = targets.ndim == 1
         ys = targets[:, None] if squeeze else targets
-        step_fit = StepFit()
+        step_fit: list[StratumFit | None] = []
         for s, fac in enumerate(self._factors):
             if fac is None:
-                step_fit.strata.append(None)
+                step_fit.append(None)
                 continue
             yb = self._strata.take(ys, s)
             w = self._w[s]
@@ -333,17 +312,15 @@ class RidgeConditioner:
                 rhs = xs.T @ (yb if w is None else yb * w[:, None])
                 tmp = np.linalg.solve(fac.chol, rhs)
                 coef = np.linalg.solve(fac.chol.T, tmp)
-            step_fit.strata.append(
-                StratumFit(kept=fac.kept, mu=fac.mu, sd=fac.sd, beta0=beta0, coef=coef)
-            )
+            step_fit.append(StratumFit(beta0=beta0, coef=coef))
         out = self.evaluate(step_fit)
         return (out[:, 0] if squeeze else out), step_fit
 
-    def evaluate(self, step_fit: StepFit) -> np.ndarray:
+    def evaluate(self, step_fit: list[StratumFit | None]) -> np.ndarray:
         """A fit map of this step on its rows, (P, r): what fit() returned for it, bit for bit."""
-        r = next(f.beta0.shape[0] for f in step_fit.strata if f is not None)
+        r = next(f.beta0.shape[0] for f in step_fit if f is not None)
         out = np.empty((sum(self._strata.rows), r))
-        for s, (fac, fit) in enumerate(zip(self._factors, step_fit.strata)):
+        for s, (fac, fit) in enumerate(zip(self._factors, step_fit)):
             if fac is None:
                 continue
             if fac.chol is None:
@@ -365,15 +342,11 @@ class GroupMeanConditioner:
     shares the same information set.
     """
 
-    def __init__(self, keys: np.ndarray, weights: np.ndarray | None = None):
+    def __init__(self, keys: np.ndarray):
         uniq, inv = np.unique(np.asarray(keys), return_inverse=True)
         self.inv = inv
         self.n_groups = uniq.size
-        self.weights = weights
-        if weights is None:
-            self.denom = np.bincount(inv, minlength=self.n_groups).astype(float)
-        else:
-            self.denom = np.bincount(inv, weights=weights, minlength=self.n_groups)
+        self.denom = np.bincount(inv, minlength=self.n_groups).astype(float)
 
     def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fitted values (same leading shape) and the group means, its fit map."""
@@ -382,8 +355,7 @@ class GroupMeanConditioner:
         r = ys.shape[1]
         means = np.empty((self.n_groups, r))
         for j in range(r):
-            col = ys[:, j] if self.weights is None else ys[:, j] * self.weights
-            means[:, j] = np.bincount(self.inv, weights=col, minlength=self.n_groups)
+            means[:, j] = np.bincount(self.inv, weights=ys[:, j], minlength=self.n_groups)
         means /= self.denom[:, None]
         out = self.evaluate(means)
         return (out[:, 0] if squeeze else out), means
@@ -400,15 +372,15 @@ class BasisEngine:
     the per-particle coordinate of shape (M0, K, steps + 1), read a step at a
     time (a bundle's wi_first is step-major, so w[:, :, k] is contiguous).
     Strata are discrete risk-aversion atoms, given per particle as
-    stratum_ids of shape (K,) (a single stratum pools everything).  weights,
-    of shape (M0, steps + 1), are the cumulative importance weights of a
-    measure change; step k regresses with weights[:, k + 1] on every particle.
+    stratum_ids of shape (K,) (a single stratum pools everything); the
+    engine gathers them once.  weights, of shape (M0, steps + 1), are the
+    cumulative importance weights of a measure change; step k regresses with
+    weights[:, k + 1] on every particle.
 
     The first at(k) builds step k's conditioner; every later at(k) recomputes
     only the design columns and reuses that build's factors.  The memo holds
-    O(q^2) numbers per stratum and step plus the strata selectors (per
-    particle, never per row).  It lives as long as the engine, and a
-    solution keeps its engine: each later read of step k rebuilds that
+    O(q^2) numbers per stratum and step.  It lives as long as the engine, and
+    a solution keeps its engine: each later read of step k rebuilds that
     step's values from the columns, the factors and the stored fit map.
     """
 
@@ -426,23 +398,38 @@ class BasisEngine:
         self.stratum_ids = stratum_ids
         self.n_strata = n_strata
         self.weights = weights
-        self._memo: dict[int, tuple[_Strata, list]] = {}
+        self._strata = _Strata(stratum_ids, n_strata, self.M0 * self.K)
+        self._memo: dict[int, list[_Factor | None]] = {}
+        self._builds = True
+
+    def on(self, w, stratum_ids: np.ndarray) -> BasisEngine:
+        """This engine's factors on other particles of the same common paths:
+        levels w (M0, N, steps + 1), stratum ids (N,), ignored by a single
+        stratum.  It never builds: an unbuilt step or a stratum empty at the
+        build raises ValueError."""
+        other = BasisEngine(self.x, self.run_i, w, self.basis,
+                            stratum_ids if self.n_strata > 1 else None, self.n_strata,
+                            self.weights)
+        other._memo, other._builds = self._memo, False
+        return other
 
     def columns_at(self, k: int) -> np.ndarray:
         return feature_columns(self.basis, self.x[:, k, None], self.run_i[:, k, None],
                                self.w[:, :, k])
 
     def at(self, k: int) -> RidgeConditioner:
+        factors = self._memo.get(k)
+        if factors is None and not self._builds:
+            raise ValueError(f"step {k} was never built")
         cols = self.columns_at(k)
         w = None
         if self.weights is not None:
             w = np.broadcast_to(self.weights[:, k + 1, None], (self.M0, self.K)).ravel()
-        memo = self._memo.get(k)
-        if memo is not None:
-            return RidgeConditioner._reuse(*memo, cols, w)
+        if factors is not None:
+            return RidgeConditioner._reuse(self._strata, factors, cols, w)
         cond = RidgeConditioner(cols, self.stratum_ids, self.n_strata,
                                 ridge=self.basis.ridge, weights=w)
-        self._memo[k] = (cond._strata, cond._factors)
+        self._memo[k] = cond._factors
         return cond
 
 

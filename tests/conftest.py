@@ -17,10 +17,10 @@ def make_market(sigma=SIGMA_2X2, d=1):
                       lambda_hi=float(lams[-1]) * 1.001)
 
 
-def pool_strategies(mf, bundle, market, basis, population, w_agents):
+def pool_strategies(mf, population, w_agents):
     """Every step of agent_strategies stacked: p (M0, N, steps, d0), pi (M0, N, steps, n)."""
-    out = [agent_strategies(mf, bundle, market, basis, population, w_agents, k)
-           for k in range(bundle.grid.steps)]
+    out = [agent_strategies(mf, population, w_agents, k)
+           for k in range(mf.solution.grid.steps)]
     return np.stack([p for p, _ in out], axis=2), np.stack([pi for _, pi in out], axis=2)
 
 

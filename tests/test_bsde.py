@@ -223,8 +223,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     mf = solve_mean_field(bundle, market, basis, g_mf, gammas, gamma_hat(gammas).gamma_hat,
                           max_iters=6, stratum_ids=[0, 1, 0, 1], n_strata=2)
     pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
-    p_pool, pi_pool = pool_strategies(
-        mf, bundle, market, basis, pool, fresh_idio_levels(3, 2000, 5, grid))
+    p_pool, pi_pool = pool_strategies(mf, pool, fresh_idio_levels(3, 2000, 5, grid))
     assert np.min(np.abs(p_pool[:, :, 0, 0])) > 0.1
     eq_theta = equilibrium_path(riccati_for_spec(spec, grid), bundle, market, spec).theta
 
@@ -334,7 +333,7 @@ def test_per_step_slices_are_contiguous():
     for k in range(bundle.grid.steps):
         step = {"y_at": sol.y_at(k),
                 **dict(zip(("pool p", "pool pi"),
-                           agent_strategies(mf, bundle, market, BASIS, pool, w, k)))}
+                           agent_strategies(mf, pool, w, k)))}
         for name, a in step.items():
             assert a.flags.c_contiguous, (name, k)
 

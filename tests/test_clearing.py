@@ -216,7 +216,7 @@ def test_agent_strategies_geometry():
     N = 5
     fresh = build_population(N, 7, GAMMA_DIST)
     w = fresh_idio_levels(3, bundle.n_paths, N, grid)
-    p, pi = pool_strategies(mf, bundle, market, basis, fresh, w)
+    p, pi = pool_strategies(mf, fresh, w)
     assert p.shape == (128, N, 10, 2)
     assert pi.shape == (128, N, 10, 1)
     table = market.sigma_table(10)
@@ -236,7 +236,8 @@ def test_agent_strategies_geometry():
 
 def test_agent_strategies_use_each_agents_stratum():
     """On a stratified solve each fresh agent is evaluated with its own
-    atom's fit; the stratum count is read from the fit, not passed in."""
+    atom's fit.  The reference applies that atom's factor (kept columns,
+    mean and scale) and fit map to the agent's raw columns by hand."""
     grid = TimeGrid(0.5, 10)
     market = MarketSpec(n=1, d0=2, d=1, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
@@ -254,15 +255,20 @@ def test_agent_strategies_use_each_agents_stratum():
     pool = build_population(8, 7, dist)
     assert set(pool.atom_ids.tolist()) == {0, 1}
     w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
-    p, _ = pool_strategies(mf, bundle, market, basis, pool, w)
+    p, _ = pool_strategies(mf, pool, w)
     proj, _ = market.geometry(grid.steps)
     for k in (0, 4, 9):
-        strata = mf.solution.fits[k].strata
+        fits, factors = mf.solution.fits[k], mf.solution.engine._memo[k]
         raw = feature_columns(basis, bundle.x[:, k, None], bundle.I[:, k, None], w[:, :, k])
         raw = raw.reshape(bundle.n_paths, pool.size, -1)
+
+        def by_hand(s, rows):
+            fit, fac = fits[s], factors[s]
+            return (((rows[:, fac.kept] - fac.mu) / fac.sd) @ fit.coef + fit.beta0)[:, :2]
+
         for i, s in enumerate(pool.atom_ids):
-            z_hat = strata[s].predict(raw[:, i])[:, :2]
-            other = strata[1 - s].predict(raw[:, i])[:, :2]
+            z_hat = by_hand(s, raw[:, i])
+            other = by_hand(1 - s, raw[:, i])
             assert np.max(np.abs(z_hat - other)) > 1e-2
             want = (z_hat @ proj[k] + mf.theta[:, k]) / pool.gammas[i]
             np.testing.assert_allclose(p[:, i, k], want, rtol=1e-12, atol=1e-12)

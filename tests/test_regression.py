@@ -34,17 +34,20 @@ def test_feature_column_layout():
 @settings(max_examples=20, deadline=None)
 def test_ridge_recovers_exact_linear_map(seed):
     rng = np.random.default_rng(seed)
-    P = 400
-    raw = rng.normal(size=(P, 4))
-    truth = 1.5 + raw @ np.array([0.3, -2.0, 0.7, 0.05])
-    cond = RidgeConditioner(raw, np.zeros(P, dtype=np.int64), 1)
-    fitted, step_fit = cond.fit(truth)
-    assert np.allclose(fitted, truth, atol=1e-6)
-    # the stored fit reproduces the same map on fresh points
-    fresh = rng.normal(size=(50, 4))
-    pred = step_fit.predict(fresh, np.zeros(50, dtype=np.int64))[:, 0]
-    want = 1.5 + fresh @ np.array([0.3, -2.0, 0.7, 0.05])
-    assert np.allclose(pred, want, atol=1e-6)
+    M0, K = 100, 4
+    x, run_i = rng.normal(size=(M0, 2)), rng.normal(size=(M0, 2))
+    w = rng.normal(size=(M0, K, 2))
+
+    def truth(w):     # linear in the degree-1 columns (x, w, I)
+        return (1.5 + 0.3 * x[:, 1, None] - 2.0 * w[:, :, 1] + 0.7 * run_i[:, 1, None]).ravel()
+
+    eng = BasisEngine(x, run_i, w, RegressionBasis(degree=1))
+    fitted, step_fit = eng.at(1).fit(truth(w))
+    assert np.allclose(fitted, truth(w), atol=1e-6)
+    # the stored fit reproduces the same map on fresh particles of the same paths
+    fresh = rng.normal(size=(M0, 12, 2))
+    pred = eng.on(fresh, np.zeros(12, dtype=np.int64)).at(1).evaluate(step_fit)[:, 0]
+    assert np.allclose(pred, truth(fresh), atol=1e-6)
 
 
 def test_ridge_projects_conditional_mean():
@@ -78,9 +81,12 @@ def test_constant_columns_are_dropped():
     P = 200
     raw = np.column_stack([rng.normal(size=P), np.full(P, 7.0)])
     y = 3.0 + 2.0 * raw[:, 0]
-    fitted, step_fit = RidgeConditioner(raw, np.zeros(P, dtype=np.int64), 1).fit(y)
+    cond = RidgeConditioner(raw, np.zeros(P, dtype=np.int64), 1)
+    fitted, step_fit = cond.fit(y)
     assert np.allclose(fitted, y, atol=1e-6)
-    assert step_fit.strata[0].kept.tolist() == [True, False]
+    # the kept columns are the step's factor; the fit map has one coefficient
+    assert cond._factors[0].kept.tolist() == [True, False]
+    assert step_fit[0].coef.shape == (1, 1)
 
 
 def test_collinear_columns_raise():
@@ -106,7 +112,7 @@ def test_weighted_fit_shifts_toward_heavy_rows():
     w = np.where(np.arange(P) < P // 2, 3.0, 1.0)
     cond = RidgeConditioner(raw, np.zeros(P, dtype=np.int64), 1, weights=w)
     _, fit = cond.fit(y)
-    assert fit.strata[0].beta0[0] == pytest.approx((3.0 - 1.0) / 4.0, abs=0.05)
+    assert fit[0].beta0[0] == pytest.approx((3.0 - 1.0) / 4.0, abs=0.05)
 
 
 def test_group_mean_conditioner_is_exact():
@@ -114,10 +120,6 @@ def test_group_mean_conditioner_is_exact():
     y = np.array([1.0, 3.0, 2.0, 4.0, 6.0, 10.0])
     fitted, _ = GroupMeanConditioner(keys).fit(y)
     assert np.allclose(fitted, [2.0, 2.0, 4.0, 4.0, 4.0, 10.0])
-    w = np.array([1.0, 3.0, 1.0, 1.0, 2.0, 5.0])
-    fitted_w, _ = GroupMeanConditioner(keys, weights=w).fit(y)
-    assert fitted_w[0] == pytest.approx((1 + 9) / 4)
-    assert fitted_w[2] == pytest.approx((2 + 4 + 12) / 4)
 
 
 def test_tree_engine_indexes_steps():
@@ -159,13 +161,28 @@ def test_broadcast_state_columns_equal_flat_columns(basis):
     assert np.array_equal(feature_columns(basis, x, run_i, w), flat)
 
 
-def test_step_fit_rejects_unseen_stratum():
-    rng = np.random.default_rng(6)
-    raw = rng.normal(size=(200, 2))
-    ids = np.zeros(200, dtype=np.int64)
-    _, fit = RidgeConditioner(raw, ids, 2).fit(rng.normal(size=200))
-    with pytest.raises(ValueError):
-        fit.predict(raw[:5], np.ones(5, dtype=np.int64))
+def two_stratum_engine(M0=100, ids=(0, 1, 1), steps=2, seed=6):
+    """A degree-2 engine with per-particle strata ids over M0 paths."""
+    rng = np.random.default_rng(seed)
+    x, run_i = rng.normal(size=(M0, steps + 1)), rng.normal(size=(M0, steps + 1))
+    w = rng.normal(size=(M0, len(ids), steps + 1))
+    return BasisEngine(x, run_i, w, RegressionBasis(degree=2), stratum_ids=np.array(ids),
+                       n_strata=2)
+
+
+def test_on_rejects_unbuilt_step_and_unseen_stratum(conditioner_builds):
+    """Fresh particles are read with the build's factors only: a step that was
+    never built, or a stratum that had no rows at the build, raises."""
+    eng = two_stratum_engine(ids=(0, 0, 0))          # stratum 1 empty at the build
+    _, fit = eng.at(1).fit(eng.columns_at(1)[:, 0])
+    rng = np.random.default_rng(7)
+    fresh = rng.normal(size=(eng.M0, 5, 3))
+    assert eng.on(fresh, np.zeros(5, dtype=np.int64)).at(1).evaluate(fit).shape == (500, 1)
+    with pytest.raises(ValueError, match="never built"):
+        eng.on(fresh, np.zeros(5, dtype=np.int64)).at(0)
+    with pytest.raises(ValueError, match="stratum 1 was empty"):
+        eng.on(fresh, np.array([0, 1, 0, 0, 0])).at(1)
+    assert len(conditioner_builds) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +222,15 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted):
             got, got_fit = eng.at(k).fit(y)
             for s in range(n_strata):
                 rows = np.nonzero(flat == s)[0]
-                want, want_fit = RidgeConditioner(
+                fresh = RidgeConditioner(
                     cols[rows], np.zeros(rows.size, dtype=np.int64), 1,
                     weights=None if wk is None else wk[rows],
-                ).fit(y[rows])
+                )
+                want, want_fit = fresh.fit(y[rows])
                 assert np.array_equal(got[rows], want), (call, k, s)
-                g, r = got_fit.strata[s], want_fit.strata[0]
-                assert np.array_equal(g.kept, r.kept) and np.array_equal(g.coef, r.coef)
+                g, r = got_fit[s], want_fit[0]
+                assert np.array_equal(eng._memo[k][s].kept, fresh._factors[0].kept)
+                assert np.array_equal(g.coef, r.coef)
                 assert np.array_equal(g.beta0, r.beta0)
     # the repeat calls built nothing: one stored step per k, O(q^2) each
     assert sorted(eng._memo) == [0, 1, 2]
@@ -219,11 +238,12 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted):
 
 def test_stratum_ids_must_tile_the_rows():
     raw = np.random.default_rng(1).normal(size=(300, 2))
-    _, fit = RidgeConditioner(raw, np.array([0, 1, 1]), 2).fit(raw[:, 0])   # 100 paths of 3
+    RidgeConditioner(raw, np.array([0, 1, 1]), 2)                           # 100 paths of 3
+    eng = two_stratum_engine()
     with pytest.raises(ValueError, match="do not tile"):
         RidgeConditioner(raw, np.array([0, 1, 1, 0, 1, 0, 1]), 2)
     for bad in ([0, 2, 1], [0, -1, 1]):
         with pytest.raises(ValueError, match="outside"):
             RidgeConditioner(raw, np.array(bad), 2)
         with pytest.raises(ValueError, match="outside"):
-            fit.predict(raw, np.array(bad))
+            eng.on(eng.w, np.array(bad))
