@@ -12,13 +12,15 @@ product of the next-step value with the Brownian increment, y by regressing
 the next-step value plus the frozen driver.  One solve, `_solve`, serves the
 agent, tilted and mean-field solves; they differ only in where theta comes
 from (the caller's path, or the cloud's own z0_par in the mean-field solve)
-and in the engine they regress with.  Its Picard loop, `_fixed_point`,
-starts from z = 0, re-freezes the quadratic driver at the latest z, and
-stops once the larger of the relative y0 change and the relative cloud-L2 z
-change is below tol.  A non-finite change, or a change that grows for 3
-consecutive sweeps, raises PicardDiverged.  The same backward pass, with
-importance weights and theta-shifted increments, solves the measure-changed
-form whose driver drops the -z0_par theta term.
+and in the engine they regress with.  theta is read per path, (M0, d0) a
+step: a deterministic one is the case where every path holds the same value.
+Its Picard loop, `_fixed_point`, starts from z = 0, re-freezes the
+quadratic driver at the latest z, and stops once the larger of the relative
+y0 change and the relative cloud-L2 z change is below tol.  A non-finite
+change, or one that grows for 3 consecutive sweeps, raises PicardDiverged.
+The same backward pass, with importance weights and theta-shifted
+increments, solves the measure-changed form whose driver drops the
+-z0_par theta term.
 
 The solution is its coefficients, each step's fit maps on the engine's
 basis: no (particle, step) array of y or z is stored.  A sweep rebuilds the
@@ -53,7 +55,7 @@ class BsdeSolution:
     """Backward-induction output on a particle cloud of shape (M0, K): its fit maps.
 
     fits[k] maps step k's state to (z0, z1) and y_fits[k] to the stage-1 pair
-    (y_k+1, driver), so y_k = fitted y_k+1 + dt fitted driver + dt f_det[k].
+    (y_k+1, driver), so y_k = fitted y_k+1 + dt fitted driver.
     z_at and y_at rebuild one step on the solve's engine, to the bits the
     last sweep computed; materialise stacks every step, for small solves.
     """
@@ -62,7 +64,6 @@ class BsdeSolution:
     market: MarketSpec
     engine: object              # BasisEngine or TreeEngine the solve regressed with
     g: np.ndarray               # (M0, K) terminal values
-    f_det: list[float]          # deterministic driver part per step
     fits: list                  # z fit map per step
     y_fits: list                # stage-1 (y, driver) fit map per step
     y0: float                   # mean initial value
@@ -87,7 +88,7 @@ class BsdeSolution:
         cond = self.engine.at(k) if cond is None else cond
         fitted = cond.evaluate(self.y_fits[k])
         dt = self.grid.dt
-        return (fitted[:, 0] + dt * fitted[:, 1]).reshape(self.g.shape) + dt * self.f_det[k]
+        return (fitted[:, 0] + dt * fitted[:, 1]).reshape(self.g.shape)
 
     def materialise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every step stacked, step-major: y (M0, K, steps + 1), z0 and z1 (M0, K, steps, ·)."""
@@ -106,16 +107,15 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
     return sum((a[..., j] for j in range(1, a.shape[-1])), a[..., 0])
 
 
-def _as_theta_at(theta: np.ndarray, steps: int, d0: int, n_paths: int):
-    """Normalise theta input to a per-step (M0, d0) accessor plus a flag."""
+def _pathwise_theta(theta: np.ndarray, steps: int, d0: int, n_paths: int) -> np.ndarray:
+    """theta of shape (steps, d0) or (M0, steps, d0) as an (M0, steps, d0) view:
+    a deterministic premium is the adapted one that every path shares."""
     th = np.asarray(theta, dtype=float)
-    if th.shape == (steps, d0):
-        return (lambda k: np.broadcast_to(th[k], (n_paths, d0))), True
-    if th.shape == (n_paths, steps, d0):
-        return (lambda k: th[:, k, :]), False
-    raise ValueError(
-        f"theta must have shape ({steps}, {d0}) or ({n_paths}, {steps}, {d0}); got {th.shape}"
-    )
+    if th.shape not in ((steps, d0), (n_paths, steps, d0)):
+        raise ValueError(
+            f"theta must have shape ({steps}, {d0}) or ({n_paths}, {steps}, {d0}); got {th.shape}"
+        )
+    return np.broadcast_to(th, (n_paths, steps, d0))
 
 
 def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec,
@@ -124,9 +124,8 @@ def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec
 
     prev is the previous sweep's solution (None: z = 0).  Step k of its z is
     rebuilt on step k's conditioner, which the sweep builds anyway, and
-    driver(k, z) -> (pathwise (M0, K) array, deterministic scalar) freezes
-    the driver there; both are added to the continuation value, the scalar
-    outside the regression.  tilt(k) -> theta_k makes it the measure-changed
+    driver(k, z) -> (M0, K) array freezes the driver there; it is regressed
+    with the continuation value.  tilt(k) -> theta_k makes it the measure-changed
     sweep: the common increments are shifted by theta_k dt.  Its regressions
     are weighted by the cumulative weights the engine was built with, so tilt
     carries no weights.  Only y at steps k + 1 and k is held.  Returns the
@@ -137,7 +136,7 @@ def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec
     M0, K = g.shape
     steps, d0, d = bundle.grid.steps, market.d0, market.d
     P = M0 * K
-    fits, y_fits, f_det = [None] * steps, [None] * steps, [0.0] * steps
+    fits, y_fits = [None] * steps, [None] * steps
     stage1 = np.empty((P, 2))
     prods = np.empty((P, d0 + d))
     prods3 = prods.reshape(M0, K, -1)
@@ -149,10 +148,8 @@ def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec
             dw0_k = dw0_k + tilt(k) * dt
         cond = engine.at(k)
         z_old = np.zeros((M0, K, d0 + d)) if prev is None else prev.z_at(k, cond)
-        f_path, f_det[k] = driver(k, z_old)
-
         stage1[:, 0] = y.reshape(P)
-        stage1[:, 1] = f_path.reshape(P)
+        stage1[:, 1] = driver(k, z_old).reshape(P)
         fitted1, y_fits[k] = cond.fit(stage1)
         y_fit = fitted1[:, 0]
 
@@ -166,8 +163,8 @@ def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec
         dz2 += float(np.sum((new[..., :d0] - z_old[..., :d0]) ** 2)
                      + np.sum((new[..., d0:] - z_old[..., d0:]) ** 2))
         z2 += float(np.sum(fitted2**2))
-        y = (y_fit + dt * fitted1[:, 1]).reshape(M0, K) + dt * f_det[k]
-    sol = BsdeSolution(grid=bundle.grid, market=market, engine=engine, g=g, f_det=f_det,
+        y = (y_fit + dt * fitted1[:, 1]).reshape(M0, K)
+    sol = BsdeSolution(grid=bundle.grid, market=market, engine=engine, g=g,
                        fits=fits, y_fits=y_fits, y0=float(np.mean(y)))
     return sol, y, dz2, z2
 
@@ -219,8 +216,7 @@ def _fixed_point(sweep, n: int, max_iters: int, tol: float):
 
 
 def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_at,
-           theta_det: bool, max_iters: int, tol: float, clip: float,
-           tilted: bool = False) -> BsdeSolution:
+           max_iters: int, tol: float, clip: float, tilted: bool = False) -> BsdeSolution:
     """The one solve behind the agent, tilted and mean-field solves.
 
     Each sweep freezes the driver at the previous iterate.  At step k it
@@ -229,10 +225,8 @@ def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_
     -z0_par theta - |theta|^2 / 2 + (|z0_perp|^2 + |z1|^2) / 2.  A tilted
     solve drops -z0_par theta, which its measure absorbs, and shifts the
     common increments by theta_at(k, None) dt; its engine carries the weights.
-    A deterministic theta (theta_det) adds -|theta|^2 / 2 outside the
-    regression.  The engine lives as long as the solution, so each step's
-    regression is built in the first sweep and reused by the later ones and
-    by every read of the solution.
+    The engine lives as long as the solution, so each step's regression is
+    built in the first sweep and reused by the later ones and by every read.
     """
     steps = bundle.grid.steps
     g = np.asarray(g, dtype=float).reshape(bundle.n_paths, bundle.n_agents)
@@ -256,9 +250,7 @@ def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_
             th = theta_at(k, z0_par)
             if not tilted:
                 f = f - np.einsum("mkj,mj->mk", z0_par, th)
-            if theta_det:
-                return f, -0.5 * float(np.sum(th[0] ** 2))
-            return f - 0.5 * np.sum(th**2, axis=1)[:, None], 0.0
+            return f - 0.5 * np.sum(th**2, axis=1)[:, None]
 
         out = _backward_pass(engine, g, bundle, market, driver, prev, tilt)
         return (*out, clips)
@@ -276,10 +268,11 @@ def solve_agent_bsde(
     picard_tol: float = 1e-4,
     clip: float = 50.0,
 ) -> BsdeSolution:
-    """Solve the normalized utility BSDE for an exogenous risk premium."""
-    theta_at, theta_det = _as_theta_at(theta, bundle.grid.steps, market.d0, bundle.n_paths)
+    """Solve the normalized utility BSDE for an exogenous risk premium theta,
+    of shape (steps, d0) or (M0, steps, d0)."""
+    th = _pathwise_theta(theta, bundle.grid.steps, market.d0, bundle.n_paths)
     engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis)
-    return _solve(bundle, market, engine, g_samples, lambda k, _: theta_at(k), theta_det,
+    return _solve(bundle, market, engine, g_samples, lambda k, _: th[:, k],
                   picard_max, picard_tol, clip)
 
 
@@ -293,11 +286,11 @@ def doleans_weights(theta: np.ndarray, bundle: PathBundle) -> np.ndarray:
     steps, dt = grid.steps, grid.dt
     M0 = bundle.n_paths
     d0 = bundle.dW0.shape[2]
-    theta_at, _ = _as_theta_at(theta, steps, d0, M0)
+    theta = _pathwise_theta(theta, steps, d0, M0)
     D = np.empty((M0, steps + 1))
     D[:, 0] = 1.0
     for k in range(steps):
-        th = theta_at(k)
+        th = theta[:, k]
         expo = -np.einsum("mj,mj->m", th, bundle.dW0[:, k, :]) - 0.5 * dt * np.sum(th**2, axis=1)
         D[:, k + 1] = D[:, k] * np.exp(expo)
     return D
@@ -329,9 +322,9 @@ def solve_under_q(
             f"effective sample size {ess:.1f} below {M0 / 100:.1f}: "
             "the risk premium is too large for this measure change"
         )
-    theta_at, theta_det = _as_theta_at(theta, bundle.grid.steps, market.d0, M0)
+    th = _pathwise_theta(theta, bundle.grid.steps, market.d0, M0)
     engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis, weights=D)
-    sol = _solve(bundle, market, engine, g_samples, lambda k, _: theta_at(k), theta_det,
+    sol = _solve(bundle, market, engine, g_samples, lambda k, _: th[:, k],
                  picard_max, picard_tol, clip, tilted=True)
     return sol, ess
 
@@ -350,13 +343,13 @@ def optimal_strategy(
     steps = grid.steps
     M0, K = solution.g.shape
     d0 = market.d0
-    theta_at, _ = _as_theta_at(theta, steps, d0, M0)
+    th = _pathwise_theta(theta, steps, d0, M0)
     proj, pos = market.geometry(steps)
     p = step_major((M0, K, steps, d0))
     pi = step_major((M0, K, steps, market.n))
     for k in range(steps):
         z0 = solution.z_at(k)[..., :d0]
-        p[:, :, k, :] = (z0 @ proj[k] + theta_at(k)[:, None, :]) / gamma
+        p[:, :, k, :] = (z0 @ proj[k] + th[:, k, None, :]) / gamma
         pi[:, :, k, :] = p[:, :, k, :] @ pos[k].T
     return p, pi
 
@@ -387,13 +380,14 @@ class VerificationReport:
         )
 
 
-def _wealth_paths(p: np.ndarray, bundle: PathBundle, theta_at, dt: float):
-    """W_{k+1} = W_k + p_k (dW0_k + theta_k dt), W_0 = 0, for p of shape (M0, K, steps, d0)."""
+def _wealth_paths(p: np.ndarray, bundle: PathBundle, th: np.ndarray, dt: float):
+    """W_{k+1} = W_k + p_k (dW0_k + theta_k dt), W_0 = 0, for p of shape (M0, K, steps, d0)
+    and theta of shape (M0, steps, d0)."""
     M0, K, steps, _ = p.shape
     W = np.empty((M0, K, steps + 1))
     W[:, :, 0] = 0.0
     for k in range(steps):
-        drive = bundle.dW0[:, k, :] + theta_at(k) * dt
+        drive = bundle.dW0[:, k, :] + th[:, k] * dt
         W[:, :, k + 1] = W[:, :, k] + np.einsum("mkj,mj->mk", p[:, :, k, :], drive)
     return W
 
@@ -418,7 +412,7 @@ def verify_condition_r(
     steps, dt = grid.steps, grid.dt
     M0, K = solution.g.shape
     d0 = market.d0
-    theta_at, _ = _as_theta_at(theta, steps, d0, M0)
+    th = _pathwise_theta(theta, steps, d0, M0)
     proj, _ = market.geometry(steps)
     if perturbations is None:
         perturbations = [
@@ -427,11 +421,11 @@ def verify_condition_r(
         ]
 
     p_star, _ = optimal_strategy(solution, theta, gamma, market)
-    Y = solution.materialise()[0] / gamma
+    Y = np.stack([solution.y_at(k) for k in range(steps + 1)]).transpose(1, 2, 0) / gamma
     F = np.asarray(g_samples, dtype=float).reshape(M0, K) / gamma
 
     def drift_stats(p):
-        W = _wealth_paths(p, bundle, theta_at, dt)
+        W = _wealth_paths(p, bundle, th, dt)
         R = -np.exp(-gamma * (W - Y))
         dR = np.diff(R, axis=2)
         flat = dR.reshape(-1, steps)

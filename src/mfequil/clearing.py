@@ -94,7 +94,6 @@ class Population:
 
     gammas: np.ndarray       # (N,)
     atom_ids: np.ndarray     # (N,) index into the gamma atoms
-    gamma_dist: DiscreteDist
 
     @property
     def size(self) -> int:
@@ -106,7 +105,6 @@ def build_population(
     seed: int,
     gamma_dist: DiscreteDist,
     balanced: bool = False,
-    stream: int = KIND_GAMMA,
 ) -> Population:
     """Draw gamma_i for n_agents.
 
@@ -119,17 +117,17 @@ def build_population(
     if balanced:
         ids = gamma_dist.balanced_ids(n_agents)
     else:
-        u = _philox(seed, stream, 0).random(n_agents)
+        u = _philox(seed, KIND_GAMMA, 0).random(n_agents)
         ids = gamma_dist.draw_ids(u)
     gammas = np.asarray(gamma_dist.values, dtype=float)[ids]
-    return Population(gammas=gammas, atom_ids=ids, gamma_dist=gamma_dist)
+    return Population(gammas=gammas, atom_ids=ids)
 
 
-def fresh_idio_levels(seed: int, n_common: int, n_agents: int, grid, stream: int = KIND_AUX):
+def fresh_idio_levels(seed: int, n_common: int, n_agents: int, grid):
     """Idiosyncratic Brownian first components for evaluation agents,
     (M0, N, steps + 1) step-major, with level 0 at time 0."""
     steps, dt = grid.steps, grid.dt
-    dw = normal_block_array(seed, stream, (n_common, n_agents, steps)) * np.sqrt(dt)
+    dw = normal_block_array(seed, KIND_AUX, (n_common, n_agents, steps)) * np.sqrt(dt)
     w = step_major((n_common, n_agents, steps + 1))
     np.cumsum(dw, axis=2, out=w[:, :, 1:])
     return w
@@ -337,22 +335,20 @@ def random_replacement(
     seed: int,
     steps: int,
     n: int,
-    spread: float = 0.3,
     cond_cap: float = 50.0,
     block: int = 0,
-    max_tries: int = 200,
 ) -> ReplacementSpec:
-    """Q_k = I + spread * U[-1,1]^{n x n}, redrawn until the condition cap holds."""
+    """Q_k = I + 0.3 U[-1,1]^{n x n}, redrawn up to 200 times until the condition cap holds."""
     rng = _philox(seed, KIND_REPLACE, block)
     Q = np.empty((steps, n, n))
     for k in range(steps):
-        for _ in range(max_tries):
-            cand = np.eye(n) + spread * (2.0 * rng.random((n, n)) - 1.0)
+        for _ in range(200):
+            cand = np.eye(n) + 0.3 * (2.0 * rng.random((n, n)) - 1.0)
             if np.linalg.cond(cand) <= cond_cap:
                 Q[k] = cand
                 break
         else:
-            raise IllConditionedQ(f"no well-conditioned draw in {max_tries} tries")
+            raise IllConditionedQ("no well-conditioned draw in 200 tries")
     return ReplacementSpec(Q=Q, cond_cap=cond_cap)
 
 
@@ -368,8 +364,8 @@ def replacement_invariance(
     theta identity: the market price of risk computed from (Q mu, Q sigma)
     equals the one from (mu, sigma).  Wealth identity: trading pi_tilde in
     the replaced securities equals trading Q^T pi_tilde in the originals,
-    pathwise.  mu has shape (steps, n) or (M0, steps, n); pi_tilde has shape
-    (M0, steps, n).
+    pathwise.  mu has shape (steps, n) or (M0, steps, n), read per path
+    either way; pi_tilde has shape (M0, steps, n).
     """
     rep.validate()
     grid = bundle.grid
@@ -378,12 +374,9 @@ def replacement_invariance(
     n = market.n
     table = market.sigma_table(steps)
     mu = np.asarray(mu, dtype=float)
-    if mu.shape == (steps, n):
-        mu_at = lambda k: np.broadcast_to(mu[k], (M0, n))
-    elif mu.shape == (M0, steps, n):
-        mu_at = lambda k: mu[:, k, :]
-    else:
+    if mu.shape not in ((steps, n), (M0, steps, n)):
         raise ValueError(f"mu must be (steps, n) or (M0, steps, n); got {mu.shape}")
+    mu = np.broadcast_to(mu, (M0, steps, n))
 
     theta_disc = 0.0
     w_orig = np.zeros((M0,))
@@ -392,7 +385,7 @@ def replacement_invariance(
     for k in range(steps):
         Qk = rep.Q[k]
         sig = table[k]
-        mk = mu_at(k)
+        mk = mu[:, k]
         th = risk_premium_from_mu(sig, mk)
         th_tilde = risk_premium_from_mu(Qk @ sig, mk @ Qk.T)
         theta_disc = max(theta_disc, float(np.max(np.abs(th_tilde - th))))

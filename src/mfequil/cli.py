@@ -1,7 +1,6 @@
 """Command-line runner: scenario stages with reproducible file outputs.
 
-    mfequil <stage> --config cfg.json [--set key=value]... [--seed S]
-            [--threads K] [--out DIR]
+    mfequil <stage> --config cfg.json [--set key=value]... [--seed S] [--out DIR]
 
 Stages: riccati, equilibrium, bsde, mf-solve, clearing, invariance, all.
 Each stage writes CSV/JSON outputs plus plot-ready series under plots/, and
@@ -393,8 +392,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="dotted-path config override")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and checked (>= 1) but has no effect")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--record-timing", action="store_true",
                    help="write measured wall clock into the manifest "
@@ -414,8 +411,6 @@ def run(argv: list[str] | None = None) -> int:
             data = apply_overrides(config_to_dict(cfg), overrides)
             cfg = config_from_dict(data)
         out_dir = args.out or cfg.out_dir or f"out_{cfg.name}"
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         sc = build_scenario(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ idiosyncratic Gaussian leg), the normalized common value process is
     y0_t = A(t) x_t^2 + B(t) x_t + C(t) + I_t,
     z0_t = (2 A(t) x_t + B(t)) delta,
 
-the idiosyncratic leg has the Cole-Hopf form
+the idiosyncratic leg has the Cole-Hopf form (cole_hopf_idio)
 
     y1_t = kappa (W^i_t)_1 + kappa^2 (T - t) / 2,   z1_t = kappa e_1,
 
@@ -35,8 +35,7 @@ class EquilibriumPath:
     """Pathwise closed-form solution sampled on bundle paths.
 
     y0: (M, steps + 1); z0: (M, steps + 1, d0); theta: (M, steps, d0);
-    mu: (M, steps, n).  y1/z1 are present when kappa != 0: y1 has shape
-    (M, K, steps + 1) and z1 is the constant (d,) loading.
+    mu: (M, steps, n).  The idiosyncratic leg is cole_hopf_idio.
     """
 
     grid: TimeGrid
@@ -44,8 +43,6 @@ class EquilibriumPath:
     z0: np.ndarray
     theta: np.ndarray
     mu: np.ndarray
-    y1: np.ndarray | None = None
-    z1: np.ndarray | None = None
 
 
 def closed_form_y0(ric: RiccatiSolution, spec: EqgSpec) -> float:
@@ -78,11 +75,7 @@ def equilibrium_path(
     for k in range(steps):
         theta[:, k, :] = -slope[:, k, None] * (delta @ proj[k])
         mu[:, k, :] = excess_return_from_theta(sig_table[k], theta[:, k, :])
-
-    y1 = z1 = None
-    if spec.kappa != 0.0:
-        y1, z1 = cole_hopf_idio(spec.kappa, grid, bundle)
-    return EquilibriumPath(grid=grid, y0=y0, z0=z0, theta=theta, mu=mu, y1=y1, z1=z1)
+    return EquilibriumPath(grid=grid, y0=y0, z0=z0, theta=theta, mu=mu)
 
 
 def cole_hopf_idio(kappa: float, grid: TimeGrid, bundle: PathBundle):

@@ -103,19 +103,18 @@ def liability_bounds(
     spec: EqgSpec,
     grid: TimeGrid,
     gamma_lo: float,
-    n_std: float = 6.0,
 ) -> dict:
     """Truncated-range sup bounds for |F| and its non-additive part.
 
-    The factor is confined to mean(t) +- n_std running standard deviations
-    and Brownian coordinates to +- n_std sqrt(T); the bound is the resulting
+    The factor is confined to mean(t) +- 6 running standard deviations
+    and Brownian coordinates to +- 6 sqrt(T); the bound is the resulting
     sup of each component's |F| contribution, with the common leg divided by
     the smallest risk aversion.
     """
     T = grid.horizon
     mean_T, var_T = ou_exact_moments(spec, T)
-    x_max = max(abs(spec.x0), abs(mean_T)) + n_std * np.sqrt(var_T)
-    w_max = n_std * np.sqrt(T)
+    x_max = max(abs(spec.x0), abs(mean_T)) + 6.0 * np.sqrt(var_T)
+    w_max = 6.0 * np.sqrt(T)
 
     f_full = 0.0
     f_cross = 0.0

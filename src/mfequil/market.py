@@ -144,23 +144,15 @@ class PopulationStats:
         )
 
 
-def gamma_hat(gammas: np.ndarray, weights: np.ndarray | None = None) -> PopulationStats:
-    """Population statistics from a sample (or weighted atoms) of gamma."""
+def gamma_hat(gammas: np.ndarray) -> PopulationStats:
+    """Population statistics from a sample of gamma."""
     g = np.asarray(gammas, dtype=float).ravel()
     if g.size == 0:
         raise NonpositiveGamma("empty risk-aversion sample")
     if np.any(~np.isfinite(g)) or np.any(g <= 0.0):
         raise NonpositiveGamma("all risk aversions must be positive and finite")
-    if weights is None:
-        inv_mean = float(np.mean(1.0 / g))
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.shape != g.shape or np.any(w < 0.0) or w.sum() <= 0.0:
-            raise ValueError("weights must be nonnegative and match gammas")
-        w = w / w.sum()
-        inv_mean = float(np.sum(w / g))
     return PopulationStats(
-        gamma_hat=1.0 / inv_mean,
+        gamma_hat=1.0 / float(np.mean(1.0 / g)),
         gamma_lo=float(np.min(g)),
         gamma_hi=float(np.max(g)),
     )

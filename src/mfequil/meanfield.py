@@ -150,7 +150,7 @@ def solve_mean_field(
     def theta_at(k, z0_par):
         return -gamma_hat * np.mean(inv_gamma_eq * z0_par[:, :n_eq, :], axis=1)
 
-    sol = _solve(bundle, market, engine, g_samples, theta_at, False, max_iters, tol, clip)
+    sol = _solve(bundle, market, engine, g_samples, theta_at, max_iters, tol, clip)
     changes = [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
     diagnostics.changes = changes
     diagnostics.ratios = [

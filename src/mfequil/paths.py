@@ -79,7 +79,6 @@ class PathBundle:
     dWi: np.ndarray
     x: np.ndarray
     I: np.ndarray
-    seed: int
 
     @property
     def n_paths(self) -> int:
@@ -130,7 +129,7 @@ def simulate_paths(
                 .reshape(dWi.shape), sqdt, out=dWi)
 
     x, I = _euler_factor(spec, dW0, dt)
-    return PathBundle(grid=grid, dW0=dW0, dWi=dWi, x=x, I=I, seed=seed)
+    return PathBundle(grid=grid, dW0=dW0, dWi=dWi, x=x, I=I)
 
 
 def _euler_factor(spec: EqgSpec, dW0: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -183,4 +182,4 @@ def coarsen_bundle(bundle: PathBundle, factor: int, spec: EqgSpec) -> PathBundle
     dWi = step_major((M, K, steps_c, d))
     np.sum(bundle.dWi.reshape(M, K, steps_c, factor, d), axis=3, out=dWi)
     x, I = _euler_factor(spec, dW0, coarse_grid.dt)
-    return PathBundle(grid=coarse_grid, dW0=dW0, dWi=dWi, x=x, I=I, seed=bundle.seed)
+    return PathBundle(grid=coarse_grid, dW0=dW0, dWi=dWi, x=x, I=I)

@@ -54,15 +54,15 @@ _COLUMN_BLOCK_ROWS = 8192
 class RegressionBasis:
     """Polynomial state basis: monomials x^i w^j (1 <= i + j <= degree) + I.
 
-    include_idio=False drops the idiosyncratic coordinate entirely (the
-    correct sufficient state when terminal data have no per-agent component);
-    spurious w-columns would otherwise leak sampling noise into per-agent
-    quantities that cancel exactly in the continuum.
+    The running integral I is always a column.  include_idio=False drops the
+    idiosyncratic coordinate entirely (the correct sufficient state when
+    terminal data have no per-agent component); spurious w-columns would
+    otherwise leak sampling noise into per-agent quantities that cancel
+    exactly in the continuum.
     """
 
     degree: int = 2
     ridge: float = 1e-8
-    include_integral: bool = True
     include_idio: bool = True
 
     def __post_init__(self):
@@ -78,7 +78,7 @@ class RegressionBasis:
             poly = self.degree * (self.degree + 3) // 2
         else:
             poly = self.degree
-        return poly + (1 if self.include_integral else 0)
+        return poly + 1
 
 
 def feature_columns(basis: RegressionBasis, x, run_i, w) -> np.ndarray:
@@ -105,8 +105,7 @@ def feature_columns(basis: RegressionBasis, x, run_i, w) -> np.ndarray:
             for j in range((total if basis.include_idio else 0) + 1):
                 np.multiply(xp[total - j], wp[j], out=ob[..., i])
                 i += 1
-        if basis.include_integral:
-            ob[..., i] = run_i[s:e]
+        ob[..., i] = run_i[s:e]
     return out.reshape(-1, basis.n_columns)
 
 

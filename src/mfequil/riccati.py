@@ -270,5 +270,5 @@ def riccati_ode(
     )
 
 
-def riccati_for_spec(spec: EqgSpec, grid: TimeGrid, refine: int = 16) -> RiccatiSolution:
-    return riccati_closed_form(spec.a, spec.b, spec.alpha, spec.beta, spec.delta_vec, grid, refine)
+def riccati_for_spec(spec: EqgSpec, grid: TimeGrid) -> RiccatiSolution:
+    return riccati_closed_form(spec.a, spec.b, spec.alpha, spec.beta, spec.delta_vec, grid)

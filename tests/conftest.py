@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,31 @@ def pool_strategies(mf, population, w_agents):
     out = [agent_strategies(mf, population, w_agents, k)
            for k in range(mf.solution.grid.steps)]
     return np.stack([p for p, _ in out], axis=2), np.stack([pi for _, pi in out], axis=2)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def blas_thread_runs(tmp_path_factory):
+    """`mfequil all` on tiny.json, each in a fresh process, at one and at two
+    BLAS threads: (exit codes, stderr texts, {relative path: bytes} per run). Run once and
+    shared by the tests that compare the two trees."""
+    rcs, errs, trees = [], [], []
+    for n in ("1", "2"):
+        out = tmp_path_factory.mktemp(f"blas{n}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfequil.cli", "all", "--config",
+             str(ROOT / "configs" / "tiny.json"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        rcs.append(proc.returncode)
+        errs.append(proc.stderr)
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    return rcs, errs, trees
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ finer grain.
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -47,8 +46,6 @@ from mfequil import (
     terminal_g,
     verify_condition_r,
 )
-from mfequil.cli import run as cli_run
-
 from conftest import pool_strategies
 
 from test_meanfield import (
@@ -427,22 +424,12 @@ def test_ac13_integral_swap_gap_vanishes_under_refinement():
 # --------------------------------------------------------------------------
 # 14: reproducibility of the full pipeline
 
-def test_ac14_runner_output_is_thread_invariant(tmp_path):
-    cfg = str(CONFIGS / "tiny.json")
-    out1, out8 = tmp_path / "t1", tmp_path / "t8"
-    rc1 = cli_run(["all", "--config", cfg, "--out", str(out1), "--threads", "1"])
-    rc8 = cli_run(["all", "--config", cfg, "--out", str(out8), "--threads", "8"])
-
-    def tree(root):
-        out = {}
-        for dirpath, _dirs, files in os.walk(root):
-            for f in files:
-                p = Path(dirpath) / f
-                out[str(p.relative_to(root))] = p.read_bytes()
-        return out
-
-    t1, t8 = tree(out1), tree(out8)
-    same = t1 == t8
-    ok = rc1 == 0 and rc8 == 0 and same
-    _line(14, "runner output byte-identical at 1 and 8 threads",
-          ok, f"exit codes {rc1}/{rc8}, {len(t1)} files, identical: {same}")
+def test_ac14_runner_output_is_thread_invariant(blas_thread_runs):
+    """Draws keyed by fixed blocks and Gram sums reduced in block order: a
+    full run, in a fresh process each, writes the same bytes at one and at
+    two BLAS threads."""
+    rcs, _errs, trees = blas_thread_runs
+    same = trees[0] == trees[1]
+    ok = rcs == [0, 0] and len(trees[0]) > 1 and same
+    _line(14, "runner output byte-identical at 1 and 2 BLAS threads",
+          ok, f"exit codes {rcs[0]}/{rcs[1]}, {len(trees[0])} files, identical: {same}")

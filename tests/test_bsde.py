@@ -103,6 +103,23 @@ def test_q_solver_reduces_to_p_at_zero_premium(grid20, market2):
     assert np.allclose(sol_q.materialise()[1], sol_p.materialise()[1], atol=1e-10)
 
 
+def test_constant_premium_gives_the_same_bits_in_either_shape(grid20, market2):
+    """A deterministic theta is the adapted one that every path shares: its
+    (steps, d0) form and the (M0, steps, d0) copy give the same y0, z and y,
+    bit for bit, in the agent solve and in the tilted one."""
+    bundle = simulate_paths(grid20, flat_spec(), market2, 1024, 8)
+    g = np.tanh(bundle.x[:, -1])
+    mu = np.tile(np.array([0.3, -0.1]), (grid20.steps, 1))
+    theta = risk_premium_from_mu(market2.sigma, mu)
+    pathwise = np.broadcast_to(theta, (bundle.n_paths, *theta.shape)).copy()
+    for solve in (solve_agent_bsde, lambda *args: solve_under_q(*args)[0]):
+        det, path = (solve(bundle, market2, BASIS, th, g) for th in (theta, pathwise))
+        assert det.y0 == path.y0
+        for k in range(grid20.steps):
+            assert np.array_equal(det.z_at(k), path.z_at(k))
+            assert np.array_equal(det.y_at(k), path.y_at(k))
+
+
 def test_clip_counter_flags_saturation(grid20, market2):
     bundle = simulate_paths(grid20, flat_spec(), market2, 512, 7)
     g = bundle.x[:, -1]

@@ -194,8 +194,6 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
     assert run(["riccati", "--config", str(tmp_path / "none.json")]) == 2
     assert run(["riccati", "--config", TINY, "--set", "mf.bogus=1",
                 "--out", str(tmp_path)]) == 2
-    assert run(["riccati", "--config", TINY, "--threads", "0",
-                "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
     # the fixed-point loops need a sweep, and finite positive tolerances and clip

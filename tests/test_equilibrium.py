@@ -24,8 +24,9 @@ def test_equilibrium_shapes(grid20, eqg_spec, market2):
     assert eq.z0.shape == (M, steps + 1, 2)
     assert eq.theta.shape == (M, steps, 2)
     assert eq.mu.shape == (M, steps, 2)
-    assert eq.y1.shape == (M, 3, steps + 1)
-    assert eq.z1.shape == (1,) or eq.z1.shape == (eq.z1.size,)
+    y1, z1 = cole_hopf_idio(eqg_spec.kappa, grid20, bundle)
+    assert y1.shape == (M, 3, steps + 1)
+    assert z1.shape == (market2.d,)
 
 
 def test_terminal_value_is_liability(grid20, eqg_spec, market2):

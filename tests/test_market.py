@@ -186,10 +186,6 @@ def test_gamma_hat_is_harmonic_mean():
     stats = gamma_hat(gammas)
     assert stats.gamma_hat == pytest.approx(4.0 / (1 + 0.5 + 0.25 + 0.25))
     assert stats.gamma_lo == 1.0 and stats.gamma_hi == 4.0
-    # weighted version matches an explicit expansion
-    w = np.array([0.1, 0.2, 0.3, 0.4])
-    stats_w = gamma_hat(gammas, weights=w)
-    assert stats_w.gamma_hat == pytest.approx(1.0 / np.sum(w / gammas))
 
 
 def test_population_stats_constants():

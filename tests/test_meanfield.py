@@ -56,7 +56,7 @@ def tree_bundle(spec, grid):
         I[:, k + 1] = I[:, k] + (spec.a * xk**2 + spec.b * xk) * grid.dt
         x[:, k + 1] = xk + (spec.alpha * xk + spec.beta) * grid.dt \
             + dW0[:, k] @ spec.delta_vec
-    bundle = PathBundle(grid=grid, dW0=dW0, dWi=dWi, x=x, I=I, seed=0)
+    bundle = PathBundle(grid=grid, dW0=dW0, dWi=dWi, x=x, I=I)
     keys = []
     for k in range(STEPS):
         prefix = codes // nb ** (STEPS - k)

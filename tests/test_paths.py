@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -31,23 +26,12 @@ def test_path_prefix_stable_under_growth(grid20, eqg_spec, market2):
     assert np.array_equal(big.x[:8], small.x)
 
 
-def test_all_output_independent_of_blas_threads(tmp_path):
+def test_all_output_independent_of_blas_threads(blas_thread_runs):
     """Draws keyed by fixed blocks and Gram sums reduced in block order: a
     full run writes the same bytes at one and at two BLAS threads."""
-    root = Path(__file__).resolve().parents[1]
-    trees = []
-    for n in ("1", "2"):
-        out = tmp_path / f"blas{n}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=n,
-                   PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mfequil.cli", "all", "--config",
-             str(root / "configs" / "tiny.json"), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-        assert proc.returncode == 0, proc.stderr
-        trees.append({str(p.relative_to(out)): p.read_bytes()
-                      for p in out.rglob("*") if p.is_file()})
+    rcs, errs, trees = blas_thread_runs
+    for rc, err in zip(rcs, errs):
+        assert rc == 0, err
     assert len(trees[0]) > 1 and trees[0] == trees[1]
 
 

@@ -11,7 +11,6 @@ def test_column_counts():
     assert RegressionBasis(degree=2).n_columns == 6
     assert RegressionBasis(degree=2, include_idio=False).n_columns == 3
     assert RegressionBasis(degree=3).n_columns == 10
-    assert RegressionBasis(degree=1, include_integral=False).n_columns == 2
     with pytest.raises(ValueError):
         RegressionBasis(degree=0)
 
@@ -148,8 +147,7 @@ def test_basis_engine_broadcasts_common_state():
 
 
 @pytest.mark.parametrize("basis", [RegressionBasis(degree=3),
-                                   RegressionBasis(degree=2, include_idio=False),
-                                   RegressionBasis(degree=1, include_integral=False)])
+                                   RegressionBasis(degree=2, include_idio=False)])
 def test_broadcast_state_columns_equal_flat_columns(basis):
     """(M0, 1) common state against (M0, K) particles gives, block by block,
     the same columns as the flat broadcast copies."""
