@@ -48,7 +48,7 @@ def main(argv=None):
         liability = LiabilitySpec.from_eqg(spec, eps=cfg.eqg.cross_eps)
         g = terminal_g(liability, bundle, gammas)
         diag = smallness_from_liability(liability, spec, grid, stats)
-        strata = (atom_ids, len(gamma_dist.values)) if liability.gamma_coupled else (None, 1)
+        strata = (atom_ids, len(gamma_dist.values)) if not liability.is_additive else (None, 1)
         # run a few extra sweeps past the tolerance so the sweep-to-sweep
         # contraction ratio is measurable before the MC noise floor
         try:

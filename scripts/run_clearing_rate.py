@@ -10,6 +10,7 @@ N * eps_N <= 4 (1 + gamma_hat^2/gamma_lo^2) * BMO.
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from mfequil import build_scenario, load_config, run_clearing_study
 
@@ -21,20 +22,12 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     cfg = load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     sc = build_scenario(cfg)
 
     t0 = time.time()
-    report, mf, _ = run_clearing_study(
-        sc.grid, sc.market, sc.eqg, sc.liability, sc.gamma_dist,
-        n_common=cfg.clearing.n_common,
-        n_equilibrium=cfg.clearing.n_equilibrium,
-        Ns=cfg.clearing.Ns, seed=seed, basis=sc.basis,
-        mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
-        n_batches=cfg.clearing.n_batches,
-        slack=cfg.clearing.slack,
-        clip=cfg.bsde.clip,
-    )
+    report, mf, _ = run_clearing_study(sc)
     wall = time.time() - t0
 
     diag = mf.diagnostics

@@ -62,14 +62,13 @@ from .errors import (
     IllConditionedQ,
     InsufficientSpan,
     MfequilError,
-    MissingStageOutput,
     NonpositiveGamma,
     PicardDiverged,
     RegressionRankDeficient,
     SingularSigma,
     WeightDegenerate,
 )
-from .liabilities import CrossTerm, EqgCommon, GaussianIdio, LiabilitySpec, terminal_g
+from .liabilities import LiabilitySpec, terminal_g
 from .market import (
     MarketSpec,
     PopulationStats,

@@ -57,7 +57,7 @@ class BsdeSolution:
     fits[k] maps step k's state to (z0, z1) and y_fits[k] to the stage-1 pair
     (y_k+1, driver), so y_k = fitted y_k+1 + dt fitted driver.
     z_at and y_at rebuild one step on the solve's engine, to the bits the
-    last sweep computed; materialise stacks every step, for small solves.
+    last sweep computed.
     """
 
     grid: TimeGrid
@@ -89,17 +89,6 @@ class BsdeSolution:
         fitted = cond.evaluate(self.y_fits[k])
         dt = self.grid.dt
         return (fitted[:, 0] + dt * fitted[:, 1]).reshape(self.g.shape)
-
-    def materialise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every step stacked, step-major: y (M0, K, steps + 1), z0 and z1 (M0, K, steps, ·)."""
-        M0, K = self.g.shape
-        steps, d0 = self.grid.steps, self.market.d0
-        y, z = step_major((M0, K, steps + 1)), step_major((M0, K, steps, d0 + self.market.d))
-        y[:, :, steps] = self.g
-        for k in range(steps):
-            cond = self.engine.at(k)
-            y[:, :, k], z[:, :, k] = self.y_at(k, cond), self.z_at(k, cond)
-        return y, z[..., :d0], z[..., d0:]
 
 
 def _sum_last(a: np.ndarray) -> np.ndarray:

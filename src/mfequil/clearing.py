@@ -29,11 +29,12 @@ replacement_invariance evaluates both identities numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import IllConditionedQ, InsufficientSpan
-from .liabilities import LiabilitySpec, terminal_g
+from .liabilities import terminal_g
 from .market import MarketSpec, PopulationStats, gamma_hat, risk_premium_from_mu
 from .meanfield import MeanFieldSolution, smallness_from_liability, solve_mean_field
 from .paths import (
@@ -45,8 +46,9 @@ from .paths import (
     simulate_paths,
     step_major,
 )
-from .regression import RegressionBasis
-from .riccati import EqgSpec
+
+if TYPE_CHECKING:
+    from .config import Scenario
 
 KIND_REPLACE = 6   # uniform draws for replacement matrices, disjoint from path streams
 
@@ -244,73 +246,56 @@ def rate_fit(report: ClearingReport, slack: float = 0.25) -> ClearingReport:
 
 
 def solve_equilibrium_cloud(
-    grid, market: MarketSpec, eqg: EqgSpec, liability: LiabilitySpec, gamma_dist: DiscreteDist,
-    basis: RegressionBasis, n_common: int, n_agents: int, seed: int, mf_iters: int,
-    mf_tol: float, n_eq: int | None = None, c_gamma_override: float | None = None,
-    clip: float = 50.0,
+    sc: Scenario, n_common: int, n_agents: int, n_eq: int | None = None,
+    c_gamma_override: float | None = None,
 ) -> tuple[MeanFieldSolution, PopulationStats]:
     """Mean-field fixed point, with smallness and stability diagnostics, on a
-    balanced cloud of n_agents particles over n_common common paths; each gamma
-    atom is a regression stratum when the liability couples to gamma, and clip
-    bounds |z| in the driver.  Returns the solution and the cloud's population
-    stats."""
-    cloud = build_population(n_agents, seed, gamma_dist, balanced=True)
+    balanced cloud of n_agents particles over n_common common paths of the
+    scenario sc.  Each gamma atom is a regression stratum when the liability
+    is not additive.  The seed, mf.iters, mf.tol and bsde.clip come from
+    sc.cfg.  Returns the solution and the cloud's population stats."""
+    cfg = sc.cfg
+    cloud = build_population(n_agents, cfg.seed, sc.gamma_dist, balanced=True)
     stats = gamma_hat(cloud.gammas)
-    diag = smallness_from_liability(liability, eqg, grid, stats,
+    diag = smallness_from_liability(sc.liability, sc.eqg, sc.grid, stats,
                                     c_gamma_spread_override=c_gamma_override)
-    bundle = simulate_paths(grid, eqg, market, n_common, seed, agents=n_agents)
-    g = terminal_g(liability, bundle, cloud.gammas)
-    stratified = liability.gamma_coupled
+    bundle = simulate_paths(sc.grid, sc.eqg, sc.market, n_common, cfg.seed, agents=n_agents)
+    g = terminal_g(sc.liability, bundle, cloud.gammas)
+    stratified = not sc.liability.is_additive
     mf = solve_mean_field(
-        bundle, market, basis, g, cloud.gammas, stats.gamma_hat,
-        n_eq=n_eq, max_iters=mf_iters, tol=mf_tol, clip=clip,
+        bundle, sc.market, sc.basis, g, cloud.gammas, stats.gamma_hat,
+        n_eq=n_eq, max_iters=cfg.mf.iters, tol=cfg.mf.tol, clip=cfg.bsde.clip,
         stratum_ids=cloud.atom_ids if stratified else None,
-        n_strata=len(gamma_dist.values) if stratified else 1,
+        n_strata=len(sc.gamma_dist.values) if stratified else 1,
         diagnostics=diag,
     )
     return mf, stats
 
 
-def run_clearing_study(
-    grid,
-    market: MarketSpec,
-    eqg: EqgSpec,
-    liability: LiabilitySpec,
-    gamma_dist: DiscreteDist,
-    n_common: int,
-    n_equilibrium: int,
-    Ns: list[int],
-    seed: int,
-    basis: RegressionBasis,
-    mf_iters: int = 10,
-    mf_tol: float = 1e-4,
-    n_batches: int = 20,
-    slack: float = 0.25,
-    clip: float = 50.0,
-) -> tuple[ClearingReport, MeanFieldSolution, Population]:
-    """End-to-end clearing experiment.
+def run_clearing_study(sc: Scenario) -> tuple[ClearingReport, MeanFieldSolution, Population]:
+    """End-to-end clearing experiment on the scenario sc, sized by its
+    clearing block.
 
-    Solves the mean-field equation on a balanced equilibrium cloud, draws a
-    fresh i.i.d. agent pool of size max(Ns), evaluates every agent through
-    the stored per-step solution maps one step at a time, and estimates
-    eps_N with its rate.
+    Solves the mean-field equation on a balanced cloud of
+    clearing.n_equilibrium particles, draws a fresh i.i.d. agent pool of size
+    max(clearing.Ns), evaluates every agent through the stored per-step
+    solution maps one step at a time, and estimates eps_N with its rate.
     The rate fit is attached only when Ns satisfies the span precondition.
     """
-    mf, stats = solve_equilibrium_cloud(
-        grid, market, eqg, liability, gamma_dist, basis, n_common=n_common,
-        n_agents=n_equilibrium, seed=seed, mf_iters=mf_iters, mf_tol=mf_tol, clip=clip,
-    )
-    pool = build_population(max(Ns), seed, gamma_dist, balanced=False)
-    w_agents = fresh_idio_levels(seed, n_common, pool.size, grid)
+    cfg, grid, Ns = sc.cfg, sc.grid, list(sc.cfg.clearing.Ns)
+    n_common = cfg.clearing.n_common
+    mf, stats = solve_equilibrium_cloud(sc, n_common, cfg.clearing.n_equilibrium)
+    pool = build_population(max(Ns), cfg.seed, sc.gamma_dist, balanced=False)
+    w_agents = fresh_idio_levels(cfg.seed, n_common, pool.size, grid)
     pi_steps = (agent_strategies(mf, pool, w_agents, k)[1] for k in range(grid.steps))
-    eps, ses = clearing_residual(pi_steps, Ns, grid.dt, n_batches=n_batches)
+    eps, ses = clearing_residual(pi_steps, Ns, grid.dt, n_batches=cfg.clearing.n_batches)
     report = ClearingReport(
-        Ns=list(Ns), eps=eps, stderr=ses,
+        Ns=Ns, eps=eps, stderr=ses,
         gamma_hat=stats.gamma_hat, gamma_lo=stats.gamma_lo,
         bmo_proxy=mf.diagnostics.z_bmo,
     )
     if len(Ns) >= 4 and np.log10(max(Ns) / min(Ns)) >= 1.5:
-        rate_fit(report, slack=slack)
+        rate_fit(report, slack=cfg.clearing.slack)
     return report, mf, pool
 
 

@@ -49,7 +49,7 @@ from .config import (
     load_config,
 )
 from .equilibrium import closed_form_y0, equilibrium_path, martingale_check, sign_law_violations
-from .errors import ConfigError, MfequilError, MissingStageOutput
+from .errors import ConfigError, MfequilError
 from .liabilities import terminal_g
 from .paths import KIND_AUX, format_float, normal_block_array, simulate_paths
 from .riccati import riccati_for_spec, riccati_ode
@@ -114,8 +114,6 @@ def emit_plot_series(
     extra: dict | None = None,
 ) -> None:
     """Two-file plot payload: long-format CSV plus a JSON axis-label sidecar."""
-    if rows is None:
-        raise MissingStageOutput(f"plot series {name!r} has no stage output to draw from")
     writer.csv(f"plots/{name}.csv", header, rows)
     sidecar = {"x_label": x_label, "y_label": y_label, "columns": header}
     if extra:
@@ -251,11 +249,8 @@ def stage_bsde(sc: Scenario, writer: StageWriter) -> dict:
 def stage_mf(sc: Scenario, writer: StageWriter) -> dict:
     cfg, grid, market, spec, liability = sc.cfg, sc.grid, sc.market, sc.eqg, sc.liability
     mf, stats = solve_equilibrium_cloud(
-        grid, market, spec, liability, sc.gamma_dist, sc.basis,
-        n_common=cfg.mf.n_common, n_agents=cfg.mf.n_particles, seed=cfg.seed,
-        mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
+        sc, cfg.mf.n_common, cfg.mf.n_particles,
         n_eq=cfg.mf.n_equilibrium, c_gamma_override=cfg.mf.c_gamma_override,
-        clip=cfg.bsde.clip,
     )
     diag = mf.diagnostics
     d0 = market.d0
@@ -296,14 +291,7 @@ def stage_mf(sc: Scenario, writer: StageWriter) -> dict:
 
 
 def stage_clearing(sc: Scenario, writer: StageWriter) -> dict:
-    cfg, grid, liability = sc.cfg, sc.grid, sc.liability
-    report, mf, _pool = run_clearing_study(
-        grid, sc.market, sc.eqg, liability, sc.gamma_dist,
-        n_common=cfg.clearing.n_common, n_equilibrium=cfg.clearing.n_equilibrium,
-        Ns=list(cfg.clearing.Ns), seed=cfg.seed, basis=sc.basis,
-        mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
-        n_batches=cfg.clearing.n_batches, slack=cfg.clearing.slack, clip=cfg.bsde.clip,
-    )
+    report, mf, _pool = run_clearing_study(sc)
     writer.csv("clearing.csv", ["N", "eps", "stderr"],
                list(zip(report.Ns, report.eps, report.stderr)))
     writer.json("clearing.json", asdict(report))
@@ -317,7 +305,7 @@ def stage_clearing(sc: Scenario, writer: StageWriter) -> dict:
             list(zip(logn.tolist(), loge.tolist(), fit.tolist())),
             extra={"slope": report.slope},
         )
-    if liability.gamma_coupled:
+    if not sc.liability.is_additive:
         ok = (
             np.isfinite(report.slope)
             and -1.3 <= report.slope <= -0.7
@@ -327,7 +315,7 @@ def stage_clearing(sc: Scenario, writer: StageWriter) -> dict:
         # additive liabilities: per-capita positions must vanish up to the
         # regression noise floor (2% of the per-agent hedging scale)
         hedge = max(float(np.max(np.abs(mf.theta))) / report.gamma_hat, 1e-12)
-        ok = all(e <= (0.02 * hedge) ** 2 * grid.horizon for e in report.eps)
+        ok = all(e <= (0.02 * hedge) ** 2 * sc.grid.horizon for e in report.eps)
     return {
         "status": "pass" if ok else "fail",
         "slope": report.slope,

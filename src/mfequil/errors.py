@@ -43,7 +43,3 @@ class IllConditionedQ(MfequilError):
 
 class ConfigError(MfequilError):
     """A scenario configuration file or override is malformed."""
-
-
-class MissingStageOutput(MfequilError):
-    """A pipeline stage needs an output that an earlier stage did not produce."""

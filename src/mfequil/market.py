@@ -89,13 +89,9 @@ class MarketSpec:
                 f"need 0 < lambda_lo <= lambda_hi, got ({self.lambda_lo}, {self.lambda_hi})"
             )
 
-    @property
-    def time_varying(self) -> bool:
-        return self.sigma.ndim == 3
-
     def sigma_table(self, steps: int) -> np.ndarray:
         """Full steps x n x d0 table, materialising the constant case."""
-        if self.time_varying:
+        if self.sigma.ndim == 3:
             if self.sigma.shape[0] != steps:
                 raise DimensionMismatch(
                     f"sigma table has {self.sigma.shape[0]} entries, grid has {steps} steps"

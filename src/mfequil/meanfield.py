@@ -19,7 +19,7 @@ agent solve (bsde._solve) with theta taken, at each step of each sweep, from
 the frozen cloud's own z0_par; it records the contraction ratios of the
 sweep-to-sweep changes.  Step k's theta reads only step k of z0, which the
 sweep rebuilds from the previous iterate's fit map (see bsde).  One pass
-after the solve gives the reported Ebar, sup |Y| and the BMO proxy.
+after the solve gives the reported theta, sup |Y| and the BMO proxy.
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ class MeanFieldSolution:
 
     solution: BsdeSolution
     theta: np.ndarray          # (M0, steps, d0)
-    ebar: np.ndarray           # (M0, steps, d0) mean of (1/gamma) z0_par
-    gammas: np.ndarray         # (K,)
-    gamma_hat: float
-    n_eq: int
     diagnostics: ContractionDiagnostics
 
 
@@ -132,7 +128,7 @@ def solve_mean_field(
     dy0 and dz apart as y0_changes and z_changes, and its fits are the last
     sweep's z fit maps.  stratum_ids, of shape (K,), gives each particle's
     regression stratum.  Every sweep and the BMO proxy share one engine, so
-    each step's regression is built once.  The reported theta, Ebar,
+    each step's regression is built once.  The reported theta,
     diagnostics.y_inf (sup |Y|) and diagnostics.z_bmo (BMO proxy of
     (Z0, Z1) = z / gamma) come from one backward pass over the final iterate.
     """
@@ -178,9 +174,5 @@ def solve_mean_field(
 
     diagnostics.z_bmo = bmo_proxy(backward(), dt)
     diagnostics.y_inf = float(np.max(y_max))
-    theta = -gamma_hat * ebar
-    return MeanFieldSolution(
-        solution=sol, theta=theta, ebar=ebar, gammas=gam,
-        gamma_hat=gamma_hat, n_eq=n_eq, diagnostics=diagnostics,
-    )
+    return MeanFieldSolution(solution=sol, theta=-gamma_hat * ebar, diagnostics=diagnostics)
 

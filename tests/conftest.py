@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mfequil import EqgSpec, MarketSpec, TimeGrid, agent_strategies
+from mfequil.paths import step_major
 from mfequil.regression import RidgeConditioner
 
 
@@ -27,6 +28,19 @@ def pool_strategies(mf, population, w_agents):
     out = [agent_strategies(mf, population, w_agents, k)
            for k in range(mf.solution.grid.steps)]
     return np.stack([p for p, _ in out], axis=2), np.stack([pi for _, pi in out], axis=2)
+
+
+def materialise(sol):
+    """Every step of a BsdeSolution stacked, step-major: y (M0, K, steps + 1),
+    z0 and z1 (M0, K, steps, ·)."""
+    M0, K = sol.g.shape
+    steps, d0 = sol.grid.steps, sol.market.d0
+    y, z = step_major((M0, K, steps + 1)), step_major((M0, K, steps, d0 + sol.market.d))
+    y[:, :, steps] = sol.g
+    for k in range(steps):
+        cond = sol.engine.at(k)
+        y[:, :, k], z[:, :, k] = sol.y_at(k, cond), sol.z_at(k, cond)
+    return y, z[..., :d0], z[..., d0:]
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -46,7 +46,7 @@ from mfequil import (
     terminal_g,
     verify_condition_r,
 )
-from conftest import pool_strategies
+from conftest import materialise, pool_strategies
 
 from test_meanfield import (
     K_TREE,
@@ -55,7 +55,6 @@ from test_meanfield import (
     reference_fixed_point,
     tree_bundle,
 )
-from mfequil.liabilities import CrossTerm, EqgCommon, GaussianIdio
 from mfequil.regression import TreeEngine
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -182,7 +181,7 @@ def test_ac04_regression_solver_matches_closed_form():
     g_mean = float(np.mean(g))
     sample_gap = abs(sol.y0 - g_mean) / abs(g_mean)
     z_true = euler_value_slope(SPEC_1F, grid, bundle.x)
-    err = sol.materialise()[1][:, 0] - z_true
+    err = materialise(sol)[1][:, 0] - z_true
     z_rms = float(np.sqrt(np.mean(np.sum(err**2, axis=2))
                           / np.mean(np.sum(z_true**2, axis=2))))
     wall = time.monotonic() - t0
@@ -256,8 +255,7 @@ def test_ac07_tree_solver_matches_exhaustive_recursion():
     bundle, engine, keys = tree_bundle(spec, grid)
     gammas = np.array([1.0, 2.0])
     stats = gamma_hat(gammas)
-    liability = LiabilitySpec(
-        (EqgCommon(spec.a, spec.b), GaussianIdio(0.25), CrossTerm(0.1)))
+    liability = LiabilitySpec(spec.a, spec.b, 0.25, 0.1)
     g = terminal_g(liability, bundle, gammas)
     t_solver = time.monotonic()
     mf = solve_mean_field(bundle, market, RegressionBasis(), g, gammas,
@@ -270,7 +268,7 @@ def test_ac07_tree_solver_matches_exhaustive_recursion():
         g.reshape(bundle.n_paths, K_TREE), bundle.dW0, bundle.dWi, keys,
         gammas, stats.gamma_hat, grid.dt, sweeps=12)
     t_oracle = time.monotonic() - t_oracle
-    y, z0, z1 = mf.solution.materialise()
+    y, z0, z1 = materialise(mf.solution)
     gap = max(
         float(np.max(np.abs(y - y_ref))),
         float(np.max(np.abs(z0 - z0_ref))),
@@ -317,13 +315,7 @@ def test_ac09_clearing_residual_decays_at_mean_field_rate():
     t0 = time.monotonic()
     cfg = load_config(str(CONFIGS / "cross_term.json"))
     sc = build_scenario(cfg)
-    report, mf, _pool = run_clearing_study(
-        sc.grid, sc.market, sc.eqg, sc.liability, sc.gamma_dist,
-        n_common=cfg.clearing.n_common, n_equilibrium=cfg.clearing.n_equilibrium,
-        Ns=list(cfg.clearing.Ns), seed=cfg.seed, basis=sc.basis,
-        mf_iters=cfg.mf.iters, mf_tol=cfg.mf.tol,
-        n_batches=cfg.clearing.n_batches, slack=cfg.clearing.slack,
-    )
+    report, mf, _pool = run_clearing_study(sc)
     wall = time.monotonic() - t0
     ok = (-1.3 <= report.slope <= -0.7) and all(report.bound_ok) and wall < 300.0
     neps = [f"{n * e:.2e}" for n, e in zip(report.Ns, report.eps)]

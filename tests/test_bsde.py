@@ -15,7 +15,7 @@ from mfequil.bsde import _fixed_point, _sum_last
 from mfequil.errors import PicardDiverged
 from mfequil.regression import BasisEngine
 
-from conftest import make_market, pool_strategies
+from conftest import make_market, materialise, pool_strategies
 
 
 BASIS = RegressionBasis(degree=2)
@@ -32,7 +32,7 @@ def test_zero_data_zero_solution(grid20, market2):
     theta = np.zeros((grid20.steps, 2))
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, np.zeros(256))
     assert sol.converged and sol.picard_iters <= 2
-    y, z0, z1 = sol.materialise()
+    y, z0, z1 = materialise(sol)
     assert np.max(np.abs(y)) < 1e-13
     assert np.max(np.abs(z0)) < 1e-12
     assert np.max(np.abs(z1)) < 1e-12
@@ -42,7 +42,7 @@ def test_constant_liability_shifts_value_only(grid20, market2):
     bundle = simulate_paths(grid20, flat_spec(), market2, 256, 2)
     theta = np.zeros((grid20.steps, 2))
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, 3.25 * np.ones(256))
-    y, z0, _ = sol.materialise()
+    y, z0, _ = materialise(sol)
     assert np.allclose(y, 3.25, atol=1e-12)
     assert np.max(np.abs(z0)) < 1e-12
 
@@ -55,7 +55,7 @@ def test_deterministic_premium_quadratic_cost(grid20, market2):
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, np.zeros(256))
     want = -0.5 * np.sum(theta**2) * grid20.dt
     assert sol.y0 == pytest.approx(want, abs=1e-12)
-    assert np.max(np.abs(sol.materialise()[1])) < 1e-10
+    assert np.max(np.abs(materialise(sol)[1])) < 1e-10
 
 
 def test_gaussian_liability_closed_form():
@@ -77,7 +77,7 @@ def test_gaussian_liability_closed_form():
     z_perp = z_full - z_par
     y0_want = 0.5 * np.sum(z_perp**2) * grid.horizon
     assert sol.y0 == pytest.approx(y0_want, abs=0.01)
-    z0_err = np.sqrt(np.mean((sol.materialise()[1][:, 0] - z_full[None, None, :]) ** 2))
+    z0_err = np.sqrt(np.mean((materialise(sol)[1][:, 0] - z_full[None, None, :]) ** 2))
     z0_rms = np.sqrt(np.mean(z_full**2))
     assert z0_err / z0_rms < 0.10
 
@@ -100,7 +100,7 @@ def test_q_solver_reduces_to_p_at_zero_premium(grid20, market2):
     sol_q, ess = solve_under_q(bundle, market2, BASIS, theta, g)
     assert ess == pytest.approx(2048.0)
     assert sol_q.y0 == pytest.approx(sol_p.y0, abs=1e-12)
-    assert np.allclose(sol_q.materialise()[1], sol_p.materialise()[1], atol=1e-10)
+    assert np.allclose(materialise(sol_q)[1], materialise(sol_p)[1], atol=1e-10)
 
 
 def test_constant_premium_gives_the_same_bits_in_either_shape(grid20, market2):
@@ -249,7 +249,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
         for pos, strat in ((pi, p), (pi_pool, p_pool)):
             assert np.allclose((s @ s) * pos[:, :, k, 0], strat[:, :, k] @ s,
                                rtol=0, atol=1e-12)
-        for in_row_space in (mf.theta[:, k], mf.ebar[:, k], p[:, :, k], p_pool[:, :, k],
+        for in_row_space in (mf.theta[:, k], p[:, :, k], p_pool[:, :, k],
                              eq_theta[:, k]):
             assert np.max(np.abs(perp(in_row_space, k))) < 1e-12
 
@@ -340,7 +340,7 @@ def test_per_step_slices_are_contiguous():
     coarse = coarsen_bundle(bundle, 4, flat_spec())
     p, pi = optimal_strategy(sol, mf.theta, 1.0, market)
     w = fresh_idio_levels(3, bundle.n_paths, 5, bundle.grid)
-    arrays = {"y": sol.materialise()[0], "dWi": bundle.dWi, "wi_first": bundle.wi_first,
+    arrays = {"y": materialise(sol)[0], "dWi": bundle.dWi, "wi_first": bundle.wi_first,
               "coarse dWi": coarse.dWi, "coarse wi_first": coarse.wi_first,
               "p": p, "pi": pi, "pool w": w}
     for name, a in arrays.items():
@@ -362,7 +362,7 @@ def test_readers_rebuild_the_last_sweep():
     sol = solve_mean_field(bundle, market, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
                            max_iters=3, tol=0.0).solution
     assert float(np.mean(sol.y_at(0))) == sol.y0
-    y, z0, z1 = sol.materialise()
+    y, z0, z1 = materialise(sol)
     assert np.array_equal(sol.y_at(bundle.grid.steps), g) and np.array_equal(y[:, :, -1], g)
     for k in (0, 7, 19):
         z_k = sol.z_at(k)
@@ -426,7 +426,7 @@ def test_z_changes_match_whole_array_formula():
     ghat = gamma_hat(gammas).gamma_hat
     sols = [solve_mean_field(bundle, market, BASIS, g, gammas, ghat, max_iters=i,
                              tol=0.0).solution for i in range(1, 5)]
-    iterates = [sol.materialise() for sol in sols]
+    iterates = [materialise(sol) for sol in sols]
     n = bundle.n_paths * bundle.n_agents * bundle.grid.steps
     want = []
     for (_, old0, old1), (_, new0, new1) in zip(iterates, iterates[1:]):

@@ -16,7 +16,9 @@ from mfequil import (
     ReplacementSpec,
     TimeGrid,
     build_population,
+    build_scenario,
     clearing_residual,
+    config_from_dict,
     feature_columns,
     fresh_idio_levels,
     gamma_hat,
@@ -331,17 +333,19 @@ def test_replacement_invariance_random_q_and_pathwise_mu():
 # ------------------------------------------------------------- full study
 
 def test_run_clearing_study_smoke():
-    grid = TimeGrid(0.5, 10)
-    market = MarketSpec(n=1, d0=2, d=1, sigma=[[1.0, 0.2]],
-                        lambda_lo=1.0, lambda_hi=1.1)
-    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
-                   a=-0.2, b=0.5, kappa=0.0)
-    basis = RegressionBasis(degree=2, include_idio=False)
-    report, mf, pool = run_clearing_study(
-        grid, market, spec, LiabilitySpec.from_eqg(spec), GAMMA_DIST,
-        n_common=32, n_equilibrium=30, Ns=[4, 8, 16], seed=5,
-        basis=basis, mf_iters=6, n_batches=4,
-    )
+    sc = build_scenario(config_from_dict({
+        "seed": 5,
+        "grid": {"horizon": 0.5, "steps": 10},
+        "market": {"sigma": [[1.0, 0.2]], "d": 1},
+        "eqg": {"alpha": -0.5, "beta": 0.1, "delta": [0.4, 0.1], "x0": 0.3,
+                "a": -0.2, "b": 0.5, "kappa": 0.0},
+        "population": {"gamma_values": list(GAMMA_DIST.values),
+                       "gamma_probs": list(GAMMA_DIST.probs)},
+        "bsde": {"degree": 2, "include_idio": False},
+        "mf": {"iters": 6},
+        "clearing": {"n_common": 32, "n_equilibrium": 30, "Ns": [4, 8, 16], "n_batches": 4},
+    }))
+    report, mf, pool = run_clearing_study(sc)
     assert pool.size == 16
     assert len(report.eps) == 3
     assert all(e >= 0 for e in report.eps)

@@ -23,7 +23,6 @@ from mfequil import (
 )
 from mfequil import cli
 from mfequil.cli import StageWriter, emit_plot_series, run
-from mfequil.errors import MissingStageOutput
 from mfequil.paths import format_float
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -126,8 +125,6 @@ def test_emit_plot_series_writes_sidecar(tmp_path):
     side = json.loads((tmp_path / "plots" / "demo.json").read_text())
     assert side == {"x_label": "N", "y_label": "eps",
                     "columns": ["N", "eps"], "slope": -1.0}
-    with pytest.raises(MissingStageOutput):
-        emit_plot_series(w, "demo2", "N", "eps", ["N"], None)
 
 
 # --------------------------------------------------------------- runner

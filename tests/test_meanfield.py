@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from mfequil import (
-    CrossTerm, DiscreteDist, EqgCommon, EqgSpec, GaussianIdio, LiabilitySpec, MarketSpec,
+    DiscreteDist, EqgSpec, LiabilitySpec, MarketSpec,
     PathBundle, RegressionBasis, TimeGrid, TreeEngine, build_population, fresh_idio_levels,
     gamma_hat, simulate_paths, smallness_from_liability, smallness_report,
     solve_agent_bsde, solve_mean_field, terminal_g,
 )
 from mfequil.errors import RegressionRankDeficient
 
-from conftest import make_market, pool_strategies
+from conftest import make_market, materialise, pool_strategies
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +130,7 @@ def test_tree_solver_matches_brute_force():
     bundle, engine, keys = tree_bundle(spec, grid)
     gammas = np.array([1.0, 2.0])
     stats = gamma_hat(gammas)
-    liability = LiabilitySpec(
-        (EqgCommon(spec.a, spec.b), GaussianIdio(0.25), CrossTerm(0.1)))
+    liability = LiabilitySpec(spec.a, spec.b, 0.25, 0.1)
     g = terminal_g(liability, bundle, gammas)
 
     mf = solve_mean_field(
@@ -143,7 +142,7 @@ def test_tree_solver_matches_brute_force():
         gammas, stats.gamma_hat, grid.dt)
 
     assert mf.diagnostics.converged
-    y, z0, z1 = mf.solution.materialise()
+    y, z0, z1 = materialise(mf.solution)
     assert np.max(np.abs(y - y_ref)) < 1e-9
     assert np.max(np.abs(z0 - z0_ref)) < 1e-9
     assert np.max(np.abs(z1 - z1_ref)) < 1e-9
@@ -182,9 +181,9 @@ def test_fixed_point_solves_single_agent_problem(market2):
     # single-agent solution under the reported risk premium, not just close.
     sol = solve_agent_bsde(bundle, market2, basis, mf.theta, g,
                            picard_max=25, picard_tol=1e-10)
-    y_mf, z0_mf, _ = mf.solution.materialise()
+    y_mf, z0_mf, _ = materialise(mf.solution)
     assert np.max(np.abs(sol.y_at(0) - y_mf[:, :, 0])) < 1e-12
-    assert np.max(np.abs(sol.materialise()[1] - z0_mf)) < 1e-12
+    assert np.max(np.abs(materialise(sol)[1] - z0_mf)) < 1e-12
 
     # A fresh one-agent bundle shares the common factor but redraws the
     # idiosyncratic stream, so the fitted z1 noise (entering the driver
@@ -193,7 +192,7 @@ def test_fixed_point_solves_single_agent_problem(market2):
     assert np.array_equal(one.x, bundle.x)
     sol1 = solve_agent_bsde(one, market2, basis, mf.theta, g.reshape(512, K)[:, 0],
                             picard_max=25, picard_tol=1e-10)
-    assert np.max(np.abs(sol1.materialise()[0][:, 0] - y_mf[:, 0])) < 1e-4
+    assert np.max(np.abs(materialise(sol1)[0][:, 0] - y_mf[:, 0])) < 1e-4
 
 
 def test_additive_normalized_solution_is_gamma_free(market2):
@@ -208,7 +207,7 @@ def test_additive_normalized_solution_is_gamma_free(market2):
     basis = RegressionBasis(degree=2, include_idio=False)
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market2, basis, g, gammas, stats.gamma_hat)
-    z0 = mf.solution.materialise()[1]
+    z0 = materialise(mf.solution)[1]
     spread = np.max(np.abs(z0 - z0[:, :1]))
     assert spread < 1e-12
 
