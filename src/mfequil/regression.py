@@ -12,8 +12,12 @@ Design choices that matter for reproducibility and the exactness tests:
 * non-intercept columns are standardised per stratum and constant columns
   are dropped (at t = 0 every state column is constant and the regression
   correctly degenerates to the plain mean);
-* the Gram matrix is accumulated blockwise in a fixed block order, so the
-  result does not depend on how BLAS splits the work;
+* sums over rows keep one order (the Gram is accumulated in a fixed block
+  order, X^T y is one product), whatever the BLAS thread count.  A fit map is
+  evaluated _ROW_BLOCK rows at a time, so no product reaches OpenBLAS's thread
+  pool, whose idle worker spins through the numpy work after it; each row's
+  sum is unchanged (a lone last row joins the block before it, since numpy
+  computes a one-row product as a matrix-vector one);
 * ridge is 1e-8 relative to the normalised Gram trace, and an eigenvalue of
   the unridged Gram below the ridge level raises RegressionRankDeficient;
 * strata are given per particle and gathered as slices (or index arrays)
@@ -47,7 +51,7 @@ from .paths import block_ranges
 
 _CONST_COL_TOL = 1e-12
 _MIN_ROWS_PER_COLUMN = 10
-_COLUMN_BLOCK_ROWS = 8192
+_ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ def feature_columns(basis: RegressionBasis, x, run_i, w) -> np.ndarray:
     x, run_i, w = (np.asarray(a, dtype=float) for a in (x, run_i, w))
     shape = np.broadcast_shapes(x.shape, run_i.shape, w.shape)
     out = np.empty(shape + (basis.n_columns,))
-    lead = max(1, _COLUMN_BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
+    lead = max(1, _ROW_BLOCK // max(1, int(np.prod(shape[1:]))))
     for s, e in block_ranges(shape[0], block=lead):
         xb, ob = x[s:e], out[s:e]
         xp, wp = [1.0], [1.0]
@@ -325,11 +329,15 @@ class RidgeConditioner:
             if fac.chol is None:
                 vals = np.broadcast_to(fit.beta0, (self._strata.rows[s], r))
             else:
-                vals = self._xs[s] @ fit.coef
-                # a column at a time: the broadcast add runs r elements per
-                # inner loop and is several times slower; the sums are the same
-                for j in range(r):
-                    vals[:, j] += fit.beta0[j]
+                n = self._strata.rows[s]
+                vals = np.empty((n, r))
+                for a in range(0, max(1, n - 1), _ROW_BLOCK):
+                    b = a + _ROW_BLOCK if n - a > _ROW_BLOCK + 1 else n
+                    np.matmul(self._xs[s][a:b], fit.coef, out=vals[a:b])
+                    # a column at a time: the broadcast add runs r elements per
+                    # inner loop and is several times slower; the sums are the same
+                    for j in range(r):
+                        vals[a:b, j] += fit.beta0[j]
             self._strata.put(out, s, vals)
         return out
 
