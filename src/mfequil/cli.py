@@ -85,7 +85,7 @@ class StageWriter:
     def json(self, rel: str, payload: dict) -> None:
         path = self._register(rel)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(_plain(payload), fh, sort_keys=True, indent=2)
+            json.dump(_plain(payload), fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
 
 
@@ -95,6 +95,8 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return None  # standard JSON has no NaN or Infinity
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):

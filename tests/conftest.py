@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -66,6 +67,39 @@ def blas_thread_runs(tmp_path_factory):
         trees.append({str(p.relative_to(out)): p.read_bytes()
                       for p in out.rglob("*") if p.is_file()})
     return rcs, errs, trees
+
+
+_CLOUD_SOLVE = """
+import json, sys, time
+from mfequil.clearing import solve_equilibrium_cloud
+from mfequil.config import apply_overrides, build_scenario, config_from_dict
+with open(sys.argv[1], encoding="utf-8") as fh:
+    sc = build_scenario(config_from_dict(apply_overrides(json.load(fh), ["grid.steps=5"])))
+wall, cpu = time.perf_counter(), time.process_time()
+mf, _ = solve_equilibrium_cloud(sc, 100, 2100)
+wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+print(json.dumps({"y0": repr(mf.solution.y0), "theta": mf.theta.tobytes().hex(),
+                  "sweeps": mf.solution.picard_iters, "wall_s": wall, "cpu_s": cpu}))
+"""
+
+
+@pytest.fixture(scope="session")
+def cloud_solve_runs():
+    """solve_equilibrium_cloud on cross_term.json cut to 5 steps, 100 common
+    paths x 2100 agents (70,000 rows per stratum, enough for OpenBLAS to
+    thread a whole-stratum product), each in a fresh process, at one and at
+    two BLAS threads: {"1": result, "2": result}, a result holding y0's repr,
+    θ's bytes in hex, the sweep count and the solve's wall and CPU seconds."""
+    runs = {}
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLOUD_SOLVE, str(ROOT / "configs" / "cross_term.json")],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        runs[n] = json.loads(proc.stdout)
+    return runs
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Finite-population clearing: populations, residual estimator, rate fit,
 and security replacement."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -354,3 +356,19 @@ def test_run_clearing_study_smoke():
     assert np.isnan(report.slope)
     assert report.bound_ok == []
     assert mf.diagnostics.z_bmo > 0
+
+
+def test_cloud_solve_is_blas_thread_invariant(cloud_solve_runs):
+    """A cloud solve large enough for OpenBLAS to thread its products gives
+    the same y0, θ and sweep count at one and at two BLAS threads."""
+    one, two = cloud_solve_runs["1"], cloud_solve_runs["2"]
+    assert (one["y0"], one["theta"], one["sweeps"]) == (two["y0"], two["theta"], two["sweeps"])
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_cloud_solve_keeps_one_core_busy(cloud_solve_runs):
+    """At two BLAS threads the solve uses at most 1.25 CPU seconds per wall
+    second: no product over a whole stratum wakes OpenBLAS's pool, whose idle
+    worker would spin through the numpy work that follows it."""
+    run = cloud_solve_runs["2"]
+    assert run["cpu_s"] <= 1.25 * run["wall_s"], run

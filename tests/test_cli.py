@@ -127,6 +127,14 @@ def test_emit_plot_series_writes_sidecar(tmp_path):
                     "columns": ["N", "eps"], "slope": -1.0}
 
 
+def test_plain_writes_non_finite_floats_as_null():
+    nan, inf = float("nan"), float("inf")
+    got = cli._plain({"a": nan, "b": [inf, (np.float64(-inf), np.float32(nan))],
+                      "c": np.array([[1.5, np.nan], [-np.inf, 2.0]]), "d": np.float64(0.25)})
+    assert got == {"a": None, "b": [None, [None, None]], "c": [[1.5, None], [None, 2.0]],
+                   "d": 0.25}
+
+
 # --------------------------------------------------------------- runner
 
 def _tree(root: Path) -> dict:
@@ -156,6 +164,18 @@ def test_manifest_lists_every_file(tiny_run):
     assert manifest["config_sha256"] == config_sha256(load_config(TINY))
     assert manifest["wall_clock_s"] == 0.0
     assert manifest["overrides"] == []
+
+
+def test_json_outputs_are_standard_json(tiny_run):
+    """No NaN or Infinity token: a rate fit left undefined (tiny's Ns span
+    less than 1.5 decades) is written as null."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for path in sorted(tiny_run.rglob("*.json")):
+        json.loads(path.read_text(), parse_constant=reject)
+    report = json.loads((tiny_run / "clearing.json").read_text())
+    assert report["slope"] is None and report["bound_const"] is None
 
 
 def test_rerun_is_byte_identical(tiny_run, tmp_path):

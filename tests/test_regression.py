@@ -183,6 +183,28 @@ def test_on_rejects_unbuilt_step_and_unseen_stratum(conditioner_builds):
     assert len(conditioner_builds) == 1
 
 
+@pytest.mark.parametrize("M0", [3 * 8192 + 17, 3 * 8192 + 1])
+@pytest.mark.parametrize("ids", [(0,), (0, 1, 2, 0)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_blocked_evaluate_equals_one_product(M0, ids, order):
+    """evaluate() runs each stratum's product a row block at a time; every
+    value is the bits of one product over the stratum's rows followed by the
+    column adds.  ids (0,) is one stratum (a slice); (0, 1, 2, 0) gives
+    stratum 0 as an index array.  At 3 * 8192 + 1 rows the last row joins
+    the block before it, as a one-row product rounds differently."""
+    rng = np.random.default_rng(31)
+    raw = rng.normal(size=(M0 * len(ids), 5))
+    cond = RidgeConditioner(raw, np.array(ids), max(ids) + 1)
+    cond._xs = [np.asarray(xs, order=order) for xs in cond._xs]
+    _, step_fit = cond.fit(rng.normal(size=(raw.shape[0], 3)))
+    got = cond.evaluate(step_fit)
+    for s, (xs, fit) in enumerate(zip(cond._xs, step_fit)):
+        want = xs @ fit.coef
+        for j in range(3):
+            want[:, j] += fit.beta0[j]
+        assert np.array_equal(cond._strata.take(got, s), want), s
+
+
 # ---------------------------------------------------------------------------
 # the per-step memo of BasisEngine
 # ---------------------------------------------------------------------------
