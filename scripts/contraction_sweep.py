@@ -10,14 +10,13 @@ consecutive sweeps stops with PicardDiverged and is printed as diverged.
 """
 import argparse
 import sys
-
 from dataclasses import replace
 
 import numpy as np
 
 from mfequil import (
-    LiabilitySpec, PicardDiverged, build_scenario, gamma_hat as population_stats,
-    load_config, simulate_paths, smallness_from_liability, solve_mean_field, terminal_g,
+    PicardDiverged, build_population, build_scenario, gamma_hat as population_stats,
+    load_config, smallness_from_liability, solve_equilibrium_cloud,
 )
 
 
@@ -29,35 +28,25 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     cfg = load_config(args.config)
-    sc = build_scenario(cfg)
-    grid, market, basis, gamma_dist = sc.grid, sc.market, sc.basis, sc.gamma_dist
     K = cfg.mf.n_particles
-
-    atom_ids = gamma_dist.balanced_ids(K)
-    gammas = np.asarray(gamma_dist.values)[atom_ids]
-    stats = population_stats(gammas)
-    bundle = simulate_paths(grid, sc.eqg, market,
-                            cfg.mf.n_common, cfg.seed, agents=K)
+    # run a few extra sweeps past the tolerance so the sweep-to-sweep
+    # contraction ratio is measurable before the MC noise floor
+    cfg = replace(cfg, mf=replace(cfg.mf, iters=max(cfg.mf.iters, 5), tol=1e-12))
 
     print(f"scenario {cfg.name}: K = {K} particles, "
           f"M = {cfg.mf.n_common} common paths")
     print(f"{'b scale':>8} {'f_inf':>10} {'gate':>6} {'sweeps':>7} "
           f"{'ratio 1':>10} {'y0':>12}")
     for s in args.scales:
-        spec = replace(sc.eqg, b=cfg.eqg.b * s)
-        liability = LiabilitySpec.from_eqg(spec, eps=cfg.eqg.cross_eps)
-        g = terminal_g(liability, bundle, gammas)
-        diag = smallness_from_liability(liability, spec, grid, stats)
-        strata = (atom_ids, len(gamma_dist.values)) if not liability.is_additive else (None, 1)
-        # run a few extra sweeps past the tolerance so the sweep-to-sweep
-        # contraction ratio is measurable before the MC noise floor
+        # the scaled liability and the running cost I it is regressed on
+        # come from one scenario
+        sc = build_scenario(replace(cfg, eqg=replace(cfg.eqg, b=cfg.eqg.b * s)))
         try:
-            mf = solve_mean_field(
-                bundle, market, basis, g, gammas, stats.gamma_hat,
-                n_eq=K, max_iters=max(cfg.mf.iters, 5), tol=1e-12, clip=cfg.bsde.clip,
-                stratum_ids=strata[0], n_strata=strata[1], diagnostics=diag,
-            )
+            mf, _ = solve_equilibrium_cloud(sc, cfg.mf.n_common, K)
         except PicardDiverged as exc:
+            cloud = build_population(K, cfg.seed, sc.gamma_dist, balanced=True)
+            diag = smallness_from_liability(sc.liability, sc.eqg, sc.grid,
+                                            population_stats(cloud.gammas))
             print(f"{s:>8.2f} {diag.f_inf:>10.4g} {'in' if diag.smallness_ok else 'out':>6} "
                   f"diverged: {exc}")
             continue

@@ -14,7 +14,6 @@ from .bsde import (
     Perturbation,
     VerificationReport,
     bmo_proxy,
-    cole_hopf_oracle,
     doleans_weights,
     optimal_strategy,
     solve_agent_bsde,
@@ -49,9 +48,7 @@ from .config import (
 from .equilibrium import (
     EquilibriumPath,
     closed_form_y0,
-    cole_hopf_idio,
     equilibrium_path,
-    fubini_malliavin_check,
     martingale_check,
     sign_law_violations,
 )
@@ -76,7 +73,6 @@ from .market import (
     excess_return_from_theta,
     gamma_hat,
     market_geometry,
-    project,
     risk_premium_from_mu,
     validate_market,
 )
@@ -87,8 +83,8 @@ from .meanfield import (
     smallness_report,
     solve_mean_field,
 )
-from .paths import PathBundle, coarsen_bundle, simulate_paths
-from .regression import BasisEngine, RegressionBasis, TreeEngine, feature_columns
+from .paths import PathBundle, simulate_paths
+from .regression import BasisEngine, RegressionBasis, feature_columns
 from .riccati import (
     EqgSpec,
     RiccatiSolution,

@@ -22,6 +22,12 @@ The same backward pass, with importance weights and theta-shifted
 increments, solves the measure-changed form whose driver drops the
 -z0_par theta term.
 
+An engine is any object whose at(k) returns step k's conditioner, with
+fit(targets) -> (fitted values, fit map) and evaluate(fit map) -> the
+map's values on that step's rows.  The package's engine is
+regression.BasisEngine; the tests supply an exact group-mean engine for
+enumerable noise trees.
+
 The solution is its coefficients, each step's fit maps on the engine's
 basis: no (particle, step) array of y or z is stored.  A sweep rebuilds the
 previous iterate's z one step at a time and holds y at two steps only.
@@ -43,13 +49,6 @@ from .paths import PathBundle, step_major
 from .regression import BasisEngine, RegressionBasis
 
 
-def cole_hopf_oracle(g_samples: np.ndarray) -> float:
-    """log E[exp(G)] by a max-shifted log-sum-exp over terminal samples."""
-    g = np.asarray(g_samples, dtype=float).ravel()
-    m = float(np.max(g))
-    return m + float(np.log(np.mean(np.exp(g - m))))
-
-
 @dataclass
 class BsdeSolution:
     """Backward-induction output on a particle cloud of shape (M0, K): its fit maps.
@@ -62,7 +61,7 @@ class BsdeSolution:
 
     grid: TimeGrid
     market: MarketSpec
-    engine: object              # BasisEngine or TreeEngine the solve regressed with
+    engine: object              # the engine the solve regressed with
     g: np.ndarray               # (M0, K) terminal values
     fits: list                  # z fit map per step
     y_fits: list                # stage-1 (y, driver) fit map per step

@@ -250,10 +250,7 @@ def stage_bsde(sc: Scenario, writer: StageWriter) -> dict:
 
 def stage_mf(sc: Scenario, writer: StageWriter) -> dict:
     cfg, grid, market, spec, liability = sc.cfg, sc.grid, sc.market, sc.eqg, sc.liability
-    mf, stats = solve_equilibrium_cloud(
-        sc, cfg.mf.n_common, cfg.mf.n_particles,
-        n_eq=cfg.mf.n_equilibrium, c_gamma_override=cfg.mf.c_gamma_override,
-    )
+    mf, stats = solve_equilibrium_cloud(sc, cfg.mf.n_common, cfg.mf.n_particles)
     diag = mf.diagnostics
     d0 = market.d0
     m_show = min(cfg.mf.n_common, _CSV_PATH_CAP)

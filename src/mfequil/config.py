@@ -80,10 +80,8 @@ class BsdeConfig:
 class MfConfig:
     n_common: int = 128
     n_particles: int = 64
-    n_equilibrium: int | None = None
     iters: int = 10
     tol: float = 1e-4
-    c_gamma_override: float | None = None
 
 
 @dataclass(frozen=True)
@@ -190,8 +188,6 @@ _RANGES = (
       "clearing.n_equilibrium", "clearing.n_batches", "clearing.n_invariance_draws"),
      lambda v, c: _int(v, 1), "an integer >= 1"),
     (("clearing.n_common",), lambda v, c: _int(v, 2), "an integer >= 2"),
-    (("mf.n_equilibrium",), lambda v, c: v is None or _int(v, 1) and v <= c.mf.n_particles,
-     "null or an integer in [1, mf.n_particles]"),
     (("clearing.Ns",), lambda v, c: isinstance(v, tuple) and len(v) >= 1 and _int(v[0], 1)
      and all(_int(b) and a < b for a, b in zip(v, v[1:])),
      "a non-empty strictly increasing list of positive integers"),
@@ -199,8 +195,6 @@ _RANGES = (
       "eqg.cross_eps", "bsde.ridge", "clearing.slack"), lambda v, c: _real(v), "a finite number"),
     (("bsde.picard_tol", "bsde.clip", "mf.tol"), lambda v, c: _real(v) and v > 0,
      "finite and > 0"),
-    (("mf.c_gamma_override",), lambda v, c: v is None or _real(v) and v > 0,
-     "null or finite and > 0"),
     (("clearing.cond_cap",), lambda v, c: _real(v) and v >= 1, "finite and >= 1"),
     (("bsde.include_idio",), lambda v, c: isinstance(v, bool), "true or false"),
     (("market.sigma",), lambda v, c: isinstance(v, tuple) and len(v) >= 1, "a non-empty list"),

@@ -6,7 +6,7 @@ idiosyncratic Gaussian leg), the normalized common value process is
     y0_t = A(t) x_t^2 + B(t) x_t + C(t) + I_t,
     z0_t = (2 A(t) x_t + B(t)) delta,
 
-the idiosyncratic leg has the Cole-Hopf form (cole_hopf_idio)
+the idiosyncratic leg has the Cole-Hopf form
 
     y1_t = kappa (W^i_t)_1 + kappa^2 (T - t) / 2,   z1_t = kappa e_1,
 
@@ -35,7 +35,7 @@ class EquilibriumPath:
     """Pathwise closed-form solution sampled on bundle paths.
 
     y0: (M, steps + 1); z0: (M, steps + 1, d0); theta: (M, steps, d0);
-    mu: (M, steps, n).  The idiosyncratic leg is cole_hopf_idio.
+    mu: (M, steps, n).
     """
 
     grid: TimeGrid
@@ -78,20 +78,6 @@ def equilibrium_path(
     return EquilibriumPath(grid=grid, y0=y0, z0=z0, theta=theta, mu=mu)
 
 
-def cole_hopf_idio(kappa: float, grid: TimeGrid, bundle: PathBundle):
-    """Idiosyncratic value leg for the terminal liability kappa (W^i_T)_1.
-
-    log E[exp(kappa W_T) | F_t] = kappa W_t + kappa^2 (T - t) / 2 for a
-    Brownian coordinate W; the integrand z1 = kappa e_1 is constant.
-    """
-    tail = 0.5 * kappa * kappa * (grid.horizon - grid.times)
-    y1 = kappa * bundle.wi_first + tail[None, None, :]
-    d = bundle.dWi.shape[3]
-    z1 = np.zeros(d)
-    z1[0] = kappa
-    return y1, z1
-
-
 def sign_law_violations(eq: EquilibriumPath, market: MarketSpec) -> int:
     """Count grid cells where sign(mu^(k)) != -sign(sigma^(k) z0^T).
 
@@ -117,36 +103,3 @@ def martingale_check(eq: EquilibriumPath) -> tuple[float, float]:
     m = float(np.mean(growth))
     se = float(np.std(growth, ddof=1) / np.sqrt(growth.size))
     return (m - 1.0) / se, se
-
-
-def fubini_malliavin_check(bundle: PathBundle, spec: EqgSpec) -> float:
-    """Max pathwise gap between two representations of the same integral.
-
-    For a = 0 the stochastic integral of B(t, T) against dW0 equals the time
-    integral of b times the stochastic convolution int_0^t e^{alpha (t-s)}
-    delta dW0_s.  Both sides are discretised with left-endpoint sums on the
-    bundle grid; the gap is pure discretisation error and must vanish under
-    grid refinement of a fixed Brownian path.
-    """
-    if spec.a != 0.0:
-        raise ValueError("the swap identity is only used in the a = 0 model")
-    grid = bundle.grid
-    steps, dt = grid.steps, grid.dt
-    T = grid.horizon
-    times = grid.times
-    if abs(spec.alpha) < 1e-14:
-        B = spec.b * (T - times)
-    else:
-        B = (spec.b / spec.alpha) * (np.exp(spec.alpha * (T - times)) - 1.0)
-
-    ddw = bundle.dW0 @ spec.delta_vec          # (M, steps)
-    lhs = ddw @ B[:-1]
-
-    decay = np.exp(spec.alpha * dt)
-    inner = np.zeros(bundle.n_paths)
-    rhs = np.zeros(bundle.n_paths)
-    for k in range(steps):
-        rhs += inner * dt
-        inner = decay * (inner + ddw[:, k])
-    rhs *= spec.b
-    return float(np.max(np.abs(lhs - rhs)))

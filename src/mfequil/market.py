@@ -121,18 +121,13 @@ class PopulationStats:
         """Driver absolute bound constant gamma_hi/2 + gamma_hat^2/gamma_lo."""
         return 0.5 * self.gamma_hi + self.gamma_hat**2 / self.gamma_lo
 
-    def c_gamma_spread(self, override: float | None = None) -> float:
+    def c_gamma_spread(self) -> float:
         """Lipschitz-spread constant used by the contraction gate.
 
         The fixed-point argument only needs existence of such a constant;
         this implementation documents the choice
-        max(gamma_hat, gamma_hat^2 / (2 gamma_lo), gamma_hi / 2)
-        and lets callers override it.
+        max(gamma_hat, gamma_hat^2 / (2 gamma_lo), gamma_hi / 2).
         """
-        if override is not None:
-            if override <= 0.0:
-                raise ValueError("C_gamma override must be positive")
-            return override
         return max(
             self.gamma_hat,
             self.gamma_hat**2 / (2.0 * self.gamma_lo),
@@ -210,24 +205,6 @@ def market_geometry(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     proj = np.swapaxes(half, -1, -2) @ half
     pos = np.linalg.solve(np.swapaxes(chol, -1, -2), half)
     return proj, pos
-
-
-def project(sigma: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split row vectors z into (z_par, z_perp) w.r.t. the row space of sigma.
-
-    z may have arbitrary leading shape with trailing dimension d0; z_par is
-    z P with P the projector of `market_geometry`.  Pythagoras holds
-    componentwise: |z|^2 = |z_par|^2 + |z_perp|^2.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != sigma.shape[1]:
-        raise DimensionMismatch(
-            f"z has trailing dimension {z.shape[-1]}, sigma has d0={sigma.shape[1]}"
-        )
-    proj, _ = market_geometry(sigma)
-    z_par = z @ proj
-    return z_par, z - z_par
 
 
 def risk_premium_from_mu(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:

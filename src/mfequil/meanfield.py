@@ -12,12 +12,10 @@ and gamma_hat is the harmonic-mean risk aversion.  In normalized variables
 with Ebar_n = Ebar[(1/gamma) z0_par], so that at a fixed point every particle
 also solves the single-agent equation under theta = -gamma_hat Ebar_n^T.
 
-The cloud discretises Ebar by the per-common-path average over the first
-n_equilibrium particles; extra particles (used as clearing agents) see the
-same driver but do not enter the average.  So the mean-field solve is the
-agent solve (bsde._solve) with theta taken, at each step of each sweep, from
-the frozen cloud's own z0_par; it records the contraction ratios of the
-sweep-to-sweep changes.  Step k's theta reads only step k of z0, which the
+The cloud discretises Ebar by the per-common-path average over its
+particles.  So the mean-field solve is the agent solve (bsde._solve) with
+theta taken, at each step of each sweep, from the frozen cloud's own z0_par;
+it records the contraction ratios of the sweep-to-sweep changes.  Step k's theta reads only step k of z0, which the
 sweep rebuilds from the previous iterate's fit map (see bsde).  One pass
 after the solve gives the reported theta, sup |Y| and the BMO proxy.
 """
@@ -60,10 +58,9 @@ def smallness_report(
     f_inf: float,
     stats: PopulationStats,
     f_cross_inf: float = 0.0,
-    c_gamma_spread_override: float | None = None,
 ) -> ContractionDiagnostics:
     """Evaluate the contraction and stability gates for a liability bound."""
-    c_spread = stats.c_gamma_spread(c_gamma_spread_override)
+    c_spread = stats.c_gamma_spread()
     return ContractionDiagnostics(
         f_inf=f_inf,
         f_cross_inf=f_cross_inf,
@@ -80,13 +77,9 @@ def smallness_from_liability(
     spec: EqgSpec,
     grid,
     stats: PopulationStats,
-    c_gamma_spread_override: float | None = None,
 ) -> ContractionDiagnostics:
     bounds = liability_bounds(liability, spec, grid, stats.gamma_lo)
-    return smallness_report(
-        bounds["f_inf"], stats, f_cross_inf=bounds["f_cross_inf"],
-        c_gamma_spread_override=c_gamma_spread_override,
-    )
+    return smallness_report(bounds["f_inf"], stats, f_cross_inf=bounds["f_cross_inf"])
 
 
 @dataclass
@@ -105,7 +98,6 @@ def solve_mean_field(
     g_samples: np.ndarray,
     gammas: np.ndarray,
     gamma_hat: float,
-    n_eq: int | None = None,
     max_iters: int = 10,
     tol: float = 1e-4,
     clip: float = 50.0,
@@ -134,17 +126,15 @@ def solve_mean_field(
     """
     dt = bundle.grid.dt
     gam = np.asarray(gammas, dtype=float)
-    if n_eq is None:
-        n_eq = bundle.n_agents
     if engine is None:
         engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
                              stratum_ids=stratum_ids, n_strata=n_strata)
     if diagnostics is None:
         diagnostics = smallness_report(float("nan"), population_stats(gam))
-    inv_gamma_eq = (1.0 / gam)[None, :n_eq, None]
+    inv_gamma = (1.0 / gam)[None, :, None]
 
     def theta_at(k, z0_par):
-        return -gamma_hat * np.mean(inv_gamma_eq * z0_par[:, :n_eq, :], axis=1)
+        return -gamma_hat * np.mean(inv_gamma * z0_par, axis=1)
 
     sol = _solve(bundle, market, engine, g_samples, theta_at, max_iters, tol, clip)
     changes = [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
@@ -159,7 +149,6 @@ def solve_mean_field(
     # theta is the one the returned solution solves
     steps = bundle.grid.steps
     proj, _ = market.geometry(steps)
-    inv_gamma = (1.0 / gam)[None, :, None]
     ebar = np.empty((bundle.n_paths, steps, market.d0))
     y_max = [np.max(np.abs(sol.g / gam[None, :]))]
 
@@ -168,7 +157,7 @@ def solve_mean_field(
             cond = engine.at(k)
             z = sol.z_at(k, cond)
             z0, z1 = z[..., :market.d0], z[..., market.d0:]
-            ebar[:, k, :] = np.mean(inv_gamma_eq * (z0[:, :n_eq] @ proj[k]), axis=1)
+            ebar[:, k, :] = np.mean(inv_gamma * (z0 @ proj[k]), axis=1)
             y_max.append(np.max(np.abs(sol.y_at(k, cond) / gam[None, :])))
             yield cond, z0 * inv_gamma, z1 * inv_gamma
 

@@ -162,24 +162,3 @@ def ou_exact_moments(spec: EqgSpec, t: float) -> tuple[float, float]:
 
 def format_float(v: float) -> str:
     return f"{v:.17g}"
-
-
-def coarsen_bundle(bundle: PathBundle, factor: int, spec: EqgSpec) -> PathBundle:
-    """Aggregate increments onto a grid `factor` times coarser, same noise.
-
-    Used for refinement studies on a fixed Brownian path: the coarse bundle's
-    increments are sums of the fine ones, and the factor path is re-run with
-    Euler on the coarse grid.
-    """
-    grid = bundle.grid
-    if grid.steps % factor != 0:
-        raise ValueError(f"steps {grid.steps} not divisible by factor {factor}")
-    steps_c = grid.steps // factor
-    coarse_grid = TimeGrid(grid.horizon, steps_c)
-    M, _, d0 = bundle.dW0.shape
-    _, K, _, d = bundle.dWi.shape
-    dW0 = bundle.dW0.reshape(M, steps_c, factor, d0).sum(axis=2)
-    dWi = step_major((M, K, steps_c, d))
-    np.sum(bundle.dWi.reshape(M, K, steps_c, factor, d), axis=3, out=dWi)
-    x, I = _euler_factor(spec, dW0, coarse_grid.dt)
-    return PathBundle(grid=coarse_grid, dW0=dW0, dWi=dWi, x=x, I=I)

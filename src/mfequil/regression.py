@@ -34,10 +34,6 @@ Design choices that matter for reproducibility and the exactness tests:
   every fit is bit-identical to a fresh build, and a conditioner evaluates
   a stored fit map on its rows to the same bits its fit() returned: the one
   reader of a map, also on other particles of the same paths (BasisEngine.on).
-
-A group-mean engine with integer keys provides exact conditional
-expectations on enumerable noise trees; it is the brute-force oracle's
-counterpart inside the solver.
 """
 
 from __future__ import annotations
@@ -342,36 +338,6 @@ class RidgeConditioner:
         return out
 
 
-class GroupMeanConditioner:
-    """Exact conditional expectation by averaging within integer key groups.
-
-    Suitable for enumerable noise trees where every path with the same key
-    shares the same information set.
-    """
-
-    def __init__(self, keys: np.ndarray):
-        uniq, inv = np.unique(np.asarray(keys), return_inverse=True)
-        self.inv = inv
-        self.n_groups = uniq.size
-        self.denom = np.bincount(inv, minlength=self.n_groups).astype(float)
-
-    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fitted values (same leading shape) and the group means, its fit map."""
-        squeeze = targets.ndim == 1
-        ys = targets[:, None] if squeeze else targets
-        r = ys.shape[1]
-        means = np.empty((self.n_groups, r))
-        for j in range(r):
-            means[:, j] = np.bincount(self.inv, weights=ys[:, j], minlength=self.n_groups)
-        means /= self.denom[:, None]
-        out = self.evaluate(means)
-        return (out[:, 0] if squeeze else out), means
-
-    def evaluate(self, means: np.ndarray) -> np.ndarray:
-        """Group means spread back to their rows, (P, r)."""
-        return means[self.inv]
-
-
 class BasisEngine:
     """Per-step RidgeConditioner factory over a particle cloud.
 
@@ -438,20 +404,3 @@ class BasisEngine:
                                 ridge=self.basis.ridge, weights=w)
         self._memo[k] = cond._factors
         return cond
-
-
-class TreeEngine:
-    """Per-step GroupMeanConditioner factory from precomputed path keys.
-
-    Each step's group index is built once and kept for the engine's lifetime;
-    it is as large as the keys, so this suits enumerable trees only.
-    """
-
-    def __init__(self, keys_per_step: list[np.ndarray]):
-        self.keys = keys_per_step
-        self._memo: dict[int, GroupMeanConditioner] = {}
-
-    def at(self, k: int) -> GroupMeanConditioner:
-        if k not in self._memo:
-            self._memo[k] = GroupMeanConditioner(self.keys[k])
-        return self._memo[k]

@@ -24,8 +24,6 @@ from mfequil import (
     build_population,
     build_scenario,
     clearing_residual,
-    coarsen_bundle,
-    cole_hopf_idio,
     equilibrium_path,
     fresh_idio_levels,
     gamma_hat,
@@ -47,6 +45,7 @@ from mfequil import (
     verify_condition_r,
 )
 from conftest import materialise, pool_strategies
+from oracles import coarsen_bundle, fubini_malliavin_check
 
 from test_meanfield import (
     K_TREE,
@@ -55,7 +54,6 @@ from test_meanfield import (
     reference_fixed_point,
     tree_bundle,
 )
-from mfequil.regression import TreeEngine
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -402,7 +400,6 @@ def test_ac13_integral_swap_gap_vanishes_under_refinement():
                    a=0.0, b=0.5, kappa=0.0)
     fine = simulate_paths(TimeGrid(0.5, 800), spec, MARKET_2F, 8192, 606)
     gaps = []
-    from mfequil import fubini_malliavin_check
     for factor in (16, 4, 1):
         sub = coarsen_bundle(fine, factor, spec) if factor > 1 else fine
         gaps.append(fubini_malliavin_check(sub, spec))

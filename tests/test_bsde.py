@@ -6,8 +6,8 @@ import pytest
 
 from mfequil import (
     DiscreteDist, EqgSpec, MarketSpec, RegressionBasis, TimeGrid,
-    agent_strategies, bmo_proxy, build_population, coarsen_bundle, doleans_weights,
-    equilibrium_path, fresh_idio_levels, gamma_hat, optimal_strategy, project,
+    agent_strategies, bmo_proxy, build_population, doleans_weights,
+    equilibrium_path, fresh_idio_levels, gamma_hat, optimal_strategy,
     riccati_for_spec, risk_premium_from_mu, simulate_paths, solve_agent_bsde,
     solve_mean_field, solve_under_q, verify_condition_r,
 )
@@ -16,6 +16,7 @@ from mfequil.errors import PicardDiverged
 from mfequil.regression import BasisEngine
 
 from conftest import make_market, materialise, pool_strategies
+from oracles import coarsen_bundle, project
 
 
 BASIS = RegressionBasis(degree=2)

@@ -24,7 +24,6 @@ from mfequil import (
     feature_columns,
     fresh_idio_levels,
     gamma_hat,
-    project,
     random_replacement,
     rate_fit,
     replacement_invariance,
@@ -36,6 +35,7 @@ from mfequil import (
 from mfequil.paths import KIND_AUX, normal_block_array
 
 from conftest import pool_strategies
+from oracles import project
 
 GAMMA_DIST = DiscreteDist(values=(1.0, 2.0, 4.0), probs=(0.5, 0.3, 0.2))
 

@@ -231,13 +231,12 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-# every scalar number of tiny.json, plus the optional ones it leaves null
+# every scalar number of tiny.json
 NUMERIC_KEYS = [
     "seed", "grid.horizon", "grid.steps", "market.d",
     *(f"eqg.{k}" for k in ("alpha", "beta", "x0", "a", "b", "kappa", "cross_eps")),
     *(f"bsde.{k}" for k in ("n_paths", "degree", "ridge", "picard_max", "picard_tol", "clip")),
-    *(f"mf.{k}" for k in ("n_common", "n_particles", "n_equilibrium", "iters", "tol",
-                          "c_gamma_override")),
+    *(f"mf.{k}" for k in ("n_common", "n_particles", "iters", "tol")),
     *(f"clearing.{k}" for k in ("n_common", "n_equilibrium", "n_batches", "slack",
                                 "n_invariance_draws", "cond_cap")),
 ]

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from mfequil import (
-    TimeGrid, cole_hopf_idio, coarsen_bundle, equilibrium_path,
-    fubini_malliavin_check, martingale_check, riccati_for_spec,
+    TimeGrid, equilibrium_path, martingale_check, riccati_for_spec,
     sign_law_violations, simulate_paths,
 )
-from mfequil.bsde import cole_hopf_oracle
 
 from conftest import make_market
+from oracles import cole_hopf_idio, cole_hopf_oracle, coarsen_bundle, fubini_malliavin_check
 
 
 def build_eq(grid, spec, market, n_paths=256, seed=42, agents=1):

@@ -4,11 +4,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from mfequil import (
     DimensionMismatch, MarketSpec, PopulationStats, SingularSigma, TimeGrid,
-    excess_return_from_theta, gamma_hat, project, risk_premium_from_mu,
+    excess_return_from_theta, gamma_hat, risk_premium_from_mu,
     validate_market,
 )
 
 from conftest import make_market
+from oracles import project
 
 
 def test_time_grid_basics():
@@ -193,6 +194,3 @@ def test_population_stats_constants():
     assert stats.c_gamma == pytest.approx(2.0 / 2 + 1.5**2 / 1.0)
     expected = max(1.5, 1.5**2 / 2.0, 2.0 / 2)
     assert stats.c_gamma_spread() == pytest.approx(expected)
-    assert stats.c_gamma_spread(override=9.0) == 9.0
-    with pytest.raises(ValueError):
-        stats.c_gamma_spread(override=-1.0)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from mfequil import EqgSpec, TimeGrid, coarsen_bundle, simulate_paths
+from mfequil import EqgSpec, TimeGrid, simulate_paths
 from mfequil.paths import ou_exact_moments
 
 from conftest import make_market
+from oracles import coarsen_bundle
 
 
 def test_same_seed_same_paths(grid20, eqg_spec, market2):
@@ -74,6 +75,19 @@ def test_coarsen_bundle_aggregates_increments(grid20, eqg_spec, market2):
     assert np.allclose(coarse.x[:, 0], eqg_spec.x0)
     with pytest.raises(ValueError):
         coarsen_bundle(fine, 3, eqg_spec)
+
+
+def test_coarsen_bundle_at_factor_one_is_the_simulation(grid20, eqg_spec, market2):
+    """The test oracle re-runs Euler from EqgSpec's public fields only; at
+    factor 1 it must give simulate_paths' factor path and running cost bit
+    for bit, or the refinement studies built on it compare different maps."""
+    for spec in (eqg_spec, EqgSpec(alpha=0.0, beta=-0.2, delta=(0.7, 0.3), x0=-1.1,
+                                   a=0.0, b=0.9)):
+        fine = simulate_paths(grid20, spec, market2, 40, 17, agents=2)
+        same = coarsen_bundle(fine, 1, spec)
+        assert np.array_equal(same.x, fine.x)
+        assert np.array_equal(same.I, fine.I)
+        assert np.array_equal(same.dW0, fine.dW0) and np.array_equal(same.dWi, fine.dWi)
 
 
 def test_simulate_paths_validates_inputs(grid20, eqg_spec, market2):
