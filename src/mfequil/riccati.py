@@ -16,7 +16,9 @@ with A(T) = B(T) = C(T) = 0.  A has an explicit ratio form built from
 rho_pm = alpha +- sqrt(alpha^2 - 2 a |delta|^2); B and C are evaluated by
 composite Simpson quadrature of their integral representations, so the
 closed-form route shares no machinery with the Runge-Kutta route below and
-the two can serve as independent cross-checks.
+the two can serve as independent cross-checks.  One closed-form route serves
+every a <= 0: at a = 0, A vanishes and B's integrating factor is
+exp(alpha (v - t)), so no alpha -> 0 cancellation arises.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from .errors import ComplexRho
 from .market import TimeGrid
 
 _TINY_S = 1e-12
-# below this |alpha| T, exp(alpha tau) - 1 cancels, so B takes its second-order
-# Taylor form, whose relative remainder is below (alpha T)^2 / 6
-_SMALL_ALPHA_T = 1e-5
 
 
 @dataclass(frozen=True)
@@ -138,24 +137,6 @@ def riccati_closed_form(
     delta_sq = float(np.dot(delta_vec, delta_vec))
     s = _discriminant_root(a, alpha, delta_sq)
     T = grid.horizon
-
-    if a == 0.0:
-        # A vanishes identically and B is elementary
-        times = grid.times
-        A = np.zeros(grid.steps + 1)
-        if abs(alpha) * T < _SMALL_ALPHA_T:
-            B_coarse = b * (T - times) * (1.0 + 0.5 * alpha * (T - times))
-            b_at = lambda t: b * (T - np.asarray(t, dtype=float)) * (
-                1.0 + 0.5 * alpha * (T - np.asarray(t, dtype=float)))
-        else:
-            B_coarse = (b / alpha) * (np.exp(alpha * (T - times)) - 1.0)
-            b_at = lambda t: (b / alpha) * (np.exp(alpha * (T - np.asarray(t, dtype=float))) - 1.0)
-        C = _c_quadrature_known_b(b_at, beta, delta_sq, grid, refine)
-        return RiccatiSolution(
-            grid=grid, A=A, B=B_coarse, C=C,
-            rho_plus=alpha + s, rho_minus=alpha - s, method="closed_form",
-        )
-
     mf = grid.steps * refine
     u = np.linspace(0.0, T, mf + 1)
     h = T / mf
@@ -199,23 +180,6 @@ def riccati_closed_form(
         grid=grid, A=A_at(grid.times), B=B_fine[sl].copy(), C=C_fine[sl].copy(),
         rho_plus=alpha + s, rho_minus=alpha - s, method="closed_form",
     )
-
-
-def _c_quadrature_known_b(b_at, beta, delta_sq, grid: TimeGrid, refine: int):
-    """C by backward Simpson when B is available in closed form (a = 0)."""
-    T = grid.horizon
-    mf = grid.steps * refine
-    u = np.linspace(0.0, T, mf + 1)
-    h = T / mf
-    mid = u[:-1] + 0.5 * h
-
-    def phi(t):
-        Bv = b_at(t)
-        return (beta + 0.5 * delta_sq * Bv) * Bv
-
-    local = (h / 6.0) * (phi(u[:-1]) + 4.0 * phi(mid) + phi(u[1:]))
-    C_fine = np.concatenate([np.cumsum(local[::-1])[::-1], [0.0]])
-    return C_fine[::refine].copy()
 
 
 def riccati_ode(

@@ -1,11 +1,16 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mfequil import (
-    ComplexRho, EqgSpec, TimeGrid, riccati_closed_form, riccati_for_spec,
-    riccati_ode,
+    ComplexRho, EqgSpec, TimeGrid, build_scenario, load_config, riccati_closed_form,
+    riccati_for_spec, riccati_ode,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def sup_gap(ric1, ric2):
@@ -53,6 +58,41 @@ def test_a_zero_branch_is_analytic():
     # C solves C' = -beta B - 0.5 |delta|^2 B^2 backwards; check against RK4
     ode = riccati_ode(0.0, 0.7, -0.5, 0.3, (0.4, 0.1), grid, substeps=512)
     assert np.max(np.abs(ric.C - ode.C)) < 1e-10
+
+
+def _shipped_a_zero_specs():
+    """(name, EqgSpec, grid) of every shipped config with a = 0, each also
+    with alpha = 1e-10, where (b / alpha) expm1(alpha tau) is the reference."""
+    out = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        sc = build_scenario(load_config(str(path)))
+        if sc.eqg.a == 0.0:
+            out.append((path.stem, sc.eqg, sc.grid))
+            out.append((f"{path.stem}-alpha1e-10", replace(sc.eqg, alpha=1e-10), sc.grid))
+    return out
+
+
+A_ZERO_SPECS = _shipped_a_zero_specs()
+
+
+def test_shipped_a_zero_configs_are_covered():
+    assert {name for name, _, _ in A_ZERO_SPECS} >= {"cross_term", "eqg_a0", "mf_small"}
+
+
+@pytest.mark.parametrize("name, spec, grid", A_ZERO_SPECS, ids=[n for n, _, _ in A_ZERO_SPECS])
+def test_a_zero_coefficients_are_tight(name, spec, grid):
+    """At a = 0 the closed form's B is b expm1(alpha tau) / alpha (b tau at
+    alpha = 0) to 1e-13 of its largest value, and C is RK4's to 1e-10."""
+    ric = riccati_for_spec(spec, grid)
+    tau = grid.horizon - grid.times
+    if spec.alpha == 0.0:
+        b_ref = spec.b * tau
+    else:
+        b_ref = spec.b * np.expm1(spec.alpha * tau) / spec.alpha
+    assert np.all(ric.A == 0.0)
+    assert np.max(np.abs(ric.B - b_ref)) <= 1e-13 * np.max(np.abs(b_ref)), name
+    ode = riccati_ode(spec.a, spec.b, spec.alpha, spec.beta, spec.delta_vec, grid, substeps=512)
+    assert np.max(np.abs(ric.C - ode.C)) < 1e-10, name
 
 
 def test_alpha_zero_limit():
