@@ -15,9 +15,10 @@ also solves the single-agent equation under theta = -gamma_hat Ebar_n^T.
 The cloud discretises Ebar by the per-common-path average over its
 particles.  So the mean-field solve is the agent solve (bsde._solve) with
 theta taken, at each step of each sweep, from the frozen cloud's own z0_par;
-it records the contraction ratios of the sweep-to-sweep changes.  Step k's theta reads only step k of z0, which the
-sweep rebuilds from the previous iterate's fit map (see bsde).  One pass
-after the solve gives the reported theta, sup |Y| and the BMO proxy.
+it records the contraction ratios of the sweep-to-sweep changes.  Step k's
+theta reads only step k of z0, which the sweep rebuilds from the previous
+iterate's fit map (see bsde).  One pass after the solve gives the reported
+theta, sup |Y| and the BMO proxy.
 """
 
 from __future__ import annotations

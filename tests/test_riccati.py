@@ -60,39 +60,26 @@ def test_a_zero_branch_is_analytic():
     assert np.max(np.abs(ric.C - ode.C)) < 1e-10
 
 
-def _shipped_a_zero_specs():
-    """(name, EqgSpec, grid) of every shipped config with a = 0, each also
-    with alpha = 1e-10, where (b / alpha) expm1(alpha tau) is the reference."""
-    out = []
-    for path in sorted(CONFIGS.glob("*.json")):
-        sc = build_scenario(load_config(str(path)))
-        if sc.eqg.a == 0.0:
-            out.append((path.stem, sc.eqg, sc.grid))
-            out.append((f"{path.stem}-alpha1e-10", replace(sc.eqg, alpha=1e-10), sc.grid))
-    return out
-
-
-A_ZERO_SPECS = _shipped_a_zero_specs()
-
-
-def test_shipped_a_zero_configs_are_covered():
-    assert {name for name, _, _ in A_ZERO_SPECS} >= {"cross_term", "eqg_a0", "mf_small"}
-
-
-@pytest.mark.parametrize("name, spec, grid", A_ZERO_SPECS, ids=[n for n, _, _ in A_ZERO_SPECS])
-def test_a_zero_coefficients_are_tight(name, spec, grid):
-    """At a = 0 the closed form's B is b expm1(alpha tau) / alpha (b tau at
-    alpha = 0) to 1e-13 of its largest value, and C is RK4's to 1e-10."""
-    ric = riccati_for_spec(spec, grid)
-    tau = grid.horizon - grid.times
+@pytest.mark.parametrize("alpha", [None, 1e-10])
+@pytest.mark.parametrize("name", ["cross_term", "eqg_a0", "mf_small"])
+def test_a_zero_coefficients_are_tight(name, alpha):
+    """The shipped a = 0 parameter sets, as given and at alpha = 1e-10: B is
+    b expm1(alpha tau) / alpha (b tau at alpha = 0) to 1e-13 of its largest
+    value, and C is RK4's to 1e-10."""
+    sc = build_scenario(load_config(str(CONFIGS / f"{name}.json")))
+    spec = sc.eqg if alpha is None else replace(sc.eqg, alpha=alpha)
+    assert spec.a == 0.0
+    ric = riccati_for_spec(spec, sc.grid)
+    tau = sc.grid.horizon - sc.grid.times
     if spec.alpha == 0.0:
         b_ref = spec.b * tau
     else:
         b_ref = spec.b * np.expm1(spec.alpha * tau) / spec.alpha
     assert np.all(ric.A == 0.0)
-    assert np.max(np.abs(ric.B - b_ref)) <= 1e-13 * np.max(np.abs(b_ref)), name
-    ode = riccati_ode(spec.a, spec.b, spec.alpha, spec.beta, spec.delta_vec, grid, substeps=512)
-    assert np.max(np.abs(ric.C - ode.C)) < 1e-10, name
+    assert np.max(np.abs(ric.B - b_ref)) <= 1e-13 * np.max(np.abs(b_ref))
+    ode = riccati_ode(spec.a, spec.b, spec.alpha, spec.beta, spec.delta_vec, sc.grid,
+                      substeps=512)
+    assert np.max(np.abs(ric.C - ode.C)) < 1e-10
 
 
 def test_alpha_zero_limit():
