@@ -145,14 +145,20 @@ def agent_strategies(
 
     The cloud's engine reads its step-k z fit map on the agents' levels
     w_agents (M0, N, steps + 1), each agent in its own atom's stratum when
-    the solve was stratified.  Returns p (M0, N, d0) in Brownian coordinates
-    and pi (M0, N, n) in security units.
+    the solve was stratified.  The pool may come in any order: its agents
+    are grouped by atom for the read (a stable sort, so each stratum keeps
+    draw order).  Returns p (M0, N, d0) in Brownian coordinates and
+    pi (M0, N, n) in security units, in the pool's order.
     """
     sol = mf.solution
     M0, N, d0 = w_agents.shape[0], population.size, sol.market.d0
     proj, pos = sol.market.geometry(sol.grid.steps)
-    cond = sol.engine.on(w_agents, population.atom_ids).at(k)
-    z_hat = cond.evaluate(sol.fits[k])[:, :d0].reshape(M0, N, d0)
+    S = len(sol.engine.sizes)
+    ids = population.atom_ids if S > 1 else np.zeros(N, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    cond = sol.engine.on(k, w_agents[:, order, k], np.bincount(ids, minlength=S))
+    z_hat = np.empty((M0, N, d0))
+    z_hat[:, order] = cond.evaluate(sol.fits[k]).reshape(M0, N, -1)[..., :d0]
     p = (z_hat @ proj[k] + mf.theta[:, k, None, :]) * (1.0 / population.gammas)[None, :, None]
     return p, p @ pos[k].T
 
@@ -250,21 +256,21 @@ def solve_equilibrium_cloud(sc: Scenario, n_common: int,
     """Mean-field fixed point, with smallness and stability diagnostics, on a
     balanced cloud of n_agents particles over n_common common paths of the
     scenario sc.  Each gamma atom is a regression stratum when the liability
-    is not additive.  The seed, mf.iters, mf.tol and bsde.clip come from
-    sc.cfg.  Returns the solution and the cloud's population stats."""
+    is not additive; the balanced cloud's atom ids are an np.repeat, so each
+    atom is one contiguous range of particles and its count is its stratum's
+    size.  The seed, mf.iters, mf.tol and bsde.clip come from sc.cfg.
+    Returns the solution and the cloud's population stats."""
     cfg = sc.cfg
     cloud = build_population(n_agents, cfg.seed, sc.gamma_dist, balanced=True)
     stats = gamma_hat(cloud.gammas)
     diag = smallness_from_liability(sc.liability, sc.eqg, sc.grid, stats)
     bundle = simulate_paths(sc.grid, sc.eqg, sc.market, n_common, cfg.seed, agents=n_agents)
     g = terminal_g(sc.liability, bundle, cloud.gammas)
-    stratified = not sc.liability.is_additive
     mf = solve_mean_field(
         bundle, sc.market, sc.basis, g, cloud.gammas, stats.gamma_hat,
-        max_iters=cfg.mf.iters, tol=cfg.mf.tol, clip=cfg.bsde.clip,
-        stratum_ids=cloud.atom_ids if stratified else None,
-        n_strata=len(sc.gamma_dist.values) if stratified else 1,
-        diagnostics=diag,
+        max_iters=cfg.mf.iters, tol=cfg.mf.tol, clip=cfg.bsde.clip, diagnostics=diag,
+        strata=None if sc.liability.is_additive else np.bincount(
+            cloud.atom_ids, minlength=len(sc.gamma_dist.values)),
     )
     return mf, stats
 

@@ -103,8 +103,7 @@ def solve_mean_field(
     tol: float = 1e-4,
     clip: float = 50.0,
     engine=None,
-    stratum_ids: np.ndarray | None = None,
-    n_strata: int = 1,
+    strata=None,
     diagnostics: ContractionDiagnostics | None = None,
 ) -> MeanFieldSolution:
     """Fixed-point iteration of the mean-field map from z = 0.
@@ -119,8 +118,10 @@ def solve_mean_field(
     converged = False.
     diagnostics.changes is the per-sweep max(dy0, dz); the solution keeps
     dy0 and dz apart as y0_changes and z_changes, and its fits are the last
-    sweep's z fit maps.  stratum_ids, of shape (K,), gives each particle's
-    regression stratum.  Every sweep and the BMO proxy share one engine, so
+    sweep's z fit maps.  strata, the sizes (S,) of the regression strata,
+    tile the K particles in stratum order: the first strata[0] particles
+    form stratum 0, and so on (None: one stratum).  Every sweep and the BMO
+    proxy share one engine, so
     each step's regression is built once.  The reported theta,
     diagnostics.y_inf (sup |Y|) and diagnostics.z_bmo (BMO proxy of
     (Z0, Z1) = z / gamma) come from one backward pass over the final iterate.
@@ -128,8 +129,7 @@ def solve_mean_field(
     dt = bundle.grid.dt
     gam = np.asarray(gammas, dtype=float)
     if engine is None:
-        engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis,
-                             stratum_ids=stratum_ids, n_strata=n_strata)
+        engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis, strata=strata)
     if diagnostics is None:
         diagnostics = smallness_report(float("nan"), population_stats(gam))
     inv_gamma = (1.0 / gam)[None, :, None]

@@ -20,8 +20,10 @@ Design choices that matter for reproducibility and the exactness tests:
   computes a one-row product as a matrix-vector one);
 * ridge is 1e-8 relative to the normalised Gram trace, and an eigenvalue of
   the unridged Gram below the ridge level raises RegressionRankDeficient;
-* strata are given per particle and gathered as slices (or index arrays)
-  of the particle axis, in the flat row order (path, particle);
+* a stratum is a contiguous range of the particle axis, given by its size:
+  sizes (S,) say that the first sizes[0] particles of every path are
+  stratum 0, the next sizes[1] stratum 1, and so on.  A stratum's rows are
+  a slice of the particle axis, in the flat row order (path, particle);
 * a fit map is per stratum its intercepts and coefficients; the kept
   columns, mean and scale they apply to are the step's factor;
 * a BasisEngine builds each step's conditioner once and keeps only its
@@ -130,48 +132,29 @@ def _blockwise_gram(xs: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
 class _Strata:
     """Rows of each stratum over a row layout that is row-major in (path, particle).
 
-    Stratum ids are per particle, shape (K,), for P = M0 K rows (flat ids of
-    shape (P,) are the one-path case).  Each stratum gets one selector along
-    the particle axis: a slice when its particles are contiguous (no index at
-    all for a single stratum), an index array otherwise, None when empty.
-    Rows are taken as a.reshape(M0, K, r)[:, sel], which keeps the flat row
-    order of np.nonzero(np.tile(ids, M0) == s).
+    sizes (S,) tile the K = sum(sizes) particles of each of M0 = P / K paths,
+    stratum by stratum (a size may be 0).  Stratum s's rows are
+    a.reshape(M0, K, r)[:, sel] with sel its slice of the particle axis.
     """
 
-    def __init__(self, ids: np.ndarray, n_strata: int, n_rows: int):
-        ids = np.asarray(ids)
-        if ids.ndim != 1 or ids.size == 0 or n_rows % ids.size:
-            raise ValueError(f"stratum ids of shape {ids.shape} do not tile {n_rows} rows")
-        self.layout = (n_rows // ids.size, ids.size)
-        if n_strata == 1:
-            self.sels = [slice(None)]
-            self.rows = [n_rows]
-            return
-        self.sels, self.rows = [], []
-        for s in range(n_strata):
-            idx = np.flatnonzero(ids == s)
-            if idx.size == 0:
-                sel = None
-            elif idx[-1] - idx[0] + 1 == idx.size:
-                sel = slice(int(idx[0]), int(idx[-1]) + 1)
-            else:
-                sel = idx
-            self.sels.append(sel)
-            self.rows.append(self.layout[0] * idx.size)
-        if sum(self.rows) != n_rows:
-            raise ValueError(f"stratum ids outside [0, {n_strata})")
+    def __init__(self, sizes, n_rows: int):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        K = int(sizes.sum())
+        if sizes.ndim != 1 or np.any(sizes < 0) or K == 0 or n_rows % K:
+            raise ValueError(f"stratum sizes {sizes.tolist()} do not tile {n_rows} rows")
+        self.layout = (n_rows // K, K)
+        self.sels = [slice(e - n, e) for n, e in zip(sizes.tolist(), np.cumsum(sizes).tolist())]
+        self.rows = [self.layout[0] * n for n in sizes.tolist()]
 
     def take(self, a: np.ndarray, s: int, cols: np.ndarray | None = None) -> np.ndarray:
         """Stratum s's rows of a (P,) or (P, r) array, C-contiguous, in row order.
 
         With a boolean column mask, only those columns of a (P, r) array, in
-        the column-major layout that cols[:, mask] gives at the build (one copy
-        for a slice): the BLAS products of a fit depend on the layout.
+        the column-major layout that cols[:, mask] gives at the build: the
+        BLAS products of a fit depend on the layout.
         """
         M0, K = self.layout
-        sel = self.sels[s]
-        a3 = a.reshape(M0, K, -1)
-        sub = a3[:, sel] if isinstance(sel, slice) else np.take(a3, sel, axis=1)
+        sub = a.reshape(M0, K, -1)[:, self.sels[s]]
         if cols is not None:
             return np.asfortranarray(sub[..., cols].reshape(self.rows[s], -1))
         sub = np.ascontiguousarray(sub)
@@ -219,13 +202,12 @@ class RidgeConditioner:
     def __init__(
         self,
         raw_cols: np.ndarray,
-        stratum_ids: np.ndarray,
-        n_strata: int,
+        sizes,
         ridge: float = 1e-8,
         weights: np.ndarray | None = None,
     ):
         P, q = raw_cols.shape
-        strata = _Strata(stratum_ids, n_strata, P)
+        strata = _Strata(sizes, P)
         factors, xss, ws = [], [], []
         for s, n_rows in enumerate(strata.rows):
             if n_rows == 0:
@@ -275,8 +257,8 @@ class RidgeConditioner:
         """A conditioner on the columns of an earlier build's step, on its rows or
         on other particles of its paths: standardised with that build's stored
         mean and scale, fitted with its Cholesky factor."""
-        for s, f in enumerate(factors):
-            if f is None and strata.rows[s]:
+        for s, (f, n) in enumerate(zip(factors, strata.rows, strict=True)):
+            if f is None and n:
                 raise ValueError(f"stratum {s} was empty at the build but has rows now")
         self = cls.__new__(cls)
         self._strata = strata
@@ -344,63 +326,56 @@ class BasisEngine:
     x and run_i are common-path state arrays of shape (M0, steps + 1); w is
     the per-particle coordinate of shape (M0, K, steps + 1), read a step at a
     time (a bundle's wi_first is step-major, so w[:, :, k] is contiguous).
-    Strata are discrete risk-aversion atoms, given per particle as
-    stratum_ids of shape (K,) (a single stratum pools everything); the
-    engine gathers them once.  weights, of shape (M0, steps + 1), are the
-    cumulative importance weights of a measure change; step k regresses with
-    weights[:, k + 1] on every particle.
+    Strata are discrete risk-aversion atoms, given by their sizes (S,), which
+    tile the particle axis in stratum order (None: one stratum of all K).
+    weights, of shape (M0, steps + 1), are the cumulative importance weights
+    of a measure change; step k regresses with weights[:, k + 1] on every
+    particle.
 
     The first at(k) builds step k's conditioner; every later at(k) recomputes
-    only the design columns and reuses that build's factors.  The memo holds
-    O(q^2) numbers per stratum and step.  It lives as long as the engine, and
-    a solution keeps its engine: each later read of step k rebuilds that
+    only the design columns and reuses that build's factors, as on(k, ...)
+    does for other particles of the same paths.  The memo holds O(q^2)
+    numbers per stratum and step.  It lives as long as the engine, and a
+    solution keeps its engine: each later read of step k rebuilds that
     step's values from the columns, the factors and the stored fit map.
     """
 
-    def __init__(self, x, run_i, w, basis: RegressionBasis,
-                 stratum_ids: np.ndarray | None = None, n_strata: int = 1,
+    def __init__(self, x, run_i, w, basis: RegressionBasis, strata=None,
                  weights: np.ndarray | None = None):
         self.x = x
         self.run_i = run_i
         self.w = w
         self.basis = basis
         self.M0, self.K = w.shape[0], w.shape[1]
-        if stratum_ids is None:
-            stratum_ids = np.zeros(self.K, dtype=np.int64)
-            n_strata = 1
-        self.stratum_ids = stratum_ids
-        self.n_strata = n_strata
+        self.sizes = (self.K,) if strata is None else strata
         self.weights = weights
-        self._strata = _Strata(stratum_ids, n_strata, self.M0 * self.K)
         self._memo: dict[int, list[_Factor | None]] = {}
-        self._builds = True
 
-    def on(self, w, stratum_ids: np.ndarray) -> BasisEngine:
-        """This engine's factors on other particles of the same common paths:
-        levels w (M0, N, steps + 1), stratum ids (N,), ignored by a single
-        stratum.  It never builds: an unbuilt step or a stratum empty at the
-        build raises ValueError."""
-        other = BasisEngine(self.x, self.run_i, w, self.basis,
-                            stratum_ids if self.n_strata > 1 else None, self.n_strata,
-                            self.weights)
-        other._memo, other._builds = self._memo, False
-        return other
+    def _design(self, k: int, w_k: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Step k's design columns and row weights on levels w_k of shape (M0, n)."""
+        cols = feature_columns(self.basis, self.x[:, k, None], self.run_i[:, k, None], w_k)
+        if self.weights is None:
+            return cols, None
+        return cols, np.broadcast_to(self.weights[:, k + 1, None], w_k.shape).ravel()
 
     def columns_at(self, k: int) -> np.ndarray:
-        return feature_columns(self.basis, self.x[:, k, None], self.run_i[:, k, None],
-                               self.w[:, :, k])
+        return self._design(k, self.w[:, :, k])[0]
 
     def at(self, k: int) -> RidgeConditioner:
-        factors = self._memo.get(k)
-        if factors is None and not self._builds:
-            raise ValueError(f"step {k} was never built")
-        cols = self.columns_at(k)
-        w = None
-        if self.weights is not None:
-            w = np.broadcast_to(self.weights[:, k + 1, None], (self.M0, self.K)).ravel()
-        if factors is not None:
-            return RidgeConditioner._reuse(self._strata, factors, cols, w)
-        cond = RidgeConditioner(cols, self.stratum_ids, self.n_strata,
-                                ridge=self.basis.ridge, weights=w)
+        if k in self._memo:
+            return self.on(k, self.w[:, :, k], self.sizes)
+        cols, w = self._design(k, self.w[:, :, k])
+        cond = RidgeConditioner(cols, self.sizes, ridge=self.basis.ridge, weights=w)
         self._memo[k] = cond._factors
         return cond
+
+    def on(self, k: int, w_k: np.ndarray, sizes) -> RidgeConditioner:
+        """Step k's conditioner on other particles of the same common paths:
+        levels w_k (M0, N), whose strata tile N with sizes (S,).  It never
+        builds: an unbuilt step or a stratum empty at the build raises
+        ValueError."""
+        factors = self._memo.get(k)
+        if factors is None:
+            raise ValueError(f"step {k} was never built")
+        cols, w = self._design(k, w_k)
+        return RidgeConditioner._reuse(_Strata(sizes, cols.shape[0]), factors, cols, w)

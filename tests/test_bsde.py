@@ -210,7 +210,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     # b only enters the running integral I and the closed-form slope B(t)
     spec = EqgSpec(alpha=0.0, beta=0.0, delta=(1.0, 0.0), x0=0.0,
                    a=0.0, b=0.5, kappa=0.0)
-    gammas = np.array([1.0, 2.0, 1.0, 2.0])
+    gammas = np.array([1.0, 1.0, 2.0, 2.0])
     K = gammas.size
     bundle = simulate_paths(grid, spec, market, 2000, 10, agents=K)
     basis = RegressionBasis(degree=2, include_idio=False)
@@ -239,7 +239,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     # agents hold nonzero positions
     g_mf = g * gammas
     mf = solve_mean_field(bundle, market, basis, g_mf, gammas, gamma_hat(gammas).gamma_hat,
-                          max_iters=6, stratum_ids=[0, 1, 0, 1], n_strata=2)
+                          max_iters=6, strata=(2, 2))
     pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
     p_pool, pi_pool = pool_strategies(mf, pool, fresh_idio_levels(3, 2000, 5, grid))
     assert np.min(np.abs(p_pool[:, :, 0, 0])) > 0.1

@@ -14,6 +14,7 @@ from mfequil import (
     InsufficientSpan,
     LiabilitySpec,
     MarketSpec,
+    Population,
     RegressionBasis,
     ReplacementSpec,
     TimeGrid,
@@ -65,6 +66,17 @@ def test_balanced_ids_largest_remainder():
     assert counts.tolist() == [5, 3, 2]
     for n in (1, 2, 3, 17, 100):
         assert GAMMA_DIST.balanced_ids(n).shape == (n,)
+
+
+@pytest.mark.parametrize("probs", [None, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), (0.0, 0.7, 0.3),
+                                   (0.34, 0.33, 0.33)])
+def test_balanced_ids_are_grouped_by_atom(probs):
+    """balanced_ids lists each atom's particles together, in atom order, so
+    solve_equilibrium_cloud can give its strata by their sizes."""
+    dist = DiscreteDist(values=(1.0, 2.0, 4.0), probs=probs)
+    for n in (1, 2, 7, 66, 2500):
+        ids = dist.balanced_ids(n)
+        assert ids.shape == (n,) and np.all(np.diff(ids) >= 0), n
 
 
 def test_balanced_population_matches_harmonic_mean():
@@ -255,7 +267,7 @@ def test_agent_strategies_use_each_agents_stratum():
     g = bundle.x[:, -1][:, None] * cloud.gammas
     mf = solve_mean_field(bundle, market, basis, g, cloud.gammas,
                           gamma_hat(cloud.gammas).gamma_hat, max_iters=6,
-                          stratum_ids=cloud.atom_ids, n_strata=2)
+                          strata=np.bincount(cloud.atom_ids))
     pool = build_population(8, 7, dist)
     assert set(pool.atom_ids.tolist()) == {0, 1}
     w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
@@ -276,6 +288,32 @@ def test_agent_strategies_use_each_agents_stratum():
             assert np.max(np.abs(z_hat - other)) > 1e-2
             want = (z_hat @ proj[k] + mf.theta[:, k]) / pool.gammas[i]
             np.testing.assert_allclose(p[:, i, k], want, rtol=1e-12, atol=1e-12)
+
+
+def test_agent_strategies_commute_with_a_permuted_pool():
+    """On a stratified solve the pool may come in any order: permuting its
+    agents (gammas, atoms and levels together) permutes p and pi bit for bit."""
+    grid = TimeGrid(0.5, 6)
+    market = MarketSpec(n=1, d0=2, d=1, sigma=[[1.0, 0.2]],
+                        lambda_lo=1.0, lambda_hi=1.1)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.3)
+    cloud = build_population(6, 3, GAMMA_DIST, balanced=True)
+    bundle = simulate_paths(grid, spec, market, 128, 3, agents=6)
+    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, cloud.gammas)
+    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, cloud.gammas,
+                          gamma_hat(cloud.gammas).gamma_hat, max_iters=4,
+                          strata=np.bincount(cloud.atom_ids, minlength=3))
+    pool = build_population(40, 7, GAMMA_DIST)
+    assert set(pool.atom_ids.tolist()) == {0, 1, 2} and np.any(np.diff(pool.atom_ids) < 0)
+    w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
+    p, pi = pool_strategies(mf, pool, w)
+    perm = np.random.default_rng(5).permutation(pool.size)
+    shuffled = Population(pool.gammas[perm], pool.atom_ids[perm])
+    p_perm, pi_perm = pool_strategies(mf, shuffled, w[:, perm])
+    assert np.array_equal(p_perm, p[:, perm])
+    assert np.array_equal(pi_perm, pi[:, perm])
+
 
 # ------------------------------------------------------------- replacement
 

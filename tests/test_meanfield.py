@@ -305,7 +305,7 @@ def test_mean_field_solve_builds_each_step_once(market2, conditioner_builds):
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
                           gamma_hat(gammas).gamma_hat, max_iters=5, tol=1e-14,
-                          stratum_ids=np.array([0, 0, 1, 1]), n_strata=2)
+                          strata=(2, 2))
     assert mf.diagnostics.iterations >= 2 and np.isfinite(mf.diagnostics.z_bmo)
     assert len(conditioner_builds) == grid.steps
 
@@ -318,21 +318,20 @@ def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_bu
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
     bundle = simulate_paths(grid, spec, market2, 256, 5, agents=4)
-    gammas = np.array([1.0, 2.0, 2.0, 1.0])
-    ids = np.array([0, 1, 1, 0])
+    gammas = np.array([1.0, 1.0, 2.0, 2.0])
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
                           gamma_hat(gammas).gamma_hat, max_iters=3, tol=0.0,
-                          stratum_ids=ids, n_strata=2)
+                          strata=(2, 2))
     sol = mf.solution
     assert len(conditioner_builds) == grid.steps
-    same = sol.engine.on(bundle.wi_first, ids)
     for k in (0, 2, 5):
-        z = same.at(k).evaluate(sol.fits[k]).reshape(bundle.n_paths, bundle.n_agents, -1)
+        z = sol.engine.on(k, bundle.wi_first[:, :, k], (2, 2)).evaluate(sol.fits[k])
+        z = z.reshape(bundle.n_paths, bundle.n_agents, -1)
         assert np.array_equal(z, sol.z_at(k)), k
     # particles of one atom only: the other atom's map is not read
-    z = sol.engine.on(bundle.wi_first[:, 1:3], ids[1:3]).at(4).evaluate(sol.fits[4])
-    np.testing.assert_allclose(z.reshape(256, 2, -1), sol.z_at(4)[:, 1:3], rtol=1e-12, atol=0)
+    z = sol.engine.on(4, bundle.wi_first[:, 2:4, 4], (0, 2)).evaluate(sol.fits[4])
+    np.testing.assert_allclose(z.reshape(256, 2, -1), sol.z_at(4)[:, 2:4], rtol=1e-12, atol=0)
     pool = build_population(7, 3, DiscreteDist((1.0, 2.0)))
     p, _ = pool_strategies(mf, pool, fresh_idio_levels(3, bundle.n_paths, pool.size, grid))
     assert p.shape == (256, 7, grid.steps, 2) and np.all(np.isfinite(p))

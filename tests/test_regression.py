@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfequil import BasisEngine, RegressionBasis, feature_columns
 from mfequil.errors import RegressionRankDeficient
-from mfequil.regression import RidgeConditioner
+from mfequil.regression import RidgeConditioner, _Strata
 
 from oracles import GroupMeanConditioner, TreeEngine
 
@@ -47,7 +47,7 @@ def test_ridge_recovers_exact_linear_map(seed):
     assert np.allclose(fitted, truth(w), atol=1e-6)
     # the stored fit reproduces the same map on fresh particles of the same paths
     fresh = rng.normal(size=(M0, 12, 2))
-    pred = eng.on(fresh, np.zeros(12, dtype=np.int64)).at(1).evaluate(step_fit)[:, 0]
+    pred = eng.on(1, fresh[:, :, 1], (12,)).evaluate(step_fit)[:, 0]
     assert np.allclose(pred, truth(fresh), atol=1e-6)
 
 
@@ -57,7 +57,7 @@ def test_ridge_projects_conditional_mean():
     raw = rng.normal(size=(P, 1))
     noise = rng.normal(size=P)
     target = 2.0 * raw[:, 0] + noise
-    fitted, _ = RidgeConditioner(raw, np.zeros(P, dtype=np.int64), 1).fit(target)
+    fitted, _ = RidgeConditioner(raw, (P,)).fit(target)
     # best L2 predictor given the design is 2 x; noise is orthogonal
     assert np.sqrt(np.mean((fitted - 2.0 * raw[:, 0]) ** 2)) < 0.02
 
@@ -66,14 +66,10 @@ def test_stratified_fit_equals_independent_fits():
     rng = np.random.default_rng(11)
     P = 600
     raw = rng.normal(size=(P, 3))
-    ids = (np.arange(P) % 2).astype(np.int64)
     y = rng.normal(size=P)
-    fitted, _ = RidgeConditioner(raw, ids, 2).fit(y)
-    for s in (0, 1):
-        rows = ids == s
-        solo, _ = RidgeConditioner(
-            raw[rows], np.zeros(rows.sum(), dtype=np.int64), 1
-        ).fit(y[rows])
+    fitted, _ = RidgeConditioner(raw, (300, 300)).fit(y)
+    for rows in (slice(0, 300), slice(300, 600)):
+        solo, _ = RidgeConditioner(raw[rows], (300,)).fit(y[rows])
         assert np.allclose(fitted[rows], solo, atol=1e-12)
 
 
@@ -82,7 +78,7 @@ def test_constant_columns_are_dropped():
     P = 200
     raw = np.column_stack([rng.normal(size=P), np.full(P, 7.0)])
     y = 3.0 + 2.0 * raw[:, 0]
-    cond = RidgeConditioner(raw, np.zeros(P, dtype=np.int64), 1)
+    cond = RidgeConditioner(raw, (P,))
     fitted, step_fit = cond.fit(y)
     assert np.allclose(fitted, y, atol=1e-6)
     # the kept columns are the step's factor; the fit map has one coefficient
@@ -96,13 +92,13 @@ def test_collinear_columns_raise():
     base = rng.normal(size=P)
     raw = np.column_stack([base, 2.0 * base])
     with pytest.raises(RegressionRankDeficient):
-        RidgeConditioner(raw, np.zeros(P, dtype=np.int64), 1)
+        RidgeConditioner(raw, (P,))
 
 
 def test_too_few_rows_raise():
     raw = np.random.default_rng(0).normal(size=(30, 5))
     with pytest.raises(RegressionRankDeficient):
-        RidgeConditioner(raw, np.zeros(30, dtype=np.int64), 1)
+        RidgeConditioner(raw, (30,))
 
 
 def test_weighted_fit_shifts_toward_heavy_rows():
@@ -111,7 +107,7 @@ def test_weighted_fit_shifts_toward_heavy_rows():
     raw = rng.normal(size=(P, 1))
     y = np.where(np.arange(P) < P // 2, 1.0, -1.0)
     w = np.where(np.arange(P) < P // 2, 3.0, 1.0)
-    cond = RidgeConditioner(raw, np.zeros(P, dtype=np.int64), 1, weights=w)
+    cond = RidgeConditioner(raw, (P,), weights=w)
     _, fit = cond.fit(y)
     assert fit[0].beta0[0] == pytest.approx((3.0 - 1.0) / 4.0, abs=0.05)
 
@@ -161,42 +157,41 @@ def test_broadcast_state_columns_equal_flat_columns(basis):
     assert np.array_equal(feature_columns(basis, x, run_i, w), flat)
 
 
-def two_stratum_engine(M0=100, ids=(0, 1, 1), steps=2, seed=6):
-    """A degree-2 engine with per-particle strata ids over M0 paths."""
+def two_stratum_engine(M0=100, sizes=(1, 2), steps=2, seed=6):
+    """A degree-2 engine with two strata of the given sizes over M0 paths."""
     rng = np.random.default_rng(seed)
     x, run_i = rng.normal(size=(M0, steps + 1)), rng.normal(size=(M0, steps + 1))
-    w = rng.normal(size=(M0, len(ids), steps + 1))
-    return BasisEngine(x, run_i, w, RegressionBasis(degree=2), stratum_ids=np.array(ids),
-                       n_strata=2)
+    w = rng.normal(size=(M0, sum(sizes), steps + 1))
+    return BasisEngine(x, run_i, w, RegressionBasis(degree=2), strata=sizes)
 
 
 def test_on_rejects_unbuilt_step_and_unseen_stratum(conditioner_builds):
     """Fresh particles are read with the build's factors only: a step that was
     never built, or a stratum that had no rows at the build, raises."""
-    eng = two_stratum_engine(ids=(0, 0, 0))          # stratum 1 empty at the build
+    eng = two_stratum_engine(sizes=(3, 0))           # stratum 1 empty at the build
     _, fit = eng.at(1).fit(eng.columns_at(1)[:, 0])
     rng = np.random.default_rng(7)
     fresh = rng.normal(size=(eng.M0, 5, 3))
-    assert eng.on(fresh, np.zeros(5, dtype=np.int64)).at(1).evaluate(fit).shape == (500, 1)
+    assert eng.on(1, fresh[:, :, 1], (5, 0)).evaluate(fit).shape == (500, 1)
     with pytest.raises(ValueError, match="never built"):
-        eng.on(fresh, np.zeros(5, dtype=np.int64)).at(0)
+        eng.on(0, fresh[:, :, 0], (5, 0))
     with pytest.raises(ValueError, match="stratum 1 was empty"):
-        eng.on(fresh, np.array([0, 1, 0, 0, 0])).at(1)
+        eng.on(1, fresh[:, :, 1], (4, 1))
     assert len(conditioner_builds) == 1
 
 
 @pytest.mark.parametrize("M0", [3 * 8192 + 17, 3 * 8192 + 1])
-@pytest.mark.parametrize("ids", [(0,), (0, 1, 2, 0)])
+@pytest.mark.parametrize("ids", [(1,), (2, 1, 1)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_blocked_evaluate_equals_one_product(M0, ids, order):
     """evaluate() runs each stratum's product a row block at a time; every
     value is the bits of one product over the stratum's rows followed by the
-    column adds.  ids (0,) is one stratum (a slice); (0, 1, 2, 0) gives
-    stratum 0 as an index array.  At 3 * 8192 + 1 rows the last row joins
-    the block before it, as a one-row product rounds differently."""
+    column adds.  ids are the stratum sizes: (1,) is one stratum, (2, 1, 1)
+    gives stratum 0 two particles per path.  At 3 * 8192 + 1 rows the last
+    row joins the block before it, as a one-row product rounds differently."""
     rng = np.random.default_rng(31)
-    raw = rng.normal(size=(M0 * len(ids), 5))
-    cond = RidgeConditioner(raw, np.array(ids), max(ids) + 1)
+    raw = rng.normal(size=(M0 * sum(ids), 5))
+    cond = RidgeConditioner(raw, ids)
     cond._xs = [np.asarray(xs, order=order) for xs in cond._xs]
     _, step_fit = cond.fit(rng.normal(size=(raw.shape[0], 3)))
     got = cond.evaluate(step_fit)
@@ -212,19 +207,19 @@ def test_blocked_evaluate_equals_one_product(M0, ids, order):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("ids, weighted", [
-    ([0, 0, 1, 1, 1, 2], False),    # sorted per-particle strata: slices
-    ([0, 1, 0, 1], False),          # unsorted strata: index arrays
-    (None, False),                  # one stratum: no index at all
-    ([1, 0, 0, 1], True),           # weighted and unsorted
+    ([2, 3, 1], False),             # three strata, by their sizes
+    ([2, 2], False),                # two strata
+    (None, False),                  # one stratum
+    ([2, 2], True),                 # weighted, two strata
     (None, True),                   # weighted, one stratum
 ])
 def test_memoised_step_equals_fresh_flat_build(ids, weighted):
     """engine.at(k) builds once and then reuses the factors; both calls fit
-    bit for bit like a fresh single-stratum conditioner on the flat rows
-    np.nonzero(np.tile(ids, M0) == s) of each stratum.  At k = 0 the state
-    is known, every column is dropped and the fit is the (weighted) mean."""
+    bit for bit like a fresh single-stratum conditioner on the flat rows of
+    each stratum, whose sizes are ids.  At k = 0 the state is known, every
+    column is dropped and the fit is the (weighted) mean."""
     M0, steps = 300, 3
-    K = 4 if ids is None else len(ids)
+    K = 4 if ids is None else sum(ids)
     rng = np.random.default_rng(21)
     x = rng.normal(size=(M0, steps + 1))
     run_i = rng.normal(size=(M0, steps + 1))
@@ -232,10 +227,10 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted):
     x[:, 0], run_i[:, 0], w[:, :, 0] = 0.3, 0.0, 0.0
     D = np.exp(0.3 * rng.normal(size=(M0, steps + 1))) if weighted else None
     basis = RegressionBasis(degree=2)
-    n_strata = 1 if ids is None else max(ids) + 1
-    eng = BasisEngine(x, run_i, w, basis, stratum_ids=None if ids is None else np.array(ids),
-                      n_strata=n_strata, weights=D)
-    flat = np.zeros(M0 * K, dtype=np.int64) if ids is None else np.tile(ids, M0)
+    n_strata = 1 if ids is None else len(ids)
+    eng = BasisEngine(x, run_i, w, basis, strata=ids, weights=D)
+    flat = np.zeros(M0 * K, dtype=np.int64) if ids is None else np.tile(
+        np.repeat(np.arange(n_strata), ids), M0)
     for k in (steps - 1, 0, 1):
         y = rng.normal(size=(M0 * K, 3))
         cols = eng.columns_at(k)
@@ -245,8 +240,7 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted):
             for s in range(n_strata):
                 rows = np.nonzero(flat == s)[0]
                 fresh = RidgeConditioner(
-                    cols[rows], np.zeros(rows.size, dtype=np.int64), 1,
-                    weights=None if wk is None else wk[rows],
+                    cols[rows], (rows.size,), weights=None if wk is None else wk[rows],
                 )
                 want, want_fit = fresh.fit(y[rows])
                 assert np.array_equal(got[rows], want), (call, k, s)
@@ -260,12 +254,28 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted):
 
 def test_stratum_ids_must_tile_the_rows():
     raw = np.random.default_rng(1).normal(size=(300, 2))
-    RidgeConditioner(raw, np.array([0, 1, 1]), 2)                           # 100 paths of 3
+    RidgeConditioner(raw, (1, 2))                                           # 100 paths of 3
     eng = two_stratum_engine()
+    eng.at(1)
     with pytest.raises(ValueError, match="do not tile"):
-        RidgeConditioner(raw, np.array([0, 1, 1, 0, 1, 0, 1]), 2)
-    for bad in ([0, 2, 1], [0, -1, 1]):
-        with pytest.raises(ValueError, match="outside"):
-            RidgeConditioner(raw, np.array(bad), 2)
-        with pytest.raises(ValueError, match="outside"):
-            eng.on(eng.w, np.array(bad))
+        RidgeConditioner(raw, (3, 4))
+    for bad in ([2, -1, 2], [0, 0]):
+        with pytest.raises(ValueError, match="do not tile"):
+            RidgeConditioner(raw, bad)
+        with pytest.raises(ValueError, match="do not tile"):
+            eng.on(1, eng.w[:, :, 1], bad)
+
+
+def test_strata_are_ranges_of_the_particle_axis():
+    strata = _Strata((1, 0, 2), 300)
+    assert strata.layout == (100, 3)
+    assert strata.sels == [slice(0, 1), slice(1, 1), slice(1, 3)]
+    assert strata.rows == [100, 0, 200]
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (2, -1, 2), (0, 0), (), ((1, 2),)])
+def test_strata_reject_sizes_that_do_not_tile(sizes):
+    """A negative size, a zero total, a row count the total does not divide,
+    or sizes that are not one list: one ValueError."""
+    with pytest.raises(ValueError, match="do not tile"):
+        _Strata(sizes, 300)
