@@ -198,8 +198,10 @@ def clearing_residual(
     (M0, steps, n), are kept.  The sum over agents runs in canonical sorted
     order per (path, step, security) slot, so any relabelling of the agents
     gives bit-identical estimates.  Standard errors come from batching
-    common paths.
+    common paths, in n_batches >= 2 batches.
     """
+    if n_batches < 2:
+        raise ValueError("need at least 2 batches for standard errors")
     sums: list[list[np.ndarray]] = [[] for _ in Ns]
     for pi in pi_steps:
         M0, pool = pi.shape[:2]

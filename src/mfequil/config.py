@@ -99,7 +99,6 @@ class ClearingConfig:
 class ScenarioConfig:
     name: str = "scenario"
     seed: int = 12345
-    out_dir: str | None = None
     grid: GridConfig = GridConfig()
     market: MarketConfig = MarketConfig()
     eqg: EqgConfig = EqgConfig()
@@ -184,10 +183,12 @@ def _reals(v) -> bool:
 # EqgSpec, RegressionBasis, DiscreteDist and validate_market).
 _RANGES = (
     (("seed", "grid.steps", "market.d", "bsde.degree"), lambda v, c: _int(v), "an integer"),
-    (("bsde.n_paths", "bsde.picard_max", "mf.n_common", "mf.n_particles", "mf.iters",
-      "clearing.n_equilibrium", "clearing.n_batches", "clearing.n_invariance_draws"),
+    (("bsde.n_paths", "bsde.picard_max", "mf.n_particles", "mf.iters",
+      "clearing.n_equilibrium", "clearing.n_invariance_draws"),
      lambda v, c: _int(v, 1), "an integer >= 1"),
-    (("clearing.n_common",), lambda v, c: _int(v, 2), "an integer >= 2"),
+    # standard errors need two common paths and two batches
+    (("mf.n_common", "clearing.n_common", "clearing.n_batches"), lambda v, c: _int(v, 2),
+     "an integer >= 2"),
     (("clearing.Ns",), lambda v, c: isinstance(v, tuple) and len(v) >= 1 and _int(v[0], 1)
      and all(_int(b) and a < b for a, b in zip(v, v[1:])),
      "a non-empty strictly increasing list of positive integers"),

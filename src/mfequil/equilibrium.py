@@ -97,9 +97,12 @@ def martingale_check(eq: EquilibriumPath) -> tuple[float, float]:
     """z-score and standard error of E[exp(y0_T - y0_0)] - 1.
 
     exp(y0) must be a martingale: y0_T - y0_0 collapses to the simulated
-    G0 minus its conditional log-moment at time zero.
+    G0 minus its conditional log-moment at time zero.  When every path grows
+    alike, se is 0 and the gap m - 1 is exact: z is 0 or infinite.
     """
     growth = np.exp(eq.y0[:, -1] - eq.y0[:, 0])
     m = float(np.mean(growth))
     se = float(np.std(growth, ddof=1) / np.sqrt(growth.size))
+    if se == 0.0:
+        return (0.0 if m == 1.0 else float(np.copysign(np.inf, m - 1.0))), se
     return (m - 1.0) / se, se

@@ -162,7 +162,7 @@ def test_manifest_lists_every_file(tiny_run):
     assert all(s["status"] == "pass" for s in manifest["stages"].values())
     assert manifest["files"] == sorted(_tree(tiny_run))
     assert manifest["config_sha256"] == config_sha256(load_config(TINY))
-    assert manifest["wall_clock_s"] == 0.0
+    assert "wall_clock_s" not in manifest
     assert manifest["overrides"] == []
 
 
@@ -223,7 +223,9 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
                 # ranges only the config layer checks
                 "bsde.n_paths=0", "clearing.n_common=1", "clearing.Ns=[30,10]",
                 "mf.n_equilibrium=-3", "mf.n_equilibrium=0", "mf.n_particles=0",
-                "mf.c_gamma_override=-1"]:
+                "mf.c_gamma_override=-1",
+                # standard errors need two common paths and two batches
+                "mf.n_common=1", "clearing.n_batches=1"]:
         assert run(["riccati", "--config", TINY, "--set", bad,
                     "--out", str(tmp_path)]) == 2, bad
         err = capsys.readouterr().err
@@ -259,6 +261,19 @@ def test_random_numeric_value_exits_cleanly(key, value):
     assert rc in (0, 1, 2), (key, value, err.getvalue())
     assert "Traceback" not in err.getvalue(), (key, value, err.getvalue())
     assert wrote_manifest or rc == 2, (key, value)
+
+
+def test_zero_standard_error_is_a_finite_gap(tmp_path, capsys):
+    """At one step every path's exponent is the same, so the martingale
+    check's standard error is 0: the run ends with a manifest of all six
+    stages and a finite gap, and no traceback."""
+    rc = run(["all", "--config", TINY, "--out", str(tmp_path), "--set", "grid.steps=1"])
+    assert rc in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest["stages"]) == set(cli.STAGES)
+    eq = manifest["stages"]["equilibrium"]
+    assert eq["martingale_se"] == 0.0 and np.isfinite(eq["martingale_gap"])
 
 
 def test_value_error_in_stage_is_a_failed_stage(tmp_path, capsys, monkeypatch):
