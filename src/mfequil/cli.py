@@ -13,8 +13,8 @@ The scenario (grid, market, factor and liability data, regression basis,
 risk-aversion atoms) is built and checked once, before any stage runs, and
 every stage reads it.  Exit codes: 0 all stages passed; 1 a stage ran and
 failed, or raised an engine error, a ValueError or an ArithmeticError (the
-manifest is still written); 2 the command line or a config value is invalid, a singular sigma
-included.
+manifest is still written); 2 the command line or a config value is
+invalid, a singular sigma included.
 """
 
 from __future__ import annotations

@@ -121,10 +121,10 @@ def solve_mean_field(
     sweep's z fit maps.  strata, the sizes (S,) of the regression strata,
     tile the K particles in stratum order: the first strata[0] particles
     form stratum 0, and so on (None: one stratum).  Every sweep and the BMO
-    proxy share one engine, so
-    each step's regression is built once.  The reported theta,
-    diagnostics.y_inf (sup |Y|) and diagnostics.z_bmo (BMO proxy of
-    (Z0, Z1) = z / gamma) come from one backward pass over the final iterate.
+    proxy share one engine, so each step's regression is built once.  The
+    reported theta, diagnostics.y_inf (sup |Y|) and diagnostics.z_bmo (BMO
+    proxy of (Z0, Z1) = z / gamma) come from one backward pass over the
+    final iterate.
     """
     dt = bundle.grid.dt
     gam = np.asarray(gammas, dtype=float)
