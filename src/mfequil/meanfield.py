@@ -32,7 +32,7 @@ from .liabilities import LiabilitySpec, liability_bounds
 from .market import MarketSpec, PopulationStats
 from .market import gamma_hat as population_stats
 from .paths import PathBundle
-from .regression import BasisEngine, RegressionBasis
+from .regression import BasisEngine, RegressionBasis, _sum_rows
 from .riccati import EqgSpec
 
 
@@ -121,7 +121,9 @@ def solve_mean_field(
     sweep's z fit maps.  strata, the sizes (S,) of the regression strata,
     tile the K particles in stratum order: the first strata[0] particles
     form stratum 0, and so on (None: one stratum).  Every sweep and the BMO
-    proxy share one engine, so each step's regression is built once.  The
+    proxy share one engine, so each step's regression is built once.
+    theta's mean over the K agents is np.mean(..., axis=1)'s to the bit:
+    the agents are added in order for d0 >= 2 and pairwise for d0 = 1.  The
     reported theta, diagnostics.y_inf (sup |Y|) and diagnostics.z_bmo (BMO
     proxy of (Z0, Z1) = z / gamma) come from one backward pass over the
     final iterate.
@@ -135,7 +137,7 @@ def solve_mean_field(
     inv_gamma = (1.0 / gam)[None, :, None]
 
     def theta_at(k, z0_par):
-        return -gamma_hat * np.mean(inv_gamma * z0_par, axis=1)
+        return -gamma_hat * (_sum_rows(inv_gamma * z0_par) / gam.size)
 
     sol = _solve(bundle, market, engine, g_samples, theta_at, max_iters, tol, clip)
     changes = [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
@@ -158,7 +160,7 @@ def solve_mean_field(
             cond = engine.at(k)
             z = sol.z_at(k, cond)
             z0, z1 = z[..., :market.d0], z[..., market.d0:]
-            ebar[:, k, :] = np.mean(inv_gamma * (z0 @ proj[k]), axis=1)
+            ebar[:, k, :] = _sum_rows(inv_gamma * (z0 @ proj[k])) / gam.size
             y_max.append(np.max(np.abs(sol.y_at(k, cond) / gam[None, :])))
             yield cond, z0 * inv_gamma, z1 * inv_gamma
 

@@ -17,7 +17,10 @@ Design choices that matter for reproducibility and the exactness tests:
   evaluated _ROW_BLOCK rows at a time, so no product reaches OpenBLAS's thread
   pool, whose idle worker spins through the numpy work after it; each row's
   sum is unchanged (a lone last row joins the block before it, since numpy
-  computes a one-row product as a matrix-vector one);
+  computes a one-row product as a matrix-vector one).  The column means
+  and variances of a build and a fit's intercepts are numpy's: a sum over
+  two or more columns adds the rows in order, which _sum_rows does in one
+  pass; a single column is summed pairwise, by numpy itself;
 * ridge is 1e-8 relative to the normalised Gram trace, and an eigenvalue of
   the unridged Gram below the ridge level raises RegressionRankDeficient;
 * a stratum is a contiguous range of the particle axis, given by its size:
@@ -109,6 +112,19 @@ def feature_columns(basis: RegressionBasis, x, run_i, w) -> np.ndarray:
                 i += 1
         ob[..., i] = run_i[s:e]
     return out.reshape(-1, basis.n_columns)
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-2) of a C-ordered array, to the bit, in one fast pass.
+
+    Over two or more columns numpy adds the rows in order, with an inner loop
+    one row long; einsum makes the same additions in the same order without
+    that loop.  One column is contiguous and numpy sums it pairwise, which
+    einsum does not, so that case stays with numpy.
+    """
+    if a.shape[-1] < 2:
+        return np.sum(a, axis=-2)
+    return np.einsum("...ij->...j", a)
 
 
 @dataclass(frozen=True)
@@ -222,15 +238,15 @@ class RidgeConditioner:
                 )
             cols = strata.take(raw_cols, s)
             w = None if weights is None else strata.take(weights, s)
-            if w is None:
-                mu = cols.mean(axis=0)
-                var = cols.var(axis=0)
-                wsum = float(n_rows)
-            else:
-                wsum = float(w.sum())
-                mu = (cols * w[:, None]).sum(axis=0) / wsum
-                var = ((cols - mu) ** 2 * w[:, None]).sum(axis=0) / wsum
-            sd = np.sqrt(var)
+            # numpy's mean and var: sum / n, then the sum of squared deviations / n
+            wsum = float(n_rows) if w is None else float(w.sum())
+            mu = _sum_rows(cols if w is None else cols * w[:, None]) / wsum
+            dev = cols - mu
+            dev *= dev
+            if w is not None:
+                dev *= w[:, None]
+            sd = np.sqrt(_sum_rows(dev) / wsum)
+            del dev
             kept = sd > _CONST_COL_TOL * (1.0 + np.abs(mu))
             xs = _standardise(cols[:, kept], mu[kept], sd[kept])
             gram = _blockwise_gram(xs, w)
@@ -283,9 +299,9 @@ class RidgeConditioner:
             yb = self._strata.take(ys, s)
             w = self._w[s]
             if w is None:
-                beta0 = yb.mean(axis=0)
+                beta0 = _sum_rows(yb) / yb.shape[0]
             else:
-                beta0 = (yb * w[:, None]).sum(axis=0) / fac.wsum
+                beta0 = _sum_rows(yb * w[:, None]) / fac.wsum
             if fac.chol is None:
                 coef = np.zeros((0, yb.shape[1]))
             else:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfequil import BasisEngine, RegressionBasis, feature_columns
 from mfequil.errors import RegressionRankDeficient
-from mfequil.regression import RidgeConditioner, _Strata
+from mfequil.regression import RidgeConditioner, _Strata, _sum_rows
 
 from oracles import GroupMeanConditioner, TreeEngine
 
@@ -200,6 +200,81 @@ def test_blocked_evaluate_equals_one_product(M0, ids, order):
         for j in range(3):
             want[:, j] += fit.beta0[j]
         assert np.array_equal(cond._strata.take(got, s), want), s
+
+
+# ---------------------------------------------------------------------------
+# sums over rows: numpy's bits in one pass
+# ---------------------------------------------------------------------------
+
+def _rows(rng, n, r):
+    """(n, r) normals with per-column offsets and scales from 1e-8 to 1e8."""
+    scale = 10.0 ** rng.uniform(-8, 8, size=r)
+    return rng.normal(size=(n, r)) * scale + rng.uniform(-5, 5, size=r) * scale
+
+
+@pytest.mark.parametrize("n", [3, 1001, 65537, 299_999])
+@pytest.mark.parametrize("r", range(1, 9))
+def test_sum_rows_is_numpys_sum_mean_and_var(n, r):
+    """_sum_rows(a) is np.sum(a, axis=0) to the bit, and so are the mean and
+    var taken from it, for every column count: the one-column case must
+    stay with numpy, which sums a contiguous column pairwise."""
+    rng = np.random.default_rng(1000 * r + n % 1000)
+    a = _rows(rng, n, r)
+    assert np.array_equal(_sum_rows(a), np.sum(a, axis=0))
+    mu = _sum_rows(a) / n
+    assert np.array_equal(mu, a.mean(axis=0))
+    dev = a - mu
+    dev *= dev
+    assert np.array_equal(_sum_rows(dev) / n, a.var(axis=0))
+    w = np.exp(rng.normal(size=n))
+    assert np.array_equal(_sum_rows(a * w[:, None]), (a * w[:, None]).sum(axis=0))
+
+
+@pytest.mark.parametrize("shape", [(200, 833), (7, 2500), (50, 3), (3, 1)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sum_rows_of_a_cloud_is_numpys_agent_sum(shape, d):
+    """On (M0, K, d) it sums over the particle axis as np.sum(axis=1) does."""
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=shape + (d,)) * 10.0 ** rng.uniform(-8, 8, size=d)
+    assert np.array_equal(_sum_rows(a), np.sum(a, axis=1))
+    assert np.array_equal(_sum_rows(a) / shape[1], np.mean(a, axis=1))
+
+
+def test_sum_rows_matches_numpy_on_signed_zeros_and_non_finite_values():
+    a = np.array([[-0.0, np.inf, np.nan], [-0.0, -np.inf, 1.0], [-0.0, 1.0, 2.0]])
+    with np.errstate(invalid="ignore"):
+        got, want = _sum_rows(a), np.sum(a, axis=0)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("sizes", [(1,), (3, 2)])
+def test_conditioner_moments_and_intercepts_are_numpys(weighted, sizes):
+    """A build's column mean and scale are numpy's (weighted) mean and std
+    over the stratum's rows, and a fit's intercept is numpy's mean of the
+    targets (weighted: their weighted sum over the weight sum), to the bit,
+    for one target column and for several."""
+    M0 = 20_001
+    rng = np.random.default_rng(41)
+    raw = _rows(rng, M0 * sum(sizes), 6)
+    w = np.exp(rng.normal(size=raw.shape[0])) if weighted else None
+    cond = RidgeConditioner(raw, sizes, weights=w)
+    for r in (1, 2, 5):
+        y = _rows(rng, raw.shape[0], r)
+        _, step_fit = cond.fit(y)
+        for s, (fac, fit) in enumerate(zip(cond._factors, step_fit)):
+            cols, yb = cond._strata.take(raw, s), cond._strata.take(y, s)
+            if w is None:
+                mu, sd, beta0 = cols.mean(axis=0), cols.std(axis=0), yb.mean(axis=0)
+            else:
+                ws = cond._strata.take(w, s)[:, None]
+                mu = (cols * ws).sum(axis=0) / ws.sum()
+                sd = np.sqrt(((cols - mu) ** 2 * ws).sum(axis=0) / ws.sum())
+                beta0 = (yb * ws).sum(axis=0) / ws.sum()
+            assert fac.kept.all()
+            assert np.array_equal(fac.mu, mu) and np.array_equal(fac.sd, sd), (r, s)
+            assert np.array_equal(fit.beta0, beta0), (r, s)
 
 
 # ---------------------------------------------------------------------------
