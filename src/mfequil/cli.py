@@ -191,12 +191,15 @@ def stage_equilibrium(sc: Scenario, writer: StageWriter) -> dict:
     # The exponential of y0 is a martingale in continuous time; the Euler /
     # left-Riemann discretisation leaves an O(dt) bias in the log-moment, so
     # the band is 4 standard errors plus dt times the exponent scale.  With no
-    # spread (se = 0) the gap |E[exp(exponent)] - 1| is read directly.
+    # spread (se = 0) the gap |E[exp(exponent)] - 1| is read directly.  The
+    # scale grows with the exponent, so a mean growth of 0 (every path
+    # underflowed) or a non-finite one fails whatever the band.
     exponent = eq.y0[:, -1] - eq.y0[:, 0]
+    growth = float(np.mean(np.exp(exponent)))
     scale = max(abs(float(np.mean(eq.y0[:, 0]))), float(np.std(exponent)))
     mart_tol = 4.0 * mart_se + grid.dt * scale
-    mart_gap = abs(mart_z) * mart_se if mart_se else abs(float(np.mean(np.exp(exponent))) - 1.0)
-    ok = violations == 0 and mart_gap <= mart_tol
+    mart_gap = abs(mart_z) * mart_se if mart_se else abs(growth - 1.0)
+    ok = violations == 0 and 0.0 < growth < np.inf and mart_gap <= mart_tol
     return {
         "status": "pass" if ok else "fail",
         "sign_law_violations": int(violations),

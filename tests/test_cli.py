@@ -276,6 +276,18 @@ def test_zero_standard_error_is_a_finite_gap(tmp_path, capsys):
     assert eq["martingale_se"] == 0.0 and np.isfinite(eq["martingale_gap"])
 
 
+@pytest.mark.parametrize("override", ["eqg.alpha=1e3", "eqg.a=-1e6"])
+def test_underflowed_growth_fails_the_martingale_gate(tmp_path, capsys, override):
+    """Every path's growth exp(y0_T - y0_0) underflows to 0, so the gap is 1
+    while the band, which grows with the exponent, is far above it: the
+    stage fails on the mean growth, exits 1 and still writes its manifest."""
+    rc = run(["equilibrium", "--config", TINY, "--out", str(tmp_path), "--set", override])
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
+    eq = json.loads((tmp_path / "manifest.json").read_text())["stages"]["equilibrium"]
+    assert eq["status"] == "fail" and eq["martingale_gap"] == 1.0
+
+
 def test_value_error_in_stage_is_a_failed_stage(tmp_path, capsys, monkeypatch):
     def broken(sc, writer):
         raise ValueError("bad shape")
