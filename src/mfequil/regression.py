@@ -246,7 +246,7 @@ class RidgeConditioner:
             if w is not None:
                 dev *= w[:, None]
             sd = np.sqrt(_sum_rows(dev) / wsum)
-            del dev
+            del dev  # before the standardised copy and the Gram, as var frees its own
             kept = sd > _CONST_COL_TOL * (1.0 + np.abs(mu))
             xs = _standardise(cols[:, kept], mu[kept], sd[kept])
             gram = _blockwise_gram(xs, w)
