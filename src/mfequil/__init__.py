@@ -73,7 +73,6 @@ from .market import (
     excess_return_from_theta,
     gamma_hat,
     market_geometry,
-    risk_premium_from_mu,
     validate_market,
 )
 from .meanfield import (

@@ -360,13 +360,6 @@ class VerificationReport:
     utility_star: float
     perturbed: list[dict]
 
-    @property
-    def all_perturbations_suboptimal(self) -> bool:
-        return all(
-            row["drift_z"] > 2.0 and row["utility_gap"] <= 2.0 * row["utility_gap_se"]
-            for row in self.perturbed
-        )
-
 
 def _wealth_paths(p: np.ndarray, bundle: PathBundle, th: np.ndarray, dt: float):
     """W_{k+1} = W_k + p_k (dW0_k + theta_k dt), W_0 = 0, for p of shape (M0, K, steps, d0)
@@ -423,9 +416,9 @@ def verify_condition_r(
         total = (R[:, :, -1] - R[:, :, 0]).ravel()
         agg_z = float(total.mean() / (total.std(ddof=1) / np.sqrt(total.size)))
         utility = -np.exp(-gamma * (W[:, :, -1] - F))
-        return agg_z, float(np.max(np.abs(step_z))), utility.ravel(), W
+        return agg_z, float(np.max(np.abs(step_z))), utility.ravel()
 
-    agg_z, max_step_z, u_star, _ = drift_stats(p_star)
+    agg_z, max_step_z, u_star = drift_stats(p_star)
 
     rows = []
     for pert in perturbations:
@@ -434,7 +427,7 @@ def verify_condition_r(
             off = np.asarray(pert.offset, dtype=float)
             for k in range(steps):
                 p[:, :, k, :] += off @ proj[k]
-        z, _, u, _ = drift_stats(p)
+        z, _, u = drift_stats(p)
         gap = u.mean() - u_star.mean()
         gap_se = float((u - u_star).std(ddof=1) / np.sqrt(u.size))
         rows.append(

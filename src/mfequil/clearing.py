@@ -23,7 +23,9 @@ hedging integrands) * (1 + slack).
 
 Portfolio replacement: left-multiplying (mu, sigma) by any well-conditioned
 Q changes the securities but not the risk premium or attainable wealth;
-replacement_invariance evaluates both identities numerically.
+replacement_invariance evaluates both identities numerically, step by step:
+theta = mu M reads the market's own position map M, and the replaced market's
+comes from one market_geometry call on the whole (steps, n, d0) stack Q sigma.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import IllConditionedQ, InsufficientSpan
+from .errors import DimensionMismatch, IllConditionedQ, InsufficientSpan
 from .liabilities import terminal_g
-from .market import MarketSpec, PopulationStats, gamma_hat, risk_premium_from_mu
+from .market import MarketSpec, PopulationStats, gamma_hat, market_geometry
 from .meanfield import MeanFieldSolution, smallness_from_liability, solve_mean_field
 from .paths import (
     KIND_AUX,
@@ -308,19 +310,25 @@ def run_clearing_study(sc: Scenario) -> tuple[ClearingReport, MeanFieldSolution,
 
 @dataclass(frozen=True)
 class ReplacementSpec:
-    """Grid-indexed security replacement pi_tilde -> Q^T pi_tilde."""
+    """Grid-indexed security replacement pi_tilde -> Q^T pi_tilde by a finite
+    (steps, n, n) stack Q, each matrix's condition number within cond_cap."""
 
     Q: np.ndarray            # (steps, n, n)
     cond_cap: float = 50.0
 
-    def validate(self):
-        for k in range(self.Q.shape[0]):
-            c = np.linalg.cond(self.Q[k])
-            if not np.isfinite(c) or c > self.cond_cap:
-                raise IllConditionedQ(
-                    f"Q at step {k} has condition number {c:.3g} > cap {self.cond_cap}"
-                )
-        return self
+    def __post_init__(self):
+        Q = np.asarray(self.Q, dtype=float)
+        object.__setattr__(self, "Q", Q)
+        if Q.ndim != 3 or Q.shape[1] != Q.shape[2]:
+            raise DimensionMismatch(f"Q must be a (steps, n, n) stack, got shape {Q.shape}")
+        if not np.all(np.isfinite(Q)):
+            raise IllConditionedQ("Q has a non-finite entry")
+        c = np.linalg.cond(Q)
+        if not np.all(c <= self.cond_cap):
+            k = int(np.argmin(c <= self.cond_cap))
+            raise IllConditionedQ(
+                f"Q at step {k} has condition number {c[k]:.3g} > cap {self.cond_cap}"
+            )
 
 
 def random_replacement(
@@ -357,18 +365,21 @@ def replacement_invariance(
     equals the one from (mu, sigma).  Wealth identity: trading pi_tilde in
     the replaced securities equals trading Q^T pi_tilde in the originals,
     pathwise.  mu has shape (steps, n) or (M0, steps, n), read per path
-    either way; pi_tilde has shape (M0, steps, n).
+    either way; pi_tilde has shape (M0, steps, n), and rep.Q (steps, n, n).
     """
-    rep.validate()
     grid = bundle.grid
     steps, dt = grid.steps, grid.dt
     M0 = bundle.n_paths
     n = market.n
+    if rep.Q.shape != (steps, n, n):
+        raise DimensionMismatch(f"Q must be ({steps}, {n}, {n}); got {rep.Q.shape}")
     table = market.sigma_table(steps)
     mu = np.asarray(mu, dtype=float)
     if mu.shape not in ((steps, n), (M0, steps, n)):
         raise ValueError(f"mu must be (steps, n) or (M0, steps, n); got {mu.shape}")
     mu = np.broadcast_to(mu, (M0, steps, n))
+    _, pos = market.geometry(steps)
+    _, pos_tilde = market_geometry(rep.Q @ table)
 
     theta_disc = 0.0
     w_orig = np.zeros((M0,))
@@ -378,8 +389,8 @@ def replacement_invariance(
         Qk = rep.Q[k]
         sig = table[k]
         mk = mu[:, k]
-        th = risk_premium_from_mu(sig, mk)
-        th_tilde = risk_premium_from_mu(Qk @ sig, mk @ Qk.T)
+        th = mk @ pos[k]
+        th_tilde = (mk @ Qk.T) @ pos_tilde[k]
         theta_disc = max(theta_disc, float(np.max(np.abs(th_tilde - th))))
 
         drive = mk * dt + bundle.dW0[:, k, :] @ sig.T          # (M0, n)

@@ -102,4 +102,4 @@ def liability_bounds(
         part = abs(eps) * w_max * w_max
         f_full += part
         f_cross += part
-    return {"f_inf": f_full, "f_cross_inf": f_cross, "x_max": x_max, "w_max": w_max}
+    return {"f_inf": f_full, "f_cross_inf": f_cross}

@@ -11,11 +11,13 @@ the row space of sigma_t (the hedgeable directions) and a residual z_perp.
 The market price of risk associated with an excess-return vector mu is the
 row-space element theta = sigma^T (sigma sigma^T)^{-1} mu.
 
-`market_geometry` is the only place sigma sigma^T is factorised for a solve:
-one guarded Cholesky factor gives the projector P = sigma^T (sigma sigma^T)^{-1}
-sigma and the position map M = (sigma sigma^T)^{-1} sigma, which
-`MarketSpec.geometry` tabulates per grid step.  Both are accurate to about
-eps * cond(sigma sigma^T) relative: z_par = z P to that factor of |z|.
+sigma sigma^T is factorised once, when a `MarketSpec` is made, so a singular
+sigma is rejected there: `market_geometry`'s guarded Cholesky factor gives the
+projector P = sigma^T (sigma sigma^T)^{-1} sigma and the position map
+M = (sigma sigma^T)^{-1} sigma, which `MarketSpec.geometry` serves per grid
+step as read-only views; only the replacement check factorises its Q sigma.
+Both are accurate to about eps * cond(sigma sigma^T) relative: z_par = z P to
+that factor of |z|.
 """
 
 from __future__ import annotations
@@ -55,10 +57,12 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class MarketSpec:
-    """Deterministic market data.
+    """Deterministic market data and its geometry.
 
     sigma is either a single n x d0 matrix (constant volatility) or a
     steps x n x d0 table (one matrix per grid interval, piecewise constant).
+    Construction factorises sigma sigma^T (a singular sigma raises SingularSigma)
+    and keeps sigma, P and M read-only; `sigma_table` and `geometry` view them.
     """
 
     n: int
@@ -69,7 +73,7 @@ class MarketSpec:
     lambda_hi: float
 
     def __post_init__(self):
-        sig = np.asarray(self.sigma, dtype=float)
+        sig = np.array(self.sigma, dtype=float)
         object.__setattr__(self, "sigma", sig)
         if self.n < 1 or self.d0 < 1 or self.d < 1:
             raise DimensionMismatch(
@@ -88,20 +92,29 @@ class MarketSpec:
             raise ValueError(
                 f"need 0 < lambda_lo <= lambda_hi, got ({self.lambda_lo}, {self.lambda_hi})"
             )
+        proj, pos = market_geometry(sig)
+        for a in (sig, proj, pos):
+            a.flags.writeable = False
+        object.__setattr__(self, "_proj", proj)
+        object.__setattr__(self, "_pos", pos)
+
+    def _per_step(self, a: np.ndarray, steps: int) -> np.ndarray:
+        """a, one matrix per grid step: a table as it is, a constant broadcast."""
+        if self.sigma.ndim == 2:
+            return np.broadcast_to(a, (steps,) + a.shape)
+        if self.sigma.shape[0] != steps:
+            raise DimensionMismatch(
+                f"sigma table has {self.sigma.shape[0]} entries, grid has {steps} steps"
+            )
+        return a
 
     def sigma_table(self, steps: int) -> np.ndarray:
-        """Full steps x n x d0 table, materialising the constant case."""
-        if self.sigma.ndim == 3:
-            if self.sigma.shape[0] != steps:
-                raise DimensionMismatch(
-                    f"sigma table has {self.sigma.shape[0]} entries, grid has {steps} steps"
-                )
-            return self.sigma
-        return np.broadcast_to(self.sigma, (steps, self.n, self.d0))
+        """Full steps x n x d0 table, a read-only view."""
+        return self._per_step(self.sigma, steps)
 
     def geometry(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-step projector (steps, d0, d0) and position map (steps, n, d0)."""
-        return market_geometry(self.sigma_table(steps))
+        """Read-only per-step projector (steps, d0, d0) and position map (steps, n, d0)."""
+        return self._per_step(self._proj, steps), self._per_step(self._pos, steps)
 
 
 @dataclass(frozen=True)
@@ -161,10 +174,10 @@ def validate_market(market: MarketSpec, grid: TimeGrid) -> ValidationReport:
     """Check the eigenvalues of sigma sigma^T at every grid time against the
     market's bounds; a singular one raises SingularSigma."""
     table = market.sigma_table(grid.steps)
+    eigs = np.linalg.eigvalsh(table @ np.swapaxes(table, -1, -2))
     msgs: list[str] = []
     for k in range(grid.steps):
-        eigs = np.linalg.eigvalsh(table[k] @ table[k].T)
-        lo, hi = float(eigs[0]), float(eigs[-1])
+        lo, hi = float(eigs[k, 0]), float(eigs[k, -1])
         if lo < _SINGULAR_REL_TOL * market.lambda_hi:
             raise SingularSigma(
                 f"sigma sigma^T at step {k} has eigenvalue {lo:.3e} below "
@@ -205,23 +218,6 @@ def market_geometry(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     proj = np.swapaxes(half, -1, -2) @ half
     pos = np.linalg.solve(np.swapaxes(chol, -1, -2), half)
     return proj, pos
-
-
-def risk_premium_from_mu(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Market price of risk theta = sigma^T (sigma sigma^T)^{-1} mu.
-
-    mu may have arbitrary leading shape with trailing dimension n; the result
-    mu M, with M the position map of `market_geometry`, has trailing
-    dimension d0 and lies in the row space of sigma.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape[-1] != sigma.shape[0]:
-        raise DimensionMismatch(
-            f"mu has trailing dimension {mu.shape[-1]}, sigma has n={sigma.shape[0]}"
-        )
-    _, pos = market_geometry(sigma)
-    return mu @ pos
 
 
 def excess_return_from_theta(sigma: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ outside it, built on its public names only:
 * GroupMeanConditioner, TreeEngine: exact conditional expectations on an
   enumerable noise tree, an engine the solver accepts in place of its
   BasisEngine (the contract is in the bsde docstring);
-* project: the row-space split of z through market_geometry's projector.
+* project, risk_premium_from_mu: the row-space split of z through
+  market_geometry's projector, and theta = mu M through its position map,
+  each factorising sigma sigma^T afresh for the sigma it is given.
 """
 
 from __future__ import annotations
@@ -170,3 +172,20 @@ def project(sigma: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     proj, _ = market_geometry(sigma)
     z_par = z @ proj
     return z_par, z - z_par
+
+
+def risk_premium_from_mu(sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Market price of risk theta = sigma^T (sigma sigma^T)^{-1} mu.
+
+    mu may have arbitrary leading shape with trailing dimension n; the result
+    mu M, with M the position map of `market_geometry`, has trailing
+    dimension d0 and lies in the row space of sigma.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape[-1] != sigma.shape[0]:
+        raise DimensionMismatch(
+            f"mu has trailing dimension {mu.shape[-1]}, sigma has n={sigma.shape[0]}"
+        )
+    _, pos = market_geometry(sigma)
+    return mu @ pos

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+import mfequil.market
 from mfequil import (
     ClearingReport,
+    DimensionMismatch,
     DiscreteDist,
     EqgSpec,
     IllConditionedQ,
@@ -24,19 +26,25 @@ from mfequil import (
     config_from_dict,
     feature_columns,
     fresh_idio_levels,
+    equilibrium_path,
     gamma_hat,
+    optimal_strategy,
     random_replacement,
     rate_fit,
     replacement_invariance,
+    riccati_for_spec,
     run_clearing_study,
     simulate_paths,
+    solve_agent_bsde,
     solve_mean_field,
     terminal_g,
+    validate_market,
+    verify_condition_r,
 )
 from mfequil.paths import KIND_AUX, normal_block_array
 
-from conftest import pool_strategies
-from oracles import project
+from conftest import make_market, pool_strategies
+from oracles import project, risk_premium_from_mu
 
 GAMMA_DIST = DiscreteDist(values=(1.0, 2.0, 4.0), probs=(0.5, 0.3, 0.2))
 
@@ -320,8 +328,22 @@ def test_agent_strategies_commute_with_a_permuted_pool():
 def test_replacement_spec_condition_cap():
     Q = np.stack([np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]])])
     with pytest.raises(IllConditionedQ):
-        ReplacementSpec(Q=Q).validate()
-    ReplacementSpec(Q=np.stack([np.eye(2)] * 3)).validate()
+        ReplacementSpec(Q=Q)
+    ReplacementSpec(Q=np.stack([np.eye(2)] * 3))
+
+
+@pytest.mark.parametrize("Q, error", [
+    (np.full((3, 2, 2), np.nan), IllConditionedQ),
+    (np.stack([np.eye(2), [[1.0, np.inf], [0.0, 1.0]]]), IllConditionedQ),
+    (np.eye(2), DimensionMismatch),
+    (np.ones((3, 2, 3)), DimensionMismatch),
+    (np.ones((2, 2, 2, 2)), DimensionMismatch),
+])
+def test_replacement_spec_rejects_bad_stacks(Q, error):
+    """A non-finite Q is ill conditioned (not an SVD failure), and anything
+    but a stack of square matrices is a dimension mismatch."""
+    with pytest.raises(error):
+        ReplacementSpec(Q=Q)
 
 
 def test_random_replacement_is_seeded_and_conditioned():
@@ -368,6 +390,118 @@ def test_replacement_invariance_random_q_and_pathwise_mu():
     assert wealth_disc < 1e-10
     with pytest.raises(ValueError):
         replacement_invariance(market, rng.normal(size=(3, 2)), bundle, pi_tilde, rep)
+
+
+def invariance_reference(market, mu, bundle, pi_tilde, rep):
+    """Both replacement identities step by step, each theta from a fresh
+    factorisation of its own sigma or Q sigma."""
+    steps, dt = bundle.grid.steps, bundle.grid.dt
+    table = market.sigma_table(steps)
+    mu = np.broadcast_to(mu, (bundle.n_paths, steps, market.n))
+    theta_disc = wealth_disc = 0.0
+    w_orig = w_repl = np.zeros(bundle.n_paths)
+    for k in range(steps):
+        Qk, sig, mk = rep.Q[k], table[k], mu[:, k]
+        th = risk_premium_from_mu(sig, mk)
+        th_tilde = risk_premium_from_mu(Qk @ sig, mk @ Qk.T)
+        theta_disc = max(theta_disc, float(np.max(np.abs(th_tilde - th))))
+        drive = mk * dt + bundle.dW0[:, k, :] @ sig.T
+        pt = pi_tilde[:, k, :]
+        w_repl = w_repl + np.einsum("mj,mj->m", pt, drive @ Qk.T)
+        w_orig = w_orig + np.einsum("mj,mj->m", pt @ Qk, drive)
+        wealth_disc = max(wealth_disc, float(np.max(np.abs(w_repl - w_orig))))
+    return theta_disc, wealth_disc
+
+
+def sigma_stepping(steps):
+    """A (steps, 2, 2) sigma table that turns and stretches from step to step."""
+    out = []
+    for k in range(steps):
+        t = 0.4 * k
+        rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        out.append(np.diag([1.0, 0.5 + 0.1 * k]) @ np.array([[1.0, 0.2], [0.3, 0.9]]) @ rot)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_replacement_invariance_is_the_per_step_reference_to_the_bit(table):
+    grid = TimeGrid(0.5, 10)
+    market = make_market(sigma_stepping(10) if table else [[1.0, 0.2], [0.3, 0.9]])
+    spec = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.4, 0.1), x0=0.3,
+                   a=0.0, b=0.0, kappa=0.0)
+    bundle = simulate_paths(grid, spec, market, 64, 13)
+    rng = np.random.default_rng(2)
+    for draw in range(5):
+        mu = rng.normal(size=(64, 10, 2))
+        pi_tilde = rng.normal(size=(64, 10, 2))
+        rep = random_replacement(31, 10, 2, block=draw)
+        got = replacement_invariance(market, mu, bundle, pi_tilde, rep)
+        assert got == invariance_reference(market, mu, bundle, pi_tilde, rep)
+
+
+@pytest.mark.parametrize("shape", [(13, 2, 2), (7, 2, 2), (1, 2, 2), (10, 3, 3), (10, 1, 1)])
+def test_replacement_invariance_needs_one_q_per_step(shape):
+    """A Q stack longer or shorter than the grid, a single matrix that would
+    broadcast, or matrices of another size than n all raise DimensionMismatch."""
+    grid = TimeGrid(0.5, 10)
+    market = make_market()
+    spec = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.4, 0.1), x0=0.3,
+                   a=0.0, b=0.0, kappa=0.0)
+    bundle = simulate_paths(grid, spec, market, 16, 13)
+    Q = np.broadcast_to(np.eye(shape[1]), shape).copy()
+    with pytest.raises(DimensionMismatch):
+        replacement_invariance(market, np.zeros((10, 2)), bundle,
+                               np.zeros((16, 10, 2)), ReplacementSpec(Q=Q))
+
+
+@pytest.fixture
+def gram_factorisations(monkeypatch):
+    """The shapes of sigma handed to the market's one Cholesky of sigma sigma^T."""
+    calls = []
+    real = mfequil.market._gram_cholesky
+
+    def counted(sigma):
+        calls.append(np.shape(sigma))
+        return real(sigma)
+
+    monkeypatch.setattr(mfequil.market, "_gram_cholesky", counted)
+    return calls
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_sigma_gram_is_factorised_once_per_market(gram_factorisations, table):
+    """Making the market factorises sigma sigma^T once; solves, strategies,
+    checks and the closed-form path read that factor, and one replacement
+    check factorises only its Q sigma stack."""
+    grid = TimeGrid(0.5, 4)
+    market = make_market(sigma_stepping(4) if table else [[1.0, 0.2], [0.3, 0.9]])
+    assert len(gram_factorisations) == 1
+    gram_factorisations.clear()
+
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.3)
+    cloud = build_population(6, 3, GAMMA_DIST, balanced=True)
+    bundle = simulate_paths(grid, spec, market, 128, 3, agents=6)
+    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, cloud.gammas)
+    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, cloud.gammas,
+                          gamma_hat(cloud.gammas).gamma_hat, max_iters=3,
+                          strata=np.bincount(cloud.atom_ids, minlength=3))
+    pool = build_population(10, 7, GAMMA_DIST)
+    pool_strategies(mf, pool, fresh_idio_levels(3, bundle.n_paths, pool.size, grid))
+
+    one = simulate_paths(grid, spec, market, 256, 4)
+    theta = np.tile(np.array([0.3, -0.1]), (grid.steps, 1))
+    g1 = 0.4 * np.tanh(one.x[:, -1])
+    sol = solve_agent_bsde(one, market, RegressionBasis(degree=2), theta, g1)
+    optimal_strategy(sol, theta, 1.5, market)
+    verify_condition_r(sol, one, market, theta, 1.5, g1)
+    eq = equilibrium_path(riccati_for_spec(spec, grid), one, market, spec)
+    validate_market(market, grid)
+    assert gram_factorisations == []
+
+    rep = random_replacement(5, grid.steps, market.n)
+    replacement_invariance(market, eq.mu, one, np.ones((256, grid.steps, 2)), rep)
+    assert gram_factorisations == [(grid.steps, 2, 2)]
 
 
 # ------------------------------------------------------------- full study

@@ -4,12 +4,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from mfequil import (
     DimensionMismatch, MarketSpec, PopulationStats, SingularSigma, TimeGrid,
-    excess_return_from_theta, gamma_hat, risk_premium_from_mu,
-    validate_market,
+    excess_return_from_theta, gamma_hat, market_geometry, validate_market,
 )
 
 from conftest import make_market
-from oracles import project
+from oracles import project, risk_premium_from_mu
 
 
 def test_time_grid_basics():
@@ -32,6 +31,32 @@ def test_market_spec_rejects_bad_shapes():
                    lambda_lo=0.1, lambda_hi=1.0)
     with pytest.raises(ValueError):
         MarketSpec(n=2, d0=2, d=1, sigma=np.eye(2), lambda_lo=0.0, lambda_hi=1.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+def test_geometry_is_read_only_views_of_one_factorisation(shape):
+    """A constant sigma's geometry, factorised once on the matrix itself, has
+    the bits of market_geometry over the broadcast steps table, and a table
+    of sigmas has those of its own stack; all of it is read-only, and a grid
+    of another length than the table raises DimensionMismatch."""
+    rng = np.random.default_rng(sum(shape))
+    steps = 7
+    for _ in range(20):
+        sig = rng.normal(size=shape)
+        for market, table in [
+            (make_market(sig), np.broadcast_to(sig, (steps,) + shape)),
+            (make_market(rng.normal(size=(steps,) + shape)), None),
+        ]:
+            table = market.sigma if table is None else table
+            proj, pos = market.geometry(steps)
+            want_proj, want_pos = market_geometry(table)
+            assert np.array_equal(proj, want_proj) and np.array_equal(pos, want_pos)
+            for a in (market.sigma, market.sigma_table(steps), proj, pos):
+                assert not a.flags.writeable
+    with pytest.raises(DimensionMismatch):
+        market.sigma_table(steps + 1)
+    with pytest.raises(DimensionMismatch):
+        market.geometry(steps - 1)
 
 
 def test_validate_market_flags_eigenvalue_escape():
@@ -175,7 +200,10 @@ singular_mats = st.one_of(
 @settings(max_examples=60, deadline=None)
 def test_singular_sigma_is_rejected(sigma):
     """A Gram pivot below 1e-12 of the largest diagonal entry, or below the
-    smallest normal float, raises SingularSigma."""
+    smallest normal float, raises SingularSigma, first of all when the
+    market is made."""
+    with pytest.raises(SingularSigma):
+        MarketSpec(n=2, d0=3, d=1, sigma=sigma, lambda_lo=1.0, lambda_hi=1.0)
     with pytest.raises(SingularSigma):
         project(sigma, np.ones((1, 3)))
     with pytest.raises(SingularSigma):
