@@ -112,13 +112,15 @@ def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec
 
     prev is the previous sweep's solution (None: z = 0).  Step k of its z is
     rebuilt on step k's conditioner, which the sweep builds anyway, and
-    driver(k, z) -> (M0, K) array freezes the driver there; it is regressed
-    with the continuation value.  tilt(k) -> theta_k makes it the measure-changed
-    sweep: the common increments are shifted by theta_k dt.  Its regressions
-    are weighted by the cumulative weights the engine was built with, so tilt
-    carries no weights.  Only y at steps k + 1 and k is held.  Returns the
-    new solution, y at step 0, and the summed squares of the change of z and
-    of the new z.
+    driver(k, z) -> (M0, K) or (M0, 1) array freezes the driver there; it is
+    regressed with the continuation value.  In the first sweep no z is formed:
+    the driver gets z = None and gives its value at z = 0.  tilt(k) -> theta_k
+    makes it the measure-changed sweep: the common increments are shifted by
+    theta_k dt.  Its regressions are weighted by the cumulative weights the
+    engine was built with, so tilt carries no weights.  Only y at steps k + 1
+    and k is held.  Returns the new solution, y at step 0, and the summed
+    squares of the change of z and of the new z; the loop reads those from
+    the second sweep on, so the first sweep returns None for both.
     """
     dW0, dWi, dt = bundle.dW0, bundle.dWi, bundle.grid.dt
     M0, K = g.shape
@@ -128,16 +130,21 @@ def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec
     stage1 = np.empty((P, 2))
     prods = np.empty((P, d0 + d))
     prods3 = prods.reshape(M0, K, -1)
+    if prev is not None:
+        # squares of the z change, z0 part then z1 part, then of the new z
+        sq = np.empty(P * (d0 + d))
+        sq0, sq1, sq2 = (sq[:P * d0].reshape(M0, K, d0), sq[P * d0:].reshape(M0, K, d),
+                         sq.reshape(P, -1))
     y = g
-    dz2 = z2 = 0.0
+    dz2 = z2 = None if prev is None else 0.0
     for k in range(steps - 1, -1, -1):
         dw0_k = dW0[:, k, :]
         if tilt is not None:
             dw0_k = dw0_k + tilt(k) * dt
         cond = engine.at(k)
-        z_old = np.zeros((M0, K, d0 + d)) if prev is None else prev.z_at(k, cond)
+        z_old = None if prev is None else prev.z_at(k, cond)
         stage1[:, 0] = y.reshape(P)
-        stage1[:, 1] = driver(k, z_old).reshape(P)
+        stage1.reshape(M0, K, 2)[..., 1] = driver(k, z_old)
         fitted1, y_fits[k] = cond.fit(stage1)
         y_fit = fitted1[:, 0]
 
@@ -147,10 +154,13 @@ def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec
         prods /= dt
         fitted2, fits[k] = cond.fit(prods)
 
-        new = fitted2.reshape(M0, K, -1)
-        dz2 += float(np.sum((new[..., :d0] - z_old[..., :d0]) ** 2)
-                     + np.sum((new[..., d0:] - z_old[..., d0:]) ** 2))
-        z2 += float(np.sum(fitted2**2))
+        if z_old is not None:
+            new = fitted2.reshape(M0, K, -1)
+            np.subtract(new[..., :d0], z_old[..., :d0], out=sq0)
+            np.subtract(new[..., d0:], z_old[..., d0:], out=sq1)
+            sq *= sq
+            dz2 += float(np.sum(sq0) + np.sum(sq1))
+            z2 += float(np.sum(np.multiply(fitted2, fitted2, out=sq2)))
         y = (y_fit + dt * fitted1[:, 1]).reshape(M0, K)
     sol = BsdeSolution(grid=bundle.grid, market=market, engine=engine, g=g,
                        fits=fits, y_fits=y_fits, y0=float(np.mean(y)))
@@ -164,13 +174,17 @@ def _fixed_point(sweep, n: int, max_iters: int, tol: float):
     the driver frozen at prev, the previous sweep's solution (None in the
     first sweep: z = 0).  y0 is the new (M0, K) initial value; dz2 and z2
     are the summed squares of the z change and of the new z over its n
-    entries.  From the second sweep on, dy0 is the sup change of y0 over
-    sup |y0| and dz the cloud-L2 change of z over the cloud-L2 norm of the
-    new z, both scales floored at 1e-8.  The loop stops once
-    max(dy0, dz) < tol, and raises PicardDiverged on a non-finite change or
-    after 3 consecutive growing changes.  Returns the last sweep's solution
-    with the sweep count, convergence, changes and clips summed over sweeps.
+    entries, read from the second sweep on.  From the second sweep on, dy0
+    is the sup change of y0 over sup |y0| and dz the cloud-L2 change of z
+    over the cloud-L2 norm of the new z, both scales floored at 1e-8.  The
+    loop stops once max(dy0, dz) < tol, and raises PicardDiverged on a
+    non-finite change or after 3 consecutive growing changes.  Returns the
+    last sweep's solution with the sweep count, convergence, changes and
+    clips summed over sweeps.  max_iters < 1 raises ValueError before any
+    sweep.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     y0_changes: list[float] = []
     z_changes: list[float] = []
     clips = grows = 0
@@ -213,6 +227,8 @@ def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_
     -z0_par theta - |theta|^2 / 2 + (|z0_perp|^2 + |z1|^2) / 2.  A tilted
     solve drops -z0_par theta, which its measure absorbs, and shifts the
     common increments by theta_at(k, None) dt; its engine carries the weights.
+    The first sweep's z is 0: its driver is 0.0 - |theta_at(k, None)|^2 / 2,
+    which is what the general form gives on a zero z, sign of zero included.
     The engine lives as long as the solution, so each step's regression is
     built in the first sweep and reused by the later ones and by every read.
     """
@@ -224,21 +240,23 @@ def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_
     def sweep(prev):
         clips = 0
 
-        def clipped(z):
-            nonlocal clips
-            n = int(np.sum(np.abs(z) > clip))
-            clips += n
-            return np.clip(z, -clip, clip) if n else z
-
         def driver(k, z):
-            z = clipped(z)
+            nonlocal clips
+            if z is None:
+                return 0.0 - 0.5 * np.sum(theta_at(k, None) ** 2, axis=1)[:, None]
+            if not (z.max() <= clip and z.min() >= -clip):     # a NaN fails both tests
+                clips += int(np.sum(np.abs(z) > clip))
+                z = np.clip(z, -clip, clip)
             z0k, z1k = z[..., :market.d0], z[..., market.d0:]
             z0_par = z0k @ proj[k]
-            f = 0.5 * (_sum_last((z0k - z0_par) ** 2) + _sum_last(z1k**2))
+            perp = z0k - z0_par
+            perp *= perp
+            f = 0.5 * (_sum_last(perp) + _sum_last(z1k**2))
             th = theta_at(k, z0_par)
             if not tilted:
-                f = f - np.einsum("mkj,mj->mk", z0_par, th)
-            return f - 0.5 * np.sum(th**2, axis=1)[:, None]
+                f -= np.einsum("mkj,mj->mk", z0_par, th)
+            f -= 0.5 * np.sum(th**2, axis=1)[:, None]
+            return f
 
         out = _backward_pass(engine, g, bundle, market, driver, prev, tilt)
         return (*out, clips)

@@ -123,7 +123,9 @@ def solve_mean_field(
     form stratum 0, and so on (None: one stratum).  Every sweep and the BMO
     proxy share one engine, so each step's regression is built once.
     theta's mean over the K agents is np.mean(..., axis=1)'s to the bit:
-    the agents are added in order for d0 >= 2 and pairwise for d0 = 1.  The
+    for d0 >= 2 one einsum adds z0_par / gamma over the agents in order,
+    with no (M0, K, d0) product formed; for d0 = 1 numpy sums that product
+    pairwise.  The first sweep's z is 0, and so is its theta.  The
     reported theta, diagnostics.y_inf (sup |Y|) and diagnostics.z_bmo (BMO
     proxy of (Z0, Z1) = z / gamma) come from one backward pass over the
     final iterate.
@@ -134,10 +136,19 @@ def solve_mean_field(
         engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis, strata=strata)
     if diagnostics is None:
         diagnostics = smallness_report(float("nan"), population_stats(gam))
-    inv_gamma = (1.0 / gam)[None, :, None]
+    inv_g = 1.0 / gam
+    inv_gamma = inv_g[None, :, None]
+
+    def agent_mean(z0_par):
+        """Ebar_n = mean over the K agents of z0_par / gamma, (M0, d0)."""
+        if market.d0 == 1:
+            return _sum_rows(inv_gamma * z0_par) / gam.size
+        return np.einsum("mkj,k->mj", z0_par, inv_g) / gam.size
 
     def theta_at(k, z0_par):
-        return -gamma_hat * (_sum_rows(inv_gamma * z0_par) / gam.size)
+        if z0_par is None:      # the zero first iterate: Ebar_n = 0
+            return np.zeros((bundle.n_paths, market.d0))
+        return -gamma_hat * agent_mean(z0_par)
 
     sol = _solve(bundle, market, engine, g_samples, theta_at, max_iters, tol, clip)
     changes = [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
@@ -160,7 +171,7 @@ def solve_mean_field(
             cond = engine.at(k)
             z = sol.z_at(k, cond)
             z0, z1 = z[..., :market.d0], z[..., market.d0:]
-            ebar[:, k, :] = _sum_rows(inv_gamma * (z0 @ proj[k])) / gam.size
+            ebar[:, k, :] = agent_mean(z0 @ proj[k])
             y_max.append(np.max(np.abs(sol.y_at(k, cond) / gam[None, :])))
             yield cond, z0 * inv_gamma, z1 * inv_gamma
 

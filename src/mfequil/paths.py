@@ -55,12 +55,17 @@ def normal_block_array(seed: int, kind: int, shape: tuple[int, ...]) -> np.ndarr
     The draw for leading index i depends only on (seed, kind, i // BLOCK,
     position within block).
     """
-    total = shape[0]
-    per_row = int(np.prod(shape[1:], dtype=np.int64))
-    out = np.empty((total, per_row))
-    for b, (start, stop) in enumerate(block_ranges(total)):
-        out[start:stop] = _philox(seed, kind, b).standard_normal((stop - start, per_row))
-    return out.reshape(shape)
+    out = np.empty(shape)
+    for start, stop, draws in _normal_blocks(seed, kind, shape):
+        out[start:stop] = draws
+    return out
+
+
+def _normal_blocks(seed: int, kind: int, shape: tuple[int, ...]):
+    """normal_block_array's draws a block at a time: (start, stop, draws of
+    shape (stop - start,) + shape[1:])."""
+    for b, (start, stop) in enumerate(block_ranges(shape[0])):
+        yield start, stop, _philox(seed, kind, b).standard_normal((stop - start, *shape[1:]))
 
 
 @dataclass
@@ -125,8 +130,10 @@ def simulate_paths(
 
     dW0 = normal_block_array(seed, KIND_COMMON, (n_paths, steps, market.d0)) * sqdt
     dWi = step_major((n_paths, agents, steps, market.d))
-    np.multiply(normal_block_array(seed, KIND_IDIO, (n_paths * agents, steps, market.d))
-                .reshape(dWi.shape), sqdt, out=dWi)
+    # each block's draws go straight to their rows of the step-major store
+    rows = dWi.reshape(n_paths * agents, steps, market.d)
+    for start, stop, draws in _normal_blocks(seed, KIND_IDIO, rows.shape):
+        np.multiply(draws, sqdt, out=rows[start:stop])
 
     x, I = _euler_factor(spec, dW0, dt)
     return PathBundle(grid=grid, dW0=dW0, dWi=dWi, x=x, I=I)

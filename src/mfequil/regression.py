@@ -33,9 +33,12 @@ Design choices that matter for reproducibility and the exactness tests:
   factors (kept columns, column mean and scale, weight sum, Cholesky factor
   of the ridged Gram: O(q^2) per stratum) for its lifetime, which is that
   of the solution it serves.  A Picard sweep, and every later read of the
-  solution, regresses on the same state as the first, so it recomputes the
-  columns, re-standardises them with the stored mean and scale and reuses
-  the factor.  Columns, rows and weights are the same bits every time, so
+  solution, regresses on the same state as the first, so it reuses the
+  factor: it writes each stratum's kept columns straight from that
+  stratum's slice of the levels into the column-major array the fit reads,
+  with the products the build makes, and standardises them there with the
+  stored mean and scale.  No whole design is formed and nothing is
+  gathered.  Columns, rows and weights are the same bits every time, so
   every fit is bit-identical to a fresh build, and a conditioner evaluates
   a stored fit map on its rows to the same bits its fit() returned: the one
   reader of a map, also on other particles of the same paths (BasisEngine.on).
@@ -86,6 +89,25 @@ class RegressionBasis:
         return poly + 1
 
 
+def _write_columns(basis: RegressionBasis, x, run_i, w, out: list) -> None:
+    """The raw columns of the broadcast state, in column order, into out[i] (None:
+    not written): x^i w^j (1 <= i + j <= degree) from running powers, then I.
+    The one monomial loop of feature_columns and of a reuse."""
+    xp, wp = [1.0, x], [1.0, w]
+    for _ in range(2, basis.degree + 1):
+        xp.append(xp[-1] * x)
+        if basis.include_idio:
+            wp.append(wp[-1] * w)
+    i = 0
+    for total in range(1, basis.degree + 1):
+        for j in range((total if basis.include_idio else 0) + 1):
+            if out[i] is not None:
+                np.multiply(xp[total - j], wp[j], out=out[i])
+            i += 1
+    if out[i] is not None:
+        out[i][...] = run_i
+
+
 def feature_columns(basis: RegressionBasis, x, run_i, w) -> np.ndarray:
     """Non-intercept design columns, one row per element of the broadcast state.
 
@@ -99,18 +121,9 @@ def feature_columns(basis: RegressionBasis, x, run_i, w) -> np.ndarray:
     out = np.empty(shape + (basis.n_columns,))
     lead = max(1, _ROW_BLOCK // max(1, int(np.prod(shape[1:]))))
     for s, e in block_ranges(shape[0], block=lead):
-        xb, ob = x[s:e], out[s:e]
-        xp, wp = [1.0], [1.0]
-        for p in range(1, basis.degree + 1):
-            xp.append(xp[-1] * xb)
-            if basis.include_idio:
-                wp.append(wp[-1] * w[s:e])
-        i = 0
-        for total in range(1, basis.degree + 1):
-            for j in range((total if basis.include_idio else 0) + 1):
-                np.multiply(xp[total - j], wp[j], out=ob[..., i])
-                i += 1
-        ob[..., i] = run_i[s:e]
+        ob = out[s:e]
+        _write_columns(basis, x[s:e], run_i[s:e], w[s:e],
+                       [ob[..., i] for i in range(basis.n_columns)])
     return out.reshape(-1, basis.n_columns)
 
 
@@ -162,31 +175,16 @@ class _Strata:
         self.sels = [slice(e - n, e) for n, e in zip(sizes.tolist(), np.cumsum(sizes).tolist())]
         self.rows = [self.layout[0] * n for n in sizes.tolist()]
 
-    def take(self, a: np.ndarray, s: int, cols: np.ndarray | None = None) -> np.ndarray:
-        """Stratum s's rows of a (P,) or (P, r) array, C-contiguous, in row order.
-
-        With a boolean column mask, only those columns of a (P, r) array, in
-        the column-major layout that cols[:, mask] gives at the build: the
-        BLAS products of a fit depend on the layout.
-        """
+    def take(self, a: np.ndarray, s: int) -> np.ndarray:
+        """Stratum s's rows of a (P,) or (P, r) array, C-contiguous, in row order."""
         M0, K = self.layout
-        sub = a.reshape(M0, K, -1)[:, self.sels[s]]
-        if cols is not None:
-            return np.asfortranarray(sub[..., cols].reshape(self.rows[s], -1))
-        sub = np.ascontiguousarray(sub)
+        sub = np.ascontiguousarray(a.reshape(M0, K, -1)[:, self.sels[s]])
         return sub.reshape(-1, sub.shape[2]) if a.ndim == 2 else sub.reshape(-1)
 
     def put(self, out: np.ndarray, s: int, vals: np.ndarray) -> None:
         """Write stratum s's rows of a (P, r) array."""
         M0, K = self.layout
         out.reshape(M0, K, -1)[:, self.sels[s]] = vals.reshape(M0, -1, out.shape[1])
-
-
-def _standardise(xs: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """(xs - mu) / sd, in place: xs is a copy made for this."""
-    xs -= mu
-    xs /= sd
-    return xs
 
 
 @dataclass(frozen=True)
@@ -207,12 +205,13 @@ class RidgeConditioner:
     accumulates the Gram blockwise, checks its rank with eigvalsh and takes
     the Cholesky factor.  fit() can then be called with several target
     batches.  A BasisEngine keeps each build's factors (kept columns, mean,
-    scale, weight sum, Cholesky factor) for its lifetime and rebinds them to
-    the same step's recomputed columns through _reuse, so a later sweep
-    re-standardises with the stored mean and scale and skips the Gram, the
-    rank check and the factorisation.  The columns, the rows and the weights
-    are the same at every sweep, so the standardised columns are the same
-    bits, and so is every fit.
+    scale, weight sum, Cholesky factor) for its lifetime and binds them
+    (_bound) to columns it has written and standardised itself, so a later
+    sweep skips the Gram, the rank check and the factorisation.  A stratum's
+    standardised columns are column-major at the build and at a reuse, since
+    the BLAS products of a fit depend on the layout.  The columns, the rows
+    and the weights are the same at every sweep, so the standardised columns
+    are the same bits, and so is every fit.
     """
 
     def __init__(
@@ -248,7 +247,9 @@ class RidgeConditioner:
             sd = np.sqrt(_sum_rows(dev) / wsum)
             del dev  # before the standardised copy and the Gram, as var frees its own
             kept = sd > _CONST_COL_TOL * (1.0 + np.abs(mu))
-            xs = _standardise(cols[:, kept], mu[kept], sd[kept])
+            xs = cols[:, kept]      # column-major, the layout a reuse writes
+            xs -= mu[kept]
+            xs /= sd[kept]
             gram = _blockwise_gram(xs, w)
             qk = int(kept.sum())
             if qk:
@@ -268,23 +269,11 @@ class RidgeConditioner:
         self._strata, self._factors, self._xs, self._w = strata, factors, xss, ws
 
     @classmethod
-    def _reuse(cls, strata: _Strata, factors: list, raw_cols: np.ndarray,
-               weights: np.ndarray | None) -> RidgeConditioner:
-        """A conditioner on the columns of an earlier build's step, on its rows or
-        on other particles of its paths: standardised with that build's stored
-        mean and scale, fitted with its Cholesky factor."""
-        for s, (f, n) in enumerate(zip(factors, strata.rows, strict=True)):
-            if f is None and n:
-                raise ValueError(f"stratum {s} was empty at the build but has rows now")
+    def _bound(cls, strata: _Strata, factors: list, xs: list, ws: list) -> RidgeConditioner:
+        """A conditioner on an earlier build's factors, over columns already
+        standardised with them (BasisEngine.on): no Gram, no factorisation."""
         self = cls.__new__(cls)
-        self._strata = strata
-        self._factors = factors = [f if n else None for f, n in zip(factors, strata.rows)]
-        self._xs = [
-            None if f is None else _standardise(strata.take(raw_cols, s, f.kept), f.mu, f.sd)
-            for s, f in enumerate(factors)
-        ]
-        self._w = [None if f is None or weights is None else strata.take(weights, s)
-                   for s, f in enumerate(factors)]
+        self._strata, self._factors, self._xs, self._w = strata, factors, xs, ws
         return self
 
     def fit(self, targets: np.ndarray) -> tuple[np.ndarray, list[StratumFit | None]]:
@@ -348,9 +337,12 @@ class BasisEngine:
     of a measure change; step k regresses with weights[:, k + 1] on every
     particle.
 
-    The first at(k) builds step k's conditioner; every later at(k) recomputes
-    only the design columns and reuses that build's factors, as on(k, ...)
-    does for other particles of the same paths.  The memo holds O(q^2)
+    The first at(k) builds step k's conditioner from the whole design
+    (columns_at).  Every later at(k) reuses that build's factors, as
+    on(k, ...) does for other particles of the same paths: per stratum, it
+    writes the kept columns a block of paths at a time from the stratum's
+    (M0, K_s) slice of the levels into a column-major (rows, kept) array,
+    and standardises each block there.  The memo holds O(q^2)
     numbers per stratum and step.  It lives as long as the engine, and a
     solution keeps its engine: each later read of step k rebuilds that
     step's values from the columns, the factors and the stored fit map.
@@ -393,5 +385,34 @@ class BasisEngine:
         factors = self._memo.get(k)
         if factors is None:
             raise ValueError(f"step {k} was never built")
-        cols, w = self._design(k, w_k)
-        return RidgeConditioner._reuse(_Strata(sizes, cols.shape[0]), factors, cols, w)
+        strata = _Strata(sizes, w_k.size)
+        facs, xs, ws = [], [], []
+        for s, (f, sel, n) in enumerate(zip(factors, strata.sels, strata.rows, strict=True)):
+            if f is None and n:
+                raise ValueError(f"stratum {s} was empty at the build but has rows now")
+            f = f if n else None
+            facs.append(f)
+            xs.append(None if f is None else self._standardised(k, w_k[:, sel], f))
+            ws.append(None if f is None or self.weights is None
+                      else np.repeat(self.weights[:, k + 1], sel.stop - sel.start))
+        return RidgeConditioner._bound(strata, facs, xs, ws)
+
+    def _standardised(self, k: int, w_s: np.ndarray, f: _Factor) -> np.ndarray:
+        """One stratum's kept columns of step k on its levels w_s (M0, n), written
+        where the fit reads them: column-major (rows, kept), each column the
+        products feature_columns makes, then (c - mu) / sd in place, a block
+        of paths at a time so that each block is standardised in cache."""
+        cols = np.flatnonzero(f.kept)
+        xs = np.empty((cols.size,) + w_s.shape)
+        M0, n = w_s.shape
+        mu, sd = f.mu[:, None, None], f.sd[:, None, None]
+        for s, e in block_ranges(M0, block=max(1, _ROW_BLOCK // max(1, n))):
+            xb = xs[:, s:e]
+            out = [None] * self.basis.n_columns
+            for i, c in enumerate(cols):
+                out[c] = xb[i]
+            _write_columns(self.basis, self.x[s:e, k, None], self.run_i[s:e, k, None],
+                           w_s[s:e], out)
+            xb -= mu
+            xb /= sd
+        return xs.reshape(cols.size, w_s.size).T

@@ -11,6 +11,7 @@ from mfequil import (
     riccati_for_spec, simulate_paths, solve_agent_bsde,
     solve_mean_field, solve_under_q, verify_condition_r,
 )
+from mfequil import bsde
 from mfequil.bsde import _fixed_point, _sum_last
 from mfequil.errors import PicardDiverged
 from mfequil.regression import BasisEngine
@@ -436,3 +437,62 @@ def test_z_changes_match_whole_array_formula():
         scale = max(np.sqrt((np.sum(new0**2) + np.sum(new1**2)) / n), 1e-8)
         want.append(np.sqrt(change / n) / scale)
     assert sols[-1].z_changes == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# the first sweep: the driver at z = 0 without a z
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("solve", ["agent", "tilted", "mean-field"])
+def test_zero_iterate_driver_is_the_general_driver_at_zero(solve, grid20, market2, monkeypatch):
+    """The first sweep's driver, called with no z, equals the general driver
+    on an explicit zero z to the bit, sign of zero included, broadcast over
+    the agents: for a pathwise theta with negative entries and all-zero
+    rows, for the tilted solve that drops -z0_par theta, and for the
+    mean-field theta read from z0_par."""
+    drivers = []
+    real = bsde._backward_pass
+
+    def spy(engine, g, bundle, market, driver, prev, tilt=None):
+        drivers.append(driver)
+        return real(engine, g, bundle, market, driver, prev, tilt)
+
+    monkeypatch.setattr(bsde, "_backward_pass", spy)
+    bundle = simulate_paths(grid20, flat_spec(), market2, 256, 9, agents=3)
+    g = np.tanh(bundle.x[:, -1])[:, None] * np.array([1.0, 2.0, 4.0])
+    rng = np.random.default_rng(4)
+    theta = -np.abs(rng.normal(size=(bundle.n_paths, grid20.steps, 2))) * 0.2
+    theta[::3] = 0.0
+    if solve == "agent":
+        solve_agent_bsde(bundle, market2, BASIS, theta, g, picard_max=2)
+    elif solve == "tilted":
+        solve_under_q(bundle, market2, BASIS, theta, g, picard_max=2)
+    else:
+        gammas = np.array([1.0, 2.0, 4.0])
+        solve_mean_field(bundle, market2, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
+                         max_iters=2)
+    assert len(drivers) == 2
+    driver = drivers[0]
+    zero = np.zeros((bundle.n_paths, bundle.n_agents, market2.d0 + market2.d))
+    for k in range(grid20.steps):
+        got = np.broadcast_to(driver(k, None), zero.shape[:2])
+        want = driver(k, zero)
+        assert np.array_equal(got, want), k
+        assert np.array_equal(np.signbit(got), np.signbit(want)), k
+
+
+def test_fewer_than_one_sweep_is_rejected_by_every_solve(grid20, market2):
+    """max_iters < 1 raises ValueError before a sweep, in the agent, tilted
+    and mean-field solves."""
+    bundle = simulate_paths(grid20, flat_spec(), market2, 128, 3, agents=2)
+    g = np.tile(bundle.x[:, -1:], (1, 2))
+    theta = np.full((grid20.steps, 2), 0.1)
+    gammas = np.array([1.0, 2.0])
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_agent_bsde(bundle, market2, BASIS, theta, g, picard_max=n)
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_under_q(bundle, market2, BASIS, theta, g, picard_max=n)
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_mean_field(bundle, market2, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
+                             max_iters=n)

@@ -272,21 +272,30 @@ def test_reported_theta_is_minus_gamma_hat_cloud_mean(market2):
     assert np.max(np.abs(mf.theta - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("sigma, delta", [([[1.0]], (0.4,)), ([[1.0, 0.5]], (0.4, 0.1))])
-def test_reported_theta_is_numpys_agent_mean_to_the_bit(sigma, delta):
-    """On a stratified cloud at d0 = 1 and d0 = 2 the reported theta is
-    -gamma_hat np.mean((1/gamma) z0_par, axis=1) recomputed from z_at(k) with
-    the market's projector, bit for bit: the mean over agents is numpy's
-    in-order sum, and a reordering of it fails here."""
+ONE_ASSET = [([[1.0]], (0.4,)), ([[1.0, 0.5]], (0.4, 0.1)), ([[1.0, 0.5, 0.2]], (0.4, 0.1, 0.2))]
+
+
+# ids: sigma<d>-delta<d> at K = 5, with -K<K> appended at the larger clouds
+@pytest.mark.parametrize("sigma, delta, K, M0", [
+    pytest.param(*ONE_ASSET[d], K, M0, id=f"sigma{d}-delta{d}" + ("" if K == 5 else f"-K{K}"))
+    for K, M0 in ((5, 200), (66, 200), (2501, 12)) for d in range(3)
+])
+def test_reported_theta_is_numpys_agent_mean_to_the_bit(sigma, delta, K, M0):
+    """On a stratified cloud of K agents at d0 = 1, 2 and 3 the reported theta
+    is -gamma_hat np.mean((1/gamma) z0_par, axis=1) recomputed from z_at(k)
+    with the market's projector, bit for bit: the mean over agents is
+    numpy's in-order sum (pairwise at d0 = 1), and a reordering of it fails
+    here."""
     market = make_market(sigma)
     grid = TimeGrid(0.5, 5)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=delta, x0=0.3, a=0.0, b=0.5, kappa=0.2)
-    bundle = simulate_paths(grid, spec, market, 200, 8, agents=5)
-    gammas = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
+    bundle = simulate_paths(grid, spec, market, M0, 8, agents=K)
+    sizes = (3 * K // 5, K - 3 * K // 5)
+    gammas = np.repeat([1.0, 2.0], sizes)
     ghat = gamma_hat(gammas).gamma_hat
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market, RegressionBasis(), g, gammas, ghat,
-                          max_iters=3, tol=0.0, strata=(3, 2))
+                          max_iters=3, tol=0.0, strata=sizes)
     proj, _ = market.geometry(grid.steps)
     inv_gamma = (1.0 / gammas)[None, :, None]
     for k in range(grid.steps):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfequil import EqgSpec, TimeGrid, simulate_paths
-from mfequil.paths import ou_exact_moments
+from mfequil.paths import KIND_IDIO, normal_block_array, ou_exact_moments
 
 from conftest import make_market
 from oracles import coarsen_bundle
@@ -96,3 +98,25 @@ def test_simulate_paths_validates_inputs(grid20, eqg_spec, market2):
     bad_spec = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.4,), x0=0.0, a=0.0, b=0.1)
     with pytest.raises(ValueError):
         simulate_paths(grid20, bad_spec, market2, 4, 1)
+
+
+def test_idio_draws_are_written_in_place_with_the_keyed_normals(eqg_spec, market2):
+    """simulate_paths writes each block's idiosyncratic draws straight into
+    the step-major dWi: the values are normal_block_array's over the
+    (M K, steps, d) rows times sqrt(dt), bit for bit, and the traced peak
+    above what the bundle keeps stays under half of dWi (a whole-array
+    temporary would add all of it)."""
+    grid = TimeGrid(0.5, 20)
+    M, K = 64, 200
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bundle = simulate_paths(grid, eqg_spec, market2, M, 17, agents=K)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < bundle.dWi.nbytes / 2, (peak - kept, bundle.dWi.nbytes)
+    assert kept - base >= bundle.dWi.nbytes
+    want = normal_block_array(17, KIND_IDIO, (M * K, grid.steps, market2.d)) * np.sqrt(grid.dt)
+    assert np.array_equal(bundle.dWi, want.reshape(bundle.dWi.shape))
+    assert bundle.dWi[:, :, 3].flags.c_contiguous

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,18 +283,48 @@ def test_conditioner_moments_and_intercepts_are_numpys(weighted, sizes):
 # the per-step memo of BasisEngine
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("ids, weighted", [
-    ([2, 3, 1], False),             # three strata, by their sizes
-    ([2, 2], False),                # two strata
-    (None, False),                  # one stratum
-    ([2, 2], True),                 # weighted, two strata
-    (None, True),                   # weighted, one stratum
+def test_reuse_writes_its_columns_where_they_are_read():
+    """A reuse at(k) writes each stratum's kept columns, standardised, into
+    the arrays its fit reads: its traced peak above what the conditioner
+    keeps is under half a (P, q) design.  Building the whole design and
+    gathering each stratum from it would cost a design more."""
+    M0, K, q = 200, 300, RegressionBasis(degree=2).n_columns
+    eng = two_stratum_engine(M0=M0, sizes=(100, 200))
+    eng.at(1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cond = eng.at(1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    design = 8 * M0 * K * q
+    assert kept - base >= design        # the standardised columns it keeps
+    assert peak - kept < design / 2, (peak - kept, design)
+    assert all(xs.flags.f_contiguous for xs in cond._xs)
+
+
+DEGREE_2 = RegressionBasis(degree=2)
+
+
+@pytest.mark.parametrize("ids, weighted, basis", [
+    pytest.param([2, 3, 1], False, DEGREE_2, id="ids0-False"),    # three strata, by their sizes
+    pytest.param([2, 2], False, DEGREE_2, id="ids1-False"),       # two strata
+    pytest.param(None, False, DEGREE_2, id="None-False"),         # one stratum
+    pytest.param([2, 2], True, DEGREE_2, id="ids3-True"),         # weighted, two strata
+    pytest.param(None, True, DEGREE_2, id="None-True"),           # weighted, one stratum
+    pytest.param([2, 0, 3], False, DEGREE_2, id="empty-stratum"),
+    pytest.param([2, 0, 3], True, DEGREE_2, id="empty-stratum-True"),
+    pytest.param([2, 2], False, RegressionBasis(degree=1), id="degree1"),
+    pytest.param([2, 3], True, RegressionBasis(degree=3), id="degree3-True"),
+    pytest.param([2, 2], False, RegressionBasis(degree=2, include_idio=False), id="no-idio"),
 ])
-def test_memoised_step_equals_fresh_flat_build(ids, weighted):
-    """engine.at(k) builds once and then reuses the factors; both calls fit
-    bit for bit like a fresh single-stratum conditioner on the flat rows of
-    each stratum, whose sizes are ids.  At k = 0 the state is known, every
-    column is dropped and the fit is the (weighted) mean."""
+def test_memoised_step_equals_fresh_flat_build(ids, weighted, basis):
+    """engine.at(k) builds once and then reuses the factors, writing each
+    stratum's columns itself; both calls fit bit for bit like a fresh
+    single-stratum conditioner on the flat rows of each stratum, whose sizes
+    are ids (a size-0 stratum has no fit).  At k = 0 the state is known,
+    every column is dropped and the fit is the (weighted) mean."""
     M0, steps = 300, 3
     K = 4 if ids is None else sum(ids)
     rng = np.random.default_rng(21)
@@ -301,7 +333,6 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted):
     w = rng.normal(size=(M0, K, steps + 1))
     x[:, 0], run_i[:, 0], w[:, :, 0] = 0.3, 0.0, 0.0
     D = np.exp(0.3 * rng.normal(size=(M0, steps + 1))) if weighted else None
-    basis = RegressionBasis(degree=2)
     n_strata = 1 if ids is None else len(ids)
     eng = BasisEngine(x, run_i, w, basis, strata=ids, weights=D)
     flat = np.zeros(M0 * K, dtype=np.int64) if ids is None else np.tile(
@@ -314,6 +345,9 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted):
             got, got_fit = eng.at(k).fit(y)
             for s in range(n_strata):
                 rows = np.nonzero(flat == s)[0]
+                if rows.size == 0:
+                    assert got_fit[s] is None
+                    continue
                 fresh = RidgeConditioner(
                     cols[rows], (rows.size,), weights=None if wk is None else wk[rows],
                 )
