@@ -73,7 +73,7 @@ class BsdeSolution:
     z_changes: list[float] = field(default_factory=list)    # dz of sweeps 2, 3, ...
 
     def z_at(self, k: int, cond=None) -> np.ndarray:
-        """z (M0, K, d0 + d) on interval k: z0 in the first d0 columns, z1 after.
+        """z (M0, K, d0 + 1) on interval k: z0 in the first d0 columns, z1 last.
 
         cond is step k's conditioner, when the caller has built it already.
         """
@@ -124,16 +124,16 @@ def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec
     """
     dW0, dWi, dt = bundle.dW0, bundle.dWi, bundle.grid.dt
     M0, K = g.shape
-    steps, d0, d = bundle.grid.steps, market.d0, market.d
+    steps, d0 = bundle.grid.steps, market.d0
     P = M0 * K
     fits, y_fits = [None] * steps, [None] * steps
     stage1 = np.empty((P, 2))
-    prods = np.empty((P, d0 + d))
+    prods = np.empty((P, d0 + 1))
     prods3 = prods.reshape(M0, K, -1)
     if prev is not None:
         # squares of the z change, z0 part then z1 part, then of the new z
-        sq = np.empty(P * (d0 + d))
-        sq0, sq1, sq2 = (sq[:P * d0].reshape(M0, K, d0), sq[P * d0:].reshape(M0, K, d),
+        sq = np.empty(P * (d0 + 1))
+        sq0, sq1, sq2 = (sq[:P * d0].reshape(M0, K, d0), sq[P * d0:].reshape(M0, K, 1),
                          sq.reshape(P, -1))
     y = g
     dz2 = z2 = None if prev is None else 0.0
@@ -150,7 +150,7 @@ def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec
 
         resid = (y.reshape(P) - y_fit).reshape(M0, K, 1)
         np.multiply(resid, dw0_k[:, None, :], out=prods3[..., :d0])
-        np.multiply(resid, dWi[:, :, k, :], out=prods3[..., d0:])
+        np.multiply(resid, dWi[:, :, k, None], out=prods3[..., d0:])
         prods /= dt
         fitted2, fits[k] = cond.fit(prods)
 
@@ -277,7 +277,7 @@ def solve_agent_bsde(
     """Solve the normalized utility BSDE for an exogenous risk premium theta,
     of shape (steps, d0) or (M0, steps, d0)."""
     th = _pathwise_theta(theta, bundle.grid.steps, market.d0, bundle.n_paths)
-    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis)
+    engine = BasisEngine(bundle.x, bundle.I, bundle.wi, basis)
     return _solve(bundle, market, engine, g_samples, lambda k, _: th[:, k],
                   picard_max, picard_tol, clip)
 
@@ -329,7 +329,7 @@ def solve_under_q(
             "the risk premium is too large for this measure change"
         )
     th = _pathwise_theta(theta, bundle.grid.steps, market.d0, M0)
-    engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis, weights=D)
+    engine = BasisEngine(bundle.x, bundle.I, bundle.wi, basis, weights=D)
     sol = _solve(bundle, market, engine, g_samples, lambda k, _: th[:, k],
                  picard_max, picard_tol, clip, tilted=True)
     return sol, ess
@@ -469,7 +469,7 @@ def bmo_proxy(backward, dt: float) -> float:
     """Regression estimate of sup_t E[ int_t^T |z|^2 ds | F_t ].
 
     backward yields (cond, z0, z1) for k = steps - 1, ..., 0: step k's
-    conditioner and z on interval k, of shapes (M0, K, d0) and (M0, K, d).
+    conditioner and z on interval k, of shapes (M0, K, d0) and (M0, K, 1).
     The remaining quadratic variation is accumulated backward step by step,
     the same additions np.cumsum makes, fitted on each step's state basis,
     and the max fitted value is returned.

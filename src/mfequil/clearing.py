@@ -44,9 +44,9 @@ from .paths import (
     KIND_GAMMA,
     PathBundle,
     _philox,
+    levels,
     normal_block_array,
     simulate_paths,
-    step_major,
 )
 
 if TYPE_CHECKING:
@@ -128,13 +128,9 @@ def build_population(
 
 
 def fresh_idio_levels(seed: int, n_common: int, n_agents: int, grid):
-    """Idiosyncratic Brownian first components for evaluation agents,
-    (M0, N, steps + 1) step-major, with level 0 at time 0."""
+    """Idiosyncratic levels (M0, N, steps + 1) of N fresh evaluation agents, as `levels` gives."""
     steps, dt = grid.steps, grid.dt
-    dw = normal_block_array(seed, KIND_AUX, (n_common, n_agents, steps)) * np.sqrt(dt)
-    w = step_major((n_common, n_agents, steps + 1))
-    np.cumsum(dw, axis=2, out=w[:, :, 1:])
-    return w
+    return levels(normal_block_array(seed, KIND_AUX, (n_common, n_agents, steps)) * np.sqrt(dt))
 
 
 def agent_strategies(

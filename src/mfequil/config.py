@@ -38,7 +38,6 @@ class MarketConfig:
     """Constant volatility matrix, one row per security."""
 
     sigma: tuple = ((1.0, 0.2), (0.3, 0.9))
-    d: int = 1
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def _reals(v) -> bool:
 # engine constructor checks; build_scenario triggers those (TimeGrid, MarketSpec,
 # EqgSpec, RegressionBasis, DiscreteDist and validate_market).
 _RANGES = (
-    (("seed", "grid.steps", "market.d", "bsde.degree"), lambda v, c: _int(v), "an integer"),
+    (("seed", "grid.steps", "bsde.degree"), lambda v, c: _int(v), "an integer"),
     (("bsde.n_paths", "bsde.picard_max", "mf.n_particles", "mf.iters",
       "clearing.n_equilibrium", "clearing.n_invariance_draws"),
      lambda v, c: _int(v, 1), "an integer >= 1"),
@@ -285,7 +284,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
         sigma = np.asarray(cfg.market.sigma, dtype=float)
         eig = np.linalg.eigvalsh(sigma @ sigma.T)
         market = MarketSpec(
-            n=sigma.shape[0], d0=sigma.shape[1], d=cfg.market.d, sigma=sigma,
+            n=sigma.shape[0], d0=sigma.shape[1], sigma=sigma,
             lambda_lo=float(eig.min()) * 0.999, lambda_hi=float(eig.max()) * 1.001,
         )
         validate_market(market, grid)

@@ -8,7 +8,7 @@ idiosyncratic Gaussian leg), the normalized common value process is
 
 the idiosyncratic leg has the Cole-Hopf form
 
-    y1_t = kappa (W^i_t)_1 + kappa^2 (T - t) / 2,   z1_t = kappa e_1,
+    y1_t = kappa W^i_t + kappa^2 (T - t) / 2,   z1_t = kappa,
 
 and the market clears at the risk premium
 

@@ -8,9 +8,9 @@ term.
 * (a, b): running quadratic cost of the common factor,
   G += int_0^T (a x_t^2 + b x_t) dt (left-endpoint rule on the bundle grid).
   Contributes F0 / gamma to the liability, identically across agents.
-* kappa: G += kappa (W^i_T)_1, an additive idiosyncratic leg.
+* kappa: G += kappa W^i_T, an additive idiosyncratic leg.
 * eps: a common-idiosyncratic interaction entering the liability directly,
-  F += eps (W0_T)_1 (W^i_T)_1, hence G += gamma * eps (...).
+  F += eps (W0_T)_1 W^i_T, hence G += gamma * eps (...).
   This is the term that makes individual optimal positions nonzero.
 
 Additive means eps = 0, so the normalized terminal datum splits into a
@@ -66,10 +66,10 @@ def terminal_g(liability: LiabilitySpec, bundle: PathBundle, gammas: np.ndarray)
         g0 = dt * np.sum(a * x * x + b * x, axis=1)
         g += g0[:, None]
     if kappa != 0.0:
-        g += kappa * bundle.wi_first[:, :, -1]
+        g += kappa * bundle.wi[:, :, -1]
     if eps != 0.0:
         w0T = bundle.w0[:, -1, 0]
-        g += gam[None, :] * eps * w0T[:, None] * bundle.wi_first[:, :, -1]
+        g += gam[None, :] * eps * w0T[:, None] * bundle.wi[:, :, -1]
     return g
 
 

@@ -1,8 +1,8 @@
 """Market primitives: time grid, volatility structure, projection geometry.
 
 The securities market has n risky assets driven by a d0-dimensional common
-Brownian motion; each agent additionally sees a d-dimensional idiosyncratic
-Brownian motion.  The n x d0 volatility matrix sigma is deterministic and
+Brownian motion; each agent additionally sees one idiosyncratic Brownian
+motion.  The n x d0 volatility matrix sigma is deterministic and
 piecewise constant on the time grid, with uniformly bounded spectrum:
 lambda_lo * I <= sigma sigma^T <= lambda_hi * I.
 
@@ -22,7 +22,7 @@ that factor of |z|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -67,17 +67,17 @@ class MarketSpec:
 
     n: int
     d0: int
-    d: int
     sigma: np.ndarray
     lambda_lo: float
     lambda_hi: float
+    d: InitVar[int] = 1  # not stored; goes once bench/worker.py stops passing d=1
 
-    def __post_init__(self):
+    def __post_init__(self, d):
         sig = np.array(self.sigma, dtype=float)
         object.__setattr__(self, "sigma", sig)
-        if self.n < 1 or self.d0 < 1 or self.d < 1:
+        if self.n < 1 or self.d0 < 1 or d != 1:
             raise DimensionMismatch(
-                f"dimensions must be positive: n={self.n}, d0={self.d0}, d={self.d}"
+                f"need n, d0 >= 1 and d = 1: n={self.n}, d0={self.d0}, d={d}"
             )
         if self.n > self.d0:
             raise DimensionMismatch(

@@ -133,7 +133,7 @@ def solve_mean_field(
     dt = bundle.grid.dt
     gam = np.asarray(gammas, dtype=float)
     if engine is None:
-        engine = BasisEngine(bundle.x, bundle.I, bundle.wi_first, basis, strata=strata)
+        engine = BasisEngine(bundle.x, bundle.I, bundle.wi, basis, strata=strata)
     if diagnostics is None:
         diagnostics = smallness_report(float("nan"), population_stats(gam))
     inv_g = 1.0 / gam

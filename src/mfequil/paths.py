@@ -2,10 +2,10 @@
 
 All randomness comes from counter-based Philox substreams.  Streams are keyed
 by (seed, stream kind, block index) where a block is a fixed slice of path
-indices, so a path's draws do not depend on how many paths are drawn.  The factor follows Euler-Maruyama on the same increments
-the BSDE regressions consume, and the running liability integral I uses the
-left-endpoint rule, so factor, integral, and regressions stay on one
-discretisation.
+indices, so a path's draws do not depend on how many paths are drawn.  The
+factor follows Euler-Maruyama on the same increments the BSDE regressions
+consume, and the running liability integral I uses the left-endpoint rule, so
+factor, integral, and regressions stay on one discretisation.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ def step_major(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros((steps, m, k, *tail)).transpose(1, 2, 0, *range(3, len(shape)))
 
 
+def levels(dw: np.ndarray) -> np.ndarray:
+    """Levels of the increments dw (M, K, steps): (M, K, steps + 1) step-major, 0 at t = 0."""
+    out = step_major((*dw.shape[:2], dw.shape[2] + 1))
+    np.cumsum(dw, axis=2, out=out[..., 1:])
+    return out
+
+
 def normal_block_array(seed: int, kind: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals of the given shape, leading axis split into blocks.
 
@@ -73,10 +80,10 @@ class PathBundle:
     """Simulated common paths with per-agent idiosyncratic increments.
 
     dW0: (M, steps, d0) common Brownian increments.
-    dWi: (M, K, steps, d) idiosyncratic increments, K agents per common path.
+    dWi: (M, K, steps) idiosyncratic increments, K agents per common path.
     x:   (M, steps + 1) Euler path of the OU factor.
     I:   (M, steps + 1) left-rule running integral of a x^2 + b x.
-    dWi and wi_first are stored step-major (step_major), the rest C-ordered.
+    dWi and wi are stored step-major (step_major), the rest C-ordered.
     """
 
     grid: TimeGrid
@@ -102,12 +109,9 @@ class PathBundle:
         return out
 
     @cached_property
-    def wi_first(self) -> np.ndarray:
-        """Cumulative first idiosyncratic coordinate, (M, K, steps + 1)."""
-        M, K, steps, _ = self.dWi.shape
-        out = step_major((M, K, steps + 1))
-        np.cumsum(self.dWi[..., 0], axis=2, out=out[..., 1:])
-        return out
+    def wi(self) -> np.ndarray:
+        """Idiosyncratic Brownian levels, (M, K, steps + 1)."""
+        return levels(self.dWi)
 
 
 def simulate_paths(
@@ -129,9 +133,9 @@ def simulate_paths(
     sqdt = np.sqrt(dt)
 
     dW0 = normal_block_array(seed, KIND_COMMON, (n_paths, steps, market.d0)) * sqdt
-    dWi = step_major((n_paths, agents, steps, market.d))
+    dWi = step_major((n_paths, agents, steps))
     # each block's draws go straight to their rows of the step-major store
-    rows = dWi.reshape(n_paths * agents, steps, market.d)
+    rows = dWi.reshape(n_paths * agents, steps)
     for start, stop, draws in _normal_blocks(seed, KIND_IDIO, rows.shape):
         np.multiply(draws, sqdt, out=rows[start:stop])
 

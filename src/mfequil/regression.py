@@ -1,9 +1,9 @@
 """Least-squares conditional expectations for backward induction.
 
 The production engine regresses targets on polynomial features of the Markov
-state (x, I, first idiosyncratic coordinate w), optionally stratified by the
-discrete risk-aversion atom of each particle (risk aversion enters terminal
-data multiplicatively, so particles with different gamma follow different
+state (x, I, idiosyncratic level w), optionally stratified by the discrete
+risk-aversion atom of each particle (risk aversion enters terminal data
+multiplicatively, so particles with different gamma follow different
 value functions and must not be pooled unless the liability is additive).
 
 Design choices that matter for reproducibility and the exactness tests:
@@ -330,7 +330,7 @@ class BasisEngine:
 
     x and run_i are common-path state arrays of shape (M0, steps + 1); w is
     the per-particle coordinate of shape (M0, K, steps + 1), read a step at a
-    time (a bundle's wi_first is step-major, so w[:, :, k] is contiguous).
+    time (a bundle's wi is step-major, so w[:, :, k] is contiguous).
     Strata are discrete risk-aversion atoms, given by their sizes (S,), which
     tile the particle axis in stratum order (None: one stratum of all K).
     weights, of shape (M0, steps + 1), are the cumulative importance weights

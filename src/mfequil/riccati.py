@@ -39,7 +39,7 @@ class EqgSpec:
 
     delta is the 1 x d0 factor loading (stored as a flat vector).  kappa is
     the loading of the idiosyncratic Gaussian liability component
-    kappa * (W^i_T)_1.  a > 0 would make exp(G0) non-integrable for long
+    kappa * W^i_T.  a > 0 would make exp(G0) non-integrable for long
     horizons and is rejected.
     """
 

@@ -15,11 +15,11 @@ from mfequil.regression import RidgeConditioner
 SIGMA_2X2 = np.array([[1.0, 0.2], [0.3, 0.9]])
 
 
-def make_market(sigma=SIGMA_2X2, d=1):
+def make_market(sigma=SIGMA_2X2):
     sig = np.asarray(sigma, dtype=float)
     n, d0 = sig.shape[-2:]
     lams = np.linalg.eigvalsh(sig @ sig.T if sig.ndim == 2 else sig[0] @ sig[0].T)
-    return MarketSpec(n=n, d0=d0, d=d, sigma=sig,
+    return MarketSpec(n=n, d0=d0, sigma=sig,
                       lambda_lo=float(lams[0]) * 0.999,
                       lambda_hi=float(lams[-1]) * 1.001)
 
@@ -36,7 +36,7 @@ def materialise(sol):
     z0 and z1 (M0, K, steps, ·)."""
     M0, K = sol.g.shape
     steps, d0 = sol.grid.steps, sol.market.d0
-    y, z = step_major((M0, K, steps + 1)), step_major((M0, K, steps, d0 + sol.market.d))
+    y, z = step_major((M0, K, steps + 1)), step_major((M0, K, steps, d0 + 1))
     y[:, :, steps] = sol.g
     for k in range(steps):
         cond = sol.engine.at(k)

@@ -4,7 +4,7 @@ Each definition here checks, or stands in for, part of the package from
 outside it, built on its public names only:
 
 * cole_hopf_oracle, cole_hopf_idio: log E[exp(G)] by sampling, and the
-  closed-form value of the idiosyncratic leg kappa (W^i_T)_1;
+  closed-form value of the idiosyncratic leg kappa W^i_T;
 * fubini_malliavin_check, coarsen_bundle: the integral-swap identity of the
   a = 0 model, and the same noise on a coarser grid to refine it on;
 * GroupMeanConditioner, TreeEngine: exact conditional expectations on an
@@ -32,17 +32,13 @@ def cole_hopf_oracle(g_samples: np.ndarray) -> float:
 
 
 def cole_hopf_idio(kappa: float, grid: TimeGrid, bundle: PathBundle):
-    """Idiosyncratic value leg for the terminal liability kappa (W^i_T)_1.
+    """Idiosyncratic value leg for the terminal liability kappa W^i_T.
 
     log E[exp(kappa W_T) | F_t] = kappa W_t + kappa^2 (T - t) / 2 for a
-    Brownian coordinate W; the integrand z1 = kappa e_1 is constant.
+    Brownian motion W; the integrand z1 = kappa is constant.
     """
     tail = 0.5 * kappa * kappa * (grid.horizon - grid.times)
-    y1 = kappa * bundle.wi_first + tail[None, None, :]
-    d = bundle.dWi.shape[3]
-    z1 = np.zeros(d)
-    z1[0] = kappa
-    return y1, z1
+    return kappa * bundle.wi + tail[None, None, :], np.array([kappa])
 
 
 def fubini_malliavin_check(bundle: PathBundle, spec: EqgSpec) -> float:
@@ -92,10 +88,10 @@ def coarsen_bundle(bundle: PathBundle, factor: int, spec: EqgSpec) -> PathBundle
     steps_c = grid.steps // factor
     coarse_grid = TimeGrid(grid.horizon, steps_c)
     M, _, d0 = bundle.dW0.shape
-    _, K, _, d = bundle.dWi.shape
+    K = bundle.n_agents
     dW0 = bundle.dW0.reshape(M, steps_c, factor, d0).sum(axis=2)
-    dWi = step_major((M, K, steps_c, d))
-    np.sum(bundle.dWi.reshape(M, K, steps_c, factor, d), axis=3, out=dWi)
+    dWi = step_major((M, K, steps_c))
+    np.sum(bundle.dWi.reshape(M, K, steps_c, factor), axis=3, out=dWi)
 
     dt = coarse_grid.dt
     x = np.empty((M, steps_c + 1))

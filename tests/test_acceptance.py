@@ -57,9 +57,9 @@ from test_meanfield import (
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-MARKET_1F = MarketSpec(n=1, d0=1, d=1, sigma=[[1.0]],
+MARKET_1F = MarketSpec(n=1, d0=1, sigma=[[1.0]],
                        lambda_lo=0.999, lambda_hi=1.001)
-MARKET_2F = MarketSpec(n=1, d0=2, d=1, sigma=[[1.0, 0.2]],
+MARKET_2F = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                        lambda_lo=1.0, lambda_hi=1.1)
 SPEC_1F = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.5,), x0=0.3, a=-0.2, b=0.5)
 SPEC_2F = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3, a=-0.2, b=0.5)
@@ -248,7 +248,7 @@ def test_ac07_tree_solver_matches_exhaustive_recursion():
     grid = TimeGrid(0.3, TREE_STEPS)
     spec = EqgSpec(alpha=-0.4, beta=0.2, delta=(0.5, 0.3), x0=0.6,
                    a=-0.3, b=0.7, kappa=0.25)
-    market = MarketSpec(n=1, d0=2, d=1, sigma=SIGMA_ROW,
+    market = MarketSpec(n=1, d0=2, sigma=SIGMA_ROW,
                         lambda_lo=1.2, lambda_hi=1.3)
     bundle, engine, keys = tree_bundle(spec, grid)
     gammas = np.array([1.0, 2.0])
@@ -375,7 +375,7 @@ def test_ac11_excess_return_sign_rule_has_no_exceptions():
 # 12-13: structural identities
 
 def test_ac12_security_replacement_leaves_market_invariant():
-    market = MarketSpec(n=2, d0=2, d=1, sigma=[[1.0, 0.2], [0.3, 0.9]],
+    market = MarketSpec(n=2, d0=2, sigma=[[1.0, 0.2], [0.3, 0.9]],
                         lambda_lo=0.5, lambda_hi=1.5)
     grid = TimeGrid(0.5, 20)
     spec = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.4, 0.1), x0=0.3,

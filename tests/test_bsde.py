@@ -64,7 +64,7 @@ def test_gaussian_liability_closed_form():
     """G = c x_T with a single incomplete-market asset: the hedgeable part
     of z = c delta is priced linearly, the orthogonal part enters through
     half its quadratic variation."""
-    market = make_market(sigma=np.array([[1.0, 0.5]]), d=1)
+    market = make_market(sigma=np.array([[1.0, 0.5]]))
     grid = TimeGrid(0.5, 10)
     spec = flat_spec()
     bundle = simulate_paths(grid, spec, market, 30000, 4)
@@ -331,7 +331,7 @@ def mf_cloud(M0=64, K=16, steps=20, seed=3):
                    a=-0.2, b=0.5, kappa=0.3)
     bundle = simulate_paths(TimeGrid(0.5, steps), spec, market, M0, seed, agents=K)
     gammas = np.tile([1.0, 2.0], K // 2)
-    g = 0.3 * np.tanh(bundle.x[:, -1])[:, None] * gammas + 0.1 * bundle.wi_first[:, :, -1]
+    g = 0.3 * np.tanh(bundle.x[:, -1])[:, None] * gammas + 0.1 * bundle.wi[:, :, -1]
     return bundle, market, g, gammas
 
 
@@ -343,8 +343,8 @@ def test_per_step_slices_are_contiguous():
     coarse = coarsen_bundle(bundle, 4, flat_spec())
     p, pi = optimal_strategy(sol, mf.theta, 1.0, market)
     w = fresh_idio_levels(3, bundle.n_paths, 5, bundle.grid)
-    arrays = {"y": materialise(sol)[0], "dWi": bundle.dWi, "wi_first": bundle.wi_first,
-              "coarse dWi": coarse.dWi, "coarse wi_first": coarse.wi_first,
+    arrays = {"y": materialise(sol)[0], "dWi": bundle.dWi, "wi": bundle.wi,
+              "coarse dWi": coarse.dWi, "coarse wi": coarse.wi,
               "p": p, "pi": pi, "pool w": w}
     for name, a in arrays.items():
         for k in range(a.shape[2]):
@@ -383,7 +383,7 @@ def test_solve_holds_one_buffer_set():
     temporaries, needs two sets and more."""
     bundle, market, g, gammas = mf_cloud()
     M0, K, steps = bundle.n_paths, bundle.n_agents, bundle.grid.steps
-    one_set = 8 * M0 * K * (steps + 1 + steps * (market.d0 + market.d))
+    one_set = 8 * M0 * K * (steps + 1 + steps * (market.d0 + 1))
     per_step = 8 * M0 * K * 80
     tracemalloc.start()
     try:
@@ -417,7 +417,7 @@ def test_solve_peak_does_not_grow_with_steps():
         finally:
             tracemalloc.stop()
         assert mf.solution.picard_iters == 3
-    step_set = 8 * 128 * 32 * (1 + market.d0 + market.d)
+    step_set = 8 * 128 * 32 * (1 + market.d0 + 1)
     assert peaks[1] - peaks[0] < 4 * step_set, (peaks, step_set)
 
 
@@ -473,7 +473,7 @@ def test_zero_iterate_driver_is_the_general_driver_at_zero(solve, grid20, market
                          max_iters=2)
     assert len(drivers) == 2
     driver = drivers[0]
-    zero = np.zeros((bundle.n_paths, bundle.n_agents, market2.d0 + market2.d))
+    zero = np.zeros((bundle.n_paths, bundle.n_agents, market2.d0 + 1))
     for k in range(grid20.steps):
         got = np.broadcast_to(driver(k, None), zero.shape[:2])
         want = driver(k, zero)

@@ -220,7 +220,7 @@ def test_rate_fit_span_preconditions():
 
 def _small_mf():
     grid = TimeGrid(0.5, 10)
-    market = MarketSpec(n=1, d0=2, d=1, sigma=[[1.0, 0.2]],
+    market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.0)
@@ -263,7 +263,7 @@ def test_agent_strategies_use_each_agents_stratum():
     atom's fit.  The reference applies that atom's factor (kept columns,
     mean and scale) and fit map to the agent's raw columns by hand."""
     grid = TimeGrid(0.5, 10)
-    market = MarketSpec(n=1, d0=2, d=1, sigma=[[1.0, 0.2]],
+    market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.0)
@@ -302,7 +302,7 @@ def test_agent_strategies_commute_with_a_permuted_pool():
     """On a stratified solve the pool may come in any order: permuting its
     agents (gammas, atoms and levels together) permutes p and pi bit for bit."""
     grid = TimeGrid(0.5, 6)
-    market = MarketSpec(n=1, d0=2, d=1, sigma=[[1.0, 0.2]],
+    market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.3)
@@ -356,7 +356,7 @@ def test_random_replacement_is_seeded_and_conditioned():
 
 
 def test_replacement_invariance_exact_for_rotations():
-    market = MarketSpec(n=2, d0=2, d=1, sigma=[[1.0, 0.2], [0.3, 0.9]],
+    market = MarketSpec(n=2, d0=2, sigma=[[1.0, 0.2], [0.3, 0.9]],
                         lambda_lo=0.5, lambda_hi=1.5)
     grid = TimeGrid(0.5, 10)
     spec = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.4, 0.1), x0=0.3,
@@ -375,7 +375,7 @@ def test_replacement_invariance_exact_for_rotations():
 
 
 def test_replacement_invariance_random_q_and_pathwise_mu():
-    market = MarketSpec(n=2, d0=2, d=1, sigma=[[1.0, 0.2], [0.3, 0.9]],
+    market = MarketSpec(n=2, d0=2, sigma=[[1.0, 0.2], [0.3, 0.9]],
                         lambda_lo=0.5, lambda_hi=1.5)
     grid = TimeGrid(0.5, 10)
     spec = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.4, 0.1), x0=0.3,
@@ -510,7 +510,7 @@ def test_run_clearing_study_smoke():
     sc = build_scenario(config_from_dict({
         "seed": 5,
         "grid": {"horizon": 0.5, "steps": 10},
-        "market": {"sigma": [[1.0, 0.2]], "d": 1},
+        "market": {"sigma": [[1.0, 0.2]]},
         "eqg": {"alpha": -0.5, "beta": 0.1, "delta": [0.4, 0.1], "x0": 0.3,
                 "a": -0.2, "b": 0.5, "kappa": 0.0},
         "population": {"gamma_values": list(GAMMA_DIST.values),

@@ -213,6 +213,13 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # a config file that still sets the idiosyncratic dimension names the key
+    with_d = json.loads(Path(TINY).read_text())
+    with_d["market"]["d"] = 1
+    (tmp_path / "with_d.json").write_text(json.dumps(with_d))
+    assert run(["riccati", "--config", str(tmp_path / "with_d.json"), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1 and "['d']" in err, err
     # the fixed-point loops need a sweep, and finite positive tolerances and clip
     for bad in ["mf.iters=0", "bsde.picard_max=0", "bsde.picard_max=2.5", "mf.iters=true",
                 "mf.tol=-1", "mf.tol=NaN", "bsde.picard_tol=0", "bsde.picard_tol=Infinity",
@@ -225,7 +232,9 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
                 "mf.n_equilibrium=-3", "mf.n_equilibrium=0", "mf.n_particles=0",
                 "mf.c_gamma_override=-1",
                 # standard errors need two common paths and two batches
-                "mf.n_common=1", "clearing.n_batches=1"]:
+                "mf.n_common=1", "clearing.n_batches=1",
+                # there is one idiosyncratic coordinate, so no key sets it
+                "market.d=1"]:
         assert run(["riccati", "--config", TINY, "--set", bad,
                     "--out", str(tmp_path)]) == 2, bad
         err = capsys.readouterr().err
@@ -235,7 +244,7 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
 
 # every scalar number of tiny.json
 NUMERIC_KEYS = [
-    "seed", "grid.horizon", "grid.steps", "market.d",
+    "seed", "grid.horizon", "grid.steps",
     *(f"eqg.{k}" for k in ("alpha", "beta", "x0", "a", "b", "kappa", "cross_eps")),
     *(f"bsde.{k}" for k in ("n_paths", "degree", "ridge", "picard_max", "picard_tol", "clip")),
     *(f"mf.{k}" for k in ("n_common", "n_particles", "iters", "tol")),

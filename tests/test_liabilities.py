@@ -31,7 +31,7 @@ def test_each_term_enters_g_and_the_bounds(common, idio, cross):
 
     # G: the common cost, then kappa (W^i_T)_1, then gamma eps (W0_T)_1 (W^i_T)_1
     want = np.zeros((bundle.n_paths, GAMMAS.size))
-    wi_T = bundle.wi_first[:, :, -1]
+    wi_T = bundle.wi[:, :, -1]
     if common:
         x = bundle.x[:, :-1]
         want += (grid.dt * np.sum(A * x * x + B * x, axis=1))[:, None]

@@ -24,13 +24,15 @@ def test_time_grid_basics():
 
 def test_market_spec_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
-        MarketSpec(n=3, d0=2, d=1, sigma=np.eye(3)[:, :2],
+        MarketSpec(n=3, d0=2, sigma=np.eye(3)[:, :2],
                    lambda_lo=0.1, lambda_hi=1.0)
     with pytest.raises(DimensionMismatch):
-        MarketSpec(n=2, d0=2, d=1, sigma=np.eye(3),
+        MarketSpec(n=2, d0=2, sigma=np.eye(3),
                    lambda_lo=0.1, lambda_hi=1.0)
     with pytest.raises(ValueError):
-        MarketSpec(n=2, d0=2, d=1, sigma=np.eye(2), lambda_lo=0.0, lambda_hi=1.0)
+        MarketSpec(n=2, d0=2, sigma=np.eye(2), lambda_lo=0.0, lambda_hi=1.0)
+    with pytest.raises(DimensionMismatch):
+        MarketSpec(n=2, d0=2, sigma=np.eye(2), lambda_lo=0.1, lambda_hi=1.0, d=2)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
@@ -64,7 +66,7 @@ def test_validate_market_flags_eigenvalue_escape():
     good = make_market()
     assert validate_market(good, grid).passed
     sig = np.asarray([[1.0, 0.2], [0.3, 0.9]])
-    bad = MarketSpec(n=2, d0=2, d=1, sigma=sig, lambda_lo=0.9, lambda_hi=0.95)
+    bad = MarketSpec(n=2, d0=2, sigma=sig, lambda_lo=0.9, lambda_hi=0.95)
     report = validate_market(bad, grid)
     assert not report.passed
     assert report.messages
@@ -203,7 +205,7 @@ def test_singular_sigma_is_rejected(sigma):
     smallest normal float, raises SingularSigma, first of all when the
     market is made."""
     with pytest.raises(SingularSigma):
-        MarketSpec(n=2, d0=3, d=1, sigma=sigma, lambda_lo=1.0, lambda_hi=1.0)
+        MarketSpec(n=2, d0=3, sigma=sigma, lambda_lo=1.0, lambda_hi=1.0)
     with pytest.raises(SingularSigma):
         project(sigma, np.ones((1, 3)))
     with pytest.raises(SingularSigma):

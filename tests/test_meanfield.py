@@ -35,13 +35,13 @@ def tree_increments(dt):
     sq = np.sqrt(dt)
     codes = np.arange(M0)
     dW0 = np.empty((M0, STEPS, D0))
-    dWi = np.empty((M0, K_TREE, STEPS, 1))
+    dWi = np.empty((M0, K_TREE, STEPS))
     for k in range(STEPS):
         digit = (codes // nb ** (STEPS - 1 - k)) % nb
         for j in range(D0):
             dW0[:, k, j] = sq * (2.0 * ((digit >> j) & 1) - 1.0)
         for i in range(K_TREE):
-            dWi[:, i, k, 0] = sq * (2.0 * ((digit >> (D0 + i)) & 1) - 1.0)
+            dWi[:, i, k] = sq * (2.0 * ((digit >> (D0 + i)) & 1) - 1.0)
     return dW0, dWi, codes, nb
 
 
@@ -115,7 +115,7 @@ def reference_fixed_point(g, dW0, dWi, keys, gammas, ghat, dt, sweeps=25):
                 dw = np.repeat(dW0[:, k, j], K)
                 z0_new[:, :, k, j] = node_mean(resid * dw / dt,
                                                flat_keys).reshape(M0, K)
-            dwi = dWi[:, :, k, 0].reshape(-1)
+            dwi = dWi[:, :, k].reshape(-1)
             z1_new[:, :, k, 0] = node_mean(resid * dwi / dt,
                                            flat_keys).reshape(M0, K)
         z0, z1 = z0_new, z1_new
@@ -126,7 +126,7 @@ def test_tree_solver_matches_brute_force():
     grid = TimeGrid(0.3, STEPS)
     spec = EqgSpec(alpha=-0.4, beta=0.2, delta=(0.5, 0.3), x0=0.6,
                    a=-0.3, b=0.7, kappa=0.25)
-    market = MarketSpec(n=1, d0=2, d=1, sigma=SIGMA_ROW,
+    market = MarketSpec(n=1, d0=2, sigma=SIGMA_ROW,
                         lambda_lo=1.2, lambda_hi=1.3)
     bundle, engine, keys = tree_bundle(spec, grid)
     gammas = np.array([1.0, 2.0])
@@ -358,11 +358,11 @@ def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_bu
     sol = mf.solution
     assert len(conditioner_builds) == grid.steps
     for k in (0, 2, 5):
-        z = sol.engine.on(k, bundle.wi_first[:, :, k], (2, 2)).evaluate(sol.fits[k])
+        z = sol.engine.on(k, bundle.wi[:, :, k], (2, 2)).evaluate(sol.fits[k])
         z = z.reshape(bundle.n_paths, bundle.n_agents, -1)
         assert np.array_equal(z, sol.z_at(k)), k
     # particles of one atom only: the other atom's map is not read
-    z = sol.engine.on(4, bundle.wi_first[:, 2:4, 4], (0, 2)).evaluate(sol.fits[4])
+    z = sol.engine.on(4, bundle.wi[:, 2:4, 4], (0, 2)).evaluate(sol.fits[4])
     np.testing.assert_allclose(z.reshape(256, 2, -1), sol.z_at(4)[:, 2:4], rtol=1e-12, atol=0)
     pool = build_population(7, 3, DiscreteDist((1.0, 2.0)))
     p, _ = pool_strategies(mf, pool, fresh_idio_levels(3, bundle.n_paths, pool.size, grid))
@@ -377,7 +377,7 @@ def test_collinear_state_raises_in_first_sweep(market2, conditioner_builds):
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
     bundle = simulate_paths(grid, spec, market2, 256, 5, agents=1)
-    bundle = replace(bundle, x=bundle.wi_first[:, 0, :].copy())
+    bundle = replace(bundle, x=bundle.wi[:, 0, :].copy())
     g = bundle.x[:, -1]
     with pytest.raises(RegressionRankDeficient, match="collinear"):
         solve_mean_field(bundle, market2, RegressionBasis(degree=1), g, np.ones(1), 1.0)

@@ -103,9 +103,10 @@ def test_simulate_paths_validates_inputs(grid20, eqg_spec, market2):
 def test_idio_draws_are_written_in_place_with_the_keyed_normals(eqg_spec, market2):
     """simulate_paths writes each block's idiosyncratic draws straight into
     the step-major dWi: the values are normal_block_array's over the
-    (M K, steps, d) rows times sqrt(dt), bit for bit, and the traced peak
+    (M K, steps) rows times sqrt(dt), bit for bit, and the traced peak
     above what the bundle keeps stays under half of dWi (a whole-array
-    temporary would add all of it)."""
+    temporary would add all of it).  The levels wi are dWi's running sums
+    from 0, step-major too."""
     grid = TimeGrid(0.5, 20)
     M, K = 64, 200
     tracemalloc.start()
@@ -117,6 +118,19 @@ def test_idio_draws_are_written_in_place_with_the_keyed_normals(eqg_spec, market
         tracemalloc.stop()
     assert peak - kept < bundle.dWi.nbytes / 2, (peak - kept, bundle.dWi.nbytes)
     assert kept - base >= bundle.dWi.nbytes
-    want = normal_block_array(17, KIND_IDIO, (M * K, grid.steps, market2.d)) * np.sqrt(grid.dt)
+    want = normal_block_array(17, KIND_IDIO, (M * K, grid.steps)) * np.sqrt(grid.dt)
     assert np.array_equal(bundle.dWi, want.reshape(bundle.dWi.shape))
     assert bundle.dWi[:, :, 3].flags.c_contiguous
+    zero = np.zeros((M, K, 1))
+    assert np.array_equal(bundle.wi, np.concatenate([zero, np.cumsum(bundle.dWi, axis=2)], axis=2))
+    assert bundle.wi[:, :, 3].flags.c_contiguous
+
+
+def test_one_coordinate_draws_are_the_first_of_a_trailing_axis():
+    """The keyed normals of (P, steps) are those of (P, steps, 1), bit for
+    bit, across a block boundary: dropping the bundle's idiosyncratic axis
+    kept every draw."""
+    shape = (2 * 1024 + 3, 7)
+    for seed in (0, 17):
+        flat = normal_block_array(seed, KIND_IDIO, shape)
+        assert np.array_equal(normal_block_array(seed, KIND_IDIO, shape + (1,))[..., 0], flat)
