@@ -34,19 +34,20 @@ Design choices that matter for reproducibility and the exactness tests:
   of the ridged Gram: O(q^2) per stratum) for its lifetime, which is that
   of the solution it serves.  A Picard sweep, and every later read of the
   solution, regresses on the same state as the first, so it reuses the
-  factor: it writes each stratum's kept columns straight from that
-  stratum's slice of the levels into the column-major array the fit reads,
-  with the products the build makes, and standardises them there with the
-  stored mean and scale.  No whole design is formed and nothing is
-  gathered.  Columns, rows and weights are the same bits every time, so
-  every fit is bit-identical to a fresh build, and a conditioner evaluates
-  a stored fit map on its rows to the same bits its fit() returned: the one
-  reader of a map, also on other particles of the same paths (BasisEngine.on).
+  factor.  A build takes the mean and scale from each stratum's raw columns;
+  build and reuse then write its kept columns with one writer, straight
+  from the stratum's slice of the levels into the column-major array the
+  fit reads, and standardise them there.  No whole design is formed and
+  nothing is gathered.  Columns, rows and weights are the same bits every
+  time, so every fit is bit-identical to a fresh build, and a conditioner
+  evaluates a stored fit map on its rows to the same bits its fit()
+  returned: the one reader of a map, also on other particles of the same
+  paths (BasisEngine.on).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,7 +93,7 @@ class RegressionBasis:
 def _write_columns(basis: RegressionBasis, x, run_i, w, out: list) -> None:
     """The raw columns of the broadcast state, in column order, into out[i] (None:
     not written): x^i w^j (1 <= i + j <= degree) from running powers, then I.
-    The one monomial loop of feature_columns and of a reuse."""
+    The one monomial loop of feature_columns and _standardised."""
     xp, wp = [1.0, x], [1.0, w]
     for _ in range(2, basis.degree + 1):
         xp.append(xp[-1] * x)
@@ -161,25 +162,24 @@ def _blockwise_gram(xs: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
 class _Strata:
     """Rows of each stratum over a row layout that is row-major in (path, particle).
 
-    sizes (S,) tile the K = sum(sizes) particles of each of M0 = P / K paths,
+    sizes (S,) tile the K particles of each of M0 paths, layout (M0, K),
     stratum by stratum (a size may be 0).  Stratum s's rows are
     a.reshape(M0, K, r)[:, sel] with sel its slice of the particle axis.
     """
 
-    def __init__(self, sizes, n_rows: int):
+    def __init__(self, sizes, layout: tuple[int, int]):
         sizes = np.asarray(sizes, dtype=np.int64)
         K = int(sizes.sum())
-        if sizes.ndim != 1 or np.any(sizes < 0) or K == 0 or n_rows % K:
-            raise ValueError(f"stratum sizes {sizes.tolist()} do not tile {n_rows} rows")
-        self.layout = (n_rows // K, K)
+        if sizes.ndim != 1 or np.any(sizes < 0) or K == 0 or K != layout[1]:
+            raise ValueError(f"stratum sizes {sizes.tolist()} do not tile {layout[1]} particles")
+        self.layout = tuple(layout)
         self.sels = [slice(e - n, e) for n, e in zip(sizes.tolist(), np.cumsum(sizes).tolist())]
         self.rows = [self.layout[0] * n for n in sizes.tolist()]
 
     def take(self, a: np.ndarray, s: int) -> np.ndarray:
-        """Stratum s's rows of a (P,) or (P, r) array, C-contiguous, in row order."""
+        """Stratum s's rows of a (P, r) array, C-contiguous, in row order."""
         M0, K = self.layout
-        sub = np.ascontiguousarray(a.reshape(M0, K, -1)[:, self.sels[s]])
-        return sub.reshape(-1, sub.shape[2]) if a.ndim == 2 else sub.reshape(-1)
+        return np.ascontiguousarray(a.reshape(M0, K, -1)[:, self.sels[s]]).reshape(-1, a.shape[1])
 
     def put(self, out: np.ndarray, s: int, vals: np.ndarray) -> None:
         """Write stratum s's rows of a (P, r) array."""
@@ -198,83 +198,102 @@ class _Factor:
     chol: np.ndarray | None   # Cholesky factor of the ridged Gram (None: no kept column)
 
 
+def _standardised(basis: RegressionBasis, x_k, i_k, w_s: np.ndarray, f: _Factor) -> np.ndarray:
+    """One stratum's kept columns on its levels w_s (M0, n), with x_k and i_k
+    the common state (M0,), written where the fit reads them: column-major
+    (rows, kept), each column the products feature_columns makes, then
+    (c - mu) / sd in place, a block of paths at a time so that each block is
+    standardised in cache.  The one writer of a conditioner's columns."""
+    cols = np.flatnonzero(f.kept)
+    xs = np.empty((cols.size,) + w_s.shape)
+    M0, n = w_s.shape
+    mu, sd = f.mu[:, None, None], f.sd[:, None, None]
+    for s, e in block_ranges(M0, block=max(1, _ROW_BLOCK // max(1, n))):
+        xb = xs[:, s:e]
+        out = [None] * basis.n_columns
+        for i, c in enumerate(cols):
+            out[c] = xb[i]
+        _write_columns(basis, x_k[s:e, None], i_k[s:e, None], w_s[s:e], out)
+        xb -= mu
+        xb /= sd
+    return xs.reshape(cols.size, w_s.size).T
+
+
+def _factorise(basis: RegressionBasis, x_k, i_k, w_s: np.ndarray, w, s: int):
+    """Stratum s's factor and standardised columns on its levels w_s (M0, n) and
+    row weights w (None: unweighted): the moments of its raw columns, the kept
+    columns from _standardised, and the Cholesky factor of the ridged Gram."""
+    q, n_rows = basis.n_columns, w_s.size
+    if (q + 1) * _MIN_ROWS_PER_COLUMN > n_rows:
+        raise RegressionRankDeficient(
+            f"{q + 1} design columns for {n_rows} paths in stratum {s}; "
+            f"need at least {_MIN_ROWS_PER_COLUMN} paths per column"
+        )
+    cols = feature_columns(basis, x_k[:, None], i_k[:, None], w_s)
+    # numpy's mean and var: sum / n, then the sum of squared deviations / n;
+    # the deviations overwrite the raw columns, freed before the kept ones are written
+    wsum = float(n_rows) if w is None else float(w.sum())
+    mu = _sum_rows(cols if w is None else cols * w[:, None]) / wsum
+    cols -= mu
+    cols *= cols
+    if w is not None:
+        cols *= w[:, None]
+    sd = np.sqrt(_sum_rows(cols) / wsum)
+    del cols
+    kept = sd > _CONST_COL_TOL * (1.0 + np.abs(mu))
+    f = _Factor(kept=kept, mu=mu[kept], sd=sd[kept], wsum=wsum, chol=None)
+    xs = _standardised(basis, x_k, i_k, w_s, f)
+    qk = xs.shape[1]
+    if not qk:
+        return f, xs
+    gram = _blockwise_gram(xs, w)
+    lam = basis.ridge * float(np.trace(gram)) / qk
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs[0] < lam:
+        raise RegressionRankDeficient(
+            f"Gram eigenvalue {eigs[0]:.3e} below ridge level {lam:.3e} "
+            f"in stratum {s}: columns are collinear"
+        )
+    return replace(f, chol=np.linalg.cholesky(gram + lam * np.eye(qk))), xs
+
+
 class RidgeConditioner:
     """Conditional expectation by stratified ridge regression at one step.
 
-    The constructor is the build: per stratum it standardises the columns,
-    accumulates the Gram blockwise, checks its rank with eigvalsh and takes
-    the Cholesky factor.  fit() can then be called with several target
-    batches.  A BasisEngine keeps each build's factors (kept columns, mean,
-    scale, weight sum, Cholesky factor) for its lifetime and binds them
-    (_bound) to columns it has written and standardised itself, so a later
-    sweep skips the Gram, the rank check and the factorisation.  A stratum's
-    standardised columns are column-major at the build and at a reuse, since
-    the BLAS products of a fit depend on the layout.  The columns, the rows
-    and the weights are the same at every sweep, so the standardised columns
-    are the same bits, and so is every fit.
+    The constructor is the build, on one step's state: x_k and i_k (M0,),
+    levels w_k (M0, K) whose strata tile K with sizes (S,), and row weights
+    weights_k (M0,) (None: unweighted); per stratum, _factorise.  fit() can
+    then be called with several target batches.  A BasisEngine keeps each
+    build's factors for its lifetime and binds them (_bound) to columns
+    written by the same _standardised, so a later sweep skips the moments,
+    the Gram, the rank check and the factorisation.  The columns, the rows
+    and the weights are the same at every sweep, and so is every fit.
     """
 
-    def __init__(
-        self,
-        raw_cols: np.ndarray,
-        sizes,
-        ridge: float = 1e-8,
-        weights: np.ndarray | None = None,
-    ):
-        P, q = raw_cols.shape
-        strata = _Strata(sizes, P)
-        factors, xss, ws = [], [], []
-        for s, n_rows in enumerate(strata.rows):
-            if n_rows == 0:
-                factors.append(None)
-                xss.append(None)
-                ws.append(None)
-                continue
-            if (q + 1) * _MIN_ROWS_PER_COLUMN > n_rows:
-                raise RegressionRankDeficient(
-                    f"{q + 1} design columns for {n_rows} paths in stratum {s}; "
-                    f"need at least {_MIN_ROWS_PER_COLUMN} paths per column"
-                )
-            cols = strata.take(raw_cols, s)
-            w = None if weights is None else strata.take(weights, s)
-            # numpy's mean and var: sum / n, then the sum of squared deviations / n
-            wsum = float(n_rows) if w is None else float(w.sum())
-            mu = _sum_rows(cols if w is None else cols * w[:, None]) / wsum
-            dev = cols - mu
-            dev *= dev
-            if w is not None:
-                dev *= w[:, None]
-            sd = np.sqrt(_sum_rows(dev) / wsum)
-            del dev  # before the standardised copy and the Gram, as var frees its own
-            kept = sd > _CONST_COL_TOL * (1.0 + np.abs(mu))
-            xs = cols[:, kept]      # column-major, the layout a reuse writes
-            xs -= mu[kept]
-            xs /= sd[kept]
-            gram = _blockwise_gram(xs, w)
-            qk = int(kept.sum())
-            if qk:
-                lam = ridge * float(np.trace(gram)) / qk
-                eigs = np.linalg.eigvalsh(gram)
-                if eigs[0] < lam:
-                    raise RegressionRankDeficient(
-                        f"Gram eigenvalue {eigs[0]:.3e} below ridge level {lam:.3e} "
-                        f"in stratum {s}: columns are collinear"
-                    )
-                chol = np.linalg.cholesky(gram + lam * np.eye(qk))
-            else:
-                chol = None
-            factors.append(_Factor(kept=kept, mu=mu[kept], sd=sd[kept], wsum=wsum, chol=chol))
-            xss.append(xs)
-            ws.append(w)
-        self._strata, self._factors, self._xs, self._w = strata, factors, xss, ws
+    def __init__(self, basis: RegressionBasis, x_k, i_k, w_k: np.ndarray, sizes,
+                 weights_k: np.ndarray | None = None):
+        self._fill(_Strata(sizes, w_k.shape), weights_k,
+                   lambda s, sel, w: _factorise(basis, x_k, i_k, w_k[:, sel], w, s))
 
     @classmethod
-    def _bound(cls, strata: _Strata, factors: list, xs: list, ws: list) -> RidgeConditioner:
-        """A conditioner on an earlier build's factors, over columns already
-        standardised with them (BasisEngine.on): no Gram, no factorisation."""
+    def _bound(cls, strata: _Strata, weights_k, stratum) -> RidgeConditioner:
+        """A conditioner on an earlier build's factors: stratum(s, sel, w) gives
+        one and its columns standardised with it (BasisEngine.on)."""
         self = cls.__new__(cls)
-        self._strata, self._factors, self._xs, self._w = strata, factors, xs, ws
+        self._fill(strata, weights_k, stratum)
         return self
+
+    def _fill(self, strata: _Strata, weights_k, stratum) -> None:
+        """Per stratum with rows, its factor and columns from stratum(s, sel, w):
+        sel is its slice of the particle axis, w its row weights, weights_k
+        (M0,) repeated over its particles (None: unweighted).  An empty one has none."""
+        self._strata, self._factors, self._xs, self._w = strata, [], [], []
+        for s, (sel, n) in enumerate(zip(strata.sels, strata.rows)):
+            w = None if weights_k is None or not n else np.repeat(weights_k, sel.stop - sel.start)
+            f, xs = stratum(s, sel, w) if n else (None, None)
+            self._factors.append(f)
+            self._xs.append(xs)
+            self._w.append(w)
 
     def fit(self, targets: np.ndarray) -> tuple[np.ndarray, list[StratumFit | None]]:
         """Fitted values (same leading shape) and the fit map, a StratumFit per stratum."""
@@ -337,15 +356,15 @@ class BasisEngine:
     of a measure change; step k regresses with weights[:, k + 1] on every
     particle.
 
-    The first at(k) builds step k's conditioner from the whole design
-    (columns_at).  Every later at(k) reuses that build's factors, as
-    on(k, ...) does for other particles of the same paths: per stratum, it
-    writes the kept columns a block of paths at a time from the stratum's
-    (M0, K_s) slice of the levels into a column-major (rows, kept) array,
-    and standardises each block there.  The memo holds O(q^2)
-    numbers per stratum and step.  It lives as long as the engine, and a
-    solution keeps its engine: each later read of step k rebuilds that
-    step's values from the columns, the factors and the stored fit map.
+    The first at(k) builds step k's conditioner from that step's state.
+    Every later at(k) reuses that build's factors, as on(k, ...) does for
+    other particles of the same paths.  Build and reuse write each
+    stratum's kept columns with the one _standardised, from the stratum's
+    (M0, K_s) slice of the levels, so no whole design is formed and nothing
+    is gathered.  The memo holds O(q^2) numbers per stratum and step.  It
+    lives as long as the engine, and a solution keeps its engine: each
+    later read of step k rebuilds that step's values from the columns, the
+    factors and the stored fit map.
     """
 
     def __init__(self, x, run_i, w, basis: RegressionBasis, strata=None,
@@ -359,60 +378,36 @@ class BasisEngine:
         self.weights = weights
         self._memo: dict[int, list[_Factor | None]] = {}
 
-    def _design(self, k: int, w_k: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Step k's design columns and row weights on levels w_k of shape (M0, n)."""
-        cols = feature_columns(self.basis, self.x[:, k, None], self.run_i[:, k, None], w_k)
-        if self.weights is None:
-            return cols, None
-        return cols, np.broadcast_to(self.weights[:, k + 1, None], w_k.shape).ravel()
-
-    def columns_at(self, k: int) -> np.ndarray:
-        return self._design(k, self.w[:, :, k])[0]
+    def _state(self, k: int) -> tuple:
+        """Step k's common state x_k, i_k (M0,) and row weights (M0,) (None: unweighted)."""
+        return self.x[:, k], self.run_i[:, k], None if self.weights is None else self.weights[:, k + 1]
 
     def at(self, k: int) -> RidgeConditioner:
         if k in self._memo:
             return self.on(k, self.w[:, :, k], self.sizes)
-        cols, w = self._design(k, self.w[:, :, k])
-        cond = RidgeConditioner(cols, self.sizes, ridge=self.basis.ridge, weights=w)
+        x_k, i_k, weights_k = self._state(k)
+        cond = RidgeConditioner(self.basis, x_k, i_k, self.w[:, :, k], self.sizes, weights_k)
         self._memo[k] = cond._factors
         return cond
 
     def on(self, k: int, w_k: np.ndarray, sizes) -> RidgeConditioner:
         """Step k's conditioner on other particles of the same common paths:
         levels w_k (M0, N), whose strata tile N with sizes (S,).  It never
-        builds: an unbuilt step or a stratum empty at the build raises
-        ValueError."""
+        builds: an unbuilt step, levels on another path count, another
+        stratum count or a stratum empty at the build raises ValueError."""
         factors = self._memo.get(k)
         if factors is None:
             raise ValueError(f"step {k} was never built")
-        strata = _Strata(sizes, w_k.size)
-        facs, xs, ws = [], [], []
-        for s, (f, sel, n) in enumerate(zip(factors, strata.sels, strata.rows, strict=True)):
-            if f is None and n:
-                raise ValueError(f"stratum {s} was empty at the build but has rows now")
-            f = f if n else None
-            facs.append(f)
-            xs.append(None if f is None else self._standardised(k, w_k[:, sel], f))
-            ws.append(None if f is None or self.weights is None
-                      else np.repeat(self.weights[:, k + 1], sel.stop - sel.start))
-        return RidgeConditioner._bound(strata, facs, xs, ws)
+        if w_k.shape[0] != self.M0:
+            raise ValueError(f"levels on {w_k.shape[0]} paths for an engine on {self.M0}")
+        strata = _Strata(sizes, w_k.shape)
+        if len(strata.sels) != len(factors):
+            raise ValueError(f"{len(strata.sels)} strata for a build of {len(factors)}")
+        x_k, i_k, weights_k = self._state(k)
 
-    def _standardised(self, k: int, w_s: np.ndarray, f: _Factor) -> np.ndarray:
-        """One stratum's kept columns of step k on its levels w_s (M0, n), written
-        where the fit reads them: column-major (rows, kept), each column the
-        products feature_columns makes, then (c - mu) / sd in place, a block
-        of paths at a time so that each block is standardised in cache."""
-        cols = np.flatnonzero(f.kept)
-        xs = np.empty((cols.size,) + w_s.shape)
-        M0, n = w_s.shape
-        mu, sd = f.mu[:, None, None], f.sd[:, None, None]
-        for s, e in block_ranges(M0, block=max(1, _ROW_BLOCK // max(1, n))):
-            xb = xs[:, s:e]
-            out = [None] * self.basis.n_columns
-            for i, c in enumerate(cols):
-                out[c] = xb[i]
-            _write_columns(self.basis, self.x[s:e, k, None], self.run_i[s:e, k, None],
-                           w_s[s:e], out)
-            xb -= mu
-            xb /= sd
-        return xs.reshape(cols.size, w_s.size).T
+        def reuse(s, sel, w):
+            if factors[s] is None:
+                raise ValueError(f"stratum {s} was empty at the build but has rows now")
+            return factors[s], _standardised(self.basis, x_k, i_k, w_k[:, sel], factors[s])
+
+        return RidgeConditioner._bound(strata, weights_k, reuse)

@@ -53,63 +53,72 @@ def test_ridge_recovers_exact_linear_map(seed):
     assert np.allclose(pred, truth(fresh), atol=1e-6)
 
 
+DEGREE_1 = RegressionBasis(degree=1)
+
+
+def step_state(rng, M0, K):
+    """One step's random state: x_k, i_k (M0,) and levels w_k (M0, K)."""
+    return rng.normal(size=M0), rng.normal(size=M0), rng.normal(size=(M0, K))
+
+
 def test_ridge_projects_conditional_mean():
     rng = np.random.default_rng(5)
-    P = 100000
-    raw = rng.normal(size=(P, 1))
-    noise = rng.normal(size=P)
-    target = 2.0 * raw[:, 0] + noise
-    fitted, _ = RidgeConditioner(raw, (P,)).fit(target)
-    # best L2 predictor given the design is 2 x; noise is orthogonal
-    assert np.sqrt(np.mean((fitted - 2.0 * raw[:, 0]) ** 2)) < 0.02
+    M0, K = 1000, 100
+    x_k, i_k, w_k = step_state(rng, M0, K)
+    target = (2.0 * w_k + rng.normal(size=(M0, K))).ravel()
+    fitted, _ = RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (K,)).fit(target)
+    # best L2 predictor given the state is 2 w; noise is orthogonal
+    assert np.sqrt(np.mean((fitted - 2.0 * w_k.ravel()) ** 2)) < 0.02
 
 
 def test_stratified_fit_equals_independent_fits():
     rng = np.random.default_rng(11)
-    P = 600
-    raw = rng.normal(size=(P, 3))
-    y = rng.normal(size=P)
-    fitted, _ = RidgeConditioner(raw, (300, 300)).fit(y)
-    for rows in (slice(0, 300), slice(300, 600)):
-        solo, _ = RidgeConditioner(raw[rows], (300,)).fit(y[rows])
-        assert np.allclose(fitted[rows], solo, atol=1e-12)
+    M0, K = 100, 6
+    x_k, i_k, w_k = step_state(rng, M0, K)
+    y = rng.normal(size=(M0, K))
+    fitted, _ = RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (3, 3)).fit(y.ravel())
+    for sel in (slice(0, 3), slice(3, 6)):
+        solo, _ = RidgeConditioner(DEGREE_1, x_k, i_k, w_k[:, sel], (3,)).fit(y[:, sel].ravel())
+        assert np.allclose(fitted.reshape(M0, K)[:, sel].ravel(), solo, atol=1e-12)
 
 
 def test_constant_columns_are_dropped():
     rng = np.random.default_rng(3)
-    P = 200
-    raw = np.column_stack([rng.normal(size=P), np.full(P, 7.0)])
-    y = 3.0 + 2.0 * raw[:, 0]
-    cond = RidgeConditioner(raw, (P,))
+    M0, K = 100, 2
+    x_k, _, w_k = step_state(rng, M0, K)
+    i_k = np.full(M0, 7.0)                    # I is known at the step
+    y = (3.0 + 2.0 * x_k[:, None] - w_k).ravel()
+    cond = RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (K,))
     fitted, step_fit = cond.fit(y)
     assert np.allclose(fitted, y, atol=1e-6)
-    # the kept columns are the step's factor; the fit map has one coefficient
-    assert cond._factors[0].kept.tolist() == [True, False]
-    assert step_fit[0].coef.shape == (1, 1)
+    # the kept columns (x, w, I) are the step's factor; the fit map has two coefficients
+    assert cond._factors[0].kept.tolist() == [True, True, False]
+    assert step_fit[0].coef.shape == (2, 1)
 
 
 def test_collinear_columns_raise():
     rng = np.random.default_rng(4)
-    P = 300
-    base = rng.normal(size=P)
-    raw = np.column_stack([base, 2.0 * base])
-    with pytest.raises(RegressionRankDeficient):
-        RidgeConditioner(raw, (P,))
+    M0, K, steps = 100, 3, 2
+    x, run_i = rng.normal(size=(M0, steps + 1)), rng.normal(size=(M0, steps + 1))
+    w = rng.normal(size=(M0, K, steps + 1))
+    w[:, :, 1] = 2.0 * x[:, 1, None]          # the w column is twice the x column
+    with pytest.raises(RegressionRankDeficient, match="collinear"):
+        BasisEngine(x, run_i, w, DEGREE_1).at(1)
 
 
 def test_too_few_rows_raise():
-    raw = np.random.default_rng(0).normal(size=(30, 5))
-    with pytest.raises(RegressionRankDeficient):
-        RidgeConditioner(raw, (30,))
+    x_k, i_k, w_k = step_state(np.random.default_rng(0), 10, 3)
+    with pytest.raises(RegressionRankDeficient, match="30 paths"):
+        RidgeConditioner(RegressionBasis(degree=2), x_k, i_k, w_k, (3,))
 
 
 def test_weighted_fit_shifts_toward_heavy_rows():
-    P = 1000
+    M0, K = 1000, 2
     rng = np.random.default_rng(8)
-    raw = rng.normal(size=(P, 1))
-    y = np.where(np.arange(P) < P // 2, 1.0, -1.0)
-    w = np.where(np.arange(P) < P // 2, 3.0, 1.0)
-    cond = RidgeConditioner(raw, (P,), weights=w)
+    x_k, i_k, w_k = step_state(rng, M0, K)
+    y = np.repeat(np.where(np.arange(M0) < M0 // 2, 1.0, -1.0), K)
+    weights_k = np.where(np.arange(M0) < M0 // 2, 3.0, 1.0)
+    cond = RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (K,), weights_k)
     _, fit = cond.fit(y)
     assert fit[0].beta0[0] == pytest.approx((3.0 - 1.0) / 4.0, abs=0.05)
 
@@ -137,8 +146,7 @@ def test_basis_engine_broadcasts_common_state():
     x = rng.normal(size=(M0, steps + 1))
     run_i = rng.normal(size=(M0, steps + 1))
     w = rng.normal(size=(M0, K, steps + 1))
-    eng = BasisEngine(x, run_i, w, RegressionBasis(degree=1))
-    cols = eng.columns_at(1)
+    cols = feature_columns(DEGREE_1, x[:, 1, None], run_i[:, 1, None], w[:, :, 1])
     assert cols.shape == (M0 * K, 3)
     # row (m, k) carries x[m], w[m, k], I[m]
     assert cols[0, 0] == x[0, 1] and cols[1, 0] == x[0, 1] and cols[3, 0] == x[1, 1]
@@ -171,14 +179,20 @@ def test_on_rejects_unbuilt_step_and_unseen_stratum(conditioner_builds):
     """Fresh particles are read with the build's factors only: a step that was
     never built, or a stratum that had no rows at the build, raises."""
     eng = two_stratum_engine(sizes=(3, 0))           # stratum 1 empty at the build
-    _, fit = eng.at(1).fit(eng.columns_at(1)[:, 0])
     rng = np.random.default_rng(7)
+    _, fit = eng.at(1).fit(rng.normal(size=eng.M0 * 3))
     fresh = rng.normal(size=(eng.M0, 5, 3))
     assert eng.on(1, fresh[:, :, 1], (5, 0)).evaluate(fit).shape == (500, 1)
     with pytest.raises(ValueError, match="never built"):
         eng.on(0, fresh[:, :, 0], (5, 0))
     with pytest.raises(ValueError, match="stratum 1 was empty"):
         eng.on(1, fresh[:, :, 1], (4, 1))
+    with pytest.raises(ValueError, match="3 strata for a build of 2"):
+        eng.on(1, fresh[:, :, 1], (4, 0, 1))
+    # levels on fewer or more paths than the engine's common paths
+    for M0 in (50, 200):
+        with pytest.raises(ValueError, match=f"levels on {M0} paths for an engine on 100"):
+            eng.on(1, rng.normal(size=(M0, 5)), (5, 0))
     assert len(conditioner_builds) == 1
 
 
@@ -192,10 +206,10 @@ def test_blocked_evaluate_equals_one_product(M0, ids, order):
     gives stratum 0 two particles per path.  At 3 * 8192 + 1 rows the last
     row joins the block before it, as a one-row product rounds differently."""
     rng = np.random.default_rng(31)
-    raw = rng.normal(size=(M0 * sum(ids), 5))
-    cond = RidgeConditioner(raw, ids)
+    x_k, i_k, w_k = step_state(rng, M0, sum(ids))
+    cond = RidgeConditioner(RegressionBasis(degree=2), x_k, i_k, w_k, ids)
     cond._xs = [np.asarray(xs, order=order) for xs in cond._xs]
-    _, step_fit = cond.fit(rng.normal(size=(raw.shape[0], 3)))
+    _, step_fit = cond.fit(rng.normal(size=(w_k.size, 3)))
     got = cond.evaluate(step_fit)
     for s, (xs, fit) in enumerate(zip(cond._xs, step_fit)):
         want = xs @ fit.coef
@@ -254,23 +268,28 @@ def test_sum_rows_matches_numpy_on_signed_zeros_and_non_finite_values():
 @pytest.mark.parametrize("sizes", [(1,), (3, 2)])
 def test_conditioner_moments_and_intercepts_are_numpys(weighted, sizes):
     """A build's column mean and scale are numpy's (weighted) mean and std
-    over the stratum's rows, and a fit's intercept is numpy's mean of the
-    targets (weighted: their weighted sum over the weight sum), to the bit,
-    for one target column and for several."""
-    M0 = 20_001
+    over the stratum's raw columns, and a fit's intercept is numpy's mean of
+    the targets (weighted: their weighted sum over the weight sum), to the
+    bit, for one target column and for several.  The state has offsets and
+    scales from 1e-4 to 1e4, so the columns span 1e-8 to 1e8."""
+    M0, K = 20_001, sum(sizes)
+    basis = RegressionBasis(degree=2)
     rng = np.random.default_rng(41)
-    raw = _rows(rng, M0 * sum(sizes), 6)
-    w = np.exp(rng.normal(size=raw.shape[0])) if weighted else None
-    cond = RidgeConditioner(raw, sizes, weights=w)
+    offset, scale = rng.uniform(-5, 5, size=3), 10.0 ** rng.uniform(-4, 4, size=3)
+    x_k, i_k, w_k = ((rng.normal(size=shape) + o) * c for shape, o, c
+                     in zip([M0, M0, (M0, K)], offset, scale))
+    w = np.exp(rng.normal(size=M0)) if weighted else None
+    cond = RidgeConditioner(basis, x_k, i_k, w_k, sizes, w)
     for r in (1, 2, 5):
-        y = _rows(rng, raw.shape[0], r)
+        y = _rows(rng, w_k.size, r)
         _, step_fit = cond.fit(y)
-        for s, (fac, fit) in enumerate(zip(cond._factors, step_fit)):
-            cols, yb = cond._strata.take(raw, s), cond._strata.take(y, s)
+        for s, (fac, fit, sel) in enumerate(zip(cond._factors, step_fit, cond._strata.sels)):
+            cols = feature_columns(basis, x_k[:, None], i_k[:, None], w_k[:, sel])
+            yb = cond._strata.take(y, s)
             if w is None:
                 mu, sd, beta0 = cols.mean(axis=0), cols.std(axis=0), yb.mean(axis=0)
             else:
-                ws = cond._strata.take(w, s)[:, None]
+                ws = np.repeat(w, sel.stop - sel.start)[:, None]
                 mu = (cols * ws).sum(axis=0) / ws.sum()
                 sd = np.sqrt(((cols - mu) ** 2 * ws).sum(axis=0) / ws.sum())
                 beta0 = (yb * ws).sum(axis=0) / ws.sum()
@@ -304,6 +323,27 @@ def test_reuse_writes_its_columns_where_they_are_read():
     assert all(xs.flags.f_contiguous for xs in cond._xs)
 
 
+def test_build_writes_its_columns_where_they_are_read():
+    """A build writes no whole design and gathers nothing: per stratum it takes
+    the moments of that stratum's raw columns, frees them, and writes the
+    kept columns with the reuse's writer.  Its traced peak above what the
+    conditioner keeps is under a quarter of a (P, q) design; a build from the
+    whole design, gathered per stratum, costs a design or more."""
+    M0, K, q = 200, 300, RegressionBasis(degree=2).n_columns
+    eng = two_stratum_engine(M0=M0, sizes=(100, 200))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cond = eng.at(1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    design = 8 * M0 * K * q
+    assert kept - base >= design        # the standardised columns it keeps
+    assert peak - kept < design / 4, (peak - kept, design)
+    assert all(xs.flags.f_contiguous for xs in cond._xs)
+
+
 DEGREE_2 = RegressionBasis(degree=2)
 
 
@@ -320,10 +360,9 @@ DEGREE_2 = RegressionBasis(degree=2)
     pytest.param([2, 2], False, RegressionBasis(degree=2, include_idio=False), id="no-idio"),
 ])
 def test_memoised_step_equals_fresh_flat_build(ids, weighted, basis):
-    """engine.at(k) builds once and then reuses the factors, writing each
-    stratum's columns itself; both calls fit bit for bit like a fresh
-    single-stratum conditioner on the flat rows of each stratum, whose sizes
-    are ids (a size-0 stratum has no fit).  At k = 0 the state is known,
+    """engine.at(k) builds once and then reuses the factors; both calls fit
+    bit for bit like a fresh single-stratum conditioner on each stratum's
+    slice of the levels, whose sizes are ids (a size-0 stratum has no fit).  At k = 0 the state is known,
     every column is dropped and the fit is the (weighted) mean."""
     M0, steps = 300, 3
     K = 4 if ids is None else sum(ids)
@@ -337,10 +376,9 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted, basis):
     eng = BasisEngine(x, run_i, w, basis, strata=ids, weights=D)
     flat = np.zeros(M0 * K, dtype=np.int64) if ids is None else np.tile(
         np.repeat(np.arange(n_strata), ids), M0)
+    ends = np.cumsum([K] if ids is None else ids)
     for k in (steps - 1, 0, 1):
         y = rng.normal(size=(M0 * K, 3))
-        cols = eng.columns_at(k)
-        wk = None if D is None else np.repeat(D[:, k + 1], K)
         for call in ("first", "repeat"):
             got, got_fit = eng.at(k).fit(y)
             for s in range(n_strata):
@@ -348,9 +386,9 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted, basis):
                 if rows.size == 0:
                     assert got_fit[s] is None
                     continue
-                fresh = RidgeConditioner(
-                    cols[rows], (rows.size,), weights=None if wk is None else wk[rows],
-                )
+                sel = slice(ends[s] - rows.size // M0, ends[s])
+                fresh = RidgeConditioner(basis, x[:, k], run_i[:, k], w[:, sel, k],
+                                         (rows.size // M0,), None if D is None else D[:, k + 1])
                 want, want_fit = fresh.fit(y[rows])
                 assert np.array_equal(got[rows], want), (call, k, s)
                 g, r = got_fit[s], want_fit[0]
@@ -362,21 +400,21 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted, basis):
 
 
 def test_stratum_ids_must_tile_the_rows():
-    raw = np.random.default_rng(1).normal(size=(300, 2))
-    RidgeConditioner(raw, (1, 2))                                           # 100 paths of 3
+    x_k, i_k, w_k = step_state(np.random.default_rng(1), 100, 3)
+    RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (1, 2))                       # 100 paths of 3
     eng = two_stratum_engine()
     eng.at(1)
     with pytest.raises(ValueError, match="do not tile"):
-        RidgeConditioner(raw, (3, 4))
-    for bad in ([2, -1, 2], [0, 0]):
+        RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (3, 4))
+    for bad in ([2, -1, 2], [0, 0], [1]):
         with pytest.raises(ValueError, match="do not tile"):
-            RidgeConditioner(raw, bad)
+            RidgeConditioner(DEGREE_1, x_k, i_k, w_k, bad)
         with pytest.raises(ValueError, match="do not tile"):
             eng.on(1, eng.w[:, :, 1], bad)
 
 
 def test_strata_are_ranges_of_the_particle_axis():
-    strata = _Strata((1, 0, 2), 300)
+    strata = _Strata((1, 0, 2), (100, 3))
     assert strata.layout == (100, 3)
     assert strata.sels == [slice(0, 1), slice(1, 1), slice(1, 3)]
     assert strata.rows == [100, 0, 200]
@@ -384,7 +422,7 @@ def test_strata_are_ranges_of_the_particle_axis():
 
 @pytest.mark.parametrize("sizes", [(3, 4), (2, -1, 2), (0, 0), (), ((1, 2),)])
 def test_strata_reject_sizes_that_do_not_tile(sizes):
-    """A negative size, a zero total, a row count the total does not divide,
+    """A negative size, a zero total, a total other than the particle count,
     or sizes that are not one list: one ValueError."""
     with pytest.raises(ValueError, match="do not tile"):
-        _Strata(sizes, 300)
+        _Strata(sizes, (100, 3))
