@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from mfequil import (
-    build_scenario, closed_form_y0, equilibrium_path, load_config, riccati_for_spec,
+    build_scenario, closed_form_error, equilibrium_path, load_config, riccati_for_spec,
     simulate_paths, solve_agent_bsde, terminal_g,
 )
 
@@ -34,13 +34,8 @@ def one_resolution(cfg, steps, n_paths, seed):
     g = terminal_g(sc.liability, bundle, np.ones(1))
     sol = solve_agent_bsde(bundle, market, sc.basis, eq.theta, g)
 
-    y0_closed = closed_form_y0(ric, spec)
-    z0 = np.stack([sol.z_at(k)[:, 0, :market.d0] for k in range(grid.steps)], axis=1)
-    z0_closed = eq.z0[:, :-1]
-    y0_rel = abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12)
-    num = np.sqrt(np.mean(np.subtract(z0, z0_closed, order="C") ** 2))
-    den = np.sqrt(np.mean(z0_closed**2))
-    return y0_rel, float(num / den), sol.picard_iters
+    err = closed_form_error(ric, spec, sol, eq)
+    return err["y0_rel_err"], err["z0_rms_rel_err"], sol.picard_iters
 
 
 def main(argv=None):

@@ -1,17 +1,20 @@
-"""Print the size of src/mfequil: its line count and its settable values.
+"""Print the size of src/mfequil: its lines, its code lines and its settable values.
 
     python scripts/size_report.py
 
+A code line holds a token other than a comment, a docstring or whitespace.
 A settable value is a function parameter with a default, a dataclass field
 with a default, or a command-line flag (an add_argument option starting
-with "--").  Both counts are read from the source with ast, nothing is
-imported.
+with "--").  Every count is read from the source with tokenize and ast,
+nothing is imported.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mfequil"
@@ -43,13 +46,36 @@ def settable_values(tree: ast.AST) -> int:
     return count
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(text: str, tree: ast.AST) -> int:
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.add((first.lineno, first.col_offset))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE and not (tok.type == tokenize.STRING
+                                              and tok.start in docstrings):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
-    lines = settable = 0
+    lines = code = settable = 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
         lines += len(text.splitlines())
-        settable += settable_values(ast.parse(text))
+        code += code_lines(text, tree)
+        settable += settable_values(tree)
     print(f"src/mfequil lines: {lines}")
+    print(f"src/mfequil code lines: {code}")
     print(f"settable values: {settable}")
     return 0
 

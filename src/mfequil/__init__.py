@@ -47,7 +47,7 @@ from .config import (
 )
 from .equilibrium import (
     EquilibriumPath,
-    closed_form_y0,
+    closed_form_error,
     equilibrium_path,
     martingale_check,
     sign_law_violations,

@@ -110,16 +110,13 @@ class ScenarioConfig:
 _TUPLE_FIELDS = {"sigma", "delta", "gamma_values", "gamma_probs", "Ns"}
 
 
-def _to_jsonable(obj):
+def config_to_dict(obj):
+    """The plain JSON document of a config, or of any value in one."""
     if is_dataclass(obj):
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        return {f.name: config_to_dict(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, (tuple, list)):
-        return [_to_jsonable(v) for v in obj]
+        return [config_to_dict(v) for v in obj]
     return obj
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return _to_jsonable(cfg)
 
 
 def _coerce(cls, data: dict):
@@ -131,11 +128,13 @@ def _coerce(cls, data: dict):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {cls.__name__}")
     kwargs = {}
     for name, value in data.items():
-        if isinstance(value, dict):
-            sub = _SUBBLOCKS.get(name)
-            if sub is None:
-                raise ConfigError(f"unexpected object for scalar key {name!r}")
-            kwargs[name] = _coerce(sub, value)
+        block = known[name].default
+        if is_dataclass(block):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be an object, got {value!r}")
+            kwargs[name] = _coerce(type(block), value)
+        elif isinstance(value, dict):
+            raise ConfigError(f"unexpected object for scalar key {name!r}")
         elif isinstance(value, list):
             if name == "sigma":
                 if not all(isinstance(row, list) and all(map(_real, row)) for row in value):
@@ -151,17 +150,6 @@ def _coerce(cls, data: dict):
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
-
-
-_SUBBLOCKS = {
-    "grid": GridConfig,
-    "market": MarketConfig,
-    "eqg": EqgConfig,
-    "population": PopulationConfig,
-    "bsde": BsdeConfig,
-    "mf": MfConfig,
-    "clearing": ClearingConfig,
-}
 
 
 def _int(v, lo=-math.inf) -> bool:
@@ -181,6 +169,7 @@ def _reals(v) -> bool:
 # engine constructor checks; build_scenario triggers those (TimeGrid, MarketSpec,
 # EqgSpec, RegressionBasis, DiscreteDist and validate_market).
 _RANGES = (
+    (("name",), lambda v, c: isinstance(v, str), "a string"),
     (("seed", "grid.steps", "bsde.degree"), lambda v, c: _int(v), "an integer"),
     (("bsde.n_paths", "bsde.picard_max", "mf.n_particles", "mf.iters",
       "clearing.n_equilibrium", "clearing.n_invariance_draws"),
@@ -238,15 +227,13 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        *path, last = key.split(".")
         node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"override path {key!r} does not exist")
-            node = node[part]
-        if parts[-1] not in node:
+        for part in path:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict) or last not in node:
             raise ConfigError(f"override path {key!r} does not exist")
-        node[parts[-1]] = value
+        node[last] = value
     return data
 
 
@@ -276,13 +263,17 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     """Build the engine objects of cfg and check sigma sigma^T on its grid.
 
     The market's spectral bounds are the eigenvalue range of sigma sigma^T
-    widened by 0.1%.  A range error from any constructor, or a singular
-    sigma sigma^T, raises one ConfigError.
+    widened by 0.1%.  A range error from any constructor, or a singular or
+    overflowing sigma sigma^T, raises one ConfigError.
     """
     try:
         grid = TimeGrid(cfg.grid.horizon, cfg.grid.steps)
         sigma = np.asarray(cfg.market.sigma, dtype=float)
-        eig = np.linalg.eigvalsh(sigma @ sigma.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = sigma @ sigma.T
+        if not np.all(np.isfinite(cov)):
+            raise ValueError(f"market.sigma overflows sigma sigma^T, got {cfg.market.sigma!r}")
+        eig = np.linalg.eigvalsh(cov)
         market = MarketSpec(
             n=sigma.shape[0], d0=sigma.shape[1], sigma=sigma,
             lambda_lo=float(eig.min()) * 0.999, lambda_hi=float(eig.max()) * 1.001,

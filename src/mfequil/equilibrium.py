@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bsde import BsdeSolution
 from .market import MarketSpec, TimeGrid, excess_return_from_theta
 from .paths import PathBundle
 from .riccati import EqgSpec, RiccatiSolution
@@ -45,10 +46,29 @@ class EquilibriumPath:
     mu: np.ndarray
 
 
-def closed_form_y0(ric: RiccatiSolution, spec: EqgSpec) -> float:
-    """y0 of the additive liability: A x0^2 + B x0 + C at t = 0 plus kappa^2 T / 2."""
-    y0 = float(ric.A[0] * spec.x0 * spec.x0 + ric.B[0] * spec.x0 + ric.C[0])
-    return y0 + 0.5 * spec.kappa**2 * ric.grid.horizon
+def closed_form_error(
+    ric: RiccatiSolution, spec: EqgSpec, sol: BsdeSolution, eq: EquilibriumPath | None
+) -> dict:
+    """A solve's error against the additive liability's closed form.
+
+    y0_closed is A x0^2 + B x0 + C at t = 0 plus kappa^2 T / 2, and
+    y0_rel_err is |sol.y0 - y0_closed| over |y0_closed| (floored at 1e-12).
+    Given eq, the closed form on the solve's own paths, z0_rms_rel_err is the
+    RMS of the common hedge's error over steps 0..steps-1 over the closed
+    form's RMS (floored at 1e-12).
+    """
+    y0_closed = float(ric.A[0] * spec.x0 * spec.x0 + ric.B[0] * spec.x0 + ric.C[0])
+    y0_closed += 0.5 * spec.kappa**2 * ric.grid.horizon
+    err = {"y0_closed": y0_closed,
+           "y0_rel_err": float(abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12))}
+    if eq is not None:
+        z0_closed = eq.z0[:, :-1]
+        z0 = np.stack([sol.z_at(k)[:, 0, :z0_closed.shape[2]] for k in range(eq.grid.steps)],
+                      axis=1)
+        num = np.sqrt(np.mean(np.subtract(z0, z0_closed, order="C") ** 2))
+        den = max(np.sqrt(np.mean(z0_closed**2)), 1e-12)
+        err["z0_rms_rel_err"] = float(num / den)
+    return err
 
 
 def equilibrium_path(

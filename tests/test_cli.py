@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -220,13 +221,21 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
     assert run(["riccati", "--config", str(tmp_path / "with_d.json"), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1 and "['d']" in err, err
+    # a block given a non-object value names the block
+    no_grid = json.loads(Path(TINY).read_text()) | {"grid": None}
+    (tmp_path / "no_grid.json").write_text(json.dumps(no_grid))
+    assert run(["riccati", "--config", str(tmp_path / "no_grid.json"),
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: grid must be an object, got None\n", err
     # the fixed-point loops need a sweep, and finite positive tolerances and clip
     for bad in ["mf.iters=0", "bsde.picard_max=0", "bsde.picard_max=2.5", "mf.iters=true",
                 "mf.tol=-1", "mf.tol=NaN", "bsde.picard_tol=0", "bsde.picard_tol=Infinity",
                 "bsde.clip=-1", 'bsde.clip="50"',
                 # ranges the engine constructors check, through build_scenario
                 "grid.steps=0", "grid.horizon=-1", "bsde.degree=0", "bsde.ridge=-1",
-                "market.sigma=[[1,0],[1,0]]", "population.gamma_probs=[0.5,0.6,0]",
+                "market.sigma=[[1,0],[1,0]]", "market.sigma=[[1,2],[3]]",
+                "population.gamma_probs=[0.5,0.6,0]",
                 # ranges only the config layer checks
                 "bsde.n_paths=0", "clearing.n_common=1", "clearing.Ns=[30,10]",
                 "mf.n_equilibrium=-3", "mf.n_equilibrium=0", "mf.n_particles=0",
@@ -234,16 +243,23 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
                 # standard errors need two common paths and two batches
                 "mf.n_common=1", "clearing.n_batches=1",
                 # there is one idiosyncratic coordinate, so no key sets it
-                "market.d=1"]:
-        assert run(["riccati", "--config", TINY, "--set", bad,
-                    "--out", str(tmp_path)]) == 2, bad
+                "market.d=1",
+                # a block is an object and the name a string
+                "population=5", "name=null",
+                # sigma sigma^T overflows: one line, and no numpy warning
+                "market.sigma=[[1e308,1e308],[1,1]]"]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["riccati", "--config", TINY, "--set", bad,
+                        "--out", str(tmp_path)]) == 2, bad
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1, (bad, err)
         assert "Traceback" not in err
 
 
-# every scalar number of tiny.json
+# every scalar number of tiny.json, and every block
 NUMERIC_KEYS = [
+    "grid", "market", "eqg", "population", "bsde", "mf", "clearing",
     "seed", "grid.horizon", "grid.steps",
     *(f"eqg.{k}" for k in ("alpha", "beta", "x0", "a", "b", "kappa", "cross_eps")),
     *(f"bsde.{k}" for k in ("n_paths", "degree", "ridge", "picard_max", "picard_tol", "clip")),
@@ -259,9 +275,10 @@ NUMERIC_KEYS = [
     value=st.one_of(st.integers(-3, 40), st.floats(), st.none(), st.booleans()),
 )
 def test_random_numeric_value_exits_cleanly(key, value):
-    """Any value for any numeric key: exit 0, 1 or 2, no exception escapes,
-    and a manifest whenever a stage ran.  The scenario is built before the
-    first stage, so the cheap riccati stage exercises the whole config."""
+    """Any value for any numeric key or block: exit 0, 1 or 2, no exception
+    escapes, and a manifest whenever a stage ran.  The scenario is built
+    before the first stage, so the cheap riccati stage exercises the whole
+    config."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, redirect_stderr(err), redirect_stdout(io.StringIO()):
         rc = run(["riccati", "--config", TINY, "--out", out,
@@ -295,6 +312,17 @@ def test_underflowed_growth_fails_the_martingale_gate(tmp_path, capsys, override
     assert "Traceback" not in capsys.readouterr().err
     eq = json.loads((tmp_path / "manifest.json").read_text())["stages"]["equilibrium"]
     assert eq["status"] == "fail" and eq["martingale_gap"] == 1.0
+
+
+def test_non_finite_riccati_coefficients_fail_the_stage(tmp_path):
+    """eqg.b = 1e308 overflows B and C to inf in the closed form and the ODE
+    oracle alike, so their difference is NaN: the sup-difference gate fails
+    on it, and the manifest writes it as null."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(["riccati", "--config", TINY, "--out", str(tmp_path), "--set", "eqg.b=1e308"])
+    assert rc == 1
+    stage = json.loads((tmp_path / "manifest.json").read_text())["stages"]["riccati"]
+    assert stage["status"] == "fail" and stage["sup_diff_vs_ode"] is None
 
 
 def test_value_error_in_stage_is_a_failed_stage(tmp_path, capsys, monkeypatch):

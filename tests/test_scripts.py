@@ -26,8 +26,8 @@ def test_script_runs(name, argv, rc, capsys):
     assert out.startswith("scenario ")
 
 
-def test_size_report_prints_two_counts(capsys):
+def test_size_report_prints_three_counts(capsys):
     assert _script("size_report").main([]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert all(line.rsplit(": ", 1)[1].isdigit() for line in lines)
