@@ -26,11 +26,17 @@ An engine is any object whose at(k) returns step k's conditioner, with
 fit(targets) -> (fitted values, fit map) and evaluate(fit map) -> the
 map's values on that step's rows.  The package's engine is
 regression.BasisEngine; the tests supply an exact group-mean engine for
-enumerable noise trees.
+enumerable noise trees.  A solve holds a list of risk-aversion atoms, each
+a contiguous range of the particle axis with its own engine; the agent and
+tilted solves have one atom of all particles.  The atoms meet only in
+theta and in the sums over all particles (theta's agent mean, the stopping
+rule's sums, y0's mean), which read one (M0, K, ...) array of the atoms'
+parts side by side.
 
-The solution is its coefficients, each step's fit maps on the engine's
-basis: no (particle, step) array of y or z is stored.  A sweep rebuilds the
-previous iterate's z one step at a time and holds y at two steps only.
+The solution is its coefficients, each step's fit map per atom on that
+atom's basis: no (particle, step) array of y or z is stored.  A sweep
+rebuilds the previous iterate's z one step at a time and holds y at two
+steps only.
 
 Verification is the optimality-of-martingale test: along the candidate
 optimum p*, the process R^p = -exp(-gamma (W^p - Y)) must be a martingale,
@@ -53,18 +59,20 @@ from .regression import BasisEngine, RegressionBasis
 class BsdeSolution:
     """Backward-induction output on a particle cloud of shape (M0, K): its fit maps.
 
-    fits[k] maps step k's state to (z0, z1) and y_fits[k] to the stage-1 pair
-    (y_k+1, driver), so y_k = fitted y_k+1 + dt fitted driver.
-    z_at and y_at rebuild one step on the solve's engine, to the bits the
+    atoms[s] is risk-aversion atom s: its contiguous range of the particle
+    axis and its engine, or None for an atom with no particle.  fits[k][s]
+    maps atom s's state at step k to (z0, z1) and y_fits[k][s] to the
+    stage-1 pair (y_k+1, driver), so y_k = fitted y_k+1 + dt fitted driver.
+    z_at and y_at rebuild one step on the atoms' engines, to the bits the
     last sweep computed.
     """
 
     grid: TimeGrid
     market: MarketSpec
-    engine: object              # the engine the solve regressed with
+    atoms: list                 # (particle range, engine) per atom; None: no particle
     g: np.ndarray               # (M0, K) terminal values
-    fits: list                  # z fit map per step
-    y_fits: list                # stage-1 (y, driver) fit map per step
+    fits: list                  # per step, {atom: z fit map}
+    y_fits: list                # per step, {atom: stage-1 (y, driver) fit map}
     y0: float                   # mean initial value
     picard_iters: int = 0
     converged: bool = False
@@ -72,22 +80,39 @@ class BsdeSolution:
     y0_changes: list[float] = field(default_factory=list)   # dy0 of sweeps 2, 3, ...
     z_changes: list[float] = field(default_factory=list)    # dz of sweeps 2, 3, ...
 
-    def z_at(self, k: int, cond=None) -> np.ndarray:
-        """z (M0, K, d0 + 1) on interval k: z0 in the first d0 columns, z1 last.
+    def conditioners(self, k: int) -> dict:
+        """Step k's conditioner of each atom with particles, {atom: conditioner}."""
+        return {s: atom[1].at(k) for s, atom in enumerate(self.atoms) if atom is not None}
 
-        cond is step k's conditioner, when the caller has built it already.
-        """
-        cond = self.engine.at(k) if cond is None else cond
-        return cond.evaluate(self.fits[k]).reshape(*self.g.shape, -1)
+    def z_parts(self, k: int, conds: dict) -> dict:
+        """z on interval k per atom, {atom: (M0, K_s, d0 + 1)}, z0 in the first
+        d0 columns, z1 last; conds is conditioners(k)."""
+        return self._read(self.fits[k], conds)
 
-    def y_at(self, k: int, cond=None) -> np.ndarray:
-        """y (M0, K) on node k; cond as in z_at."""
+    def z_at(self, k: int, conds=None) -> np.ndarray:
+        """z (M0, K, d0 + 1) on interval k; conds as in z_parts, when the caller has it."""
+        return _joined(self.z_parts(k, self.conditioners(k) if conds is None else conds))
+
+    def y_at(self, k: int, conds=None) -> np.ndarray:
+        """y (M0, K) on node k; conds as in z_at."""
         if k == self.grid.steps:
             return self.g
-        cond = self.engine.at(k) if cond is None else cond
-        fitted = cond.evaluate(self.y_fits[k])
-        dt = self.grid.dt
-        return (fitted[:, 0] + dt * fitted[:, 1]).reshape(self.g.shape)
+        fitted = self._read(self.y_fits[k], self.conditioners(k) if conds is None else conds)
+        return _joined({s: f[..., 0] + self.grid.dt * f[..., 1] for s, f in fitted.items()})
+
+    def _read(self, fits: dict, conds: dict) -> dict:
+        """Each atom's fit map on its rows, {atom: (M0, K_s, r)}."""
+        out = {}
+        for s, cond in conds.items():
+            vals = cond.evaluate(fits[s])
+            out[s] = vals.reshape(self.g.shape[0], -1, vals.shape[1])
+        return out
+
+
+def _joined(parts: dict) -> np.ndarray:
+    """Per-atom (M0, K_s, ...) arrays side by side on the particle axis: (M0, K, ...)."""
+    vals = list(parts.values())
+    return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=1)
 
 
 def _sum_last(a: np.ndarray) -> np.ndarray:
@@ -106,64 +131,73 @@ def _pathwise_theta(theta: np.ndarray, steps: int, d0: int, n_paths: int) -> np.
     return np.broadcast_to(th, (n_paths, steps, d0))
 
 
-def _backward_pass(engine, g: np.ndarray, bundle: PathBundle, market: MarketSpec,
+def _backward_pass(atoms: list, g: np.ndarray, bundle: PathBundle, market: MarketSpec,
                    driver, prev: BsdeSolution | None, tilt=None):
     """One linear backward sweep with the driver frozen at the previous iterate.
 
-    prev is the previous sweep's solution (None: z = 0).  Step k of its z is
-    rebuilt on step k's conditioner, which the sweep builds anyway, and
-    driver(k, z) -> (M0, K) or (M0, 1) array freezes the driver there; it is
-    regressed with the continuation value.  In the first sweep no z is formed:
-    the driver gets z = None and gives its value at z = 0.  tilt(k) -> theta_k
-    makes it the measure-changed sweep: the common increments are shifted by
-    theta_k dt.  Its regressions are weighted by the cumulative weights the
-    engine was built with, so tilt carries no weights.  Only y at steps k + 1
-    and k is held.  Returns the new solution, y at step 0, and the summed
-    squares of the change of z and of the new z; the loop reads those from
-    the second sweep on, so the first sweep returns None for both.
+    atoms are as in BsdeSolution, and each atom's y, targets and fitted
+    values are (M0, K_s) arrays of its own.  prev is the previous sweep's
+    solution (None: z = 0).  Step k of its z is rebuilt on step k's
+    conditioners, which the sweep builds anyway, and driver(k, zs) -> {atom:
+    (M0, K_s) or (M0, 1) array}, zs {atom: z}, freezes the driver there; it
+    is regressed with the continuation value.  In the first sweep no z is
+    formed: the driver gets zs = None and gives its value at z = 0, one
+    array for every atom.  tilt(k) -> theta_k makes it the measure-changed
+    sweep: the common increments are shifted by theta_k dt.  Its regressions
+    are weighted by the cumulative weights the engines were built with, so
+    tilt carries no weights.  Only y at steps k + 1 and k is held.  Returns
+    the new solution, y (M0, K) at step 0, and the summed squares of the
+    change of z and of the new z, each atom writing its slice of one
+    (M0, K, d0 + 1) buffer; the loop reads those from the second sweep on,
+    so the first sweep returns None for both.
     """
     dW0, dWi, dt = bundle.dW0, bundle.dWi, bundle.grid.dt
     M0, K = g.shape
     steps, d0 = bundle.grid.steps, market.d0
-    P = M0 * K
-    fits, y_fits = [None] * steps, [None] * steps
-    stage1 = np.empty((P, 2))
-    prods = np.empty((P, d0 + 1))
-    prods3 = prods.reshape(M0, K, -1)
+    sol = BsdeSolution(grid=bundle.grid, market=market, atoms=atoms, g=g, y0=np.nan,
+                       fits=[{} for _ in range(steps)], y_fits=[{} for _ in range(steps)])
+    ys = {s: g[:, atom[0]] for s, atom in enumerate(atoms) if atom is not None}
+    bufs = {s: (np.empty((M0, y.shape[1], 2)), np.empty((M0, y.shape[1], d0 + 1)))
+            for s, y in ys.items()}
     if prev is not None:
         # squares of the z change, z0 part then z1 part, then of the new z
-        sq = np.empty(P * (d0 + 1))
-        sq0, sq1, sq2 = (sq[:P * d0].reshape(M0, K, d0), sq[P * d0:].reshape(M0, K, 1),
-                         sq.reshape(P, -1))
-    y = g
+        sq = np.empty(M0 * K * (d0 + 1))
+        sq0, sq1, sq2 = (sq[:M0 * K * d0].reshape(M0, K, d0),
+                         sq[M0 * K * d0:].reshape(M0, K, 1), sq.reshape(M0, K, d0 + 1))
     dz2 = z2 = None if prev is None else 0.0
     for k in range(steps - 1, -1, -1):
         dw0_k = dW0[:, k, :]
         if tilt is not None:
             dw0_k = dw0_k + tilt(k) * dt
-        cond = engine.at(k)
-        z_old = None if prev is None else prev.z_at(k, cond)
-        stage1[:, 0] = y.reshape(P)
-        stage1.reshape(M0, K, 2)[..., 1] = driver(k, z_old)
-        fitted1, y_fits[k] = cond.fit(stage1)
-        y_fit = fitted1[:, 0]
-
-        resid = (y.reshape(P) - y_fit).reshape(M0, K, 1)
-        np.multiply(resid, dw0_k[:, None, :], out=prods3[..., :d0])
-        np.multiply(resid, dWi[:, :, k, None], out=prods3[..., d0:])
-        prods /= dt
-        fitted2, fits[k] = cond.fit(prods)
+        conds = sol.conditioners(k)
+        z_old = None if prev is None else prev.z_parts(k, conds)
+        f = driver(k, z_old)
+        z_new = {}
+        for s, cond in conds.items():
+            y, (stage1, prods) = ys[s], bufs[s]
+            stage1[..., 0] = y
+            stage1[..., 1] = f if z_old is None else f[s]
+            fitted1, sol.y_fits[k][s] = cond.fit(stage1.reshape(-1, 2))
+            resid = (y - fitted1[:, 0].reshape(y.shape))[..., None]
+            np.multiply(resid, dw0_k[:, None, :], out=prods[..., :d0])
+            np.multiply(resid, dWi[:, atoms[s][0], k, None], out=prods[..., d0:])
+            prods /= dt
+            fitted2, sol.fits[k][s] = cond.fit(prods.reshape(-1, d0 + 1))
+            z_new[s] = fitted2.reshape(prods.shape)
+            ys[s] = (fitted1[:, 0] + dt * fitted1[:, 1]).reshape(y.shape)
 
         if z_old is not None:
-            new = fitted2.reshape(M0, K, -1)
-            np.subtract(new[..., :d0], z_old[..., :d0], out=sq0)
-            np.subtract(new[..., d0:], z_old[..., d0:], out=sq1)
+            for s, new in z_new.items():
+                sel = atoms[s][0]
+                np.subtract(new[..., :d0], z_old[s][..., :d0], out=sq0[:, sel])
+                np.subtract(new[..., d0:], z_old[s][..., d0:], out=sq1[:, sel])
             sq *= sq
             dz2 += float(np.sum(sq0) + np.sum(sq1))
-            z2 += float(np.sum(np.multiply(fitted2, fitted2, out=sq2)))
-        y = (y_fit + dt * fitted1[:, 1]).reshape(M0, K)
-    sol = BsdeSolution(grid=bundle.grid, market=market, engine=engine, g=g,
-                       fits=fits, y_fits=y_fits, y0=float(np.mean(y)))
+            for s, new in z_new.items():
+                np.multiply(new, new, out=sq2[:, atoms[s][0]])
+            z2 += float(np.sum(sq2))
+    y = _joined(ys)
+    sol.y0 = float(np.mean(y))
     return sol, y, dz2, z2
 
 
@@ -217,48 +251,56 @@ def _fixed_point(sweep, n: int, max_iters: int, tol: float):
     return sol
 
 
-def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, theta_at,
+def _solve(bundle: PathBundle, market: MarketSpec, atoms: list, g: np.ndarray, theta_at,
            max_iters: int, tol: float, clip: float, tilted: bool = False) -> BsdeSolution:
     """The one solve behind the agent, tilted and mean-field solves.
 
+    atoms are as in BsdeSolution; the agent and tilted solves have one atom.
     Each sweep freezes the driver at the previous iterate.  At step k it
-    clips z to [-clip, clip], splits z0 through the step's row-space
-    projector, takes theta = theta_at(k, z0_par), of shape (M0, d0), and adds
-    -z0_par theta - |theta|^2 / 2 + (|z0_perp|^2 + |z1|^2) / 2.  A tilted
-    solve drops -z0_par theta, which its measure absorbs, and shifts the
-    common increments by theta_at(k, None) dt; its engine carries the weights.
-    The first sweep's z is 0: its driver is 0.0 - |theta_at(k, None)|^2 / 2,
-    which is what the general form gives on a zero z, sign of zero included.
-    The engine lives as long as the solution, so each step's regression is
-    built in the first sweep and reused by the later ones and by every read.
+    clips each atom's z to [-clip, clip], splits z0 through the step's
+    row-space projector, takes theta = theta_at(k, z0_par), of shape
+    (M0, d0), with z0_par (M0, K, d0) written a slice per atom, and
+    adds -z0_par theta - |theta|^2 / 2 + (|z0_perp|^2 + |z1|^2) / 2.  A
+    tilted solve drops -z0_par theta, which its measure absorbs, and shifts
+    the common increments by theta_at(k, None) dt; its engine carries the
+    weights.  The first sweep's z is 0: its driver is
+    0.0 - |theta_at(k, None)|^2 / 2, which is what the general form gives on
+    a zero z, sign of zero included.  The engines live as long as the
+    solution, so each step's regression is built in the first sweep and
+    reused by the later ones and by every read.
     """
     steps = bundle.grid.steps
     g = np.asarray(g, dtype=float).reshape(bundle.n_paths, bundle.n_agents)
     proj, _ = market.geometry(steps)
     tilt = (lambda k: theta_at(k, None)) if tilted else None
+    d0 = market.d0
 
     def sweep(prev):
         clips = 0
 
-        def driver(k, z):
+        def driver(k, zs):
             nonlocal clips
-            if z is None:
+            if zs is None:
                 return 0.0 - 0.5 * np.sum(theta_at(k, None) ** 2, axis=1)[:, None]
-            if not (z.max() <= clip and z.min() >= -clip):     # a NaN fails both tests
-                clips += int(np.sum(np.abs(z) > clip))
-                z = np.clip(z, -clip, clip)
-            z0k, z1k = z[..., :market.d0], z[..., market.d0:]
-            z0_par = z0k @ proj[k]
-            perp = z0k - z0_par
-            perp *= perp
-            f = 0.5 * (_sum_last(perp) + _sum_last(z1k**2))
+            # each atom writes its slice of the cloud's z0_par, which theta reads
+            z0_par, f = np.empty(g.shape + (d0,)), {}
+            for s, z in zs.items():
+                if not (z.max() <= clip and z.min() >= -clip):     # a NaN fails both tests
+                    clips += int(np.sum(np.abs(z) > clip))
+                    z = np.clip(z, -clip, clip)
+                z0k, z1k = z[..., :d0], z[..., d0:]
+                perp = z0k - np.matmul(z0k, proj[k], out=z0_par[:, atoms[s][0]])
+                perp *= perp
+                f[s] = 0.5 * (_sum_last(perp) + _sum_last(z1k**2))
             th = theta_at(k, z0_par)
-            if not tilted:
-                f -= np.einsum("mkj,mj->mk", z0_par, th)
-            f -= 0.5 * np.sum(th**2, axis=1)[:, None]
+            half = 0.5 * np.sum(th**2, axis=1)[:, None]
+            for s in f:
+                if not tilted:
+                    f[s] -= np.einsum("mkj,mj->mk", z0_par[:, atoms[s][0]], th)
+                f[s] -= half
             return f
 
-        out = _backward_pass(engine, g, bundle, market, driver, prev, tilt)
+        out = _backward_pass(atoms, g, bundle, market, driver, prev, tilt)
         return (*out, clips)
 
     return _fixed_point(sweep, g.size * steps, max_iters, tol)
@@ -278,7 +320,7 @@ def solve_agent_bsde(
     of shape (steps, d0) or (M0, steps, d0)."""
     th = _pathwise_theta(theta, bundle.grid.steps, market.d0, bundle.n_paths)
     engine = BasisEngine(bundle.x, bundle.I, bundle.wi, basis)
-    return _solve(bundle, market, engine, g_samples, lambda k, _: th[:, k],
+    return _solve(bundle, market, [(slice(None), engine)], g_samples, lambda k, _: th[:, k],
                   picard_max, picard_tol, clip)
 
 
@@ -330,7 +372,7 @@ def solve_under_q(
         )
     th = _pathwise_theta(theta, bundle.grid.steps, market.d0, M0)
     engine = BasisEngine(bundle.x, bundle.I, bundle.wi, basis, weights=D)
-    sol = _solve(bundle, market, engine, g_samples, lambda k, _: th[:, k],
+    sol = _solve(bundle, market, [(slice(None), engine)], g_samples, lambda k, _: th[:, k],
                  picard_max, picard_tol, clip, tilted=True)
     return sol, ess
 
@@ -468,15 +510,19 @@ def verify_condition_r(
 def bmo_proxy(backward, dt: float) -> float:
     """Regression estimate of sup_t E[ int_t^T |z|^2 ds | F_t ].
 
-    backward yields (cond, z0, z1) for k = steps - 1, ..., 0: step k's
-    conditioner and z on interval k, of shapes (M0, K, d0) and (M0, K, 1).
-    The remaining quadratic variation is accumulated backward step by step,
-    the same additions np.cumsum makes, fitted on each step's state basis,
-    and the max fitted value is returned.
+    backward yields, for k = steps - 1, ..., 0, {atom: (cond, z0, z1)}: each
+    atom's step-k conditioner and z on interval k, of shapes (M0, K_s, d0)
+    and (M0, K_s, 1).  Each atom's remaining quadratic variation is
+    accumulated backward step by step, the same additions np.cumsum makes,
+    fitted on its step's state basis, and the max fitted value is returned.
     """
-    remaining = out = 0.0
-    for cond, z0, z1 in backward:
-        remaining = remaining + (_sum_last(z0**2) + _sum_last(z1**2)) * dt
-        fitted, _ = cond.fit(remaining.reshape(-1))
-        out = max(out, float(np.max(fitted)))
+    remaining: dict = {}
+    out = 0.0
+    for step in backward:
+        peaks = []
+        for s, (cond, z0, z1) in step.items():
+            remaining[s] = remaining.get(s, 0.0) + (_sum_last(z0**2) + _sum_last(z1**2)) * dt
+            fitted, _ = cond.fit(remaining[s].reshape(-1))
+            peaks.append(np.max(fitted))
+        out = max(out, float(np.max(peaks)))
     return out

@@ -4,9 +4,9 @@ A heterogeneous population of exponential-utility agents is drawn i.i.d.
 (risk aversion from discrete atoms, idiosyncratic noise fresh per agent;
 initial wealth is not drawn, since it does not move exponential-utility
 positions) and every agent is pushed through the solution map fitted on
-the equilibrium cloud: agent i's hedging demand z0_hat is the cloud's z fit
-map read at (x_t, I_t, w^i_t) in its own risk-aversion stratum, through the
-cloud's own regression engine, and its optimal position is
+the equilibrium cloud: agent i's hedging demand z0_hat is the z fit map of
+its own risk-aversion atom read at (x_t, I_t, w^i_t), through that atom's
+regression engine in the cloud, and its optimal position is
 
     p^{i,*} = (z0_hat_par + theta^T) / gamma_i,
     pi^{i,*} = (sigma sigma^T)^{-1} sigma (p^{i,*})^T.
@@ -141,22 +141,25 @@ def agent_strategies(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal positions of fresh agents at step k under the fitted solution map.
 
-    The cloud's engine reads its step-k z fit map on the agents' levels
-    w_agents (M0, N, steps + 1), each agent in its own atom's stratum when
-    the solve was stratified.  The pool may come in any order: its agents
-    are grouped by atom for the read (a stable sort, so each stratum keeps
-    draw order).  Returns p (M0, N, d0) in Brownian coordinates and
-    pi (M0, N, n) in security units, in the pool's order.
+    Each risk-aversion atom's engine reads its step-k z fit map on its own
+    pool agents' levels w_agents[:, idx, k] (w_agents is (M0, N, steps + 1)),
+    one atom at a time, by index, so the pool may come in any order.  A
+    solve of one atom reads every agent through it.  An agent whose atom has
+    no particle in the cloud raises ValueError.  Returns p (M0, N, d0) in
+    Brownian coordinates and pi (M0, N, n) in security units, in the pool's
+    order.
     """
     sol = mf.solution
     M0, N, d0 = w_agents.shape[0], population.size, sol.market.d0
     proj, pos = sol.market.geometry(sol.grid.steps)
-    S = len(sol.engine.sizes)
-    ids = population.atom_ids if S > 1 else np.zeros(N, dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    cond = sol.engine.on(k, w_agents[:, order, k], np.bincount(ids, minlength=S))
+    ids = population.atom_ids if len(sol.atoms) > 1 else np.zeros(N, dtype=np.int64)
     z_hat = np.empty((M0, N, d0))
-    z_hat[:, order] = cond.evaluate(sol.fits[k]).reshape(M0, N, -1)[..., :d0]
+    for s in np.unique(ids).tolist():
+        idx = np.flatnonzero(ids == s)
+        if s >= len(sol.atoms) or sol.atoms[s] is None:
+            raise ValueError(f"atom {s} has {idx.size} pool agents but no particle in the cloud")
+        cond = sol.atoms[s][1].on(k, w_agents[:, idx, k])
+        z_hat[:, idx] = cond.evaluate(sol.fits[k][s]).reshape(M0, idx.size, -1)[..., :d0]
     p = (z_hat @ proj[k] + mf.theta[:, k, None, :]) * (1.0 / population.gammas)[None, :, None]
     return p, p @ pos[k].T
 
@@ -255,10 +258,11 @@ def solve_equilibrium_cloud(sc: Scenario, n_common: int,
                             n_agents: int) -> tuple[MeanFieldSolution, PopulationStats]:
     """Mean-field fixed point, with smallness and stability diagnostics, on a
     balanced cloud of n_agents particles over n_common common paths of the
-    scenario sc.  Each gamma atom is a regression stratum when the liability
-    is not additive; the balanced cloud's atom ids are an np.repeat, so each
-    atom is one contiguous range of particles and its count is its stratum's
-    size.  The seed, mf.iters, mf.tol and bsde.clip come from sc.cfg.
+    scenario sc.  Each gamma atom has its own regression engine when the
+    liability is not additive; the balanced cloud's atom ids are an
+    np.repeat, so each atom is one contiguous range of particles and its
+    count is its size in strata.  The seed, mf.iters, mf.tol and bsde.clip
+    come from sc.cfg.
     Returns the solution and the cloud's population stats."""
     cfg = sc.cfg
     cloud = build_population(n_agents, cfg.seed, sc.gamma_dist, balanced=True)
@@ -377,21 +381,21 @@ def replacement_invariance(
     _, pos = market.geometry(steps)
     _, pos_tilde = market_geometry(rep.Q @ table)
 
-    theta_disc = 0.0
+    # per-step sups, maximised by np.max, which keeps a NaN
+    theta_disc, wealth_disc = np.empty(steps), np.empty(steps)
     w_orig = np.zeros((M0,))
     w_repl = np.zeros((M0,))
-    wealth_disc = 0.0
     for k in range(steps):
         Qk = rep.Q[k]
         sig = table[k]
         mk = mu[:, k]
         th = mk @ pos[k]
         th_tilde = (mk @ Qk.T) @ pos_tilde[k]
-        theta_disc = max(theta_disc, float(np.max(np.abs(th_tilde - th))))
+        theta_disc[k] = np.max(np.abs(th_tilde - th))
 
         drive = mk * dt + bundle.dW0[:, k, :] @ sig.T          # (M0, n)
         pt = pi_tilde[:, k, :]
         w_repl = w_repl + np.einsum("mj,mj->m", pt, drive @ Qk.T)
         w_orig = w_orig + np.einsum("mj,mj->m", pt @ Qk, drive)
-        wealth_disc = max(wealth_disc, float(np.max(np.abs(w_repl - w_orig))))
-    return theta_disc, wealth_disc
+        wealth_disc[k] = np.max(np.abs(w_repl - w_orig))
+    return float(np.max(theta_disc)), float(np.max(wealth_disc))

@@ -312,7 +312,8 @@ def stage_invariance(sc: Scenario, writer: StageWriter) -> dict:
         rows.append((i, *replacement_invariance(market, eq.mu, bundle, pi_tilde, rep)))
     writer.csv("invariance.csv", ["draw", "theta_disc", "wealth_disc"], rows)
     _, theta_disc, wealth_disc = zip(*rows)
-    max_theta, max_wealth = max(0.0, *theta_disc), max(0.0, *wealth_disc)
+    # np.max keeps a NaN, which fails the gate
+    max_theta, max_wealth = float(np.max(theta_disc)), float(np.max(wealth_disc))
     ok = max_theta < 1e-10 and max_wealth < 1e-10
     result = {"status": "pass" if ok else "fail",
               "max_theta_disc": max_theta, "max_wealth_disc": max_wealth}

@@ -17,8 +17,10 @@ particles.  So the mean-field solve is the agent solve (bsde._solve) with
 theta taken, at each step of each sweep, from the frozen cloud's own z0_par;
 it records the contraction ratios of the sweep-to-sweep changes.  Step k's
 theta reads only step k of z0, which the sweep rebuilds from the previous
-iterate's fit map (see bsde).  One pass after the solve gives the reported
-theta, sup |Y| and the BMO proxy.
+iterate's fit maps (see bsde).  A cloud of several risk-aversion atoms gives
+each atom with particles its own regression engine on its slice of the
+levels; theta, the mean over all atoms, is where they meet.  One pass
+after the solve gives the reported theta, sup |Y| and the BMO proxy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import BsdeSolution, _solve, bmo_proxy
+from .bsde import BsdeSolution, _joined, _solve, bmo_proxy
 from .liabilities import LiabilitySpec, liability_bounds
 from .market import MarketSpec, PopulationStats
 from .market import gamma_hat as population_stats
@@ -118,22 +120,34 @@ def solve_mean_field(
     converged = False.
     diagnostics.changes is the per-sweep max(dy0, dz); the solution keeps
     dy0 and dz apart as y0_changes and z_changes, and its fits are the last
-    sweep's z fit maps.  strata, the sizes (S,) of the regression strata,
-    tile the K particles in stratum order: the first strata[0] particles
-    form stratum 0, and so on (None: one stratum).  Every sweep and the BMO
-    proxy share one engine, so each step's regression is built once.
-    theta's mean over the K agents is np.mean(..., axis=1)'s to the bit:
-    for d0 >= 2 one einsum adds z0_par / gamma over the agents in order,
-    with no (M0, K, d0) product formed; for d0 = 1 numpy sums that product
-    pairwise.  The first sweep's z is 0, and so is its theta.  The
+    sweep's z fit maps.  strata, the sizes (S,) of the risk-aversion atoms,
+    tile the K particles in atom order: the first strata[0] particles form
+    atom 0, and so on (None: one atom); sizes that do not tile K raise
+    ValueError.  Each atom with particles gets its own engine on its slice
+    of the levels; engine= replaces it for a solve of one atom.  Every sweep
+    and the BMO proxy share the engines, so each step's regression is built
+    once per atom.  theta's mean over the K agents is np.mean(..., axis=1)'s
+    to the bit: for d0 >= 2 one einsum adds z0_par / gamma over the agents
+    in order, with no (M0, K, d0) product formed; for d0 = 1 numpy sums that
+    product pairwise.  The first sweep's z is 0, and so is its theta.  The
     reported theta, diagnostics.y_inf (sup |Y|) and diagnostics.z_bmo (BMO
     proxy of (Z0, Z1) = z / gamma) come from one backward pass over the
     final iterate.
     """
     dt = bundle.grid.dt
     gam = np.asarray(gammas, dtype=float)
-    if engine is None:
-        engine = BasisEngine(bundle.x, bundle.I, bundle.wi, basis, strata=strata)
+    K = bundle.n_agents
+    sizes = np.asarray((K,) if strata is None else strata, dtype=np.int64)
+    if sizes.ndim != 1 or np.any(sizes < 0) or int(sizes.sum()) != K:
+        raise ValueError(f"strata {sizes.tolist()} do not tile {K} particles")
+    if engine is not None:
+        if sizes.size > 1:
+            raise ValueError(f"an engine= solve has one atom, not {sizes.size}")
+        atoms = [(slice(None), engine)]
+    else:
+        ends = np.cumsum(sizes).tolist()
+        atoms = [(slice(e - n, e), BasisEngine(bundle.x, bundle.I, bundle.wi[:, e - n:e], basis))
+                 if n else None for n, e in zip(sizes.tolist(), ends)]
     if diagnostics is None:
         diagnostics = smallness_report(float("nan"), population_stats(gam))
     inv_g = 1.0 / gam
@@ -150,7 +164,7 @@ def solve_mean_field(
             return np.zeros((bundle.n_paths, market.d0))
         return -gamma_hat * agent_mean(z0_par)
 
-    sol = _solve(bundle, market, engine, g_samples, theta_at, max_iters, tol, clip)
+    sol = _solve(bundle, market, atoms, g_samples, theta_at, max_iters, tol, clip)
     changes = [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
     diagnostics.changes = changes
     diagnostics.ratios = [
@@ -161,21 +175,20 @@ def solve_mean_field(
 
     # the mean field is recomputed from the final iterate, so the reported
     # theta is the one the returned solution solves
-    steps = bundle.grid.steps
+    steps, d0 = bundle.grid.steps, market.d0
     proj, _ = market.geometry(steps)
-    ebar = np.empty((bundle.n_paths, steps, market.d0))
+    ebar = np.empty((bundle.n_paths, steps, d0))
     y_max = [np.max(np.abs(sol.g / gam[None, :]))]
 
     def backward():
         for k in range(steps - 1, -1, -1):
-            cond = engine.at(k)
-            z = sol.z_at(k, cond)
-            z0, z1 = z[..., :market.d0], z[..., market.d0:]
-            ebar[:, k, :] = agent_mean(z0 @ proj[k])
-            y_max.append(np.max(np.abs(sol.y_at(k, cond) / gam[None, :])))
-            yield cond, z0 * inv_gamma, z1 * inv_gamma
+            conds = sol.conditioners(k)
+            zs = sol.z_parts(k, conds)
+            ebar[:, k, :] = agent_mean(_joined({s: z[..., :d0] @ proj[k] for s, z in zs.items()}))
+            y_max.append(np.max(np.abs(sol.y_at(k, conds) / gam[None, :])))
+            yield {s: (conds[s], z[..., :d0] * inv_gamma[:, atoms[s][0]],
+                       z[..., d0:] * inv_gamma[:, atoms[s][0]]) for s, z in zs.items()}
 
     diagnostics.z_bmo = bmo_proxy(backward(), dt)
     diagnostics.y_inf = float(np.max(y_max))
     return MeanFieldSolution(solution=sol, theta=-gamma_hat * ebar, diagnostics=diagnostics)
-

@@ -1,17 +1,18 @@
 """Least-squares conditional expectations for backward induction.
 
 The production engine regresses targets on polynomial features of the Markov
-state (x, I, idiosyncratic level w), optionally stratified by the discrete
-risk-aversion atom of each particle (risk aversion enters terminal data
-multiplicatively, so particles with different gamma follow different
-value functions and must not be pooled unless the liability is additive).
+state (x, I, idiosyncratic level w).  One engine serves one set of particles
+over the common paths: a solve over several risk-aversion atoms gives each
+atom its own engine (see bsde), since risk aversion enters terminal data
+multiplicatively, so particles with different gamma follow different value
+functions and must not be pooled unless the liability is additive.
 
 Design choices that matter for reproducibility and the exactness tests:
 
 * the intercept is never penalised, so constant targets are fitted exactly;
-* non-intercept columns are standardised per stratum and constant columns
-  are dropped (at t = 0 every state column is constant and the regression
-  correctly degenerates to the plain mean);
+* non-intercept columns are standardised and constant columns are dropped
+  (at t = 0 every state column is constant and the regression correctly
+  degenerates to the plain mean);
 * sums over rows keep one order (the Gram is accumulated in a fixed block
   order, X^T y is one product), whatever the BLAS thread count.  A fit map is
   evaluated _ROW_BLOCK rows at a time, so no product reaches OpenBLAS's thread
@@ -23,26 +24,22 @@ Design choices that matter for reproducibility and the exactness tests:
   pass; a single column is summed pairwise, by numpy itself;
 * ridge is 1e-8 relative to the normalised Gram trace, and an eigenvalue of
   the unridged Gram below the ridge level raises RegressionRankDeficient;
-* a stratum is a contiguous range of the particle axis, given by its size:
-  sizes (S,) say that the first sizes[0] particles of every path are
-  stratum 0, the next sizes[1] stratum 1, and so on.  A stratum's rows are
-  a slice of the particle axis, in the flat row order (path, particle);
-* a fit map is per stratum its intercepts and coefficients; the kept
-  columns, mean and scale they apply to are the step's factor;
+* rows are row-major in (path, particle) over levels (M0, n);
+* a fit map is its intercepts and coefficients; the kept columns, mean and
+  scale they apply to are the step's factor;
 * a BasisEngine builds each step's conditioner once and keeps only its
-  factors (kept columns, column mean and scale, weight sum, Cholesky factor
-  of the ridged Gram: O(q^2) per stratum) for its lifetime, which is that
-  of the solution it serves.  A Picard sweep, and every later read of the
+  factor (kept columns, column mean and scale, weight sum, Cholesky factor
+  of the ridged Gram: O(q^2)) for its lifetime, which is that of the
+  solution it serves.  A Picard sweep, and every later read of the
   solution, regresses on the same state as the first, so it reuses the
-  factor.  A build takes the mean and scale from each stratum's raw columns;
-  build and reuse then write its kept columns with one writer, straight
-  from the stratum's slice of the levels into the column-major array the
-  fit reads, and standardise them there.  No whole design is formed and
-  nothing is gathered.  Columns, rows and weights are the same bits every
-  time, so every fit is bit-identical to a fresh build, and a conditioner
-  evaluates a stored fit map on its rows to the same bits its fit()
-  returned: the one reader of a map, also on other particles of the same
-  paths (BasisEngine.on).
+  factor.  A build takes the mean and scale from the raw columns; build and
+  reuse then write the kept columns with one writer, straight from the
+  levels into the column-major array the fit reads, and standardise them
+  there.  No whole design is formed and nothing is gathered.  Columns, rows
+  and weights are the same bits every time, so every fit is bit-identical
+  to a fresh build, and a conditioner evaluates a stored fit map on its rows
+  to the same bits its fit() returned: the one reader of a map, also on
+  other particles of the same paths (BasisEngine.on).
 """
 
 from __future__ import annotations
@@ -142,8 +139,8 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StratumFit:
-    """Fitted map of one stratum at one step, on its _Factor's standardised columns."""
+class FitMap:
+    """Fitted map of one step, on its _Factor's standardised columns."""
 
     beta0: np.ndarray         # (r,) intercepts
     coef: np.ndarray          # (q_kept, r)
@@ -159,37 +156,9 @@ def _blockwise_gram(xs: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     return gram
 
 
-class _Strata:
-    """Rows of each stratum over a row layout that is row-major in (path, particle).
-
-    sizes (S,) tile the K particles of each of M0 paths, layout (M0, K),
-    stratum by stratum (a size may be 0).  Stratum s's rows are
-    a.reshape(M0, K, r)[:, sel] with sel its slice of the particle axis.
-    """
-
-    def __init__(self, sizes, layout: tuple[int, int]):
-        sizes = np.asarray(sizes, dtype=np.int64)
-        K = int(sizes.sum())
-        if sizes.ndim != 1 or np.any(sizes < 0) or K == 0 or K != layout[1]:
-            raise ValueError(f"stratum sizes {sizes.tolist()} do not tile {layout[1]} particles")
-        self.layout = tuple(layout)
-        self.sels = [slice(e - n, e) for n, e in zip(sizes.tolist(), np.cumsum(sizes).tolist())]
-        self.rows = [self.layout[0] * n for n in sizes.tolist()]
-
-    def take(self, a: np.ndarray, s: int) -> np.ndarray:
-        """Stratum s's rows of a (P, r) array, C-contiguous, in row order."""
-        M0, K = self.layout
-        return np.ascontiguousarray(a.reshape(M0, K, -1)[:, self.sels[s]]).reshape(-1, a.shape[1])
-
-    def put(self, out: np.ndarray, s: int, vals: np.ndarray) -> None:
-        """Write stratum s's rows of a (P, r) array."""
-        M0, K = self.layout
-        out.reshape(M0, K, -1)[:, self.sels[s]] = vals.reshape(M0, -1, out.shape[1])
-
-
 @dataclass(frozen=True)
 class _Factor:
-    """What one stratum's regression keeps across sweeps: O(q^2), no rows."""
+    """What one step's regression keeps across sweeps: O(q^2), no rows."""
 
     kept: np.ndarray          # boolean mask over raw columns
     mu: np.ndarray            # per-kept-column mean
@@ -198,38 +167,38 @@ class _Factor:
     chol: np.ndarray | None   # Cholesky factor of the ridged Gram (None: no kept column)
 
 
-def _standardised(basis: RegressionBasis, x_k, i_k, w_s: np.ndarray, f: _Factor) -> np.ndarray:
-    """One stratum's kept columns on its levels w_s (M0, n), with x_k and i_k
-    the common state (M0,), written where the fit reads them: column-major
-    (rows, kept), each column the products feature_columns makes, then
-    (c - mu) / sd in place, a block of paths at a time so that each block is
-    standardised in cache.  The one writer of a conditioner's columns."""
+def _standardised(basis: RegressionBasis, x_k, i_k, w_k: np.ndarray, f: _Factor) -> np.ndarray:
+    """The kept columns on levels w_k (M0, n), with x_k and i_k the common
+    state (M0,), written where the fit reads them: column-major (rows, kept),
+    each column the products feature_columns makes, then (c - mu) / sd in
+    place, a block of paths at a time so that each block is standardised in
+    cache.  The one writer of a conditioner's columns."""
     cols = np.flatnonzero(f.kept)
-    xs = np.empty((cols.size,) + w_s.shape)
-    M0, n = w_s.shape
+    xs = np.empty((cols.size,) + w_k.shape)
+    M0, n = w_k.shape
     mu, sd = f.mu[:, None, None], f.sd[:, None, None]
     for s, e in block_ranges(M0, block=max(1, _ROW_BLOCK // max(1, n))):
         xb = xs[:, s:e]
         out = [None] * basis.n_columns
         for i, c in enumerate(cols):
             out[c] = xb[i]
-        _write_columns(basis, x_k[s:e, None], i_k[s:e, None], w_s[s:e], out)
+        _write_columns(basis, x_k[s:e, None], i_k[s:e, None], w_k[s:e], out)
         xb -= mu
         xb /= sd
-    return xs.reshape(cols.size, w_s.size).T
+    return xs.reshape(cols.size, w_k.size).T
 
 
-def _factorise(basis: RegressionBasis, x_k, i_k, w_s: np.ndarray, w, s: int):
-    """Stratum s's factor and standardised columns on its levels w_s (M0, n) and
-    row weights w (None: unweighted): the moments of its raw columns, the kept
+def _factorise(basis: RegressionBasis, x_k, i_k, w_k: np.ndarray, w):
+    """The factor and standardised columns on levels w_k (M0, n) and row
+    weights w (None: unweighted): the moments of the raw columns, the kept
     columns from _standardised, and the Cholesky factor of the ridged Gram."""
-    q, n_rows = basis.n_columns, w_s.size
+    q, n_rows = basis.n_columns, w_k.size
     if (q + 1) * _MIN_ROWS_PER_COLUMN > n_rows:
         raise RegressionRankDeficient(
-            f"{q + 1} design columns for {n_rows} paths in stratum {s}; "
+            f"{q + 1} design columns for {n_rows} paths; "
             f"need at least {_MIN_ROWS_PER_COLUMN} paths per column"
         )
-    cols = feature_columns(basis, x_k[:, None], i_k[:, None], w_s)
+    cols = feature_columns(basis, x_k[:, None], i_k[:, None], w_k)
     # numpy's mean and var: sum / n, then the sum of squared deviations / n;
     # the deviations overwrite the raw columns, freed before the kept ones are written
     wsum = float(n_rows) if w is None else float(w.sum())
@@ -242,7 +211,7 @@ def _factorise(basis: RegressionBasis, x_k, i_k, w_s: np.ndarray, w, s: int):
     del cols
     kept = sd > _CONST_COL_TOL * (1.0 + np.abs(mu))
     f = _Factor(kept=kept, mu=mu[kept], sd=sd[kept], wsum=wsum, chol=None)
-    xs = _standardised(basis, x_k, i_k, w_s, f)
+    xs = _standardised(basis, x_k, i_k, w_k, f)
     qk = xs.shape[1]
     if not qk:
         return f, xs
@@ -251,97 +220,75 @@ def _factorise(basis: RegressionBasis, x_k, i_k, w_s: np.ndarray, w, s: int):
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] < lam:
         raise RegressionRankDeficient(
-            f"Gram eigenvalue {eigs[0]:.3e} below ridge level {lam:.3e} "
-            f"in stratum {s}: columns are collinear"
+            f"Gram eigenvalue {eigs[0]:.3e} below ridge level {lam:.3e}: "
+            "columns are collinear"
         )
     return replace(f, chol=np.linalg.cholesky(gram + lam * np.eye(qk))), xs
 
 
+def _row_weights(weights_k: np.ndarray | None, n: int) -> np.ndarray | None:
+    """Per-path weights (M0,) repeated over n particles: the rows' weights."""
+    return None if weights_k is None else np.repeat(weights_k, n)
+
+
 class RidgeConditioner:
-    """Conditional expectation by stratified ridge regression at one step.
+    """Conditional expectation by ridge regression at one step.
 
     The constructor is the build, on one step's state: x_k and i_k (M0,),
-    levels w_k (M0, K) whose strata tile K with sizes (S,), and row weights
-    weights_k (M0,) (None: unweighted); per stratum, _factorise.  fit() can
+    levels w_k (M0, n), one row per (path, particle), row-major, and row
+    weights weights_k (M0,) (None: unweighted); it is _factorise.  fit() can
     then be called with several target batches.  A BasisEngine keeps each
-    build's factors for its lifetime and binds them (_bound) to columns
-    written by the same _standardised, so a later sweep skips the moments,
-    the Gram, the rank check and the factorisation.  The columns, the rows
-    and the weights are the same at every sweep, and so is every fit.
+    build's factor for its lifetime and binds it (_bound) to columns written
+    by the same _standardised, so a later sweep skips the moments, the Gram,
+    the rank check and the factorisation.  The columns, the rows and the
+    weights are the same at every sweep, and so is every fit.
     """
 
-    def __init__(self, basis: RegressionBasis, x_k, i_k, w_k: np.ndarray, sizes,
+    def __init__(self, basis: RegressionBasis, x_k, i_k, w_k: np.ndarray,
                  weights_k: np.ndarray | None = None):
-        self._fill(_Strata(sizes, w_k.shape), weights_k,
-                   lambda s, sel, w: _factorise(basis, x_k, i_k, w_k[:, sel], w, s))
+        self._w = _row_weights(weights_k, w_k.shape[1])
+        self._factor, self._xs = _factorise(basis, x_k, i_k, w_k, self._w)
 
     @classmethod
-    def _bound(cls, strata: _Strata, weights_k, stratum) -> RidgeConditioner:
-        """A conditioner on an earlier build's factors: stratum(s, sel, w) gives
-        one and its columns standardised with it (BasisEngine.on)."""
+    def _bound(cls, factor: _Factor, xs: np.ndarray, w) -> RidgeConditioner:
+        """A conditioner on an earlier build's factor and columns standardised with it."""
         self = cls.__new__(cls)
-        self._fill(strata, weights_k, stratum)
+        self._factor, self._xs, self._w = factor, xs, w
         return self
 
-    def _fill(self, strata: _Strata, weights_k, stratum) -> None:
-        """Per stratum with rows, its factor and columns from stratum(s, sel, w):
-        sel is its slice of the particle axis, w its row weights, weights_k
-        (M0,) repeated over its particles (None: unweighted).  An empty one has none."""
-        self._strata, self._factors, self._xs, self._w = strata, [], [], []
-        for s, (sel, n) in enumerate(zip(strata.sels, strata.rows)):
-            w = None if weights_k is None or not n else np.repeat(weights_k, sel.stop - sel.start)
-            f, xs = stratum(s, sel, w) if n else (None, None)
-            self._factors.append(f)
-            self._xs.append(xs)
-            self._w.append(w)
-
-    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, list[StratumFit | None]]:
-        """Fitted values (same leading shape) and the fit map, a StratumFit per stratum."""
+    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, FitMap]:
+        """Fitted values (same leading shape) and the fit map."""
         squeeze = targets.ndim == 1
-        ys = targets[:, None] if squeeze else targets
-        step_fit: list[StratumFit | None] = []
-        for s, fac in enumerate(self._factors):
-            if fac is None:
-                step_fit.append(None)
-                continue
-            yb = self._strata.take(ys, s)
-            w = self._w[s]
-            if w is None:
-                beta0 = _sum_rows(yb) / yb.shape[0]
-            else:
-                beta0 = _sum_rows(yb * w[:, None]) / fac.wsum
-            if fac.chol is None:
-                coef = np.zeros((0, yb.shape[1]))
-            else:
-                xs = self._xs[s]
-                rhs = xs.T @ (yb if w is None else yb * w[:, None])
-                tmp = np.linalg.solve(fac.chol, rhs)
-                coef = np.linalg.solve(fac.chol.T, tmp)
-            step_fit.append(StratumFit(beta0=beta0, coef=coef))
-        out = self.evaluate(step_fit)
-        return (out[:, 0] if squeeze else out), step_fit
+        yb = targets[:, None] if squeeze else targets
+        fac, w = self._factor, self._w
+        if w is None:
+            beta0 = _sum_rows(yb) / yb.shape[0]
+        else:
+            beta0 = _sum_rows(yb * w[:, None]) / fac.wsum
+        if fac.chol is None:
+            coef = np.zeros((0, yb.shape[1]))
+        else:
+            rhs = self._xs.T @ (yb if w is None else yb * w[:, None])
+            coef = np.linalg.solve(fac.chol.T, np.linalg.solve(fac.chol, rhs))
+        fit = FitMap(beta0=beta0, coef=coef)
+        out = self.evaluate(fit)
+        return (out[:, 0] if squeeze else out), fit
 
-    def evaluate(self, step_fit: list[StratumFit | None]) -> np.ndarray:
-        """A fit map of this step on its rows, (P, r): what fit() returned for it, bit for bit."""
-        r = next(f.beta0.shape[0] for f in step_fit if f is not None)
-        out = np.empty((sum(self._strata.rows), r))
-        for s, (fac, fit) in enumerate(zip(self._factors, step_fit)):
-            if fac is None:
-                continue
-            if fac.chol is None:
-                vals = np.broadcast_to(fit.beta0, (self._strata.rows[s], r))
-            else:
-                n = self._strata.rows[s]
-                vals = np.empty((n, r))
-                for a in range(0, max(1, n - 1), _ROW_BLOCK):
-                    b = a + _ROW_BLOCK if n - a > _ROW_BLOCK + 1 else n
-                    np.matmul(self._xs[s][a:b], fit.coef, out=vals[a:b])
-                    # a column at a time: the broadcast add runs r elements per
-                    # inner loop and is several times slower; the sums are the same
-                    for j in range(r):
-                        vals[a:b, j] += fit.beta0[j]
-            self._strata.put(out, s, vals)
-        return out
+    def evaluate(self, fit: FitMap) -> np.ndarray:
+        """A fit map of this step on its rows, (n, r): what fit() returned for it, bit for bit."""
+        n, r = self._xs.shape[0], fit.beta0.shape[0]
+        vals = np.empty((n, r))
+        if self._factor.chol is None:
+            vals[...] = fit.beta0
+            return vals
+        for a in range(0, max(1, n - 1), _ROW_BLOCK):
+            b = a + _ROW_BLOCK if n - a > _ROW_BLOCK + 1 else n
+            np.matmul(self._xs[a:b], fit.coef, out=vals[a:b])
+            # a column at a time: the broadcast add runs r elements per
+            # inner loop and is several times slower; the sums are the same
+            for j in range(r):
+                vals[a:b, j] += fit.beta0[j]
+        return vals
 
 
 class BasisEngine:
@@ -349,34 +296,30 @@ class BasisEngine:
 
     x and run_i are common-path state arrays of shape (M0, steps + 1); w is
     the per-particle coordinate of shape (M0, K, steps + 1), read a step at a
-    time (a bundle's wi is step-major, so w[:, :, k] is contiguous).
-    Strata are discrete risk-aversion atoms, given by their sizes (S,), which
-    tile the particle axis in stratum order (None: one stratum of all K).
-    weights, of shape (M0, steps + 1), are the cumulative importance weights
-    of a measure change; step k regresses with weights[:, k + 1] on every
+    time (a bundle's wi is step-major, so w[:, :, k] is contiguous; a slice
+    of its particle axis reads the same rows in the same order).  weights,
+    of shape (M0, steps + 1), are the cumulative importance weights of a
+    measure change; step k regresses with weights[:, k + 1] on every
     particle.
 
     The first at(k) builds step k's conditioner from that step's state.
-    Every later at(k) reuses that build's factors, as on(k, ...) does for
-    other particles of the same paths.  Build and reuse write each
-    stratum's kept columns with the one _standardised, from the stratum's
-    (M0, K_s) slice of the levels, so no whole design is formed and nothing
-    is gathered.  The memo holds O(q^2) numbers per stratum and step.  It
-    lives as long as the engine, and a solution keeps its engine: each
-    later read of step k rebuilds that step's values from the columns, the
-    factors and the stored fit map.
+    Every later at(k) reuses that build's factor, as on(k, w_k) does for
+    other particles of the same paths.  Build and reuse write the kept
+    columns with the one _standardised, from the (M0, K) levels, so no
+    design is gathered.  The memo holds O(q^2) numbers per step.  It lives
+    as long as the engine, and a solution keeps its engines: each later read
+    of step k rebuilds that step's values from the columns, the factor and
+    the stored fit map.
     """
 
-    def __init__(self, x, run_i, w, basis: RegressionBasis, strata=None,
-                 weights: np.ndarray | None = None):
+    def __init__(self, x, run_i, w, basis: RegressionBasis, weights: np.ndarray | None = None):
         self.x = x
         self.run_i = run_i
         self.w = w
         self.basis = basis
-        self.M0, self.K = w.shape[0], w.shape[1]
-        self.sizes = (self.K,) if strata is None else strata
+        self.M0 = w.shape[0]
         self.weights = weights
-        self._memo: dict[int, list[_Factor | None]] = {}
+        self._memo: dict[int, _Factor] = {}
 
     def _state(self, k: int) -> tuple:
         """Step k's common state x_k, i_k (M0,) and row weights (M0,) (None: unweighted)."""
@@ -384,30 +327,21 @@ class BasisEngine:
 
     def at(self, k: int) -> RidgeConditioner:
         if k in self._memo:
-            return self.on(k, self.w[:, :, k], self.sizes)
+            return self.on(k, self.w[:, :, k])
         x_k, i_k, weights_k = self._state(k)
-        cond = RidgeConditioner(self.basis, x_k, i_k, self.w[:, :, k], self.sizes, weights_k)
-        self._memo[k] = cond._factors
+        cond = RidgeConditioner(self.basis, x_k, i_k, self.w[:, :, k], weights_k)
+        self._memo[k] = cond._factor
         return cond
 
-    def on(self, k: int, w_k: np.ndarray, sizes) -> RidgeConditioner:
-        """Step k's conditioner on other particles of the same common paths:
-        levels w_k (M0, N), whose strata tile N with sizes (S,).  It never
-        builds: an unbuilt step, levels on another path count, another
-        stratum count or a stratum empty at the build raises ValueError."""
-        factors = self._memo.get(k)
-        if factors is None:
+    def on(self, k: int, w_k: np.ndarray) -> RidgeConditioner:
+        """Step k's conditioner on other particles of the same common paths,
+        levels w_k (M0, N).  It never builds: an unbuilt step, or levels on
+        another path count, raises ValueError."""
+        factor = self._memo.get(k)
+        if factor is None:
             raise ValueError(f"step {k} was never built")
         if w_k.shape[0] != self.M0:
             raise ValueError(f"levels on {w_k.shape[0]} paths for an engine on {self.M0}")
-        strata = _Strata(sizes, w_k.shape)
-        if len(strata.sels) != len(factors):
-            raise ValueError(f"{len(strata.sels)} strata for a build of {len(factors)}")
         x_k, i_k, weights_k = self._state(k)
-
-        def reuse(s, sel, w):
-            if factors[s] is None:
-                raise ValueError(f"stratum {s} was empty at the build but has rows now")
-            return factors[s], _standardised(self.basis, x_k, i_k, w_k[:, sel], factors[s])
-
-        return RidgeConditioner._bound(strata, weights_k, reuse)
+        return RidgeConditioner._bound(factor, _standardised(self.basis, x_k, i_k, w_k, factor),
+                                       _row_weights(weights_k, w_k.shape[1]))

@@ -39,8 +39,8 @@ def materialise(sol):
     y, z = step_major((M0, K, steps + 1)), step_major((M0, K, steps, d0 + 1))
     y[:, :, steps] = sol.g
     for k in range(steps):
-        cond = sol.engine.at(k)
-        y[:, :, k], z[:, :, k] = sol.y_at(k, cond), sol.z_at(k, cond)
+        conds = sol.conditioners(k)
+        y[:, :, k], z[:, :, k] = sol.y_at(k, conds), sol.z_at(k, conds)
     return y, z[..., :d0], z[..., d0:]
 
 
@@ -86,8 +86,8 @@ print(json.dumps({"y0": repr(mf.solution.y0), "theta": mf.theta.tobytes().hex(),
 @pytest.fixture(scope="session")
 def cloud_solve_runs():
     """solve_equilibrium_cloud on cross_term.json cut to 5 steps, 100 common
-    paths x 2100 agents (70,000 rows per stratum, enough for OpenBLAS to
-    thread a whole-stratum product), each in a fresh process, at one and at
+    paths x 2100 agents (70,000 rows per atom, enough for OpenBLAS to
+    thread a whole-atom product), each in a fresh process, at one and at
     two BLAS threads: {"1": result, "2": result}, a result holding y0's repr,
     θ's bytes in hex, the sweep count and the solve's wall and CPU seconds."""
     runs = {}

@@ -158,7 +158,7 @@ def test_bmo_proxy_constant_z(grid20, market2):
     w = np.zeros((M0, K, steps + 1))
     engine = BasisEngine(x, run_i, w, RegressionBasis(degree=1))
     want = (2 * 0.3**2 + 0.1**2) * grid20.horizon
-    backward = ((engine.at(k), z0[:, :, k], z1[:, :, k]) for k in range(steps - 1, -1, -1))
+    backward = ({0: (engine.at(k), z0[:, :, k], z1[:, :, k])} for k in range(steps - 1, -1, -1))
     got = bmo_proxy(backward, grid20.dt)
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -449,13 +449,13 @@ def test_zero_iterate_driver_is_the_general_driver_at_zero(solve, grid20, market
     on an explicit zero z to the bit, sign of zero included, broadcast over
     the agents: for a pathwise theta with negative entries and all-zero
     rows, for the tilted solve that drops -z0_par theta, and for the
-    mean-field theta read from z0_par."""
+    mean-field theta read from z0_par.  Each solve here has one atom, 0."""
     drivers = []
     real = bsde._backward_pass
 
-    def spy(engine, g, bundle, market, driver, prev, tilt=None):
+    def spy(atoms, g, bundle, market, driver, prev, tilt=None):
         drivers.append(driver)
-        return real(engine, g, bundle, market, driver, prev, tilt)
+        return real(atoms, g, bundle, market, driver, prev, tilt)
 
     monkeypatch.setattr(bsde, "_backward_pass", spy)
     bundle = simulate_paths(grid20, flat_spec(), market2, 256, 9, agents=3)
@@ -476,7 +476,7 @@ def test_zero_iterate_driver_is_the_general_driver_at_zero(solve, grid20, market
     zero = np.zeros((bundle.n_paths, bundle.n_agents, market2.d0 + 1))
     for k in range(grid20.steps):
         got = np.broadcast_to(driver(k, None), zero.shape[:2])
-        want = driver(k, zero)
+        want = driver(k, {0: zero})[0]
         assert np.array_equal(got, want), k
         assert np.array_equal(np.signbit(got), np.signbit(want)), k
 

@@ -20,6 +20,7 @@ from mfequil import (
     RegressionBasis,
     ReplacementSpec,
     TimeGrid,
+    agent_strategies,
     build_population,
     build_scenario,
     clearing_residual,
@@ -260,8 +261,8 @@ def test_agent_strategies_geometry():
 
 def test_agent_strategies_use_each_agents_stratum():
     """On a stratified solve each fresh agent is evaluated with its own
-    atom's fit.  The reference applies that atom's factor (kept columns,
-    mean and scale) and fit map to the agent's raw columns by hand."""
+    atom's engine and fit.  The reference applies that atom's factor (kept
+    columns, mean and scale) and fit map to the agent's raw columns by hand."""
     grid = TimeGrid(0.5, 10)
     market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
@@ -282,7 +283,8 @@ def test_agent_strategies_use_each_agents_stratum():
     p, _ = pool_strategies(mf, pool, w)
     proj, _ = market.geometry(grid.steps)
     for k in (0, 4, 9):
-        fits, factors = mf.solution.fits[k], mf.solution.engine._memo[k]
+        fits = mf.solution.fits[k]
+        factors = [engine._memo[k] for _, engine in mf.solution.atoms]
         raw = feature_columns(basis, bundle.x[:, k, None], bundle.I[:, k, None], w[:, :, k])
         raw = raw.reshape(bundle.n_paths, pool.size, -1)
 
@@ -321,6 +323,34 @@ def test_agent_strategies_commute_with_a_permuted_pool():
     p_perm, pi_perm = pool_strategies(mf, shuffled, w[:, perm])
     assert np.array_equal(p_perm, p[:, perm])
     assert np.array_equal(pi_perm, pi[:, perm])
+
+
+def test_pool_agent_of_an_atom_without_cloud_particles_raises():
+    """A balanced cloud of 2 particles over 3 atoms leaves atom 2 without a
+    particle, so it gets no engine and no fit.  A pool agent of atom 2 then
+    raises a ValueError that names the atom, at every step, instead of
+    being given positions; a pool of the other atoms is read as usual."""
+    grid = TimeGrid(0.5, 4)
+    market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
+                        lambda_lo=1.0, lambda_hi=1.1)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.3)
+    cloud = build_population(2, 3, GAMMA_DIST, balanced=True)
+    strata = np.bincount(cloud.atom_ids, minlength=3)
+    assert strata.tolist() == [1, 1, 0]
+    bundle = simulate_paths(grid, spec, market, 128, 3, agents=2)
+    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, cloud.gammas)
+    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, cloud.gammas,
+                          gamma_hat(cloud.gammas).gamma_hat, max_iters=3, strata=strata)
+    assert mf.solution.atoms[2] is None
+    w = fresh_idio_levels(3, bundle.n_paths, 3, grid)
+    pool = Population(gammas=np.array([1.0, 4.0, 2.0]), atom_ids=np.array([0, 2, 1]))
+    for k in range(grid.steps):
+        with pytest.raises(ValueError, match="atom 2 has 1 pool agents but no particle"):
+            agent_strategies(mf, pool, w, k)
+    p, pi = pool_strategies(mf, Population(pool.gammas[[0, 2]], pool.atom_ids[[0, 2]]),
+                            w[:, [0, 2]])
+    assert np.all(np.isfinite(p)) and np.all(np.isfinite(pi))
 
 
 # ------------------------------------------------------------- replacement

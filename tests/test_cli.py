@@ -317,12 +317,16 @@ def test_underflowed_growth_fails_the_martingale_gate(tmp_path, capsys, override
 def test_non_finite_riccati_coefficients_fail_the_stage(tmp_path):
     """eqg.b = 1e308 overflows B and C to inf in the closed form and the ODE
     oracle alike, so their difference is NaN: the sup-difference gate fails
-    on it, and the manifest writes it as null."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = run(["riccati", "--config", TINY, "--out", str(tmp_path), "--set", "eqg.b=1e308"])
-    assert rc == 1
-    stage = json.loads((tmp_path / "manifest.json").read_text())["stages"]["riccati"]
-    assert stage["status"] == "fail" and stage["sup_diff_vs_ode"] is None
+    on it, and the manifest writes it as null.  The same overflow gives the
+    invariance stage a non-finite mu and a NaN theta discrepancy, which its
+    gate must not drop."""
+    for stage_name, key in (("riccati", "sup_diff_vs_ode"), ("invariance", "max_theta_disc")):
+        out = tmp_path / stage_name
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rc = run([stage_name, "--config", TINY, "--out", str(out), "--set", "eqg.b=1e308"])
+        assert rc == 1, stage_name
+        stage = json.loads((out / "manifest.json").read_text())["stages"][stage_name]
+        assert stage["status"] == "fail" and stage[key] is None, stage_name
 
 
 def test_value_error_in_stage_is_a_failed_stage(tmp_path, capsys, monkeypatch):

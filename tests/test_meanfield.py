@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfequil import (
-    DiscreteDist, EqgSpec, LiabilitySpec, MarketSpec,
+    BasisEngine, DiscreteDist, EqgSpec, LiabilitySpec, MarketSpec,
     PathBundle, RegressionBasis, TimeGrid, build_population, fresh_idio_levels,
     gamma_hat, simulate_paths, smallness_from_liability, smallness_report,
     solve_agent_bsde, solve_mean_field, terminal_g,
@@ -328,7 +328,8 @@ def test_changes_keep_y0_and_z_apart(market2):
 
 def test_mean_field_solve_builds_each_step_once(market2, conditioner_builds):
     """Every sweep and the BMO proxy regress on the same state, so a
-    stratified solve with several sweeps builds one conditioner per step."""
+    stratified solve with several sweeps builds one conditioner per atom
+    and step."""
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
@@ -339,13 +340,13 @@ def test_mean_field_solve_builds_each_step_once(market2, conditioner_builds):
                           gamma_hat(gammas).gamma_hat, max_iters=5, tol=1e-14,
                           strata=(2, 2))
     assert mf.diagnostics.iterations >= 2 and np.isfinite(mf.diagnostics.z_bmo)
-    assert len(conditioner_builds) == grid.steps
+    assert len(conditioner_builds) == 2 * grid.steps
 
 
 def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_builds):
-    """engine.on() over the cloud's own particles gives z_at bit for bit on a
-    stratified solve, and reading the cloud's maps on other particles, as the
-    clearing pool does, builds no conditioner."""
+    """Each atom's engine.on() over that atom's own particles gives its part
+    of z_at bit for bit on a stratified solve, and reading the cloud's maps
+    on other particles, as the clearing pool does, builds no conditioner."""
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
@@ -356,18 +357,20 @@ def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_bu
                           gamma_hat(gammas).gamma_hat, max_iters=3, tol=0.0,
                           strata=(2, 2))
     sol = mf.solution
-    assert len(conditioner_builds) == grid.steps
+    assert len(conditioner_builds) == 2 * grid.steps
     for k in (0, 2, 5):
-        z = sol.engine.on(k, bundle.wi[:, :, k], (2, 2)).evaluate(sol.fits[k])
-        z = z.reshape(bundle.n_paths, bundle.n_agents, -1)
-        assert np.array_equal(z, sol.z_at(k)), k
-    # particles of one atom only: the other atom's map is not read
-    z = sol.engine.on(4, bundle.wi[:, 2:4, 4], (0, 2)).evaluate(sol.fits[4])
-    np.testing.assert_allclose(z.reshape(256, 2, -1), sol.z_at(4)[:, 2:4], rtol=1e-12, atol=0)
+        z_k = sol.z_at(k)
+        for s, (sel, engine) in enumerate(sol.atoms):
+            z = engine.on(k, bundle.wi[:, sel, k]).evaluate(sol.fits[k][s])
+            assert np.array_equal(z.reshape(bundle.n_paths, 2, -1), z_k[:, sel]), (k, s)
+    # some particles of one atom: its map on fewer rows per path
+    sel, engine = sol.atoms[1]
+    z = engine.on(4, bundle.wi[:, 3:4, 4]).evaluate(sol.fits[4][1])
+    np.testing.assert_allclose(z.reshape(256, 1, -1), sol.z_at(4)[:, 3:4], rtol=1e-12, atol=0)
     pool = build_population(7, 3, DiscreteDist((1.0, 2.0)))
     p, _ = pool_strategies(mf, pool, fresh_idio_levels(3, bundle.n_paths, pool.size, grid))
     assert p.shape == (256, 7, grid.steps, 2) and np.all(np.isfinite(p))
-    assert len(conditioner_builds) == grid.steps
+    assert len(conditioner_builds) == 2 * grid.steps
 
 
 def test_collinear_state_raises_in_first_sweep(market2, conditioner_builds):
@@ -382,3 +385,24 @@ def test_collinear_state_raises_in_first_sweep(market2, conditioner_builds):
     with pytest.raises(RegressionRankDeficient, match="collinear"):
         solve_mean_field(bundle, market2, RegressionBasis(degree=1), g, np.ones(1), 1.0)
     assert len(conditioner_builds) == 1
+
+
+@pytest.mark.parametrize("sizes, engine, match", [
+    pytest.param(sizes, False, "do not tile", id=f"sizes{i}")
+    for i, sizes in enumerate([(3, 4), (2, -1, 2), (0, 0), (), ((1, 2),)])
+] + [pytest.param((1, 2), True, "one atom", id="engine")])
+def test_strata_reject_sizes_that_do_not_tile(market2, sizes, engine, match):
+    """A negative size, a zero total, a total other than the particle count,
+    or sizes that are not one list: one ValueError before any build.  An
+    engine= solve has one atom, so strata of several atoms beside it raise
+    too, where they were once dropped."""
+    grid = TimeGrid(0.5, 3)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.2)
+    bundle = simulate_paths(grid, spec, market2, 100, 5, agents=3)
+    gammas = np.array([1.0, 2.0, 2.0])
+    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
+    eng = BasisEngine(bundle.x, bundle.I, bundle.wi, RegressionBasis()) if engine else None
+    with pytest.raises(ValueError, match=match):
+        solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
+                         gamma_hat(gammas).gamma_hat, engine=eng, strata=sizes)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfequil import BasisEngine, RegressionBasis, feature_columns
 from mfequil.errors import RegressionRankDeficient
-from mfequil.regression import RidgeConditioner, _Strata, _sum_rows
+from mfequil.regression import RidgeConditioner, _sum_rows
 
 from oracles import GroupMeanConditioner, TreeEngine
 
@@ -49,7 +49,7 @@ def test_ridge_recovers_exact_linear_map(seed):
     assert np.allclose(fitted, truth(w), atol=1e-6)
     # the stored fit reproduces the same map on fresh particles of the same paths
     fresh = rng.normal(size=(M0, 12, 2))
-    pred = eng.on(1, fresh[:, :, 1], (12,)).evaluate(step_fit)[:, 0]
+    pred = eng.on(1, fresh[:, :, 1]).evaluate(step_fit)[:, 0]
     assert np.allclose(pred, truth(fresh), atol=1e-6)
 
 
@@ -66,20 +66,28 @@ def test_ridge_projects_conditional_mean():
     M0, K = 1000, 100
     x_k, i_k, w_k = step_state(rng, M0, K)
     target = (2.0 * w_k + rng.normal(size=(M0, K))).ravel()
-    fitted, _ = RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (K,)).fit(target)
+    fitted, _ = RidgeConditioner(DEGREE_1, x_k, i_k, w_k).fit(target)
     # best L2 predictor given the state is 2 w; noise is orthogonal
     assert np.sqrt(np.mean((fitted - 2.0 * w_k.ravel()) ** 2)) < 0.02
 
 
 def test_stratified_fit_equals_independent_fits():
+    """An atom's engine reads its slice of the cloud's levels, as the
+    mean-field solve gives it: its fit is bit for bit the fit of a
+    conditioner on its own copy of those levels, and each atom's fit is
+    independent of the other's particles."""
     rng = np.random.default_rng(11)
     M0, K = 100, 6
-    x_k, i_k, w_k = step_state(rng, M0, K)
+    x, run_i = rng.normal(size=(M0, 2)), rng.normal(size=(M0, 2))
+    w = rng.normal(size=(M0, K, 2))
     y = rng.normal(size=(M0, K))
-    fitted, _ = RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (3, 3)).fit(y.ravel())
     for sel in (slice(0, 3), slice(3, 6)):
-        solo, _ = RidgeConditioner(DEGREE_1, x_k, i_k, w_k[:, sel], (3,)).fit(y[:, sel].ravel())
-        assert np.allclose(fitted.reshape(M0, K)[:, sel].ravel(), solo, atol=1e-12)
+        fitted, fit = BasisEngine(x, run_i, w[:, sel], DEGREE_1).at(1).fit(
+            np.ascontiguousarray(y[:, sel]).ravel())
+        solo, solo_fit = RidgeConditioner(DEGREE_1, x[:, 1], run_i[:, 1],
+                                          w[:, sel, 1].copy()).fit(y[:, sel].ravel())
+        assert np.array_equal(fitted, solo)
+        assert np.array_equal(fit.coef, solo_fit.coef) and np.array_equal(fit.beta0, solo_fit.beta0)
 
 
 def test_constant_columns_are_dropped():
@@ -88,12 +96,12 @@ def test_constant_columns_are_dropped():
     x_k, _, w_k = step_state(rng, M0, K)
     i_k = np.full(M0, 7.0)                    # I is known at the step
     y = (3.0 + 2.0 * x_k[:, None] - w_k).ravel()
-    cond = RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (K,))
+    cond = RidgeConditioner(DEGREE_1, x_k, i_k, w_k)
     fitted, step_fit = cond.fit(y)
     assert np.allclose(fitted, y, atol=1e-6)
     # the kept columns (x, w, I) are the step's factor; the fit map has two coefficients
-    assert cond._factors[0].kept.tolist() == [True, True, False]
-    assert step_fit[0].coef.shape == (2, 1)
+    assert cond._factor.kept.tolist() == [True, True, False]
+    assert step_fit.coef.shape == (2, 1)
 
 
 def test_collinear_columns_raise():
@@ -109,7 +117,7 @@ def test_collinear_columns_raise():
 def test_too_few_rows_raise():
     x_k, i_k, w_k = step_state(np.random.default_rng(0), 10, 3)
     with pytest.raises(RegressionRankDeficient, match="30 paths"):
-        RidgeConditioner(RegressionBasis(degree=2), x_k, i_k, w_k, (3,))
+        RidgeConditioner(RegressionBasis(degree=2), x_k, i_k, w_k)
 
 
 def test_weighted_fit_shifts_toward_heavy_rows():
@@ -118,9 +126,9 @@ def test_weighted_fit_shifts_toward_heavy_rows():
     x_k, i_k, w_k = step_state(rng, M0, K)
     y = np.repeat(np.where(np.arange(M0) < M0 // 2, 1.0, -1.0), K)
     weights_k = np.where(np.arange(M0) < M0 // 2, 3.0, 1.0)
-    cond = RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (K,), weights_k)
+    cond = RidgeConditioner(DEGREE_1, x_k, i_k, w_k, weights_k)
     _, fit = cond.fit(y)
-    assert fit[0].beta0[0] == pytest.approx((3.0 - 1.0) / 4.0, abs=0.05)
+    assert fit.beta0[0] == pytest.approx((3.0 - 1.0) / 4.0, abs=0.05)
 
 
 def test_group_mean_conditioner_is_exact():
@@ -167,55 +175,57 @@ def test_broadcast_state_columns_equal_flat_columns(basis):
     assert np.array_equal(feature_columns(basis, x, run_i, w), flat)
 
 
-def two_stratum_engine(M0=100, sizes=(1, 2), steps=2, seed=6):
-    """A degree-2 engine with two strata of the given sizes over M0 paths."""
+def degree2_engine(M0=100, K=3, steps=2, seed=6):
+    """A degree-2 engine on K particles over M0 paths."""
     rng = np.random.default_rng(seed)
     x, run_i = rng.normal(size=(M0, steps + 1)), rng.normal(size=(M0, steps + 1))
-    w = rng.normal(size=(M0, sum(sizes), steps + 1))
-    return BasisEngine(x, run_i, w, RegressionBasis(degree=2), strata=sizes)
+    w = rng.normal(size=(M0, K, steps + 1))
+    return BasisEngine(x, run_i, w, RegressionBasis(degree=2))
 
 
-def test_on_rejects_unbuilt_step_and_unseen_stratum(conditioner_builds):
-    """Fresh particles are read with the build's factors only: a step that was
-    never built, or a stratum that had no rows at the build, raises."""
-    eng = two_stratum_engine(sizes=(3, 0))           # stratum 1 empty at the build
+def test_on_rejects_unbuilt_step_and_other_path_counts(conditioner_builds):
+    """Fresh particles are read with the build's factor only: a step that was
+    never built, or levels on another path count, raises."""
+    eng = degree2_engine()
     rng = np.random.default_rng(7)
     _, fit = eng.at(1).fit(rng.normal(size=eng.M0 * 3))
     fresh = rng.normal(size=(eng.M0, 5, 3))
-    assert eng.on(1, fresh[:, :, 1], (5, 0)).evaluate(fit).shape == (500, 1)
+    assert eng.on(1, fresh[:, :, 1]).evaluate(fit).shape == (500, 1)
     with pytest.raises(ValueError, match="never built"):
-        eng.on(0, fresh[:, :, 0], (5, 0))
-    with pytest.raises(ValueError, match="stratum 1 was empty"):
-        eng.on(1, fresh[:, :, 1], (4, 1))
-    with pytest.raises(ValueError, match="3 strata for a build of 2"):
-        eng.on(1, fresh[:, :, 1], (4, 0, 1))
+        eng.on(0, fresh[:, :, 0])
     # levels on fewer or more paths than the engine's common paths
     for M0 in (50, 200):
         with pytest.raises(ValueError, match=f"levels on {M0} paths for an engine on 100"):
-            eng.on(1, rng.normal(size=(M0, 5)), (5, 0))
+            eng.on(1, rng.normal(size=(M0, 5)))
     assert len(conditioner_builds) == 1
+
+
+def atom_slices(ids):
+    """The particle ranges of atoms of the given sizes, in atom order."""
+    ends = np.cumsum(ids).tolist()
+    return [slice(e - n, e) for n, e in zip(ids, ends)]
 
 
 @pytest.mark.parametrize("M0", [3 * 8192 + 17, 3 * 8192 + 1])
 @pytest.mark.parametrize("ids", [(1,), (2, 1, 1)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_blocked_evaluate_equals_one_product(M0, ids, order):
-    """evaluate() runs each stratum's product a row block at a time; every
-    value is the bits of one product over the stratum's rows followed by the
-    column adds.  ids are the stratum sizes: (1,) is one stratum, (2, 1, 1)
-    gives stratum 0 two particles per path.  At 3 * 8192 + 1 rows the last
-    row joins the block before it, as a one-row product rounds differently."""
+    """evaluate() runs the product a row block at a time; every value is the
+    bits of one product over the rows followed by the column adds.  ids are
+    atom sizes, each atom a conditioner on its slice of the levels: (1,) is
+    one atom, (2, 1, 1) gives atom 0 two particles per path.  At
+    3 * 8192 + 1 rows the last row joins the block before it, as a one-row
+    product rounds differently."""
     rng = np.random.default_rng(31)
     x_k, i_k, w_k = step_state(rng, M0, sum(ids))
-    cond = RidgeConditioner(RegressionBasis(degree=2), x_k, i_k, w_k, ids)
-    cond._xs = [np.asarray(xs, order=order) for xs in cond._xs]
-    _, step_fit = cond.fit(rng.normal(size=(w_k.size, 3)))
-    got = cond.evaluate(step_fit)
-    for s, (xs, fit) in enumerate(zip(cond._xs, step_fit)):
-        want = xs @ fit.coef
+    for sel in atom_slices(ids):
+        cond = RidgeConditioner(RegressionBasis(degree=2), x_k, i_k, w_k[:, sel])
+        cond._xs = np.asarray(cond._xs, order=order)
+        _, fit = cond.fit(rng.normal(size=(cond._xs.shape[0], 3)))
+        want = cond._xs @ fit.coef
         for j in range(3):
             want[:, j] += fit.beta0[j]
-        assert np.array_equal(cond._strata.take(got, s), want), s
+        assert np.array_equal(cond.evaluate(fit), want), sel
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +278,11 @@ def test_sum_rows_matches_numpy_on_signed_zeros_and_non_finite_values():
 @pytest.mark.parametrize("sizes", [(1,), (3, 2)])
 def test_conditioner_moments_and_intercepts_are_numpys(weighted, sizes):
     """A build's column mean and scale are numpy's (weighted) mean and std
-    over the stratum's raw columns, and a fit's intercept is numpy's mean of
-    the targets (weighted: their weighted sum over the weight sum), to the
-    bit, for one target column and for several.  The state has offsets and
-    scales from 1e-4 to 1e4, so the columns span 1e-8 to 1e8."""
+    over the raw columns, and a fit's intercept is numpy's mean of the
+    targets (weighted: their weighted sum over the weight sum), to the bit,
+    for one target column and for several, on each atom's slice of the
+    levels (sizes are the atoms' particle counts).  The state has offsets
+    and scales from 1e-4 to 1e4, so the columns span 1e-8 to 1e8."""
     M0, K = 20_001, sum(sizes)
     basis = RegressionBasis(degree=2)
     rng = np.random.default_rng(41)
@@ -279,23 +290,23 @@ def test_conditioner_moments_and_intercepts_are_numpys(weighted, sizes):
     x_k, i_k, w_k = ((rng.normal(size=shape) + o) * c for shape, o, c
                      in zip([M0, M0, (M0, K)], offset, scale))
     w = np.exp(rng.normal(size=M0)) if weighted else None
-    cond = RidgeConditioner(basis, x_k, i_k, w_k, sizes, w)
-    for r in (1, 2, 5):
-        y = _rows(rng, w_k.size, r)
-        _, step_fit = cond.fit(y)
-        for s, (fac, fit, sel) in enumerate(zip(cond._factors, step_fit, cond._strata.sels)):
-            cols = feature_columns(basis, x_k[:, None], i_k[:, None], w_k[:, sel])
-            yb = cond._strata.take(y, s)
+    for sel in atom_slices(sizes):
+        cond = RidgeConditioner(basis, x_k, i_k, w_k[:, sel], w)
+        fac = cond._factor
+        cols = feature_columns(basis, x_k[:, None], i_k[:, None], w_k[:, sel])
+        for r in (1, 2, 5):
+            y = _rows(rng, cols.shape[0], r)
+            _, fit = cond.fit(y)
             if w is None:
-                mu, sd, beta0 = cols.mean(axis=0), cols.std(axis=0), yb.mean(axis=0)
+                mu, sd, beta0 = cols.mean(axis=0), cols.std(axis=0), y.mean(axis=0)
             else:
                 ws = np.repeat(w, sel.stop - sel.start)[:, None]
                 mu = (cols * ws).sum(axis=0) / ws.sum()
                 sd = np.sqrt(((cols - mu) ** 2 * ws).sum(axis=0) / ws.sum())
-                beta0 = (yb * ws).sum(axis=0) / ws.sum()
+                beta0 = (y * ws).sum(axis=0) / ws.sum()
             assert fac.kept.all()
-            assert np.array_equal(fac.mu, mu) and np.array_equal(fac.sd, sd), (r, s)
-            assert np.array_equal(fit.beta0, beta0), (r, s)
+            assert np.array_equal(fac.mu, mu) and np.array_equal(fac.sd, sd), (r, sel)
+            assert np.array_equal(fit.beta0, beta0), (r, sel)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +314,12 @@ def test_conditioner_moments_and_intercepts_are_numpys(weighted, sizes):
 # ---------------------------------------------------------------------------
 
 def test_reuse_writes_its_columns_where_they_are_read():
-    """A reuse at(k) writes each stratum's kept columns, standardised, into
-    the arrays its fit reads: its traced peak above what the conditioner
-    keeps is under half a (P, q) design.  Building the whole design and
-    gathering each stratum from it would cost a design more."""
+    """A reuse at(k) writes its kept columns, standardised, into the array
+    its fit reads: its traced peak above what the conditioner keeps is
+    under half a (P, q) design.  Building the whole design and copying the
+    kept columns from it would cost a design more."""
     M0, K, q = 200, 300, RegressionBasis(degree=2).n_columns
-    eng = two_stratum_engine(M0=M0, sizes=(100, 200))
+    eng = degree2_engine(M0=M0, K=K)
     eng.at(1)
     tracemalloc.start()
     try:
@@ -320,17 +331,17 @@ def test_reuse_writes_its_columns_where_they_are_read():
     design = 8 * M0 * K * q
     assert kept - base >= design        # the standardised columns it keeps
     assert peak - kept < design / 2, (peak - kept, design)
-    assert all(xs.flags.f_contiguous for xs in cond._xs)
+    assert cond._xs.flags.f_contiguous
 
 
 def test_build_writes_its_columns_where_they_are_read():
-    """A build writes no whole design and gathers nothing: per stratum it takes
-    the moments of that stratum's raw columns, frees them, and writes the
-    kept columns with the reuse's writer.  Its traced peak above what the
-    conditioner keeps is under a quarter of a (P, q) design; a build from the
-    whole design, gathered per stratum, costs a design or more."""
+    """A build keeps no whole design: it takes the moments of the raw
+    columns, frees them, and writes the kept columns with the reuse's
+    writer.  Its traced peak above what the conditioner keeps is under a
+    quarter of a (P, q) design; a build that keeps the raw design while it
+    writes the kept columns costs a design or more."""
     M0, K, q = 200, 300, RegressionBasis(degree=2).n_columns
-    eng = two_stratum_engine(M0=M0, sizes=(100, 200))
+    eng = degree2_engine(M0=M0, K=K)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -341,18 +352,18 @@ def test_build_writes_its_columns_where_they_are_read():
     design = 8 * M0 * K * q
     assert kept - base >= design        # the standardised columns it keeps
     assert peak - kept < design / 4, (peak - kept, design)
-    assert all(xs.flags.f_contiguous for xs in cond._xs)
+    assert cond._xs.flags.f_contiguous
 
 
 DEGREE_2 = RegressionBasis(degree=2)
 
 
 @pytest.mark.parametrize("ids, weighted, basis", [
-    pytest.param([2, 3, 1], False, DEGREE_2, id="ids0-False"),    # three strata, by their sizes
-    pytest.param([2, 2], False, DEGREE_2, id="ids1-False"),       # two strata
-    pytest.param(None, False, DEGREE_2, id="None-False"),         # one stratum
-    pytest.param([2, 2], True, DEGREE_2, id="ids3-True"),         # weighted, two strata
-    pytest.param(None, True, DEGREE_2, id="None-True"),           # weighted, one stratum
+    pytest.param([2, 3, 1], False, DEGREE_2, id="ids0-False"),    # three atoms, by their sizes
+    pytest.param([2, 2], False, DEGREE_2, id="ids1-False"),       # two atoms
+    pytest.param(None, False, DEGREE_2, id="None-False"),         # one atom
+    pytest.param([2, 2], True, DEGREE_2, id="ids3-True"),         # weighted, two atoms
+    pytest.param(None, True, DEGREE_2, id="None-True"),           # weighted, one atom
     pytest.param([2, 0, 3], False, DEGREE_2, id="empty-stratum"),
     pytest.param([2, 0, 3], True, DEGREE_2, id="empty-stratum-True"),
     pytest.param([2, 2], False, RegressionBasis(degree=1), id="degree1"),
@@ -360,10 +371,12 @@ DEGREE_2 = RegressionBasis(degree=2)
     pytest.param([2, 2], False, RegressionBasis(degree=2, include_idio=False), id="no-idio"),
 ])
 def test_memoised_step_equals_fresh_flat_build(ids, weighted, basis):
-    """engine.at(k) builds once and then reuses the factors; both calls fit
-    bit for bit like a fresh single-stratum conditioner on each stratum's
-    slice of the levels, whose sizes are ids (a size-0 stratum has no fit).  At k = 0 the state is known,
-    every column is dropped and the fit is the (weighted) mean."""
+    """An atom's engine, on its slice of the cloud's levels as the mean-field
+    solve gives it, builds at(k) once and then reuses the factor; both calls
+    fit bit for bit like a fresh conditioner on the atom's own copy of its
+    levels.  ids are the atom sizes (None: one atom of all particles; an
+    atom of size 0 gets no engine).  At k = 0 the state is known, every
+    column is dropped and the fit is the (weighted) mean."""
     M0, steps = 300, 3
     K = 4 if ids is None else sum(ids)
     rng = np.random.default_rng(21)
@@ -372,57 +385,20 @@ def test_memoised_step_equals_fresh_flat_build(ids, weighted, basis):
     w = rng.normal(size=(M0, K, steps + 1))
     x[:, 0], run_i[:, 0], w[:, :, 0] = 0.3, 0.0, 0.0
     D = np.exp(0.3 * rng.normal(size=(M0, steps + 1))) if weighted else None
-    n_strata = 1 if ids is None else len(ids)
-    eng = BasisEngine(x, run_i, w, basis, strata=ids, weights=D)
-    flat = np.zeros(M0 * K, dtype=np.int64) if ids is None else np.tile(
-        np.repeat(np.arange(n_strata), ids), M0)
-    ends = np.cumsum([K] if ids is None else ids)
+    atoms = [sel for sel in atom_slices([K] if ids is None else ids) if sel.stop > sel.start]
+    engines = [BasisEngine(x, run_i, w[:, sel], basis, weights=D) for sel in atoms]
     for k in (steps - 1, 0, 1):
-        y = rng.normal(size=(M0 * K, 3))
+        y = rng.normal(size=(M0, K, 3))
         for call in ("first", "repeat"):
-            got, got_fit = eng.at(k).fit(y)
-            for s in range(n_strata):
-                rows = np.nonzero(flat == s)[0]
-                if rows.size == 0:
-                    assert got_fit[s] is None
-                    continue
-                sel = slice(ends[s] - rows.size // M0, ends[s])
-                fresh = RidgeConditioner(basis, x[:, k], run_i[:, k], w[:, sel, k],
-                                         (rows.size // M0,), None if D is None else D[:, k + 1])
-                want, want_fit = fresh.fit(y[rows])
-                assert np.array_equal(got[rows], want), (call, k, s)
-                g, r = got_fit[s], want_fit[0]
-                assert np.array_equal(eng._memo[k][s].kept, fresh._factors[0].kept)
-                assert np.array_equal(g.coef, r.coef)
-                assert np.array_equal(g.beta0, r.beta0)
+            for sel, eng in zip(atoms, engines):
+                y_s = y[:, sel].reshape(-1, 3)
+                got, got_fit = eng.at(k).fit(y_s)
+                fresh = RidgeConditioner(basis, x[:, k], run_i[:, k], w[:, sel, k].copy(),
+                                         None if D is None else D[:, k + 1])
+                want, want_fit = fresh.fit(y_s)
+                assert np.array_equal(got, want), (call, k, sel)
+                assert np.array_equal(eng._memo[k].kept, fresh._factor.kept)
+                assert np.array_equal(got_fit.coef, want_fit.coef)
+                assert np.array_equal(got_fit.beta0, want_fit.beta0)
     # the repeat calls built nothing: one stored step per k, O(q^2) each
-    assert sorted(eng._memo) == [0, 1, 2]
-
-
-def test_stratum_ids_must_tile_the_rows():
-    x_k, i_k, w_k = step_state(np.random.default_rng(1), 100, 3)
-    RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (1, 2))                       # 100 paths of 3
-    eng = two_stratum_engine()
-    eng.at(1)
-    with pytest.raises(ValueError, match="do not tile"):
-        RidgeConditioner(DEGREE_1, x_k, i_k, w_k, (3, 4))
-    for bad in ([2, -1, 2], [0, 0], [1]):
-        with pytest.raises(ValueError, match="do not tile"):
-            RidgeConditioner(DEGREE_1, x_k, i_k, w_k, bad)
-        with pytest.raises(ValueError, match="do not tile"):
-            eng.on(1, eng.w[:, :, 1], bad)
-
-
-def test_strata_are_ranges_of_the_particle_axis():
-    strata = _Strata((1, 0, 2), (100, 3))
-    assert strata.layout == (100, 3)
-    assert strata.sels == [slice(0, 1), slice(1, 1), slice(1, 3)]
-    assert strata.rows == [100, 0, 200]
-
-
-@pytest.mark.parametrize("sizes", [(3, 4), (2, -1, 2), (0, 0), (), ((1, 2),)])
-def test_strata_reject_sizes_that_do_not_tile(sizes):
-    """A negative size, a zero total, a total other than the particle count,
-    or sizes that are not one list: one ValueError."""
-    with pytest.raises(ValueError, match="do not tile"):
-        _Strata(sizes, (100, 3))
+    assert all(sorted(eng._memo) == [0, 1, 2] for eng in engines)
