@@ -39,22 +39,20 @@ def main(argv=None):
           f"{'ratio 1':>10} {'y0':>12}")
     for s in args.scales:
         # the scaled liability and the running cost I it is regressed on
-        # come from one scenario
+        # come from one scenario; its gates need no solve
         sc = build_scenario(replace(cfg, eqg=replace(cfg.eqg, b=cfg.eqg.b * s)))
+        cloud = build_population(K, cfg.seed, sc.gamma_dist, balanced=True)
+        diag = smallness_from_liability(sc.liability, sc.eqg, sc.grid,
+                                        population_stats(cloud.gammas))
+        gate = f"{s:>8.2f} {diag.f_inf:>10.4g} {'in' if diag.smallness_ok else 'out':>6}"
         try:
-            mf, _ = solve_equilibrium_cloud(sc, cfg.mf.n_common, K)
+            mf = solve_equilibrium_cloud(sc, cfg.mf.n_common, K)
         except PicardDiverged as exc:
-            cloud = build_population(K, cfg.seed, sc.gamma_dist, balanced=True)
-            diag = smallness_from_liability(sc.liability, sc.eqg, sc.grid,
-                                            population_stats(cloud.gammas))
-            print(f"{s:>8.2f} {diag.f_inf:>10.4g} {'in' if diag.smallness_ok else 'out':>6} "
-                  f"diverged: {exc}")
+            print(f"{gate} diverged: {exc}")
             continue
-        d = mf.diagnostics
-        ratios = [r for r in d.ratios if np.isfinite(r)]
+        ratios = [r for r in mf.ratios if np.isfinite(r)]
         first = ratios[0] if ratios else float("nan")
-        print(f"{s:>8.2f} {d.f_inf:>10.4g} {'in' if d.smallness_ok else 'out':>6} "
-              f"{d.iterations:>7d} {first:>10.4f} {mf.solution.y0:>12.5g}")
+        print(f"{gate} {mf.solution.picard_iters:>7d} {first:>10.4f} {mf.solution.y0:>12.5g}")
     return 0
 
 

@@ -9,11 +9,12 @@ risk premium theta solves
 where z0_par is the row-space component of z0.  The solver runs backward
 induction on simulated paths: z is estimated by regressing the centred
 product of the next-step value with the Brownian increment, y by regressing
-the next-step value plus the frozen driver.  One solve, `_solve`, serves the
-agent, tilted and mean-field solves; they differ only in where theta comes
-from (the caller's path, or the cloud's own z0_par in the mean-field solve)
-and in the engine they regress with.  theta is read per path, (M0, d0) a
-step: a deterministic one is the case where every path holds the same value.
+the next-step value plus the frozen driver.  One solve, `_solve`, with one
+driver, `_driver`, serves the agent, tilted and mean-field solves; they
+differ only in where theta comes from (the caller's path, or the cloud's
+own z0_par in the mean-field solve) and in the engine they regress with.
+theta is read per path, (M0, d0) a step: a deterministic one is the case
+where every path holds the same value.
 Its Picard loop, `_fixed_point`, starts from z = 0, re-freezes the
 quadratic driver at the latest z, and stops once the larger of the relative
 y0 change and the relative cloud-L2 z change is below tol.  A non-finite
@@ -131,29 +132,59 @@ def _pathwise_theta(theta: np.ndarray, steps: int, d0: int, n_paths: int) -> np.
     return np.broadcast_to(th, (n_paths, steps, d0))
 
 
+def _driver(k: int, zs: dict | None, atoms: list, shape: tuple, proj_k: np.ndarray, theta_at,
+            clip: float, tilted: bool):
+    """Step k's driver at zs, {atom: z (M0, K_s, d0 + 1)}: ({atom: f}, clipped entries).
+
+    Each atom's z is clipped to [-clip, clip] and z0 split by proj_k; theta =
+    theta_at(k, z0_par) reads z0_par of the cloud's shape (M0, K), and f =
+    -z0_par theta - |theta|^2 / 2 + (|z0_perp|^2 + |z1|^2) / 2, tilted
+    dropping -z0_par theta.  zs = None, the first sweep's zero z, gives the
+    one (M0, 1) array 0.0 - |theta_at(k, None)|^2 / 2 for every atom: the
+    general form on a zero z, sign of zero included.
+    """
+    if zs is None:
+        return 0.0 - 0.5 * np.sum(theta_at(k, None) ** 2, axis=1)[:, None], 0
+    d0 = proj_k.shape[0]
+    # each atom writes its slice of the cloud's z0_par, which theta reads
+    z0_par, f, clips = np.empty(shape + (d0,)), {}, 0
+    for s, z in zs.items():
+        if not (z.max() <= clip and z.min() >= -clip):     # a NaN fails both tests
+            clips += int(np.sum(np.abs(z) > clip))
+            z = np.clip(z, -clip, clip)
+        z0k, z1k = z[..., :d0], z[..., d0:]
+        perp = z0k - np.matmul(z0k, proj_k, out=z0_par[:, atoms[s][0]])
+        perp *= perp
+        f[s] = 0.5 * (_sum_last(perp) + _sum_last(z1k**2))
+    th = theta_at(k, z0_par)
+    half = 0.5 * np.sum(th**2, axis=1)[:, None]
+    for s in f:
+        if not tilted:
+            f[s] -= np.einsum("mkj,mj->mk", z0_par[:, atoms[s][0]], th)
+        f[s] -= half
+    return f, clips
+
+
 def _backward_pass(atoms: list, g: np.ndarray, bundle: PathBundle, market: MarketSpec,
-                   driver, prev: BsdeSolution | None, tilt=None):
+                   theta_at, clip: float, tilted: bool, prev: BsdeSolution | None):
     """One linear backward sweep with the driver frozen at the previous iterate.
 
     atoms are as in BsdeSolution, and each atom's y, targets and fitted
     values are (M0, K_s) arrays of its own.  prev is the previous sweep's
     solution (None: z = 0).  Step k of its z is rebuilt on step k's
-    conditioners, which the sweep builds anyway, and driver(k, zs) -> {atom:
-    (M0, K_s) or (M0, 1) array}, zs {atom: z}, freezes the driver there; it
-    is regressed with the continuation value.  In the first sweep no z is
-    formed: the driver gets zs = None and gives its value at z = 0, one
-    array for every atom.  tilt(k) -> theta_k makes it the measure-changed
-    sweep: the common increments are shifted by theta_k dt.  Its regressions
-    are weighted by the cumulative weights the engines were built with, so
-    tilt carries no weights.  Only y at steps k + 1 and k is held.  Returns
-    the new solution, y (M0, K) at step 0, and the summed squares of the
-    change of z and of the new z, each atom writing its slice of one
-    (M0, K, d0 + 1) buffer; the loop reads those from the second sweep on,
-    so the first sweep returns None for both.
+    conditioners, which the sweep builds anyway, and _driver freezes the
+    driver there (in the first sweep at z = 0, with no z formed); it is
+    regressed with the continuation value.  A tilted sweep shifts the common
+    increments by theta_at(k, None) dt; its engines carry the weights.  Only
+    y at steps k + 1 and k outlives step k.  Returns the new solution, y
+    (M0, K) at step 0, the summed squares of the change of z and of the new
+    z (None in the first sweep), each atom writing its slice of one
+    (M0, K, d0 + 1) buffer, and the clipped z entries.
     """
     dW0, dWi, dt = bundle.dW0, bundle.dWi, bundle.grid.dt
     M0, K = g.shape
     steps, d0 = bundle.grid.steps, market.d0
+    proj, _ = market.geometry(steps)
     sol = BsdeSolution(grid=bundle.grid, market=market, atoms=atoms, g=g, y0=np.nan,
                        fits=[{} for _ in range(steps)], y_fits=[{} for _ in range(steps)])
     ys = {s: g[:, atom[0]] for s, atom in enumerate(atoms) if atom is not None}
@@ -165,13 +196,15 @@ def _backward_pass(atoms: list, g: np.ndarray, bundle: PathBundle, market: Marke
         sq0, sq1, sq2 = (sq[:M0 * K * d0].reshape(M0, K, d0),
                          sq[M0 * K * d0:].reshape(M0, K, 1), sq.reshape(M0, K, d0 + 1))
     dz2 = z2 = None if prev is None else 0.0
+    clips = 0
     for k in range(steps - 1, -1, -1):
         dw0_k = dW0[:, k, :]
-        if tilt is not None:
-            dw0_k = dw0_k + tilt(k) * dt
+        if tilted:
+            dw0_k = dw0_k + theta_at(k, None) * dt
         conds = sol.conditioners(k)
         z_old = None if prev is None else prev.z_parts(k, conds)
-        f = driver(k, z_old)
+        f, n_clip = _driver(k, z_old, atoms, g.shape, proj[k], theta_at, clip, tilted)
+        clips += n_clip
         z_new = {}
         for s, cond in conds.items():
             y, (stage1, prods) = ys[s], bufs[s]
@@ -187,18 +220,20 @@ def _backward_pass(atoms: list, g: np.ndarray, bundle: PathBundle, market: Marke
             ys[s] = (fitted1[:, 0] + dt * fitted1[:, 1]).reshape(y.shape)
 
         if z_old is not None:
-            for s, new in z_new.items():
+            for s in z_new:
                 sel = atoms[s][0]
-                np.subtract(new[..., :d0], z_old[s][..., :d0], out=sq0[:, sel])
-                np.subtract(new[..., d0:], z_old[s][..., d0:], out=sq1[:, sel])
+                np.subtract(z_new[s][..., :d0], z_old[s][..., :d0], out=sq0[:, sel])
+                np.subtract(z_new[s][..., d0:], z_old[s][..., d0:], out=sq1[:, sel])
             sq *= sq
             dz2 += float(np.sum(sq0) + np.sum(sq1))
-            for s, new in z_new.items():
-                np.multiply(new, new, out=sq2[:, atoms[s][0]])
+            for s in z_new:
+                np.multiply(z_new[s], z_new[s], out=sq2[:, atoms[s][0]])
             z2 += float(np.sum(sq2))
+        # step k's arrays go before step k - 1's conditioners are built
+        del conds, cond, z_old, z_new, f, y, fitted1, fitted2, resid
     y = _joined(ys)
     sol.y0 = float(np.mean(y))
-    return sol, y, dz2, z2
+    return sol, y, dz2, z2, clips
 
 
 def _fixed_point(sweep, n: int, max_iters: int, tol: float):
@@ -253,57 +288,15 @@ def _fixed_point(sweep, n: int, max_iters: int, tol: float):
 
 def _solve(bundle: PathBundle, market: MarketSpec, atoms: list, g: np.ndarray, theta_at,
            max_iters: int, tol: float, clip: float, tilted: bool = False) -> BsdeSolution:
-    """The one solve behind the agent, tilted and mean-field solves.
-
-    atoms are as in BsdeSolution; the agent and tilted solves have one atom.
-    Each sweep freezes the driver at the previous iterate.  At step k it
-    clips each atom's z to [-clip, clip], splits z0 through the step's
-    row-space projector, takes theta = theta_at(k, z0_par), of shape
-    (M0, d0), with z0_par (M0, K, d0) written a slice per atom, and
-    adds -z0_par theta - |theta|^2 / 2 + (|z0_perp|^2 + |z1|^2) / 2.  A
-    tilted solve drops -z0_par theta, which its measure absorbs, and shifts
-    the common increments by theta_at(k, None) dt; its engine carries the
-    weights.  The first sweep's z is 0: its driver is
-    0.0 - |theta_at(k, None)|^2 / 2, which is what the general form gives on
-    a zero z, sign of zero included.  The engines live as long as the
-    solution, so each step's regression is built in the first sweep and
-    reused by the later ones and by every read.
-    """
-    steps = bundle.grid.steps
+    """The one solve behind the agent, tilted and mean-field solves: the fixed
+    point of _backward_pass.  theta_at(k, z0_par) gives theta (M0, d0) at step
+    k from the frozen cloud's z0_par, or at z = 0 given None.  The engines
+    live as long as the solution, so each step's regression is built in the
+    first sweep and reused by the later ones and by every read."""
     g = np.asarray(g, dtype=float).reshape(bundle.n_paths, bundle.n_agents)
-    proj, _ = market.geometry(steps)
-    tilt = (lambda k: theta_at(k, None)) if tilted else None
-    d0 = market.d0
-
-    def sweep(prev):
-        clips = 0
-
-        def driver(k, zs):
-            nonlocal clips
-            if zs is None:
-                return 0.0 - 0.5 * np.sum(theta_at(k, None) ** 2, axis=1)[:, None]
-            # each atom writes its slice of the cloud's z0_par, which theta reads
-            z0_par, f = np.empty(g.shape + (d0,)), {}
-            for s, z in zs.items():
-                if not (z.max() <= clip and z.min() >= -clip):     # a NaN fails both tests
-                    clips += int(np.sum(np.abs(z) > clip))
-                    z = np.clip(z, -clip, clip)
-                z0k, z1k = z[..., :d0], z[..., d0:]
-                perp = z0k - np.matmul(z0k, proj[k], out=z0_par[:, atoms[s][0]])
-                perp *= perp
-                f[s] = 0.5 * (_sum_last(perp) + _sum_last(z1k**2))
-            th = theta_at(k, z0_par)
-            half = 0.5 * np.sum(th**2, axis=1)[:, None]
-            for s in f:
-                if not tilted:
-                    f[s] -= np.einsum("mkj,mj->mk", z0_par[:, atoms[s][0]], th)
-                f[s] -= half
-            return f
-
-        out = _backward_pass(atoms, g, bundle, market, driver, prev, tilt)
-        return (*out, clips)
-
-    return _fixed_point(sweep, g.size * steps, max_iters, tol)
+    return _fixed_point(lambda prev: _backward_pass(atoms, g, bundle, market, theta_at, clip,
+                                                    tilted, prev),
+                        g.size * bundle.grid.steps, max_iters, tol)
 
 
 def solve_agent_bsde(

@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, IllConditionedQ, InsufficientSpan
 from .liabilities import terminal_g
-from .market import MarketSpec, PopulationStats, gamma_hat, market_geometry
-from .meanfield import MeanFieldSolution, smallness_from_liability, solve_mean_field
+from .market import MarketSpec, market_geometry
+from .meanfield import MeanFieldSolution, solve_mean_field
 from .paths import (
     KIND_AUX,
     KIND_GAMMA,
@@ -254,32 +254,26 @@ def rate_fit(report: ClearingReport, slack: float = 0.25) -> ClearingReport:
     return report
 
 
-def solve_equilibrium_cloud(sc: Scenario, n_common: int,
-                            n_agents: int) -> tuple[MeanFieldSolution, PopulationStats]:
-    """Mean-field fixed point, with smallness and stability diagnostics, on a
-    balanced cloud of n_agents particles over n_common common paths of the
-    scenario sc.  Each gamma atom has its own regression engine when the
-    liability is not additive; the balanced cloud's atom ids are an
-    np.repeat, so each atom is one contiguous range of particles and its
-    count is its size in strata.  The seed, mf.iters, mf.tol and bsde.clip
-    come from sc.cfg.
-    Returns the solution and the cloud's population stats."""
+def solve_equilibrium_cloud(sc: Scenario, n_common: int, n_agents: int) -> MeanFieldSolution:
+    """Mean-field fixed point on a balanced cloud of n_agents particles over
+    n_common common paths of the scenario sc.  Each gamma atom has its own
+    regression engine when the liability is not additive; the balanced
+    cloud's atom ids are an np.repeat, so each atom is one contiguous range
+    of particles and its count is its size in strata.  The seed, mf.iters,
+    mf.tol and bsde.clip come from sc.cfg."""
     cfg = sc.cfg
     cloud = build_population(n_agents, cfg.seed, sc.gamma_dist, balanced=True)
-    stats = gamma_hat(cloud.gammas)
-    diag = smallness_from_liability(sc.liability, sc.eqg, sc.grid, stats)
     bundle = simulate_paths(sc.grid, sc.eqg, sc.market, n_common, cfg.seed, agents=n_agents)
     g = terminal_g(sc.liability, bundle, cloud.gammas)
-    mf = solve_mean_field(
-        bundle, sc.market, sc.basis, g, cloud.gammas, stats.gamma_hat,
-        max_iters=cfg.mf.iters, tol=cfg.mf.tol, clip=cfg.bsde.clip, diagnostics=diag,
+    return solve_mean_field(
+        bundle, sc.market, sc.basis, g, cloud.gammas,
+        max_iters=cfg.mf.iters, tol=cfg.mf.tol, clip=cfg.bsde.clip,
         strata=None if sc.liability.is_additive else np.bincount(
             cloud.atom_ids, minlength=len(sc.gamma_dist.values)),
     )
-    return mf, stats
 
 
-def run_clearing_study(sc: Scenario) -> tuple[ClearingReport, MeanFieldSolution, Population]:
+def run_clearing_study(sc: Scenario) -> tuple[ClearingReport, MeanFieldSolution]:
     """End-to-end clearing experiment on the scenario sc, sized by its
     clearing block.
 
@@ -291,21 +285,21 @@ def run_clearing_study(sc: Scenario) -> tuple[ClearingReport, MeanFieldSolution,
     """
     cfg, grid, Ns = sc.cfg, sc.grid, list(sc.cfg.clearing.Ns)
     n_common = cfg.clearing.n_common
-    mf, stats = solve_equilibrium_cloud(sc, n_common, cfg.clearing.n_equilibrium)
+    mf = solve_equilibrium_cloud(sc, n_common, cfg.clearing.n_equilibrium)
     pool = build_population(max(Ns), cfg.seed, sc.gamma_dist, balanced=False)
     w_agents = fresh_idio_levels(cfg.seed, n_common, pool.size, grid)
     pi_steps = (agent_strategies(mf, pool, w_agents, k)[1] for k in range(grid.steps))
     eps, ses = clearing_residual(pi_steps, Ns, grid.dt, n_batches=cfg.clearing.n_batches)
     report = ClearingReport(
         Ns=Ns, eps=eps, stderr=ses,
-        gamma_hat=stats.gamma_hat, gamma_lo=stats.gamma_lo,
-        bmo_proxy=mf.diagnostics.z_bmo,
+        gamma_hat=mf.stats.gamma_hat, gamma_lo=mf.stats.gamma_lo,
+        bmo_proxy=mf.z_bmo,
     )
     try:
         rate_fit(report, slack=cfg.clearing.slack)
     except InsufficientSpan:
         pass  # too few sizes for a rate: slope and bound stay unset
-    return report, mf, pool
+    return report, mf
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from .equilibrium import (
 )
 from .errors import ConfigError, MfequilError
 from .liabilities import terminal_g
+from .meanfield import smallness_from_liability
 from .paths import KIND_AUX, format_float, normal_block_array, simulate_paths
 from .riccati import riccati_for_spec, riccati_ode
 
@@ -238,36 +239,35 @@ def stage_bsde(sc: Scenario, writer: StageWriter) -> dict:
 
 def stage_mf(sc: Scenario, writer: StageWriter) -> dict:
     cfg = sc.cfg
-    mf, stats = solve_equilibrium_cloud(sc, cfg.mf.n_common, cfg.mf.n_particles)
-    diag = mf.diagnostics
+    mf = solve_equilibrium_cloud(sc, cfg.mf.n_common, cfg.mf.n_particles)
+    sol = mf.solution
+    diag = smallness_from_liability(sc.liability, sc.eqg, sc.grid, mf.stats)
     _write_paths(writer, "theta_mfg.csv", "theta", mf.theta, sc.grid.times)
-    err, ok = _vs_closed_form(sc, mf.solution, None, None)
-    ok = ok and mf.solution.converged
+    err, ok = _vs_closed_form(sc, sol, None, None)
+    ok = ok and sol.converged
     if diag.smallness_ok:
-        ok = ok and all(r < 1.0 for r in diag.ratios[1:])
-    writer.json("mf_diagnostics.json", asdict(diag) | err | {
-        "gamma_hat": stats.gamma_hat,
-        "gamma_lo": stats.gamma_lo,
-        "gamma_hi": stats.gamma_hi,
-        "y0": mf.solution.y0,
+        ok = ok and all(r < 1.0 for r in mf.ratios[1:])
+    writer.json("mf_diagnostics.json", asdict(diag) | asdict(mf.stats) | err | {
+        "ratios": mf.ratios, "changes": mf.changes, "iterations": sol.picard_iters,
+        "converged": sol.converged, "y_inf": mf.y_inf, "z_bmo": mf.z_bmo, "y0": sol.y0,
         "status": "pass" if ok else "fail",
     })
     emit_plot_series(
         writer, "contraction_ratios", "iteration", "successive change ratio",
         ["iteration", "ratio"],
-        [(i + 2, float(r)) for i, r in enumerate(diag.ratios)],
-        extra={"converged": bool(mf.solution.converged)},
+        [(i + 2, float(r)) for i, r in enumerate(mf.ratios)],
+        extra={"converged": bool(sol.converged)},
     )
     return {
         "status": "pass" if ok else "fail",
-        "converged": bool(mf.solution.converged),
-        "iterations": diag.iterations,
+        "converged": bool(sol.converged),
+        "iterations": sol.picard_iters,
         "smallness_ok": bool(diag.smallness_ok),
     }
 
 
 def stage_clearing(sc: Scenario, writer: StageWriter) -> dict:
-    report, mf, _pool = run_clearing_study(sc)
+    report, mf = run_clearing_study(sc)
     writer.csv("clearing.csv", ["N", "eps", "stderr"],
                list(zip(report.Ns, report.eps, report.stderr)))
     writer.json("clearing.json", asdict(report))

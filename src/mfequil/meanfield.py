@@ -13,19 +13,23 @@ with Ebar_n = Ebar[(1/gamma) z0_par], so that at a fixed point every particle
 also solves the single-agent equation under theta = -gamma_hat Ebar_n^T.
 
 The cloud discretises Ebar by the per-common-path average over its
-particles.  So the mean-field solve is the agent solve (bsde._solve) with
-theta taken, at each step of each sweep, from the frozen cloud's own z0_par;
-it records the contraction ratios of the sweep-to-sweep changes.  Step k's
-theta reads only step k of z0, which the sweep rebuilds from the previous
-iterate's fit maps (see bsde).  A cloud of several risk-aversion atoms gives
-each atom with particles its own regression engine on its slice of the
-levels; theta, the mean over all atoms, is where they meet.  One pass
-after the solve gives the reported theta, sup |Y| and the BMO proxy.
+particles, and gamma_hat by its own harmonic mean, which the solve works
+out from the cloud's gammas.  So the mean-field solve is the agent solve
+(bsde._solve) with theta taken, at each step of each sweep, from the frozen
+cloud's own z0_par.  Step k's theta reads only step k of z0, which the
+sweep rebuilds from the previous iterate's fit maps (see bsde).  A cloud of
+several risk-aversion atoms gives each atom with particles its own
+regression engine on its slice of the levels; theta, the mean over all
+atoms, is where they meet.  One pass after the solve gives the reported
+theta, sup |Y| and the BMO proxy.  The run's facts (sweeps, convergence,
+the sweep-to-sweep changes and their contraction ratios) are read from the
+solution; ContractionDiagnostics holds only the smallness gates of a
+liability bound, which need no solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .riccati import EqgSpec
 
 @dataclass
 class ContractionDiagnostics:
-    """Smallness gates and the observed contraction of the fixed-point map."""
+    """The smallness and stability gates of a liability bound."""
 
     f_inf: float
     f_cross_inf: float
@@ -49,12 +53,6 @@ class ContractionDiagnostics:
     radius: float                  # R = 2 ||F||_inf
     smallness_ok: bool             # ||F||_inf < 1 / (48 C_gamma)
     stability_ok: bool             # ||F||_inf <= 1 / (4 sqrt(2) c_gamma)
-    ratios: list[float] = field(default_factory=list)
-    changes: list[float] = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
-    y_inf: float = float("nan")    # empirical sup |Y| (unnormalized)
-    z_bmo: float = float("nan")    # empirical BMO proxy of (Z0, Z1)
 
 
 def smallness_report(
@@ -87,11 +85,23 @@ def smallness_from_liability(
 
 @dataclass
 class MeanFieldSolution:
-    """Converged cloud solution with the implied equilibrium risk premium."""
+    """Converged cloud solution with the implied equilibrium risk premium;
+    the sweep count, convergence and changes are the solution's."""
 
     solution: BsdeSolution
     theta: np.ndarray          # (M0, steps, d0)
-    diagnostics: ContractionDiagnostics
+    stats: PopulationStats     # the cloud's gamma_hat, gamma_lo and gamma_hi
+    y_inf: float               # empirical sup |Y| (unnormalized)
+    z_bmo: float               # empirical BMO proxy of (Z0, Z1)
+
+    @property
+    def changes(self) -> list[float]:     # max(dy0, dz) of sweeps 2, 3, ...
+        return [max(a, b) for a, b in zip(self.solution.y0_changes, self.solution.z_changes)]
+
+    @property
+    def ratios(self) -> list[float]:      # each change over a positive one before it
+        c = self.changes
+        return [c[i] / c[i - 1] for i in range(1, len(c)) if c[i - 1] > 0]
 
 
 def solve_mean_field(
@@ -100,13 +110,12 @@ def solve_mean_field(
     basis: RegressionBasis,
     g_samples: np.ndarray,
     gammas: np.ndarray,
-    gamma_hat: float,
+    *,
     max_iters: int = 10,
     tol: float = 1e-4,
     clip: float = 50.0,
     engine=None,
     strata=None,
-    diagnostics: ContractionDiagnostics | None = None,
 ) -> MeanFieldSolution:
     """Fixed-point iteration of the mean-field map from z = 0.
 
@@ -117,25 +126,27 @@ def solve_mean_field(
     new z, both scales floored at 1e-8.  A non-finite change, or one that
     grows for 3 consecutive sweeps, raises PicardDiverged.  A run that
     reaches max_iters otherwise returns its last iterate with
-    converged = False.
-    diagnostics.changes is the per-sweep max(dy0, dz); the solution keeps
-    dy0 and dz apart as y0_changes and z_changes, and its fits are the last
-    sweep's z fit maps.  strata, the sizes (S,) of the risk-aversion atoms,
-    tile the K particles in atom order: the first strata[0] particles form
-    atom 0, and so on (None: one atom); sizes that do not tile K raise
-    ValueError.  Each atom with particles gets its own engine on its slice
-    of the levels; engine= replaces it for a solve of one atom.  Every sweep
-    and the BMO proxy share the engines, so each step's regression is built
-    once per atom.  theta's mean over the K agents is np.mean(..., axis=1)'s
-    to the bit: for d0 >= 2 one einsum adds z0_par / gamma over the agents
-    in order, with no (M0, K, d0) product formed; for d0 = 1 numpy sums that
-    product pairwise.  The first sweep's z is 0, and so is its theta.  The
-    reported theta, diagnostics.y_inf (sup |Y|) and diagnostics.z_bmo (BMO
-    proxy of (Z0, Z1) = z / gamma) come from one backward pass over the
-    final iterate.
+    converged = False.  gamma_hat is the cloud's own harmonic mean,
+    market.gamma_hat(gammas), kept as stats; a gamma that is not positive
+    and finite raises NonpositiveGamma before any regression is built.  The
+    solution keeps dy0 and dz apart as y0_changes and z_changes, and its
+    fits are the last sweep's z fit maps.  strata, the sizes (S,) of the
+    risk-aversion atoms, tile the K particles in atom order: the first
+    strata[0] particles form atom 0, and so on (None: one atom); sizes that
+    do not tile K raise ValueError.  Each atom with particles gets its own
+    engine on its slice of the levels; engine= replaces it for a solve of
+    one atom.  Every sweep and the BMO proxy share the engines, so each
+    step's regression is built once per atom.  theta's mean over the K
+    agents is np.mean(..., axis=1)'s to the bit: for d0 >= 2 one einsum adds
+    z0_par / gamma over the agents in order, with no (M0, K, d0) product
+    formed; for d0 = 1 numpy sums that product pairwise.  The first sweep's
+    z is 0, and so is its theta.  The reported theta, y_inf (sup |Y|) and
+    z_bmo (BMO proxy of (Z0, Z1) = z / gamma) come from one backward pass
+    over the final iterate.
     """
     dt = bundle.grid.dt
     gam = np.asarray(gammas, dtype=float)
+    stats = population_stats(gam)
     K = bundle.n_agents
     sizes = np.asarray((K,) if strata is None else strata, dtype=np.int64)
     if sizes.ndim != 1 or np.any(sizes < 0) or int(sizes.sum()) != K:
@@ -148,8 +159,6 @@ def solve_mean_field(
         ends = np.cumsum(sizes).tolist()
         atoms = [(slice(e - n, e), BasisEngine(bundle.x, bundle.I, bundle.wi[:, e - n:e], basis))
                  if n else None for n, e in zip(sizes.tolist(), ends)]
-    if diagnostics is None:
-        diagnostics = smallness_report(float("nan"), population_stats(gam))
     inv_g = 1.0 / gam
     inv_gamma = inv_g[None, :, None]
 
@@ -162,16 +171,9 @@ def solve_mean_field(
     def theta_at(k, z0_par):
         if z0_par is None:      # the zero first iterate: Ebar_n = 0
             return np.zeros((bundle.n_paths, market.d0))
-        return -gamma_hat * agent_mean(z0_par)
+        return -stats.gamma_hat * agent_mean(z0_par)
 
     sol = _solve(bundle, market, atoms, g_samples, theta_at, max_iters, tol, clip)
-    changes = [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
-    diagnostics.changes = changes
-    diagnostics.ratios = [
-        changes[i] / changes[i - 1] for i in range(1, len(changes)) if changes[i - 1] > 0
-    ]
-    diagnostics.iterations = sol.picard_iters
-    diagnostics.converged = sol.converged
 
     # the mean field is recomputed from the final iterate, so the reported
     # theta is the one the returned solution solves
@@ -189,6 +191,6 @@ def solve_mean_field(
             yield {s: (conds[s], z[..., :d0] * inv_gamma[:, atoms[s][0]],
                        z[..., d0:] * inv_gamma[:, atoms[s][0]]) for s, z in zs.items()}
 
-    diagnostics.z_bmo = bmo_proxy(backward(), dt)
-    diagnostics.y_inf = float(np.max(y_max))
-    return MeanFieldSolution(solution=sol, theta=-gamma_hat * ebar, diagnostics=diagnostics)
+    z_bmo = bmo_proxy(backward(), dt)
+    return MeanFieldSolution(solution=sol, theta=-stats.gamma_hat * ebar, stats=stats,
+                             y_inf=float(np.max(y_max)), z_bmo=z_bmo)

@@ -76,7 +76,7 @@ from mfequil.config import apply_overrides, build_scenario, config_from_dict
 with open(sys.argv[1], encoding="utf-8") as fh:
     sc = build_scenario(config_from_dict(apply_overrides(json.load(fh), ["grid.steps=5"])))
 wall, cpu = time.perf_counter(), time.process_time()
-mf, _ = solve_equilibrium_cloud(sc, 100, 2100)
+mf = solve_equilibrium_cloud(sc, 100, 2100)
 wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
 print(json.dumps({"y0": repr(mf.solution.y0), "theta": mf.theta.tobytes().hex(),
                   "sweeps": mf.solution.picard_iters, "wall_s": wall, "cpu_s": cpu}))

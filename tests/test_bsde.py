@@ -7,7 +7,7 @@ import pytest
 from mfequil import (
     DiscreteDist, EqgSpec, MarketSpec, RegressionBasis, TimeGrid,
     agent_strategies, bmo_proxy, build_population, doleans_weights,
-    equilibrium_path, fresh_idio_levels, gamma_hat, optimal_strategy,
+    equilibrium_path, fresh_idio_levels, optimal_strategy,
     riccati_for_spec, simulate_paths, solve_agent_bsde,
     solve_mean_field, solve_under_q, verify_condition_r,
 )
@@ -240,7 +240,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     # gamma_i delta_par against the premium gamma_hat delta_par, so fresh
     # agents hold nonzero positions
     g_mf = g * gammas
-    mf = solve_mean_field(bundle, market, basis, g_mf, gammas, gamma_hat(gammas).gamma_hat,
+    mf = solve_mean_field(bundle, market, basis, g_mf, gammas,
                           max_iters=6, strata=(2, 2))
     pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
     p_pool, pi_pool = pool_strategies(mf, pool, fresh_idio_levels(3, 2000, 5, grid))
@@ -316,7 +316,7 @@ def test_nan_liability_raises_in_every_solve(grid20, market2):
     with pytest.raises(PicardDiverged, match="non-finite"):
         solve_under_q(bundle, market2, BASIS, theta, g)
     with pytest.raises(PicardDiverged, match="non-finite"):
-        solve_mean_field(bundle, market2, BASIS, g, gammas, gamma_hat(gammas).gamma_hat)
+        solve_mean_field(bundle, market2, BASIS, g, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def mf_cloud(M0=64, K=16, steps=20, seed=3):
 
 def test_per_step_slices_are_contiguous():
     bundle, market, g, gammas = mf_cloud()
-    mf = solve_mean_field(bundle, market, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
+    mf = solve_mean_field(bundle, market, BASIS, g, gammas,
                           max_iters=3)
     sol = mf.solution
     coarse = coarsen_bundle(bundle, 4, flat_spec())
@@ -362,7 +362,7 @@ def test_readers_rebuild_the_last_sweep():
     """y_at(0) gives back the loop's y0 bit for bit, y at the last node is g,
     and materialise stacks z_at and y_at."""
     bundle, market, g, gammas = mf_cloud()
-    sol = solve_mean_field(bundle, market, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
+    sol = solve_mean_field(bundle, market, BASIS, g, gammas,
                            max_iters=3, tol=0.0).solution
     assert float(np.mean(sol.y_at(0))) == sol.y0
     y, z0, z1 = materialise(sol)
@@ -388,7 +388,7 @@ def test_solve_holds_one_buffer_set():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        mf = solve_mean_field(bundle, market, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
+        mf = solve_mean_field(bundle, market, BASIS, g, gammas,
                               max_iters=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -407,11 +407,10 @@ def test_solve_peak_does_not_grow_with_steps():
     peaks = []
     for steps in (10, 40):
         bundle, market, g, gammas = mf_cloud(M0=128, K=32, steps=steps)
-        ghat = gamma_hat(gammas).gamma_hat
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mf = solve_mean_field(bundle, market, BASIS, g, gammas, ghat, max_iters=3,
+            mf = solve_mean_field(bundle, market, BASIS, g, gammas, max_iters=3,
                                   tol=0.0)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
@@ -426,8 +425,7 @@ def test_z_changes_match_whole_array_formula():
     solve capped at i sweeps, so the per-step sums behind z_changes can be
     checked against the whole-array cloud-L2 change of those iterates."""
     bundle, market, g, gammas = mf_cloud()
-    ghat = gamma_hat(gammas).gamma_hat
-    sols = [solve_mean_field(bundle, market, BASIS, g, gammas, ghat, max_iters=i,
+    sols = [solve_mean_field(bundle, market, BASIS, g, gammas, max_iters=i,
                              tol=0.0).solution for i in range(1, 5)]
     iterates = [materialise(sol) for sol in sols]
     n = bundle.n_paths * bundle.n_agents * bundle.grid.steps
@@ -450,14 +448,14 @@ def test_zero_iterate_driver_is_the_general_driver_at_zero(solve, grid20, market
     the agents: for a pathwise theta with negative entries and all-zero
     rows, for the tilted solve that drops -z0_par theta, and for the
     mean-field theta read from z0_par.  Each solve here has one atom, 0."""
-    drivers = []
-    real = bsde._backward_pass
+    calls = []
+    real = bsde._driver
 
-    def spy(atoms, g, bundle, market, driver, prev, tilt=None):
-        drivers.append(driver)
-        return real(atoms, g, bundle, market, driver, prev, tilt)
+    def spy(k, zs, *rest):
+        calls.append((k, zs is None, rest))
+        return real(k, zs, *rest)
 
-    monkeypatch.setattr(bsde, "_backward_pass", spy)
+    monkeypatch.setattr(bsde, "_driver", spy)
     bundle = simulate_paths(grid20, flat_spec(), market2, 256, 9, agents=3)
     g = np.tanh(bundle.x[:, -1])[:, None] * np.array([1.0, 2.0, 4.0])
     rng = np.random.default_rng(4)
@@ -469,14 +467,18 @@ def test_zero_iterate_driver_is_the_general_driver_at_zero(solve, grid20, market
         solve_under_q(bundle, market2, BASIS, theta, g, picard_max=2)
     else:
         gammas = np.array([1.0, 2.0, 4.0])
-        solve_mean_field(bundle, market2, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
+        solve_mean_field(bundle, market2, BASIS, g, gammas,
                          max_iters=2)
-    assert len(drivers) == 2
-    driver = drivers[0]
+    # two sweeps, each from the last step back; only the first has no z
+    steps = list(range(grid20.steps - 1, -1, -1))
+    assert [(k, first) for k, first, _ in calls] == [(k, True) for k in steps] + [
+        (k, False) for k in steps]
     zero = np.zeros((bundle.n_paths, bundle.n_agents, market2.d0 + 1))
-    for k in range(grid20.steps):
-        got = np.broadcast_to(driver(k, None), zero.shape[:2])
-        want = driver(k, {0: zero})[0]
+    for k, _, rest in calls[:grid20.steps]:
+        got, clips = real(k, None, *rest)
+        want, _ = real(k, {0: zero}, *rest)
+        got, want = np.broadcast_to(got, zero.shape[:2]), want[0]
+        assert clips == 0
         assert np.array_equal(got, want), k
         assert np.array_equal(np.signbit(got), np.signbit(want)), k
 
@@ -494,5 +496,5 @@ def test_fewer_than_one_sweep_is_rejected_by_every_solve(grid20, market2):
         with pytest.raises(ValueError, match="max_iters"):
             solve_under_q(bundle, market2, BASIS, theta, g, picard_max=n)
         with pytest.raises(ValueError, match="max_iters"):
-            solve_mean_field(bundle, market2, BASIS, g, gammas, gamma_hat(gammas).gamma_hat,
+            solve_mean_field(bundle, market2, BASIS, g, gammas,
                              max_iters=n)

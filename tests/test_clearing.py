@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import mfequil.clearing
 import mfequil.market
 from mfequil import (
     ClearingReport,
@@ -230,9 +231,7 @@ def _small_mf():
     bundle = simulate_paths(grid, spec, market, 128, 3, agents=K)
     basis = RegressionBasis(degree=2, include_idio=False)
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, pop.gammas)
-    stats = gamma_hat(pop.gammas)
-    mf = solve_mean_field(bundle, market, basis, g, pop.gammas, stats.gamma_hat,
-                          max_iters=6)
+    mf = solve_mean_field(bundle, market, basis, g, pop.gammas, max_iters=6)
     return grid, market, spec, pop, bundle, basis, mf
 
 
@@ -275,8 +274,7 @@ def test_agent_strategies_use_each_agents_stratum():
     # normalized G = gamma x_T: the atoms' z maps differ by their gamma
     g = bundle.x[:, -1][:, None] * cloud.gammas
     mf = solve_mean_field(bundle, market, basis, g, cloud.gammas,
-                          gamma_hat(cloud.gammas).gamma_hat, max_iters=6,
-                          strata=np.bincount(cloud.atom_ids))
+                          max_iters=6, strata=np.bincount(cloud.atom_ids))
     pool = build_population(8, 7, dist)
     assert set(pool.atom_ids.tolist()) == {0, 1}
     w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
@@ -312,8 +310,7 @@ def test_agent_strategies_commute_with_a_permuted_pool():
     bundle = simulate_paths(grid, spec, market, 128, 3, agents=6)
     g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, cloud.gammas)
     mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, cloud.gammas,
-                          gamma_hat(cloud.gammas).gamma_hat, max_iters=4,
-                          strata=np.bincount(cloud.atom_ids, minlength=3))
+                          max_iters=4, strata=np.bincount(cloud.atom_ids, minlength=3))
     pool = build_population(40, 7, GAMMA_DIST)
     assert set(pool.atom_ids.tolist()) == {0, 1, 2} and np.any(np.diff(pool.atom_ids) < 0)
     w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
@@ -341,7 +338,7 @@ def test_pool_agent_of_an_atom_without_cloud_particles_raises():
     bundle = simulate_paths(grid, spec, market, 128, 3, agents=2)
     g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, cloud.gammas)
     mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, cloud.gammas,
-                          gamma_hat(cloud.gammas).gamma_hat, max_iters=3, strata=strata)
+                          max_iters=3, strata=strata)
     assert mf.solution.atoms[2] is None
     w = fresh_idio_levels(3, bundle.n_paths, 3, grid)
     pool = Population(gammas=np.array([1.0, 4.0, 2.0]), atom_ids=np.array([0, 2, 1]))
@@ -514,8 +511,7 @@ def test_sigma_gram_is_factorised_once_per_market(gram_factorisations, table):
     bundle = simulate_paths(grid, spec, market, 128, 3, agents=6)
     g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, cloud.gammas)
     mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, cloud.gammas,
-                          gamma_hat(cloud.gammas).gamma_hat, max_iters=3,
-                          strata=np.bincount(cloud.atom_ids, minlength=3))
+                          max_iters=3, strata=np.bincount(cloud.atom_ids, minlength=3))
     pool = build_population(10, 7, GAMMA_DIST)
     pool_strategies(mf, pool, fresh_idio_levels(3, bundle.n_paths, pool.size, grid))
 
@@ -536,7 +532,15 @@ def test_sigma_gram_is_factorised_once_per_market(gram_factorisations, table):
 
 # ------------------------------------------------------------- full study
 
-def test_run_clearing_study_smoke():
+def test_run_clearing_study_smoke(monkeypatch):
+    pools = []
+    real = mfequil.clearing.build_population
+
+    def spy(*args, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(mfequil.clearing, "build_population", spy)
     sc = build_scenario(config_from_dict({
         "seed": 5,
         "grid": {"horizon": 0.5, "steps": 10},
@@ -549,15 +553,16 @@ def test_run_clearing_study_smoke():
         "mf": {"iters": 6},
         "clearing": {"n_common": 32, "n_equilibrium": 30, "Ns": [4, 8, 16], "n_batches": 4},
     }))
-    report, mf, pool = run_clearing_study(sc)
-    assert pool.size == 16
+    report, mf = run_clearing_study(sc)
+    # the balanced cloud, then the fresh pool of max(Ns) agents
+    assert [p.size for p in pools] == [30, 16]
     assert len(report.eps) == 3
     assert all(e >= 0 for e in report.eps)
     assert all(s >= 0 for s in report.stderr)
     # only 3 sizes over 0.6 decades: the rate fit must not have been attached
     assert np.isnan(report.slope)
     assert report.bound_ok == []
-    assert mf.diagnostics.z_bmo > 0
+    assert mf.z_bmo > 0
 
 
 def test_cloud_solve_is_blas_thread_invariant(cloud_solve_runs):

@@ -179,6 +179,19 @@ def test_json_outputs_are_standard_json(tiny_run):
     assert report["slope"] is None and report["bound_const"] is None
 
 
+def test_mf_diagnostics_keys(tiny_run):
+    """mf_diagnostics.json holds the smallness gates, the cloud's gamma
+    statistics, the run's facts and, for tiny's additive liability, the
+    closed-form y0 errors: these 20 keys and no other."""
+    diag = json.loads((tiny_run / "mf_diagnostics.json").read_text())
+    assert sorted(diag) == [
+        "c_gamma", "c_gamma_spread", "changes", "converged", "f_cross_inf", "f_inf",
+        "gamma_hat", "gamma_hi", "gamma_lo", "iterations", "radius", "ratios",
+        "smallness_ok", "stability_ok", "status", "y0", "y0_closed", "y0_rel_err",
+        "y_inf", "z_bmo",
+    ]
+
+
 def test_rerun_is_byte_identical(tiny_run, tmp_path):
     rc = run(["all", "--config", TINY, "--out", str(tmp_path)])
     assert rc == 0

@@ -9,7 +9,7 @@ from mfequil import (
     gamma_hat, simulate_paths, smallness_from_liability, smallness_report,
     solve_agent_bsde, solve_mean_field, terminal_g,
 )
-from mfequil.errors import RegressionRankDeficient
+from mfequil.errors import NonpositiveGamma, RegressionRankDeficient
 
 from conftest import make_market, materialise, pool_strategies
 from oracles import TreeEngine
@@ -135,14 +135,14 @@ def test_tree_solver_matches_brute_force():
     g = terminal_g(liability, bundle, gammas)
 
     mf = solve_mean_field(
-        bundle, market, RegressionBasis(), g, gammas, stats.gamma_hat,
+        bundle, market, RegressionBasis(), g, gammas,
         engine=engine, max_iters=40, tol=1e-13,
     )
     y_ref, z0_ref, z1_ref = reference_fixed_point(
         g.reshape(bundle.n_paths, K_TREE), bundle.dW0, bundle.dWi, keys,
         gammas, stats.gamma_hat, grid.dt)
 
-    assert mf.diagnostics.converged
+    assert mf.solution.converged
     y, z0, z1 = materialise(mf.solution)
     assert np.max(np.abs(y - y_ref)) < 1e-9
     assert np.max(np.abs(z0 - z0_ref)) < 1e-9
@@ -170,13 +170,12 @@ def test_fixed_point_solves_single_agent_problem(market2):
     K = 4
     bundle = simulate_paths(grid, spec, market2, 512, 77, agents=K)
     gammas = np.array([1.0, 1.0, 2.0, 2.0])
-    stats = gamma_hat(gammas)
     basis = RegressionBasis(degree=2, include_idio=False)
     liability = LiabilitySpec.from_eqg(spec)
     g = terminal_g(liability, bundle, gammas)
-    mf = solve_mean_field(bundle, market2, basis, g, gammas, stats.gamma_hat,
+    mf = solve_mean_field(bundle, market2, basis, g, gammas,
                           max_iters=15, tol=1e-10)
-    assert mf.diagnostics.converged
+    assert mf.solution.converged
 
     # Same bundle, same regressions: the cloud solution must be the literal
     # single-agent solution under the reported risk premium, not just close.
@@ -204,10 +203,9 @@ def test_additive_normalized_solution_is_gamma_free(market2):
                    a=0.0, b=0.4, kappa=0.0)
     bundle = simulate_paths(grid, spec, market2, 256, 13, agents=6)
     gammas = np.array([0.5, 1.0, 1.0, 2.0, 4.0, 8.0])
-    stats = gamma_hat(gammas)
     basis = RegressionBasis(degree=2, include_idio=False)
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
-    mf = solve_mean_field(bundle, market2, basis, g, gammas, stats.gamma_hat)
+    mf = solve_mean_field(bundle, market2, basis, g, gammas)
     z0 = materialise(mf.solution)[1]
     spread = np.max(np.abs(z0 - z0[:, :1]))
     assert spread < 1e-12
@@ -247,9 +245,9 @@ def test_non_contracting_run_flags_not_converged(market2):
     gammas = np.array([1.0, 2.0])
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     basis = RegressionBasis(degree=2, include_idio=False)
-    mf = solve_mean_field(bundle, market2, basis, g, gammas, 1.5,
+    mf = solve_mean_field(bundle, market2, basis, g, gammas,
                           max_iters=1, tol=1e-15)
-    assert not mf.diagnostics.converged
+    assert not mf.solution.converged
 
 
 def test_reported_theta_is_minus_gamma_hat_cloud_mean(market2):
@@ -262,8 +260,7 @@ def test_reported_theta_is_minus_gamma_hat_cloud_mean(market2):
     gammas = np.array([1.0, 2.0, 4.0])
     stats = gamma_hat(gammas)
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
-    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
-                          stats.gamma_hat)
+    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas)
     table = market2.sigma_table(grid.steps)
     want = np.empty_like(mf.theta)
     for k in range(grid.steps):
@@ -294,7 +291,7 @@ def test_reported_theta_is_numpys_agent_mean_to_the_bit(sigma, delta, K, M0):
     gammas = np.repeat([1.0, 2.0], sizes)
     ghat = gamma_hat(gammas).gamma_hat
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
-    mf = solve_mean_field(bundle, market, RegressionBasis(), g, gammas, ghat,
+    mf = solve_mean_field(bundle, market, RegressionBasis(), g, gammas,
                           max_iters=3, tol=0.0, strata=sizes)
     proj, _ = market.geometry(grid.steps)
     inv_gamma = (1.0 / gammas)[None, :, None]
@@ -305,8 +302,9 @@ def test_reported_theta_is_numpys_agent_mean_to_the_bit(sigma, delta, K, M0):
 
 
 def test_changes_keep_y0_and_z_apart(market2):
-    """The solution carries the loop's dy0 and dz lists; the diagnostics'
-    changes are their elementwise max, and the ratios follow from those."""
+    """The solution carries the loop's dy0 and dz lists; the mean-field
+    solution's changes are their elementwise max, and the ratios follow from
+    those."""
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
@@ -314,12 +312,12 @@ def test_changes_keep_y0_and_z_apart(market2):
     gammas = np.array([1.0, 2.0, 4.0])
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
-                          gamma_hat(gammas).gamma_hat, max_iters=5, tol=1e-14)
-    sol, diag = mf.solution, mf.diagnostics
-    assert len(sol.y0_changes) == len(sol.z_changes) == diag.iterations - 1 == 4
+                          max_iters=5, tol=1e-14)
+    sol = mf.solution
+    assert len(sol.y0_changes) == len(sol.z_changes) == sol.picard_iters - 1 == 4
     assert sol.y0_changes != sol.z_changes
-    assert diag.changes == [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
-    assert diag.ratios == [b / a for a, b in zip(diag.changes, diag.changes[1:])]
+    assert mf.changes == [max(a, b) for a, b in zip(sol.y0_changes, sol.z_changes)]
+    assert mf.ratios == [b / a for a, b in zip(mf.changes, mf.changes[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +335,9 @@ def test_mean_field_solve_builds_each_step_once(market2, conditioner_builds):
     gammas = np.array([1.0, 1.0, 2.0, 2.0])
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
-                          gamma_hat(gammas).gamma_hat, max_iters=5, tol=1e-14,
+                          max_iters=5, tol=1e-14,
                           strata=(2, 2))
-    assert mf.diagnostics.iterations >= 2 and np.isfinite(mf.diagnostics.z_bmo)
+    assert mf.solution.picard_iters >= 2 and np.isfinite(mf.z_bmo)
     assert len(conditioner_builds) == 2 * grid.steps
 
 
@@ -354,7 +352,7 @@ def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_bu
     gammas = np.array([1.0, 1.0, 2.0, 2.0])
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
-                          gamma_hat(gammas).gamma_hat, max_iters=3, tol=0.0,
+                          max_iters=3, tol=0.0,
                           strata=(2, 2))
     sol = mf.solution
     assert len(conditioner_builds) == 2 * grid.steps
@@ -383,8 +381,29 @@ def test_collinear_state_raises_in_first_sweep(market2, conditioner_builds):
     bundle = replace(bundle, x=bundle.wi[:, 0, :].copy())
     g = bundle.x[:, -1]
     with pytest.raises(RegressionRankDeficient, match="collinear"):
-        solve_mean_field(bundle, market2, RegressionBasis(degree=1), g, np.ones(1), 1.0)
+        solve_mean_field(bundle, market2, RegressionBasis(degree=1), g, np.ones(1))
     assert len(conditioner_builds) == 1
+
+
+def test_solve_works_out_gamma_hat_from_its_cloud(market2, conditioner_builds):
+    """The solve's gamma_hat is the cloud's own: stats is gamma_hat(gammas),
+    a gamma of 0 raises NonpositiveGamma before any regression is built, and
+    a gamma_hat still passed by position is a TypeError, not max_iters."""
+    grid = TimeGrid(0.5, 3)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.2)
+    bundle = simulate_paths(grid, spec, market2, 100, 5, agents=3)
+    gammas = np.array([1.0, 2.0, 4.0])
+    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
+    with pytest.raises(NonpositiveGamma):
+        solve_mean_field(bundle, market2, RegressionBasis(), g, np.array([1.0, 0.0, 4.0]))
+    assert conditioner_builds == []
+    with pytest.raises(TypeError):
+        solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
+                         gamma_hat(gammas).gamma_hat)
+    assert conditioner_builds == []
+    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas, max_iters=2)
+    assert mf.stats == gamma_hat(gammas)
 
 
 @pytest.mark.parametrize("sizes, engine, match", [
@@ -405,4 +424,4 @@ def test_strata_reject_sizes_that_do_not_tile(market2, sizes, engine, match):
     eng = BasisEngine(bundle.x, bundle.I, bundle.wi, RegressionBasis()) if engine else None
     with pytest.raises(ValueError, match=match):
         solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
-                         gamma_hat(gammas).gamma_hat, engine=eng, strata=sizes)
+                         engine=eng, strata=sizes)
