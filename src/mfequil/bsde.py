@@ -116,9 +116,12 @@ def _joined(parts: dict) -> np.ndarray:
     return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=1)
 
 
-def _sum_last(a: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=-1) a column at a time: the same sums below 8 columns, and faster."""
-    return sum((a[..., j] for j in range(1, a.shape[-1])), a[..., 0])
+def _sum_last(planes: list) -> np.ndarray:
+    """np.sum(a, axis=-1) of the array a whose last-axis planes a[..., j] are
+    planes, added in order: the same sums below 8 planes, and faster.  The one
+    adder of component planes; short-axis elementwise work runs a plane at a
+    time, since numpy runs an op over a trailing axis of 2-3 entries slowly."""
+    return sum(planes[1:], planes[0])
 
 
 def _pathwise_theta(theta: np.ndarray, steps: int, d0: int, n_paths: int) -> np.ndarray:
@@ -152,10 +155,11 @@ def _driver(k: int, zs: dict | None, atoms: list, shape: tuple, proj_k: np.ndarr
         if not (z.max() <= clip and z.min() >= -clip):     # a NaN fails both tests
             clips += int(np.sum(np.abs(z) > clip))
             z = np.clip(z, -clip, clip)
-        z0k, z1k = z[..., :d0], z[..., d0:]
-        perp = z0k - np.matmul(z0k, proj_k, out=z0_par[:, atoms[s][0]])
-        perp *= perp
-        f[s] = 0.5 * (_sum_last(perp) + _sum_last(z1k**2))
+        par = np.matmul(z[..., :d0], proj_k, out=z0_par[:, atoms[s][0]])
+        perp = [z[..., j] - par[..., j] for j in range(d0)]
+        for p in perp:
+            p *= p
+        f[s] = 0.5 * (_sum_last(perp) + z[..., d0] * z[..., d0])
     th = theta_at(k, z0_par)
     half = 0.5 * np.sum(th**2, axis=1)[:, None]
     for s in f:
@@ -211,9 +215,10 @@ def _backward_pass(atoms: list, g: np.ndarray, bundle: PathBundle, market: Marke
             stage1[..., 0] = y
             stage1[..., 1] = f if z_old is None else f[s]
             fitted1, sol.y_fits[k][s] = cond.fit(stage1.reshape(-1, 2))
-            resid = (y - fitted1[:, 0].reshape(y.shape))[..., None]
-            np.multiply(resid, dw0_k[:, None, :], out=prods[..., :d0])
-            np.multiply(resid, dWi[:, atoms[s][0], k, None], out=prods[..., d0:])
+            resid = y - fitted1[:, 0].reshape(y.shape)
+            for j in range(d0):
+                np.multiply(resid, dw0_k[:, j, None], out=prods[..., j])
+            np.multiply(resid, dWi[:, atoms[s][0], k], out=prods[..., d0])
             prods /= dt
             fitted2, sol.fits[k][s] = cond.fit(prods.reshape(-1, d0 + 1))
             z_new[s] = fitted2.reshape(prods.shape)
@@ -222,12 +227,15 @@ def _backward_pass(atoms: list, g: np.ndarray, bundle: PathBundle, market: Marke
         if z_old is not None:
             for s in z_new:
                 sel = atoms[s][0]
-                np.subtract(z_new[s][..., :d0], z_old[s][..., :d0], out=sq0[:, sel])
-                np.subtract(z_new[s][..., d0:], z_old[s][..., d0:], out=sq1[:, sel])
+                for j in range(d0):
+                    np.subtract(z_new[s][..., j], z_old[s][..., j], out=sq0[:, sel, j])
+                np.subtract(z_new[s][..., d0], z_old[s][..., d0], out=sq1[:, sel, 0])
             sq *= sq
             dz2 += float(np.sum(sq0) + np.sum(sq1))
             for s in z_new:
-                np.multiply(z_new[s], z_new[s], out=sq2[:, atoms[s][0]])
+                for j in range(d0 + 1):
+                    zj = z_new[s][..., j]
+                    np.multiply(zj, zj, out=sq2[:, atoms[s][0], j])
             z2 += float(np.sum(sq2))
         # step k's arrays go before step k - 1's conditioners are built
         del conds, cond, z_old, z_new, f, y, fitted1, fitted2, resid
@@ -504,17 +512,19 @@ def bmo_proxy(backward, dt: float) -> float:
     """Regression estimate of sup_t E[ int_t^T |z|^2 ds | F_t ].
 
     backward yields, for k = steps - 1, ..., 0, {atom: (cond, z0, z1)}: each
-    atom's step-k conditioner and z on interval k, of shapes (M0, K_s, d0)
-    and (M0, K_s, 1).  Each atom's remaining quadratic variation is
-    accumulated backward step by step, the same additions np.cumsum makes,
-    fitted on its step's state basis, and the max fitted value is returned.
+    atom's step-k conditioner and z on interval k as component planes, d0
+    planes z0 and one plane z1, each (M0, K_s).  Each atom's remaining
+    quadratic variation is accumulated backward step by step, the same
+    additions np.cumsum makes, fitted on its step's state basis, and the max
+    fitted value is returned.
     """
     remaining: dict = {}
     out = 0.0
     for step in backward:
         peaks = []
         for s, (cond, z0, z1) in step.items():
-            remaining[s] = remaining.get(s, 0.0) + (_sum_last(z0**2) + _sum_last(z1**2)) * dt
+            q = _sum_last([p * p for p in z0]) + _sum_last([p * p for p in z1])
+            remaining[s] = remaining.get(s, 0.0) + q * dt
             fitted, _ = cond.fit(remaining[s].reshape(-1))
             peaks.append(np.max(fitted))
         out = max(out, float(np.max(peaks)))

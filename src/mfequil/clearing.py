@@ -42,6 +42,7 @@ from .meanfield import MeanFieldSolution, solve_mean_field
 from .paths import (
     KIND_AUX,
     KIND_GAMMA,
+    Levels,
     PathBundle,
     _philox,
     levels,
@@ -127,10 +128,12 @@ def build_population(
     return Population(gammas=gammas, atom_ids=ids)
 
 
-def fresh_idio_levels(seed: int, n_common: int, n_agents: int, grid):
-    """Idiosyncratic levels (M0, N, steps + 1) of N fresh evaluation agents, as `levels` gives."""
-    steps, dt = grid.steps, grid.dt
-    return levels(normal_block_array(seed, KIND_AUX, (n_common, n_agents, steps)) * np.sqrt(dt))
+def fresh_idio_levels(seed: int, n_common: int, n_agents: int, grid) -> Levels:
+    """Idiosyncratic levels (M0, N, steps + 1) of N fresh evaluation agents, the
+    Levels of their increments, which are scaled in place."""
+    dw = normal_block_array(seed, KIND_AUX, (n_common, n_agents, grid.steps))
+    dw *= np.sqrt(grid.dt)
+    return levels(dw)
 
 
 def agent_strategies(
@@ -141,10 +144,11 @@ def agent_strategies(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal positions of fresh agents at step k under the fitted solution map.
 
-    Each risk-aversion atom's engine reads its step-k z fit map on its own
-    pool agents' levels w_agents[:, idx, k] (w_agents is (M0, N, steps + 1)),
-    one atom at a time, by index, so the pool may come in any order.  A
-    solve of one atom reads every agent through it.  An agent whose atom has
+    Step k's level w_agents[:, :, k] is read once (w_agents is (M0, N,
+    steps + 1), a Levels or an array).  Each risk-aversion atom's engine reads
+    its step-k z fit map on its own pool agents' columns of that level, one
+    atom at a time, by index, so the pool may come in any order.  A solve of
+    one atom reads every agent through it.  An agent whose atom has
     no particle in the cloud raises ValueError.  Returns p (M0, N, d0) in
     Brownian coordinates and pi (M0, N, n) in security units, in the pool's
     order.
@@ -153,14 +157,20 @@ def agent_strategies(
     M0, N, d0 = w_agents.shape[0], population.size, sol.market.d0
     proj, pos = sol.market.geometry(sol.grid.steps)
     ids = population.atom_ids if len(sol.atoms) > 1 else np.zeros(N, dtype=np.int64)
+    w_k = w_agents[:, :, k]
     z_hat = np.empty((M0, N, d0))
     for s in np.unique(ids).tolist():
         idx = np.flatnonzero(ids == s)
         if s >= len(sol.atoms) or sol.atoms[s] is None:
             raise ValueError(f"atom {s} has {idx.size} pool agents but no particle in the cloud")
-        cond = sol.atoms[s][1].on(k, w_agents[:, idx, k])
+        cond = sol.atoms[s][1].on(k, w_k[:, idx])
         z_hat[:, idx] = cond.evaluate(sol.fits[k][s]).reshape(M0, idx.size, -1)[..., :d0]
-    p = (z_hat @ proj[k] + mf.theta[:, k, None, :]) * (1.0 / population.gammas)[None, :, None]
+    # p = (z0_par + theta) / gamma a component at a time
+    par, inv_g = z_hat @ proj[k], 1.0 / population.gammas
+    p = np.empty((M0, N, d0))
+    for j in range(d0):
+        np.add(par[..., j], mf.theta[:, k, j, None], out=p[..., j])
+        p[..., j] *= inv_g
     return p, p @ pos[k].T
 
 

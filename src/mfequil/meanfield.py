@@ -188,8 +188,10 @@ def solve_mean_field(
             zs = sol.z_parts(k, conds)
             ebar[:, k, :] = agent_mean(_joined({s: z[..., :d0] @ proj[k] for s, z in zs.items()}))
             y_max.append(np.max(np.abs(sol.y_at(k, conds) / gam[None, :])))
-            yield {s: (conds[s], z[..., :d0] * inv_gamma[:, atoms[s][0]],
-                       z[..., d0:] * inv_gamma[:, atoms[s][0]]) for s, z in zs.items()}
+            # Z = z / gamma a component plane at a time
+            planes = {s: [z[..., j] * inv_g[atoms[s][0]] for j in range(d0 + 1)]
+                      for s, z in zs.items()}
+            yield {s: (conds[s], zp[:d0], zp[d0:]) for s, zp in planes.items()}
 
     z_bmo = bmo_proxy(backward(), dt)
     return MeanFieldSolution(solution=sol, theta=-stats.gamma_hat * ebar, stats=stats,

@@ -5,11 +5,16 @@ by (seed, stream kind, block index) where a block is a fixed slice of path
 indices, so a path's draws do not depend on how many paths are drawn.  The
 factor follows Euler-Maruyama on the same increments the BSDE regressions
 consume, and the running liability integral I uses the left-endpoint rule, so
-factor, integral, and regressions stay on one discretisation.
+factor, integral, and regressions stay on one discretisation.  Idiosyncratic
+levels are kept as their increments plus a few checkpoint levels (Levels) and
+rebuilt a level at a time, the store-or-recompute trade of checkpointing
+(Griewank & Walther, "Algorithm 799: revolve", ACM TOMS 2000) at its simplest.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,11 +54,75 @@ def step_major(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros((steps, m, k, *tail)).transpose(1, 2, 0, *range(3, len(shape)))
 
 
-def levels(dw: np.ndarray) -> np.ndarray:
-    """Levels of the increments dw (M, K, steps): (M, K, steps + 1) step-major, 0 at t = 0."""
-    out = step_major((*dw.shape[:2], dw.shape[2] + 1))
-    np.cumsum(dw, axis=2, out=out[..., 1:])
-    return out
+class Levels:
+    """The levels of increments dw (M, K, steps), W_0 = 0 and W_k = dw_0 + ...
+    + dw_(k-1), kept as dw plus checkpoint levels; built by levels(dw).
+
+    The checkpoints are levels c, 2c, ... and steps, for c = ceil(sqrt(steps)):
+    ceil(steps / c) stored levels in place of steps + 1.  Level k is
+    rebuilt from the nearest checkpoint below it by adding dw[..., j] in
+    order, the additions np.cumsum makes, so every level has cumsum's bits
+    (level 1 is dw[..., 0] itself, sign of zero included).  Two keys read it:
+    w[:, r, k] is level k (M, n) of the particle range r (a unit-step slice,
+    ':' for all), a read-only checkpoint or a fresh rebuild (not cached: a
+    second read rebuilds, at most c - 1 adds); w[:, r] is the Levels of those
+    particles, on views of the same arrays.  Any other key raises TypeError.
+    """
+
+    def __init__(self, dw: np.ndarray, marks: np.ndarray):
+        self.dw = dw
+        self._marks = marks     # levels c, 2c, ... and steps: (M, K, ceil(steps / c)), read-only
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (*self.dw.shape[:2], self.dw.shape[2] + 1)
+
+    def __getitem__(self, key):
+        if not (isinstance(key, tuple) and len(key) in (2, 3)
+                and isinstance(key[0], slice) and key[0] == slice(None)
+                and isinstance(key[1], slice) and key[1].step in (None, 1)):
+            raise TypeError(f"Levels reads w[:, a:b, k] or w[:, a:b], not {key!r}")
+        dw, marks = self.dw[:, key[1]], self._marks[:, key[1]]
+        if len(key) == 2:
+            return Levels(dw, marks)
+        steps, k = dw.shape[2], operator.index(key[2])
+        if not -steps - 1 <= k <= steps:
+            raise IndexError(f"level {k} of {steps + 1}")
+        k %= steps + 1
+        c = _spacing(steps)
+        if k == steps or (k and k % c == 0):
+            return marks[..., (k - 1) // c]
+        base = k - k % c
+        if base == 0:
+            if k == 0:
+                return np.zeros(dw.shape[:2])
+            out = dw[..., 0].copy()
+        else:
+            out = marks[..., base // c - 1] + dw[..., base]
+        for j in range(base + 1, k):
+            out += dw[..., j]
+        return out
+
+
+def _spacing(steps: int) -> int:
+    """The checkpoint spacing of Levels, ceil(sqrt(steps))."""
+    return math.isqrt(steps - 1) + 1
+
+
+def levels(dw: np.ndarray) -> Levels:
+    """The Levels of the increments dw (M, K, steps), 0 at t = 0: one running
+    sum over the steps, which writes each checkpoint as it passes it."""
+    M, K, steps = dw.shape
+    c = _spacing(steps)
+    marks = step_major((M, K, -(-steps // c)))
+    run = dw[..., 0].copy()
+    for k in range(1, steps + 1):
+        if k > 1:
+            run += dw[..., k - 1]
+        if k == steps or k % c == 0:
+            marks[..., (k - 1) // c] = run
+    marks.flags.writeable = False
+    return Levels(dw, marks)
 
 
 def normal_block_array(seed: int, kind: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -63,14 +132,15 @@ def normal_block_array(seed: int, kind: int, shape: tuple[int, ...]) -> np.ndarr
     position within block).
     """
     out = np.empty(shape)
-    for start, stop, draws in _normal_blocks(seed, kind, shape):
-        out[start:stop] = draws
+    for b, (start, stop) in enumerate(block_ranges(shape[0])):
+        # drawn in place: the same stream, with no block-sized copy
+        _philox(seed, kind, b).standard_normal(out=out[start:stop])
     return out
 
 
 def _normal_blocks(seed: int, kind: int, shape: tuple[int, ...]):
-    """normal_block_array's draws a block at a time: (start, stop, draws of
-    shape (stop - start,) + shape[1:])."""
+    """normal_block_array's draws a block at a time, each a new array: (start,
+    stop, draws of shape (stop - start,) + shape[1:])."""
     for b, (start, stop) in enumerate(block_ranges(shape[0])):
         yield start, stop, _philox(seed, kind, b).standard_normal((stop - start, *shape[1:]))
 
@@ -83,7 +153,8 @@ class PathBundle:
     dWi: (M, K, steps) idiosyncratic increments, K agents per common path.
     x:   (M, steps + 1) Euler path of the OU factor.
     I:   (M, steps + 1) left-rule running integral of a x^2 + b x.
-    dWi and wi are stored step-major (step_major), the rest C-ordered.
+    dWi is stored step-major (step_major), the rest C-ordered; its levels wi
+    are a Levels, dWi plus ceil(sqrt(steps))-spaced checkpoints.
     """
 
     grid: TimeGrid
@@ -109,8 +180,9 @@ class PathBundle:
         return out
 
     @cached_property
-    def wi(self) -> np.ndarray:
-        """Idiosyncratic Brownian levels, (M, K, steps + 1)."""
+    def wi(self) -> Levels:
+        """Idiosyncratic Brownian levels, (M, K, steps + 1), read a level at a
+        time (wi[:, :, k]) or a particle range at a time (wi[:, a:b])."""
         return levels(self.dWi)
 
 

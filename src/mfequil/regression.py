@@ -295,9 +295,11 @@ class BasisEngine:
     """Per-step RidgeConditioner factory over a particle cloud.
 
     x and run_i are common-path state arrays of shape (M0, steps + 1); w is
-    the per-particle coordinate of shape (M0, K, steps + 1), read a step at a
-    time (a bundle's wi is step-major, so w[:, :, k] is contiguous; a slice
-    of its particle axis reads the same rows in the same order).  weights,
+    the per-particle coordinate of shape (M0, K, steps + 1), read only a step
+    at a time, as w[:, :, k]: an array, or a bundle's wi (paths.Levels), which
+    rebuilds each level it is asked for from its increments and checkpoints,
+    to the bits of the stored array; a slice w[:, a:b] of its particle axis
+    reads the same rows in the same order.  weights,
     of shape (M0, steps + 1), are the cumulative importance weights of a
     measure change; step k regresses with weights[:, k + 1] on every
     particle.

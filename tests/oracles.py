@@ -5,6 +5,7 @@ outside it, built on its public names only:
 
 * cole_hopf_oracle, cole_hopf_idio: log E[exp(G)] by sampling, and the
   closed-form value of the idiosyncratic leg kappa W^i_T;
+* level_array: every Brownian level of a bundle's increments, by np.cumsum;
 * fubini_malliavin_check, coarsen_bundle: the integral-swap identity of the
   a = 0 model, and the same noise on a coarser grid to refine it on;
 * GroupMeanConditioner, TreeEngine: exact conditional expectations on an
@@ -38,7 +39,14 @@ def cole_hopf_idio(kappa: float, grid: TimeGrid, bundle: PathBundle):
     Brownian motion W; the integrand z1 = kappa is constant.
     """
     tail = 0.5 * kappa * kappa * (grid.horizon - grid.times)
-    return kappa * bundle.wi + tail[None, None, :], np.array([kappa])
+    return kappa * level_array(bundle.dWi) + tail[None, None, :], np.array([kappa])
+
+
+def level_array(dw: np.ndarray) -> np.ndarray:
+    """All levels of the increments dw (M, K, steps) in one (M, K, steps + 1)
+    array, 0 at t = 0, by np.cumsum: the whole array a Levels reads a level
+    at a time."""
+    return np.concatenate([np.zeros((*dw.shape[:2], 1)), np.cumsum(dw, axis=2)], axis=2)
 
 
 def fubini_malliavin_check(bundle: PathBundle, spec: EqgSpec) -> float:

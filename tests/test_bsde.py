@@ -158,17 +158,19 @@ def test_bmo_proxy_constant_z(grid20, market2):
     w = np.zeros((M0, K, steps + 1))
     engine = BasisEngine(x, run_i, w, RegressionBasis(degree=1))
     want = (2 * 0.3**2 + 0.1**2) * grid20.horizon
-    backward = ({0: (engine.at(k), z0[:, :, k], z1[:, :, k])} for k in range(steps - 1, -1, -1))
+    backward = ({0: (engine.at(k), [z0[:, :, k, 0], z0[:, :, k, 1]], [z1[:, :, k, 0]])}
+                for k in range(steps - 1, -1, -1))
     got = bmo_proxy(backward, grid20.dt)
     assert got == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sum_last_adds_like_numpy(n):
-    """The driver's column-at-a-time sum is np.sum's, bit for bit, below 8 columns."""
+    """The in-order sum of an array's last-axis planes is np.sum's over that
+    axis, bit for bit, below 8 planes."""
     rng = np.random.default_rng(n)
     a = rng.normal(size=(64, 33, n)) * 10.0 ** rng.uniform(-8, 8, size=(64, 33, n))
-    assert np.array_equal(_sum_last(a), np.sum(a, axis=-1))
+    assert np.array_equal(_sum_last([a[..., j] for j in range(n)]), np.sum(a, axis=-1))
 
 
 def test_tilted_solve_builds_each_step_once(grid20, market2, conditioner_builds):

@@ -2,6 +2,7 @@
 and security replacement."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from mfequil import (
 from mfequil.paths import KIND_AUX, normal_block_array
 
 from conftest import make_market, pool_strategies
-from oracles import project, risk_premium_from_mu
+from oracles import level_array, project, risk_premium_from_mu
 
 GAMMA_DIST = DiscreteDist(values=(1.0, 2.0, 4.0), probs=(0.5, 0.3, 0.2))
 
@@ -115,7 +116,29 @@ def test_fresh_idio_levels_are_brownian():
     assert w.shape == (8, 5, 11)
     assert np.all(w[:, :, 0] == 0.0)
     dw = normal_block_array(31, KIND_AUX, (8, 5, 10)) * np.sqrt(grid.dt)
-    assert np.allclose(np.diff(w, axis=2), dw, atol=1e-15)
+    assert np.array_equal(w.dw, dw)
+    full = level_array(dw)
+    for k in range(11):
+        assert np.array_equal(w[:, :, k], full[:, :, k]), k
+
+
+def test_fresh_idio_levels_draw_and_scale_in_place():
+    """The pool's normals are drawn straight into their array and scaled
+    there, so fresh_idio_levels' traced peak is what it keeps (the
+    increments and ceil(steps / c) = 4 checkpoint levels) plus one running
+    level: no second copy of the increments is ever live."""
+    grid = TimeGrid(0.5, 20)
+    M0, N = 64, 300
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        w = fresh_idio_levels(5, M0, N, grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    level = M0 * N * 8
+    assert kept - base >= w.dw.nbytes + 4 * level
+    assert peak - kept < 1.5 * level, (peak - kept, level)
 
 
 # ---------------------------------------------------------- residual estimator
@@ -300,7 +323,9 @@ def test_agent_strategies_use_each_agents_stratum():
 
 def test_agent_strategies_commute_with_a_permuted_pool():
     """On a stratified solve the pool may come in any order: permuting its
-    agents (gammas, atoms and levels together) permutes p and pi bit for bit."""
+    agents (gammas, atoms and levels together) permutes p and pi bit for bit.
+    The permuted levels are a whole array, so the pool's Levels and the
+    array its np.cumsum gives are read to the same bits too."""
     grid = TimeGrid(0.5, 6)
     market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
@@ -317,7 +342,7 @@ def test_agent_strategies_commute_with_a_permuted_pool():
     p, pi = pool_strategies(mf, pool, w)
     perm = np.random.default_rng(5).permutation(pool.size)
     shuffled = Population(pool.gammas[perm], pool.atom_ids[perm])
-    p_perm, pi_perm = pool_strategies(mf, shuffled, w[:, perm])
+    p_perm, pi_perm = pool_strategies(mf, shuffled, level_array(w.dw)[:, perm])
     assert np.array_equal(p_perm, p[:, perm])
     assert np.array_equal(pi_perm, pi[:, perm])
 
@@ -346,7 +371,7 @@ def test_pool_agent_of_an_atom_without_cloud_particles_raises():
         with pytest.raises(ValueError, match="atom 2 has 1 pool agents but no particle"):
             agent_strategies(mf, pool, w, k)
     p, pi = pool_strategies(mf, Population(pool.gammas[[0, 2]], pool.atom_ids[[0, 2]]),
-                            w[:, [0, 2]])
+                            level_array(w.dw)[:, [0, 2]])
     assert np.all(np.isfinite(p)) and np.all(np.isfinite(pi))
 
 

@@ -7,7 +7,9 @@ from mfequil import (
 )
 
 from conftest import make_market
-from oracles import cole_hopf_idio, cole_hopf_oracle, coarsen_bundle, fubini_malliavin_check
+from oracles import (
+    cole_hopf_idio, cole_hopf_oracle, coarsen_bundle, fubini_malliavin_check, level_array,
+)
 
 
 def build_eq(grid, spec, market, n_paths=256, seed=42, agents=1):
@@ -70,7 +72,7 @@ def test_cole_hopf_idio_matches_sample_oracle(grid20, eqg_spec, market2):
     bundle = simulate_paths(grid20, eqg_spec, market2, 60000, 3, agents=1)
     kappa = 0.3
     y1, z1 = cole_hopf_idio(kappa, grid20, bundle)
-    est = cole_hopf_oracle(kappa * bundle.wi[:, 0, -1])
+    est = cole_hopf_oracle(kappa * level_array(bundle.dWi)[:, 0, -1])
     assert y1[0, 0, 0] == pytest.approx(0.5 * kappa**2 * grid20.horizon)
     assert est == pytest.approx(y1[0, 0, 0], abs=3e-3)
     assert z1.tolist() == [kappa]

@@ -12,7 +12,7 @@ from mfequil import (
 from mfequil.errors import NonpositiveGamma, RegressionRankDeficient
 
 from conftest import make_market, materialise, pool_strategies
-from oracles import TreeEngine
+from oracles import TreeEngine, level_array
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def test_collinear_state_raises_in_first_sweep(market2, conditioner_builds):
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
     bundle = simulate_paths(grid, spec, market2, 256, 5, agents=1)
-    bundle = replace(bundle, x=bundle.wi[:, 0, :].copy())
+    bundle = replace(bundle, x=level_array(bundle.dWi)[:, 0, :].copy())
     g = bundle.x[:, -1]
     with pytest.raises(RegressionRankDeficient, match="collinear"):
         solve_mean_field(bundle, market2, RegressionBasis(degree=1), g, np.ones(1))
