@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from mfequil import (
-    build_scenario, closed_form_error, equilibrium_path, load_config, riccati_for_spec,
+    build_scenario, closed_form_error, equilibrium_path, load_config, riccati_closed_form,
     simulate_paths, solve_agent_bsde, terminal_g,
 )
 
@@ -29,12 +29,12 @@ def one_resolution(cfg, steps, n_paths, seed):
     sc = build_scenario(replace(cfg, grid=replace(cfg.grid, steps=steps)))
     grid, market, spec = sc.grid, sc.market, sc.eqg
     bundle = simulate_paths(grid, spec, market, n_paths, seed, agents=1)
-    ric = riccati_for_spec(spec, grid)
-    eq = equilibrium_path(ric, bundle, market, spec)
+    ric = riccati_closed_form(spec, grid)
+    eq = equilibrium_path(ric, bundle, market)
     g = terminal_g(sc.liability, bundle, np.ones(1))
     sol = solve_agent_bsde(bundle, market, sc.basis, eq.theta, g)
 
-    err = closed_form_error(ric, spec, sol, eq)
+    err = closed_form_error(ric, sol, eq)
     return err["y0_rel_err"], err["z0_rms_rel_err"], sol.picard_iters
 
 

@@ -53,7 +53,6 @@ from .equilibrium import (
     sign_law_violations,
 )
 from .errors import (
-    ComplexRho,
     ConfigError,
     DimensionMismatch,
     IllConditionedQ,
@@ -70,7 +69,6 @@ from .market import (
     MarketSpec,
     PopulationStats,
     TimeGrid,
-    excess_return_from_theta,
     gamma_hat,
     market_geometry,
     validate_market,
@@ -88,7 +86,6 @@ from .riccati import (
     EqgSpec,
     RiccatiSolution,
     riccati_closed_form,
-    riccati_for_spec,
     riccati_ode,
 )
 

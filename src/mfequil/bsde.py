@@ -295,7 +295,7 @@ def _fixed_point(sweep, n: int, max_iters: int, tol: float):
 
 
 def _solve(bundle: PathBundle, market: MarketSpec, atoms: list, g: np.ndarray, theta_at,
-           max_iters: int, tol: float, clip: float, tilted: bool = False) -> BsdeSolution:
+           max_iters: int, tol: float, clip: float, tilted: bool) -> BsdeSolution:
     """The one solve behind the agent, tilted and mean-field solves: the fixed
     point of _backward_pass.  theta_at(k, z0_par) gives theta (M0, d0) at step
     k from the frozen cloud's z0_par, or at z = 0 given None.  The engines
@@ -322,7 +322,7 @@ def solve_agent_bsde(
     th = _pathwise_theta(theta, bundle.grid.steps, market.d0, bundle.n_paths)
     engine = BasisEngine(bundle.x, bundle.I, bundle.wi, basis)
     return _solve(bundle, market, [(slice(None), engine)], g_samples, lambda k, _: th[:, k],
-                  picard_max, picard_tol, clip)
+                  picard_max, picard_tol, clip, tilted=False)
 
 
 def doleans_weights(theta: np.ndarray, bundle: PathBundle) -> np.ndarray:

@@ -109,7 +109,7 @@ def build_population(
     n_agents: int,
     seed: int,
     gamma_dist: DiscreteDist,
-    balanced: bool = False,
+    balanced: bool,
 ) -> Population:
     """Draw gamma_i for n_agents.
 
@@ -200,7 +200,7 @@ def clearing_residual(
     pi_steps,
     Ns: list[int],
     dt: float,
-    n_batches: int = 20,
+    n_batches: int,
 ) -> tuple[list[float], list[float]]:
     """eps_N = E int |per-capita position|^2 dt for each N (prefix of the pool).
 
@@ -237,7 +237,7 @@ def clearing_residual(
     return eps, ses
 
 
-def rate_fit(report: ClearingReport, slack: float = 0.25) -> ClearingReport:
+def rate_fit(report: ClearingReport, slack: float) -> ClearingReport:
     """OLS slope of log eps_N on log N plus the proof-bound diagnostic.
 
     Requires >= 4 population sizes spanning >= 1.5 decades.  bound_const is
@@ -318,7 +318,7 @@ class ReplacementSpec:
     (steps, n, n) stack Q, each matrix's condition number within cond_cap."""
 
     Q: np.ndarray            # (steps, n, n)
-    cond_cap: float = 50.0
+    cond_cap: float
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -339,8 +339,8 @@ def random_replacement(
     seed: int,
     steps: int,
     n: int,
-    cond_cap: float = 50.0,
-    block: int = 0,
+    cond_cap: float,
+    block: int,
 ) -> ReplacementSpec:
     """Q_k = I + 0.3 U[-1,1]^{n x n}, redrawn up to 200 times until the condition cap holds."""
     rng = _philox(seed, KIND_REPLACE, block)

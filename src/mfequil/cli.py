@@ -56,7 +56,7 @@ from .errors import ConfigError, MfequilError
 from .liabilities import terminal_g
 from .meanfield import smallness_from_liability
 from .paths import KIND_AUX, format_float, normal_block_array, simulate_paths
-from .riccati import riccati_for_spec, riccati_ode
+from .riccati import riccati_closed_form, riccati_ode
 
 STAGES = ["riccati", "equilibrium", "bsde", "mf-solve", "clearing", "invariance"]
 _CSV_PATH_CAP = 32     # pathwise CSV dumps keep at most this many common paths
@@ -131,8 +131,8 @@ def _closed_form(sc: Scenario, n_paths: int):
     """n_paths common paths at the run's seed, the Riccati solution and the
     closed-form equilibrium on those paths."""
     bundle = simulate_paths(sc.grid, sc.eqg, sc.market, n_paths, sc.cfg.seed, agents=1)
-    ric = riccati_for_spec(sc.eqg, sc.grid)
-    return bundle, ric, equilibrium_path(ric, bundle, sc.market, sc.eqg)
+    ric = riccati_closed_form(sc.eqg, sc.grid)
+    return bundle, ric, equilibrium_path(ric, bundle, sc.market)
 
 
 def _vs_closed_form(sc: Scenario, sol, ric, eq) -> tuple[dict, bool]:
@@ -143,8 +143,8 @@ def _vs_closed_form(sc: Scenario, sol, ric, eq) -> tuple[dict, bool]:
     if not sc.liability.is_additive:
         return {}, True
     if ric is None:
-        ric = riccati_for_spec(sc.eqg, sc.grid)
-    err = closed_form_error(ric, sc.eqg, sol, eq)
+        ric = riccati_closed_form(sc.eqg, sc.grid)
+    err = closed_form_error(ric, sol, eq)
     ok = err["y0_rel_err"] < 0.05
     # z0 is only resolvable against the closed form when the idio leg is off;
     # otherwise the kappa*dW1 residual dominates the product estimator.
@@ -167,9 +167,8 @@ def _write_paths(writer: StageWriter, rel: str, prefix: str, values, times) -> l
 
 def stage_riccati(sc: Scenario, writer: StageWriter) -> dict:
     grid, spec = sc.grid, sc.eqg
-    closed = riccati_for_spec(spec, grid)
-    oracle = riccati_ode(spec.a, spec.b, spec.alpha, spec.beta, spec.delta_vec,
-                         grid, substeps=1024)
+    closed = riccati_closed_form(spec, grid)
+    oracle = riccati_ode(spec, grid, substeps=1024)
     sup = float(np.max([np.max(np.abs(getattr(closed, c) - getattr(oracle, c))) for c in "ABC"]))
     writer.csv("riccati.csv", ["t", "A", "B", "C"],
                [tuple(map(float, row)) for row in zip(grid.times, closed.A, closed.B, closed.C)])

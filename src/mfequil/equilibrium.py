@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeSolution
-from .market import MarketSpec, TimeGrid, excess_return_from_theta
+from .market import MarketSpec, TimeGrid
 from .paths import PathBundle
-from .riccati import EqgSpec, RiccatiSolution
+from .riccati import RiccatiSolution
 
 
 @dataclass
@@ -46,17 +46,17 @@ class EquilibriumPath:
     mu: np.ndarray
 
 
-def closed_form_error(
-    ric: RiccatiSolution, spec: EqgSpec, sol: BsdeSolution, eq: EquilibriumPath | None
-) -> dict:
+def closed_form_error(ric: RiccatiSolution, sol: BsdeSolution, eq: EquilibriumPath | None) -> dict:
     """A solve's error against the additive liability's closed form.
 
-    y0_closed is A x0^2 + B x0 + C at t = 0 plus kappa^2 T / 2, and
+    y0_closed is A x0^2 + B x0 + C at t = 0 plus kappa^2 T / 2, with x0 and
+    kappa from ric.spec, the spec ric was solved for, and
     y0_rel_err is |sol.y0 - y0_closed| over |y0_closed| (floored at 1e-12).
     Given eq, the closed form on the solve's own paths, z0_rms_rel_err is the
     RMS of the common hedge's error over steps 0..steps-1 over the closed
     form's RMS (floored at 1e-12).
     """
+    spec = ric.spec
     y0_closed = float(ric.A[0] * spec.x0 * spec.x0 + ric.B[0] * spec.x0 + ric.C[0])
     y0_closed += 0.5 * spec.kappa**2 * ric.grid.horizon
     err = {"y0_closed": y0_closed,
@@ -71,18 +71,15 @@ def closed_form_error(
     return err
 
 
-def equilibrium_path(
-    ric: RiccatiSolution,
-    bundle: PathBundle,
-    market: MarketSpec,
-    spec: EqgSpec,
-) -> EquilibriumPath:
-    """Evaluate the closed-form (y0, z0, theta, mu) on simulated paths."""
+def equilibrium_path(ric: RiccatiSolution, bundle: PathBundle,
+                     market: MarketSpec) -> EquilibriumPath:
+    """Evaluate the closed-form (y0, z0, theta, mu) on simulated paths, with
+    the factor loading delta of the spec ric was solved for."""
     grid = bundle.grid
     steps = grid.steps
     x = bundle.x
     A, B, C = ric.A, ric.B, ric.C
-    delta = spec.delta_vec
+    delta = ric.spec.delta_vec
 
     slope = 2.0 * A[None, :] * x + B[None, :]          # (M, steps + 1)
     y0 = A[None, :] * x * x + B[None, :] * x + C[None, :] + bundle.I
@@ -94,7 +91,7 @@ def equilibrium_path(
     mu = np.empty((bundle.n_paths, steps, market.n))
     for k in range(steps):
         theta[:, k, :] = -slope[:, k, None] * (delta @ proj[k])
-        mu[:, k, :] = excess_return_from_theta(sig_table[k], theta[:, k, :])
+        mu[:, k, :] = theta[:, k, :] @ sig_table[k].T
     return EquilibriumPath(grid=grid, y0=y0, z0=z0, theta=theta, mu=mu)
 
 

@@ -17,10 +17,6 @@ class NonpositiveGamma(MfequilError):
     """A risk-aversion coefficient is zero or negative."""
 
 
-class ComplexRho(MfequilError):
-    """The Riccati discriminant alpha^2 - 2*a*|delta|^2 is negative."""
-
-
 class RegressionRankDeficient(MfequilError):
     """The regression design is rank deficient beyond what ridge can absorb."""
 

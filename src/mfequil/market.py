@@ -218,14 +218,3 @@ def market_geometry(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     proj = np.swapaxes(half, -1, -2) @ half
     pos = np.linalg.solve(np.swapaxes(chol, -1, -2), half)
     return proj, pos
-
-
-def excess_return_from_theta(sigma: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Excess returns mu = sigma theta for row-space theta (trailing dim d0)."""
-    sigma = np.asarray(sigma, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != sigma.shape[1]:
-        raise DimensionMismatch(
-            f"theta has trailing dimension {theta.shape[-1]}, sigma has d0={sigma.shape[1]}"
-        )
-    return theta @ sigma.T

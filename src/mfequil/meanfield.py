@@ -58,7 +58,7 @@ class ContractionDiagnostics:
 def smallness_report(
     f_inf: float,
     stats: PopulationStats,
-    f_cross_inf: float = 0.0,
+    f_cross_inf: float,
 ) -> ContractionDiagnostics:
     """Evaluate the contraction and stability gates for a liability bound."""
     c_spread = stats.c_gamma_spread()
@@ -173,7 +173,7 @@ def solve_mean_field(
             return np.zeros((bundle.n_paths, market.d0))
         return -stats.gamma_hat * agent_mean(z0_par)
 
-    sol = _solve(bundle, market, atoms, g_samples, theta_at, max_iters, tol, clip)
+    sol = _solve(bundle, market, atoms, g_samples, theta_at, max_iters, tol, clip, tilted=False)
 
     # the mean field is recomputed from the final iterate, so the reported
     # theta is the one the returned solution solves

@@ -13,12 +13,14 @@ with coefficients A(t), B(t), C(t) solving the terminal-value system
     C' + |delta|^2 A + (beta + |delta|^2 B / 2) B = 0,
 
 with A(T) = B(T) = C(T) = 0.  A has an explicit ratio form built from
-rho_pm = alpha +- sqrt(alpha^2 - 2 a |delta|^2); B and C are evaluated by
-composite Simpson quadrature of their integral representations, so the
-closed-form route shares no machinery with the Runge-Kutta route below and
-the two can serve as independent cross-checks.  One closed-form route serves
-every a <= 0: at a = 0, A vanishes and B's integrating factor is
-exp(alpha (v - t)), so no alpha -> 0 cancellation arises.
+rho_pm = alpha +- sqrt(alpha^2 - 2 a |delta|^2).  EqgSpec admits only a <= 0,
+so the discriminant is never negative and rho_pm are always real.  B and C
+are evaluated by composite Simpson quadrature of their integral
+representations, so the closed-form route shares no machinery with the
+Runge-Kutta route below and the two can serve as independent cross-checks.
+One closed-form route serves every a <= 0: at a = 0, A vanishes and B's
+integrating factor is exp(alpha (v - t)), so no alpha -> 0 cancellation
+arises.  Both solvers take the EqgSpec itself, and their solution carries it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplexRho
 from .market import TimeGrid
 
 _TINY_S = 1e-12
@@ -67,8 +68,10 @@ class EqgSpec:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """A, B, C sampled on the grid nodes, with the characteristic exponents."""
+    """A, B, C sampled on the grid nodes, with the characteristic exponents
+    and the spec they were solved for."""
 
+    spec: EqgSpec
     grid: TimeGrid
     A: np.ndarray
     B: np.ndarray
@@ -76,15 +79,6 @@ class RiccatiSolution:
     rho_plus: float
     rho_minus: float
     method: str
-
-
-def _discriminant_root(a: float, alpha: float, delta_sq: float) -> float:
-    disc = alpha * alpha - 2.0 * a * delta_sq
-    if disc < 0.0:
-        raise ComplexRho(
-            f"alpha^2 - 2 a |delta|^2 = {disc:.6g} < 0; the quadratic exponent has no real roots"
-        )
-    return float(np.sqrt(disc))
 
 
 def _a_closed(tau, a, alpha, s):
@@ -119,23 +113,14 @@ def _exp_factor(t, v, T, a, alpha, s, delta_sq):
     return np.exp(-s * (v - t)) * (g_v / g_t)
 
 
-def riccati_closed_form(
-    a: float,
-    b: float,
-    alpha: float,
-    beta: float,
-    delta,
-    grid: TimeGrid,
-    refine: int = 16,
-) -> RiccatiSolution:
+def riccati_closed_form(spec: EqgSpec, grid: TimeGrid, refine: int = 16) -> RiccatiSolution:
     """Closed-form A plus Simpson-quadrature B and C on the grid nodes.
 
     refine is the number of quadrature subintervals per grid step; the
     quadrature error is O((dt/refine)^4).
     """
-    delta_vec = np.atleast_1d(np.asarray(delta, dtype=float))
-    delta_sq = float(np.dot(delta_vec, delta_vec))
-    s = _discriminant_root(a, alpha, delta_sq)
+    a, b, alpha, beta, delta_sq = spec.a, spec.b, spec.alpha, spec.beta, spec.delta_sq
+    s = float(np.sqrt(alpha * alpha - 2.0 * a * delta_sq))
     T = grid.horizon
     mf = grid.steps * refine
     u = np.linspace(0.0, T, mf + 1)
@@ -177,20 +162,12 @@ def riccati_closed_form(
 
     sl = slice(None, None, refine)
     return RiccatiSolution(
-        grid=grid, A=A_at(grid.times), B=B_fine[sl].copy(), C=C_fine[sl].copy(),
+        spec=spec, grid=grid, A=A_at(grid.times), B=B_fine[sl].copy(), C=C_fine[sl].copy(),
         rho_plus=alpha + s, rho_minus=alpha - s, method="closed_form",
     )
 
 
-def riccati_ode(
-    a: float,
-    b: float,
-    alpha: float,
-    beta: float,
-    delta,
-    grid: TimeGrid,
-    substeps: int = 64,
-) -> RiccatiSolution:
+def riccati_ode(spec: EqgSpec, grid: TimeGrid, substeps: int) -> RiccatiSolution:
     """Backward classical Runge-Kutta solve of the coupled (A, B, C) system.
 
     substeps is the RK4 step count per grid interval.  This path shares no
@@ -198,10 +175,9 @@ def riccati_ode(
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    delta_vec = np.atleast_1d(np.asarray(delta, dtype=float))
-    delta_sq = float(np.dot(delta_vec, delta_vec))
-    s = _discriminant_root(a, alpha, delta_sq)
-    a, b, alpha, beta = float(a), float(b), float(alpha), float(beta)
+    delta_sq = spec.delta_sq
+    s = float(np.sqrt(spec.alpha * spec.alpha - 2.0 * spec.a * delta_sq))
+    a, b, alpha, beta = float(spec.a), float(spec.b), float(spec.alpha), float(spec.beta)
 
     def rhs(A, B, C):
         # reversed time tau = T - t, so the terminal-value system integrates forward
@@ -229,10 +205,6 @@ def riccati_ode(
             C = C + sixth_h * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
         out[:, k] = (A, B, C)
     return RiccatiSolution(
-        grid=grid, A=out[0], B=out[1], C=out[2],
+        spec=spec, grid=grid, A=out[0], B=out[1], C=out[2],
         rho_plus=alpha + s, rho_minus=alpha - s, method="rk4",
     )
-
-
-def riccati_for_spec(spec: EqgSpec, grid: TimeGrid) -> RiccatiSolution:
-    return riccati_closed_form(spec.a, spec.b, spec.alpha, spec.beta, spec.delta_vec, grid)

@@ -32,7 +32,6 @@ from mfequil import (
     random_replacement,
     replacement_invariance,
     riccati_closed_form,
-    riccati_for_spec,
     riccati_ode,
     run_clearing_study,
     sign_law_violations,
@@ -84,8 +83,9 @@ def test_ac01_closed_form_matches_rk4_sweep():
         b = 0.1 + 0.8 * ((i * 7) % 20) / 19.0
         beta = -0.2 + 0.4 * ((i * 3) % 20) / 19.0
         delta = (0.3 + 0.02 * i, 0.1)
-        closed = riccati_closed_form(a, b, alpha, beta, delta, grid)
-        ode = riccati_ode(a, b, alpha, beta, delta, grid, substeps=1000)
+        spec = EqgSpec(alpha=alpha, beta=beta, delta=delta, x0=0.0, a=a, b=b)
+        closed = riccati_closed_form(spec, grid)
+        ode = riccati_ode(spec, grid, substeps=1000)
         sup = max(
             sup,
             float(np.max(np.abs(closed.A - ode.A))),
@@ -101,7 +101,7 @@ def test_ac01_closed_form_matches_rk4_sweep():
 def test_ac02_linear_coefficient_case_is_analytic():
     grid = TimeGrid(0.5, 40)
     spec = EqgSpec(alpha=-0.7, beta=0.3, delta=(0.4, 0.1), x0=0.3, a=0.0, b=0.8)
-    ric = riccati_for_spec(spec, grid)
+    ric = riccati_closed_form(spec, grid)
     tau = grid.horizon - grid.times
     b_exact = (spec.b / spec.alpha) * (np.exp(spec.alpha * tau) - 1.0)
     gap_b = float(np.max(np.abs(ric.B - b_exact)))
@@ -118,8 +118,8 @@ def test_ac03_exponential_value_process_is_martingale():
     t0 = time.monotonic()
     grid = TimeGrid(0.5, 200)
     bundle = simulate_paths(grid, SPEC_2F, MARKET_2F, 100_000, 2024)
-    ric = riccati_for_spec(SPEC_2F, grid)
-    eq = equilibrium_path(ric, bundle, MARKET_2F, SPEC_2F)
+    ric = riccati_closed_form(SPEC_2F, grid)
+    eq = equilibrium_path(ric, bundle, MARKET_2F)
     z, se = martingale_check(eq)
     wall = time.monotonic() - t0
     ok = abs(z) <= 3.0 and wall < 30.0
@@ -218,7 +218,7 @@ def test_ac06_fixed_point_converges_inside_smallness_gate():
     bundle = simulate_paths(grid, spec, market, cfg.mf.n_common, cfg.seed, agents=K)
     g = terminal_g(liability, bundle, cloud.gammas)
     mf = solve_mean_field(bundle, market, basis, g, cloud.gammas, max_iters=10, tol=cfg.mf.tol)
-    ric = riccati_for_spec(spec, grid)
+    ric = riccati_closed_form(spec, grid)
     y0_closed = float(ric.A[0] * spec.x0**2 + ric.B[0] * spec.x0 + ric.C[0])
     y0_closed += 0.5 * spec.kappa**2 * grid.horizon
     rel = abs(mf.solution.y0 - y0_closed) / abs(y0_closed)
@@ -291,7 +291,7 @@ def test_ac08_additive_positions_vanish():
     bundle = simulate_paths(grid, spec, MARKET_2F, 100, 41, agents=K)
     g = terminal_g(liability, bundle, cloud.gammas)
     mf = solve_mean_field(bundle, MARKET_2F, basis, g, cloud.gammas, max_iters=8)
-    pool = build_population(100, 42, dist)
+    pool = build_population(100, 42, dist, balanced=False)
     w = fresh_idio_levels(42, 100, 100, grid)
     p, pi = pool_strategies(mf, pool, w)
     hedge = float(np.max(np.abs(mf.theta))) / mf.stats.gamma_hat
@@ -357,8 +357,8 @@ def test_ac10_candidate_strategy_passes_martingale_audit():
 def test_ac11_excess_return_sign_rule_has_no_exceptions():
     grid = TimeGrid(0.5, 50)
     bundle = simulate_paths(grid, SPEC_2F, MARKET_2F, 20_000, 314)
-    ric = riccati_for_spec(SPEC_2F, grid)
-    eq = equilibrium_path(ric, bundle, MARKET_2F, SPEC_2F)
+    ric = riccati_closed_form(SPEC_2F, grid)
+    eq = equilibrium_path(ric, bundle, MARKET_2F)
     bad = sign_law_violations(eq, MARKET_2F)
     cells = bundle.n_paths * grid.steps * MARKET_2F.n
     ok = bad == 0
@@ -381,7 +381,7 @@ def test_ac12_security_replacement_leaves_market_invariant():
     pi_tilde = rng.normal(size=(128, 20, 2))
     theta_disc = wealth_disc = 0.0
     for i in range(100):
-        rep = random_replacement(4242, 20, 2, block=i)
+        rep = random_replacement(4242, 20, 2, cond_cap=50.0, block=i)
         td, wd = replacement_invariance(market, mu, bundle, pi_tilde, rep)
         theta_disc, wealth_disc = max(theta_disc, td), max(wealth_disc, wd)
     ok = theta_disc < 1e-10 and wealth_disc < 1e-10

@@ -8,7 +8,7 @@ from mfequil import (
     DiscreteDist, EqgSpec, MarketSpec, RegressionBasis, TimeGrid,
     agent_strategies, bmo_proxy, build_population, doleans_weights,
     equilibrium_path, fresh_idio_levels, optimal_strategy,
-    riccati_for_spec, simulate_paths, solve_agent_bsde,
+    riccati_closed_form, simulate_paths, solve_agent_bsde,
     solve_mean_field, solve_under_q, verify_condition_r,
 )
 from mfequil import bsde
@@ -244,10 +244,10 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     g_mf = g * gammas
     mf = solve_mean_field(bundle, market, basis, g_mf, gammas,
                           max_iters=6, strata=(2, 2))
-    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
+    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)), balanced=False)
     p_pool, pi_pool = pool_strategies(mf, pool, fresh_idio_levels(3, 2000, 5, grid))
     assert np.min(np.abs(p_pool[:, :, 0, 0])) > 0.1
-    eq_theta = equilibrium_path(riccati_for_spec(spec, grid), bundle, market, spec).theta
+    eq_theta = equilibrium_path(riccati_closed_form(spec, grid), bundle, market).theta
 
     for k in range(grid.steps):
         s = rows[k]
@@ -351,7 +351,7 @@ def test_per_step_slices_are_contiguous():
     for name, a in arrays.items():
         for k in range(a.shape[2]):
             assert a[:, :, k].flags.c_contiguous, (name, k)
-    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
+    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)), balanced=False)
     for k in range(bundle.grid.steps):
         step = {"y_at": sol.y_at(k),
                 **dict(zip(("pool p", "pool pi"),

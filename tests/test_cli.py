@@ -260,7 +260,9 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
                 # a block is an object and the name a string
                 "population=5", "name=null",
                 # sigma sigma^T overflows: one line, and no numpy warning
-                "market.sigma=[[1e308,1e308],[1,1]]"]:
+                "market.sigma=[[1e308,1e308],[1,1]]",
+                # exp(G0) is integrable, and rho_pm real, only for a <= 0
+                "eqg.a=0.1"]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["riccati", "--config", TINY, "--set", bad,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfequil import (
-    TimeGrid, equilibrium_path, martingale_check, riccati_for_spec,
+    TimeGrid, equilibrium_path, martingale_check, riccati_closed_form,
     sign_law_violations, simulate_paths,
 )
 
@@ -14,8 +14,8 @@ from oracles import (
 
 def build_eq(grid, spec, market, n_paths=256, seed=42, agents=1):
     bundle = simulate_paths(grid, spec, market, n_paths, seed, agents=agents)
-    ric = riccati_for_spec(spec, grid)
-    return bundle, ric, equilibrium_path(ric, bundle, market, spec)
+    ric = riccati_closed_form(spec, grid)
+    return bundle, ric, equilibrium_path(ric, bundle, market)
 
 
 def test_equilibrium_shapes(grid20, eqg_spec, market2):

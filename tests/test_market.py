@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mfequil import (
     DimensionMismatch, MarketSpec, PopulationStats, SingularSigma, TimeGrid,
-    excess_return_from_theta, gamma_hat, market_geometry, validate_market,
+    gamma_hat, market_geometry, validate_market,
 )
 
 from conftest import make_market
@@ -175,7 +175,7 @@ def test_risk_premium_excess_return_roundtrip(sigma, mu):
     mu = np.array(mu)
     bound = gram_bound(sigma)
     theta = risk_premium_from_mu(sigma, mu[None, :])
-    back = excess_return_from_theta(sigma, theta)
+    back = theta @ sigma.T
     assert np.linalg.norm(back[0] - mu) <= bound * np.linalg.norm(mu)
     # theta is the minimal-norm solution: it lies in range(sigma^T)
     par, perp = project(sigma, theta)

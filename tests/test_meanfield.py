@@ -213,11 +213,11 @@ def test_additive_normalized_solution_is_gamma_free(market2):
 
 def test_smallness_report_formulas():
     stats = gamma_hat(np.array([1.0, 1.0]))
-    diag = smallness_report(0.01, stats)
+    diag = smallness_report(0.01, stats, f_cross_inf=0.0)
     assert diag.c_gamma_spread == 1.0
     assert diag.smallness_ok and diag.stability_ok
     assert diag.radius == pytest.approx(0.02)
-    big = smallness_report(1.0, stats)
+    big = smallness_report(1.0, stats, f_cross_inf=0.0)
     assert not big.smallness_ok
 
 
@@ -365,7 +365,7 @@ def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_bu
     sel, engine = sol.atoms[1]
     z = engine.on(4, bundle.wi[:, 3:4, 4]).evaluate(sol.fits[4][1])
     np.testing.assert_allclose(z.reshape(256, 1, -1), sol.z_at(4)[:, 3:4], rtol=1e-12, atol=0)
-    pool = build_population(7, 3, DiscreteDist((1.0, 2.0)))
+    pool = build_population(7, 3, DiscreteDist((1.0, 2.0)), balanced=False)
     p, _ = pool_strategies(mf, pool, fresh_idio_levels(3, bundle.n_paths, pool.size, grid))
     assert p.shape == (256, 7, grid.steps, 2) and np.all(np.isfinite(p))
     assert len(conditioner_builds) == 2 * grid.steps

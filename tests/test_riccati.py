@@ -6,11 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mfequil import (
-    ComplexRho, EqgSpec, TimeGrid, build_scenario, load_config, riccati_closed_form,
-    riccati_for_spec, riccati_ode,
+    EqgSpec, TimeGrid, build_scenario, load_config, riccati_closed_form, riccati_ode,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def eqg(a, b, alpha, beta, delta):
+    return EqgSpec(alpha=alpha, beta=beta, delta=delta, x0=0.0, a=a, b=b)
 
 
 def sup_gap(ric1, ric2):
@@ -33,16 +36,24 @@ def sup_gap(ric1, ric2):
 @settings(max_examples=40, deadline=None)
 # a = 0 with a tiny alpha, where (b / alpha)(exp(alpha tau) - 1) cancels
 @example(a=0.0, b=1.0, alpha=1e-10, beta=0.0, d1=1.0, d2=0.0, T=1.0)
+# s = sqrt(alpha^2 - 2 a |delta|^2) below 1e-12: A is a tau, with no delta
+# (B's factor is exp(alpha (v - t))) and with a tiny a (the quadratic correction)
+@example(a=-0.5, b=1.0, alpha=0.0, beta=0.5, d1=0.0, d2=0.0, T=1.0)
+@example(a=-1e-30, b=1.0, alpha=0.0, beta=0.5, d1=1.0, d2=0.0, T=1.0)
 def test_closed_form_matches_rk4(a, b, alpha, beta, d1, d2, T):
     grid = TimeGrid(T, 16)
-    closed = riccati_closed_form(a, b, alpha, beta, (d1, d2), grid)
-    ode = riccati_ode(a, b, alpha, beta, (d1, d2), grid, substeps=256)
+    spec = eqg(a, b, alpha, beta, (d1, d2))
+    closed = riccati_closed_form(spec, grid)
+    ode = riccati_ode(spec, grid, substeps=256)
     assert sup_gap(closed, ode) < 1e-7
+    # a <= 0 keeps the discriminant non-negative, so rho_pm are real
+    assert np.isfinite(closed.rho_minus) and np.isfinite(closed.rho_plus)
+    assert closed.rho_minus <= alpha <= closed.rho_plus
 
 
 def test_terminal_conditions_are_zero():
     grid = TimeGrid(0.75, 12)
-    ric = riccati_closed_form(-0.4, 0.8, -0.6, 0.2, (0.5, 0.2), grid)
+    ric = riccati_closed_form(eqg(-0.4, 0.8, -0.6, 0.2, (0.5, 0.2)), grid)
     assert ric.A[-1] == 0.0
     assert ric.B[-1] == 0.0
     assert ric.C[-1] == 0.0
@@ -50,13 +61,14 @@ def test_terminal_conditions_are_zero():
 
 def test_a_zero_branch_is_analytic():
     grid = TimeGrid(0.5, 10)
-    ric = riccati_closed_form(0.0, 0.7, -0.5, 0.3, (0.4, 0.1), grid)
+    spec = eqg(0.0, 0.7, -0.5, 0.3, (0.4, 0.1))
+    ric = riccati_closed_form(spec, grid)
     assert np.all(ric.A == 0.0)
     tau = grid.horizon - grid.times
     expected_b = (0.7 / -0.5) * (np.exp(-0.5 * tau) - 1.0)
     assert np.allclose(ric.B, expected_b, atol=1e-14)
     # C solves C' = -beta B - 0.5 |delta|^2 B^2 backwards; check against RK4
-    ode = riccati_ode(0.0, 0.7, -0.5, 0.3, (0.4, 0.1), grid, substeps=512)
+    ode = riccati_ode(spec, grid, substeps=512)
     assert np.max(np.abs(ric.C - ode.C)) < 1e-10
 
 
@@ -69,7 +81,7 @@ def test_a_zero_coefficients_are_tight(name, alpha):
     sc = build_scenario(load_config(str(CONFIGS / f"{name}.json")))
     spec = sc.eqg if alpha is None else replace(sc.eqg, alpha=alpha)
     assert spec.a == 0.0
-    ric = riccati_for_spec(spec, sc.grid)
+    ric = riccati_closed_form(spec, sc.grid)
     tau = sc.grid.horizon - sc.grid.times
     if spec.alpha == 0.0:
         b_ref = spec.b * tau
@@ -77,39 +89,24 @@ def test_a_zero_coefficients_are_tight(name, alpha):
         b_ref = spec.b * np.expm1(spec.alpha * tau) / spec.alpha
     assert np.all(ric.A == 0.0)
     assert np.max(np.abs(ric.B - b_ref)) <= 1e-13 * np.max(np.abs(b_ref))
-    ode = riccati_ode(spec.a, spec.b, spec.alpha, spec.beta, spec.delta_vec, sc.grid,
-                      substeps=512)
+    ode = riccati_ode(spec, sc.grid, substeps=512)
     assert np.max(np.abs(ric.C - ode.C)) < 1e-10
 
 
 def test_alpha_zero_limit():
     grid = TimeGrid(0.5, 10)
-    ric = riccati_closed_form(0.0, 0.7, 0.0, 0.1, (0.4,), grid)
+    ric = riccati_closed_form(eqg(0.0, 0.7, 0.0, 0.1, (0.4,)), grid)
     assert np.allclose(ric.B, 0.7 * (grid.horizon - grid.times), atol=1e-14)
 
 
 def test_riccati_quadrature_refines():
     grid = TimeGrid(1.0, 8)
-    coarse = riccati_closed_form(-0.8, 1.0, -0.4, 0.3, (0.6,), grid, refine=2)
-    fine = riccati_closed_form(-0.8, 1.0, -0.4, 0.3, (0.6,), grid, refine=64)
-    oracle = riccati_ode(-0.8, 1.0, -0.4, 0.3, (0.6,), grid, substeps=4096)
+    spec = eqg(-0.8, 1.0, -0.4, 0.3, (0.6,))
+    coarse = riccati_closed_form(spec, grid, refine=2)
+    fine = riccati_closed_form(spec, grid, refine=64)
+    oracle = riccati_ode(spec, grid, substeps=4096)
     assert sup_gap(fine, oracle) < sup_gap(coarse, oracle)
     assert sup_gap(fine, oracle) < 1e-10
-
-
-def test_complex_rho_raises():
-    grid = TimeGrid(0.5, 4)
-    with pytest.raises(ComplexRho):
-        riccati_closed_form(2.0, 0.0, 0.1, 0.0, (1.0,), grid)
-
-
-def test_riccati_for_spec_binds_parameters():
-    grid = TimeGrid(0.5, 8)
-    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
-                   a=-0.2, b=0.5)
-    ric = riccati_for_spec(spec, grid)
-    direct = riccati_closed_form(-0.2, 0.5, -0.5, 0.1, (0.4, 0.1), grid)
-    assert sup_gap(ric, direct) == 0.0
 
 
 def test_spec_rejects_positive_a():
@@ -151,6 +148,6 @@ def rk4_vector_reference(a, b, alpha, beta, delta, grid, substeps):
 def test_rk4_scalar_stages_match_vector_reference(a, b, alpha, beta, delta):
     """Same operation order as the stacked-array RK4, so bit-identical output."""
     grid = TimeGrid(0.7, 9)
-    ode = riccati_ode(a, b, alpha, beta, delta, grid, substeps=37)
+    ode = riccati_ode(eqg(a, b, alpha, beta, delta), grid, substeps=37)
     ref = rk4_vector_reference(a, b, alpha, beta, np.asarray(delta), grid, 37)
     assert np.array_equal(np.stack([ode.A, ode.B, ode.C]), ref)
