@@ -56,7 +56,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     IllConditionedQ,
-    InsufficientSpan,
     MfequilError,
     NonpositiveGamma,
     PicardDiverged,
@@ -71,7 +70,6 @@ from .market import (
     TimeGrid,
     gamma_hat,
     market_geometry,
-    validate_market,
 )
 from .meanfield import (
     ContractionDiagnostics,

@@ -408,8 +408,8 @@ class Perturbation:
     """Strategy perturbation p = scale * p_star + offset (offset row-projected)."""
 
     label: str
-    scale: float = 1.0
-    offset: tuple[float, ...] | None = None
+    scale: float
+    offset: tuple[float, ...] | None
 
 
 @dataclass
@@ -441,7 +441,7 @@ def verify_condition_r(
     theta: np.ndarray,
     gamma: float,
     g_samples: np.ndarray,
-    perturbations: list[Perturbation] | None = None,
+    perturbations: list[Perturbation],
 ) -> VerificationReport:
     """Drift test of R^p = -exp(-gamma (W^p - Y)) along p* and perturbations.
 
@@ -456,11 +456,6 @@ def verify_condition_r(
     d0 = market.d0
     th = _pathwise_theta(theta, steps, d0, M0)
     proj, _ = market.geometry(steps)
-    if perturbations is None:
-        perturbations = [
-            Perturbation("offset+0.5e1", 1.0, tuple([0.5] + [0.0] * (d0 - 1))),
-            Perturbation("scale x2", 2.0, None),
-        ]
 
     p_star, _ = optimal_strategy(solution, theta, gamma, market)
     Y = np.stack([solution.y_at(k) for k in range(steps + 1)]).transpose(1, 2, 0) / gamma

@@ -16,8 +16,8 @@ estimated by a left-endpoint rule with common-path batching for standard
 errors; per-capita sums are evaluated in canonical (sorted) order so that
 relabelling agents reproduces eps_N bit for bit.  The pool is evaluated one
 step at a time and only its per-capita sums are kept, so no array over
-(path, agent, step) is formed.  rate_fit checks the
-O(1/N) decay by a log-log slope and a Jensen-style bound diagnostic
+(path, agent, step) is formed.  rate_fit checks the O(1/N) decay, when Ns
+spans enough for it, by a log-log slope and a Jensen-style bound diagnostic
 N eps_N <= 4 (1 + gamma_hat^2 / gamma_lo^2) * (BMO proxy of the normalized
 hedging integrands) * (1 + slack).
 
@@ -30,12 +30,12 @@ comes from one market_geometry call on the whole (steps, n, d0) stack Q sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, IllConditionedQ, InsufficientSpan
+from .errors import DimensionMismatch, IllConditionedQ
 from .liabilities import terminal_g
 from .market import MarketSpec, market_geometry
 from .meanfield import MeanFieldSolution, solve_mean_field
@@ -174,9 +174,10 @@ def agent_strategies(
     return p, p @ pos[k].T
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClearingReport:
-    """eps_N estimates over increasing N plus the rate and bound diagnostics."""
+    """eps_N estimates over increasing N plus the rate and bound diagnostics,
+    made once by run_clearing_study; the last four fields are rate_fit's."""
 
     Ns: list[int]
     eps: list[float]
@@ -184,16 +185,10 @@ class ClearingReport:
     gamma_hat: float
     gamma_lo: float
     bmo_proxy: float
-    slope: float = float("nan")
-    intercept: float = float("nan")
-    bound_const: float = float("nan")
-    bound_ok: list[bool] = field(default_factory=list)
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.Ns, self.Ns[1:])):
-            raise ValueError("Ns must be strictly increasing")
-        if any(e < 0 for e in self.eps):
-            raise ValueError("eps estimates must be nonnegative")
+    slope: float
+    intercept: float
+    bound_const: float
+    bound_ok: list[bool]
 
 
 def clearing_residual(
@@ -237,31 +232,22 @@ def clearing_residual(
     return eps, ses
 
 
-def rate_fit(report: ClearingReport, slack: float) -> ClearingReport:
+def rate_fit(Ns: list[int], eps: list[float], bound_const: float,
+             slack: float) -> tuple[float, float, float, list[bool]]:
     """OLS slope of log eps_N on log N plus the proof-bound diagnostic.
 
-    Requires >= 4 population sizes spanning >= 1.5 decades.  bound_const is
-    4 (1 + gamma_hat^2 / gamma_lo^2) * BMO proxy; bound_ok flags
-    N eps_N <= bound_const (1 + slack) per N.
+    Returns (slope, intercept, bound_const, bound_ok), bound_ok flagging
+    N eps_N <= bound_const (1 + slack) per N, or (nan, nan, nan, []) for Ns of
+    < 4 sizes or < 1.5 decades.  An eps <= 0 otherwise raises ValueError.
     """
-    Ns = np.asarray(report.Ns, dtype=float)
-    eps = np.asarray(report.eps, dtype=float)
-    if Ns.size < 4:
-        raise InsufficientSpan(f"need >= 4 population sizes, got {Ns.size}")
-    decades = np.log10(Ns.max() / Ns.min())
-    if decades < 1.5:
-        raise InsufficientSpan(f"N span {decades:.2f} decades < 1.5")
-    if np.any(eps <= 0):
+    n, e = np.asarray(Ns, dtype=float), np.asarray(eps, dtype=float)
+    if n.size < 4 or np.log10(n.max() / n.min()) < 1.5:
+        return float("nan"), float("nan"), float("nan"), []
+    if np.any(e <= 0):
         raise ValueError("log-log fit needs strictly positive eps")
-    slope, intercept = np.polyfit(np.log(Ns), np.log(eps), 1)
-    report.slope = float(slope)
-    report.intercept = float(intercept)
-    report.bound_const = 4.0 * (1.0 + report.gamma_hat**2 / report.gamma_lo**2) * report.bmo_proxy
-    report.bound_ok = [
-        bool(n * e <= report.bound_const * (1.0 + slack))
-        for n, e in zip(report.Ns, report.eps)
-    ]
-    return report
+    slope, intercept = np.polyfit(np.log(n), np.log(e), 1)
+    bound_ok = [bool(N * eN <= bound_const * (1.0 + slack)) for N, eN in zip(Ns, eps)]
+    return float(slope), float(intercept), bound_const, bound_ok
 
 
 def solve_equilibrium_cloud(sc: Scenario, n_common: int, n_agents: int) -> MeanFieldSolution:
@@ -291,7 +277,7 @@ def run_clearing_study(sc: Scenario) -> tuple[ClearingReport, MeanFieldSolution]
     clearing.n_equilibrium particles, draws a fresh i.i.d. agent pool of size
     max(clearing.Ns), evaluates every agent through the stored per-step
     solution maps one step at a time, and estimates eps_N with its rate.
-    The rate fit is attached only when Ns satisfies rate_fit's span rule.
+    The report is built once, with rate_fit's fields.
     """
     cfg, grid, Ns = sc.cfg, sc.grid, list(sc.cfg.clearing.Ns)
     n_common = cfg.clearing.n_common
@@ -300,16 +286,10 @@ def run_clearing_study(sc: Scenario) -> tuple[ClearingReport, MeanFieldSolution]
     w_agents = fresh_idio_levels(cfg.seed, n_common, pool.size, grid)
     pi_steps = (agent_strategies(mf, pool, w_agents, k)[1] for k in range(grid.steps))
     eps, ses = clearing_residual(pi_steps, Ns, grid.dt, n_batches=cfg.clearing.n_batches)
-    report = ClearingReport(
-        Ns=Ns, eps=eps, stderr=ses,
-        gamma_hat=mf.stats.gamma_hat, gamma_lo=mf.stats.gamma_lo,
-        bmo_proxy=mf.z_bmo,
-    )
-    try:
-        rate_fit(report, slack=cfg.clearing.slack)
-    except InsufficientSpan:
-        pass  # too few sizes for a rate: slope and bound stay unset
-    return report, mf
+    st = mf.stats
+    bound_const = 4.0 * (1.0 + st.gamma_hat**2 / st.gamma_lo**2) * mf.z_bmo
+    return ClearingReport(Ns, eps, ses, st.gamma_hat, st.gamma_lo, mf.z_bmo,
+                          *rate_fit(Ns, eps, bound_const, cfg.clearing.slack)), mf
 
 
 @dataclass(frozen=True)

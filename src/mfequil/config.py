@@ -22,7 +22,7 @@ import numpy as np
 from .clearing import DiscreteDist
 from .errors import ConfigError, MfequilError
 from .liabilities import LiabilitySpec
-from .market import MarketSpec, TimeGrid, validate_market
+from .market import MarketSpec, TimeGrid
 from .regression import RegressionBasis
 from .riccati import EqgSpec
 
@@ -166,8 +166,8 @@ def _reals(v) -> bool:
 
 
 # (keys, test of (value, cfg), what the value must be) for the ranges that no
-# engine constructor checks; build_scenario triggers those (TimeGrid, MarketSpec,
-# EqgSpec, RegressionBasis, DiscreteDist and validate_market).
+# engine constructor checks; build_scenario triggers those (TimeGrid, MarketSpec
+# and its eigenvalue bounds, EqgSpec, RegressionBasis and DiscreteDist).
 _RANGES = (
     (("name",), lambda v, c: isinstance(v, str), "a string"),
     (("seed", "grid.steps", "bsde.degree"), lambda v, c: _int(v), "an integer"),
@@ -260,10 +260,10 @@ class Scenario:
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    """Build the engine objects of cfg and check sigma sigma^T on its grid.
+    """Build the engine objects of cfg.
 
-    The market's spectral bounds are the eigenvalue range of sigma sigma^T
-    widened by 0.1%.  A range error from any constructor, or a singular or
+    The market's bounds are the eigenvalue range of sigma sigma^T widened by
+    0.1%, so they hold.  A range error from any constructor, or a singular or
     overflowing sigma sigma^T, raises one ConfigError.
     """
     try:
@@ -278,7 +278,6 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             n=sigma.shape[0], d0=sigma.shape[1], sigma=sigma,
             lambda_lo=float(eig.min()) * 0.999, lambda_hi=float(eig.max()) * 1.001,
         )
-        validate_market(market, grid)
         e = cfg.eqg
         eqg = EqgSpec(alpha=e.alpha, beta=e.beta, delta=e.delta, x0=e.x0, a=e.a, b=e.b,
                       kappa=e.kappa)

@@ -29,10 +29,6 @@ class WeightDegenerate(MfequilError):
     """Importance weights have collapsed onto too few paths."""
 
 
-class InsufficientSpan(MfequilError):
-    """Not enough population sizes (or decades) to fit a convergence rate."""
-
-
 class IllConditionedQ(MfequilError):
     """A portfolio-replacement matrix exceeds the condition-number cap."""
 

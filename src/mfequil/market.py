@@ -11,9 +11,9 @@ the row space of sigma_t (the hedgeable directions) and a residual z_perp.
 The market price of risk associated with an excess-return vector mu is the
 row-space element theta = sigma^T (sigma sigma^T)^{-1} mu.
 
-sigma sigma^T is factorised once, when a `MarketSpec` is made, so a singular
-sigma is rejected there: `market_geometry`'s guarded Cholesky factor gives the
-projector P = sigma^T (sigma sigma^T)^{-1} sigma and the position map
+sigma sigma^T is factorised, and its bounds checked, once, when a `MarketSpec`
+is made: there `market_geometry`'s guarded Cholesky factor gives the projector
+P = sigma^T (sigma sigma^T)^{-1} sigma and the position map
 M = (sigma sigma^T)^{-1} sigma, which `MarketSpec.geometry` serves per grid
 step as read-only views; only the replacement check factorises its Q sigma.
 Both are accurate to about eps * cond(sigma sigma^T) relative: z_par = z P to
@@ -61,8 +61,10 @@ class MarketSpec:
 
     sigma is either a single n x d0 matrix (constant volatility) or a
     steps x n x d0 table (one matrix per grid interval, piecewise constant).
-    Construction factorises sigma sigma^T (a singular sigma raises SingularSigma)
-    and keeps sigma, P and M read-only; `sigma_table` and `geometry` view them.
+    Construction factorises sigma sigma^T and checks each matrix's eigenvalues:
+    a singular sigma, or one below 1e-12 * lambda_hi, raises SingularSigma, one
+    outside [lambda_lo, lambda_hi] (to 1e-12 relative) raises ValueError.
+    sigma, P and M are kept read-only; `sigma_table` and `geometry` view them.
     """
 
     n: int
@@ -93,6 +95,16 @@ class MarketSpec:
                 f"need 0 < lambda_lo <= lambda_hi, got ({self.lambda_lo}, {self.lambda_hi})"
             )
         proj, pos = market_geometry(sig)
+        lam = np.linalg.eigvalsh(sig @ np.swapaxes(sig, -1, -2)).reshape(-1, self.n)
+        lo, hi = lam[:, 0], lam[:, -1]
+        k = int(np.argmax(lo < _SINGULAR_REL_TOL * self.lambda_hi))  # the first such step
+        if lo[k] < _SINGULAR_REL_TOL * self.lambda_hi:
+            raise SingularSigma(f"sigma sigma^T at step {k} has eigenvalue {lo[k]:.3e} below "
+                                f"{_SINGULAR_REL_TOL:.0e} * lambda_hi")
+        lo, hi = float(lo.min()), float(hi.max())
+        if lo < self.lambda_lo * (1.0 - 1e-12) or hi > self.lambda_hi * (1.0 + 1e-12):
+            raise ValueError(f"sigma sigma^T has eigenvalues in [{lo:.6g}, {hi:.6g}], outside "
+                             f"[lambda_lo, lambda_hi] = [{self.lambda_lo}, {self.lambda_hi}]")
         for a in (sig, proj, pos):
             a.flags.writeable = False
         object.__setattr__(self, "_proj", proj)
@@ -160,34 +172,6 @@ def gamma_hat(gammas: np.ndarray) -> PopulationStats:
         gamma_lo=float(np.min(g)),
         gamma_hi=float(np.max(g)),
     )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the spectral check of sigma sigma^T on the grid."""
-
-    passed: bool
-    messages: tuple[str, ...] = ()
-
-
-def validate_market(market: MarketSpec, grid: TimeGrid) -> ValidationReport:
-    """Check the eigenvalues of sigma sigma^T at every grid time against the
-    market's bounds; a singular one raises SingularSigma."""
-    table = market.sigma_table(grid.steps)
-    eigs = np.linalg.eigvalsh(table @ np.swapaxes(table, -1, -2))
-    msgs: list[str] = []
-    for k in range(grid.steps):
-        lo, hi = float(eigs[k, 0]), float(eigs[k, -1])
-        if lo < _SINGULAR_REL_TOL * market.lambda_hi:
-            raise SingularSigma(
-                f"sigma sigma^T at step {k} has eigenvalue {lo:.3e} below "
-                f"{_SINGULAR_REL_TOL:.0e} * lambda_hi"
-            )
-        if lo < market.lambda_lo * (1.0 - 1e-12):
-            msgs.append(f"step {k}: min eigenvalue {lo:.6g} < lambda_lo {market.lambda_lo}")
-        if hi > market.lambda_hi * (1.0 + 1e-12):
-            msgs.append(f"step {k}: max eigenvalue {hi:.6g} > lambda_hi {market.lambda_hi}")
-    return ValidationReport(passed=not msgs, messages=tuple(msgs))
 
 
 def _gram_cholesky(sigma: np.ndarray) -> np.ndarray:

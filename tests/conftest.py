@@ -18,10 +18,11 @@ SIGMA_2X2 = np.array([[1.0, 0.2], [0.3, 0.9]])
 def make_market(sigma=SIGMA_2X2):
     sig = np.asarray(sigma, dtype=float)
     n, d0 = sig.shape[-2:]
-    lams = np.linalg.eigvalsh(sig @ sig.T if sig.ndim == 2 else sig[0] @ sig[0].T)
+    # the bounds hold over every entry of a table
+    lams = np.linalg.eigvalsh(sig @ np.swapaxes(sig, -1, -2))
     return MarketSpec(n=n, d0=d0, sigma=sig,
-                      lambda_lo=float(lams[0]) * 0.999,
-                      lambda_hi=float(lams[-1]) * 1.001)
+                      lambda_lo=float(lams.min()) * 0.999,
+                      lambda_hi=float(lams.max()) * 1.001)
 
 
 def pool_strategies(mf, population, w_agents):

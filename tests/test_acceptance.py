@@ -371,7 +371,7 @@ def test_ac11_excess_return_sign_rule_has_no_exceptions():
 
 def test_ac12_security_replacement_leaves_market_invariant():
     market = MarketSpec(n=2, d0=2, sigma=[[1.0, 0.2], [0.3, 0.9]],
-                        lambda_lo=0.5, lambda_hi=1.5)
+                        lambda_lo=0.48, lambda_hi=1.5)
     grid = TimeGrid(0.5, 20)
     spec = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.4, 0.1), x0=0.3,
                    a=0.0, b=0.0, kappa=0.0)

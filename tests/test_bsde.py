@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mfequil import (
-    DiscreteDist, EqgSpec, MarketSpec, RegressionBasis, TimeGrid,
+    DiscreteDist, EqgSpec, MarketSpec, Perturbation, RegressionBasis, TimeGrid,
     agent_strategies, bmo_proxy, build_population, doleans_weights,
     equilibrium_path, fresh_idio_levels, optimal_strategy,
     riccati_closed_form, simulate_paths, solve_agent_bsde,
@@ -191,7 +191,8 @@ def test_condition_r_accepts_optimum_and_rejects_perturbations(market2):
     mu = np.tile(np.array([0.25, -0.1]), (grid.steps, 1))
     theta = risk_premium_from_mu(market2.sigma, mu)
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, g)
-    report = verify_condition_r(sol, bundle, market2, theta, 1.5, g)
+    report = verify_condition_r(sol, bundle, market2, theta, 1.5, g, [
+        Perturbation("offset+0.5e1", 1.0, (0.5, 0.0)), Perturbation("scale x2", 2.0, None)])
     assert abs(report.aggregate_z) < 3.0
     assert all(row["drift_z"] > 2.0 and row["utility_gap"] <= 2.0 * row["utility_gap_se"]
                for row in report.perturbed)

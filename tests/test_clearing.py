@@ -10,14 +10,13 @@ import pytest
 import mfequil.clearing
 import mfequil.market
 from mfequil import (
-    ClearingReport,
     DimensionMismatch,
     DiscreteDist,
     EqgSpec,
     IllConditionedQ,
-    InsufficientSpan,
     LiabilitySpec,
     MarketSpec,
+    Perturbation,
     Population,
     RegressionBasis,
     ReplacementSpec,
@@ -41,7 +40,6 @@ from mfequil import (
     solve_agent_bsde,
     solve_mean_field,
     terminal_g,
-    validate_market,
     verify_condition_r,
 )
 from mfequil.paths import KIND_AUX, normal_block_array
@@ -203,42 +201,35 @@ def test_clearing_residual_input_checks():
         clearing_residual(pi[:, :1], [2], 0.1, n_batches=20)
 
 
-def test_clearing_report_validation():
-    with pytest.raises(ValueError):
-        ClearingReport(Ns=[10, 10], eps=[1.0, 1.0], stderr=[0.1, 0.1],
-                       gamma_hat=1.0, gamma_lo=1.0, bmo_proxy=1.0)
-    with pytest.raises(ValueError):
-        ClearingReport(Ns=[10, 20], eps=[1.0, -1.0], stderr=[0.1, 0.1],
-                       gamma_hat=1.0, gamma_lo=1.0, bmo_proxy=1.0)
-
-
 # ----------------------------------------------------------------- rate fit
 
-def _report(Ns, eps):
-    return ClearingReport(Ns=list(Ns), eps=list(eps), stderr=[0.0] * len(Ns),
-                          gamma_hat=1.5, gamma_lo=1.0, bmo_proxy=0.02)
+# the bound constant 4 (1 + gamma_hat^2 / gamma_lo^2) * BMO proxy at
+# gamma_hat = 1.5, gamma_lo = 1 and a proxy of 0.02
+BOUND_CONST = 4.0 * (1.0 + 1.5**2) * 0.02
 
 
 def test_rate_fit_recovers_exact_power_law():
     Ns = [10, 30, 100, 300, 1000]
     C = 0.7
-    rep = rate_fit(_report(Ns, [C / n for n in Ns]), slack=0.25)
-    assert rep.slope == pytest.approx(-1.0, abs=1e-12)
-    assert rep.intercept == pytest.approx(np.log(C), abs=1e-12)
-    assert rep.bound_const == pytest.approx(4.0 * (1.0 + 1.5**2) * 0.02)
+    slope, intercept, bound_const, bound_ok = rate_fit(
+        Ns, [C / n for n in Ns], BOUND_CONST, 0.25)
+    assert slope == pytest.approx(-1.0, abs=1e-12)
+    assert intercept == pytest.approx(np.log(C), abs=1e-12)
+    assert bound_const == BOUND_CONST
     # N * eps_N = 0.7 > bound_const * 1.25 = 0.325: every flag trips
-    assert rep.bound_ok == [False] * 5
-    rep2 = rate_fit(_report(Ns, [1e-3 / n for n in Ns]), slack=0.25)
-    assert rep2.bound_ok == [True] * 5
+    assert bound_ok == [False] * 5
+    assert rate_fit(Ns, [1e-3 / n for n in Ns], BOUND_CONST, 0.25)[3] == [True] * 5
 
 
 def test_rate_fit_span_preconditions():
-    with pytest.raises(InsufficientSpan):
-        rate_fit(_report([10, 30, 100], [0.1, 0.03, 0.01]), slack=0.25)
-    with pytest.raises(InsufficientSpan):
-        rate_fit(_report([10, 15, 20, 25], [0.1, 0.07, 0.05, 0.04]), slack=0.25)
+    """Fewer than 4 sizes, or under 1.5 decades, give no rate: NaNs and no
+    bound flags.  A zero eps on a span that suffices raises ValueError."""
+    for Ns, eps in [([10, 30, 100], [0.1, 0.03, 0.01]),
+                    ([10, 15, 20, 25], [0.1, 0.07, 0.05, 0.04])]:
+        *rate, bound_ok = rate_fit(Ns, eps, BOUND_CONST, 0.25)
+        assert np.all(np.isnan(rate)) and bound_ok == []
     with pytest.raises(ValueError):
-        rate_fit(_report([10, 30, 100, 1000], [0.1, 0.01, 0.0, 0.001]), slack=0.25)
+        rate_fit([10, 30, 100, 1000], [0.1, 0.01, 0.0, 0.001], BOUND_CONST, 0.25)
 
 
 # ------------------------------------------------------------ strategy maps
@@ -409,7 +400,7 @@ def test_random_replacement_is_seeded_and_conditioned():
 
 def test_replacement_invariance_exact_for_rotations():
     market = MarketSpec(n=2, d0=2, sigma=[[1.0, 0.2], [0.3, 0.9]],
-                        lambda_lo=0.5, lambda_hi=1.5)
+                        lambda_lo=0.48, lambda_hi=1.5)
     grid = TimeGrid(0.5, 10)
     spec = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.4, 0.1), x0=0.3,
                    a=0.0, b=0.0, kappa=0.0)
@@ -428,7 +419,7 @@ def test_replacement_invariance_exact_for_rotations():
 
 def test_replacement_invariance_random_q_and_pathwise_mu():
     market = MarketSpec(n=2, d0=2, sigma=[[1.0, 0.2], [0.3, 0.9]],
-                        lambda_lo=0.5, lambda_hi=1.5)
+                        lambda_lo=0.48, lambda_hi=1.5)
     grid = TimeGrid(0.5, 10)
     spec = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.4, 0.1), x0=0.3,
                    a=0.0, b=0.0, kappa=0.0)
@@ -545,9 +536,9 @@ def test_sigma_gram_is_factorised_once_per_market(gram_factorisations, table):
     g1 = 0.4 * np.tanh(one.x[:, -1])
     sol = solve_agent_bsde(one, market, RegressionBasis(degree=2), theta, g1)
     optimal_strategy(sol, theta, 1.5, market)
-    verify_condition_r(sol, one, market, theta, 1.5, g1)
+    verify_condition_r(sol, one, market, theta, 1.5, g1, [
+        Perturbation("offset+0.5e1", 1.0, (0.5, 0.0)), Perturbation("scale x2", 2.0, None)])
     eq = equilibrium_path(riccati_closed_form(spec, grid), one, market)
-    validate_market(market, grid)
     assert gram_factorisations == []
 
     rep = random_replacement(5, grid.steps, market.n, cond_cap=50.0, block=0)

@@ -248,6 +248,9 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
                 # ranges the engine constructors check, through build_scenario
                 "grid.steps=0", "grid.horizon=-1", "bsde.degree=0", "bsde.ridge=-1",
                 "market.sigma=[[1,0],[1,0]]", "market.sigma=[[1,2],[3]]",
+                # lambda_min = 9.8e-13 of lambda_max = 2: the Cholesky pivots pass,
+                # the market's eigenvalue check does not
+                "market.sigma=[[1,0],[0.99999999999902,1.4e-6]]",
                 "population.gamma_probs=[0.5,0.6,0]",
                 # ranges only the config layer checks
                 "bsde.n_paths=0", "clearing.n_common=1", "clearing.Ns=[30,10]",

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mfequil import (
     DimensionMismatch, MarketSpec, PopulationStats, SingularSigma, TimeGrid,
-    gamma_hat, market_geometry, validate_market,
+    gamma_hat, market_geometry,
 )
 
 from conftest import make_market
@@ -61,15 +61,27 @@ def test_geometry_is_read_only_views_of_one_factorisation(shape):
         market.geometry(steps - 1)
 
 
-def test_validate_market_flags_eigenvalue_escape():
-    grid = TimeGrid(0.5, 4)
-    good = make_market()
-    assert validate_market(good, grid).passed
+def test_market_checks_its_eigenvalue_bounds_when_made():
+    """sigma sigma^T's eigenvalues (0.48492 and 1.45508 here) must lie in
+    [lambda_lo, lambda_hi], for a constant sigma and for every entry of a
+    table; an eigenvalue below 1e-12 lambda_hi raises SingularSigma even
+    where the Cholesky pivots pass and the bounds contain it."""
     sig = np.asarray([[1.0, 0.2], [0.3, 0.9]])
-    bad = MarketSpec(n=2, d0=2, sigma=sig, lambda_lo=0.9, lambda_hi=0.95)
-    report = validate_market(bad, grid)
-    assert not report.passed
-    assert report.messages
+    MarketSpec(n=2, d0=2, sigma=sig, lambda_lo=0.48, lambda_hi=1.46)
+    for lo, hi in [(0.9, 0.95), (0.5, 1.5), (0.4, 1.4)]:
+        with pytest.raises(ValueError, match="outside"):
+            MarketSpec(n=2, d0=2, sigma=sig, lambda_lo=lo, lambda_hi=hi)
+    table = np.stack([sig, sig, 2.0 * sig])
+    with pytest.raises(ValueError, match="outside"):
+        MarketSpec(n=2, d0=2, sigma=table, lambda_lo=0.48, lambda_hi=1.46)
+    MarketSpec(n=2, d0=2, sigma=table, lambda_lo=0.48, lambda_hi=5.83)
+    near = np.array([[1.0, 0.0], [0.99999999999902, 1.4e-6]])
+    market_geometry(near)   # the Cholesky pivot guard alone lets it through
+    for lo, hi in [(9e-13, 2.01), (1.0, 1.0)]:
+        with pytest.raises(SingularSigma, match="step 0 has eigenvalue 9.800e-13"):
+            MarketSpec(n=2, d0=2, sigma=near, lambda_lo=lo, lambda_hi=hi)
+    with pytest.raises(SingularSigma, match="step 1 has eigenvalue"):
+        MarketSpec(n=2, d0=2, sigma=np.stack([sig, near]), lambda_lo=9e-13, lambda_hi=2.01)
 
 
 EPS = np.finfo(float).eps
