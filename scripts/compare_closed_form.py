@@ -6,12 +6,13 @@ hedge have closed forms (Riccati coefficients), so this script measures the
 backward regression solver's y0 relative error and z0 path RMS error as the
 time grid refines, at a fixed number of paths.
 
-At the shipped path counts Monte Carlo noise, not the time step, dominates
-the z0 error.  At 8192 paths over 10-80 steps it stays flat at 30-35% on
-eqg_additive and 16-21% on eqg_a0 (tiny falls from 15.4% to 4.4%); on
-eqg_additive at 20 steps it halves with each 4x in paths (62.8%, 31.5% and
-15.6% at 2048, 8192 and 32768 paths).  Read the z0 column as a noise level,
-not as an O(dt) rate.
+With the idiosyncratic coordinate integrated exactly, the time step, not
+Monte Carlo noise, sets the z0 error at the shipped path counts.  At 8192
+paths over 10, 20, 40 and 80 steps it falls from 15.2% to 8.2%, 5.7% and 4.4%
+on eqg_additive (15.5% to 4.5% on eqg_a0, 15.4% to 4.4% on tiny); on
+eqg_additive at 20 steps it moves little with the paths (10.2%, 8.2% and 7.6%
+at 2048, 8192 and 32768 paths).  Read the z0 column as the one-step-lag bias
+of the product estimator, O(dt), plus a noise floor.
 """
 import argparse
 import sys

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from mfequil import (
-    PicardDiverged, build_population, build_scenario, gamma_hat as population_stats,
+    PicardDiverged, build_scenario, gamma_hat as population_stats,
     load_config, smallness_from_liability, solve_equilibrium_cloud,
 )
 
@@ -28,25 +28,24 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     cfg = load_config(args.config)
-    K = cfg.mf.n_particles
     # run a few extra sweeps past the tolerance so the sweep-to-sweep
     # contraction ratio is measurable before the MC noise floor
     cfg = replace(cfg, mf=replace(cfg.mf, iters=max(cfg.mf.iters, 5), tol=1e-12))
 
-    print(f"scenario {cfg.name}: K = {K} particles, "
-          f"M = {cfg.mf.n_common} common paths")
+    print(f"scenario {cfg.name}: M = {cfg.mf.n_common} common paths, "
+          f"{len(cfg.population.gamma_values)} risk-aversion atoms")
     print(f"{'b scale':>8} {'f_inf':>10} {'gate':>6} {'sweeps':>7} "
           f"{'ratio 1':>10} {'y0':>12}")
     for s in args.scales:
         # the scaled liability and the running cost I it is regressed on
         # come from one scenario; its gates need no solve
         sc = build_scenario(replace(cfg, eqg=replace(cfg.eqg, b=cfg.eqg.b * s)))
-        cloud = build_population(K, cfg.seed, sc.gamma_dist, balanced=True)
+        dist = sc.gamma_dist
         diag = smallness_from_liability(sc.liability, sc.eqg, sc.grid,
-                                        population_stats(cloud.gammas))
+                                        population_stats(dist.values, dist.p))
         gate = f"{s:>8.2f} {diag.f_inf:>10.4g} {'in' if diag.smallness_ok else 'out':>6}"
         try:
-            mf = solve_equilibrium_cloud(sc, cfg.mf.n_common, K)
+            mf = solve_equilibrium_cloud(sc, cfg.mf.n_common)
         except PicardDiverged as exc:
             print(f"{gate} diverged: {exc}")
             continue

@@ -79,7 +79,7 @@ from .meanfield import (
     solve_mean_field,
 )
 from .paths import PathBundle, simulate_paths
-from .regression import BasisEngine, RegressionBasis, feature_columns
+from .regression import BasisEngine, RegressionBasis
 from .riccati import (
     EqgSpec,
     RiccatiSolution,

@@ -1,4 +1,5 @@
-"""Regression Monte Carlo for the quadratic-growth utility BSDE.
+"""Regression Monte Carlo for the quadratic-growth utility BSDE, with the
+idiosyncratic coordinate integrated exactly.
 
 The normalized value process of an exponential-utility agent facing a given
 risk premium theta solves
@@ -6,42 +7,57 @@ risk premium theta solves
     y_t = G + int_t^T f(s, z0, z1) ds - int z0 dW0 - int z1 dW1,
     f = -z0_par theta - |theta|^2 / 2 + (|z0_perp|^2 + |z1|^2) / 2,
 
-where z0_par is the row-space component of z0.  The solver runs backward
-induction on simulated paths: z is estimated by regressing the centred
-product of the next-step value with the Brownian increment, y by regressing
-the next-step value plus the frozen driver.  One solve, `_solve`, with one
+where z0_par is the row-space component of z0.  Given a common path, an
+agent's idiosyncratic level w_k is N(0, t_k), and every quantity of the
+solve is a polynomial in it: G is linear in w_T, each fitted map has degree
+< J in w (regression), and the driver degree < 2J - 1.  So a solve runs on
+per-path coefficient arrays, (L, S, M0) for y and (J, S, d0 + 1, M0) for z
+(the power of w first, the common paths last), one slice per
+risk-aversion atom s, and takes every expectation over the
+idiosyncratic noise exactly: backward induction regresses, on each step's
+basis,
+
+  * for y: E over dWi of y_k+1(w + dWi), a polynomial shift, and the
+    driver at the frozen z;
+  * for z0: the shifted y_k+1 minus its fitted value, times dW0 / dt;
+  * for z1: E[y_k+1(w + dWi) dWi] / dt = E[d/dw y_k+1(w + dWi)], by
+    Gaussian integration by parts (Stein 1981).
+
+Only the common noise stays Monte Carlo.  One solve, `_solve`, with one
 driver, `_driver`, serves the agent, tilted and mean-field solves; they
-differ only in where theta comes from (the caller's path, or the cloud's
-own z0_par in the mean-field solve) and in the engine they regress with.
+differ only in where theta comes from (the caller's path, or the frozen
+iterate's own z0_par in the mean-field solve) and in their path weights.
 theta is read per path, (M0, d0) a step: a deterministic one is the case
-where every path holds the same value.
-Its Picard loop, `_fixed_point`, starts from z = 0, re-freezes the
-quadratic driver at the latest z, and stops once the larger of the relative
-y0 change and the relative cloud-L2 z change is below tol.  A non-finite
-change, or one that grows for 3 consecutive sweeps, raises PicardDiverged.
-The same backward pass, with importance weights and theta-shifted
-increments, solves the measure-changed form whose driver drops the
--z0_par theta term.
+where every path holds the same value.  Its Picard loop, `_fixed_point`,
+starts from z = 0, re-freezes the quadratic driver at the latest z, and
+stops once the larger of the relative y0 change and the relative z change,
+in L2 over the paths, the atoms (weighted by their probabilities) and the
+Gaussian law of w, is below tol.  A non-finite change, or one that grows for
+3 consecutive sweeps, raises PicardDiverged.  The same backward pass, with
+importance weights and theta-shifted increments, solves the
+measure-changed form whose driver drops the -z0_par theta term.
+
+z is clipped on the range the sups of this package read, w within
++-6 sqrt(t_k): an entry (path, atom, component) whose polynomial exceeds
+clip there is scaled down to reach clip, and counted.  A z constant in w
+(include_idio = False) is then clipped exactly as a number would be.
 
 An engine is any object whose at(k) returns step k's conditioner, with
-fit(targets) -> (fitted values, fit map) and evaluate(fit map) -> the
-map's values on that step's rows.  The package's engine is
-regression.BasisEngine; the tests supply an exact group-mean engine for
-enumerable noise trees.  A solve holds a list of risk-aversion atoms, each
-a contiguous range of the particle axis with its own engine; the agent and
-tilted solves have one atom of all particles.  The atoms meet only in
-theta and in the sums over all particles (theta's agent mean, the stopping
-rule's sums, y0's mean), which read one (M0, K, ...) array of the atoms'
-parts side by side.
+fit(targets (L, ..., M0)) -> (per-path coefficients (J, ..., M0), fit map)
+and evaluate(fit map) -> those coefficients.  The package's engine is
+regression.BasisEngine; the tests supply an exact node-mean engine for
+enumerable common-noise trees.  One engine serves every atom: the atoms
+share the common paths and the law of w, and differ only in their targets,
+which one fit takes side by side.
 
-The solution is its coefficients, each step's fit map per atom on that
-atom's basis: no (particle, step) array of y or z is stored.  A sweep
-rebuilds the previous iterate's z one step at a time and holds y at two
-steps only.
+The solution is its coefficients, each step's fit map: no (path, step)
+array of y or z is stored.  A sweep rebuilds the previous iterate's z one
+step at a time and holds y at two steps only.
 
 Verification is the optimality-of-martingale test: along the candidate
 optimum p*, the process R^p = -exp(-gamma (W^p - Y)) must be a martingale,
-and a strict supermartingale along any perturbed strategy.
+and a strict supermartingale along any perturbed strategy.  It runs along
+the bundle's own agents, whose idiosyncratic levels the solve never reads.
 """
 
 from __future__ import annotations
@@ -53,75 +69,57 @@ import numpy as np
 from .errors import PicardDiverged, WeightDegenerate
 from .market import MarketSpec, TimeGrid
 from .paths import PathBundle, step_major
-from .regression import BasisEngine, RegressionBasis
+from .regression import (
+    BasisEngine, RegressionBasis, apply, hankel, poly_at, shift_matrix, sup_on_range,
+)
 
 
 @dataclass
 class BsdeSolution:
-    """Backward-induction output on a particle cloud of shape (M0, K): its fit maps.
+    """Backward-induction output over M0 common paths and S risk-aversion atoms: its fit maps.
 
-    atoms[s] is risk-aversion atom s: its contiguous range of the particle
-    axis and its engine, or None for an atom with no particle.  fits[k][s]
-    maps atom s's state at step k to (z0, z1) and y_fits[k][s] to the
-    stage-1 pair (y_k+1, driver), so y_k = fitted y_k+1 + dt fitted driver.
-    z_at and y_at rebuild one step on the atoms' engines, to the bits the
-    last sweep computed.
+    g (L, S, M0) holds each atom's and path's terminal polynomial in w_T,
+    probs (S,) the atoms' probabilities.  fits[k] maps step k's state to the
+    z coefficients (J, S, d0 + 1, M0), z0 in the first d0 components and z1
+    last, and y_fits[k] to the stage-1 pair (y_k+1, driver), so y_k =
+    fitted y_k+1 + dt fitted driver.  z_coefs and y_coefs rebuild one step
+    on the engine, to the bits the last sweep computed.
     """
 
     grid: TimeGrid
     market: MarketSpec
-    atoms: list                 # (particle range, engine) per atom; None: no particle
-    g: np.ndarray               # (M0, K) terminal values
-    fits: list                  # per step, {atom: z fit map}
-    y_fits: list                # per step, {atom: stage-1 (y, driver) fit map}
-    y0: float                   # mean initial value
+    engine: object
+    g: np.ndarray               # (L, S, M0) terminal coefficients in w_T
+    probs: np.ndarray           # (S,) atom probabilities
+    fits: list                  # per step, the z fit map
+    y_fits: list                # per step, the stage-1 (y, driver) fit map
+    y0: float                   # initial value, averaged over paths and atoms
     picard_iters: int = 0
     converged: bool = False
     clip_count: int = 0
     y0_changes: list[float] = field(default_factory=list)   # dy0 of sweeps 2, 3, ...
     z_changes: list[float] = field(default_factory=list)    # dz of sweeps 2, 3, ...
 
-    def conditioners(self, k: int) -> dict:
-        """Step k's conditioner of each atom with particles, {atom: conditioner}."""
-        return {s: atom[1].at(k) for s, atom in enumerate(self.atoms) if atom is not None}
+    def z_coefs(self, k: int, cond=None) -> np.ndarray:
+        """z on interval k, (J, S, d0 + 1, M0); cond is engine.at(k), when the caller has it."""
+        return (self.engine.at(k) if cond is None else cond).evaluate(self.fits[k])
 
-    def z_parts(self, k: int, conds: dict) -> dict:
-        """z on interval k per atom, {atom: (M0, K_s, d0 + 1)}, z0 in the first
-        d0 columns, z1 last; conds is conditioners(k)."""
-        return self._read(self.fits[k], conds)
-
-    def z_at(self, k: int, conds=None) -> np.ndarray:
-        """z (M0, K, d0 + 1) on interval k; conds as in z_parts, when the caller has it."""
-        return _joined(self.z_parts(k, self.conditioners(k) if conds is None else conds))
-
-    def y_at(self, k: int, conds=None) -> np.ndarray:
-        """y (M0, K) on node k; conds as in z_at."""
+    def y_coefs(self, k: int, cond=None) -> np.ndarray:
+        """y at node k, (J, S, M0) ((L, S, M0), g, at the last node); cond as in z_coefs."""
         if k == self.grid.steps:
             return self.g
-        fitted = self._read(self.y_fits[k], self.conditioners(k) if conds is None else conds)
-        return _joined({s: f[..., 0] + self.grid.dt * f[..., 1] for s, f in fitted.items()})
-
-    def _read(self, fits: dict, conds: dict) -> dict:
-        """Each atom's fit map on its rows, {atom: (M0, K_s, r)}."""
-        out = {}
-        for s, cond in conds.items():
-            vals = cond.evaluate(fits[s])
-            out[s] = vals.reshape(self.g.shape[0], -1, vals.shape[1])
-        return out
+        fitted = (self.engine.at(k) if cond is None else cond).evaluate(self.y_fits[k])
+        return fitted[:, :, 0] + self.grid.dt * fitted[:, :, 1]
 
 
-def _joined(parts: dict) -> np.ndarray:
-    """Per-atom (M0, K_s, ...) arrays side by side on the particle axis: (M0, K, ...)."""
-    vals = list(parts.values())
-    return vals[0] if len(vals) == 1 else np.concatenate(vals, axis=1)
-
-
-def _sum_last(planes: list) -> np.ndarray:
-    """np.sum(a, axis=-1) of the array a whose last-axis planes a[..., j] are
-    planes, added in order: the same sums below 8 planes, and faster.  The one
-    adder of component planes; short-axis elementwise work runs a plane at a
-    time, since numpy runs an op over a trailing axis of 2-3 entries slowly."""
-    return sum(planes[1:], planes[0])
+def _coefs(g: np.ndarray, n_paths: int) -> np.ndarray:
+    """Terminal data as (L, S, M0) coefficients: a (M0,) array is a G free of w for one atom."""
+    g = np.asarray(g, dtype=float)
+    if g.shape == (n_paths,):
+        return g[None, None, :]
+    if g.ndim != 3 or g.shape[2] != n_paths:
+        raise ValueError(f"g must have shape ({n_paths},) or (L, S, {n_paths}); got {g.shape}")
+    return g
 
 
 def _pathwise_theta(theta: np.ndarray, steps: int, d0: int, n_paths: int) -> np.ndarray:
@@ -135,113 +133,115 @@ def _pathwise_theta(theta: np.ndarray, steps: int, d0: int, n_paths: int) -> np.
     return np.broadcast_to(th, (n_paths, steps, d0))
 
 
-def _driver(k: int, zs: dict | None, atoms: list, shape: tuple, proj_k: np.ndarray, theta_at,
-            clip: float, tilted: bool):
-    """Step k's driver at zs, {atom: z (M0, K_s, d0 + 1)}: ({atom: f}, clipped entries).
+def _square(v: np.ndarray) -> np.ndarray:
+    """sum_a v_a(w)^2 of per-path polynomials v (J, S, A, M0), as (2J - 1, S, M0)."""
+    J = v.shape[0]
+    outer = np.sum(v[:, None] * v[None, :], axis=3).reshape(J * J, -1)
+    anti = np.zeros((2 * J - 1, J * J))
+    anti[np.add.outer(np.arange(J), np.arange(J)).ravel(), np.arange(J * J)] = 1.0
+    return apply(anti, outer).reshape((2 * J - 1,) + v.shape[1:2] + v.shape[3:])
 
-    Each atom's z is clipped to [-clip, clip] and z0 split by proj_k; theta =
-    theta_at(k, z0_par) reads z0_par of the cloud's shape (M0, K), and f =
-    -z0_par theta - |theta|^2 / 2 + (|z0_perp|^2 + |z1|^2) / 2, tilted
-    dropping -z0_par theta.  zs = None, the first sweep's zero z, gives the
-    one (M0, 1) array 0.0 - |theta_at(k, None)|^2 / 2 for every atom: the
-    general form on a zero z, sign of zero included.
+
+def _clipped(z: np.ndarray, clip: float, t: float) -> tuple[np.ndarray, int]:
+    """z (J, S, A, M0) with each entry whose polynomial exceeds clip on w in
+    +-6 sqrt(t) scaled to reach it there, and the count of such entries.  A
+    NaN entry is left as it is and not counted."""
+    radius = (6.0 * np.sqrt(t)) ** np.arange(z.shape[0])
+    if np.max(np.einsum("j,j...->...", radius, np.abs(z))) <= clip:   # a NaN fails the test
+        return z, 0
+    sup = sup_on_range(z, t)
+    over = sup > clip
+    return z * np.where(over, clip / np.where(over, sup, 1.0), 1.0), int(over.sum())
+
+
+def _driver(k: int, z: np.ndarray | None, proj_k: np.ndarray, theta_at, clip: float,
+            tilted: bool, t: float):
+    """Step k's driver at z (J, S, d0 + 1, M0): (f (2J - 1, S, M0), clipped entries).
+
+    z is clipped (_clipped) and z0 split by proj_k; theta = theta_at(k,
+    z0_par) reads z0_par (J, S, d0, M0), and f = -z0_par theta -
+    |theta|^2 / 2 + (|z0_perp|^2 + |z1|^2) / 2 as a polynomial in w, tilted
+    dropping -z0_par theta.  z = None, the first sweep's zero z, gives the
+    one (1, 1, M0) array 0.0 - |theta_at(k, None)|^2 / 2 for every atom:
+    the general form on a zero z, sign of zero included.
     """
-    if zs is None:
-        return 0.0 - 0.5 * np.sum(theta_at(k, None) ** 2, axis=1)[:, None], 0
-    d0 = proj_k.shape[0]
-    # each atom writes its slice of the cloud's z0_par, which theta reads
-    z0_par, f, clips = np.empty(shape + (d0,)), {}, 0
-    for s, z in zs.items():
-        if not (z.max() <= clip and z.min() >= -clip):     # a NaN fails both tests
-            clips += int(np.sum(np.abs(z) > clip))
-            z = np.clip(z, -clip, clip)
-        par = np.matmul(z[..., :d0], proj_k, out=z0_par[:, atoms[s][0]])
-        perp = [z[..., j] - par[..., j] for j in range(d0)]
-        for p in perp:
-            p *= p
-        f[s] = 0.5 * (_sum_last(perp) + z[..., d0] * z[..., d0])
-    th = theta_at(k, z0_par)
-    half = 0.5 * np.sum(th**2, axis=1)[:, None]
-    for s in f:
-        if not tilted:
-            f[s] -= np.einsum("mkj,mj->mk", z0_par[:, atoms[s][0]], th)
-        f[s] -= half
+    if z is None:
+        return (0.0 - 0.5 * np.sum(theta_at(k, None) ** 2, axis=1))[None, None, :], 0
+    d0, J = proj_k.shape[0], z.shape[0]
+    z, clips = _clipped(z, clip, t)
+    par = np.einsum("ba,jsbm->jsam", proj_k, z[:, :, :d0])
+    v = z.copy()
+    v[:, :, :d0] -= par
+    f = 0.5 * _square(v)
+    th = theta_at(k, par).T
+    if not tilted:
+        f[:J] -= np.sum(par * th, axis=2)
+    f[0] -= 0.5 * np.sum(th * th, axis=0)
     return f, clips
 
 
-def _backward_pass(atoms: list, g: np.ndarray, bundle: PathBundle, market: MarketSpec,
-                   theta_at, clip: float, tilted: bool, prev: BsdeSolution | None):
+def _l2(z: np.ndarray, gram: np.ndarray, probs: np.ndarray) -> float:
+    """sum over paths and components of E_w |z|^2, atoms weighted by probs, for z (J, S, A, M0)."""
+    flat = z.reshape(z.shape[0], -1)
+    per = np.sum(flat * apply(gram, flat), axis=0).reshape(z.shape[1], -1)
+    return float(per.sum(axis=1) @ probs)
+
+
+def _backward_pass(engine, g: np.ndarray, probs: np.ndarray, bundle: PathBundle,
+                   market: MarketSpec, theta_at, clip: float, tilted: bool,
+                   prev: BsdeSolution | None):
     """One linear backward sweep with the driver frozen at the previous iterate.
 
-    atoms are as in BsdeSolution, and each atom's y, targets and fitted
-    values are (M0, K_s) arrays of its own.  prev is the previous sweep's
-    solution (None: z = 0).  Step k of its z is rebuilt on step k's
-    conditioners, which the sweep builds anyway, and _driver freezes the
-    driver there (in the first sweep at z = 0, with no z formed); it is
-    regressed with the continuation value.  A tilted sweep shifts the common
-    increments by theta_at(k, None) dt; its engines carry the weights.  Only
-    y at steps k + 1 and k outlives step k.  Returns the new solution, y
-    (M0, K) at step 0, the summed squares of the change of z and of the new
-    z (None in the first sweep), each atom writing its slice of one
-    (M0, K, d0 + 1) buffer, and the clipped z entries.
+    prev is the previous sweep's solution (None: z = 0).  Step k of its z is
+    rebuilt on step k's conditioner, which the sweep reads anyway, and
+    _driver freezes the driver there.  The stage-1 targets (the shifted
+    y_k+1 and the driver) are fitted in one batch, then the stage-2 targets
+    (the residual times dW0 / dt, and the derivative of the shifted y_k+1),
+    every atom side by side.  A tilted sweep shifts the common increments
+    by theta_at(k, None) dt; its engine carries the weights.  Returns the new
+    solution, y0 (S, M0), the summed E_w-squares of the change of z and of
+    the new z (None in the first sweep), and the clipped z entries.
     """
-    dW0, dWi, dt = bundle.dW0, bundle.dWi, bundle.grid.dt
-    M0, K = g.shape
-    steps, d0 = bundle.grid.steps, market.d0
+    grid = bundle.grid
+    dW0, dt, times = bundle.dW0, grid.dt, grid.times
+    steps, d0 = grid.steps, market.d0
     proj, _ = market.geometry(steps)
-    sol = BsdeSolution(grid=bundle.grid, market=market, atoms=atoms, g=g, y0=np.nan,
-                       fits=[{} for _ in range(steps)], y_fits=[{} for _ in range(steps)])
-    ys = {s: g[:, atom[0]] for s, atom in enumerate(atoms) if atom is not None}
-    bufs = {s: (np.empty((M0, y.shape[1], 2)), np.empty((M0, y.shape[1], d0 + 1)))
-            for s, y in ys.items()}
-    if prev is not None:
-        # squares of the z change, z0 part then z1 part, then of the new z
-        sq = np.empty(M0 * K * (d0 + 1))
-        sq0, sq1, sq2 = (sq[:M0 * K * d0].reshape(M0, K, d0),
-                         sq[M0 * K * d0:].reshape(M0, K, 1), sq.reshape(M0, K, d0 + 1))
+    sol = BsdeSolution(grid=grid, market=market, engine=engine, g=g, probs=probs, y0=np.nan,
+                       fits=[None] * steps, y_fits=[None] * steps)
+    y = g
+    S, M0 = g.shape[1:]
     dz2 = z2 = None if prev is None else 0.0
     clips = 0
     for k in range(steps - 1, -1, -1):
         dw0_k = dW0[:, k, :]
         if tilted:
             dw0_k = dw0_k + theta_at(k, None) * dt
-        conds = sol.conditioners(k)
-        z_old = None if prev is None else prev.z_parts(k, conds)
-        f, n_clip = _driver(k, z_old, atoms, g.shape, proj[k], theta_at, clip, tilted)
+        cond = engine.at(k)
+        z_old = None if prev is None else prev.z_coefs(k, cond)
+        f, n_clip = _driver(k, z_old, proj[k], theta_at, clip, tilted, times[k])
         clips += n_clip
-        z_new = {}
-        for s, cond in conds.items():
-            y, (stage1, prods) = ys[s], bufs[s]
-            stage1[..., 0] = y
-            stage1[..., 1] = f if z_old is None else f[s]
-            fitted1, sol.y_fits[k][s] = cond.fit(stage1.reshape(-1, 2))
-            resid = y - fitted1[:, 0].reshape(y.shape)
-            for j in range(d0):
-                np.multiply(resid, dw0_k[:, j, None], out=prods[..., j])
-            np.multiply(resid, dWi[:, atoms[s][0], k], out=prods[..., d0])
-            prods /= dt
-            fitted2, sol.fits[k][s] = cond.fit(prods.reshape(-1, d0 + 1))
-            z_new[s] = fitted2.reshape(prods.shape)
-            ys[s] = (fitted1[:, 0] + dt * fitted1[:, 1]).reshape(y.shape)
-
+        L = y.shape[0]
+        ys = apply(shift_matrix(dt, L).T, y)
+        stage1 = np.zeros((max(L, f.shape[0]), S, 2, M0))
+        stage1[:L, :, 0] = ys
+        stage1[:f.shape[0], :, 1] = f
+        fitted1, sol.y_fits[k] = cond.fit(stage1)
+        J = fitted1.shape[0]
+        resid = np.zeros((max(L, J), S, M0))
+        resid[:L] = ys
+        resid[:J] -= fitted1[:, :, 0]
+        stage2 = np.zeros(resid.shape[:2] + (d0 + 1, M0))
+        np.multiply(resid[:, :, None], dw0_k.T / dt, out=stage2[:, :, :d0])
+        stage2[:L - 1, :, d0] = ys[1:] * np.arange(1, L)[:, None, None]
+        z_new, sol.fits[k] = cond.fit(stage2)
+        y = fitted1[:, :, 0] + dt * fitted1[:, :, 1]
         if z_old is not None:
-            for s in z_new:
-                sel = atoms[s][0]
-                for j in range(d0):
-                    np.subtract(z_new[s][..., j], z_old[s][..., j], out=sq0[:, sel, j])
-                np.subtract(z_new[s][..., d0], z_old[s][..., d0], out=sq1[:, sel, 0])
-            sq *= sq
-            dz2 += float(np.sum(sq0) + np.sum(sq1))
-            for s in z_new:
-                for j in range(d0 + 1):
-                    zj = z_new[s][..., j]
-                    np.multiply(zj, zj, out=sq2[:, atoms[s][0], j])
-            z2 += float(np.sum(sq2))
-        # step k's arrays go before step k - 1's conditioners are built
-        del conds, cond, z_old, z_new, f, y, fitted1, fitted2, resid
-    y = _joined(ys)
-    sol.y0 = float(np.mean(y))
-    return sol, y, dz2, z2, clips
+            gram = hankel(times[k], J, J)
+            dz2 += _l2(z_new - z_old, gram, probs)
+            z2 += _l2(z_new, gram, probs)
+    y0 = y[0]          # w_0 = 0
+    sol.y0 = float(np.mean(probs @ y0))
+    return sol, y0, dz2, z2, clips
 
 
 def _fixed_point(sweep, n: int, max_iters: int, tol: float):
@@ -249,16 +249,15 @@ def _fixed_point(sweep, n: int, max_iters: int, tol: float):
 
     sweep(prev) -> (solution, y0, dz2, z2, clips) is one backward pass with
     the driver frozen at prev, the previous sweep's solution (None in the
-    first sweep: z = 0).  y0 is the new (M0, K) initial value; dz2 and z2
-    are the summed squares of the z change and of the new z over its n
-    entries, read from the second sweep on.  From the second sweep on, dy0
-    is the sup change of y0 over sup |y0| and dz the cloud-L2 change of z
-    over the cloud-L2 norm of the new z, both scales floored at 1e-8.  The
-    loop stops once max(dy0, dz) < tol, and raises PicardDiverged on a
-    non-finite change or after 3 consecutive growing changes.  Returns the
-    last sweep's solution with the sweep count, convergence, changes and
-    clips summed over sweeps.  max_iters < 1 raises ValueError before any
-    sweep.
+    first sweep: z = 0).  y0 is the new (M0, S) initial value; dz2 and z2
+    are the summed squares of the z change and of the new z over n path
+    steps, read from the second sweep on.  From the second sweep on, dy0 is
+    the sup change of y0 over sup |y0| and dz the L2 change of z over the L2
+    norm of the new z, both scales floored at 1e-8.  The loop stops once
+    max(dy0, dz) < tol, and raises PicardDiverged on a non-finite change or
+    after 3 consecutive growing changes.  Returns the last sweep's solution
+    with the sweep count, convergence, changes and clips summed over sweeps.
+    max_iters < 1 raises ValueError before any sweep.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -294,17 +293,16 @@ def _fixed_point(sweep, n: int, max_iters: int, tol: float):
     return sol
 
 
-def _solve(bundle: PathBundle, market: MarketSpec, atoms: list, g: np.ndarray, theta_at,
-           max_iters: int, tol: float, clip: float, tilted: bool) -> BsdeSolution:
+def _solve(bundle: PathBundle, market: MarketSpec, engine, g: np.ndarray, probs: np.ndarray,
+           theta_at, max_iters: int, tol: float, clip: float, tilted: bool) -> BsdeSolution:
     """The one solve behind the agent, tilted and mean-field solves: the fixed
     point of _backward_pass.  theta_at(k, z0_par) gives theta (M0, d0) at step
-    k from the frozen cloud's z0_par, or at z = 0 given None.  The engines
-    live as long as the solution, so each step's regression is built in the
-    first sweep and reused by the later ones and by every read."""
-    g = np.asarray(g, dtype=float).reshape(bundle.n_paths, bundle.n_agents)
-    return _fixed_point(lambda prev: _backward_pass(atoms, g, bundle, market, theta_at, clip,
-                                                    tilted, prev),
-                        g.size * bundle.grid.steps, max_iters, tol)
+    k from the frozen z0_par (J, S, d0, M0), or at z = 0 given None.  The
+    engine lives as long as the solution, so each step's regression is built
+    in the first sweep and reused by the later ones and by every read."""
+    return _fixed_point(lambda prev: _backward_pass(engine, g, probs, bundle, market, theta_at,
+                                                    clip, tilted, prev),
+                        bundle.n_paths * bundle.grid.steps, max_iters, tol)
 
 
 def solve_agent_bsde(
@@ -318,25 +316,26 @@ def solve_agent_bsde(
     clip: float = 50.0,
 ) -> BsdeSolution:
     """Solve the normalized utility BSDE for an exogenous risk premium theta,
-    of shape (steps, d0) or (M0, steps, d0)."""
+    of shape (steps, d0) or (M0, steps, d0); g_samples is one atom's terminal
+    data, (L, 1, M0) coefficients in w_T as terminal_g gives them, or (M0,)."""
     th = _pathwise_theta(theta, bundle.grid.steps, market.d0, bundle.n_paths)
-    engine = BasisEngine(bundle.x, bundle.I, bundle.wi, basis)
-    return _solve(bundle, market, [(slice(None), engine)], g_samples, lambda k, _: th[:, k],
-                  picard_max, picard_tol, clip, tilted=False)
+    engine = BasisEngine(bundle.x, bundle.I, bundle.grid.times, basis)
+    return _solve(bundle, market, engine, _coefs(g_samples, bundle.n_paths), np.ones(1),
+                  lambda k, _: th[:, k], picard_max, picard_tol, clip, tilted=False)
 
 
 def doleans_weights(theta: np.ndarray, bundle: PathBundle) -> np.ndarray:
     """Cumulative stochastic-exponential weights of -int theta^T dW0.
 
-    Returns (M0, steps + 1) with D_0 = 1; D_T is the density of the measure
-    under which W0 + int theta dt is Brownian.
+    Returns (M0, steps + 1), stored step-major, with D_0 = 1; D_T is the
+    density of the measure under which W0 + int theta dt is Brownian.
     """
     grid = bundle.grid
     steps, dt = grid.steps, grid.dt
     M0 = bundle.n_paths
     d0 = bundle.dW0.shape[2]
     theta = _pathwise_theta(theta, steps, d0, M0)
-    D = np.empty((M0, steps + 1))
+    D = np.empty((steps + 1, M0)).T
     D[:, 0] = 1.0
     for k in range(steps):
         th = theta[:, k]
@@ -372,9 +371,9 @@ def solve_under_q(
             "the risk premium is too large for this measure change"
         )
     th = _pathwise_theta(theta, bundle.grid.steps, market.d0, M0)
-    engine = BasisEngine(bundle.x, bundle.I, bundle.wi, basis, weights=D)
-    sol = _solve(bundle, market, [(slice(None), engine)], g_samples, lambda k, _: th[:, k],
-                 picard_max, picard_tol, clip, tilted=True)
+    engine = BasisEngine(bundle.x, bundle.I, bundle.grid.times, basis, weights=D)
+    sol = _solve(bundle, market, engine, _coefs(g_samples, M0), np.ones(1),
+                 lambda k, _: th[:, k], picard_max, picard_tol, clip, tilted=True)
     return sol, ess
 
 
@@ -383,21 +382,23 @@ def optimal_strategy(
     theta: np.ndarray,
     gamma: float,
     market: MarketSpec,
+    levels,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate optimum: gamma p* = z0_par + theta^T, pi* = (sigma sigma^T)^{-1} sigma p*^T.
+    """Candidate optimum of atom 0 along agents at idiosyncratic levels
+    (M0, N, steps + 1) (an array or a Levels): gamma p* = z0_par + theta^T,
+    pi* = (sigma sigma^T)^{-1} sigma p*^T.
 
-    Returns p (M0, K, steps, d0) and pi (M0, K, steps, n).
+    Returns p (M0, N, steps, d0) and pi (M0, N, steps, n).
     """
-    grid = solution.grid
-    steps = grid.steps
-    M0, K = solution.g.shape
+    steps = solution.grid.steps
+    M0, N = levels.shape[:2]
     d0 = market.d0
     th = _pathwise_theta(theta, steps, d0, M0)
     proj, pos = market.geometry(steps)
-    p = step_major((M0, K, steps, d0))
-    pi = step_major((M0, K, steps, market.n))
+    p = step_major((M0, N, steps, d0))
+    pi = step_major((M0, N, steps, market.n))
     for k in range(steps):
-        z0 = solution.z_at(k)[..., :d0]
+        z0 = poly_at(solution.z_coefs(k)[:, 0, :d0], levels[:, :, k])
         p[:, :, k, :] = (z0 @ proj[k] + th[:, k, None, :]) / gamma
         pi[:, :, k, :] = p[:, :, k, :] @ pos[k].T
     return p, pi
@@ -426,8 +427,7 @@ def _wealth_paths(p: np.ndarray, bundle: PathBundle, th: np.ndarray, dt: float):
     """W_{k+1} = W_k + p_k (dW0_k + theta_k dt), W_0 = 0, for p of shape (M0, K, steps, d0)
     and theta of shape (M0, steps, d0)."""
     M0, K, steps, _ = p.shape
-    W = np.empty((M0, K, steps + 1))
-    W[:, :, 0] = 0.0
+    W = step_major((M0, K, steps + 1))
     for k in range(steps):
         drive = bundle.dW0[:, k, :] + th[:, k] * dt
         W[:, :, k + 1] = W[:, :, k] + np.einsum("mkj,mj->mk", p[:, :, k, :], drive)
@@ -443,7 +443,9 @@ def verify_condition_r(
     g_samples: np.ndarray,
     perturbations: list[Perturbation],
 ) -> VerificationReport:
-    """Drift test of R^p = -exp(-gamma (W^p - Y)) along p* and perturbations.
+    """Drift test of R^p = -exp(-gamma (W^p - Y)) along p* and perturbations,
+    on the bundle's K agents per common path, at their own idiosyncratic
+    levels; g_samples is the solve's terminal data.
 
     Along p* the per-step and aggregate drifts must be statistically zero;
     along every perturbation the aggregate drift must be significantly
@@ -452,14 +454,16 @@ def verify_condition_r(
     """
     grid = solution.grid
     steps, dt = grid.steps, grid.dt
-    M0, K = solution.g.shape
+    M0 = bundle.n_paths
     d0 = market.d0
     th = _pathwise_theta(theta, steps, d0, M0)
     proj, _ = market.geometry(steps)
+    w = bundle.wi
 
-    p_star, _ = optimal_strategy(solution, theta, gamma, market)
-    Y = np.stack([solution.y_at(k) for k in range(steps + 1)]).transpose(1, 2, 0) / gamma
-    F = np.asarray(g_samples, dtype=float).reshape(M0, K) / gamma
+    p_star, _ = optimal_strategy(solution, theta, gamma, market, w)
+    Y = np.stack([poly_at(solution.y_coefs(k)[:, :1], w[:, :, k])[..., 0]
+                  for k in range(steps + 1)], axis=2) / gamma
+    F = poly_at(_coefs(g_samples, M0)[:, :1], w[:, :, steps])[..., 0] / gamma
 
     def drift_stats(p):
         W = _wealth_paths(p, bundle, th, dt)
@@ -503,24 +507,25 @@ def verify_condition_r(
     )
 
 
-def bmo_proxy(backward, dt: float) -> float:
+def bmo_proxy(backward, grid: TimeGrid) -> float:
     """Regression estimate of sup_t E[ int_t^T |z|^2 ds | F_t ].
 
-    backward yields, for k = steps - 1, ..., 0, {atom: (cond, z0, z1)}: each
-    atom's step-k conditioner and z on interval k as component planes, d0
-    planes z0 and one plane z1, each (M0, K_s).  Each atom's remaining
-    quadratic variation is accumulated backward step by step, the same
-    additions np.cumsum makes, fitted on its step's state basis, and the max
-    fitted value is returned.
+    backward yields, for k = steps - 1, ..., 0, (k, step k's conditioner, z
+    on interval k as per-path coefficients (J, S, A, M0)).  Each atom's
+    remaining quadratic variation R_k = |z_k|^2 dt + E over dWi of
+    R_k+1(w + dWi) is accumulated backward as a polynomial in w, fitted on
+    its step's basis, and the sup of the fitted values over the paths, the
+    atoms and w within +-6 sqrt(t_k) is returned.
     """
-    remaining: dict = {}
+    dt, times = grid.dt, grid.times
+    remaining = None
     out = 0.0
-    for step in backward:
-        peaks = []
-        for s, (cond, z0, z1) in step.items():
-            q = _sum_last([p * p for p in z0]) + _sum_last([p * p for p in z1])
-            remaining[s] = remaining.get(s, 0.0) + q * dt
-            fitted, _ = cond.fit(remaining[s].reshape(-1))
-            peaks.append(np.max(fitted))
-        out = max(out, float(np.max(peaks)))
+    for k, cond, z in backward:
+        q = dt * _square(z)
+        if remaining is not None:
+            n = remaining.shape[0]
+            q[:n] += apply(shift_matrix(dt, n).T, remaining)
+        remaining = q
+        fitted, _ = cond.fit(remaining)
+        out = max(out, float(np.max(sup_on_range(fitted, times[k], absolute=False))))
     return out

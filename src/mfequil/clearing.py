@@ -3,10 +3,10 @@
 A heterogeneous population of exponential-utility agents is drawn i.i.d.
 (risk aversion from discrete atoms, idiosyncratic noise fresh per agent;
 initial wealth is not drawn, since it does not move exponential-utility
-positions) and every agent is pushed through the solution map fitted on
-the equilibrium cloud: agent i's hedging demand z0_hat is the z fit map of
-its own risk-aversion atom read at (x_t, I_t, w^i_t), through that atom's
-regression engine in the cloud, and its optimal position is
+positions) and every agent is pushed through the solution map of the
+mean-field solve: agent i's hedging demand z0_hat is its own risk-aversion
+atom's z polynomial at step t, on the agent's common path, read at the
+agent's own level w^i_t, and its optimal position is
 
     p^{i,*} = (z0_hat_par + theta^T) / gamma_i,
     pi^{i,*} = (sigma sigma^T)^{-1} sigma (p^{i,*})^T.
@@ -49,6 +49,7 @@ from .paths import (
     normal_block_array,
     simulate_paths,
 )
+from .regression import poly_at
 
 if TYPE_CHECKING:
     from .config import Scenario
@@ -80,18 +81,6 @@ class DiscreteDist:
         edges = np.cumsum(self.p)
         return np.minimum(np.searchsorted(edges, u, side="right"), len(self.values) - 1)
 
-    def balanced_ids(self, n: int) -> np.ndarray:
-        """Deterministic assignment with atom counts matching probs (largest
-        remainder); removes sampling noise from the equilibrium cloud's
-        risk-aversion mix."""
-        quota = self.p * n
-        counts = np.floor(quota).astype(int)
-        short = n - counts.sum()
-        if short > 0:
-            order = np.argsort(-(quota - counts))
-            counts[order[:short]] += 1
-        return np.repeat(np.arange(len(self.values)), counts)
-
 
 @dataclass
 class Population:
@@ -105,25 +94,11 @@ class Population:
         return self.gammas.shape[0]
 
 
-def build_population(
-    n_agents: int,
-    seed: int,
-    gamma_dist: DiscreteDist,
-    balanced: bool,
-) -> Population:
-    """Draw gamma_i for n_agents.
-
-    A balanced population has gamma atoms in exact proportion instead of i.i.d.
-    (used for the equilibrium cloud so the sample harmonic mean is the
-    population one); agents entering clearing statistics use i.i.d. draws.
-    """
+def build_population(n_agents: int, seed: int, gamma_dist: DiscreteDist) -> Population:
+    """Draw gamma_i i.i.d. from gamma_dist for n_agents."""
     if n_agents < 1:
         raise ValueError("n_agents must be >= 1")
-    if balanced:
-        ids = gamma_dist.balanced_ids(n_agents)
-    else:
-        u = _philox(seed, KIND_GAMMA, 0).random(n_agents)
-        ids = gamma_dist.draw_ids(u)
+    ids = gamma_dist.draw_ids(_philox(seed, KIND_GAMMA, 0).random(n_agents))
     gammas = np.asarray(gamma_dist.values, dtype=float)[ids]
     return Population(gammas=gammas, atom_ids=ids)
 
@@ -145,32 +120,29 @@ def agent_strategies(
     """Optimal positions of fresh agents at step k under the fitted solution map.
 
     Step k's level w_agents[:, :, k] is read once (w_agents is (M0, N,
-    steps + 1), a Levels or an array).  Each risk-aversion atom's engine reads
-    its step-k z fit map on its own pool agents' columns of that level, one
-    atom at a time, by index, so the pool may come in any order.  A solve of
-    one atom reads every agent through it.  An agent whose atom has
-    no particle in the cloud raises ValueError.  Returns p (M0, N, d0) in
-    Brownian coordinates and pi (M0, N, n) in security units, in the pool's
-    order.
+    steps + 1), a Levels or an array).  Each risk-aversion atom's z
+    polynomial is read at its own pool agents' levels, one atom at a time,
+    by index, so the pool may come in any order.  A solve of one atom reads
+    every agent through it; an agent whose atom the solve does not hold
+    raises ValueError.  Returns p (M0, N, d0) in Brownian coordinates and
+    pi (M0, N, n) in security units, in the pool's order.
     """
     sol = mf.solution
     M0, N, d0 = w_agents.shape[0], population.size, sol.market.d0
     proj, pos = sol.market.geometry(sol.grid.steps)
-    ids = population.atom_ids if len(sol.atoms) > 1 else np.zeros(N, dtype=np.int64)
+    z = sol.z_coefs(k)
+    n_atoms = z.shape[1]
+    ids = population.atom_ids if n_atoms > 1 else np.zeros(N, dtype=np.int64)
     w_k = w_agents[:, :, k]
     z_hat = np.empty((M0, N, d0))
     for s in np.unique(ids).tolist():
         idx = np.flatnonzero(ids == s)
-        if s >= len(sol.atoms) or sol.atoms[s] is None:
-            raise ValueError(f"atom {s} has {idx.size} pool agents but no particle in the cloud")
-        cond = sol.atoms[s][1].on(k, w_k[:, idx])
-        z_hat[:, idx] = cond.evaluate(sol.fits[k][s]).reshape(M0, idx.size, -1)[..., :d0]
-    # p = (z0_par + theta) / gamma a component at a time
-    par, inv_g = z_hat @ proj[k], 1.0 / population.gammas
-    p = np.empty((M0, N, d0))
-    for j in range(d0):
-        np.add(par[..., j], mf.theta[:, k, j, None], out=p[..., j])
-        p[..., j] *= inv_g
+        if s >= n_atoms:
+            raise ValueError(f"atom {s} has {idx.size} pool agents but the solve has "
+                             f"{n_atoms} atoms")
+        z_hat[:, idx] = poly_at(z[:, s, :d0], w_k[:, idx])
+    # p = (z0_par + theta) / gamma
+    p = (z_hat @ proj[k] + mf.theta[:, k, None, :]) / population.gammas[:, None]
     return p, p @ pos[k].T
 
 
@@ -250,22 +222,16 @@ def rate_fit(Ns: list[int], eps: list[float], bound_const: float,
     return float(slope), float(intercept), bound_const, bound_ok
 
 
-def solve_equilibrium_cloud(sc: Scenario, n_common: int, n_agents: int) -> MeanFieldSolution:
-    """Mean-field fixed point on a balanced cloud of n_agents particles over
-    n_common common paths of the scenario sc.  Each gamma atom has its own
-    regression engine when the liability is not additive; the balanced
-    cloud's atom ids are an np.repeat, so each atom is one contiguous range
-    of particles and its count is its size in strata.  The seed, mf.iters,
-    mf.tol and bsde.clip come from sc.cfg."""
-    cfg = sc.cfg
-    cloud = build_population(n_agents, cfg.seed, sc.gamma_dist, balanced=True)
-    bundle = simulate_paths(sc.grid, sc.eqg, sc.market, n_common, cfg.seed, agents=n_agents)
-    g = terminal_g(sc.liability, bundle, cloud.gammas)
+def solve_equilibrium_cloud(sc: Scenario, n_common: int) -> MeanFieldSolution:
+    """Mean-field fixed point of the scenario sc over n_common common paths:
+    the atoms are the gamma law's values with their probabilities.  The
+    seed, mf.iters, mf.tol and bsde.clip come from sc.cfg."""
+    cfg, dist = sc.cfg, sc.gamma_dist
+    gammas = np.asarray(dist.values, dtype=float)
+    bundle = simulate_paths(sc.grid, sc.eqg, sc.market, n_common, cfg.seed)
     return solve_mean_field(
-        bundle, sc.market, sc.basis, g, cloud.gammas,
-        max_iters=cfg.mf.iters, tol=cfg.mf.tol, clip=cfg.bsde.clip,
-        strata=None if sc.liability.is_additive else np.bincount(
-            cloud.atom_ids, minlength=len(sc.gamma_dist.values)),
+        bundle, sc.market, sc.basis, terminal_g(sc.liability, bundle, gammas), gammas,
+        probs=dist.p, max_iters=cfg.mf.iters, tol=cfg.mf.tol, clip=cfg.bsde.clip,
     )
 
 
@@ -273,16 +239,16 @@ def run_clearing_study(sc: Scenario) -> tuple[ClearingReport, MeanFieldSolution]
     """End-to-end clearing experiment on the scenario sc, sized by its
     clearing block.
 
-    Solves the mean-field equation on a balanced cloud of
-    clearing.n_equilibrium particles, draws a fresh i.i.d. agent pool of size
-    max(clearing.Ns), evaluates every agent through the stored per-step
-    solution maps one step at a time, and estimates eps_N with its rate.
-    The report is built once, with rate_fit's fields.
+    Solves the mean-field equation over clearing.n_common common paths,
+    draws a fresh i.i.d. agent pool of size max(clearing.Ns), evaluates
+    every agent through the stored per-step solution maps one step at a
+    time, and estimates eps_N with its rate.  The report is built once,
+    with rate_fit's fields.
     """
     cfg, grid, Ns = sc.cfg, sc.grid, list(sc.cfg.clearing.Ns)
     n_common = cfg.clearing.n_common
-    mf = solve_equilibrium_cloud(sc, n_common, cfg.clearing.n_equilibrium)
-    pool = build_population(max(Ns), cfg.seed, sc.gamma_dist, balanced=False)
+    mf = solve_equilibrium_cloud(sc, n_common)
+    pool = build_population(max(Ns), cfg.seed, sc.gamma_dist)
     w_agents = fresh_idio_levels(cfg.seed, n_common, pool.size, grid)
     pi_steps = (agent_strategies(mf, pool, w_agents, k)[1] for k in range(grid.steps))
     eps, ses = clearing_residual(pi_steps, Ns, grid.dt, n_batches=cfg.clearing.n_batches)

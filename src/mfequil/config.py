@@ -78,7 +78,6 @@ class BsdeConfig:
 @dataclass(frozen=True)
 class MfConfig:
     n_common: int = 128
-    n_particles: int = 64
     iters: int = 10
     tol: float = 1e-4
 
@@ -87,7 +86,6 @@ class MfConfig:
 class ClearingConfig:
     Ns: tuple = (10, 30, 100, 300, 1000)
     n_common: int = 200
-    n_equilibrium: int = 2500
     n_batches: int = 20
     slack: float = 0.25
     n_invariance_draws: int = 100
@@ -171,8 +169,7 @@ def _reals(v) -> bool:
 _RANGES = (
     (("name",), lambda v, c: isinstance(v, str), "a string"),
     (("seed", "grid.steps", "bsde.degree"), lambda v, c: _int(v), "an integer"),
-    (("bsde.n_paths", "bsde.picard_max", "mf.n_particles", "mf.iters",
-      "clearing.n_equilibrium", "clearing.n_invariance_draws"),
+    (("bsde.n_paths", "bsde.picard_max", "mf.iters", "clearing.n_invariance_draws"),
      lambda v, c: _int(v, 1), "an integer >= 1"),
     # standard errors need two common paths and two batches
     (("mf.n_common", "clearing.n_common", "clearing.n_batches"), lambda v, c: _int(v, 2),

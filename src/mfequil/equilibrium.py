@@ -28,6 +28,7 @@ import numpy as np
 from .bsde import BsdeSolution
 from .market import MarketSpec, TimeGrid
 from .paths import PathBundle
+from .regression import hankel
 from .riccati import RiccatiSolution
 
 
@@ -53,8 +54,9 @@ def closed_form_error(ric: RiccatiSolution, sol: BsdeSolution, eq: EquilibriumPa
     kappa from ric.spec, the spec ric was solved for, and
     y0_rel_err is |sol.y0 - y0_closed| over |y0_closed| (floored at 1e-12).
     Given eq, the closed form on the solve's own paths, z0_rms_rel_err is the
-    RMS of the common hedge's error over steps 0..steps-1 over the closed
-    form's RMS (floored at 1e-12).
+    root of the mean over paths, steps 0..steps-1 and components of the
+    squared error of atom 0's common hedge, in L2 over the law of w, over
+    the closed form's RMS (floored at 1e-12).
     """
     spec = ric.spec
     y0_closed = float(ric.A[0] * spec.x0 * spec.x0 + ric.B[0] * spec.x0 + ric.C[0])
@@ -63,9 +65,14 @@ def closed_form_error(ric: RiccatiSolution, sol: BsdeSolution, eq: EquilibriumPa
            "y0_rel_err": float(abs(sol.y0 - y0_closed) / max(abs(y0_closed), 1e-12))}
     if eq is not None:
         z0_closed = eq.z0[:, :-1]
-        z0 = np.stack([sol.z_at(k)[:, 0, :z0_closed.shape[2]] for k in range(eq.grid.steps)],
-                      axis=1)
-        num = np.sqrt(np.mean(np.subtract(z0, z0_closed, order="C") ** 2))
+        d0 = z0_closed.shape[2]
+        sq = 0.0
+        for k in range(eq.grid.steps):
+            diff = sol.z_coefs(k)[:, 0, :d0].reshape(-1, d0 * len(z0_closed))
+            diff[0] -= z0_closed[:, k].T.ravel()
+            J = diff.shape[0]
+            sq += float(np.sum(diff * (hankel(eq.grid.times[k], J, J) @ diff)))
+        num = np.sqrt(sq / z0_closed.size)
         den = max(np.sqrt(np.mean(z0_closed**2)), 1e-12)
         err["z0_rms_rel_err"] = float(num / den)
     return err

@@ -48,28 +48,24 @@ class LiabilitySpec:
 
 
 def terminal_g(liability: LiabilitySpec, bundle: PathBundle, gammas: np.ndarray) -> np.ndarray:
-    """Normalized terminal samples G, shape (M, K).
+    """Normalized terminal data G as per-path coefficients in w_T, shape (2, S, M).
 
-    gammas has shape (K,): one risk aversion per particle slot, shared
-    across common paths.  The terms are added in the order common, kappa,
-    eps.
+    gammas has shape (S,): one risk aversion per atom.  G[0, s, m] is the
+    common cost of path m and G[1, s, m] the coefficient of the agent's own
+    w_T, kappa + gamma_s eps (W0_T)_1, so G = G[0] + G[1] w_T.
     """
-    M, K = bundle.n_paths, bundle.n_agents
     gam = np.asarray(gammas, dtype=float)
-    if gam.shape != (K,):
-        raise ValueError(f"gammas must have shape ({K},), got {gam.shape}")
-    dt = bundle.grid.dt
+    if gam.ndim != 1:
+        raise ValueError(f"gammas must have shape (S,), got {gam.shape}")
+    M, dt = bundle.n_paths, bundle.grid.dt
     a, b, kappa, eps = liability.a, liability.b, liability.kappa, liability.eps
-    g = np.zeros((M, K))
+    g = np.zeros((2, gam.size, M))
     if a != 0.0 or b != 0.0:
         x = bundle.x[:, :-1]
-        g0 = dt * np.sum(a * x * x + b * x, axis=1)
-        g += g0[:, None]
-    if kappa != 0.0:
-        g += kappa * bundle.wi[:, :, -1]
+        g[0] = dt * np.sum(a * x * x + b * x, axis=1)
+    g[1] = kappa
     if eps != 0.0:
-        w0T = bundle.w0[:, -1, 0]
-        g += gam[None, :] * eps * w0T[:, None] * bundle.wi[:, :, -1]
+        g[1] += gam[:, None] * eps * bundle.w0[:, -1, 0]
     return g
 
 

@@ -160,18 +160,21 @@ class PopulationStats:
         )
 
 
-def gamma_hat(gammas: np.ndarray) -> PopulationStats:
-    """Population statistics from a sample of gamma."""
+def gamma_hat(gammas: np.ndarray, probs: np.ndarray | None = None) -> PopulationStats:
+    """Population statistics of risk aversions gammas, a sample (probs None)
+    or atoms with probabilities probs: the harmonic mean, and the range of
+    the atoms of positive probability."""
     g = np.asarray(gammas, dtype=float).ravel()
     if g.size == 0:
         raise NonpositiveGamma("empty risk-aversion sample")
     if np.any(~np.isfinite(g)) or np.any(g <= 0.0):
         raise NonpositiveGamma("all risk aversions must be positive and finite")
-    return PopulationStats(
-        gamma_hat=1.0 / float(np.mean(1.0 / g)),
-        gamma_lo=float(np.min(g)),
-        gamma_hi=float(np.max(g)),
-    )
+    p = np.full(g.size, 1.0 / g.size) if probs is None else np.asarray(probs, dtype=float)
+    if p.shape != g.shape:
+        raise ValueError(f"{p.size} probabilities for {g.size} risk aversions")
+    held = g[p > 0]
+    return PopulationStats(gamma_hat=1.0 / float(p @ (1.0 / g)),
+                           gamma_lo=float(np.min(held)), gamma_hi=float(np.max(held)))
 
 
 def _gram_cholesky(sigma: np.ndarray) -> np.ndarray:

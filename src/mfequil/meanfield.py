@@ -1,30 +1,35 @@
-"""Mean-field BSDE solver on a common-path / particle cloud.
+"""Mean-field BSDE solver on common paths, with the idiosyncratic law integrated exactly.
 
 The equilibrium risk premium of a continuum of exponential-utility agents is
 theta_t = -gamma_hat Ebar[Z0_par_t]^T, where Ebar averages the common-noise
 integrand over the idiosyncratic randomness conditionally on the common path
 and gamma_hat is the harmonic-mean risk aversion.  In normalized variables
-(z = gamma Z, G = gamma F) each particle carries
+(z = gamma Z, G = gamma F) each agent carries
 
     y_t = G + int_t^T ( gamma_hat z0_par Ebar_n^T - gamma_hat^2 |Ebar_n|^2 / 2
                         + (|z0_perp|^2 + |z1|^2) / 2 ) ds - int z dW,
 
-with Ebar_n = Ebar[(1/gamma) z0_par], so that at a fixed point every particle
+with Ebar_n = Ebar[(1/gamma) z0_par], so that at a fixed point every agent
 also solves the single-agent equation under theta = -gamma_hat Ebar_n^T.
 
-The cloud discretises Ebar by the per-common-path average over its
-particles, and gamma_hat by its own harmonic mean, which the solve works
-out from the cloud's gammas.  So the mean-field solve is the agent solve
-(bsde._solve) with theta taken, at each step of each sweep, from the frozen
-cloud's own z0_par.  Step k's theta reads only step k of z0, which the
-sweep rebuilds from the previous iterate's fit maps (see bsde).  A cloud of
-several risk-aversion atoms gives each atom with particles its own
-regression engine on its slice of the levels; theta, the mean over all
-atoms, is where they meet.  One pass after the solve gives the reported
-theta, sup |Y| and the BMO proxy.  The run's facts (sweeps, convergence,
-the sweep-to-sweep changes and their contraction ratios) are read from the
-solution; ContractionDiagnostics holds only the smallness gates of a
-liability bound, which need no solve.
+Given a common path, Ebar is an integral over the agents' idiosyncratic
+level w ~ N(0, t) and their risk-aversion atoms, and every map of the solve
+is a polynomial in w (see bsde), so it is taken exactly: with p_s the atom
+probabilities and C_s,j the per-path coefficients of atom s's z0_par,
+
+    theta = -gamma_hat sum_s (p_s / gamma_s) sum_j C_s,j mu_j(t),
+
+mu_j(t) = E[w^j], and gamma_hat = 1 / sum_s p_s / gamma_s.  Only the common
+noise is sampled.  So the mean-field solve is the agent solve (bsde._solve)
+over the atoms, the gamma law's values, side by side, with theta taken at
+each step of each sweep from the frozen iterate's own z0_par.  Step k's
+theta reads only step k of z0, which the sweep rebuilds from the previous
+iterate's fit maps.  One pass after the solve gives the reported theta,
+sup |Y| and the BMO proxy, the sups over paths, atoms and w within
++-6 sqrt(t_k).  The run's facts (sweeps, convergence, the sweep-to-sweep
+changes and their contraction ratios) are read from the solution;
+ContractionDiagnostics holds only the smallness gates of a liability
+bound, which need no solve.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeSolution, _joined, _solve, bmo_proxy
+from .bsde import BsdeSolution, _coefs, _solve, bmo_proxy
 from .liabilities import LiabilitySpec, liability_bounds
 from .market import MarketSpec, PopulationStats
 from .market import gamma_hat as population_stats
 from .paths import PathBundle
-from .regression import BasisEngine, RegressionBasis, _sum_rows
+from .regression import BasisEngine, RegressionBasis, gauss_moments, sup_on_range
 from .riccati import EqgSpec
 
 
@@ -85,14 +90,14 @@ def smallness_from_liability(
 
 @dataclass
 class MeanFieldSolution:
-    """Converged cloud solution with the implied equilibrium risk premium;
+    """Converged solution with the implied equilibrium risk premium;
     the sweep count, convergence and changes are the solution's."""
 
     solution: BsdeSolution
     theta: np.ndarray          # (M0, steps, d0)
-    stats: PopulationStats     # the cloud's gamma_hat, gamma_lo and gamma_hi
-    y_inf: float               # empirical sup |Y| (unnormalized)
-    z_bmo: float               # empirical BMO proxy of (Z0, Z1)
+    stats: PopulationStats     # the gamma law's gamma_hat, gamma_lo and gamma_hi
+    y_inf: float               # sup |Y| (unnormalized) over paths, atoms and w
+    z_bmo: float               # BMO proxy of (Z0, Z1)
 
     @property
     def changes(self) -> list[float]:     # max(dy0, dz) of sweeps 2, 3, ...
@@ -111,88 +116,73 @@ def solve_mean_field(
     g_samples: np.ndarray,
     gammas: np.ndarray,
     *,
+    probs: np.ndarray | None = None,
     max_iters: int = 10,
     tol: float = 1e-4,
     clip: float = 50.0,
     engine=None,
-    strata=None,
 ) -> MeanFieldSolution:
     """Fixed-point iteration of the mean-field map from z = 0.
 
-    This is the agent solve with theta = -gamma_hat Ebar_n^T taken from each
-    sweep's frozen input, so the loop is the agent solver's: it stops once
-    max(dy0, dz) < tol, where dy0 is the sup change of the initial value over
-    sup |y0| and dz the cloud-L2 change of z over the cloud-L2 norm of the
-    new z, both scales floored at 1e-8.  A non-finite change, or one that
-    grows for 3 consecutive sweeps, raises PicardDiverged.  A run that
-    reaches max_iters otherwise returns its last iterate with
-    converged = False.  gamma_hat is the cloud's own harmonic mean,
-    market.gamma_hat(gammas), kept as stats; a gamma that is not positive
-    and finite raises NonpositiveGamma before any regression is built.  The
-    solution keeps dy0 and dz apart as y0_changes and z_changes, and its
-    fits are the last sweep's z fit maps.  strata, the sizes (S,) of the
-    risk-aversion atoms, tile the K particles in atom order: the first
-    strata[0] particles form atom 0, and so on (None: one atom); sizes that
-    do not tile K raise ValueError.  Each atom with particles gets its own
-    engine on its slice of the levels; engine= replaces it for a solve of
-    one atom.  Every sweep and the BMO proxy share the engines, so each
-    step's regression is built once per atom.  theta's mean over the K
-    agents is np.mean(..., axis=1)'s to the bit: for d0 >= 2 one einsum adds
-    z0_par / gamma over the agents in order, with no (M0, K, d0) product
-    formed; for d0 = 1 numpy sums that product pairwise.  The first sweep's
-    z is 0, and so is its theta.  The reported theta, y_inf (sup |Y|) and
-    z_bmo (BMO proxy of (Z0, Z1) = z / gamma) come from one backward pass
-    over the final iterate.
+    gammas (S,) are the risk-aversion atoms and probs (S,) their
+    probabilities (None: equal); g_samples (L, S, M0) holds each atom's
+    terminal polynomial in w_T, as terminal_g gives it for gammas.  This is
+    the agent solve with theta = -gamma_hat Ebar_n^T taken from each sweep's
+    frozen input, so the loop is the agent solver's: it stops once
+    max(dy0, dz) < tol, where dy0 is the sup change of the initial value
+    over sup |y0| and dz the L2 change of z over the L2 norm of the new z
+    (over paths, atoms weighted by probs, and the law of w), both scales
+    floored at 1e-8.  A non-finite change, or one that grows for 3
+    consecutive sweeps, raises PicardDiverged.  A run that reaches max_iters
+    otherwise returns its last iterate with converged = False.  gamma_hat is
+    the law's harmonic mean, market.gamma_hat(gammas, probs), kept as stats;
+    a gamma that is not positive and finite raises NonpositiveGamma before
+    any regression is built.  One engine serves every atom (engine=
+    replaces the basis's), so each step's regression is built once.  The
+    first sweep's z is 0, and so is its theta.  The reported theta, y_inf
+    (sup |Y|) and z_bmo (BMO proxy of (Z0, Z1) = z / gamma) come from one
+    backward pass over the final iterate.
     """
-    dt = bundle.grid.dt
+    grid = bundle.grid
     gam = np.asarray(gammas, dtype=float)
-    stats = population_stats(gam)
-    K = bundle.n_agents
-    sizes = np.asarray((K,) if strata is None else strata, dtype=np.int64)
-    if sizes.ndim != 1 or np.any(sizes < 0) or int(sizes.sum()) != K:
-        raise ValueError(f"strata {sizes.tolist()} do not tile {K} particles")
-    if engine is not None:
-        if sizes.size > 1:
-            raise ValueError(f"an engine= solve has one atom, not {sizes.size}")
-        atoms = [(slice(None), engine)]
-    else:
-        ends = np.cumsum(sizes).tolist()
-        atoms = [(slice(e - n, e), BasisEngine(bundle.x, bundle.I, bundle.wi[:, e - n:e], basis))
-                 if n else None for n, e in zip(sizes.tolist(), ends)]
-    inv_g = 1.0 / gam
-    inv_gamma = inv_g[None, :, None]
+    p = np.full(gam.size, 1.0 / gam.size) if probs is None else np.asarray(probs, dtype=float)
+    stats = population_stats(gam, p)
+    g = _coefs(g_samples, bundle.n_paths)
+    if g.shape[1] != gam.size:
+        raise ValueError(f"g has {g.shape[1]} atoms for {gam.size} risk aversions")
+    if engine is None:
+        engine = BasisEngine(bundle.x, bundle.I, grid.times, basis)
+    weight = p / gam
+    steps, d0 = grid.steps, market.d0
+    proj, _ = market.geometry(steps)
 
-    def agent_mean(z0_par):
-        """Ebar_n = mean over the K agents of z0_par / gamma, (M0, d0)."""
-        if market.d0 == 1:
-            return _sum_rows(inv_gamma * z0_par) / gam.size
-        return np.einsum("mkj,k->mj", z0_par, inv_g) / gam.size
+    def agent_mean(k, z0_par):
+        """Ebar_n = sum_s (p_s / gamma_s) E_w[z0_par_s] at step k, (M0, d0)."""
+        mu = gauss_moments(grid.times[k], z0_par.shape[0])
+        return np.einsum("jsam,j,s->ma", z0_par, mu, weight)
 
     def theta_at(k, z0_par):
         if z0_par is None:      # the zero first iterate: Ebar_n = 0
-            return np.zeros((bundle.n_paths, market.d0))
-        return -stats.gamma_hat * agent_mean(z0_par)
+            return np.zeros((bundle.n_paths, d0))
+        return -stats.gamma_hat * agent_mean(k, z0_par)
 
-    sol = _solve(bundle, market, atoms, g_samples, theta_at, max_iters, tol, clip, tilted=False)
+    sol = _solve(bundle, market, engine, g, p, theta_at, max_iters, tol, clip, tilted=False)
 
     # the mean field is recomputed from the final iterate, so the reported
     # theta is the one the returned solution solves
-    steps, d0 = bundle.grid.steps, market.d0
-    proj, _ = market.geometry(steps)
     ebar = np.empty((bundle.n_paths, steps, d0))
-    y_max = [np.max(np.abs(sol.g / gam[None, :]))]
+    inv_g = 1.0 / gam
+    y_max = [np.max(sup_on_range(g * inv_g[:, None], grid.horizon))]
 
     def backward():
         for k in range(steps - 1, -1, -1):
-            conds = sol.conditioners(k)
-            zs = sol.z_parts(k, conds)
-            ebar[:, k, :] = agent_mean(_joined({s: z[..., :d0] @ proj[k] for s, z in zs.items()}))
-            y_max.append(np.max(np.abs(sol.y_at(k, conds) / gam[None, :])))
-            # Z = z / gamma a component plane at a time
-            planes = {s: [z[..., j] * inv_g[atoms[s][0]] for j in range(d0 + 1)]
-                      for s, z in zs.items()}
-            yield {s: (conds[s], zp[:d0], zp[d0:]) for s, zp in planes.items()}
+            cond = engine.at(k)
+            z = sol.z_coefs(k, cond)
+            ebar[:, k, :] = agent_mean(k, np.einsum("ba,jsbm->jsam", proj[k], z[:, :, :d0]))
+            y_max.append(np.max(sup_on_range(sol.y_coefs(k, cond) * inv_g[:, None],
+                                             grid.times[k])))
+            yield k, cond, z * inv_g[:, None, None]
 
-    z_bmo = bmo_proxy(backward(), dt)
+    z_bmo = bmo_proxy(backward(), grid)
     return MeanFieldSolution(solution=sol, theta=-stats.gamma_hat * ebar, stats=stats,
                              y_inf=float(np.max(y_max)), z_bmo=z_bmo)

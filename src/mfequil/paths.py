@@ -5,10 +5,14 @@ by (seed, stream kind, block index) where a block is a fixed slice of path
 indices, so a path's draws do not depend on how many paths are drawn.  The
 factor follows Euler-Maruyama on the same increments the BSDE regressions
 consume, and the running liability integral I uses the left-endpoint rule, so
-factor, integral, and regressions stay on one discretisation.  Idiosyncratic
-levels are kept as their increments plus a few checkpoint levels (Levels) and
-rebuilt a level at a time, the store-or-recompute trade of checkpointing
-(Griewank & Walther, "Algorithm 799: revolve", ACM TOMS 2000) at its simplest.
+factor, integral, and regressions stay on one discretisation.  The solves
+integrate each agent's idiosyncratic coordinate exactly (see regression), so
+its increments are drawn only for agents that are followed along a path: a
+bundle's own agents, whose strategies verify_condition_r audits (one per
+path by default), and the clearing pool.  Their levels are kept as the
+increments plus a few checkpoint levels (Levels) and rebuilt a level at a
+time, the store-or-recompute trade of checkpointing (Griewank & Walther,
+"Algorithm 799: revolve", ACM TOMS 2000) at its simplest.
 """
 
 from __future__ import annotations
@@ -63,10 +67,10 @@ class Levels:
     rebuilt from the nearest checkpoint below it by adding dw[..., j] in
     order, the additions np.cumsum makes, so every level has cumsum's bits
     (level 1 is dw[..., 0] itself, sign of zero included).  Two keys read it:
-    w[:, r, k] is level k (M, n) of the particle range r (a unit-step slice,
+    w[:, r, k] is level k (M, n) of the agent range r (a unit-step slice,
     ':' for all), a read-only checkpoint or a fresh rebuild (not cached: a
     second read rebuilds, at most c - 1 adds); w[:, r] is the Levels of those
-    particles, on views of the same arrays.  Any other key raises TypeError.
+    agents, on views of the same arrays.  Any other key raises TypeError.
     """
 
     def __init__(self, dw: np.ndarray, marks: np.ndarray):
@@ -153,8 +157,8 @@ class PathBundle:
     dWi: (M, K, steps) idiosyncratic increments, K agents per common path.
     x:   (M, steps + 1) Euler path of the OU factor.
     I:   (M, steps + 1) left-rule running integral of a x^2 + b x.
-    dWi is stored step-major (step_major), the rest C-ordered; its levels wi
-    are a Levels, dWi plus ceil(sqrt(steps))-spaced checkpoints.
+    dWi, x and I are stored step-major, dW0 C-ordered; dWi's levels wi are a
+    Levels, dWi plus ceil(sqrt(steps))-spaced checkpoints.
     """
 
     grid: TimeGrid
@@ -182,7 +186,7 @@ class PathBundle:
     @cached_property
     def wi(self) -> Levels:
         """Idiosyncratic Brownian levels, (M, K, steps + 1), read a level at a
-        time (wi[:, :, k]) or a particle range at a time (wi[:, a:b])."""
+        time (wi[:, :, k]) or an agent range at a time (wi[:, a:b])."""
         return levels(self.dWi)
 
 
@@ -216,10 +220,11 @@ def simulate_paths(
 
 
 def _euler_factor(spec: EqgSpec, dW0: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Euler factor path x and left-rule running cost I on the increments dW0."""
+    """Euler factor path x and left-rule running cost I on the increments dW0,
+    each (M, steps + 1) stored step-major, so a step's values are contiguous."""
     M, steps, _ = dW0.shape
-    x = np.empty((M, steps + 1))
-    I = np.empty((M, steps + 1))
+    x = np.empty((steps + 1, M)).T
+    I = np.empty((steps + 1, M)).T
     x[:, 0] = spec.x0
     I[:, 0] = 0.0
     delta = spec.delta_vec

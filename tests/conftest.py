@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mfequil import EqgSpec, MarketSpec, TimeGrid, agent_strategies
-from mfequil.paths import step_major
 from mfequil.regression import RidgeConditioner
 
 
@@ -33,16 +32,16 @@ def pool_strategies(mf, population, w_agents):
 
 
 def materialise(sol):
-    """Every step of a BsdeSolution stacked, step-major: y (M0, K, steps + 1),
-    z0 and z1 (M0, K, steps, ·)."""
-    M0, K = sol.g.shape
+    """Every step of a BsdeSolution stacked: y (L, S, steps + 1, M0), each
+    node's coefficients zero-padded to the longest, z0 (J, S, steps, d0, M0)
+    and z1 (J, S, steps, 1, M0)."""
     steps, d0 = sol.grid.steps, sol.market.d0
-    y, z = step_major((M0, K, steps + 1)), step_major((M0, K, steps, d0 + 1))
-    y[:, :, steps] = sol.g
-    for k in range(steps):
-        conds = sol.conditioners(k)
-        y[:, :, k], z[:, :, k] = sol.y_at(k, conds), sol.z_at(k, conds)
-    return y, z[..., :d0], z[..., d0:]
+    ys = [sol.y_coefs(k) for k in range(steps + 1)]
+    y = np.zeros((max(a.shape[0] for a in ys), ys[0].shape[1], steps + 1, ys[0].shape[2]))
+    for k, a in enumerate(ys):
+        y[:a.shape[0], :, k] = a
+    z = np.stack([sol.z_coefs(k) for k in range(steps)], axis=2)
+    return y, z[:, :, :, :d0], z[:, :, :, d0:]
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,7 +76,7 @@ from mfequil.config import apply_overrides, build_scenario, config_from_dict
 with open(sys.argv[1], encoding="utf-8") as fh:
     sc = build_scenario(config_from_dict(apply_overrides(json.load(fh), ["grid.steps=5"])))
 wall, cpu = time.perf_counter(), time.process_time()
-mf = solve_equilibrium_cloud(sc, 100, 2100)
+mf = solve_equilibrium_cloud(sc, 20000)
 wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
 print(json.dumps({"y0": repr(mf.solution.y0), "theta": mf.theta.tobytes().hex(),
                   "sweeps": mf.solution.picard_iters, "wall_s": wall, "cpu_s": cpu}))
@@ -86,10 +85,10 @@ print(json.dumps({"y0": repr(mf.solution.y0), "theta": mf.theta.tobytes().hex(),
 
 @pytest.fixture(scope="session")
 def cloud_solve_runs():
-    """solve_equilibrium_cloud on cross_term.json cut to 5 steps, 100 common
-    paths x 2100 agents (70,000 rows per atom, enough for OpenBLAS to
-    thread a whole-atom product), each in a fresh process, at one and at
-    two BLAS threads: {"1": result, "2": result}, a result holding y0's repr,
+    """solve_equilibrium_cloud on cross_term.json cut to 5 steps, over
+    20,000 common paths (enough for OpenBLAS to thread a product over the
+    paths, were it taken whole), each in a fresh process, at one and at two
+    BLAS threads: {"1": result, "2": result}, a result holding y0's repr,
     θ's bytes in hex, the sweep count and the solve's wall and CPU seconds."""
     runs = {}
     for n in ("1", "2"):

@@ -8,9 +8,15 @@ outside it, built on its public names only:
 * level_array: every Brownian level of a bundle's increments, by np.cumsum;
 * fubini_malliavin_check, coarsen_bundle: the integral-swap identity of the
   a = 0 model, and the same noise on a coarser grid to refine it on;
-* GroupMeanConditioner, TreeEngine: exact conditional expectations on an
-  enumerable noise tree, an engine the solver accepts in place of its
-  BasisEngine (the contract is in the bsde docstring);
+* NodeMeanConditioner, TreeEngine: exact conditional expectations on an
+  enumerable common-noise tree, on polynomial targets in w, an engine the
+  solver accepts in place of its BasisEngine (the contract is in the bsde
+  docstring);
+* normal_moments, gauss_hermite, quadrature_fit: the Gaussian law of w by
+  its moments and by Gauss-Hermite quadrature, and one step's regression as
+  an explicit least-squares problem over (path, node) rows;
+* particle_agent_solve: the agent solve by plain regression Monte Carlo on
+  sampled particles, whose K -> infinity limit the package computes;
 * project, risk_premium_from_mu: the row-space split of z through
   market_geometry's projector, and theta = mu M through its position map,
   each factorising sigma sigma^T afresh for the sigma it is given.
@@ -113,51 +119,135 @@ def coarsen_bundle(bundle: PathBundle, factor: int, spec: EqgSpec) -> PathBundle
     return PathBundle(grid=coarse_grid, dW0=dW0, dWi=dWi, x=x, I=I)
 
 
-class GroupMeanConditioner:
-    """Exact conditional expectation by averaging within integer key groups.
+def normal_moments(t: float, n: int) -> np.ndarray:
+    """E[w^p], p < n, for w ~ N(0, t), from the double factorial."""
+    return np.array([0.0 if p % 2 else float(np.prod(np.arange(p - 1, 0, -2))) * t ** (p // 2)
+                     for p in range(n)])
 
-    Suitable for enumerable noise trees where every path with the same key
-    shares the same information set.
-    """
 
-    def __init__(self, keys: np.ndarray):
-        uniq, inv = np.unique(np.asarray(keys), return_inverse=True)
-        self.inv = inv
+def gauss_hermite(t: float, n: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Hermite nodes and weights of N(0, t): exact for polynomials
+    of degree < 2n."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n)
+    return np.sqrt(t) * nodes, weights / weights.sum()
+
+
+class NodeMeanConditioner:
+    """Exact conditional expectation on an enumerable common-noise tree, on
+    polynomial targets: a target (L, ..., M0) of per-path polynomials in
+    w ~ N(0, t) is projected in L2 onto the polynomials of degree < J (the
+    pseudo-inverse of the moment matrix, so at t = 0 onto the constants),
+    then averaged over the paths that share a node key.  Its fit map is the
+    node means."""
+
+    def __init__(self, keys: np.ndarray, t: float, J: int):
+        uniq, self.inv = np.unique(np.asarray(keys), return_inverse=True)
         self.n_groups = uniq.size
-        self.denom = np.bincount(inv, minlength=self.n_groups).astype(float)
+        self.denom = np.bincount(self.inv, minlength=self.n_groups).astype(float)
+        self.t, self.J = t, J
 
-    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fitted values (same leading shape) and the group means, its fit map."""
-        squeeze = targets.ndim == 1
-        ys = targets[:, None] if squeeze else targets
-        r = ys.shape[1]
-        means = np.empty((self.n_groups, r))
-        for j in range(r):
-            means[:, j] = np.bincount(self.inv, weights=ys[:, j], minlength=self.n_groups)
-        means /= self.denom[:, None]
-        out = self.evaluate(means)
-        return (out[:, 0] if squeeze else out), means
+    def fit(self, targets: np.ndarray):
+        L, M0 = targets.shape[0], targets.shape[-1]
+        mom = normal_moments(self.t, L + self.J)
+        gram = mom[np.add.outer(np.arange(self.J), np.arange(self.J))]
+        cross = mom[np.add.outer(np.arange(self.J), np.arange(L))]
+        c = (np.linalg.pinv(gram) @ cross @ targets.reshape(L, -1)).reshape(self.J, -1, M0)
+        means = np.empty(c.shape[:2] + (self.n_groups,))
+        for j in range(self.J):
+            for r in range(c.shape[1]):
+                means[j, r] = np.bincount(self.inv, weights=c[j, r], minlength=self.n_groups)
+        means /= self.denom
+        means = means.reshape((self.J,) + targets.shape[1:-1] + (self.n_groups,))
+        return self.evaluate(means), means
 
     def evaluate(self, means: np.ndarray) -> np.ndarray:
-        """Group means spread back to their rows, (P, r)."""
-        return means[self.inv]
+        """Node means spread back to their paths, (J, ..., M0)."""
+        return means[..., self.inv]
 
 
 class TreeEngine:
-    """Per-step GroupMeanConditioner factory from precomputed path keys.
+    """Per-step NodeMeanConditioner factory from precomputed common-node keys,
+    an engine the solver accepts in place of its BasisEngine."""
 
-    Each step's group index is built once and kept for the engine's lifetime;
-    it is as large as the keys, so this suits enumerable trees only.
-    """
+    def __init__(self, keys_per_step: list[np.ndarray], times: np.ndarray, J: int):
+        self.keys, self.times, self.J = keys_per_step, times, J
+        self._memo: dict[int, NodeMeanConditioner] = {}
 
-    def __init__(self, keys_per_step: list[np.ndarray]):
-        self.keys = keys_per_step
-        self._memo: dict[int, GroupMeanConditioner] = {}
-
-    def at(self, k: int) -> GroupMeanConditioner:
+    def at(self, k: int) -> NodeMeanConditioner:
         if k not in self._memo:
-            self._memo[k] = GroupMeanConditioner(self.keys[k])
+            self._memo[k] = NodeMeanConditioner(self.keys[k], self.times[k], self.J)
         return self._memo[k]
+
+
+def quadrature_fit(basis_degree: int, include_idio: bool, x_k, i_k, t: float, weights,
+                   target_at) -> np.ndarray:
+    """One step's regression as an explicit weighted least-squares problem
+    over (path, Gauss-Hermite node) rows: columns 1, x^i w^j (1 <= i + j <=
+    degree; j = 0 without include_idio) and I, row weights weights[m] times
+    the node weight, targets target_at(w) (M0, r) at each node w (M0,).
+    Returns the fitted values on the rows, (M0, nodes, r)."""
+    nodes, node_w = gauss_hermite(t)
+    M0 = x_k.shape[0]
+    cols = []
+    for total in range(1, basis_degree + 1):
+        for j in range((total if include_idio else 0) + 1):
+            cols.append(x_k[:, None] ** (total - j) * nodes[None, :] ** j)
+    cols.append(np.repeat(i_k[:, None], nodes.size, axis=1))
+    design = np.stack([np.ones((M0, nodes.size))] + cols, axis=-1).reshape(-1, len(cols) + 1)
+    y = np.stack([target_at(np.full(M0, w)) for w in nodes], axis=1)      # (M0, nodes, r)
+    root = np.sqrt((weights[:, None] * node_w[None, :]).ravel())
+    beta = np.linalg.lstsq(design * root[:, None], y.reshape(design.shape[0], -1) * root[:, None],
+                           rcond=None)[0]
+    return (design @ beta).reshape(y.shape)
+
+
+def particle_agent_solve(bundle: PathBundle, proj: np.ndarray, theta: np.ndarray, g0, g1,
+                         dwi: np.ndarray, degree: int, sweeps: int) -> float:
+    """y0 of the agent BSDE by plain regression Monte Carlo on a particle
+    cloud: K particles per common path with idiosyncratic increments dwi
+    (M0, K, steps), G = g0 + g1 w_T for per-path g0, g1 (M0,), a constant
+    premium theta (d0,) and the projector proj (d0, d0).  Each step regresses
+    the (path, particle) rows on the explicit design 1, x^i w^j (1 <= i + j
+    <= degree), I with np.linalg.lstsq: first (y_k+1, driver), then the
+    residual times (dW0, dWi) / dt; Picard sweeps from z = 0."""
+    grid = bundle.grid
+    dt, steps = grid.dt, grid.steps
+    M0, K = dwi.shape[:2]
+    d0 = bundle.dW0.shape[2]
+    w = np.concatenate([np.zeros((M0, K, 1)), np.cumsum(dwi, axis=2)], axis=2)
+    g = g0[:, None] + g1[:, None] * w[:, :, -1]
+    th = np.asarray(theta, dtype=float)
+
+    def design(k):
+        x, wk = np.broadcast_to(bundle.x[:, k, None], (M0, K)), w[:, :, k]
+        cols = ([np.ones_like(wk)] + [x ** (t - j) * wk ** j for t in range(1, degree + 1)
+                                      for j in range(t + 1)]
+                + [np.broadcast_to(bundle.I[:, k, None], (M0, K))])
+        return np.stack(cols, axis=-1).reshape(M0 * K, -1)
+
+    z = None
+    for _ in range(sweeps):
+        y = g
+        z_new = np.empty((steps, M0, K, d0 + 1))
+        for k in range(steps - 1, -1, -1):
+            X = design(k)
+            if z is None:
+                f = np.full((M0, K), -0.5 * th @ th)
+            else:
+                par = z[k, ..., :d0] @ proj
+                perp = z[k, ..., :d0] - par
+                f = (-par @ th - 0.5 * th @ th
+                     + 0.5 * (np.sum(perp**2, axis=-1) + z[k, ..., d0] ** 2))
+            b1 = np.linalg.lstsq(X, np.stack([y.ravel(), f.ravel()], axis=1), rcond=None)[0]
+            fit1 = (X @ b1).reshape(M0, K, 2)
+            resid = y - fit1[..., 0]
+            prods = np.concatenate([resid[..., None] * bundle.dW0[:, k, None, :],
+                                    (resid * dwi[:, :, k])[..., None]], axis=-1) / dt
+            b2 = np.linalg.lstsq(X, prods.reshape(M0 * K, -1), rcond=None)[0]
+            z_new[k] = (X @ b2).reshape(M0, K, d0 + 1)
+            y = fit1[..., 0] + dt * fit1[..., 1]
+        z = z_new
+    return float(np.mean(y))
 
 
 def project(sigma: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,7 @@ from conftest import materialise, pool_strategies
 from oracles import coarsen_bundle, fubini_malliavin_check
 
 from test_meanfield import (
-    K_TREE,
+    J_TREE,
     SIGMA_ROW,
     STEPS as TREE_STEPS,
     reference_fixed_point,
@@ -176,10 +176,10 @@ def test_ac04_regression_solver_matches_closed_form():
     sol = solve_agent_bsde(bundle, MARKET_1F, basis, np.zeros((50, 1)), g)
     y0_exact = euler_mean_g(SPEC_1F, grid)
     y0_rel = abs(sol.y0 - y0_exact) / abs(y0_exact)
-    g_mean = float(np.mean(g))
+    g_mean = float(np.mean(g[0]))        # G's w^0 coefficient is its mean over w_T
     sample_gap = abs(sol.y0 - g_mean) / abs(g_mean)
     z_true = euler_value_slope(SPEC_1F, grid, bundle.x)
-    err = materialise(sol)[1][:, 0] - z_true
+    err = materialise(sol)[1][0, 0].transpose(2, 0, 1) - z_true
     z_rms = float(np.sqrt(np.mean(np.sum(err**2, axis=2))
                           / np.mean(np.sum(z_true**2, axis=2))))
     wall = time.monotonic() - t0
@@ -211,20 +211,21 @@ def test_ac06_fixed_point_converges_inside_smallness_gate():
     grid, market = sc.grid, sc.market
     spec, liability, basis = sc.eqg, sc.liability, sc.basis
     dist = sc.gamma_dist
-    K = cfg.mf.n_particles
-    cloud = build_population(K, cfg.seed, dist, balanced=True)
-    stats = gamma_hat(cloud.gammas)
+    gammas = np.asarray(dist.values)
+    stats = gamma_hat(gammas, dist.p)
     diag = smallness_from_liability(liability, spec, grid, stats)
-    bundle = simulate_paths(grid, spec, market, cfg.mf.n_common, cfg.seed, agents=K)
-    g = terminal_g(liability, bundle, cloud.gammas)
-    mf = solve_mean_field(bundle, market, basis, g, cloud.gammas, max_iters=10, tol=cfg.mf.tol)
+    bundle = simulate_paths(grid, spec, market, cfg.mf.n_common, cfg.seed)
+    g = terminal_g(liability, bundle, gammas)
+    mf = solve_mean_field(bundle, market, basis, g, gammas, probs=dist.p, max_iters=10,
+                          tol=cfg.mf.tol)
     ric = riccati_closed_form(spec, grid)
     y0_closed = float(ric.A[0] * spec.x0**2 + ric.B[0] * spec.x0 + ric.C[0])
     y0_closed += 0.5 * spec.kappa**2 * grid.horizon
     rel = abs(mf.solution.y0 - y0_closed) / abs(y0_closed)
     # the production tolerance stops after two sweeps, before any ratio is
     # observable; rerun with the tolerance floored to expose the contraction
-    mf2 = solve_mean_field(bundle, market, basis, g, cloud.gammas, max_iters=6, tol=1e-13)
+    mf2 = solve_mean_field(bundle, market, basis, g, gammas, probs=dist.p, max_iters=6,
+                           tol=1e-13)
     ratios = mf2.ratios
     ok = (
         diag.smallness_ok
@@ -248,30 +249,29 @@ def test_ac07_tree_solver_matches_exhaustive_recursion():
     market = MarketSpec(n=1, d0=2, sigma=SIGMA_ROW,
                         lambda_lo=1.2, lambda_hi=1.3)
     bundle, engine, keys = tree_bundle(spec, grid)
-    gammas = np.array([1.0, 2.0])
-    stats = gamma_hat(gammas)
+    gammas, probs = np.array([1.0, 2.0]), np.array([0.6, 0.4])
+    stats = gamma_hat(gammas, probs)
     liability = LiabilitySpec(spec.a, spec.b, 0.25, 0.1)
     g = terminal_g(liability, bundle, gammas)
     t_solver = time.monotonic()
-    mf = solve_mean_field(bundle, market, RegressionBasis(), g, gammas,
+    mf = solve_mean_field(bundle, market, RegressionBasis(), g, gammas, probs=probs,
                           engine=engine, max_iters=40, tol=1e-13)
     t_solver = time.monotonic() - t_solver
     t_oracle = time.monotonic()
     # 12 Picard sweeps of the reference recursion already sit on the fixed point
     # (contraction ratio ~1e-4 per sweep); more just burns the wall budget
     y_ref, z0_ref, z1_ref = reference_fixed_point(
-        g.reshape(bundle.n_paths, K_TREE), bundle.dW0, bundle.dWi, keys,
-        gammas, stats.gamma_hat, grid.dt, sweeps=12)
+        g, bundle.dW0, keys, gammas, probs, stats.gamma_hat, grid, sweeps=12)
     t_oracle = time.monotonic() - t_oracle
     y, z0, z1 = materialise(mf.solution)
     gap = max(
-        float(np.max(np.abs(y - y_ref))),
+        float(np.max(np.abs(y[:J_TREE, :, :TREE_STEPS] - y_ref))),
         float(np.max(np.abs(z0 - z0_ref))),
         float(np.max(np.abs(z1 - z1_ref))),
     )
     wall = time.monotonic() - t0
     ok = gap < 1e-9 and wall < 1.0
-    _line(7, "3-step tree vs exhaustive backward recursion",
+    _line(7, "3-step common-noise tree vs exhaustive quadrature recursion",
           ok, f"sup gap {gap:.3e} (tol 1e-9), {wall:.2f}s (cap 1s; "
               f"solver {t_solver:.2f}s, oracle {t_oracle:.2f}s)")
 
@@ -286,12 +286,11 @@ def test_ac08_additive_positions_vanish():
     liability = LiabilitySpec.from_eqg(spec)
     dist = DiscreteDist(values=(1.0, 2.0, 4.0), probs=(0.5, 0.3, 0.2))
     basis = RegressionBasis(degree=2, include_idio=False)
-    K = 300
-    cloud = build_population(K, 41, dist, balanced=True)
-    bundle = simulate_paths(grid, spec, MARKET_2F, 100, 41, agents=K)
-    g = terminal_g(liability, bundle, cloud.gammas)
-    mf = solve_mean_field(bundle, MARKET_2F, basis, g, cloud.gammas, max_iters=8)
-    pool = build_population(100, 42, dist, balanced=False)
+    gammas = np.asarray(dist.values)
+    bundle = simulate_paths(grid, spec, MARKET_2F, 100, 41)
+    g = terminal_g(liability, bundle, gammas)
+    mf = solve_mean_field(bundle, MARKET_2F, basis, g, gammas, probs=dist.p, max_iters=8)
+    pool = build_population(100, 42, dist)
     w = fresh_idio_levels(42, 100, 100, grid)
     p, pi = pool_strategies(mf, pool, w)
     hedge = float(np.max(np.abs(mf.theta))) / mf.stats.gamma_hat

@@ -12,12 +12,14 @@ from mfequil import (
     solve_mean_field, solve_under_q, verify_condition_r,
 )
 from mfequil import bsde
-from mfequil.bsde import _fixed_point, _sum_last
+from mfequil.bsde import _fixed_point
 from mfequil.errors import PicardDiverged
-from mfequil.regression import BasisEngine
+from mfequil.regression import BasisEngine, poly_at
 
 from conftest import make_market, materialise, pool_strategies
-from oracles import coarsen_bundle, project, risk_premium_from_mu
+from oracles import (
+    coarsen_bundle, normal_moments, particle_agent_solve, project, risk_premium_from_mu,
+)
 
 
 BASIS = RegressionBasis(degree=2)
@@ -45,7 +47,7 @@ def test_constant_liability_shifts_value_only(grid20, market2):
     theta = np.zeros((grid20.steps, 2))
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, 3.25 * np.ones(256))
     y, z0, _ = materialise(sol)
-    assert np.allclose(y, 3.25, atol=1e-12)
+    assert np.allclose(y[0], 3.25, atol=1e-12) and np.max(np.abs(y[1:])) < 1e-12
     assert np.max(np.abs(z0)) < 1e-12
 
 
@@ -79,9 +81,12 @@ def test_gaussian_liability_closed_form():
     z_perp = z_full - z_par
     y0_want = 0.5 * np.sum(z_perp**2) * grid.horizon
     assert sol.y0 == pytest.approx(y0_want, abs=0.01)
-    z0_err = np.sqrt(np.mean((materialise(sol)[1][:, 0] - z_full[None, None, :]) ** 2))
+    z0 = materialise(sol)[1][:, 0]                      # (J, steps, d0, M0)
+    z0_err = np.sqrt(np.mean((z0[0] - z_full[None, :, None]) ** 2))
     z0_rms = np.sqrt(np.mean(z_full**2))
     assert z0_err / z0_rms < 0.10
+    # G has no idiosyncratic leg: the coefficients of w vanish
+    assert np.max(np.abs(z0[1:])) < 1e-6
 
 
 def test_doleans_weights_unit_mean(grid20, market2):
@@ -118,8 +123,8 @@ def test_constant_premium_gives_the_same_bits_in_either_shape(grid20, market2):
         det, path = (solve(bundle, market2, BASIS, th, g) for th in (theta, pathwise))
         assert det.y0 == path.y0
         for k in range(grid20.steps):
-            assert np.array_equal(det.z_at(k), path.z_at(k))
-            assert np.array_equal(det.y_at(k), path.y_at(k))
+            assert np.array_equal(det.z_coefs(k), path.z_coefs(k))
+            assert np.array_equal(det.y_coefs(k), path.y_coefs(k))
 
 
 def test_clip_counter_flags_saturation(grid20, market2):
@@ -137,11 +142,12 @@ def test_optimal_strategy_identity(grid20, market2):
     theta = risk_premium_from_mu(market2.sigma, mu)
     gamma = 2.0
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, g)
-    p, pi = optimal_strategy(sol, theta, gamma, market2)
+    p, pi = optimal_strategy(sol, theta, gamma, market2, bundle.wi)
     assert p.shape == (512, 1, grid20.steps, 2)
     assert pi.shape == (512, 1, grid20.steps, 2)
     k = 3
-    z0_par, _ = project(market2.sigma_table(grid20.steps)[k], sol.z_at(k)[:, 0, :2])
+    z0 = poly_at(sol.z_coefs(k)[:, 0, :2], bundle.wi[:, :, k])[:, 0]
+    z0_par, _ = project(market2.sigma_table(grid20.steps)[k], z0)
     want = (z0_par + theta[k][None, :]) / gamma
     assert np.allclose(p[:, 0, k, :], want, atol=1e-12)
     # pi reproduces p through sigma^T (p lies in the asset span)
@@ -150,27 +156,17 @@ def test_optimal_strategy_identity(grid20, market2):
 
 
 def test_bmo_proxy_constant_z(grid20, market2):
-    M0, K, steps = 64, 2, grid20.steps
-    z0 = np.full((M0, K, steps, 2), 0.3)
-    z1 = np.full((M0, K, steps, 1), 0.1)
-    x = np.zeros((M0, steps + 1))
-    run_i = np.zeros((M0, steps + 1))
-    w = np.zeros((M0, K, steps + 1))
-    engine = BasisEngine(x, run_i, w, RegressionBasis(degree=1))
+    """A z constant in w and over the paths: the remaining quadratic variation
+    from t = 0 is |z|^2 T, whatever the basis fits."""
+    M0, steps = 64, grid20.steps
+    z = np.zeros((2, 1, 3, M0))
+    z[0, 0] = np.array([0.3, 0.3, 0.1])[:, None]
+    engine = BasisEngine(np.zeros((M0, steps + 1)), np.zeros((M0, steps + 1)), grid20.times,
+                         RegressionBasis(degree=1))
     want = (2 * 0.3**2 + 0.1**2) * grid20.horizon
-    backward = ({0: (engine.at(k), [z0[:, :, k, 0], z0[:, :, k, 1]], [z1[:, :, k, 0]])}
-                for k in range(steps - 1, -1, -1))
-    got = bmo_proxy(backward, grid20.dt)
+    backward = ((k, engine.at(k), z) for k in range(steps - 1, -1, -1))
+    got = bsde.bmo_proxy(backward, grid20)
     assert got == pytest.approx(want, rel=1e-10)
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_sum_last_adds_like_numpy(n):
-    """The in-order sum of an array's last-axis planes is np.sum's over that
-    axis, bit for bit, below 8 planes."""
-    rng = np.random.default_rng(n)
-    a = rng.normal(size=(64, 33, n)) * 10.0 ** rng.uniform(-8, 8, size=(64, 33, n))
-    assert np.array_equal(_sum_last([a[..., j] for j in range(n)]), np.sum(a, axis=-1))
 
 
 def test_tilted_solve_builds_each_step_once(grid20, market2, conditioner_builds):
@@ -215,11 +211,10 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     # b only enters the running integral I and the closed-form slope B(t)
     spec = EqgSpec(alpha=0.0, beta=0.0, delta=(1.0, 0.0), x0=0.0,
                    a=0.0, b=0.5, kappa=0.0)
-    gammas = np.array([1.0, 1.0, 2.0, 2.0])
-    K = gammas.size
-    bundle = simulate_paths(grid, spec, market, 2000, 10, agents=K)
+    gammas = np.array([1.0, 2.0])
+    bundle = simulate_paths(grid, spec, market, 2000, 10, agents=2)
     basis = RegressionBasis(degree=2, include_idio=False)
-    g = bundle.x[:, -1][:, None] * np.ones(K)
+    g = bundle.x[:, -1]
 
     def perp(v, k):
         s = rows[k]
@@ -237,15 +232,14 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     assert sol.y0 == pytest.approx(y0_want + g.mean(), abs=0.01)
     sol_q, _ = solve_under_q(bundle, market, basis, theta, g)
     assert sol_q.y0 == pytest.approx(sol.y0, abs=0.01)
-    p, pi = optimal_strategy(sol, theta, 2.0, market)
+    p, pi = optimal_strategy(sol, theta, 2.0, market, bundle.wi)
 
-    # normalized G = gamma x_T fitted per risk-aversion stratum: agent i hedges
+    # normalized G = gamma x_T fitted per risk-aversion atom: agent i hedges
     # gamma_i delta_par against the premium gamma_hat delta_par, so fresh
     # agents hold nonzero positions
-    g_mf = g * gammas
-    mf = solve_mean_field(bundle, market, basis, g_mf, gammas,
-                          max_iters=6, strata=(2, 2))
-    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)), balanced=False)
+    g_mf = (g * gammas[:, None])[None]
+    mf = solve_mean_field(bundle, market, basis, g_mf, gammas, max_iters=6)
+    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
     p_pool, pi_pool = pool_strategies(mf, pool, fresh_idio_levels(3, 2000, 5, grid))
     assert np.min(np.abs(p_pool[:, :, 0, 0])) > 0.1
     eq_theta = equilibrium_path(riccati_closed_form(spec, grid), bundle, market).theta
@@ -309,9 +303,9 @@ def test_fixed_point_guards_growth_and_non_finite():
 
 
 def test_nan_liability_raises_in_every_solve(grid20, market2):
-    bundle = simulate_paths(grid20, flat_spec(), market2, 256, 11, agents=2)
-    g = np.outer(bundle.x[:, -1], [1.0, 2.0])
-    g[17, 1] = np.nan
+    bundle = simulate_paths(grid20, flat_spec(), market2, 256, 11)
+    g = bundle.x[:, -1].copy()
+    g[17] = np.nan
     theta = np.full((grid20.steps, 2), 0.1)
     gammas = np.array([1.0, 2.0])
     with pytest.raises(PicardDiverged, match="non-finite"):
@@ -319,22 +313,24 @@ def test_nan_liability_raises_in_every_solve(grid20, market2):
     with pytest.raises(PicardDiverged, match="non-finite"):
         solve_under_q(bundle, market2, BASIS, theta, g)
     with pytest.raises(PicardDiverged, match="non-finite"):
-        solve_mean_field(bundle, market2, BASIS, g, gammas)
+        solve_mean_field(bundle, market2, BASIS, (g * gammas[:, None])[None], gammas)
 
 
 # ---------------------------------------------------------------------------
-# the solution is its fit maps: no (particle, step) array of y or z is kept
+# the solution is its fit maps: no (path, step) array of y or z is kept
 # ---------------------------------------------------------------------------
 
-def mf_cloud(M0=64, K=16, steps=20, seed=3):
+def mf_cloud(M0=64, steps=20, seed=3):
     """A gamma-coupled mean-field problem: two risk-aversion atoms, tanh(x_T)
     plus an idiosyncratic leg."""
     market = make_market()
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.3)
-    bundle = simulate_paths(TimeGrid(0.5, steps), spec, market, M0, seed, agents=K)
-    gammas = np.tile([1.0, 2.0], K // 2)
-    g = 0.3 * np.tanh(bundle.x[:, -1])[:, None] * gammas + 0.1 * bundle.wi[:, :, -1]
+    bundle = simulate_paths(TimeGrid(0.5, steps), spec, market, M0, seed)
+    gammas = np.array([1.0, 2.0])
+    g = np.empty((2, 2, M0))
+    g[0] = 0.3 * np.tanh(bundle.x[:, -1]) * gammas[:, None]
+    g[1] = 0.1
     return bundle, market, g, gammas
 
 
@@ -344,17 +340,17 @@ def test_per_step_slices_are_contiguous():
                           max_iters=3)
     sol = mf.solution
     coarse = coarsen_bundle(bundle, 4, flat_spec())
-    p, pi = optimal_strategy(sol, mf.theta, 1.0, market)
+    p, pi = optimal_strategy(sol, mf.theta, 1.0, market, bundle.wi)
     w = fresh_idio_levels(3, bundle.n_paths, 5, bundle.grid)
-    arrays = {"y": materialise(sol)[0], "dWi": bundle.dWi, "wi": bundle.wi,
+    arrays = {"dWi": bundle.dWi, "wi": bundle.wi,
               "coarse dWi": coarse.dWi, "coarse wi": coarse.wi,
               "p": p, "pi": pi, "pool w": w}
     for name, a in arrays.items():
         for k in range(a.shape[2]):
             assert a[:, :, k].flags.c_contiguous, (name, k)
-    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)), balanced=False)
+    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
     for k in range(bundle.grid.steps):
-        step = {"y_at": sol.y_at(k),
+        step = {"y_coefs": sol.y_coefs(k), "z_coefs": sol.z_coefs(k),
                 **dict(zip(("pool p", "pool pi"),
                            agent_strategies(mf, pool, w, k)))}
         for name, a in step.items():
@@ -362,32 +358,32 @@ def test_per_step_slices_are_contiguous():
 
 
 def test_readers_rebuild_the_last_sweep():
-    """y_at(0) gives back the loop's y0 bit for bit, y at the last node is g,
-    and materialise stacks z_at and y_at."""
+    """y_coefs(0) gives back the loop's y0 bit for bit, y at the last node is
+    g, and materialise stacks z_coefs and y_coefs."""
     bundle, market, g, gammas = mf_cloud()
     sol = solve_mean_field(bundle, market, BASIS, g, gammas,
                            max_iters=3, tol=0.0).solution
-    assert float(np.mean(sol.y_at(0))) == sol.y0
+    assert float(np.mean(sol.probs @ sol.y_coefs(0)[0])) == sol.y0
     y, z0, z1 = materialise(sol)
-    assert np.array_equal(sol.y_at(bundle.grid.steps), g) and np.array_equal(y[:, :, -1], g)
+    assert np.array_equal(sol.y_coefs(bundle.grid.steps), g)
+    assert np.array_equal(y[:2, :, -1], g)
     for k in (0, 7, 19):
-        z_k = sol.z_at(k)
+        z_k = sol.z_coefs(k)
         assert np.array_equal(z_k, np.concatenate([z0[:, :, k], z1[:, :, k]], axis=2))
-        assert np.array_equal(sol.y_at(k), y[:, :, k])
+        assert np.array_equal(sol.y_coefs(k), y[:z_k.shape[0], :, k])
 
 
 def test_solve_holds_one_buffer_set():
     """The traced peak of a mean-field solve above its starting level stays
-    below one (y, z0, z1) set plus what a single step needs: its design
-    columns and their standardised copy, regression targets and fits, the
-    previous iterate's z at that step, and the driver's temporaries, about 50
-    doubles per particle at degree 2.  The allowance is 80.  A solve that
-    keeps a second iterate, or forms the z change as whole-array
-    temporaries, needs two sets and more."""
-    bundle, market, g, gammas = mf_cloud()
-    M0, K, steps = bundle.n_paths, bundle.n_agents, bundle.grid.steps
-    one_set = 8 * M0 * K * (steps + 1 + steps * (market.d0 + 1))
-    per_step = 8 * M0 * K * 80
+    below what a few steps' coefficient arrays need: per path and atom, at
+    degree 2 (J = 3, the driver of 5 coefficients), a step's targets, fits,
+    the previous iterate's z and the driver's temporaries come to about 120
+    doubles.  The allowance is 400 per path and atom, against the
+    (steps + 1) * J + steps * J * (d0 + 1) = 243 doubles of one whole (y, z)
+    iterate: a solve that kept a second iterate, or stored every step,
+    needs that much more."""
+    bundle, market, g, gammas = mf_cloud(M0=2048)
+    M0, S = bundle.n_paths, gammas.size
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -397,19 +393,20 @@ def test_solve_holds_one_buffer_set():
     finally:
         tracemalloc.stop()
     assert mf.solution.picard_iters == 4
-    assert peak - base < one_set + per_step
+    assert peak - base < 8 * M0 * S * 400, (peak - base, 8 * M0 * S)
 
 
 def test_solve_peak_does_not_grow_with_steps():
     """With the bundle built, a mean-field solve's traced peak is set by one
-    step's work, so 40 steps need no more than 10 on the same cloud.  What
+    step's work, so 40 steps need no more than 10 on the same paths.  What
     does grow with the steps is O(q^2) per step (fit maps and factors) and
-    the per-path Ebar and theta, (M0, steps, d0) each: about one
-    (y, z0, z1) step set in all here.  The allowance is 4 step sets; a solve
-    that stores y and z for every step needs 30 more."""
+    the per-path theta, (M0, steps, d0): well under one step set of
+    coefficients per step.  The allowance is 4 step sets of (J (d0 + 1) + J)
+    S doubles per path; a solve that stores y and z for every step needs
+    30 more."""
     peaks = []
     for steps in (10, 40):
-        bundle, market, g, gammas = mf_cloud(M0=128, K=32, steps=steps)
+        bundle, market, g, gammas = mf_cloud(M0=2048, steps=steps)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -419,24 +416,36 @@ def test_solve_peak_does_not_grow_with_steps():
         finally:
             tracemalloc.stop()
         assert mf.solution.picard_iters == 3
-    step_set = 8 * 128 * 32 * (1 + market.d0 + 1)
+    step_set = 8 * 2048 * gammas.size * 3 * (market.d0 + 2)
     assert peaks[1] - peaks[0] < 4 * step_set, (peaks, step_set)
 
 
 def test_z_changes_match_whole_array_formula():
     """Sweep i of a solve capped at n sweeps is the last iterate of the same
     solve capped at i sweeps, so the per-step sums behind z_changes can be
-    checked against the whole-array cloud-L2 change of those iterates."""
+    checked against the whole-array L2 change of those iterates, over the
+    paths, the atoms by their probabilities and the law of w (its moments
+    from the oracle)."""
     bundle, market, g, gammas = mf_cloud()
     sols = [solve_mean_field(bundle, market, BASIS, g, gammas, max_iters=i,
                              tol=0.0).solution for i in range(1, 5)]
-    iterates = [materialise(sol) for sol in sols]
-    n = bundle.n_paths * bundle.n_agents * bundle.grid.steps
+    iterates = [np.concatenate(materialise(sol)[1:], axis=3) for sol in sols]
+    n = bundle.n_paths * bundle.grid.steps
+    probs = sols[0].probs
+    times = bundle.grid.times
+
+    def l2(z):
+        total = 0.0
+        for k in range(bundle.grid.steps):
+            mom = normal_moments(times[k], 2 * z.shape[0])
+            gram = mom[np.add.outer(np.arange(z.shape[0]), np.arange(z.shape[0]))]
+            total += np.einsum("jsam,jl,lsam,s->", z[:, :, k], gram, z[:, :, k], probs)
+        return total
+
     want = []
-    for (_, old0, old1), (_, new0, new1) in zip(iterates, iterates[1:]):
-        change = np.sum((new0 - old0) ** 2) + np.sum((new1 - old1) ** 2)
-        scale = max(np.sqrt((np.sum(new0**2) + np.sum(new1**2)) / n), 1e-8)
-        want.append(np.sqrt(change / n) / scale)
+    for old, new in zip(iterates, iterates[1:]):
+        scale = max(np.sqrt(l2(new) / n), 1e-8)
+        want.append(np.sqrt(l2(new - old) / n) / scale)
     assert sols[-1].z_changes == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -448,9 +457,9 @@ def test_z_changes_match_whole_array_formula():
 def test_zero_iterate_driver_is_the_general_driver_at_zero(solve, grid20, market2, monkeypatch):
     """The first sweep's driver, called with no z, equals the general driver
     on an explicit zero z to the bit, sign of zero included, broadcast over
-    the agents: for a pathwise theta with negative entries and all-zero
+    the atoms: for a pathwise theta with negative entries and all-zero
     rows, for the tilted solve that drops -z0_par theta, and for the
-    mean-field theta read from z0_par.  Each solve here has one atom, 0."""
+    mean-field theta read from z0_par."""
     calls = []
     real = bsde._driver
 
@@ -459,38 +468,40 @@ def test_zero_iterate_driver_is_the_general_driver_at_zero(solve, grid20, market
         return real(k, zs, *rest)
 
     monkeypatch.setattr(bsde, "_driver", spy)
-    bundle = simulate_paths(grid20, flat_spec(), market2, 256, 9, agents=3)
-    g = np.tanh(bundle.x[:, -1])[:, None] * np.array([1.0, 2.0, 4.0])
+    bundle = simulate_paths(grid20, flat_spec(), market2, 256, 9)
+    gammas = np.array([1.0, 2.0, 4.0])
+    g = (np.tanh(bundle.x[:, -1]) * gammas[:, None])[None]
     rng = np.random.default_rng(4)
     theta = -np.abs(rng.normal(size=(bundle.n_paths, grid20.steps, 2))) * 0.2
     theta[::3] = 0.0
     if solve == "agent":
-        solve_agent_bsde(bundle, market2, BASIS, theta, g, picard_max=2)
+        solve_agent_bsde(bundle, market2, BASIS, theta, g[:, :1], picard_max=2)
     elif solve == "tilted":
-        solve_under_q(bundle, market2, BASIS, theta, g, picard_max=2)
+        solve_under_q(bundle, market2, BASIS, theta, g[:, :1], picard_max=2)
     else:
-        gammas = np.array([1.0, 2.0, 4.0])
         solve_mean_field(bundle, market2, BASIS, g, gammas,
                          max_iters=2)
     # two sweeps, each from the last step back; only the first has no z
     steps = list(range(grid20.steps - 1, -1, -1))
     assert [(k, first) for k, first, _ in calls] == [(k, True) for k in steps] + [
         (k, False) for k in steps]
-    zero = np.zeros((bundle.n_paths, bundle.n_agents, market2.d0 + 1))
+    atoms = 1 if solve != "mean-field" else gammas.size
+    zero = np.zeros((BASIS.n_powers, atoms, market2.d0 + 1, bundle.n_paths))
     for k, _, rest in calls[:grid20.steps]:
         got, clips = real(k, None, *rest)
-        want, _ = real(k, {0: zero}, *rest)
-        got, want = np.broadcast_to(got, zero.shape[:2]), want[0]
+        want, _ = real(k, zero, *rest)
+        got = np.broadcast_to(got[0], want[0].shape)
         assert clips == 0
-        assert np.array_equal(got, want), k
-        assert np.array_equal(np.signbit(got), np.signbit(want)), k
+        assert np.all(want[1:] == 0.0)
+        assert np.array_equal(got, want[0]), k
+        assert np.array_equal(np.signbit(got), np.signbit(want[0])), k
 
 
 def test_fewer_than_one_sweep_is_rejected_by_every_solve(grid20, market2):
     """max_iters < 1 raises ValueError before a sweep, in the agent, tilted
     and mean-field solves."""
-    bundle = simulate_paths(grid20, flat_spec(), market2, 128, 3, agents=2)
-    g = np.tile(bundle.x[:, -1:], (1, 2))
+    bundle = simulate_paths(grid20, flat_spec(), market2, 128, 3)
+    g = bundle.x[:, -1]
     theta = np.full((grid20.steps, 2), 0.1)
     gammas = np.array([1.0, 2.0])
     for n in (0, -1):
@@ -499,5 +510,37 @@ def test_fewer_than_one_sweep_is_rejected_by_every_solve(grid20, market2):
         with pytest.raises(ValueError, match="max_iters"):
             solve_under_q(bundle, market2, BASIS, theta, g, picard_max=n)
         with pytest.raises(ValueError, match="max_iters"):
-            solve_mean_field(bundle, market2, BASIS, g, gammas,
+            solve_mean_field(bundle, market2, BASIS, np.stack([[g, g]]), gammas,
                              max_iters=n)
+
+
+def test_particle_solve_converges_to_the_moment_solve(market2):
+    """The solve is the limit of plain regression Monte Carlo on K sampled
+    particles per common path as K grows.  An independent particle solve
+    (explicit design, np.linalg.lstsq, the same two-stage scheme and three
+    Picard sweeps) on the same common paths, over 6 independent particle
+    draws per K, has an RMS y0 gap to the moment solve that falls like
+    K^-1/2: the bound, stated before the test was first run, is that
+    gap * sqrt(K) stays within a factor 2.5 of its value at K = 16, at
+    K = 64 and 256, and that the gap at K = 256 is at most half the gap at
+    K = 16 (K^-1/2 predicts a quarter)."""
+    grid = TimeGrid(0.5, 5)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3, a=0.0, b=0.5)
+    bundle = simulate_paths(grid, spec, market2, 64, 23)
+    mu = np.tile(np.array([0.2, -0.1]), (grid.steps, 1))
+    theta = risk_premium_from_mu(market2.sigma, mu)
+    g0, g1 = 0.3 * np.tanh(bundle.x[:, -1]), 0.3 + 0.2 * bundle.x[:, -1]
+    basis = RegressionBasis(degree=2, ridge=0.0)
+    sol = solve_agent_bsde(bundle, market2, basis, theta, np.stack([[g0], [g1]]),
+                           picard_max=3, picard_tol=0.0)
+    proj = np.linalg.pinv(market2.sigma) @ market2.sigma
+    rng = np.random.default_rng(5)
+    gaps = {}
+    for K in (16, 64, 256):
+        y0s = [particle_agent_solve(bundle, proj, theta[0], g0, g1,
+                                    rng.normal(size=(64, K, grid.steps)) * np.sqrt(grid.dt),
+                                    degree=2, sweeps=3) for _ in range(6)]
+        gaps[K] = float(np.sqrt(np.mean((np.array(y0s) - sol.y0) ** 2)))
+    scaled = {K: gap * np.sqrt(K) for K, gap in gaps.items()}
+    assert all(scaled[16] / 2.5 <= s <= 2.5 * scaled[16] for s in scaled.values()), gaps
+    assert gaps[256] <= 0.5 * gaps[16], gaps

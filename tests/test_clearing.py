@@ -26,7 +26,6 @@ from mfequil import (
     build_scenario,
     clearing_residual,
     config_from_dict,
-    feature_columns,
     fresh_idio_levels,
     equilibrium_path,
     gamma_hat,
@@ -67,45 +66,16 @@ def test_draw_ids_inverts_cdf():
     assert ids.tolist() == [0, 0, 1, 1, 2, 2, 2]
 
 
-def test_balanced_ids_largest_remainder():
-    # quotas 3.5 / 2.1 / 1.4: the extra seat goes to the largest remainder
-    counts = np.bincount(GAMMA_DIST.balanced_ids(7), minlength=3)
-    assert counts.tolist() == [4, 2, 1]
-    counts = np.bincount(GAMMA_DIST.balanced_ids(10), minlength=3)
-    assert counts.tolist() == [5, 3, 2]
-    for n in (1, 2, 3, 17, 100):
-        assert GAMMA_DIST.balanced_ids(n).shape == (n,)
-
-
-@pytest.mark.parametrize("probs", [None, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), (0.0, 0.7, 0.3),
-                                   (0.34, 0.33, 0.33)])
-def test_balanced_ids_are_grouped_by_atom(probs):
-    """balanced_ids lists each atom's particles together, in atom order, so
-    solve_equilibrium_cloud can give its strata by their sizes."""
-    dist = DiscreteDist(values=(1.0, 2.0, 4.0), probs=probs)
-    for n in (1, 2, 7, 66, 2500):
-        ids = dist.balanced_ids(n)
-        assert ids.shape == (n,) and np.all(np.diff(ids) >= 0), n
-
-
-def test_balanced_population_matches_harmonic_mean():
-    pop = build_population(10, 99, GAMMA_DIST, balanced=True)
-    stats = gamma_hat(pop.gammas)
-    # exact atom counts 5/3/2 -> mean(1/gamma) = 0.7 with no sampling noise
-    assert stats.gamma_hat * np.mean(1.0 / pop.gammas) == pytest.approx(1.0, abs=1e-15)
-    assert stats.gamma_hat == pytest.approx(1.0 / 0.7, abs=1e-14)
-
-
 def test_population_draws_are_seeded():
-    a = build_population(500, 11, GAMMA_DIST, balanced=False)
-    b = build_population(500, 11, GAMMA_DIST, balanced=False)
-    c = build_population(500, 12, GAMMA_DIST, balanced=False)
+    a = build_population(500, 11, GAMMA_DIST)
+    b = build_population(500, 11, GAMMA_DIST)
+    c = build_population(500, 12, GAMMA_DIST)
     assert np.array_equal(a.gammas, b.gammas)
     assert not np.array_equal(a.gammas, c.gammas)
     freq = np.bincount(a.atom_ids, minlength=3) / 500
     assert np.max(np.abs(freq - GAMMA_DIST.p)) < 0.08
     with pytest.raises(ValueError):
-        build_population(0, 11, GAMMA_DIST, balanced=False)
+        build_population(0, 11, GAMMA_DIST)
 
 
 def test_fresh_idio_levels_are_brownian():
@@ -240,19 +210,18 @@ def _small_mf():
                         lambda_lo=1.0, lambda_hi=1.1)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.0)
-    K = 6
-    pop = build_population(K, 3, GAMMA_DIST, balanced=True)
-    bundle = simulate_paths(grid, spec, market, 128, 3, agents=K)
+    gammas = np.asarray(GAMMA_DIST.values)
+    bundle = simulate_paths(grid, spec, market, 128, 3)
     basis = RegressionBasis(degree=2, include_idio=False)
-    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, pop.gammas)
-    mf = solve_mean_field(bundle, market, basis, g, pop.gammas, max_iters=6)
-    return grid, market, spec, pop, bundle, basis, mf
+    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
+    mf = solve_mean_field(bundle, market, basis, g, gammas, probs=GAMMA_DIST.p, max_iters=6)
+    return grid, market, spec, bundle, basis, mf
 
 
 def test_agent_strategies_geometry():
-    grid, market, _, pop, bundle, basis, mf = _small_mf()
+    grid, market, _, bundle, basis, mf = _small_mf()
     N = 5
-    fresh = build_population(N, 7, GAMMA_DIST, balanced=False)
+    fresh = build_population(N, 7, GAMMA_DIST)
     w = fresh_idio_levels(3, bundle.n_paths, N, grid)
     p, pi = pool_strategies(mf, fresh, w)
     assert p.shape == (128, N, 10, 2)
@@ -273,61 +242,56 @@ def test_agent_strategies_geometry():
 
 
 def test_agent_strategies_use_each_agents_stratum():
-    """On a stratified solve each fresh agent is evaluated with its own
-    atom's engine and fit.  The reference applies that atom's factor (kept
-    columns, mean and scale) and fit map to the agent's raw columns by hand."""
+    """Each fresh agent is evaluated with its own atom's z polynomial.  The
+    reference evaluates each atom's per-path coefficients at the agent's
+    level by hand, and the two atoms' maps differ."""
     grid = TimeGrid(0.5, 10)
     market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.0)
     dist = DiscreteDist(values=(1.0, 2.0))
-    cloud = build_population(6, 3, dist, balanced=True)
-    bundle = simulate_paths(grid, spec, market, 128, 3, agents=6)
+    gammas = np.asarray(dist.values)
+    bundle = simulate_paths(grid, spec, market, 128, 3)
     basis = RegressionBasis(degree=2, include_idio=False)
     # normalized G = gamma x_T: the atoms' z maps differ by their gamma
-    g = bundle.x[:, -1][:, None] * cloud.gammas
-    mf = solve_mean_field(bundle, market, basis, g, cloud.gammas,
-                          max_iters=6, strata=np.bincount(cloud.atom_ids))
-    pool = build_population(8, 7, dist, balanced=False)
+    g = (bundle.x[:, -1] * gammas[:, None])[None]
+    mf = solve_mean_field(bundle, market, basis, g, gammas, max_iters=6)
+    pool = build_population(8, 7, dist)
     assert set(pool.atom_ids.tolist()) == {0, 1}
     w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
     p, _ = pool_strategies(mf, pool, w)
     proj, _ = market.geometry(grid.steps)
     for k in (0, 4, 9):
-        fits = mf.solution.fits[k]
-        factors = [engine._memo[k] for _, engine in mf.solution.atoms]
-        raw = feature_columns(basis, bundle.x[:, k, None], bundle.I[:, k, None], w[:, :, k])
-        raw = raw.reshape(bundle.n_paths, pool.size, -1)
+        z = mf.solution.z_coefs(k)
 
-        def by_hand(s, rows):
-            fit, fac = fits[s], factors[s]
-            return (((rows[:, fac.kept] - fac.mu) / fac.sd) @ fit.coef + fit.beta0)[:, :2]
+        def by_hand(s, levels):
+            return sum(z[j, s, :2].T * levels[:, None] ** j for j in range(z.shape[0]))
 
         for i, s in enumerate(pool.atom_ids):
-            z_hat = by_hand(s, raw[:, i])
-            other = by_hand(1 - s, raw[:, i])
+            z_hat = by_hand(s, w[:, :, k][:, i])
+            other = by_hand(1 - s, w[:, :, k][:, i])
             assert np.max(np.abs(z_hat - other)) > 1e-2
             want = (z_hat @ proj[k] + mf.theta[:, k]) / pool.gammas[i]
             np.testing.assert_allclose(p[:, i, k], want, rtol=1e-12, atol=1e-12)
 
 
 def test_agent_strategies_commute_with_a_permuted_pool():
-    """On a stratified solve the pool may come in any order: permuting its
-    agents (gammas, atoms and levels together) permutes p and pi bit for bit.
-    The permuted levels are a whole array, so the pool's Levels and the
-    array its np.cumsum gives are read to the same bits too."""
+    """The pool may come in any order: permuting its agents (gammas, atoms
+    and levels together) permutes p and pi bit for bit.  The permuted levels
+    are a whole array, so the pool's Levels and the array its np.cumsum gives
+    are read to the same bits too."""
     grid = TimeGrid(0.5, 6)
     market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.3)
-    cloud = build_population(6, 3, GAMMA_DIST, balanced=True)
-    bundle = simulate_paths(grid, spec, market, 128, 3, agents=6)
-    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, cloud.gammas)
-    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, cloud.gammas,
-                          max_iters=4, strata=np.bincount(cloud.atom_ids, minlength=3))
-    pool = build_population(40, 7, GAMMA_DIST, balanced=False)
+    gammas = np.asarray(GAMMA_DIST.values)
+    bundle = simulate_paths(grid, spec, market, 128, 3)
+    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, gammas)
+    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, gammas,
+                          probs=GAMMA_DIST.p, max_iters=4)
+    pool = build_population(40, 7, GAMMA_DIST)
     assert set(pool.atom_ids.tolist()) == {0, 1, 2} and np.any(np.diff(pool.atom_ids) < 0)
     w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
     p, pi = pool_strategies(mf, pool, w)
@@ -339,27 +303,22 @@ def test_agent_strategies_commute_with_a_permuted_pool():
 
 
 def test_pool_agent_of_an_atom_without_cloud_particles_raises():
-    """A balanced cloud of 2 particles over 3 atoms leaves atom 2 without a
-    particle, so it gets no engine and no fit.  A pool agent of atom 2 then
-    raises a ValueError that names the atom, at every step, instead of
+    """A solve over 2 atoms holds no map for atom 2.  A pool agent of atom 2
+    then raises a ValueError that names the atom, at every step, instead of
     being given positions; a pool of the other atoms is read as usual."""
     grid = TimeGrid(0.5, 4)
     market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.3)
-    cloud = build_population(2, 3, GAMMA_DIST, balanced=True)
-    strata = np.bincount(cloud.atom_ids, minlength=3)
-    assert strata.tolist() == [1, 1, 0]
-    bundle = simulate_paths(grid, spec, market, 128, 3, agents=2)
-    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, cloud.gammas)
-    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, cloud.gammas,
-                          max_iters=3, strata=strata)
-    assert mf.solution.atoms[2] is None
+    gammas = np.array([1.0, 2.0])
+    bundle = simulate_paths(grid, spec, market, 128, 3)
+    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, gammas)
+    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, gammas, max_iters=3)
     w = fresh_idio_levels(3, bundle.n_paths, 3, grid)
     pool = Population(gammas=np.array([1.0, 4.0, 2.0]), atom_ids=np.array([0, 2, 1]))
     for k in range(grid.steps):
-        with pytest.raises(ValueError, match="atom 2 has 1 pool agents but no particle"):
+        with pytest.raises(ValueError, match="atom 2 has 1 pool agents but the solve has 2"):
             agent_strategies(mf, pool, w, k)
     p, pi = pool_strategies(mf, Population(pool.gammas[[0, 2]], pool.atom_ids[[0, 2]]),
                             level_array(w.dw)[:, [0, 2]])
@@ -523,19 +482,19 @@ def test_sigma_gram_is_factorised_once_per_market(gram_factorisations, table):
 
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.3)
-    cloud = build_population(6, 3, GAMMA_DIST, balanced=True)
-    bundle = simulate_paths(grid, spec, market, 128, 3, agents=6)
-    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, cloud.gammas)
-    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, cloud.gammas,
-                          max_iters=3, strata=np.bincount(cloud.atom_ids, minlength=3))
-    pool = build_population(10, 7, GAMMA_DIST, balanced=False)
+    gammas = np.asarray(GAMMA_DIST.values)
+    bundle = simulate_paths(grid, spec, market, 128, 3)
+    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, gammas)
+    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, gammas,
+                          probs=GAMMA_DIST.p, max_iters=3)
+    pool = build_population(10, 7, GAMMA_DIST)
     pool_strategies(mf, pool, fresh_idio_levels(3, bundle.n_paths, pool.size, grid))
 
     one = simulate_paths(grid, spec, market, 256, 4)
     theta = np.tile(np.array([0.3, -0.1]), (grid.steps, 1))
     g1 = 0.4 * np.tanh(one.x[:, -1])
     sol = solve_agent_bsde(one, market, RegressionBasis(degree=2), theta, g1)
-    optimal_strategy(sol, theta, 1.5, market)
+    optimal_strategy(sol, theta, 1.5, market, one.wi)
     verify_condition_r(sol, one, market, theta, 1.5, g1, [
         Perturbation("offset+0.5e1", 1.0, (0.5, 0.0)), Perturbation("scale x2", 2.0, None)])
     eq = equilibrium_path(riccati_closed_form(spec, grid), one, market)
@@ -567,11 +526,11 @@ def test_run_clearing_study_smoke(monkeypatch):
                        "gamma_probs": list(GAMMA_DIST.probs)},
         "bsde": {"degree": 2, "include_idio": False},
         "mf": {"iters": 6},
-        "clearing": {"n_common": 32, "n_equilibrium": 30, "Ns": [4, 8, 16], "n_batches": 4},
+        "clearing": {"n_common": 40, "Ns": [4, 8, 16], "n_batches": 4},
     }))
     report, mf = run_clearing_study(sc)
-    # the balanced cloud, then the fresh pool of max(Ns) agents
-    assert [p.size for p in pools] == [30, 16]
+    # the fresh pool of max(Ns) agents, the only population drawn
+    assert [p.size for p in pools] == [16]
     assert len(report.eps) == 3
     assert all(e >= 0 for e in report.eps)
     assert all(s >= 0 for s in report.stderr)
@@ -582,7 +541,7 @@ def test_run_clearing_study_smoke(monkeypatch):
 
 
 def test_cloud_solve_is_blas_thread_invariant(cloud_solve_runs):
-    """A cloud solve large enough for OpenBLAS to thread its products gives
+    """A mean-field solve large enough for OpenBLAS to thread its products gives
     the same y0, θ and sweep count at one and at two BLAS threads."""
     one, two = cloud_solve_runs["1"], cloud_solve_runs["2"]
     assert (one["y0"], one["theta"], one["sweeps"]) == (two["y0"], two["theta"], two["sweeps"])
@@ -591,7 +550,7 @@ def test_cloud_solve_is_blas_thread_invariant(cloud_solve_runs):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
 def test_cloud_solve_keeps_one_core_busy(cloud_solve_runs):
     """At two BLAS threads the solve uses at most 1.25 CPU seconds per wall
-    second: no product over a whole stratum wakes OpenBLAS's pool, whose idle
+    second: no product over the paths wakes OpenBLAS's pool, whose idle
     worker would spin through the numpy work that follows it."""
     run = cloud_solve_runs["2"]
     assert run["cpu_s"] <= 1.25 * run["wall_s"], run

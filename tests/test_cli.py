@@ -254,7 +254,6 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
                 "population.gamma_probs=[0.5,0.6,0]",
                 # ranges only the config layer checks
                 "bsde.n_paths=0", "clearing.n_common=1", "clearing.Ns=[30,10]",
-                "mf.n_equilibrium=-3", "mf.n_equilibrium=0", "mf.n_particles=0",
                 "mf.c_gamma_override=-1",
                 # standard errors need two common paths and two batches
                 "mf.n_common=1", "clearing.n_batches=1",
@@ -275,14 +274,33 @@ def test_invalid_invocations_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("block, key", [("mf", "n_particles"), ("clearing", "n_equilibrium")])
+def test_removed_particle_keys_are_unknown(block, key, tmp_path, capsys):
+    """The solves integrate the idiosyncratic noise exactly, so no key sets a
+    particle count: a config file that still names one exits 2 with the
+    one-line unknown-key message, and so does a --set of it."""
+    cfg = json.loads(Path(TINY).read_text())
+    cfg[block][key] = 64
+    (tmp_path / "old.json").write_text(json.dumps(cfg))
+    assert run(["riccati", "--config", str(tmp_path / "old.json"), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key(s)") and err.count("\n") == 1, err
+    assert f"['{key}']" in err, err
+    for value in ("64", "0", "-3"):
+        assert run(["riccati", "--config", TINY, "--set", f"{block}.{key}={value}",
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: override path '{block}.{key}' does not exist\n", err
+
+
 # every scalar number of tiny.json, and every block
 NUMERIC_KEYS = [
     "grid", "market", "eqg", "population", "bsde", "mf", "clearing",
     "seed", "grid.horizon", "grid.steps",
     *(f"eqg.{k}" for k in ("alpha", "beta", "x0", "a", "b", "kappa", "cross_eps")),
     *(f"bsde.{k}" for k in ("n_paths", "degree", "ridge", "picard_max", "picard_tol", "clip")),
-    *(f"mf.{k}" for k in ("n_common", "n_particles", "iters", "tol")),
-    *(f"clearing.{k}" for k in ("n_common", "n_equilibrium", "n_batches", "slack",
+    *(f"mf.{k}" for k in ("n_common", "iters", "tol")),
+    *(f"clearing.{k}" for k in ("n_common", "n_batches", "slack",
                                 "n_invariance_draws", "cond_cap")),
 ]
 

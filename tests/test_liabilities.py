@@ -29,17 +29,28 @@ def test_each_term_enters_g_and_the_bounds(common, idio, cross):
 
     assert liability.is_additive == (not cross)
 
-    # G: the common cost, then kappa (W^i_T)_1, then gamma eps (W0_T)_1 (W^i_T)_1
-    want = np.zeros((bundle.n_paths, GAMMAS.size))
-    wi_T = bundle.wi[:, :, -1]
+    # G per atom and path as coefficients in w_T: the common cost, then the
+    # coefficient kappa + gamma eps (W0_T)_1 of the agent's own (W^i_T)_1
+    g = terminal_g(liability, bundle, GAMMAS)
+    want = np.zeros((2, GAMMAS.size, bundle.n_paths))
     if common:
         x = bundle.x[:, :-1]
-        want += (grid.dt * np.sum(A * x * x + B * x, axis=1))[:, None]
+        want[0] += grid.dt * np.sum(A * x * x + B * x, axis=1)
     if idio:
-        want += KAPPA * wi_T
+        want[1] += KAPPA
     if cross:
-        want += GAMMAS[None, :] * EPS * bundle.w0[:, -1, 0][:, None] * wi_T
-    assert np.array_equal(terminal_g(liability, bundle, GAMMAS), want)
+        want[1] += GAMMAS[:, None] * EPS * bundle.w0[:, -1, 0]
+    assert np.array_equal(g, want)
+    # at agent s's own level, with atom s's gamma, G is the sum of the terms
+    wi_T = bundle.wi[:, :, -1]
+    value = np.zeros_like(wi_T)
+    if common:
+        value += (grid.dt * np.sum(A * x * x + B * x, axis=1))[:, None]
+    if idio:
+        value += KAPPA * wi_T
+    if cross:
+        value += GAMMAS[None, :] * EPS * bundle.w0[:, -1, 0][:, None] * wi_T
+    assert np.allclose(g[0].T + g[1].T * wi_T, value, rtol=1e-14, atol=1e-15)
 
     # sup bounds on the truncated range: x within 6 running sd, W within 6 sqrt(T)
     T = grid.horizon

@@ -4,50 +4,45 @@ import numpy as np
 import pytest
 
 from mfequil import (
-    BasisEngine, DiscreteDist, EqgSpec, LiabilitySpec, MarketSpec,
+    DiscreteDist, EqgSpec, LiabilitySpec, MarketSpec,
     PathBundle, RegressionBasis, TimeGrid, build_population, fresh_idio_levels,
     gamma_hat, simulate_paths, smallness_from_liability, smallness_report,
     solve_agent_bsde, solve_mean_field, terminal_g,
 )
 from mfequil.errors import NonpositiveGamma, RegressionRankDeficient
+from mfequil.regression import poly_at
 
-from conftest import make_market, materialise, pool_strategies
-from oracles import TreeEngine, level_array
+from conftest import materialise, pool_strategies
+from oracles import TreeEngine, gauss_hermite
 
 
 # ---------------------------------------------------------------------------
-# exhaustive binomial-tree scenario: every conditional expectation is an
-# exact within-node average, so the solver must agree with an independent
-# brute-force recursion to floating-point accuracy
+# exhaustive binomial tree in the common noise, the idiosyncratic law exact:
+# every conditional expectation is a within-node average of an exact
+# projection in w, so the solver must agree with an independent brute-force
+# recursion that integrates w by Gauss-Hermite quadrature, to floating-point
+# accuracy
 # ---------------------------------------------------------------------------
 
 STEPS = 3
-K_TREE = 2
 D0 = 2
+J_TREE = 3
 SIGMA_ROW = np.array([[1.0, 0.5]])   # one asset, two common factors
 
 
-def tree_increments(dt):
-    """All joint sign patterns: 2 common bits + K idio bits per step."""
-    bits = D0 + K_TREE
-    nb = 2**bits
+def tree_bundle(spec, grid):
+    """All 4^STEPS joint sign patterns of the 2 common bits per step, with
+    the common-node keys of each step (the paths sharing a prefix) and a tree
+    engine on them."""
+    nb = 2**D0
     M0 = nb**STEPS
-    sq = np.sqrt(dt)
+    sq = np.sqrt(grid.dt)
     codes = np.arange(M0)
     dW0 = np.empty((M0, STEPS, D0))
-    dWi = np.empty((M0, K_TREE, STEPS))
     for k in range(STEPS):
         digit = (codes // nb ** (STEPS - 1 - k)) % nb
         for j in range(D0):
             dW0[:, k, j] = sq * (2.0 * ((digit >> j) & 1) - 1.0)
-        for i in range(K_TREE):
-            dWi[:, i, k] = sq * (2.0 * ((digit >> (D0 + i)) & 1) - 1.0)
-    return dW0, dWi, codes, nb
-
-
-def tree_bundle(spec, grid):
-    dW0, dWi, codes, nb = tree_increments(grid.dt)
-    M0 = dW0.shape[0]
     x = np.empty((M0, STEPS + 1))
     I = np.empty((M0, STEPS + 1))
     x[:, 0] = spec.x0
@@ -57,69 +52,71 @@ def tree_bundle(spec, grid):
         I[:, k + 1] = I[:, k] + (spec.a * xk**2 + spec.b * xk) * grid.dt
         x[:, k + 1] = xk + (spec.alpha * xk + spec.beta) * grid.dt \
             + dW0[:, k] @ spec.delta_vec
-    bundle = PathBundle(grid=grid, dW0=dW0, dWi=dWi, x=x, I=I)
-    keys = []
-    for k in range(STEPS):
-        prefix = codes // nb ** (STEPS - k)
-        keys.append((np.repeat(prefix, K_TREE) * K_TREE
-                     + np.tile(np.arange(K_TREE), M0)))
-    return bundle, TreeEngine(keys), keys
+    bundle = PathBundle(grid=grid, dW0=dW0, dWi=np.zeros((M0, 1, STEPS)), x=x, I=I)
+    keys = [codes // nb ** (STEPS - k) for k in range(STEPS)]
+    return bundle, TreeEngine(keys, grid.times, J_TREE), keys
 
 
-def node_mean(values, keys):
-    """Exact conditional expectation as a mean over contiguous path blocks.
-
-    Tree keys are prefix * K_TREE + i over the flattened (path, agent) order,
-    and the paths sharing a prefix are consecutive codes, so every node is a
-    run of equal length of consecutive paths at fixed agent i.  The layout is
-    asserted rather than assumed.
-    """
-    per_path = keys.reshape(-1, K_TREE)
-    run = int(np.count_nonzero(per_path[:, 0] == per_path[0, 0]))
-    blocks = per_path.reshape(-1, run, K_TREE)
-    assert np.all(blocks == blocks[:, :1, :])
-    means = values.reshape(blocks.shape).mean(axis=1, keepdims=True)
-    return np.broadcast_to(means, blocks.shape).reshape(-1)
+def _at(coefs, points):
+    """Per-path polynomials coefs (L, ..., M0) at the points (...P): (...P, ..., M0)."""
+    powers = points[..., None] ** np.arange(coefs.shape[0])
+    return np.tensordot(powers, coefs, axes=1)
 
 
-def reference_fixed_point(g, dW0, dWi, keys, gammas, ghat, dt, sweeps=25):
-    """Independent brute-force mean-field recursion on the tree."""
-    M0, K = g.shape
+def _node_fit(values, keys, t):
+    """Values at the Gauss-Hermite nodes of N(0, t), (Q, ..., M0): their
+    node means, fitted by weighted least squares on 1, w, .., w^(J - 1) over
+    the nodes, as coefficients (J, ..., M0)."""
+    nodes, weights = gauss_hermite(t)
+    uniq, inv = np.unique(keys, return_inverse=True)
+    flat = values.reshape(values.shape[0], -1, values.shape[-1])
+    means = np.stack([flat[..., inv == u].mean(axis=-1) for u in range(uniq.size)], axis=-1)
+    design = (nodes[:, None] ** np.arange(J_TREE)) * np.sqrt(weights)[:, None]
+    rhs = (means * np.sqrt(weights)[:, None, None]).reshape(nodes.size, -1)
+    beta = np.linalg.lstsq(design, rhs, rcond=None)[0].reshape((J_TREE,) + means.shape[1:])
+    return beta[..., inv].reshape((J_TREE,) + values.shape[1:])
+
+
+def reference_fixed_point(g, dW0, keys, gammas, probs, ghat, grid, sweeps=25):
+    """Independent brute-force mean-field recursion on the tree.  Every
+    function of w is handled by its values at Gauss-Hermite nodes: the
+    expectation over the next increment, z1 as E[y_k+1 dWi] / dt, the
+    driver and theta's mean over w.  Returns y (J, S, steps, M0) at the
+    steps before T, and z0 (J, S, steps, d0, M0) and z1 (J, S, steps, 1, M0)."""
+    dt = grid.dt
     srow = SIGMA_ROW[0]
-    ss = srow @ srow
-    z0 = np.zeros((M0, K, STEPS, D0))
-    z1 = np.zeros((M0, K, STEPS, 1))
-    inv_gamma = 1.0 / gammas
-    y = None
+    u, u_w = gauss_hermite(dt)
+    weight = probs / gammas
+    z = None
     for _ in range(sweeps):
-        y = np.empty((M0, K, STEPS + 1))
-        y[:, :, STEPS] = g
-        z0_new = np.zeros_like(z0)
-        z1_new = np.zeros_like(z1)
+        y, ys_all, z_new = g, [None] * STEPS, [None] * STEPS
         for k in range(STEPS - 1, -1, -1):
-            coef = (z0[:, :, k, :] @ srow) / ss          # (M0, K)
-            z_par = coef[:, :, None] * srow[None, None, :]
-            z_perp = z0[:, :, k, :] - z_par
-            ebar = np.mean(inv_gamma[None, :, None] * z_par, axis=1)
-            f = (ghat * np.einsum("mkj,mj->mk", z_par, ebar)
-                 - 0.5 * ghat**2 * np.sum(ebar**2, axis=1)[:, None]
-                 + 0.5 * (np.sum(z_perp**2, axis=2)
-                          + np.sum(z1[:, :, k, :] ** 2, axis=2)))
-            flat_keys = keys[k]
-            y_next = y[:, :, k + 1].reshape(-1)
-            y_hat = node_mean(y_next, flat_keys)
-            f_hat = node_mean(f.reshape(-1), flat_keys)
-            y[:, :, k] = (y_hat + dt * f_hat).reshape(M0, K)
-            resid = y_next - y_hat
-            for j in range(D0):
-                dw = np.repeat(dW0[:, k, j], K)
-                z0_new[:, :, k, j] = node_mean(resid * dw / dt,
-                                               flat_keys).reshape(M0, K)
-            dwi = dWi[:, :, k].reshape(-1)
-            z1_new[:, :, k, 0] = node_mean(resid * dwi / dt,
-                                           flat_keys).reshape(M0, K)
-        z0, z1 = z0_new, z1_new
-    return y, z0, z1
+            wq, wq_w = gauss_hermite(grid.times[k])
+            nxt = _at(y, wq[:, None] + u[None, :])                 # (Q, R, S, M0)
+            ys = np.tensordot(u_w, nxt, axes=([0], [1]))
+            z1t = np.tensordot(u_w * u / dt, nxt, axes=([0], [1]))
+            if z is None:
+                f = np.zeros_like(ys)
+            else:
+                zv = _at(z[k], wq)                                  # (Q, S, d0 + 1, M0)
+                z0 = zv[:, :, :D0]
+                z_par = np.einsum("qsam,a->qsm", z0, srow)[:, :, None] / (srow @ srow) \
+                    * srow[None, None, :, None]
+                z_perp = z0 - z_par
+                ebar = np.einsum("q,s,qsam->am", wq_w, weight, z_par)
+                f = (ghat * np.einsum("qsam,am->qsm", z_par, ebar)
+                     - 0.5 * ghat**2 * np.sum(ebar**2, axis=0)
+                     + 0.5 * (np.sum(z_perp**2, axis=2) + zv[:, :, D0] ** 2))
+            y_hat = _node_fit(ys, keys[k], grid.times[k])
+            y = y_hat + dt * _node_fit(f, keys[k], grid.times[k])
+            resid = ys - _at(y_hat, wq)
+            targets = np.concatenate([resid[:, :, None] * (dW0[:, k].T / dt)[None, None],
+                                      z1t[:, :, None]], axis=2)
+            z_new[k] = _node_fit(targets, keys[k], grid.times[k])
+            ys_all[k] = y
+        z = z_new
+    z = np.stack(z, axis=2)
+    return np.stack(ys_all, axis=2), z[:, :, :, :D0], z[:, :, :, D0:]
 
 
 def test_tree_solver_matches_brute_force():
@@ -129,31 +126,33 @@ def test_tree_solver_matches_brute_force():
     market = MarketSpec(n=1, d0=2, sigma=SIGMA_ROW,
                         lambda_lo=1.2, lambda_hi=1.3)
     bundle, engine, keys = tree_bundle(spec, grid)
-    gammas = np.array([1.0, 2.0])
-    stats = gamma_hat(gammas)
+    gammas, probs = np.array([1.0, 2.0]), np.array([0.6, 0.4])
+    stats = gamma_hat(gammas, probs)
     liability = LiabilitySpec(spec.a, spec.b, 0.25, 0.1)
     g = terminal_g(liability, bundle, gammas)
 
     mf = solve_mean_field(
-        bundle, market, RegressionBasis(), g, gammas,
+        bundle, market, RegressionBasis(), g, gammas, probs=probs,
         engine=engine, max_iters=40, tol=1e-13,
     )
     y_ref, z0_ref, z1_ref = reference_fixed_point(
-        g.reshape(bundle.n_paths, K_TREE), bundle.dW0, bundle.dWi, keys,
-        gammas, stats.gamma_hat, grid.dt)
+        g, bundle.dW0, keys, gammas, probs, stats.gamma_hat, grid)
 
     assert mf.solution.converged
     y, z0, z1 = materialise(mf.solution)
-    assert np.max(np.abs(y - y_ref)) < 1e-9
+    assert np.max(np.abs(y[:J_TREE, :, :STEPS] - y_ref)) < 1e-9
     assert np.max(np.abs(z0 - z0_ref)) < 1e-9
     assert np.max(np.abs(z1 - z1_ref)) < 1e-9
 
-    # theta is minus gamma_hat times the cloud mean of the projected hedge
+    # theta is minus gamma_hat times the population mean of the projected
+    # hedge, the mean over w by quadrature
     srow = SIGMA_ROW[0]
-    coef = (z0_ref[:, :, :, :] @ srow) / (srow @ srow)
-    z_par = coef[..., None] * srow[None, None, None, :]
-    ebar = np.mean(z_par / gammas[None, :, None, None], axis=1)
-    theta_ref = -stats.gamma_hat * ebar
+    theta_ref = np.empty_like(mf.theta)
+    for k in range(STEPS):
+        wq, wq_w = gauss_hermite(grid.times[k])
+        z_par = np.einsum("qsam,a->qsm", _at(z0_ref[:, :, k], wq), srow) / (srow @ srow)
+        ebar = np.einsum("q,s,qsm->m", wq_w, probs / gammas, z_par)
+        theta_ref[:, k] = -stats.gamma_hat * ebar[:, None] * srow[None, :]
     assert np.max(np.abs(mf.theta - theta_ref)) < 1e-9
 
 
@@ -162,14 +161,13 @@ def test_tree_solver_matches_brute_force():
 # ---------------------------------------------------------------------------
 
 def test_fixed_point_solves_single_agent_problem(market2):
-    """At the fixed point, re-solving one agent's BSDE under theta_mfg must
-    reproduce the mean-field value function."""
+    """At the fixed point, re-solving one atom's BSDE under theta_mfg must
+    reproduce that atom's mean-field value function."""
     grid = TimeGrid(0.5, 10)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.0)
-    K = 4
-    bundle = simulate_paths(grid, spec, market2, 512, 77, agents=K)
-    gammas = np.array([1.0, 1.0, 2.0, 2.0])
+    bundle = simulate_paths(grid, spec, market2, 512, 77, agents=4)
+    gammas = np.array([1.0, 2.0])
     basis = RegressionBasis(degree=2, include_idio=False)
     liability = LiabilitySpec.from_eqg(spec)
     g = terminal_g(liability, bundle, gammas)
@@ -177,32 +175,31 @@ def test_fixed_point_solves_single_agent_problem(market2):
                           max_iters=15, tol=1e-10)
     assert mf.solution.converged
 
-    # Same bundle, same regressions: the cloud solution must be the literal
-    # single-agent solution under the reported risk premium, not just close.
-    sol = solve_agent_bsde(bundle, market2, basis, mf.theta, g,
+    # Same bundle, same regressions: the mean-field solution must be the
+    # literal single-agent solution under the reported risk premium, not just close.
+    sol = solve_agent_bsde(bundle, market2, basis, mf.theta, g[:, :1],
                            picard_max=25, picard_tol=1e-10)
     y_mf, z0_mf, _ = materialise(mf.solution)
-    assert np.max(np.abs(sol.y_at(0) - y_mf[:, :, 0])) < 1e-12
-    assert np.max(np.abs(materialise(sol)[1] - z0_mf)) < 1e-12
+    y, z0, _ = materialise(sol)
+    assert np.max(np.abs(y[:, 0] - y_mf[:, 0])) < 1e-12
+    assert np.max(np.abs(z0[:, 0] - z0_mf[:, 0])) < 1e-12
 
-    # A fresh one-agent bundle shares the common factor but redraws the
-    # idiosyncratic stream, so the fitted z1 noise (entering the driver
-    # through |z1|^2) separates the answers at the noise-squared level.
+    # The solves never read the bundle's own idiosyncratic draws: a bundle
+    # with one agent per path gives the same bits.
     one = simulate_paths(grid, spec, market2, 512, 77, agents=1)
-    assert np.array_equal(one.x, bundle.x)
-    sol1 = solve_agent_bsde(one, market2, basis, mf.theta, g.reshape(512, K)[:, 0],
+    sol1 = solve_agent_bsde(one, market2, basis, mf.theta, g[:, :1],
                             picard_max=25, picard_tol=1e-10)
-    assert np.max(np.abs(materialise(sol1)[0][:, 0] - y_mf[:, 0])) < 1e-4
+    assert np.array_equal(materialise(sol1)[0], y)
 
 
 def test_additive_normalized_solution_is_gamma_free(market2):
-    """Additive data: gamma-normalised (y, z) coincide across particles on
-    the same common path, hence per-capita positions cancel."""
+    """Additive data: gamma-normalised (y, z) coincide across atoms on the
+    same common path, hence per-capita positions cancel."""
     grid = TimeGrid(0.5, 8)
     spec = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.4, 0.1), x0=0.5,
                    a=0.0, b=0.4, kappa=0.0)
-    bundle = simulate_paths(grid, spec, market2, 256, 13, agents=6)
-    gammas = np.array([0.5, 1.0, 1.0, 2.0, 4.0, 8.0])
+    bundle = simulate_paths(grid, spec, market2, 256, 13)
+    gammas = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
     basis = RegressionBasis(degree=2, include_idio=False)
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     mf = solve_mean_field(bundle, market2, basis, g, gammas)
@@ -241,7 +238,7 @@ def test_non_contracting_run_flags_not_converged(market2):
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.0)
-    bundle = simulate_paths(grid, spec, market2, 256, 3, agents=2)
+    bundle = simulate_paths(grid, spec, market2, 256, 3)
     gammas = np.array([1.0, 2.0])
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     basis = RegressionBasis(degree=2, include_idio=False)
@@ -251,54 +248,26 @@ def test_non_contracting_run_flags_not_converged(market2):
 
 
 def test_reported_theta_is_minus_gamma_hat_cloud_mean(market2):
-    """theta = -gamma_hat mean_i[(1/gamma_i) z0_par], with the row-space
-    projector taken from the pseudo-inverse, not from the market geometry."""
+    """theta = -gamma_hat sum_s (p_s / gamma_s) E_w[z0_par_s], with the
+    row-space projector taken from the pseudo-inverse, not from the market
+    geometry, and the mean over w by Gauss-Hermite quadrature."""
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=0.0, b=0.5, kappa=0.2)
-    bundle = simulate_paths(grid, spec, market2, 256, 21, agents=3)
-    gammas = np.array([1.0, 2.0, 4.0])
-    stats = gamma_hat(gammas)
-    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
-    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas)
+    bundle = simulate_paths(grid, spec, market2, 256, 21)
+    gammas, probs = np.array([1.0, 2.0, 4.0]), np.array([0.5, 0.3, 0.2])
+    stats = gamma_hat(gammas, probs)
+    g = terminal_g(LiabilitySpec(spec.a, spec.b, 0.2, 0.3), bundle, gammas)
+    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas, probs=probs)
     table = market2.sigma_table(grid.steps)
     want = np.empty_like(mf.theta)
     for k in range(grid.steps):
-        z_par = mf.solution.z_at(k)[..., :2] @ (np.linalg.pinv(table[k]) @ table[k])
-        want[:, k] = -stats.gamma_hat * np.mean(z_par / gammas[None, :, None], axis=1)
+        nodes, weights = gauss_hermite(grid.times[k])
+        z0 = poly_at(mf.solution.z_coefs(k)[:, :, :2].reshape(3, -1, 256),
+                     np.broadcast_to(nodes, (256, nodes.size)))        # (M0, Q, S * d0)
+        z_par = z0.reshape(256, nodes.size, 3, 2) @ (np.linalg.pinv(table[k]) @ table[k])
+        want[:, k] = -stats.gamma_hat * np.einsum("q,s,mqsa->ma", weights, probs / gammas, z_par)
     assert np.max(np.abs(mf.theta - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-ONE_ASSET = [([[1.0]], (0.4,)), ([[1.0, 0.5]], (0.4, 0.1)), ([[1.0, 0.5, 0.2]], (0.4, 0.1, 0.2))]
-
-
-# ids: sigma<d>-delta<d> at K = 5, with -K<K> appended at the larger clouds
-@pytest.mark.parametrize("sigma, delta, K, M0", [
-    pytest.param(*ONE_ASSET[d], K, M0, id=f"sigma{d}-delta{d}" + ("" if K == 5 else f"-K{K}"))
-    for K, M0 in ((5, 200), (66, 200), (2501, 12)) for d in range(3)
-])
-def test_reported_theta_is_numpys_agent_mean_to_the_bit(sigma, delta, K, M0):
-    """On a stratified cloud of K agents at d0 = 1, 2 and 3 the reported theta
-    is -gamma_hat np.mean((1/gamma) z0_par, axis=1) recomputed from z_at(k)
-    with the market's projector, bit for bit: the mean over agents is
-    numpy's in-order sum (pairwise at d0 = 1), and a reordering of it fails
-    here."""
-    market = make_market(sigma)
-    grid = TimeGrid(0.5, 5)
-    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=delta, x0=0.3, a=0.0, b=0.5, kappa=0.2)
-    bundle = simulate_paths(grid, spec, market, M0, 8, agents=K)
-    sizes = (3 * K // 5, K - 3 * K // 5)
-    gammas = np.repeat([1.0, 2.0], sizes)
-    ghat = gamma_hat(gammas).gamma_hat
-    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
-    mf = solve_mean_field(bundle, market, RegressionBasis(), g, gammas,
-                          max_iters=3, tol=0.0, strata=sizes)
-    proj, _ = market.geometry(grid.steps)
-    inv_gamma = (1.0 / gammas)[None, :, None]
-    for k in range(grid.steps):
-        z0 = mf.solution.z_at(k)[..., :market.d0]
-        want = -ghat * np.mean(inv_gamma * (z0 @ proj[k]), axis=1)
-        assert np.array_equal(mf.theta[:, k], want), k
 
 
 def test_changes_keep_y0_and_z_apart(market2):
@@ -308,9 +277,9 @@ def test_changes_keep_y0_and_z_apart(market2):
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
-    bundle = simulate_paths(grid, spec, market2, 256, 5, agents=3)
+    bundle = simulate_paths(grid, spec, market2, 256, 5)
     gammas = np.array([1.0, 2.0, 4.0])
-    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
+    g = terminal_g(LiabilitySpec(spec.a, spec.b, 0.2, 0.3), bundle, gammas)
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
                           max_iters=5, tol=1e-14)
     sol = mf.solution
@@ -325,60 +294,59 @@ def test_changes_keep_y0_and_z_apart(market2):
 # ---------------------------------------------------------------------------
 
 def test_mean_field_solve_builds_each_step_once(market2, conditioner_builds):
-    """Every sweep and the BMO proxy regress on the same state, so a
-    stratified solve with several sweeps builds one conditioner per atom
-    and step."""
+    """Every sweep, every atom and the BMO proxy regress on the same state,
+    so a solve of several atoms and sweeps builds one conditioner per step."""
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
-    bundle = simulate_paths(grid, spec, market2, 256, 5, agents=4)
-    gammas = np.array([1.0, 1.0, 2.0, 2.0])
-    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
+    bundle = simulate_paths(grid, spec, market2, 256, 5)
+    gammas = np.array([1.0, 2.0])
+    g = terminal_g(LiabilitySpec(spec.a, spec.b, 0.2, 0.3), bundle, gammas)
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
-                          max_iters=5, tol=1e-14,
-                          strata=(2, 2))
+                          max_iters=5, tol=1e-14)
     assert mf.solution.picard_iters >= 2 and np.isfinite(mf.z_bmo)
-    assert len(conditioner_builds) == 2 * grid.steps
+    assert len(conditioner_builds) == grid.steps
 
 
 def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_builds):
-    """Each atom's engine.on() over that atom's own particles gives its part
-    of z_at bit for bit on a stratified solve, and reading the cloud's maps
-    on other particles, as the clearing pool does, builds no conditioner."""
+    """A pool agent's position reads its own atom's z polynomial at its own
+    level: agent_strategies matches the polynomial evaluated by hand, for
+    pool agents of both atoms, and reading the solution's maps, as the
+    clearing pool does, builds no conditioner."""
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
-    bundle = simulate_paths(grid, spec, market2, 256, 5, agents=4)
-    gammas = np.array([1.0, 1.0, 2.0, 2.0])
-    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
+    bundle = simulate_paths(grid, spec, market2, 256, 5)
+    gammas = np.array([1.0, 2.0])
+    g = terminal_g(LiabilitySpec(spec.a, spec.b, 0.2, 0.3), bundle, gammas)
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
-                          max_iters=3, tol=0.0,
-                          strata=(2, 2))
+                          max_iters=3, tol=0.0)
     sol = mf.solution
-    assert len(conditioner_builds) == 2 * grid.steps
-    for k in (0, 2, 5):
-        z_k = sol.z_at(k)
-        for s, (sel, engine) in enumerate(sol.atoms):
-            z = engine.on(k, bundle.wi[:, sel, k]).evaluate(sol.fits[k][s])
-            assert np.array_equal(z.reshape(bundle.n_paths, 2, -1), z_k[:, sel]), (k, s)
-    # some particles of one atom: its map on fewer rows per path
-    sel, engine = sol.atoms[1]
-    z = engine.on(4, bundle.wi[:, 3:4, 4]).evaluate(sol.fits[4][1])
-    np.testing.assert_allclose(z.reshape(256, 1, -1), sol.z_at(4)[:, 3:4], rtol=1e-12, atol=0)
-    pool = build_population(7, 3, DiscreteDist((1.0, 2.0)), balanced=False)
-    p, _ = pool_strategies(mf, pool, fresh_idio_levels(3, bundle.n_paths, pool.size, grid))
+    assert len(conditioner_builds) == grid.steps
+    pool = build_population(7, 3, DiscreteDist((1.0, 2.0)))
+    levels = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
+    p, _ = pool_strategies(mf, pool, levels)
     assert p.shape == (256, 7, grid.steps, 2) and np.all(np.isfinite(p))
-    assert len(conditioner_builds) == 2 * grid.steps
+    proj, _ = market2.geometry(grid.steps)
+    for k in (0, 2, 5):
+        z = sol.z_coefs(k)
+        w = levels[:, :, k]
+        for i in range(pool.size):
+            s = pool.atom_ids[i]
+            z0 = sum(z[j, s, :2].T * w[:, i, None] ** j for j in range(z.shape[0]))
+            want = (z0 @ proj[k] + mf.theta[:, k]) / pool.gammas[i]
+            np.testing.assert_allclose(p[:, i, k], want, rtol=1e-12, atol=1e-15)
+    assert len(conditioner_builds) == grid.steps
 
 
 def test_collinear_state_raises_in_first_sweep(market2, conditioner_builds):
-    """A state whose idiosyncratic coordinate equals the factor gives two
-    identical columns: the first build, in the first sweep, raises."""
+    """A running integral equal to the factor gives two identical columns:
+    the first build, in the first sweep, raises."""
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
-    bundle = simulate_paths(grid, spec, market2, 256, 5, agents=1)
-    bundle = replace(bundle, x=level_array(bundle.dWi)[:, 0, :].copy())
+    bundle = simulate_paths(grid, spec, market2, 256, 5)
+    bundle = replace(bundle, I=bundle.x.copy())
     g = bundle.x[:, -1]
     with pytest.raises(RegressionRankDeficient, match="collinear"):
         solve_mean_field(bundle, market2, RegressionBasis(degree=1), g, np.ones(1))
@@ -386,14 +354,15 @@ def test_collinear_state_raises_in_first_sweep(market2, conditioner_builds):
 
 
 def test_solve_works_out_gamma_hat_from_its_cloud(market2, conditioner_builds):
-    """The solve's gamma_hat is the cloud's own: stats is gamma_hat(gammas),
-    a gamma of 0 raises NonpositiveGamma before any regression is built, and
-    a gamma_hat still passed by position is a TypeError, not max_iters."""
+    """The solve's gamma_hat is its gamma law's own: stats is gamma_hat(gammas,
+    probs), a gamma of 0 raises NonpositiveGamma before any regression is
+    built, and a gamma_hat still passed by position is a TypeError, not
+    max_iters."""
     grid = TimeGrid(0.5, 3)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
-    bundle = simulate_paths(grid, spec, market2, 100, 5, agents=3)
-    gammas = np.array([1.0, 2.0, 4.0])
+    bundle = simulate_paths(grid, spec, market2, 100, 5)
+    gammas, probs = np.array([1.0, 2.0, 4.0]), np.array([0.2, 0.5, 0.3])
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     with pytest.raises(NonpositiveGamma):
         solve_mean_field(bundle, market2, RegressionBasis(), g, np.array([1.0, 0.0, 4.0]))
@@ -402,26 +371,7 @@ def test_solve_works_out_gamma_hat_from_its_cloud(market2, conditioner_builds):
         solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
                          gamma_hat(gammas).gamma_hat)
     assert conditioner_builds == []
-    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas, max_iters=2)
-    assert mf.stats == gamma_hat(gammas)
-
-
-@pytest.mark.parametrize("sizes, engine, match", [
-    pytest.param(sizes, False, "do not tile", id=f"sizes{i}")
-    for i, sizes in enumerate([(3, 4), (2, -1, 2), (0, 0), (), ((1, 2),)])
-] + [pytest.param((1, 2), True, "one atom", id="engine")])
-def test_strata_reject_sizes_that_do_not_tile(market2, sizes, engine, match):
-    """A negative size, a zero total, a total other than the particle count,
-    or sizes that are not one list: one ValueError before any build.  An
-    engine= solve has one atom, so strata of several atoms beside it raise
-    too, where they were once dropped."""
-    grid = TimeGrid(0.5, 3)
-    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
-                   a=-0.2, b=0.5, kappa=0.2)
-    bundle = simulate_paths(grid, spec, market2, 100, 5, agents=3)
-    gammas = np.array([1.0, 2.0, 2.0])
-    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
-    eng = BasisEngine(bundle.x, bundle.I, bundle.wi, RegressionBasis()) if engine else None
-    with pytest.raises(ValueError, match=match):
-        solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
-                         engine=eng, strata=sizes)
+    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas, probs=probs,
+                          max_iters=2)
+    assert mf.stats == gamma_hat(gammas, probs)
+    assert mf.stats.gamma_hat == pytest.approx(1.0 / (0.2 + 0.25 + 0.075), rel=1e-15)

@@ -4,6 +4,7 @@ library calls the benchmark's worker makes."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,3 +47,33 @@ def test_benchmark_worker_builds_its_library_objects(tmp_path):
     with pytest.raises(worker.SetupDone):
         worker._audit_job({"seed": 0, "probe": True, "dump": str(tmp_path / "dW0.npy")}, {})
     assert set(cli._STAGE_FN) == set(cli.STAGES)
+
+
+def test_benchmark_audit_job_passes_its_checks(tmp_path):
+    """bench/worker.py's full audit job, every library solve and the strategy
+    audit, then bench/run.py's checks of it on its dump of the common
+    increments: every operation succeeds and every gating check passes, so
+    a broken benchmark contract fails here, not only in a benchmark run."""
+    worker = _script("worker", folder="bench")
+    run_py = _script("run", folder="bench")
+    dump = tmp_path / "dW0.npy"
+    result = worker._audit_job({"seed": 0, "probe": False, "dump": str(dump)}, {})
+    ops = result["ops"]
+    assert set(ops) == {"p_theta0", "p_theta", "q_theta", "p_2f", "verify"}
+    assert all(op["ok"] for op in ops.values()), ops
+
+    class Checks:
+        def __init__(self):
+            self.checks, self.notes = [], []
+
+        def check(self, label, outcome):
+            self.checks.append((label, bool(outcome[0]), outcome[1]))
+
+        def note(self, label, outcome):
+            self.notes.append((label, bool(outcome[0]), outcome[1]))
+
+    run = Checks()
+    run_py._check_audit(run, ops, np.load(dump))
+    assert [label for label, _, _ in run.checks] == [
+        "agent_audit/p_theta0", "agent_audit/p_theta", "agent_audit/q_theta", "agent_audit/verify"]
+    assert all(ok for _, ok, _ in run.checks), run.checks
