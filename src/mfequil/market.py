@@ -163,7 +163,9 @@ class PopulationStats:
 def gamma_hat(gammas: np.ndarray, probs: np.ndarray | None = None) -> PopulationStats:
     """Population statistics of risk aversions gammas, a sample (probs None)
     or atoms with probabilities probs: the harmonic mean, and the range of
-    the atoms of positive probability."""
+    the atoms of positive probability.  probs must be one nonnegative entry
+    per atom, summing to 1 within 1e-12 (as DiscreteDist checks them), or
+    ValueError is raised."""
     g = np.asarray(gammas, dtype=float).ravel()
     if g.size == 0:
         raise NonpositiveGamma("empty risk-aversion sample")
@@ -171,7 +173,9 @@ def gamma_hat(gammas: np.ndarray, probs: np.ndarray | None = None) -> Population
         raise NonpositiveGamma("all risk aversions must be positive and finite")
     p = np.full(g.size, 1.0 / g.size) if probs is None else np.asarray(probs, dtype=float)
     if p.shape != g.shape:
-        raise ValueError(f"{p.size} probabilities for {g.size} risk aversions")
+        raise ValueError(f"probabilities of shape {p.shape} for {g.size} risk aversions")
+    if not (np.all(p >= 0.0) and abs(float(p.sum()) - 1.0) <= 1e-12):
+        raise ValueError("probabilities must be nonnegative and sum to 1")
     held = g[p > 0]
     return PopulationStats(gamma_hat=1.0 / float(p @ (1.0 / g)),
                            gamma_lo=float(np.min(held)), gamma_hi=float(np.max(held)))

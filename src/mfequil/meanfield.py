@@ -136,9 +136,11 @@ def solve_mean_field(
     consecutive sweeps, raises PicardDiverged.  A run that reaches max_iters
     otherwise returns its last iterate with converged = False.  gamma_hat is
     the law's harmonic mean, market.gamma_hat(gammas, probs), kept as stats;
-    a gamma that is not positive and finite raises NonpositiveGamma before
-    any regression is built.  One engine serves every atom (engine=
-    replaces the basis's), so each step's regression is built once.  The
+    a gamma that is not positive and finite raises NonpositiveGamma, and
+    probs that are not one nonnegative entry per atom summing to 1, or a g
+    of another atom count, ValueError, before any regression is built.  One
+    engine serves every atom (engine= replaces the basis's), so each step's
+    regression is built once.  The
     first sweep's z is 0, and so is its theta.  The reported theta, y_inf
     (sup |Y|) and z_bmo (BMO proxy of (Z0, Z1) = z / gamma) come from one
     backward pass over the final iterate.

@@ -169,6 +169,27 @@ def test_bmo_proxy_constant_z(grid20, market2):
     assert got == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sum_last_adds_like_numpy(n):
+    """_square, the driver's sum over n components of squared polynomials in
+    w, is numpy's: sum_a polymul(v_a, v_a) for each atom and path, within
+    the rounding bound of its terms, for coefficient scales from 1e-8 to
+    1e8 and coefficient arrays of degree 2 in w."""
+    rng = np.random.default_rng(n)
+    J, S, M0 = 3, 2, 33
+    v = rng.normal(size=(J, S, n, M0)) * 10.0 ** rng.uniform(-8, 8, size=(1, S, n, 1))
+    got = bsde._square(v)
+    assert got.shape == (2 * J - 1, S, M0)
+    P = np.polynomial.polynomial
+    for s in range(S):
+        for m in range(M0):
+            want = sum(P.polymul(v[:, s, a, m], v[:, s, a, m]) for a in range(n))
+            terms = sum(P.polymul(np.abs(v[:, s, a, m]), np.abs(v[:, s, a, m]))
+                        for a in range(n))
+            assert np.all(np.abs(got[:, s, m] - want) <= 4 * (J + n) * np.finfo(float).eps
+                          * terms), (s, m)
+
+
 def test_tilted_solve_builds_each_step_once(grid20, market2, conditioner_builds):
     """The Doleans weights are the same in every sweep, so the weighted
     regression of each step is built in the first sweep only."""

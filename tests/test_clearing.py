@@ -66,6 +66,49 @@ def test_draw_ids_inverts_cdf():
     assert ids.tolist() == [0, 0, 1, 1, 2, 2, 2]
 
 
+@pytest.mark.parametrize("probs", [None, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), (0.0, 0.7, 0.3),
+                                   (0.34, 0.33, 0.33)])
+def test_balanced_ids_are_grouped_by_atom(probs):
+    """The clearing cloud's solve holds its gamma law's atoms in order, each
+    with its probability: one terminal slice per atom, the one terminal_g
+    gives for that atom's gamma, the solution's probs the law's, and stats
+    the law's gamma_hat with the range of its atoms of positive probability
+    (an atom of probability 0 is held but leaves gamma_lo)."""
+    dist = DiscreteDist(values=(1.0, 2.0, 4.0), probs=probs)
+    population = {"gamma_values": list(dist.values)}
+    if probs is not None:
+        population["gamma_probs"] = list(probs)
+    sc = build_scenario(config_from_dict({
+        "seed": 3,
+        "grid": {"horizon": 0.5, "steps": 4},
+        "market": {"sigma": [[1.0, 0.2]]},
+        "eqg": {"alpha": -0.5, "beta": 0.1, "delta": [0.4, 0.1], "x0": 0.3,
+                "a": -0.2, "b": 0.5, "kappa": 0.2},
+        "population": population,
+        "mf": {"iters": 2},
+    }))
+    mf = mfequil.clearing.solve_equilibrium_cloud(sc, 64)
+    sol = mf.solution
+    assert np.array_equal(sol.probs, dist.p)
+    bundle = simulate_paths(sc.grid, sc.eqg, sc.market, 64, sc.cfg.seed)
+    for s, gamma in enumerate(dist.values):
+        want = terminal_g(sc.liability, bundle, np.array([gamma]))[:, 0]
+        assert np.array_equal(sol.g[:, s], want), s
+    assert mf.stats == gamma_hat(np.array(dist.values), dist.p)
+    assert mf.stats.gamma_lo == (2.0 if probs == (0.0, 0.7, 0.3) else 1.0)
+
+
+def test_balanced_population_matches_harmonic_mean():
+    """The law's atoms give gamma_hat = 1 / E[1/gamma] with no sampling
+    noise: 1 / 0.7 for GAMMA_DIST, the harmonic mean of the population of 10
+    agents at its exact atom counts 5 / 3 / 2."""
+    stats = gamma_hat(np.array(GAMMA_DIST.values), GAMMA_DIST.p)
+    assert stats.gamma_hat == pytest.approx(1.0 / 0.7, abs=1e-14)
+    counts = np.repeat(GAMMA_DIST.values, [5, 3, 2])
+    assert stats.gamma_hat * np.mean(1.0 / counts) == pytest.approx(1.0, abs=1e-15)
+    assert (stats.gamma_lo, stats.gamma_hi) == (1.0, 4.0)
+
+
 def test_population_draws_are_seeded():
     a = build_population(500, 11, GAMMA_DIST)
     b = build_population(500, 11, GAMMA_DIST)

@@ -10,9 +10,9 @@ from mfequil import (
     solve_agent_bsde, solve_mean_field, terminal_g,
 )
 from mfequil.errors import NonpositiveGamma, RegressionRankDeficient
-from mfequil.regression import poly_at
+from mfequil.regression import BasisEngine, gauss_moments, poly_at
 
-from conftest import materialise, pool_strategies
+from conftest import make_market, materialise, pool_strategies
 from oracles import TreeEngine, gauss_hermite
 
 
@@ -375,3 +375,75 @@ def test_solve_works_out_gamma_hat_from_its_cloud(market2, conditioner_builds):
                           max_iters=2)
     assert mf.stats == gamma_hat(gammas, probs)
     assert mf.stats.gamma_hat == pytest.approx(1.0 / (0.2 + 0.25 + 0.075), rel=1e-15)
+
+
+ONE_ASSET = [([[1.0]], (0.4,)), ([[1.0, 0.5]], (0.4, 0.1)), ([[1.0, 0.5, 0.2]], (0.4, 0.1, 0.2))]
+
+
+# ids: sigma<d>-delta<d> at K = 5, with -K<K> appended at the larger populations
+@pytest.mark.parametrize("sigma, delta, K", [
+    pytest.param(*ONE_ASSET[d], K, id=f"sigma{d}-delta{d}" + ("" if K == 5 else f"-K{K}"))
+    for K in (5, 66, 2501) for d in range(3)
+])
+def test_reported_theta_is_numpys_agent_mean_to_the_bit(sigma, delta, K):
+    """A population of K agents, 3K // 5 at gamma = 1 and the rest at 2, is
+    given to the solve as its two atoms with the agents' shares, at d0 = 1,
+    2 and 3.  The reported theta is -gamma_hat sum_s (p_s / gamma_s)
+    sum_j C_s,j mu_j(t_k) recomputed from z_coefs(k) with the market's
+    projector, bit for bit, and within 1e-12 of -gamma_hat times numpy's
+    mean over the K agents of (1 / gamma_i) E_w[z0_par]; gamma_hat is the
+    harmonic mean of the K agents'."""
+    market = make_market(sigma)
+    grid = TimeGrid(0.5, 5)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=delta, x0=0.3, a=0.0, b=0.5, kappa=0.2)
+    M0 = 200
+    bundle = simulate_paths(grid, spec, market, M0, 8)
+    sizes = np.array([3 * K // 5, K - 3 * K // 5])
+    gammas = np.array([1.0, 2.0])
+    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
+    mf = solve_mean_field(bundle, market, RegressionBasis(), g, gammas, probs=sizes / K,
+                          max_iters=3, tol=0.0)
+    agents = np.repeat(gammas, sizes)
+    assert mf.stats.gamma_hat == pytest.approx(1.0 / np.mean(1.0 / agents), rel=1e-15)
+    ghat, d0 = mf.stats.gamma_hat, market.d0
+    proj, _ = market.geometry(grid.steps)
+    for k in range(grid.steps):
+        z = mf.solution.z_coefs(k)
+        par = np.einsum("ba,jsbm->jsam", proj[k], z[:, :, :d0])
+        mu = gauss_moments(grid.times[k], z.shape[0])
+        want = -ghat * np.einsum("jsam,j,s->ma", par, mu, (sizes / K) / gammas)
+        assert np.array_equal(mf.theta[:, k], want), k
+        per_atom = np.einsum("jsam,j->msa", par, mu) / gammas[None, :, None]
+        numpys = -ghat * np.mean(np.repeat(per_atom, sizes, axis=1), axis=1)
+        assert np.max(np.abs(mf.theta[:, k] - numpys)) <= 1e-12 * np.max(np.abs(numpys)), k
+
+
+@pytest.mark.parametrize("probs, engine, match", [
+    pytest.param(probs, False, match, id=f"sizes{i}")
+    for i, (probs, match) in enumerate([
+        ((0.3, 0.4), "shape"),                          # one atom short
+        ((0.5, -0.1, 0.6), "nonnegative"),              # a negative share
+        ((0.0, 0.0, 0.0), "sum to 1"),                  # a zero total
+        ((0.3, 0.3, 0.3), "sum to 1"),                  # a total other than 1
+        (((0.2, 0.3, 0.5),), "shape"),                  # not one list
+    ])
+] + [pytest.param(None, True, "1 atoms for 3", id="engine")])
+def test_strata_reject_sizes_that_do_not_tile(market2, conditioner_builds, probs, engine, match):
+    """Atom probabilities that do not tile the population (one atom short, a
+    negative share, a total other than 1, or not one list) raise one
+    ValueError before any build.  An engine= solve serves every atom, so its
+    g must hold one slice per risk aversion too: a g of one atom for three
+    raises there, before any build."""
+    grid = TimeGrid(0.5, 3)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.2)
+    bundle = simulate_paths(grid, spec, market2, 100, 5)
+    gammas = np.array([1.0, 2.0, 4.0])
+    g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
+    eng = None
+    if engine:
+        g = g[:, :1]
+        eng = BasisEngine(bundle.x, bundle.I, grid.times, RegressionBasis())
+    with pytest.raises(ValueError, match=match):
+        solve_mean_field(bundle, market2, RegressionBasis(), g, gammas, probs=probs, engine=eng)
+    assert conditioner_builds == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +196,69 @@ def test_blocked_products_are_the_products(m, n):
     np.testing.assert_allclose(apply(a, b), np.tensordot(a, b, axes=1), rtol=1e-12, atol=1e-10)
     c, d = rng.normal(size=(m, 50_000)), rng.normal(size=(4, 50_000))
     np.testing.assert_allclose(path_sums(c, d), c @ d.T, rtol=1e-10, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# sums over the paths and over a cloud's agents, against numpy
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _rows(rng, n, r):
+    """(r, n): r rows over n paths, with per-row offsets and scales from 1e-8 to 1e8."""
+    scale = 10.0 ** rng.uniform(-8, 8, size=r)
+    return (rng.normal(size=(n, r)) * scale + rng.uniform(-5, 5, size=r) * scale).T
+
+
+@pytest.mark.parametrize("n", [3, 1001, 65537, 299_999])
+@pytest.mark.parametrize("r", range(1, 9))
+def test_sum_rows_is_numpys_sum_mean_and_var(n, r):
+    """path_sums, the sum over paths of every moment and fit, against a row
+    of ones and a row of weights is the sum over the n paths of r rows: within
+    n eps sum |a| of the exact sum (math.fsum), the rounding bound of any
+    order of addition, and so within twice that of numpy's sum.  The mean
+    and variance taken from it, as _factorise takes them, are numpy's mean
+    and var within the same bound.  At r rows a block is _SERIAL_MNK // r
+    paths, so 65537 and 299_999 paths span blocks with a short last one."""
+    rng = np.random.default_rng(1000 * r + n % 1000)
+    a = _rows(rng, n, r)
+    mag = np.sum(np.abs(a), axis=1)
+    got = path_sums(a, np.ones((1, n)))[:, 0]
+    exact = np.array([math.fsum(row) for row in a])
+    assert np.all(np.abs(got - exact) <= n * EPS * mag)
+    assert np.all(np.abs(got - np.sum(a, axis=1)) <= 2 * n * EPS * mag)
+    mu = got / n
+    assert np.all(np.abs(mu - a.mean(axis=1)) <= 2 * EPS * mag)
+    dev = a - mu[:, None]
+    var = np.diag(path_sums(dev, dev)) / n
+    assert np.all(np.abs(var - a.var(axis=1)) <= 3 * n * EPS * a.var(axis=1))
+    w = np.exp(rng.normal(size=n))
+    aw = a * w
+    got = path_sums(a, w[None])[:, 0]
+    assert np.all(np.abs(got - aw.sum(axis=1)) <= 2 * n * EPS * np.sum(np.abs(aw), axis=1))
+
+
+@pytest.mark.parametrize("shape", [(200, 833), (7, 2500), (50, 3), (3, 1)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sum_rows_of_a_cloud_is_numpys_agent_sum(shape, d):
+    """poly_at reads d per-path polynomials in w (degree 2, coefficient
+    scales from 1e-8 to 1e8) at a cloud of agents' levels (M0, K): each
+    agent's value is numpy's polyval of its path's coefficients at its own
+    level, and the cloud's sum over its agents is numpy's sum of those
+    values, each within the rounding bound of its terms."""
+    M0, K = shape
+    rng = np.random.default_rng(d)
+    coefs = rng.normal(size=(3, d, M0)) * 10.0 ** rng.uniform(-8, 8, size=d)[:, None]
+    w = rng.normal(size=(M0, K)) * 0.7
+    got = poly_at(coefs, w)
+    assert got.shape == (M0, K, d)
+    want = np.stack([np.stack([np.polynomial.polynomial.polyval(w[m], coefs[:, j, m])
+                               for j in range(d)], axis=1) for m in range(M0)])
+    terms = poly_at(np.abs(coefs), np.abs(w))        # sum_l |c_l| |w|^l
+    assert np.all(np.abs(got - want) <= 8 * EPS * terms)
+    assert np.all(np.abs(np.sum(got, axis=1) - np.sum(want, axis=1))
+                  <= (8 + 2 * K) * EPS * np.sum(terms, axis=1))
 
 
 DEGREE_2 = RegressionBasis(degree=2)
