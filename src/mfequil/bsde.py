@@ -113,12 +113,10 @@ class BsdeSolution:
 
 
 def _coefs(g: np.ndarray, n_paths: int) -> np.ndarray:
-    """Terminal data as (L, S, M0) coefficients: a (M0,) array is a G free of w for one atom."""
+    """Terminal data as (L, S, M0) coefficients, as terminal_g gives them."""
     g = np.asarray(g, dtype=float)
-    if g.shape == (n_paths,):
-        return g[None, None, :]
     if g.ndim != 3 or g.shape[2] != n_paths:
-        raise ValueError(f"g must have shape ({n_paths},) or (L, S, {n_paths}); got {g.shape}")
+        raise ValueError(f"g must have shape (L, S, {n_paths}); got {g.shape}")
     return g
 
 
@@ -136,7 +134,7 @@ def _pathwise_theta(theta: np.ndarray, steps: int, d0: int, n_paths: int) -> np.
 def _square(v: np.ndarray) -> np.ndarray:
     """sum_a v_a(w)^2 of per-path polynomials v (J, S, A, M0), as (2J - 1, S, M0)."""
     J = v.shape[0]
-    outer = np.sum(v[:, None] * v[None, :], axis=3).reshape(J * J, -1)
+    outer = np.einsum("jsam,lsam->jlsm", v, v).reshape(J * J, -1)   # no (J, J, S, A, M0) temporary
     anti = np.zeros((2 * J - 1, J * J))
     anti[np.add.outer(np.arange(J), np.arange(J)).ravel(), np.arange(J * J)] = 1.0
     return apply(anti, outer).reshape((2 * J - 1,) + v.shape[1:2] + v.shape[3:])
@@ -175,7 +173,7 @@ def _driver(k: int, z: np.ndarray | None, proj_k: np.ndarray, theta_at, clip: fl
     f = 0.5 * _square(v)
     th = theta_at(k, par).T
     if not tilted:
-        f[:J] -= np.sum(par * th, axis=2)
+        f[:J] -= np.einsum("jsam,am->jsm", par, th)
     f[0] -= 0.5 * np.sum(th * th, axis=0)
     return f, clips
 
@@ -183,7 +181,7 @@ def _driver(k: int, z: np.ndarray | None, proj_k: np.ndarray, theta_at, clip: fl
 def _l2(z: np.ndarray, gram: np.ndarray, probs: np.ndarray) -> float:
     """sum over paths and components of E_w |z|^2, atoms weighted by probs, for z (J, S, A, M0)."""
     flat = z.reshape(z.shape[0], -1)
-    per = np.sum(flat * apply(gram, flat), axis=0).reshape(z.shape[1], -1)
+    per = np.einsum("jx,jx->x", flat, apply(gram, flat)).reshape(z.shape[1], -1)
     return float(per.sum(axis=1) @ probs)
 
 
@@ -239,6 +237,8 @@ def _backward_pass(engine, g: np.ndarray, probs: np.ndarray, bundle: PathBundle,
             gram = hankel(times[k], J, J)
             dz2 += _l2(z_new - z_old, gram, probs)
             z2 += _l2(z_new, gram, probs)
+        # free this step's arrays before the next step makes its own
+        del z_old, f, ys, stage1, fitted1, resid, stage2, z_new
     y0 = y[0]          # w_0 = 0
     sol.y0 = float(np.mean(probs @ y0))
     return sol, y0, dz2, z2, clips
@@ -317,7 +317,7 @@ def solve_agent_bsde(
 ) -> BsdeSolution:
     """Solve the normalized utility BSDE for an exogenous risk premium theta,
     of shape (steps, d0) or (M0, steps, d0); g_samples is one atom's terminal
-    data, (L, 1, M0) coefficients in w_T as terminal_g gives them, or (M0,)."""
+    data, (L, 1, M0) coefficients in w_T as terminal_g gives them."""
     th = _pathwise_theta(theta, bundle.grid.steps, market.d0, bundle.n_paths)
     engine = BasisEngine(bundle.x, bundle.I, bundle.grid.times, basis)
     return _solve(bundle, market, engine, _coefs(g_samples, bundle.n_paths), np.ones(1),

@@ -160,10 +160,10 @@ class PopulationStats:
         )
 
 
-def gamma_hat(gammas: np.ndarray, probs: np.ndarray | None = None) -> PopulationStats:
-    """Population statistics of risk aversions gammas, a sample (probs None)
-    or atoms with probabilities probs: the harmonic mean, and the range of
-    the atoms of positive probability.  probs must be one nonnegative entry
+def gamma_hat(gammas: np.ndarray, probs: np.ndarray) -> PopulationStats:
+    """Population statistics of risk aversions gammas, atoms with
+    probabilities probs: the harmonic mean, and the range of the atoms of
+    positive probability.  probs must be one nonnegative entry
     per atom, summing to 1 within 1e-12 (as DiscreteDist checks them), or
     ValueError is raised."""
     g = np.asarray(gammas, dtype=float).ravel()
@@ -171,7 +171,7 @@ def gamma_hat(gammas: np.ndarray, probs: np.ndarray | None = None) -> Population
         raise NonpositiveGamma("empty risk-aversion sample")
     if np.any(~np.isfinite(g)) or np.any(g <= 0.0):
         raise NonpositiveGamma("all risk aversions must be positive and finite")
-    p = np.full(g.size, 1.0 / g.size) if probs is None else np.asarray(probs, dtype=float)
+    p = np.asarray(probs, dtype=float)
     if p.shape != g.shape:
         raise ValueError(f"probabilities of shape {p.shape} for {g.size} risk aversions")
     if not (np.all(p >= 0.0) and abs(float(p.sum()) - 1.0) <= 1e-12):

@@ -116,7 +116,7 @@ def solve_mean_field(
     g_samples: np.ndarray,
     gammas: np.ndarray,
     *,
-    probs: np.ndarray | None = None,
+    probs: np.ndarray,
     max_iters: int = 10,
     tol: float = 1e-4,
     clip: float = 50.0,
@@ -125,7 +125,7 @@ def solve_mean_field(
     """Fixed-point iteration of the mean-field map from z = 0.
 
     gammas (S,) are the risk-aversion atoms and probs (S,) their
-    probabilities (None: equal); g_samples (L, S, M0) holds each atom's
+    probabilities; g_samples (L, S, M0) holds each atom's
     terminal polynomial in w_T, as terminal_g gives it for gammas.  This is
     the agent solve with theta = -gamma_hat Ebar_n^T taken from each sweep's
     frozen input, so the loop is the agent solver's: it stops once
@@ -147,7 +147,7 @@ def solve_mean_field(
     """
     grid = bundle.grid
     gam = np.asarray(gammas, dtype=float)
-    p = np.full(gam.size, 1.0 / gam.size) if probs is None else np.asarray(probs, dtype=float)
+    p = np.asarray(probs, dtype=float)
     stats = population_stats(gam, p)
     g = _coefs(g_samples, bundle.n_paths)
     if g.shape[1] != gam.size:

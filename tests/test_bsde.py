@@ -23,6 +23,7 @@ from oracles import (
 
 
 BASIS = RegressionBasis(degree=2)
+HALVES = np.full(2, 0.5)     # two equally likely risk-aversion atoms
 
 
 def flat_spec():
@@ -34,7 +35,7 @@ def flat_spec():
 def test_zero_data_zero_solution(grid20, market2):
     bundle = simulate_paths(grid20, flat_spec(), market2, 256, 1)
     theta = np.zeros((grid20.steps, 2))
-    sol = solve_agent_bsde(bundle, market2, BASIS, theta, np.zeros(256))
+    sol = solve_agent_bsde(bundle, market2, BASIS, theta, np.zeros((1, 1, 256)))
     assert sol.converged and sol.picard_iters <= 2
     y, z0, z1 = materialise(sol)
     assert np.max(np.abs(y)) < 1e-13
@@ -45,7 +46,7 @@ def test_zero_data_zero_solution(grid20, market2):
 def test_constant_liability_shifts_value_only(grid20, market2):
     bundle = simulate_paths(grid20, flat_spec(), market2, 256, 2)
     theta = np.zeros((grid20.steps, 2))
-    sol = solve_agent_bsde(bundle, market2, BASIS, theta, 3.25 * np.ones(256))
+    sol = solve_agent_bsde(bundle, market2, BASIS, theta, 3.25 * np.ones((1, 1, 256)))
     y, z0, _ = materialise(sol)
     assert np.allclose(y[0], 3.25, atol=1e-12) and np.max(np.abs(y[1:])) < 1e-12
     assert np.max(np.abs(z0)) < 1e-12
@@ -56,7 +57,7 @@ def test_deterministic_premium_quadratic_cost(grid20, market2):
     bundle = simulate_paths(grid20, flat_spec(), market2, 256, 3)
     mu = np.tile(np.array([0.3, -0.1]), (grid20.steps, 1))
     theta = risk_premium_from_mu(market2.sigma, mu)
-    sol = solve_agent_bsde(bundle, market2, BASIS, theta, np.zeros(256))
+    sol = solve_agent_bsde(bundle, market2, BASIS, theta, np.zeros((1, 1, 256)))
     want = -0.5 * np.sum(theta**2) * grid20.dt
     assert sol.y0 == pytest.approx(want, abs=1e-12)
     assert np.max(np.abs(materialise(sol)[1])) < 1e-10
@@ -71,7 +72,7 @@ def test_gaussian_liability_closed_form():
     spec = flat_spec()
     bundle = simulate_paths(grid, spec, market, 30000, 4)
     c = 1.0
-    g = c * bundle.x[:, -1]
+    g = c * bundle.x[:, -1][None, None]
     theta = np.zeros((grid.steps, 2))
     sol = solve_agent_bsde(bundle, market, BASIS, theta, g)
 
@@ -101,7 +102,7 @@ def test_doleans_weights_unit_mean(grid20, market2):
 
 def test_q_solver_reduces_to_p_at_zero_premium(grid20, market2):
     bundle = simulate_paths(grid20, flat_spec(), market2, 2048, 6)
-    g = np.tanh(bundle.x[:, -1])
+    g = np.tanh(bundle.x[:, -1])[None, None]
     theta = np.zeros((grid20.steps, 2))
     sol_p = solve_agent_bsde(bundle, market2, BASIS, theta, g)
     sol_q, ess = solve_under_q(bundle, market2, BASIS, theta, g)
@@ -115,7 +116,7 @@ def test_constant_premium_gives_the_same_bits_in_either_shape(grid20, market2):
     (steps, d0) form and the (M0, steps, d0) copy give the same y0, z and y,
     bit for bit, in the agent solve and in the tilted one."""
     bundle = simulate_paths(grid20, flat_spec(), market2, 1024, 8)
-    g = np.tanh(bundle.x[:, -1])
+    g = np.tanh(bundle.x[:, -1])[None, None]
     mu = np.tile(np.array([0.3, -0.1]), (grid20.steps, 1))
     theta = risk_premium_from_mu(market2.sigma, mu)
     pathwise = np.broadcast_to(theta, (bundle.n_paths, *theta.shape)).copy()
@@ -129,7 +130,7 @@ def test_constant_premium_gives_the_same_bits_in_either_shape(grid20, market2):
 
 def test_clip_counter_flags_saturation(grid20, market2):
     bundle = simulate_paths(grid20, flat_spec(), market2, 512, 7)
-    g = bundle.x[:, -1]
+    g = bundle.x[:, -1][None, None]
     theta = np.zeros((grid20.steps, 2))
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, g, clip=1e-4)
     assert sol.clip_count > 0
@@ -137,7 +138,7 @@ def test_clip_counter_flags_saturation(grid20, market2):
 
 def test_optimal_strategy_identity(grid20, market2):
     bundle = simulate_paths(grid20, flat_spec(), market2, 512, 8)
-    g = 0.5 * bundle.x[:, -1]
+    g = 0.5 * bundle.x[:, -1][None, None]
     mu = np.tile(np.array([0.1, 0.05]), (grid20.steps, 1))
     theta = risk_premium_from_mu(market2.sigma, mu)
     gamma = 2.0
@@ -174,7 +175,9 @@ def test_sum_last_adds_like_numpy(n):
     """_square, the driver's sum over n components of squared polynomials in
     w, is numpy's: sum_a polymul(v_a, v_a) for each atom and path, within
     the rounding bound of its terms, for coefficient scales from 1e-8 to
-    1e8 and coefficient arrays of degree 2 in w."""
+    1e8 and coefficient arrays of degree 2 in w.  The name is the one the
+    particle driver's component sum (_sum_last) was tested under; _square
+    replaces it."""
     rng = np.random.default_rng(n)
     J, S, M0 = 3, 2, 33
     v = rng.normal(size=(J, S, n, M0)) * 10.0 ** rng.uniform(-8, 8, size=(1, S, n, 1))
@@ -195,7 +198,7 @@ def test_tilted_solve_builds_each_step_once(grid20, market2, conditioner_builds)
     regression of each step is built in the first sweep only."""
     bundle = simulate_paths(grid20, flat_spec(), market2, 1024, 4)
     theta = np.tile(np.array([0.3, -0.1]), (grid20.steps, 1))
-    sol, _ = solve_under_q(bundle, market2, BASIS, theta, 0.4 * np.tanh(bundle.x[:, -1]))
+    sol, _ = solve_under_q(bundle, market2, BASIS, theta, 0.4 * np.tanh(bundle.x[:, -1])[None, None])
     assert sol.picard_iters >= 2
     assert len(conditioner_builds) == grid20.steps
 
@@ -204,7 +207,7 @@ def test_condition_r_accepts_optimum_and_rejects_perturbations(market2):
     grid = TimeGrid(0.5, 10)
     spec = flat_spec()
     bundle = simulate_paths(grid, spec, market2, 4000, 9)
-    g = 0.4 * np.tanh(bundle.x[:, -1])
+    g = 0.4 * np.tanh(bundle.x[:, -1])[None, None]
     mu = np.tile(np.array([0.25, -0.1]), (grid.steps, 1))
     theta = risk_premium_from_mu(market2.sigma, mu)
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, g)
@@ -249,9 +252,9 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     # the regressions keep the sample mean of G, so its Monte Carlo error
     # (about 0.016 here) drops out; step 0's geometry at every step would move
     # y0 by about 0.125
-    sol = solve_agent_bsde(bundle, market, basis, theta, g)
+    sol = solve_agent_bsde(bundle, market, basis, theta, g[None, None])
     assert sol.y0 == pytest.approx(y0_want + g.mean(), abs=0.01)
-    sol_q, _ = solve_under_q(bundle, market, basis, theta, g)
+    sol_q, _ = solve_under_q(bundle, market, basis, theta, g[None, None])
     assert sol_q.y0 == pytest.approx(sol.y0, abs=0.01)
     p, pi = optimal_strategy(sol, theta, 2.0, market, bundle.wi)
 
@@ -259,7 +262,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     # gamma_i delta_par against the premium gamma_hat delta_par, so fresh
     # agents hold nonzero positions
     g_mf = (g * gammas[:, None])[None]
-    mf = solve_mean_field(bundle, market, basis, g_mf, gammas, max_iters=6)
+    mf = solve_mean_field(bundle, market, basis, g_mf, gammas, probs=HALVES, max_iters=6)
     pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
     p_pool, pi_pool = pool_strategies(mf, pool, fresh_idio_levels(3, 2000, 5, grid))
     assert np.min(np.abs(p_pool[:, :, 0, 0])) > 0.1
@@ -330,11 +333,12 @@ def test_nan_liability_raises_in_every_solve(grid20, market2):
     theta = np.full((grid20.steps, 2), 0.1)
     gammas = np.array([1.0, 2.0])
     with pytest.raises(PicardDiverged, match="non-finite"):
-        solve_agent_bsde(bundle, market2, BASIS, theta, g)
+        solve_agent_bsde(bundle, market2, BASIS, theta, g[None, None])
     with pytest.raises(PicardDiverged, match="non-finite"):
-        solve_under_q(bundle, market2, BASIS, theta, g)
+        solve_under_q(bundle, market2, BASIS, theta, g[None, None])
     with pytest.raises(PicardDiverged, match="non-finite"):
-        solve_mean_field(bundle, market2, BASIS, (g * gammas[:, None])[None], gammas)
+        solve_mean_field(bundle, market2, BASIS, (g * gammas[:, None])[None], gammas,
+                         probs=HALVES)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +361,7 @@ def mf_cloud(M0=64, steps=20, seed=3):
 
 def test_per_step_slices_are_contiguous():
     bundle, market, g, gammas = mf_cloud()
-    mf = solve_mean_field(bundle, market, BASIS, g, gammas,
+    mf = solve_mean_field(bundle, market, BASIS, g, gammas, probs=HALVES,
                           max_iters=3)
     sol = mf.solution
     coarse = coarsen_bundle(bundle, 4, flat_spec())
@@ -382,7 +386,7 @@ def test_readers_rebuild_the_last_sweep():
     """y_coefs(0) gives back the loop's y0 bit for bit, y at the last node is
     g, and materialise stacks z_coefs and y_coefs."""
     bundle, market, g, gammas = mf_cloud()
-    sol = solve_mean_field(bundle, market, BASIS, g, gammas,
+    sol = solve_mean_field(bundle, market, BASIS, g, gammas, probs=HALVES,
                            max_iters=3, tol=0.0).solution
     assert float(np.mean(sol.probs @ sol.y_coefs(0)[0])) == sol.y0
     y, z0, z1 = materialise(sol)
@@ -396,25 +400,29 @@ def test_readers_rebuild_the_last_sweep():
 
 def test_solve_holds_one_buffer_set():
     """The traced peak of a mean-field solve above its starting level stays
-    below what a few steps' coefficient arrays need: per path and atom, at
-    degree 2 (J = 3, the driver of 5 coefficients), a step's targets, fits,
-    the previous iterate's z and the driver's temporaries come to about 120
-    doubles.  The allowance is 400 per path and atom, against the
-    (steps + 1) * J + steps * J * (d0 + 1) = 243 doubles of one whole (y, z)
-    iterate: a solve that kept a second iterate, or stored every step,
-    needs that much more."""
+    below one whole (y, z) iterate.  Per path and atom, at degree 2 (J = 3
+    powers of w) over 20 steps with d0 = 2, an iterate holds
+    (steps + 1) * J + steps * J * (d0 + 1) = 63 + 180 = 243 doubles; that
+    is the allowance.  The solve keeps its iterate as fit maps, so what it
+    holds is one step's targets, fits, the previous iterate's z at that step
+    and the driver's temporaries: 156 doubles per path and atom measured at
+    2048 paths.  A solve that kept a whole iterate of y and z, or stored
+    every step's z, needs 156 + 243 = 399 or more and fails."""
     bundle, market, g, gammas = mf_cloud(M0=2048)
     M0, S = bundle.n_paths, gammas.size
+    steps, J = bundle.grid.steps, BASIS.n_powers
+    iterate = (steps + 1) * J + steps * J * (market.d0 + 1)
+    assert iterate == 243
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        mf = solve_mean_field(bundle, market, BASIS, g, gammas,
+        mf = solve_mean_field(bundle, market, BASIS, g, gammas, probs=HALVES,
                               max_iters=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert mf.solution.picard_iters == 4
-    assert peak - base < 8 * M0 * S * 400, (peak - base, 8 * M0 * S)
+    assert peak - base < 8 * M0 * S * iterate, (peak - base, 8 * M0 * S)
 
 
 def test_solve_peak_does_not_grow_with_steps():
@@ -431,7 +439,8 @@ def test_solve_peak_does_not_grow_with_steps():
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mf = solve_mean_field(bundle, market, BASIS, g, gammas, max_iters=3,
+            mf = solve_mean_field(bundle, market, BASIS, g, gammas, probs=HALVES,
+                                  max_iters=3,
                                   tol=0.0)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
@@ -448,7 +457,7 @@ def test_z_changes_match_whole_array_formula():
     paths, the atoms by their probabilities and the law of w (its moments
     from the oracle)."""
     bundle, market, g, gammas = mf_cloud()
-    sols = [solve_mean_field(bundle, market, BASIS, g, gammas, max_iters=i,
+    sols = [solve_mean_field(bundle, market, BASIS, g, gammas, probs=HALVES, max_iters=i,
                              tol=0.0).solution for i in range(1, 5)]
     iterates = [np.concatenate(materialise(sol)[1:], axis=3) for sol in sols]
     n = bundle.n_paths * bundle.grid.steps
@@ -500,7 +509,7 @@ def test_zero_iterate_driver_is_the_general_driver_at_zero(solve, grid20, market
     elif solve == "tilted":
         solve_under_q(bundle, market2, BASIS, theta, g[:, :1], picard_max=2)
     else:
-        solve_mean_field(bundle, market2, BASIS, g, gammas,
+        solve_mean_field(bundle, market2, BASIS, g, gammas, probs=np.full(3, 1 / 3),
                          max_iters=2)
     # two sweeps, each from the last step back; only the first has no z
     steps = list(range(grid20.steps - 1, -1, -1))
@@ -522,7 +531,7 @@ def test_fewer_than_one_sweep_is_rejected_by_every_solve(grid20, market2):
     """max_iters < 1 raises ValueError before a sweep, in the agent, tilted
     and mean-field solves."""
     bundle = simulate_paths(grid20, flat_spec(), market2, 128, 3)
-    g = bundle.x[:, -1]
+    g = bundle.x[:, -1][None, None]
     theta = np.full((grid20.steps, 2), 0.1)
     gammas = np.array([1.0, 2.0])
     for n in (0, -1):
@@ -531,8 +540,8 @@ def test_fewer_than_one_sweep_is_rejected_by_every_solve(grid20, market2):
         with pytest.raises(ValueError, match="max_iters"):
             solve_under_q(bundle, market2, BASIS, theta, g, picard_max=n)
         with pytest.raises(ValueError, match="max_iters"):
-            solve_mean_field(bundle, market2, BASIS, np.stack([[g, g]]), gammas,
-                             max_iters=n)
+            solve_mean_field(bundle, market2, BASIS, np.concatenate([g, g], axis=1), gammas,
+                             probs=HALVES, max_iters=n)
 
 
 def test_particle_solve_converges_to_the_moment_solve(market2):

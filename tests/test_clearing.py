@@ -73,7 +73,9 @@ def test_balanced_ids_are_grouped_by_atom(probs):
     with its probability: one terminal slice per atom, the one terminal_g
     gives for that atom's gamma, the solution's probs the law's, and stats
     the law's gamma_hat with the range of its atoms of positive probability
-    (an atom of probability 0 is held but leaves gamma_lo)."""
+    (an atom of probability 0 is held but leaves gamma_lo).  The name is the
+    one the particle cloud's atom split (balanced_ids) was tested under; this
+    checks the atoms that replace that split."""
     dist = DiscreteDist(values=(1.0, 2.0, 4.0), probs=probs)
     population = {"gamma_values": list(dist.values)}
     if probs is not None:
@@ -299,7 +301,7 @@ def test_agent_strategies_use_each_agents_stratum():
     basis = RegressionBasis(degree=2, include_idio=False)
     # normalized G = gamma x_T: the atoms' z maps differ by their gamma
     g = (bundle.x[:, -1] * gammas[:, None])[None]
-    mf = solve_mean_field(bundle, market, basis, g, gammas, max_iters=6)
+    mf = solve_mean_field(bundle, market, basis, g, gammas, probs=dist.p, max_iters=6)
     pool = build_population(8, 7, dist)
     assert set(pool.atom_ids.tolist()) == {0, 1}
     w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
@@ -357,7 +359,8 @@ def test_pool_agent_of_an_atom_without_cloud_particles_raises():
     gammas = np.array([1.0, 2.0])
     bundle = simulate_paths(grid, spec, market, 128, 3)
     g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, gammas)
-    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, gammas, max_iters=3)
+    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, gammas,
+                          probs=np.full(2, 0.5), max_iters=3)
     w = fresh_idio_levels(3, bundle.n_paths, 3, grid)
     pool = Population(gammas=np.array([1.0, 4.0, 2.0]), atom_ids=np.array([0, 2, 1]))
     for k in range(grid.steps):
@@ -535,7 +538,7 @@ def test_sigma_gram_is_factorised_once_per_market(gram_factorisations, table):
 
     one = simulate_paths(grid, spec, market, 256, 4)
     theta = np.tile(np.array([0.3, -0.1]), (grid.steps, 1))
-    g1 = 0.4 * np.tanh(one.x[:, -1])
+    g1 = 0.4 * np.tanh(one.x[:, -1])[None, None]
     sol = solve_agent_bsde(one, market, RegressionBasis(degree=2), theta, g1)
     optimal_strategy(sol, theta, 1.5, market, one.wi)
     verify_condition_r(sol, one, market, theta, 1.5, g1, [

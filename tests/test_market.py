@@ -226,7 +226,7 @@ def test_singular_sigma_is_rejected(sigma):
 
 def test_gamma_hat_is_harmonic_mean():
     gammas = np.array([1.0, 2.0, 4.0, 4.0])
-    stats = gamma_hat(gammas)
+    stats = gamma_hat(gammas, np.full(4, 0.25))
     assert stats.gamma_hat == pytest.approx(4.0 / (1 + 0.5 + 0.25 + 0.25))
     assert stats.gamma_lo == 1.0 and stats.gamma_hi == 4.0
 

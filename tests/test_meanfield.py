@@ -171,7 +171,7 @@ def test_fixed_point_solves_single_agent_problem(market2):
     basis = RegressionBasis(degree=2, include_idio=False)
     liability = LiabilitySpec.from_eqg(spec)
     g = terminal_g(liability, bundle, gammas)
-    mf = solve_mean_field(bundle, market2, basis, g, gammas,
+    mf = solve_mean_field(bundle, market2, basis, g, gammas, probs=np.full(2, 0.5),
                           max_iters=15, tol=1e-10)
     assert mf.solution.converged
 
@@ -202,14 +202,14 @@ def test_additive_normalized_solution_is_gamma_free(market2):
     gammas = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
     basis = RegressionBasis(degree=2, include_idio=False)
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
-    mf = solve_mean_field(bundle, market2, basis, g, gammas)
+    mf = solve_mean_field(bundle, market2, basis, g, gammas, probs=np.full(5, 0.2))
     z0 = materialise(mf.solution)[1]
     spread = np.max(np.abs(z0 - z0[:, :1]))
     assert spread < 1e-12
 
 
 def test_smallness_report_formulas():
-    stats = gamma_hat(np.array([1.0, 1.0]))
+    stats = gamma_hat(np.array([1.0, 1.0]), np.full(2, 0.5))
     diag = smallness_report(0.01, stats, f_cross_inf=0.0)
     assert diag.c_gamma_spread == 1.0
     assert diag.smallness_ok and diag.stability_ok
@@ -219,7 +219,7 @@ def test_smallness_report_formulas():
 
 
 def test_smallness_from_liability_orders_scenarios(grid20, market2):
-    stats = gamma_hat(np.array([0.8, 1.0, 1.25]))
+    stats = gamma_hat(np.array([0.8, 1.0, 1.25]), np.full(3, 1 / 3))
     small = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.3, 0.1), x0=2.0,
                     a=0.0, b=0.02, kappa=0.0)
     large = EqgSpec(alpha=-0.5, beta=0.0, delta=(0.3, 0.1), x0=2.0,
@@ -242,7 +242,7 @@ def test_non_contracting_run_flags_not_converged(market2):
     gammas = np.array([1.0, 2.0])
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     basis = RegressionBasis(degree=2, include_idio=False)
-    mf = solve_mean_field(bundle, market2, basis, g, gammas,
+    mf = solve_mean_field(bundle, market2, basis, g, gammas, probs=np.full(2, 0.5),
                           max_iters=1, tol=1e-15)
     assert not mf.solution.converged
 
@@ -280,7 +280,7 @@ def test_changes_keep_y0_and_z_apart(market2):
     bundle = simulate_paths(grid, spec, market2, 256, 5)
     gammas = np.array([1.0, 2.0, 4.0])
     g = terminal_g(LiabilitySpec(spec.a, spec.b, 0.2, 0.3), bundle, gammas)
-    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
+    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas, probs=np.full(3, 1 / 3),
                           max_iters=5, tol=1e-14)
     sol = mf.solution
     assert len(sol.y0_changes) == len(sol.z_changes) == sol.picard_iters - 1 == 4
@@ -302,7 +302,7 @@ def test_mean_field_solve_builds_each_step_once(market2, conditioner_builds):
     bundle = simulate_paths(grid, spec, market2, 256, 5)
     gammas = np.array([1.0, 2.0])
     g = terminal_g(LiabilitySpec(spec.a, spec.b, 0.2, 0.3), bundle, gammas)
-    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
+    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas, probs=np.full(2, 0.5),
                           max_iters=5, tol=1e-14)
     assert mf.solution.picard_iters >= 2 and np.isfinite(mf.z_bmo)
     assert len(conditioner_builds) == grid.steps
@@ -319,7 +319,7 @@ def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_bu
     bundle = simulate_paths(grid, spec, market2, 256, 5)
     gammas = np.array([1.0, 2.0])
     g = terminal_g(LiabilitySpec(spec.a, spec.b, 0.2, 0.3), bundle, gammas)
-    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
+    mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas, probs=np.full(2, 0.5),
                           max_iters=3, tol=0.0)
     sol = mf.solution
     assert len(conditioner_builds) == grid.steps
@@ -347,9 +347,10 @@ def test_collinear_state_raises_in_first_sweep(market2, conditioner_builds):
                    a=-0.2, b=0.5, kappa=0.2)
     bundle = simulate_paths(grid, spec, market2, 256, 5)
     bundle = replace(bundle, I=bundle.x.copy())
-    g = bundle.x[:, -1]
+    g = bundle.x[:, -1][None, None]
     with pytest.raises(RegressionRankDeficient, match="collinear"):
-        solve_mean_field(bundle, market2, RegressionBasis(degree=1), g, np.ones(1))
+        solve_mean_field(bundle, market2, RegressionBasis(degree=1), g, np.ones(1),
+                         probs=np.ones(1))
     assert len(conditioner_builds) == 1
 
 
@@ -365,11 +366,12 @@ def test_solve_works_out_gamma_hat_from_its_cloud(market2, conditioner_builds):
     gammas, probs = np.array([1.0, 2.0, 4.0]), np.array([0.2, 0.5, 0.3])
     g = terminal_g(LiabilitySpec.from_eqg(spec), bundle, gammas)
     with pytest.raises(NonpositiveGamma):
-        solve_mean_field(bundle, market2, RegressionBasis(), g, np.array([1.0, 0.0, 4.0]))
+        solve_mean_field(bundle, market2, RegressionBasis(), g, np.array([1.0, 0.0, 4.0]),
+                         probs=probs)
     assert conditioner_builds == []
     with pytest.raises(TypeError):
         solve_mean_field(bundle, market2, RegressionBasis(), g, gammas,
-                         gamma_hat(gammas).gamma_hat)
+                         gamma_hat(gammas, probs).gamma_hat, probs=probs)
     assert conditioner_builds == []
     mf = solve_mean_field(bundle, market2, RegressionBasis(), g, gammas, probs=probs,
                           max_iters=2)
@@ -427,13 +429,15 @@ def test_reported_theta_is_numpys_agent_mean_to_the_bit(sigma, delta, K):
         ((0.3, 0.3, 0.3), "sum to 1"),                  # a total other than 1
         (((0.2, 0.3, 0.5),), "shape"),                  # not one list
     ])
-] + [pytest.param(None, True, "1 atoms for 3", id="engine")])
+] + [pytest.param((0.2, 0.3, 0.5), True, "1 atoms for 3", id="engine")])
 def test_strata_reject_sizes_that_do_not_tile(market2, conditioner_builds, probs, engine, match):
     """Atom probabilities that do not tile the population (one atom short, a
     negative share, a total other than 1, or not one list) raise one
     ValueError before any build.  An engine= solve serves every atom, so its
     g must hold one slice per risk aversion too: a g of one atom for three
-    raises there, before any build."""
+    raises there, before any build.  The name is the one the particle
+    strata (atom sizes in particles) were tested under; the atoms'
+    probabilities replace them."""
     grid = TimeGrid(0.5, 3)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
