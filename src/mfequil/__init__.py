@@ -25,10 +25,9 @@ from .clearing import (
     DiscreteDist,
     Population,
     ReplacementSpec,
-    agent_strategies,
     build_population,
     clearing_residual,
-    fresh_idio_levels,
+    per_capita_positions,
     random_replacement,
     rate_fit,
     replacement_invariance,

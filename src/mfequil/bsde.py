@@ -385,7 +385,7 @@ def optimal_strategy(
     levels,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate optimum of atom 0 along agents at idiosyncratic levels
-    (M0, N, steps + 1) (an array or a Levels): gamma p* = z0_par + theta^T,
+    (M0, N, steps + 1): gamma p* = z0_par + theta^T,
     pi* = (sigma sigma^T)^{-1} sigma p*^T.
 
     Returns p (M0, N, steps, d0) and pi (M0, N, steps, n).
@@ -464,6 +464,7 @@ def verify_condition_r(
     Y = np.stack([poly_at(solution.y_coefs(k)[:, :1], w[:, :, k])[..., 0]
                   for k in range(steps + 1)], axis=2) / gamma
     F = poly_at(_coefs(g_samples, M0)[:, :1], w[:, :, steps])[..., 0] / gamma
+    del w               # the levels are read: the drift tests run without them
 
     def drift_stats(p):
         W = _wealth_paths(p, bundle, th, dt)

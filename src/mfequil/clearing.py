@@ -13,11 +13,15 @@ agent's own level w^i_t, and its optimal position is
 
 The clearing residual eps_N = E int_0^T |N^{-1} sum_i pi^{i,*}|^2 dt is
 estimated by a left-endpoint rule with common-path batching for standard
-errors; per-capita sums are evaluated in canonical (sorted) order so that
-relabelling agents reproduces eps_N bit for bit.  The pool is evaluated one
-step at a time and only its per-capita sums are kept, so no array over
-(path, agent, step) is formed.  rate_fit checks the O(1/N) decay, when Ns
-spans enough for it, by a log-log slope and a Jensen-style bound diagnostic
+errors.  A position is linear in its agent's own polynomial in w, so the
+per-capita sums are read from per-path power sums of the agents' levels,
+the conditional Monte Carlo step the solves take for the cloud (Asmussen &
+Glynn, Stochastic Simulation, 2007): the pool's draws are streamed once, a
+chunk of common paths at a time, and no position of a single agent is
+formed.  The power sums run in canonical (sorted) order so that
+relabelling agents reproduces eps_N bit for bit.  rate_fit checks the
+O(1/N) decay, when Ns spans enough for it, by a log-log slope and a
+Jensen-style bound diagnostic
 N eps_N <= 4 (1 + gamma_hat^2 / gamma_lo^2) * (BMO proxy of the normalized
 hedging integrands) * (1 + slack).
 
@@ -39,22 +43,15 @@ from .errors import DimensionMismatch, IllConditionedQ
 from .liabilities import terminal_g
 from .market import MarketSpec, market_geometry
 from .meanfield import MeanFieldSolution, solve_mean_field
-from .paths import (
-    KIND_AUX,
-    KIND_GAMMA,
-    Levels,
-    PathBundle,
-    _philox,
-    levels,
-    normal_block_array,
-    simulate_paths,
-)
-from .regression import poly_at
+from .paths import KIND_AUX, KIND_GAMMA, PathBundle, _philox, normal_chunks, simulate_paths
 
 if TYPE_CHECKING:
     from .config import Scenario
 
 KIND_REPLACE = 6   # uniform draws for replacement matrices, disjoint from path streams
+# common paths per chunk of the pool's draws: one chunk's increments are the
+# pool's only array over its agents
+_POOL_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -103,47 +100,88 @@ def build_population(n_agents: int, seed: int, gamma_dist: DiscreteDist) -> Popu
     return Population(gammas=gammas, atom_ids=ids)
 
 
-def fresh_idio_levels(seed: int, n_common: int, n_agents: int, grid) -> Levels:
-    """Idiosyncratic levels (M0, N, steps + 1) of N fresh evaluation agents, the
-    Levels of their increments, which are scaled in place."""
-    dw = normal_block_array(seed, KIND_AUX, (n_common, n_agents, grid.steps))
-    dw *= np.sqrt(grid.dt)
-    return levels(dw)
+def _times(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a (..., d) @ m (d, e), one term at a time in d's order: each entry's
+    bits depend on its own row only."""
+    out = a[..., :1] * m[0]
+    for d in range(1, m.shape[0]):
+        out = out + a[..., d:d + 1] * m[d]
+    return out
 
 
-def agent_strategies(
+def per_capita_positions(
     mf: MeanFieldSolution,
     population: Population,
-    w_agents: np.ndarray,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal positions of fresh agents at step k under the fitted solution map.
+    increments,
+    Ns: list[int],
+) -> np.ndarray:
+    """Per-capita positions of the first N pool agents, for each N in Ns:
+    (len(Ns), M0, steps, n) in security units.
 
-    Step k's level w_agents[:, :, k] is read once (w_agents is (M0, N,
-    steps + 1), a Levels or an array).  Each risk-aversion atom's z
-    polynomial is read at its own pool agents' levels, one atom at a time,
-    by index, so the pool may come in any order.  A solve of one atom reads
-    every agent through it; an agent whose atom the solve does not hold
-    raises ValueError.  Returns p (M0, N, d0) in Brownian coordinates and
-    pi (M0, N, n) in security units, in the pool's order.
+    Agent i of atom s holds p_i = (par(sum_j C_sj w_i^j) + theta) / gamma_s
+    at its level w_i, C_sj its atom's z coefficients on its path, so the sum
+    over the first N agents needs only, per path, step and (atom, gamma)
+    group, the power sums P_sj = sum w_i^j over the group's members among
+    them, j < J (P_s0 the count, shared by every path).  increments yields
+    the pool's (start, stop, increments (stop - start, pool, steps)) in path
+    order, as paths.normal_chunks does; only one chunk and its running
+    levels are held, and with J = 1 (no w in the basis) none is read.  Each
+    N sorts its members' levels in each (path, step, group) slot and sums
+    them in that order, so relabelling the pool gives the whole pool's sums
+    bit for bit.  An agent whose atom the solve does not hold raises
+    ValueError; a solve of one atom reads every agent through it.
     """
     sol = mf.solution
-    M0, N, d0 = w_agents.shape[0], population.size, sol.market.d0
-    proj, pos = sol.market.geometry(sol.grid.steps)
-    z = sol.z_coefs(k)
-    n_atoms = z.shape[1]
-    ids = population.atom_ids if n_atoms > 1 else np.zeros(N, dtype=np.int64)
-    w_k = w_agents[:, :, k]
-    z_hat = np.empty((M0, N, d0))
-    for s in np.unique(ids).tolist():
-        idx = np.flatnonzero(ids == s)
-        if s >= n_atoms:
-            raise ValueError(f"atom {s} has {idx.size} pool agents but the solve has "
+    steps, market = sol.grid.steps, sol.market
+    proj, pos = market.geometry(steps)
+    z = np.stack([sol.z_coefs(k)[:, :, :market.d0] for k in range(steps)])
+    J, n_atoms, M0 = z.shape[1], z.shape[2], z.shape[-1]
+    pool = population.size
+    if max(Ns) > pool:
+        raise ValueError(f"N={max(Ns)} exceeds agent pool {pool}")
+    keys, inv = np.unique(np.column_stack([population.atom_ids, population.gammas]), axis=0,
+                          return_inverse=True)
+    groups = []
+    for g, (s, gamma) in enumerate(keys.tolist()):
+        idx = np.flatnonzero(inv.ravel() == g)
+        if s >= n_atoms > 1:
+            raise ValueError(f"atom {int(s)} has {idx.size} pool agents but the solve has "
                              f"{n_atoms} atoms")
-        z_hat[:, idx] = poly_at(z[:, s, :d0], w_k[:, idx])
-    # p = (z0_par + theta) / gamma
-    p = (z_hat @ proj[k] + mf.theta[:, k, None, :]) / population.gammas[:, None]
-    return p, p @ pos[k].T
+        # the group's members among the first N agents, for each N
+        groups.append((int(s) if n_atoms > 1 else 0, 1.0 / gamma, [idx[idx < N] for N in Ns]))
+    Nv = np.asarray(Ns, dtype=float)[:, None, None]
+    counts = [np.array([m.size for m in members])[:, None] * inv_g for _, inv_g, members in groups]
+    held = sum(counts)[:, :, None] / Nv                     # sum_s n_s(N) / (N gamma_s)
+    out = np.empty((len(Ns), M0, steps, market.n))
+    covered = 0
+    for a, b, dw in (increments if J > 1 else [(0, M0, None)]):
+        covered += b - a
+        lev = None if dw is None else np.zeros(dw.shape[:2])
+        for k in range(steps):
+            if k and lev is not None:
+                lev += dw[:, :, k - 1]
+            acc = np.zeros((len(Ns), b - a, market.d0))
+            for (s, inv_g, members), count in zip(groups, counts):
+                sums = [count]
+                if k and lev is not None:
+                    P = np.empty((J - 1, len(Ns), b - a))
+                    for n, m in enumerate(members):
+                        # C-ordered, so each row is summed alone, pairwise
+                        level = np.take(lev, m, axis=1)
+                        level.sort(axis=1)
+                        power = level
+                        for j in range(J - 1):
+                            power = power if j == 0 else power * level
+                            P[j, n] = power.sum(axis=1)
+                    sums.extend(P * inv_g)
+                for j, P_j in enumerate(sums):             # level 0 is 0: its count only
+                    acc += P_j[:, :, None] * z[k, j, s, :, a:b].T
+            p = _times(acc, proj[k]) / Nv + held * mf.theta[a:b, k]
+            out[:, a:b, k] = _times(p, pos[k].T)
+        del dw, lev         # the next chunk is drawn with this one freed
+    if covered != M0:
+        raise ValueError(f"the increments cover {covered} of {M0} common paths")
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,42 +202,26 @@ class ClearingReport:
 
 
 def clearing_residual(
-    pi_steps,
-    Ns: list[int],
+    per_capita: np.ndarray,
     dt: float,
     n_batches: int,
 ) -> tuple[list[float], list[float]]:
-    """eps_N = E int |per-capita position|^2 dt for each N (prefix of the pool).
-
-    pi_steps yields the pool's positions one step at a time, in step order,
-    each of shape (M0, pool, n).  For each N only the per-capita sums,
-    (M0, steps, n), are kept.  The sum over agents runs in canonical sorted
-    order per (path, step, security) slot, so any relabelling of the agents
-    gives bit-identical estimates.  Standard errors come from batching
+    """eps_N = E int |per-capita position|^2 dt for each N, from the
+    per-capita positions (len(Ns), M0, steps, n) that per_capita_positions
+    gives, by the left-endpoint rule.  Standard errors come from batching
     common paths, in n_batches >= 2 batches.
     """
     if n_batches < 2:
         raise ValueError("need at least 2 batches for standard errors")
-    sums: list[list[np.ndarray]] = [[] for _ in Ns]
-    for pi in pi_steps:
-        M0, pool = pi.shape[:2]
-        if M0 < 2:
-            raise ValueError("need at least 2 common paths for standard errors")
-        for N, per_step in zip(Ns, sums):
-            if N > pool:
-                raise ValueError(f"N={N} exceeds agent pool {pool}")
-            # agents on the leading axis of a C-ordered copy: the sum adds
-            # them one after another in sorted order
-            srt = np.ascontiguousarray(np.sort(pi[:, :N], axis=1).transpose(1, 0, 2))
-            per_step.append(srt.sum(axis=0) / N)
+    M0 = per_capita.shape[1]
+    if M0 < 2:
+        raise ValueError("need at least 2 common paths for standard errors")
     B = min(n_batches, M0)
     eps, ses = [], []
-    for per_step in sums:
-        s = np.stack(per_step, axis=1)
+    for s in per_capita:
         integ = dt * np.sum(s * s, axis=(1, 2))
         eps.append(float(integ.mean()))
-        splits = np.array_split(integ, B)
-        bm = np.array([b.mean() for b in splits])
+        bm = np.array([b.mean() for b in np.array_split(integ, B)])
         ses.append(float(bm.std(ddof=1) / np.sqrt(B)))
     return eps, ses
 
@@ -240,18 +262,19 @@ def run_clearing_study(sc: Scenario) -> tuple[ClearingReport, MeanFieldSolution]
     clearing block.
 
     Solves the mean-field equation over clearing.n_common common paths,
-    draws a fresh i.i.d. agent pool of size max(clearing.Ns), evaluates
-    every agent through the stored per-step solution maps one step at a
-    time, and estimates eps_N with its rate.  The report is built once,
+    draws a fresh i.i.d. agent pool of size max(clearing.Ns), streams its
+    increments through the stored solution maps a chunk of common paths at
+    a time, and estimates eps_N with its rate.  The report is built once,
     with rate_fit's fields.
     """
     cfg, grid, Ns = sc.cfg, sc.grid, list(sc.cfg.clearing.Ns)
     n_common = cfg.clearing.n_common
     mf = solve_equilibrium_cloud(sc, n_common)
     pool = build_population(max(Ns), cfg.seed, sc.gamma_dist)
-    w_agents = fresh_idio_levels(cfg.seed, n_common, pool.size, grid)
-    pi_steps = (agent_strategies(mf, pool, w_agents, k)[1] for k in range(grid.steps))
-    eps, ses = clearing_residual(pi_steps, Ns, grid.dt, n_batches=cfg.clearing.n_batches)
+    increments = normal_chunks(cfg.seed, KIND_AUX, (n_common, pool.size, grid.steps),
+                               _POOL_CHUNK, np.sqrt(grid.dt))
+    per_capita = per_capita_positions(mf, pool, increments, Ns)
+    eps, ses = clearing_residual(per_capita, grid.dt, n_batches=cfg.clearing.n_batches)
     st = mf.stats
     bound_const = 4.0 * (1.0 + st.gamma_hat**2 / st.gamma_lo**2) * mf.z_bmo
     return ClearingReport(Ns, eps, ses, st.gamma_hat, st.gamma_lo, mf.z_bmo,

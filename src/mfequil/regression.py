@@ -61,6 +61,7 @@ _SERIAL_MNK = 4 * 65536
 # sups over w are taken on these multiples of sqrt(t_k): +-6 standard
 # deviations, the truncation liabilities.liability_bounds uses, every quarter
 W_NODES = np.linspace(-6.0, 6.0, 49)
+_NODE_BLOCK = 7
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,15 @@ def poly_at(coefs: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def sup_on_range(coefs: np.ndarray, t: float, absolute: bool = True) -> np.ndarray:
     """Sup over w in +-6 sqrt(t) (on W_NODES) of |p| (of p when absolute is
-    False) for per-path polynomials coefs (L, ...): (...)."""
-    L = coefs.shape[0]
-    vals = apply((W_NODES * np.sqrt(t))[:, None] ** np.arange(L), coefs)
-    return np.max(np.abs(vals) if absolute else vals, axis=0)
+    False) for per-path polynomials coefs (L, ...): (...), taken _NODE_BLOCK
+    nodes at a time, so no array over all the nodes is formed."""
+    powers = (W_NODES * np.sqrt(t))[:, None] ** np.arange(coefs.shape[0])
+    out = None
+    for s in range(0, W_NODES.size, _NODE_BLOCK):
+        vals = apply(powers[s:s + _NODE_BLOCK], coefs)
+        top = np.max(np.abs(vals) if absolute else vals, axis=0)
+        out = top if out is None else np.maximum(out, top)
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfequil import EqgSpec, MarketSpec, TimeGrid, agent_strategies
+from mfequil import EqgSpec, MarketSpec, TimeGrid
 from mfequil.regression import RidgeConditioner
+
+from oracles import agent_strategies
 
 
 SIGMA_2X2 = np.array([[1.0, 0.2], [0.3, 0.9]])

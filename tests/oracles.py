@@ -6,6 +6,9 @@ outside it, built on its public names only:
 * cole_hopf_oracle, cole_hopf_idio: log E[exp(G)] by sampling, and the
   closed-form value of the idiosyncratic leg kappa W^i_T;
 * level_array: every Brownian level of a bundle's increments, by np.cumsum;
+* pool_levels, agent_strategies: the clearing pool's levels as one array,
+  and each pool agent's own position read from them, the per-agent
+  reference for clearing.per_capita_positions;
 * fubini_malliavin_check, coarsen_bundle: the integral-swap identity of the
   a = 0 model, and the same noise on a coarser grid to refine it on;
 * NodeMeanConditioner, TreeEngine: exact conditional expectations on an
@@ -28,7 +31,8 @@ import numpy as np
 
 from mfequil import EqgSpec, PathBundle, TimeGrid, market_geometry
 from mfequil.errors import DimensionMismatch
-from mfequil.paths import step_major
+from mfequil.paths import KIND_AUX, normal_block_array, step_major
+from mfequil.regression import poly_at
 
 
 def cole_hopf_oracle(g_samples: np.ndarray) -> float:
@@ -50,9 +54,41 @@ def cole_hopf_idio(kappa: float, grid: TimeGrid, bundle: PathBundle):
 
 def level_array(dw: np.ndarray) -> np.ndarray:
     """All levels of the increments dw (M, K, steps) in one (M, K, steps + 1)
-    array, 0 at t = 0, by np.cumsum: the whole array a Levels reads a level
-    at a time."""
+    array, 0 at t = 0, by np.cumsum."""
     return np.concatenate([np.zeros((*dw.shape[:2], 1)), np.cumsum(dw, axis=2)], axis=2)
+
+
+def pool_levels(seed: int, n_common: int, n_agents: int, grid: TimeGrid) -> np.ndarray:
+    """The clearing pool's levels (M0, N, steps + 1) as one array: the keyed
+    normals drawn whole, times sqrt(dt), summed by np.cumsum."""
+    dw = normal_block_array(seed, KIND_AUX, (n_common, n_agents, grid.steps)) * np.sqrt(grid.dt)
+    return level_array(dw)
+
+
+def agent_strategies(mf, population, w_agents: np.ndarray, k: int):
+    """Optimal positions of pool agents at step k under the fitted solution
+    map, one agent at a time: each risk-aversion atom's z polynomial is read
+    at its own agents' levels w_agents[:, :, k] (w_agents (M0, N,
+    steps + 1)), by index, so the pool may come in any order.  A solve of
+    one atom reads every agent through it; an agent whose atom the solve
+    does not hold raises ValueError.  Returns p (M0, N, d0) in Brownian
+    coordinates and pi (M0, N, n) in security units, in the pool's order."""
+    sol = mf.solution
+    M0, N, d0 = w_agents.shape[0], population.size, sol.market.d0
+    proj, pos = sol.market.geometry(sol.grid.steps)
+    z = sol.z_coefs(k)
+    n_atoms = z.shape[1]
+    ids = population.atom_ids if n_atoms > 1 else np.zeros(N, dtype=np.int64)
+    w_k = w_agents[:, :, k]
+    z_hat = np.empty((M0, N, d0))
+    for s in np.unique(ids).tolist():
+        idx = np.flatnonzero(ids == s)
+        if s >= n_atoms:
+            raise ValueError(f"atom {s} has {idx.size} pool agents but the solve has "
+                             f"{n_atoms} atoms")
+        z_hat[:, idx] = poly_at(z[:, s, :d0], w_k[:, idx])
+    p = (z_hat @ proj[k] + mf.theta[:, k, None, :]) / population.gammas[:, None]
+    return p, p @ pos[k].T
 
 
 def fubini_malliavin_check(bundle: PathBundle, spec: EqgSpec) -> float:

@@ -25,10 +25,10 @@ from mfequil import (
     build_scenario,
     clearing_residual,
     equilibrium_path,
-    fresh_idio_levels,
     gamma_hat,
     load_config,
     martingale_check,
+    per_capita_positions,
     random_replacement,
     replacement_invariance,
     riccati_closed_form,
@@ -43,8 +43,10 @@ from mfequil import (
     terminal_g,
     verify_condition_r,
 )
+from mfequil.paths import KIND_AUX, normal_chunks
+
 from conftest import materialise, pool_strategies
-from oracles import coarsen_bundle, fubini_malliavin_check
+from oracles import coarsen_bundle, fubini_malliavin_check, pool_levels
 
 from test_meanfield import (
     J_TREE,
@@ -291,11 +293,12 @@ def test_ac08_additive_positions_vanish():
     g = terminal_g(liability, bundle, gammas)
     mf = solve_mean_field(bundle, MARKET_2F, basis, g, gammas, probs=dist.p, max_iters=8)
     pool = build_population(100, 42, dist)
-    w = fresh_idio_levels(42, 100, 100, grid)
-    p, pi = pool_strategies(mf, pool, w)
+    p, _ = pool_strategies(mf, pool, pool_levels(42, 100, 100, grid))
     hedge = float(np.max(np.abs(mf.theta))) / mf.stats.gamma_hat
     p_sup = float(np.max(np.abs(p)))
-    eps, _ = clearing_residual(np.moveaxis(pi, 2, 0), [10, 100], grid.dt, n_batches=10)
+    draws = normal_chunks(42, KIND_AUX, (100, 100, grid.steps), 16, np.sqrt(grid.dt))
+    eps, _ = clearing_residual(per_capita_positions(mf, pool, draws, [10, 100]), grid.dt,
+                               n_batches=10)
     eps_cap = (1e-3 * hedge) ** 2 * grid.horizon
     ok = p_sup < 1e-3 * hedge and all(e < eps_cap for e in eps)
     _line(8, "per-agent positions vanish when data are additive",

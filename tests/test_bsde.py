@@ -6,8 +6,8 @@ import pytest
 
 from mfequil import (
     DiscreteDist, EqgSpec, MarketSpec, Perturbation, RegressionBasis, TimeGrid,
-    agent_strategies, bmo_proxy, build_population, doleans_weights,
-    equilibrium_path, fresh_idio_levels, optimal_strategy,
+    bmo_proxy, build_population, doleans_weights,
+    equilibrium_path, optimal_strategy,
     riccati_closed_form, simulate_paths, solve_agent_bsde,
     solve_mean_field, solve_under_q, verify_condition_r,
 )
@@ -18,7 +18,8 @@ from mfequil.regression import BasisEngine, poly_at
 
 from conftest import make_market, materialise, pool_strategies
 from oracles import (
-    coarsen_bundle, normal_moments, particle_agent_solve, project, risk_premium_from_mu,
+    coarsen_bundle, normal_moments, particle_agent_solve, pool_levels, project,
+    risk_premium_from_mu,
 )
 
 
@@ -264,7 +265,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     g_mf = (g * gammas[:, None])[None]
     mf = solve_mean_field(bundle, market, basis, g_mf, gammas, probs=HALVES, max_iters=6)
     pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
-    p_pool, pi_pool = pool_strategies(mf, pool, fresh_idio_levels(3, 2000, 5, grid))
+    p_pool, pi_pool = pool_strategies(mf, pool, pool_levels(3, 2000, 5, grid))
     assert np.min(np.abs(p_pool[:, :, 0, 0])) > 0.1
     eq_theta = equilibrium_path(riccati_closed_form(spec, grid), bundle, market).theta
 
@@ -366,18 +367,14 @@ def test_per_step_slices_are_contiguous():
     sol = mf.solution
     coarse = coarsen_bundle(bundle, 4, flat_spec())
     p, pi = optimal_strategy(sol, mf.theta, 1.0, market, bundle.wi)
-    w = fresh_idio_levels(3, bundle.n_paths, 5, bundle.grid)
     arrays = {"dWi": bundle.dWi, "wi": bundle.wi,
               "coarse dWi": coarse.dWi, "coarse wi": coarse.wi,
-              "p": p, "pi": pi, "pool w": w}
+              "p": p, "pi": pi}
     for name, a in arrays.items():
         for k in range(a.shape[2]):
             assert a[:, :, k].flags.c_contiguous, (name, k)
-    pool = build_population(5, 3, DiscreteDist((1.0, 2.0)))
     for k in range(bundle.grid.steps):
-        step = {"y_coefs": sol.y_coefs(k), "z_coefs": sol.z_coefs(k),
-                **dict(zip(("pool p", "pool pi"),
-                           agent_strategies(mf, pool, w, k)))}
+        step = {"y_coefs": sol.y_coefs(k), "z_coefs": sol.z_coefs(k)}
         for name, a in step.items():
             assert a.flags.c_contiguous, (name, k)
 

@@ -21,15 +21,14 @@ from mfequil import (
     RegressionBasis,
     ReplacementSpec,
     TimeGrid,
-    agent_strategies,
     build_population,
     build_scenario,
     clearing_residual,
     config_from_dict,
-    fresh_idio_levels,
     equilibrium_path,
     gamma_hat,
     optimal_strategy,
+    per_capita_positions,
     random_replacement,
     rate_fit,
     replacement_invariance,
@@ -41,10 +40,10 @@ from mfequil import (
     terminal_g,
     verify_condition_r,
 )
-from mfequil.paths import KIND_AUX, normal_block_array
+from mfequil.paths import KIND_AUX, normal_block_array, normal_chunks
 
 from conftest import make_market, pool_strategies
-from oracles import level_array, project, risk_premium_from_mu
+from oracles import agent_strategies, pool_levels, project, risk_premium_from_mu
 
 GAMMA_DIST = DiscreteDist(values=(1.0, 2.0, 4.0), probs=(0.5, 0.3, 0.2))
 
@@ -123,61 +122,67 @@ def test_population_draws_are_seeded():
         build_population(0, 11, GAMMA_DIST)
 
 
-def test_fresh_idio_levels_are_brownian():
-    grid = TimeGrid(0.5, 10)
-    w = fresh_idio_levels(31, 8, 5, grid)
-    assert w.shape == (8, 5, 11)
-    assert np.all(w[:, :, 0] == 0.0)
-    dw = normal_block_array(31, KIND_AUX, (8, 5, 10)) * np.sqrt(grid.dt)
-    assert np.array_equal(w.dw, dw)
-    full = level_array(dw)
-    for k in range(11):
-        assert np.array_equal(w[:, :, k], full[:, :, k]), k
-
-
-def test_fresh_idio_levels_draw_and_scale_in_place():
-    """The pool's normals are drawn straight into their array and scaled
-    there, so fresh_idio_levels' traced peak is what it keeps (the
-    increments and ceil(steps / c) = 4 checkpoint levels) plus one running
-    level: no second copy of the increments is ever live."""
-    grid = TimeGrid(0.5, 20)
-    M0, N = 64, 300
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        w = fresh_idio_levels(5, M0, N, grid)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    level = M0 * N * 8
-    assert kept - base >= w.dw.nbytes + 4 * level
-    assert peak - kept < 1.5 * level, (peak - kept, level)
-
-
 # ---------------------------------------------------------- residual estimator
 
 def test_clearing_residual_constant_positions():
     # per-capita position is c in every slot -> eps_N = c^2 * n * T exactly
-    M0, pool, steps, n = 6, 12, 10, 2
+    M0, steps, n = 6, 10, 2
     dt = 0.05
     c = 0.3
-    pi = np.full((M0, pool, steps, n), c)
-    eps, ses = clearing_residual(np.moveaxis(pi, 2, 0), [3, 12], dt, n_batches=3)
+    per_capita = np.full((2, M0, steps, n), c)
+    eps, ses = clearing_residual(per_capita, dt, n_batches=3)
     expected = c * c * n * steps * dt
     assert eps == pytest.approx([expected, expected], rel=1e-12)
     assert ses == pytest.approx([0.0, 0.0], abs=1e-15)
 
 
+def increments(seed, M0, pool, grid, chunk=16):
+    """The pool's increments as run_clearing_study streams them."""
+    return normal_chunks(seed, KIND_AUX, (M0, pool, grid.steps), chunk, np.sqrt(grid.dt))
+
+
+def cross_term_mf(market, M0=128, steps=6):
+    """A mean-field solve with both terminal legs in w (kappa and the cross
+    term eps), three risk-aversion atoms and w in the basis."""
+    grid = TimeGrid(0.5, steps)
+    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
+                   a=-0.2, b=0.5, kappa=0.3)
+    gammas = np.asarray(GAMMA_DIST.values)
+    bundle = simulate_paths(grid, spec, market, M0, 3)
+    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, gammas)
+    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, gammas,
+                          probs=GAMMA_DIST.p, max_iters=4)
+    return grid, mf
+
+
+MARKET_1 = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]], lambda_lo=1.0, lambda_hi=1.1)
+
+
 def test_clearing_residual_is_permutation_invariant():
-    rng = np.random.default_rng(4)
-    pi = rng.normal(size=(5, 9, 7, 2))
-    eps, _ = clearing_residual(np.moveaxis(pi, 2, 0), [4, 9], 0.1, n_batches=20)
-    perm = rng.permutation(9)
-    eps_p, _ = clearing_residual(np.moveaxis(pi[:, perm], 2, 0), [4, 9], 0.1, n_batches=20)
+    """Relabelling the pool (gammas, atoms and draws together) gives the
+    whole pool's eps bit for bit: each slot's levels are summed in sorted
+    order.  A prefix of the relabelled pool has other members, so its eps
+    changes."""
+    grid, mf = cross_term_mf(MARKET_1)
+    pool = build_population(9, 4, GAMMA_DIST)
+    perm = np.random.default_rng(4).permutation(9)
+    shuffled = Population(pool.gammas[perm], pool.atom_ids[perm])
+    eps, _ = clearing_residual(
+        per_capita_positions(mf, pool, increments(3, 128, 9, grid), [4, 9]), grid.dt, n_batches=20)
+    moved = ((a, b, dw[:, perm]) for a, b, dw in increments(3, 128, 9, grid))
+    eps_p, _ = clearing_residual(
+        per_capita_positions(mf, shuffled, moved, [4, 9]), grid.dt, n_batches=20)
     # the N=9 sum runs over the whole pool in canonical order: bit identical
     assert eps[1] == eps_p[1]
     # the N=4 prefix genuinely changes membership
     assert eps[0] != eps_p[0]
+
+
+def sorted_sums(pi, Ns):
+    """Reference: the per-capita positions (len(Ns), M0, steps, n) of the
+    oracle's per-agent positions pi (M0, pool, steps, n), each slot's first
+    N agents sorted and summed."""
+    return np.stack([np.sort(pi[:, :N], axis=1).sum(axis=1) / N for N in Ns])
 
 
 def whole_pool_residual(pi, Ns, dt, n_batches):
@@ -197,23 +202,128 @@ def whole_pool_residual(pi, Ns, dt, n_batches):
     return eps, ses
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_clearing_residual_matches_whole_pool_reference(n):
-    """Summed one step at a time, the estimates are the whole-pool ones bit
-    for bit: each slot's agents are added in the same sorted order."""
-    rng = np.random.default_rng(11)
-    pi = rng.normal(size=(37, 300, 6, n))
-    Ns = [3, 17, 100, 300]
-    got = clearing_residual((pi[:, :, k] for k in range(6)), Ns, 0.05, n_batches=7)
-    assert got == whole_pool_residual(pi, Ns, 0.05, n_batches=7)
+POOL_NS = [3, 17, 100, 300]
+
+
+@pytest.fixture(scope="module")
+def cross_term_pool(request):
+    """A cross-term solve over n = 1 or 2 securities, a pool of 300 agents of
+    3 atoms, the streamed per-capita positions and the oracle's per-agent
+    positions on the same draws."""
+    grid, mf = cross_term_mf(MARKET_1 if request.param == 1 else make_market())
+    pool = build_population(300, 11, GAMMA_DIST)
+    got = per_capita_positions(mf, pool, increments(11, 128, 300, grid), POOL_NS)
+    _, pi = pool_strategies(mf, pool, pool_levels(11, 128, 300, grid))
+    return grid, mf, pool, got, pi
+
+
+@pytest.mark.parametrize("cross_term_pool", [1, 2], indirect=True)
+def test_per_capita_positions_are_the_agents_sorted_sums(cross_term_pool):
+    """The per-capita positions from power sums are the oracle's per-agent
+    positions summed over the first N agents in sorted order, for every N,
+    path, step and security, within 1e-12 of the summed terms' size: the
+    per-capita mean of |pi|.  An entry that cancels to 1e-5 of its terms
+    (there are such) has no 12 digits relative to itself."""
+    _, _, _, got, pi = cross_term_pool
+    want = sorted_sums(pi, POOL_NS)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * sorted_sums(np.abs(pi), POOL_NS))
+
+
+@pytest.mark.parametrize("cross_term_pool", [1, 2], indirect=True)
+def test_clearing_residual_matches_whole_pool_reference(cross_term_pool):
+    """The estimates from the streamed positions are the whole-pool ones,
+    from the oracle's per-agent positions, to rtol 1e-12: the power sums add
+    the agents in another order than the positions' sorted sums."""
+    grid, _, _, got, pi = cross_term_pool
+    eps, ses = clearing_residual(got, grid.dt, n_batches=7)
+    want_eps, want_ses = whole_pool_residual(pi, POOL_NS, grid.dt, n_batches=7)
+    np.testing.assert_allclose(eps, want_eps, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ses, want_ses, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+def test_per_capita_positions_do_not_depend_on_the_chunk(chunk):
+    """Streamed 1, 7 or all 128 common paths at a time, the per-capita
+    positions are the same bits: every sum runs within one path's slot."""
+    grid, mf = cross_term_mf(MARKET_1)
+    pool = build_population(40, 7, GAMMA_DIST)
+    want = per_capita_positions(mf, pool, increments(3, 128, 40, grid), [5, 40])
+    got = per_capita_positions(mf, pool, increments(3, 128, 40, grid, chunk), [5, 40])
+    assert np.array_equal(got, want)
+
+
+def test_pool_draws_are_the_keyed_normals_for_any_chunk():
+    """The streamed increments are normal_block_array's numbers times
+    sqrt(dt), for chunks of 1, 7 and a whole block of common paths, across a
+    block boundary, and each chunk stays within one block."""
+    grid = TimeGrid(0.5, 4)
+    M0, pool = 1030, 3
+    want = normal_block_array(31, KIND_AUX, (M0, pool, grid.steps)) * np.sqrt(grid.dt)
+    for chunk in (1, 7, 1024):
+        parts = list(increments(31, M0, pool, grid, chunk))
+        assert all(a // 1024 == (b - 1) // 1024 for a, b, _ in parts)
+        assert [a for a, _, _ in parts] == sorted(a for a, _, _ in parts)
+        assert np.array_equal(np.concatenate([dw for _, _, dw in parts]), want), chunk
+
+
+def memory_scenario(Ns):
+    return build_scenario(config_from_dict({
+        "seed": 9,
+        "grid": {"horizon": 0.5, "steps": 20},
+        "market": {"sigma": [[1.0, 0.2], [0.3, 0.9]]},
+        "eqg": {"alpha": -0.5, "beta": 0.1, "delta": [0.4, 0.1], "x0": 0.3,
+                "a": -0.2, "b": 0.5, "kappa": 0.3, "cross_eps": 0.1},
+        "population": {"gamma_values": list(GAMMA_DIST.values),
+                       "gamma_probs": list(GAMMA_DIST.probs)},
+        "mf": {"iters": 3},
+        "clearing": {"n_common": 64, "Ns": Ns, "n_batches": 4},
+    }))
+
+
+def test_pool_phase_holds_one_chunk(monkeypatch):
+    """run_clearing_study's pool phase holds one chunk of the pool's draws,
+    so its traced peak grows with the pool by at most one chunk's working
+    set.  The cloud solve is made once, before tracing, and handed back.
+    At 16 common paths a chunk, 20 steps and 1,000 agents that working set
+    is the chunk's increments, 16 x 1,000 x 20 doubles, its running level,
+    16 x 1,000 doubles, and one step's sorted levels and powers of the
+    largest atom (half the pool here), 2 x 16 x 500 doubles:
+    (20 + 1 + 1) x 16,000 x 8 B = 2.82 MB.  From max(Ns) = 100 to 1,000 the
+    peak grew by 2.56 MB.  A pass that kept the pool's increments grows by
+    64 x 900 x 20 x 8 B = 9.2 MB, and one that drew a chunk before letting
+    the last go by about 4.6 MB: both fail."""
+    chunk = mfequil.clearing._POOL_CHUNK
+    mf = mfequil.clearing.solve_equilibrium_cloud(memory_scenario([10, 100]), 64)
+    monkeypatch.setattr(mfequil.clearing, "solve_equilibrium_cloud", lambda sc, n: mf)
+    peaks = {}
+    for top in (100, 1000):
+        sc = memory_scenario([10, top])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_clearing_study(sc)
+            peaks[top] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    working_set = chunk * 1000 * (20 + 2) * 8
+    assert peaks[1000] - peaks[100] < working_set, (peaks, working_set)
 
 
 def test_clearing_residual_input_checks():
-    pi = np.zeros((3, 4, 5, 1))       # (steps, M0, pool, n)
+    """A prefix larger than the pool, fewer than 2 batches and fewer than 2
+    common paths raise ValueError, as do increments that miss paths."""
+    grid, _, _, _, _, mf = _small_mf()
+    pool = build_population(4, 7, GAMMA_DIST)
+    with pytest.raises(ValueError, match="exceeds agent pool"):
+        per_capita_positions(mf, pool, increments(3, 128, 4, grid), [6])
     with pytest.raises(ValueError):
-        clearing_residual(pi, [6], 0.1, n_batches=20)
+        clearing_residual(np.zeros((1, 4, 5, 1)), 0.1, n_batches=1)
     with pytest.raises(ValueError):
-        clearing_residual(pi[:, :1], [2], 0.1, n_batches=20)
+        clearing_residual(np.zeros((1, 1, 5, 1)), 0.1, n_batches=20)
+    grid, mf = cross_term_mf(MARKET_1)
+    with pytest.raises(ValueError, match="cover 100 of 128"):
+        per_capita_positions(mf, pool, increments(3, 100, 4, grid), [4])
 
 
 # ----------------------------------------------------------------- rate fit
@@ -264,10 +374,11 @@ def _small_mf():
 
 
 def test_agent_strategies_geometry():
+    """The per-agent reference builds p in range(sigma^T) and pi from it."""
     grid, market, _, bundle, basis, mf = _small_mf()
     N = 5
     fresh = build_population(N, 7, GAMMA_DIST)
-    w = fresh_idio_levels(3, bundle.n_paths, N, grid)
+    w = pool_levels(3, bundle.n_paths, N, grid)
     p, pi = pool_strategies(mf, fresh, w)
     assert p.shape == (128, N, 10, 2)
     assert pi.shape == (128, N, 10, 1)
@@ -287,9 +398,9 @@ def test_agent_strategies_geometry():
 
 
 def test_agent_strategies_use_each_agents_stratum():
-    """Each fresh agent is evaluated with its own atom's z polynomial.  The
-    reference evaluates each atom's per-path coefficients at the agent's
-    level by hand, and the two atoms' maps differ."""
+    """The per-agent reference evaluates each fresh agent with its own atom's
+    z polynomial: each atom's per-path coefficients are evaluated at the
+    agent's level by hand, and the two atoms' maps differ."""
     grid = TimeGrid(0.5, 10)
     market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
@@ -304,7 +415,7 @@ def test_agent_strategies_use_each_agents_stratum():
     mf = solve_mean_field(bundle, market, basis, g, gammas, probs=dist.p, max_iters=6)
     pool = build_population(8, 7, dist)
     assert set(pool.atom_ids.tolist()) == {0, 1}
-    w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
+    w = pool_levels(3, bundle.n_paths, pool.size, grid)
     p, _ = pool_strategies(mf, pool, w)
     proj, _ = market.geometry(grid.steps)
     for k in (0, 4, 9):
@@ -323,34 +434,31 @@ def test_agent_strategies_use_each_agents_stratum():
 
 def test_agent_strategies_commute_with_a_permuted_pool():
     """The pool may come in any order: permuting its agents (gammas, atoms
-    and levels together) permutes p and pi bit for bit.  The permuted levels
-    are a whole array, so the pool's Levels and the array its np.cumsum gives
-    are read to the same bits too."""
-    grid = TimeGrid(0.5, 6)
-    market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
-                        lambda_lo=1.0, lambda_hi=1.1)
-    spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
-                   a=-0.2, b=0.5, kappa=0.3)
-    gammas = np.asarray(GAMMA_DIST.values)
-    bundle = simulate_paths(grid, spec, market, 128, 3)
-    g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, gammas)
-    mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, gammas,
-                          probs=GAMMA_DIST.p, max_iters=4)
+    and draws together) permutes the reference's p and pi bit for bit, and
+    gives the streamed whole pool's per-capita positions bit for bit, while
+    a prefix's change."""
+    grid, mf = cross_term_mf(MARKET_1)
     pool = build_population(40, 7, GAMMA_DIST)
     assert set(pool.atom_ids.tolist()) == {0, 1, 2} and np.any(np.diff(pool.atom_ids) < 0)
-    w = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
+    w = pool_levels(3, 128, pool.size, grid)
     p, pi = pool_strategies(mf, pool, w)
     perm = np.random.default_rng(5).permutation(pool.size)
     shuffled = Population(pool.gammas[perm], pool.atom_ids[perm])
-    p_perm, pi_perm = pool_strategies(mf, shuffled, level_array(w.dw)[:, perm])
+    p_perm, pi_perm = pool_strategies(mf, shuffled, w[:, perm])
     assert np.array_equal(p_perm, p[:, perm])
     assert np.array_equal(pi_perm, pi[:, perm])
+    sums = per_capita_positions(mf, pool, increments(3, 128, 40, grid), [10, 40])
+    moved = ((a, b, dw[:, perm]) for a, b, dw in increments(3, 128, 40, grid))
+    sums_perm = per_capita_positions(mf, shuffled, moved, [10, 40])
+    assert np.array_equal(sums_perm[1], sums[1])
+    assert not np.array_equal(sums_perm[0], sums[0])
 
 
 def test_pool_agent_of_an_atom_without_cloud_particles_raises():
     """A solve over 2 atoms holds no map for atom 2.  A pool agent of atom 2
-    then raises a ValueError that names the atom, at every step, instead of
-    being given positions; a pool of the other atoms is read as usual."""
+    then raises a ValueError that names the atom, in the streamed pass and
+    at every step of the reference, instead of being given positions; a
+    pool of the other atoms is read as usual."""
     grid = TimeGrid(0.5, 4)
     market = MarketSpec(n=1, d0=2, sigma=[[1.0, 0.2]],
                         lambda_lo=1.0, lambda_hi=1.1)
@@ -361,14 +469,18 @@ def test_pool_agent_of_an_atom_without_cloud_particles_raises():
     g = terminal_g(LiabilitySpec.from_eqg(spec, eps=0.1), bundle, gammas)
     mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, gammas,
                           probs=np.full(2, 0.5), max_iters=3)
-    w = fresh_idio_levels(3, bundle.n_paths, 3, grid)
+    w = pool_levels(3, bundle.n_paths, 3, grid)
     pool = Population(gammas=np.array([1.0, 4.0, 2.0]), atom_ids=np.array([0, 2, 1]))
+    message = "atom 2 has 1 pool agents but the solve has 2"
+    with pytest.raises(ValueError, match=message):
+        per_capita_positions(mf, pool, increments(3, 128, 3, grid), [3])
     for k in range(grid.steps):
-        with pytest.raises(ValueError, match="atom 2 has 1 pool agents but the solve has 2"):
+        with pytest.raises(ValueError, match=message):
             agent_strategies(mf, pool, w, k)
-    p, pi = pool_strategies(mf, Population(pool.gammas[[0, 2]], pool.atom_ids[[0, 2]]),
-                            level_array(w.dw)[:, [0, 2]])
+    kept = Population(pool.gammas[[0, 2]], pool.atom_ids[[0, 2]])
+    p, pi = pool_strategies(mf, kept, w[:, [0, 2]])
     assert np.all(np.isfinite(p)) and np.all(np.isfinite(pi))
+    assert np.all(np.isfinite(per_capita_positions(mf, kept, increments(3, 128, 2, grid), [2])))
 
 
 # ------------------------------------------------------------- replacement
@@ -534,7 +646,7 @@ def test_sigma_gram_is_factorised_once_per_market(gram_factorisations, table):
     mf = solve_mean_field(bundle, market, RegressionBasis(degree=2), g, gammas,
                           probs=GAMMA_DIST.p, max_iters=3)
     pool = build_population(10, 7, GAMMA_DIST)
-    pool_strategies(mf, pool, fresh_idio_levels(3, bundle.n_paths, pool.size, grid))
+    per_capita_positions(mf, pool, increments(3, bundle.n_paths, pool.size, grid), [10])
 
     one = simulate_paths(grid, spec, market, 256, 4)
     theta = np.tile(np.array([0.3, -0.1]), (grid.steps, 1))

@@ -5,15 +5,16 @@ import pytest
 
 from mfequil import (
     DiscreteDist, EqgSpec, LiabilitySpec, MarketSpec,
-    PathBundle, RegressionBasis, TimeGrid, build_population, fresh_idio_levels,
-    gamma_hat, simulate_paths, smallness_from_liability, smallness_report,
+    PathBundle, RegressionBasis, TimeGrid, build_population, gamma_hat,
+    per_capita_positions, simulate_paths, smallness_from_liability, smallness_report,
     solve_agent_bsde, solve_mean_field, terminal_g,
 )
 from mfequil.errors import NonpositiveGamma, RegressionRankDeficient
+from mfequil.paths import KIND_AUX, normal_chunks
 from mfequil.regression import BasisEngine, gauss_moments, poly_at
 
 from conftest import make_market, materialise, pool_strategies
-from oracles import TreeEngine, gauss_hermite
+from oracles import TreeEngine, gauss_hermite, pool_levels
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +311,10 @@ def test_mean_field_solve_builds_each_step_once(market2, conditioner_builds):
 
 def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_builds):
     """A pool agent's position reads its own atom's z polynomial at its own
-    level: agent_strategies matches the polynomial evaluated by hand, for
-    pool agents of both atoms, and reading the solution's maps, as the
-    clearing pool does, builds no conditioner."""
+    level: the per-agent reference matches the polynomial evaluated by hand,
+    for pool agents of both atoms, and reading the solution's maps, as the
+    reference and the clearing pool's streamed pass do, builds no
+    conditioner."""
     grid = TimeGrid(0.5, 6)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.2)
@@ -324,7 +326,7 @@ def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_bu
     sol = mf.solution
     assert len(conditioner_builds) == grid.steps
     pool = build_population(7, 3, DiscreteDist((1.0, 2.0)))
-    levels = fresh_idio_levels(3, bundle.n_paths, pool.size, grid)
+    levels = pool_levels(3, bundle.n_paths, pool.size, grid)
     p, _ = pool_strategies(mf, pool, levels)
     assert p.shape == (256, 7, grid.steps, 2) and np.all(np.isfinite(p))
     proj, _ = market2.geometry(grid.steps)
@@ -336,6 +338,8 @@ def test_fresh_agents_are_read_through_the_clouds_engine(market2, conditioner_bu
             z0 = sum(z[j, s, :2].T * w[:, i, None] ** j for j in range(z.shape[0]))
             want = (z0 @ proj[k] + mf.theta[:, k]) / pool.gammas[i]
             np.testing.assert_allclose(p[:, i, k], want, rtol=1e-12, atol=1e-15)
+    draws = normal_chunks(3, KIND_AUX, (256, pool.size, grid.steps), 16, np.sqrt(grid.dt))
+    per_capita_positions(mf, pool, draws, [pool.size])
     assert len(conditioner_builds) == grid.steps
 
 

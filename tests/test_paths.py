@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfequil import EqgSpec, TimeGrid, simulate_paths
-from mfequil.paths import KIND_IDIO, levels, normal_block_array, ou_exact_moments
+from mfequil import EqgSpec, PathBundle, TimeGrid, simulate_paths
+from mfequil.paths import KIND_IDIO, normal_block_array, ou_exact_moments, step_major
 
 from conftest import make_market
 from oracles import coarsen_bundle, level_array
@@ -138,67 +138,24 @@ def test_one_coordinate_draws_are_the_first_of_a_trailing_axis():
 
 
 def test_every_level_has_cumsums_bits():
-    """Every level a Levels returns, for 1 to 25 steps (so every offset from
-    a checkpoint is read), of all particles and of particle ranges, is
-    np.cumsum's to the bit.  A first increment of -0.0 stays -0.0 in level
-    1, as cumsum leaves it.  A second read rebuilds the same bits."""
+    """Every level of a bundle's wi, for 1 to 25 steps, of all agents and of
+    agent ranges, is np.cumsum's to the bit, and each level is contiguous.
+    A first increment of -0.0 stays -0.0 in level 1, as cumsum leaves it.
+    Each read is a new array of the same bits, which the bundle does not
+    keep."""
     rng = np.random.default_rng(3)
     for steps in range(1, 26):
-        dw = rng.normal(size=(5, 7, steps)) * 10.0 ** rng.uniform(-8, 8, size=(5, 7, steps))
-        dw[0, 0, 0] = -0.0
-        w, full = levels(dw), level_array(dw)
+        dWi = step_major((5, 7, steps))
+        dWi[...] = rng.normal(size=(5, 7, steps)) * 10.0 ** rng.uniform(-8, 8, size=(5, 7, steps))
+        dWi[0, 0, 0] = -0.0
+        bundle = PathBundle(grid=TimeGrid(0.5, steps), dW0=np.zeros((5, steps, 1)), dWi=dWi,
+                            x=np.zeros((5, steps + 1)), I=np.zeros((5, steps + 1)))
+        w, full = bundle.wi, level_array(dWi)
         assert w.shape == full.shape
         for k in range(-steps - 1, steps + 1):
+            assert w[:, :, k].flags.c_contiguous
             for r in (slice(None), slice(2, 5), slice(6, None)):
-                want = full[:, r, k]
-                assert w[:, r, k].tobytes() == want.tobytes(), (steps, k, r)
-                assert w[:, r][:, :, k].tobytes() == want.tobytes(), (steps, k, r)
-        assert np.signbit(w[:, :, 1][0, 0]) and np.signbit(full[0, 0, 1])
-        assert w[:, :, steps // 2 + 1].tobytes() == w[:, :, steps // 2 + 1].tobytes()
-
-
-def test_checkpoints_are_read_only():
-    """The checkpoints (levels c, 2c, ... and T, for c = ceil(sqrt(steps)))
-    come back read-only, also through a particle range; a rebuilt level is a
-    fresh array of its own."""
-    w = levels(np.random.default_rng(1).normal(size=(4, 6, 20)))
-    for k in (5, 10, 15, 20, -1):
-        for level in (w[:, :, k], w[:, 1:4, k], w[:, 2:][:, :, k]):
-            with pytest.raises(ValueError, match="read-only"):
-                level[0, 0] = 1.0
-    rebuilt = w[:, :, 7]
-    rebuilt[0, 0] = 1.0
-    assert w[:, :, 7][0, 0] != 1.0
-
-
-def test_other_index_forms_raise_type_error():
-    """A Levels is read as w[:, r, k] and w[:, r], r a unit-step range: any
-    other key raises TypeError."""
-    w = levels(np.random.default_rng(2).normal(size=(4, 6, 9)))
-    for key in (0, slice(None), (0, slice(None), 3), (slice(None), 1, 3),
-                (slice(None), [0, 2], 3), (slice(None), np.arange(3)), (slice(None), slice(0, 6, 2)),
-                (slice(None), slice(None), slice(None)), (slice(None), slice(None), 1.0),
-                (Ellipsis, 3), (slice(1, 3), slice(None), 3), (slice(None),) * 4):
-        with pytest.raises(TypeError):
-            w[key]
-    with pytest.raises(IndexError):
-        w[:, :, 10]
-
-
-def test_a_bundle_keeps_its_increments_and_its_checkpoints(eqg_spec, market2):
-    """A bundle whose levels have been read keeps dWi and ceil(steps / c)
-    checkpoint levels, c = ceil(sqrt(steps)), and no other (M, K) array:
-    where all steps + 1 levels would be steps + 1."""
-    grid = TimeGrid(0.5, 20)
-    M, K = 64, 200
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        bundle = simulate_paths(grid, eqg_spec, market2, M, 17, agents=K)
-        bundle.wi
-        kept = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    level = M * K * 8
-    want = bundle.dWi.nbytes + 4 * level        # checkpoints at 5, 10, 15, 20
-    assert want <= kept < want + level / 2, (kept, want)
+                assert w[:, r, k].tobytes() == full[:, r, k].tobytes(), (steps, k, r)
+        assert np.signbit(w[0, 0, 1]) and np.signbit(full[0, 0, 1])
+        again = bundle.wi
+        assert again is not w and again.tobytes() == w.tobytes()

@@ -35,6 +35,36 @@ def test_size_report_prints_three_counts(capsys):
     assert all(line.rsplit(": ", 1)[1].isdigit() for line in lines)
 
 
+def test_output_diff_reads_each_numeric_column(tmp_path, capsys):
+    """output_diff.py names each changed numeric column of the files that
+    differ, with its largest change over the column's max |base value|: a
+    CSV column by its header, a JSON column by its key path with list
+    indices dropped, an all-zero column by its absolute change.  Unchanged
+    files and columns, and text columns, print nothing; a file in one tree
+    only, and one that is neither CSV nor JSON, are named."""
+    base, head = tmp_path / "base", tmp_path / "head"
+    for tree in (base, head):
+        (tree / "run").mkdir(parents=True)
+        (tree / "same.csv").write_text("a,b\n1,2\n")
+    (base / "run" / "eps.csv").write_text("N,eps,label\n10,4.0,x\n100,0.5,y\n")
+    (head / "run" / "eps.csv").write_text("N,eps,label\n10,4.0,x\n100,0.5000001,z\n")
+    (base / "run" / "report.json").write_text(
+        '{"eps": [2.0, 1.0], "stage": {"y0": 0.0, "ok": true}, "tag": "a"}')
+    (head / "run" / "report.json").write_text(
+        '{"eps": [2.0, 1.5], "stage": {"y0": 1e-20, "ok": false}, "tag": "b"}')
+    (base / "exit_code").write_text("0\n")
+    (head / "exit_code").write_text("1\n")
+    (base / "gone.csv").write_text("a\n1\n")
+    assert _script("output_diff").main([str(base), str(head)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "gone.csv: only in BASE",
+        "exit_code: differs, no column-wise comparison",
+        "run/eps.csv\teps\t2.5e-08 relative",
+        "run/report.json\teps[]\t0.25 relative",
+        "run/report.json\tstage.y0\t1e-20 absolute",
+    ]
+
+
 def test_benchmark_worker_builds_its_library_objects(tmp_path):
     """bench/worker.py's audit builds its markets (with d=1 and declared
     bounds), specs, grids, basis and perturbations up to its first solve,
