@@ -29,7 +29,7 @@ from mfequil import (
 def one_resolution(cfg, steps, n_paths, seed):
     sc = build_scenario(replace(cfg, grid=replace(cfg.grid, steps=steps)))
     grid, market, spec = sc.grid, sc.market, sc.eqg
-    bundle = simulate_paths(grid, spec, market, n_paths, seed, agents=1)
+    bundle = simulate_paths(grid, spec, market, n_paths, seed)
     ric = riccati_closed_form(spec, grid)
     eq = equilibrium_path(ric, bundle, market)
     g = terminal_g(sc.liability, bundle, np.ones(1))

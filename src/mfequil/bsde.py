@@ -17,10 +17,10 @@ risk-aversion atom s, and takes every expectation over the
 idiosyncratic noise exactly: backward induction regresses, on each step's
 basis,
 
-  * for y: E over dWi of y_k+1(w + dWi), a polynomial shift, and the
+  * for y: E over dW1 of y_k+1(w + dW1), a polynomial shift, and the
     driver at the frozen z;
   * for z0: the shifted y_k+1 minus its fitted value, times dW0 / dt;
-  * for z1: E[y_k+1(w + dWi) dWi] / dt = E[d/dw y_k+1(w + dWi)], by
+  * for z1: E[y_k+1(w + dW1) dW1] / dt = E[d/dw y_k+1(w + dW1)], by
     Gaussian integration by parts (Stein 1981).
 
 Only the common noise stays Monte Carlo.  One solve, `_solve`, with one
@@ -57,7 +57,8 @@ step at a time and holds y at two steps only.
 Verification is the optimality-of-martingale test: along the candidate
 optimum p*, the process R^p = -exp(-gamma (W^p - Y)) must be a martingale,
 and a strict supermartingale along any perturbed strategy.  It runs along
-the bundle's own agents, whose idiosyncratic levels the solve never reads.
+one agent per common path, whose idiosyncratic levels paths.agent_levels
+draws from the bundle's seed; the solve never reads them.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import numpy as np
 
 from .errors import PicardDiverged, WeightDegenerate
 from .market import MarketSpec, TimeGrid
-from .paths import PathBundle, step_major
+from .paths import PathBundle, agent_levels
 from .regression import (
     BasisEngine, RegressionBasis, apply, hankel, poly_at, shift_matrix, sup_on_range,
 )
@@ -384,23 +385,22 @@ def optimal_strategy(
     market: MarketSpec,
     levels,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate optimum of atom 0 along agents at idiosyncratic levels
-    (M0, N, steps + 1): gamma p* = z0_par + theta^T,
+    """Candidate optimum of atom 0 along one agent per common path, at
+    idiosyncratic levels (M0, steps + 1): gamma p* = z0_par + theta^T,
     pi* = (sigma sigma^T)^{-1} sigma p*^T.
 
-    Returns p (M0, N, steps, d0) and pi (M0, N, steps, n).
+    Returns p (M0, steps, d0) and pi (M0, steps, n), stored step-major.
     """
     steps = solution.grid.steps
-    M0, N = levels.shape[:2]
-    d0 = market.d0
+    M0, d0 = levels.shape[0], market.d0
     th = _pathwise_theta(theta, steps, d0, M0)
     proj, pos = market.geometry(steps)
-    p = step_major((M0, N, steps, d0))
-    pi = step_major((M0, N, steps, market.n))
+    p = np.empty((steps, M0, d0)).transpose(1, 0, 2)
+    pi = np.empty((steps, M0, market.n)).transpose(1, 0, 2)
     for k in range(steps):
-        z0 = poly_at(solution.z_coefs(k)[:, 0, :d0], levels[:, :, k])
-        p[:, :, k, :] = (z0 @ proj[k] + th[:, k, None, :]) / gamma
-        pi[:, :, k, :] = p[:, :, k, :] @ pos[k].T
+        z0 = poly_at(solution.z_coefs(k)[:, 0, :d0], levels[:, k, None])[:, 0]
+        p[:, k] = (z0 @ proj[k] + th[:, k]) / gamma
+        pi[:, k] = p[:, k] @ pos[k].T
     return p, pi
 
 
@@ -424,13 +424,14 @@ class VerificationReport:
 
 
 def _wealth_paths(p: np.ndarray, bundle: PathBundle, th: np.ndarray, dt: float):
-    """W_{k+1} = W_k + p_k (dW0_k + theta_k dt), W_0 = 0, for p of shape (M0, K, steps, d0)
-    and theta of shape (M0, steps, d0)."""
-    M0, K, steps, _ = p.shape
-    W = step_major((M0, K, steps + 1))
+    """W_{k+1} = W_k + p_k (dW0_k + theta_k dt), W_0 = 0, for p and theta of
+    shape (M0, steps, d0): (M0, steps + 1), stored step-major."""
+    M0, steps, _ = p.shape
+    W = np.empty((steps + 1, M0)).T
+    W[:, 0] = 0.0
     for k in range(steps):
         drive = bundle.dW0[:, k, :] + th[:, k] * dt
-        W[:, :, k + 1] = W[:, :, k] + np.einsum("mkj,mj->mk", p[:, :, k, :], drive)
+        W[:, k + 1] = W[:, k] + np.einsum("mj,mj->m", p[:, k], drive)
     return W
 
 
@@ -444,8 +445,8 @@ def verify_condition_r(
     perturbations: list[Perturbation],
 ) -> VerificationReport:
     """Drift test of R^p = -exp(-gamma (W^p - Y)) along p* and perturbations,
-    on the bundle's K agents per common path, at their own idiosyncratic
-    levels; g_samples is the solve's terminal data.
+    on one agent per common path at its idiosyncratic levels
+    paths.agent_levels(bundle); g_samples is the solve's terminal data.
 
     Along p* the per-step and aggregate drifts must be statistically zero;
     along every perturbation the aggregate drift must be significantly
@@ -458,26 +459,25 @@ def verify_condition_r(
     d0 = market.d0
     th = _pathwise_theta(theta, steps, d0, M0)
     proj, _ = market.geometry(steps)
-    w = bundle.wi
+    w = agent_levels(bundle)
 
     p_star, _ = optimal_strategy(solution, theta, gamma, market, w)
-    Y = np.stack([poly_at(solution.y_coefs(k)[:, :1], w[:, :, k])[..., 0]
-                  for k in range(steps + 1)], axis=2) / gamma
-    F = poly_at(_coefs(g_samples, M0)[:, :1], w[:, :, steps])[..., 0] / gamma
+    Y = np.stack([poly_at(solution.y_coefs(k)[:, :1], w[:, k, None])[:, 0, 0]
+                  for k in range(steps + 1)], axis=1) / gamma
+    F = poly_at(_coefs(g_samples, M0)[:, :1], w[:, steps, None])[:, 0, 0] / gamma
     del w               # the levels are read: the drift tests run without them
 
     def drift_stats(p):
         W = _wealth_paths(p, bundle, th, dt)
         R = -np.exp(-gamma * (W - Y))
-        dR = np.diff(R, axis=2)
-        flat = dR.reshape(-1, steps)
-        step_mean = flat.mean(axis=0)
-        step_se = flat.std(axis=0, ddof=1) / np.sqrt(flat.shape[0])
+        dR = np.diff(R, axis=1)
+        step_mean = dR.mean(axis=0)
+        step_se = dR.std(axis=0, ddof=1) / np.sqrt(M0)
         step_z = step_mean / step_se
-        total = (R[:, :, -1] - R[:, :, 0]).ravel()
-        agg_z = float(total.mean() / (total.std(ddof=1) / np.sqrt(total.size)))
-        utility = -np.exp(-gamma * (W[:, :, -1] - F))
-        return agg_z, float(np.max(np.abs(step_z))), utility.ravel()
+        total = R[:, -1] - R[:, 0]
+        agg_z = float(total.mean() / (total.std(ddof=1) / np.sqrt(M0)))
+        utility = -np.exp(-gamma * (W[:, -1] - F))
+        return agg_z, float(np.max(np.abs(step_z))), utility
 
     agg_z, max_step_z, u_star = drift_stats(p_star)
 
@@ -487,7 +487,7 @@ def verify_condition_r(
         if pert.offset is not None:
             off = np.asarray(pert.offset, dtype=float)
             for k in range(steps):
-                p[:, :, k, :] += off @ proj[k]
+                p[:, k] += off @ proj[k]
         z, _, u = drift_stats(p)
         gap = u.mean() - u_star.mean()
         gap_se = float((u - u_star).std(ddof=1) / np.sqrt(u.size))
@@ -513,8 +513,8 @@ def bmo_proxy(backward, grid: TimeGrid) -> float:
 
     backward yields, for k = steps - 1, ..., 0, (k, step k's conditioner, z
     on interval k as per-path coefficients (J, S, A, M0)).  Each atom's
-    remaining quadratic variation R_k = |z_k|^2 dt + E over dWi of
-    R_k+1(w + dWi) is accumulated backward as a polynomial in w, fitted on
+    remaining quadratic variation R_k = |z_k|^2 dt + E over dW1 of
+    R_k+1(w + dW1) is accumulated backward as a polynomial in w, fitted on
     its step's basis, and the sup of the fitted values over the paths, the
     atoms and w within +-6 sqrt(t_k) is returned.
     """

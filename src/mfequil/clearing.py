@@ -91,11 +91,11 @@ class Population:
         return self.gammas.shape[0]
 
 
-def build_population(n_agents: int, seed: int, gamma_dist: DiscreteDist) -> Population:
-    """Draw gamma_i i.i.d. from gamma_dist for n_agents."""
-    if n_agents < 1:
-        raise ValueError("n_agents must be >= 1")
-    ids = gamma_dist.draw_ids(_philox(seed, KIND_GAMMA, 0).random(n_agents))
+def build_population(size: int, seed: int, gamma_dist: DiscreteDist) -> Population:
+    """Draw gamma_i i.i.d. from gamma_dist for `size` agents."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    ids = gamma_dist.draw_ids(_philox(seed, KIND_GAMMA, 0).random(size))
     gammas = np.asarray(gamma_dist.values, dtype=float)[ids]
     return Population(gammas=gammas, atom_ids=ids)
 

@@ -130,7 +130,7 @@ def emit_plot_series(
 def _closed_form(sc: Scenario, n_paths: int):
     """n_paths common paths at the run's seed, the Riccati solution and the
     closed-form equilibrium on those paths."""
-    bundle = simulate_paths(sc.grid, sc.eqg, sc.market, n_paths, sc.cfg.seed, agents=1)
+    bundle = simulate_paths(sc.grid, sc.eqg, sc.market, n_paths, sc.cfg.seed)
     ric = riccati_closed_form(sc.eqg, sc.grid)
     return bundle, ric, equilibrium_path(ric, bundle, sc.market)
 

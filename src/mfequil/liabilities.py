@@ -65,7 +65,7 @@ def terminal_g(liability: LiabilitySpec, bundle: PathBundle, gammas: np.ndarray)
         g[0] = dt * np.sum(a * x * x + b * x, axis=1)
     g[1] = kappa
     if eps != 0.0:
-        g[1] += gam[:, None] * eps * bundle.w0[:, -1, 0]
+        g[1] += gam[:, None] * eps * np.cumsum(bundle.dW0[:, :, 0], axis=1)[:, -1]
     return g
 
 

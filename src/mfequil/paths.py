@@ -7,16 +7,17 @@ factor follows Euler-Maruyama on the same increments the BSDE regressions
 consume, and the running liability integral I uses the left-endpoint rule, so
 factor, integral, and regressions stay on one discretisation.  The solves
 integrate each agent's idiosyncratic coordinate exactly (see regression), so
-its increments are drawn only for agents that are followed along a path: a
-bundle's own agents, whose strategies verify_condition_r audits (one per
-path by default), and the clearing pool, which draws a chunk of common
-paths at a time and keeps none of them (see clearing).
+a bundle holds the common noise only, with its seed.  Idiosyncratic
+increments are drawn only for agents that are followed along a path: the
+agent verify_condition_r audits, one per common path, whose levels
+agent_levels draws from the bundle's seed at each call, and the clearing
+pool, which draws a chunk of common paths at a time and keeps none of them
+(see clearing).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,12 +49,6 @@ def _philox(seed: int, kind: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def step_major(shape: tuple[int, ...]) -> np.ndarray:
-    """Zeros of shape (M, K, steps, ...) stored as (steps, M, K, ...): [:, :, k] is contiguous."""
-    m, k, steps, *tail = shape
-    return np.zeros((steps, m, k, *tail)).transpose(1, 2, 0, *range(3, len(shape)))
-
-
 def normal_block_array(seed: int, kind: int, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals of the given shape, leading axis split into blocks.
 
@@ -82,48 +77,40 @@ def normal_chunks(seed: int, kind: int, shape: tuple[int, ...], rows: int, scale
             del draws
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathBundle:
-    """Simulated common paths with per-agent idiosyncratic increments.
+    """Simulated common paths, keyed by seed.
 
-    dW0: (M, steps, d0) common Brownian increments.
-    dWi: (M, K, steps) idiosyncratic increments, K agents per common path.
+    dW0: (M, steps, d0) common Brownian increments, C-ordered.
     x:   (M, steps + 1) Euler path of the OU factor.
     I:   (M, steps + 1) left-rule running integral of a x^2 + b x.
-    dWi, x and I are stored step-major, dW0 C-ordered.
+    x and I are stored step-major.  seed keys the draws, the audited
+    agent's too (agent_levels).
     """
 
     grid: TimeGrid
     dW0: np.ndarray
-    dWi: np.ndarray
     x: np.ndarray
     I: np.ndarray
+    seed: int
 
     @property
     def n_paths(self) -> int:
         return self.dW0.shape[0]
 
-    @property
-    def n_agents(self) -> int:
-        return self.dWi.shape[1]
 
-    @cached_property
-    def w0(self) -> np.ndarray:
-        """Cumulative common Brownian path, (M, steps + 1, d0), W0_0 = 0."""
-        M, steps, d0 = self.dW0.shape
-        out = np.zeros((M, steps + 1, d0))
-        np.cumsum(self.dW0, axis=1, out=out[:, 1:])
-        return out
-
-    @property
-    def wi(self) -> np.ndarray:
-        """Idiosyncratic Brownian levels, (M, K, steps + 1), W_0 = 0, by
-        np.cumsum and stored step-major: a new array at each read, which
-        the bundle does not keep."""
-        M, K, steps = self.dWi.shape
-        out = step_major((M, K, steps + 1))
-        np.cumsum(self.dWi, axis=2, out=out[:, :, 1:])
-        return out
+def agent_levels(bundle: PathBundle) -> np.ndarray:
+    """Idiosyncratic levels of the audited agent, one per common path:
+    (M, steps + 1), W_0 = 0, stored step-major like x and I.  They are the
+    bundle's keyed normals of kind KIND_IDIO over (M, steps) times sqrt(dt),
+    summed by np.cumsum, drawn at each call and not kept by the bundle."""
+    M, steps = bundle.n_paths, bundle.grid.steps
+    dw = normal_block_array(bundle.seed, KIND_IDIO, (M, steps))
+    dw *= np.sqrt(bundle.grid.dt)
+    out = np.empty((steps + 1, M)).T
+    out[:, 0] = 0.0
+    np.cumsum(dw, axis=1, out=out[:, 1:])
+    return out
 
 
 def simulate_paths(
@@ -132,27 +119,18 @@ def simulate_paths(
     market: MarketSpec,
     n_paths: int,
     seed: int,
-    agents: int = 1,
 ) -> PathBundle:
-    """Euler-Maruyama factor paths plus Brownian increments for `agents` agents."""
-    if n_paths < 1 or agents < 1:
-        raise ValueError("n_paths and agents must be >= 1")
+    """Euler-Maruyama factor paths on keyed common Brownian increments."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     if len(spec.delta) != market.d0:
         raise ValueError(
             f"delta has {len(spec.delta)} components, market has d0={market.d0}"
         )
-    steps, dt = grid.steps, grid.dt
-    sqdt = np.sqrt(dt)
-
-    dW0 = normal_block_array(seed, KIND_COMMON, (n_paths, steps, market.d0)) * sqdt
-    dWi = step_major((n_paths, agents, steps))
-    # each block's draws go straight to their rows of the step-major store
-    rows = dWi.reshape(n_paths * agents, steps)
-    for start, stop, draws in normal_chunks(seed, KIND_IDIO, rows.shape, BLOCK, sqdt):
-        rows[start:stop] = draws
-
+    dt = grid.dt
+    dW0 = normal_block_array(seed, KIND_COMMON, (n_paths, grid.steps, market.d0)) * np.sqrt(dt)
     x, I = _euler_factor(spec, dW0, dt)
-    return PathBundle(grid=grid, dW0=dW0, dWi=dWi, x=x, I=I)
+    return PathBundle(grid=grid, dW0=dW0, x=x, I=I, seed=seed)
 
 
 def _euler_factor(spec: EqgSpec, dW0: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:

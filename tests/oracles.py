@@ -5,7 +5,9 @@ outside it, built on its public names only:
 
 * cole_hopf_oracle, cole_hopf_idio: log E[exp(G)] by sampling, and the
   closed-form value of the idiosyncratic leg kappa W^i_T;
-* level_array: every Brownian level of a bundle's increments, by np.cumsum;
+* level_array, idio_levels: every Brownian level of given increments, by
+  np.cumsum, and K agents' idiosyncratic levels per common path, keyed as a
+  bundle held them when it drew its own agents;
 * pool_levels, agent_strategies: the clearing pool's levels as one array,
   and each pool agent's own position read from them, the per-agent
   reference for clearing.per_capita_positions;
@@ -31,7 +33,7 @@ import numpy as np
 
 from mfequil import EqgSpec, PathBundle, TimeGrid, market_geometry
 from mfequil.errors import DimensionMismatch
-from mfequil.paths import KIND_AUX, normal_block_array, step_major
+from mfequil.paths import KIND_AUX, KIND_IDIO, normal_block_array
 from mfequil.regression import poly_at
 
 
@@ -42,20 +44,31 @@ def cole_hopf_oracle(g_samples: np.ndarray) -> float:
     return m + float(np.log(np.mean(np.exp(g - m))))
 
 
-def cole_hopf_idio(kappa: float, grid: TimeGrid, bundle: PathBundle):
-    """Idiosyncratic value leg for the terminal liability kappa W^i_T.
+def cole_hopf_idio(kappa: float, grid: TimeGrid, levels: np.ndarray):
+    """Idiosyncratic value leg for the terminal liability kappa W^i_T, at
+    the agents' levels (M, K, steps + 1).
 
     log E[exp(kappa W_T) | F_t] = kappa W_t + kappa^2 (T - t) / 2 for a
     Brownian motion W; the integrand z1 = kappa is constant.
     """
     tail = 0.5 * kappa * kappa * (grid.horizon - grid.times)
-    return kappa * level_array(bundle.dWi) + tail[None, None, :], np.array([kappa])
+    return kappa * levels + tail[None, None, :], np.array([kappa])
 
 
 def level_array(dw: np.ndarray) -> np.ndarray:
     """All levels of the increments dw (M, K, steps) in one (M, K, steps + 1)
     array, 0 at t = 0, by np.cumsum."""
     return np.concatenate([np.zeros((*dw.shape[:2], 1)), np.cumsum(dw, axis=2)], axis=2)
+
+
+def idio_levels(bundle: PathBundle, agents: int) -> np.ndarray:
+    """Idiosyncratic levels of K = agents agents per common path, (M, K,
+    steps + 1): the (M K, steps) rows of the bundle seed's KIND_IDIO
+    normals times sqrt(dt), reshaped to (M, K, steps), by level_array.  At
+    K = 1 they are paths.agent_levels' numbers."""
+    M, steps = bundle.n_paths, bundle.grid.steps
+    dw = normal_block_array(bundle.seed, KIND_IDIO, (M * agents, steps)) * np.sqrt(bundle.grid.dt)
+    return level_array(dw.reshape(M, agents, steps))
 
 
 def pool_levels(seed: int, n_common: int, n_agents: int, grid: TimeGrid) -> np.ndarray:
@@ -125,7 +138,8 @@ def fubini_malliavin_check(bundle: PathBundle, spec: EqgSpec) -> float:
 
 
 def coarsen_bundle(bundle: PathBundle, factor: int, spec: EqgSpec) -> PathBundle:
-    """Aggregate increments onto a grid `factor` times coarser, same noise.
+    """Aggregate the common increments onto a grid `factor` times coarser,
+    same noise and same seed.
 
     Used for refinement studies on a fixed Brownian path: the coarse bundle's
     increments are sums of the fine ones, and the factor path x and its
@@ -138,10 +152,7 @@ def coarsen_bundle(bundle: PathBundle, factor: int, spec: EqgSpec) -> PathBundle
     steps_c = grid.steps // factor
     coarse_grid = TimeGrid(grid.horizon, steps_c)
     M, _, d0 = bundle.dW0.shape
-    K = bundle.n_agents
     dW0 = bundle.dW0.reshape(M, steps_c, factor, d0).sum(axis=2)
-    dWi = step_major((M, K, steps_c))
-    np.sum(bundle.dWi.reshape(M, K, steps_c, factor), axis=3, out=dWi)
 
     dt = coarse_grid.dt
     x = np.empty((M, steps_c + 1))
@@ -152,7 +163,7 @@ def coarsen_bundle(bundle: PathBundle, factor: int, spec: EqgSpec) -> PathBundle
         xk = x[:, k]
         I[:, k + 1] = I[:, k] + (spec.a * xk * xk + spec.b * xk) * dt
         x[:, k + 1] = xk + (spec.alpha * xk + spec.beta) * dt + dW0[:, k] @ spec.delta_vec
-    return PathBundle(grid=coarse_grid, dW0=dW0, dWi=dWi, x=x, I=I)
+    return PathBundle(grid=coarse_grid, dW0=dW0, x=x, I=I, seed=bundle.seed)
 
 
 def normal_moments(t: float, n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from mfequil import (
 from mfequil import bsde
 from mfequil.bsde import _fixed_point
 from mfequil.errors import PicardDiverged
+from mfequil.paths import agent_levels
 from mfequil.regression import BasisEngine, poly_at
 
 from conftest import make_market, materialise, pool_strategies
@@ -144,16 +145,17 @@ def test_optimal_strategy_identity(grid20, market2):
     theta = risk_premium_from_mu(market2.sigma, mu)
     gamma = 2.0
     sol = solve_agent_bsde(bundle, market2, BASIS, theta, g)
-    p, pi = optimal_strategy(sol, theta, gamma, market2, bundle.wi)
-    assert p.shape == (512, 1, grid20.steps, 2)
-    assert pi.shape == (512, 1, grid20.steps, 2)
+    w = agent_levels(bundle)
+    p, pi = optimal_strategy(sol, theta, gamma, market2, w)
+    assert p.shape == (512, grid20.steps, 2)
+    assert pi.shape == (512, grid20.steps, 2)
     k = 3
-    z0 = poly_at(sol.z_coefs(k)[:, 0, :2], bundle.wi[:, :, k])[:, 0]
+    z0 = poly_at(sol.z_coefs(k)[:, 0, :2], w[:, k, None])[:, 0]
     z0_par, _ = project(market2.sigma_table(grid20.steps)[k], z0)
     want = (z0_par + theta[k][None, :]) / gamma
-    assert np.allclose(p[:, 0, k, :], want, atol=1e-12)
+    assert np.allclose(p[:, k, :], want, atol=1e-12)
     # pi reproduces p through sigma^T (p lies in the asset span)
-    back = pi[:, 0, k, :] @ market2.sigma
+    back = pi[:, k, :] @ market2.sigma
     assert np.allclose(back, want, atol=1e-10)
 
 
@@ -237,7 +239,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     spec = EqgSpec(alpha=0.0, beta=0.0, delta=(1.0, 0.0), x0=0.0,
                    a=0.0, b=0.5, kappa=0.0)
     gammas = np.array([1.0, 2.0])
-    bundle = simulate_paths(grid, spec, market, 2000, 10, agents=2)
+    bundle = simulate_paths(grid, spec, market, 2000, 10)
     basis = RegressionBasis(degree=2, include_idio=False)
     g = bundle.x[:, -1]
 
@@ -257,7 +259,7 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     assert sol.y0 == pytest.approx(y0_want + g.mean(), abs=0.01)
     sol_q, _ = solve_under_q(bundle, market, basis, theta, g[None, None])
     assert sol_q.y0 == pytest.approx(sol.y0, abs=0.01)
-    p, pi = optimal_strategy(sol, theta, 2.0, market, bundle.wi)
+    p, pi = optimal_strategy(sol, theta, 2.0, market, agent_levels(bundle))
 
     # normalized G = gamma x_T fitted per risk-aversion atom: agent i hedges
     # gamma_i delta_par against the premium gamma_hat delta_par, so fresh
@@ -272,9 +274,9 @@ def test_time_varying_sigma_uses_each_steps_geometry():
     for k in range(grid.steps):
         s = rows[k]
         for pos, strat in ((pi, p), (pi_pool, p_pool)):
-            assert np.allclose((s @ s) * pos[:, :, k, 0], strat[:, :, k] @ s,
+            assert np.allclose((s @ s) * pos[..., k, 0], strat[..., k, :] @ s,
                                rtol=0, atol=1e-12)
-        for in_row_space in (mf.theta[:, k], p[:, :, k], p_pool[:, :, k],
+        for in_row_space in (mf.theta[:, k], p[:, k], p_pool[:, :, k],
                              eq_theta[:, k]):
             assert np.max(np.abs(perp(in_row_space, k))) < 1e-12
 
@@ -366,13 +368,12 @@ def test_per_step_slices_are_contiguous():
                           max_iters=3)
     sol = mf.solution
     coarse = coarsen_bundle(bundle, 4, flat_spec())
-    p, pi = optimal_strategy(sol, mf.theta, 1.0, market, bundle.wi)
-    arrays = {"dWi": bundle.dWi, "wi": bundle.wi,
-              "coarse dWi": coarse.dWi, "coarse wi": coarse.wi,
+    p, pi = optimal_strategy(sol, mf.theta, 1.0, market, agent_levels(bundle))
+    arrays = {"agent levels": agent_levels(bundle), "coarse agent levels": agent_levels(coarse),
               "p": p, "pi": pi}
     for name, a in arrays.items():
-        for k in range(a.shape[2]):
-            assert a[:, :, k].flags.c_contiguous, (name, k)
+        for k in range(a.shape[1]):
+            assert a[:, k].flags.c_contiguous, (name, k)
     for k in range(bundle.grid.steps):
         step = {"y_coefs": sol.y_coefs(k), "z_coefs": sol.z_coefs(k)}
         for name, a in step.items():

@@ -40,7 +40,7 @@ from mfequil import (
     terminal_g,
     verify_condition_r,
 )
-from mfequil.paths import KIND_AUX, normal_block_array, normal_chunks
+from mfequil.paths import KIND_AUX, agent_levels, normal_block_array, normal_chunks
 
 from conftest import make_market, pool_strategies
 from oracles import agent_strategies, pool_levels, project, risk_premium_from_mu
@@ -67,14 +67,12 @@ def test_draw_ids_inverts_cdf():
 
 @pytest.mark.parametrize("probs", [None, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), (0.0, 0.7, 0.3),
                                    (0.34, 0.33, 0.33)])
-def test_balanced_ids_are_grouped_by_atom(probs):
+def test_cloud_holds_the_laws_atoms_in_order(probs):
     """The clearing cloud's solve holds its gamma law's atoms in order, each
     with its probability: one terminal slice per atom, the one terminal_g
     gives for that atom's gamma, the solution's probs the law's, and stats
     the law's gamma_hat with the range of its atoms of positive probability
-    (an atom of probability 0 is held but leaves gamma_lo).  The name is the
-    one the particle cloud's atom split (balanced_ids) was tested under; this
-    checks the atoms that replace that split."""
+    (an atom of probability 0 is held but leaves gamma_lo)."""
     dist = DiscreteDist(values=(1.0, 2.0, 4.0), probs=probs)
     population = {"gamma_values": list(dist.values)}
     if probs is not None:
@@ -652,7 +650,7 @@ def test_sigma_gram_is_factorised_once_per_market(gram_factorisations, table):
     theta = np.tile(np.array([0.3, -0.1]), (grid.steps, 1))
     g1 = 0.4 * np.tanh(one.x[:, -1])[None, None]
     sol = solve_agent_bsde(one, market, RegressionBasis(degree=2), theta, g1)
-    optimal_strategy(sol, theta, 1.5, market, one.wi)
+    optimal_strategy(sol, theta, 1.5, market, agent_levels(one))
     verify_condition_r(sol, one, market, theta, 1.5, g1, [
         Perturbation("offset+0.5e1", 1.0, (0.5, 0.0)), Perturbation("scale x2", 2.0, None)])
     eq = equilibrium_path(riccati_closed_form(spec, grid), one, market)

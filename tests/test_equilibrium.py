@@ -8,24 +8,24 @@ from mfequil import (
 
 from conftest import make_market
 from oracles import (
-    cole_hopf_idio, cole_hopf_oracle, coarsen_bundle, fubini_malliavin_check, level_array,
+    cole_hopf_idio, cole_hopf_oracle, coarsen_bundle, fubini_malliavin_check, idio_levels,
 )
 
 
-def build_eq(grid, spec, market, n_paths=256, seed=42, agents=1):
-    bundle = simulate_paths(grid, spec, market, n_paths, seed, agents=agents)
+def build_eq(grid, spec, market, n_paths=256, seed=42):
+    bundle = simulate_paths(grid, spec, market, n_paths, seed)
     ric = riccati_closed_form(spec, grid)
     return bundle, ric, equilibrium_path(ric, bundle, market)
 
 
 def test_equilibrium_shapes(grid20, eqg_spec, market2):
-    bundle, ric, eq = build_eq(grid20, eqg_spec, market2, agents=3)
+    bundle, ric, eq = build_eq(grid20, eqg_spec, market2)
     M, steps = bundle.n_paths, grid20.steps
     assert eq.y0.shape == (M, steps + 1)
     assert eq.z0.shape == (M, steps + 1, 2)
     assert eq.theta.shape == (M, steps, 2)
     assert eq.mu.shape == (M, steps, 2)
-    y1, z1 = cole_hopf_idio(eqg_spec.kappa, grid20, bundle)
+    y1, z1 = cole_hopf_idio(eqg_spec.kappa, grid20, idio_levels(bundle, 3))
     assert y1.shape == (M, 3, steps + 1)
     assert z1.shape == (1,)
 
@@ -69,10 +69,11 @@ def test_martingale_detects_wrong_start(grid20, eqg_spec, market2):
 
 def test_cole_hopf_idio_matches_sample_oracle(grid20, eqg_spec, market2):
     """log E[exp(kappa W_T)] estimated by the exponential-average oracle."""
-    bundle = simulate_paths(grid20, eqg_spec, market2, 60000, 3, agents=1)
+    bundle = simulate_paths(grid20, eqg_spec, market2, 60000, 3)
     kappa = 0.3
-    y1, z1 = cole_hopf_idio(kappa, grid20, bundle)
-    est = cole_hopf_oracle(kappa * level_array(bundle.dWi)[:, 0, -1])
+    w = idio_levels(bundle, 1)
+    y1, z1 = cole_hopf_idio(kappa, grid20, w)
+    est = cole_hopf_oracle(kappa * w[:, 0, -1])
     assert y1[0, 0, 0] == pytest.approx(0.5 * kappa**2 * grid20.horizon)
     assert est == pytest.approx(y1[0, 0, 0], abs=3e-3)
     assert z1.tolist() == [kappa]

@@ -11,6 +11,7 @@ from mfequil.liabilities import liability_bounds
 from mfequil.paths import ou_exact_moments
 
 from conftest import make_market
+from oracles import idio_levels
 
 A, B, KAPPA, EPS = -0.2, 0.5, 0.3, 0.1
 GAMMAS = np.array([0.5, 1.0, 2.0, 4.0])
@@ -25,7 +26,8 @@ def test_each_term_enters_g_and_the_bounds(common, idio, cross):
     eps = EPS if cross else 0.0
     liability = LiabilitySpec.from_eqg(spec, eps)
     grid = TimeGrid(0.5, 20)
-    bundle = simulate_paths(grid, spec, make_market(), 64, 11, agents=GAMMAS.size)
+    bundle = simulate_paths(grid, spec, make_market(), 64, 11)
+    w0_T = np.cumsum(bundle.dW0[:, :, 0], axis=1)[:, -1]
 
     assert liability.is_additive == (not cross)
 
@@ -39,17 +41,17 @@ def test_each_term_enters_g_and_the_bounds(common, idio, cross):
     if idio:
         want[1] += KAPPA
     if cross:
-        want[1] += GAMMAS[:, None] * EPS * bundle.w0[:, -1, 0]
+        want[1] += GAMMAS[:, None] * EPS * w0_T
     assert np.array_equal(g, want)
     # at agent s's own level, with atom s's gamma, G is the sum of the terms
-    wi_T = bundle.wi[:, :, -1]
+    wi_T = idio_levels(bundle, GAMMAS.size)[:, :, -1]
     value = np.zeros_like(wi_T)
     if common:
         value += (grid.dt * np.sum(A * x * x + B * x, axis=1))[:, None]
     if idio:
         value += KAPPA * wi_T
     if cross:
-        value += GAMMAS[None, :] * EPS * bundle.w0[:, -1, 0][:, None] * wi_T
+        value += GAMMAS[None, :] * EPS * w0_T[:, None] * wi_T
     assert np.allclose(g[0].T + g[1].T * wi_T, value, rtol=1e-14, atol=1e-15)
 
     # sup bounds on the truncated range: x within 6 running sd, W within 6 sqrt(T)

@@ -53,7 +53,7 @@ def tree_bundle(spec, grid):
         I[:, k + 1] = I[:, k] + (spec.a * xk**2 + spec.b * xk) * grid.dt
         x[:, k + 1] = xk + (spec.alpha * xk + spec.beta) * grid.dt \
             + dW0[:, k] @ spec.delta_vec
-    bundle = PathBundle(grid=grid, dW0=dW0, dWi=np.zeros((M0, 1, STEPS)), x=x, I=I)
+    bundle = PathBundle(grid=grid, dW0=dW0, x=x, I=I, seed=0)
     keys = [codes // nb ** (STEPS - k) for k in range(STEPS)]
     return bundle, TreeEngine(keys, grid.times, J_TREE), keys
 
@@ -167,7 +167,7 @@ def test_fixed_point_solves_single_agent_problem(market2):
     grid = TimeGrid(0.5, 10)
     spec = EqgSpec(alpha=-0.5, beta=0.1, delta=(0.4, 0.1), x0=0.3,
                    a=-0.2, b=0.5, kappa=0.0)
-    bundle = simulate_paths(grid, spec, market2, 512, 77, agents=4)
+    bundle = simulate_paths(grid, spec, market2, 512, 77)
     gammas = np.array([1.0, 2.0])
     basis = RegressionBasis(degree=2, include_idio=False)
     liability = LiabilitySpec.from_eqg(spec)
@@ -184,13 +184,6 @@ def test_fixed_point_solves_single_agent_problem(market2):
     y, z0, _ = materialise(sol)
     assert np.max(np.abs(y[:, 0] - y_mf[:, 0])) < 1e-12
     assert np.max(np.abs(z0[:, 0] - z0_mf[:, 0])) < 1e-12
-
-    # The solves never read the bundle's own idiosyncratic draws: a bundle
-    # with one agent per path gives the same bits.
-    one = simulate_paths(grid, spec, market2, 512, 77, agents=1)
-    sol1 = solve_agent_bsde(one, market2, basis, mf.theta, g[:, :1],
-                            picard_max=25, picard_tol=1e-10)
-    assert np.array_equal(materialise(sol1)[0], y)
 
 
 def test_additive_normalized_solution_is_gamma_free(market2):

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from mfequil import EqgSpec, PathBundle, TimeGrid, simulate_paths
-from mfequil.paths import KIND_IDIO, normal_block_array, ou_exact_moments, step_major
+from mfequil.paths import KIND_IDIO, agent_levels, normal_block_array, ou_exact_moments
 
 from conftest import make_market
-from oracles import coarsen_bundle, level_array
+from oracles import coarsen_bundle, idio_levels, level_array
 
 
 def test_same_seed_same_paths(grid20, eqg_spec, market2):
-    a = simulate_paths(grid20, eqg_spec, market2, 32, 123, agents=3)
-    b = simulate_paths(grid20, eqg_spec, market2, 32, 123, agents=3)
+    a = simulate_paths(grid20, eqg_spec, market2, 32, 123)
+    b = simulate_paths(grid20, eqg_spec, market2, 32, 123)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.dW0, b.dW0)
-    assert np.array_equal(a.dWi, b.dWi)
-    c = simulate_paths(grid20, eqg_spec, market2, 32, 124, agents=3)
+    assert np.array_equal(agent_levels(a), agent_levels(b))
+    c = simulate_paths(grid20, eqg_spec, market2, 32, 124)
     assert not np.array_equal(a.dW0, c.dW0)
+    assert not np.array_equal(agent_levels(a), agent_levels(c))
 
 
 def test_path_prefix_stable_under_growth(grid20, eqg_spec, market2):
@@ -39,12 +40,15 @@ def test_all_output_independent_of_blas_threads(blas_thread_runs):
 
 
 def test_common_increments_shared_across_agents(grid20, eqg_spec, market2):
-    one = simulate_paths(grid20, eqg_spec, market2, 16, 5, agents=1)
-    many = simulate_paths(grid20, eqg_spec, market2, 16, 5, agents=4)
-    assert np.array_equal(one.dW0, many.dW0)
-    assert np.array_equal(one.x, many.x)
-    # idio increments differ per agent
-    assert not np.array_equal(many.dWi[:, 0], many.dWi[:, 1])
+    """Drawing the audited agent leaves the common noise and the factor as
+    they were; agents on one common path draw their own increments."""
+    bundle = simulate_paths(grid20, eqg_spec, market2, 16, 5)
+    dW0, x = bundle.dW0.copy(), bundle.x.copy()
+    agent_levels(bundle)
+    assert np.array_equal(bundle.dW0, dW0)
+    assert np.array_equal(bundle.x, x)
+    many = idio_levels(bundle, 4)
+    assert not np.array_equal(many[:, 0], many[:, 1])
 
 
 def test_euler_matches_ou_moments(eqg_spec, market2):
@@ -66,7 +70,7 @@ def test_integral_leg_is_left_riemann(grid20, eqg_spec, market2):
 
 
 def test_coarsen_bundle_aggregates_increments(grid20, eqg_spec, market2):
-    fine = simulate_paths(grid20, eqg_spec, market2, 12, 31, agents=2)
+    fine = simulate_paths(grid20, eqg_spec, market2, 12, 31)
     coarse = coarsen_bundle(fine, 4, eqg_spec)
     assert coarse.grid.steps == 5
     assert coarse.grid.horizon == grid20.horizon
@@ -85,11 +89,11 @@ def test_coarsen_bundle_at_factor_one_is_the_simulation(grid20, eqg_spec, market
     for bit, or the refinement studies built on it compare different maps."""
     for spec in (eqg_spec, EqgSpec(alpha=0.0, beta=-0.2, delta=(0.7, 0.3), x0=-1.1,
                                    a=0.0, b=0.9)):
-        fine = simulate_paths(grid20, spec, market2, 40, 17, agents=2)
+        fine = simulate_paths(grid20, spec, market2, 40, 17)
         same = coarsen_bundle(fine, 1, spec)
         assert np.array_equal(same.x, fine.x)
         assert np.array_equal(same.I, fine.I)
-        assert np.array_equal(same.dW0, fine.dW0) and np.array_equal(same.dWi, fine.dWi)
+        assert np.array_equal(same.dW0, fine.dW0) and same.seed == fine.seed
 
 
 def test_simulate_paths_validates_inputs(grid20, eqg_spec, market2):
@@ -101,30 +105,26 @@ def test_simulate_paths_validates_inputs(grid20, eqg_spec, market2):
 
 
 def test_idio_draws_are_written_in_place_with_the_keyed_normals(eqg_spec, market2):
-    """simulate_paths writes each block's idiosyncratic draws straight into
-    the step-major dWi: the values are normal_block_array's over the
-    (M K, steps) rows times sqrt(dt), bit for bit, and the traced peak
-    above what the bundle keeps stays under half of dWi (a whole-array
-    temporary would add all of it).  Each level wi[:, :, k] is dWi's running
-    sum from 0, as np.cumsum gives it, and contiguous."""
+    """A bundle holds the common noise only: the traced memory simulate_paths
+    keeps is its dW0, x and I plus SLACK, 4 KiB for the bundle and the
+    arrays' Python objects.  An idiosyncratic agent's increments, 80 KiB
+    here, are not kept.  The audited agent's levels are the keyed normals
+    of the (M, steps) rows times sqrt(dt), summed by np.cumsum, bit for
+    bit."""
     grid = TimeGrid(0.5, 20)
-    M, K = 64, 200
+    M, SLACK = 512, 4096
+    simulate_paths(grid, eqg_spec, market2, 1, 17)    # numpy's first-call caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        bundle = simulate_paths(grid, eqg_spec, market2, M, 17, agents=K)
-        kept, peak = tracemalloc.get_traced_memory()
+        bundle = simulate_paths(grid, eqg_spec, market2, M, 17)
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak - kept < bundle.dWi.nbytes / 2, (peak - kept, bundle.dWi.nbytes)
-    assert kept - base >= bundle.dWi.nbytes
-    want = normal_block_array(17, KIND_IDIO, (M * K, grid.steps)) * np.sqrt(grid.dt)
-    assert np.array_equal(bundle.dWi, want.reshape(bundle.dWi.shape))
-    assert bundle.dWi[:, :, 3].flags.c_contiguous
-    full = level_array(bundle.dWi)
-    for k in range(grid.steps + 1):
-        assert np.array_equal(bundle.wi[:, :, k], full[:, :, k]), k
-    assert bundle.wi[:, :, 3].flags.c_contiguous
+    arrays = bundle.dW0.nbytes + bundle.x.nbytes + bundle.I.nbytes
+    assert arrays <= kept - base <= arrays + SLACK, (kept - base, arrays)
+    want = normal_block_array(17, KIND_IDIO, (M, grid.steps)) * np.sqrt(grid.dt)
+    assert np.array_equal(agent_levels(bundle), level_array(want[:, None])[:, 0])
 
 
 def test_one_coordinate_draws_are_the_first_of_a_trailing_axis():
@@ -138,24 +138,24 @@ def test_one_coordinate_draws_are_the_first_of_a_trailing_axis():
 
 
 def test_every_level_has_cumsums_bits():
-    """Every level of a bundle's wi, for 1 to 25 steps, of all agents and of
-    agent ranges, is np.cumsum's to the bit, and each level is contiguous.
-    A first increment of -0.0 stays -0.0 in level 1, as cumsum leaves it.
-    Each read is a new array of the same bits, which the bundle does not
-    keep."""
-    rng = np.random.default_rng(3)
+    """Every level of the audited agent, for 1 to 25 steps and over rows
+    across a block boundary, is np.cumsum's of the keyed normals to the bit,
+    and the levels a bundle held when it drew one agent per path (the
+    idio_levels oracle at K = 1).  Each level is contiguous, and each call
+    draws a new array of the same bits, which the bundle does not keep."""
+    M = 1024 + 3
     for steps in range(1, 26):
-        dWi = step_major((5, 7, steps))
-        dWi[...] = rng.normal(size=(5, 7, steps)) * 10.0 ** rng.uniform(-8, 8, size=(5, 7, steps))
-        dWi[0, 0, 0] = -0.0
-        bundle = PathBundle(grid=TimeGrid(0.5, steps), dW0=np.zeros((5, steps, 1)), dWi=dWi,
-                            x=np.zeros((5, steps + 1)), I=np.zeros((5, steps + 1)))
-        w, full = bundle.wi, level_array(dWi)
-        assert w.shape == full.shape
+        grid = TimeGrid(0.5, steps)
+        bundle = PathBundle(grid=grid, dW0=np.zeros((M, steps, 1)),
+                            x=np.zeros((M, steps + 1)), I=np.zeros((M, steps + 1)), seed=17)
+        w = agent_levels(bundle)
+        dw = normal_block_array(17, KIND_IDIO, (M, steps)) * np.sqrt(grid.dt)
+        full = level_array(dw[:, None])[:, 0]
+        assert w.shape == full.shape == (M, steps + 1)
+        assert np.array_equal(idio_levels(bundle, 1)[:, 0], full)
         for k in range(-steps - 1, steps + 1):
-            assert w[:, :, k].flags.c_contiguous
-            for r in (slice(None), slice(2, 5), slice(6, None)):
-                assert w[:, r, k].tobytes() == full[:, r, k].tobytes(), (steps, k, r)
-        assert np.signbit(w[0, 0, 1]) and np.signbit(full[0, 0, 1])
-        again = bundle.wi
+            assert w[:, k].flags.c_contiguous
+            for r in (slice(None), slice(1000, 1030), slice(1024, None)):
+                assert w[r, k].tobytes() == full[r, k].tobytes(), (steps, k, r)
+        again = agent_levels(bundle)
         assert again is not w and again.tobytes() == w.tobytes()
